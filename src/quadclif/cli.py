@@ -31,8 +31,6 @@ def _build_parser():
         prog="quadclif",
         description="exact verification of invariant quadric pencils and "
                     "their Clifford-algebra geometry",
-        epilog="QUADCLIF_WORKERS caps the worker count of the finite-field "
-               "scans (default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -50,7 +48,7 @@ def _build_parser():
                         "every check runs, and a few identity checks need "
                         "no instance at all")
     c.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES),
-                   help="comma-separated scan primes (each >= 17)")
+                   help="comma-separated scan primes (each a prime >= 17)")
     c.add_argument("--points", type=int, default=20,
                    help="number of off-curve fiber points to certify")
     c.add_argument("--max-degree", type=int, default=6, dest="max_degree",

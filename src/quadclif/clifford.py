@@ -466,7 +466,7 @@ def central_odd(alg):
     if not sq.is_scalar():
         raise CentralElementError("d² is not scalar")
     square = sq.scalar_part()
-    det = q.det3()
+    det = q.det()
     if square == det:
         sign = 1
     elif square == -det:

@@ -1,19 +1,31 @@
 """Exact arithmetic kernel: coefficient fields, sparse multivariate
-polynomials, and small dense matrix routines.
+polynomials, and the package's only dense linear algebra.
 
 Everything in this module is exact.  Rationals are `fractions.Fraction`,
 prime-field residues are reduced on every operation, and polynomial
 arithmetic never rounds.  The polynomial layer is deliberately small: ring
-operations, derivatives, Sylvester resultants via fraction-free (Bareiss)
-elimination, and a univariate gcd for squarefreeness tests.  Terms are kept
-in a dict keyed by exponent tuples; zero coefficients are never stored, so
-equality is dict equality.  Serialization orders terms graded-lex.
+operations, derivatives, Sylvester resultants, and a univariate gcd for
+squarefreeness tests.  Terms are kept in a dict keyed by exponent tuples;
+zero coefficients are never stored, so equality is dict equality.
+Serialization orders terms graded-lex.
+
+Linear algebra has one routine per job, shared by every module:
+
+* `rref` is the single Gaussian elimination over a field; rank, kernel,
+  solve and span coordinates (`mat_rank`, `mat_kernel`, `mat_solve`,
+  `span_coords`) are read off its pivots and reduced rows;
+* `adjugate3` is the single 3×3 adjugate, written once for any
+  commutative ring (polynomials, field elements, plain integers);
+* `det_cofactor` expands small polynomial determinants, and `bareiss_det`
+  is the fraction-free elimination behind the Sylvester resultant;
+* `kernel_int_sparse` is the separate sparse integer kernel of the graded
+  commutant solver.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +202,9 @@ class FpElem:
         if o % self.p == 0:
             raise ZeroDivisionError("division by zero in F_%d" % self.p)
         return FpElem(self.r * pow(o, self.p - 2, self.p), self.p)
+
+    def __rtruediv__(self, other):
+        return FpElem(self._match(other), self.p) / self
 
     def __eq__(self, other):
         if isinstance(other, (FpElem, int)):
@@ -575,59 +590,14 @@ class SymMatrix:
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and self.rows == other.rows
 
-    def scale(self, s):
-        return SymMatrix(self.ring, [[e * s for e in r] for r in self.rows])
-
-    def mat_mul(self, other):
-        """Plain matrix product; the result is returned as nested tuples
-        because it need not be symmetric."""
-        n = self.n
-        return tuple(
-            tuple(
-                sum((self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                    self.ring.zero())
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-
-    def det3(self):
-        """Leibniz determinant; only for 3x3."""
-        if self.n != 3:
-            raise ValueError("det3 requires a 3x3 matrix")
-        m = self.rows
-        return (
-            m[0][0] * m[1][1] * m[2][2]
-            + m[0][1] * m[1][2] * m[2][0]
-            + m[0][2] * m[1][0] * m[2][1]
-            - m[0][0] * m[1][2] * m[2][1]
-            - m[0][1] * m[1][0] * m[2][2]
-            - m[0][2] * m[1][1] * m[2][0]
-        )
-
-    def adj3(self):
-        """Adjugate of a 3x3 matrix, so M * adj3(M) = det3(M) * Id exactly."""
-        if self.n != 3:
-            raise ValueError("adj3 requires a 3x3 matrix")
-        m = self.rows
-
-        def cof(i, j):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            d = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            return d if (i + j) % 2 == 0 else -d
-
-        # adjugate = transpose of cofactor matrix; symmetric input keeps it
-        # symmetric, which SymMatrix checks on construction
-        return SymMatrix(self.ring, [[cof(j, i) for j in range(3)] for i in range(3)])
-
     def det(self):
-        """Cofactor-expansion determinant for any size (used as the
-        independent oracle for block determinants)."""
-        return _det_cofactor([list(r) for r in self.rows], self.ring)
+        """Determinant by cofactor expansion."""
+        return det_cofactor(self.rows, self.ring)
 
 
-def _det_cofactor(rows, ring):
+def det_cofactor(rows, ring):
+    """Determinant of a small square matrix of MultiPoly by expansion
+    along the first row; zero entries are skipped."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -637,10 +607,22 @@ def _det_cofactor(rows, ring):
         a = rows[0][j]
         if a:
             minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            term = a * _det_cofactor(minor, ring)
+            term = a * det_cofactor(minor, ring)
             acc = acc + (term if sign > 0 else -term)
         sign = -sign
     return acc
+
+
+def adjugate3(m):
+    """Adjugate of a 3×3 matrix over any commutative ring, so that
+    m·adj = adj·m = det(m)·I.  Integer input gives the integer adjugate,
+    which callers working mod p reduce themselves."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
 
 
 def identity_matrix(ring, n):
@@ -681,9 +663,7 @@ def bareiss_det(rows, ring):
         if m[k][k].is_zero():
             swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
             if swap is None:
-                # whole pivot column is zero below the diagonal
-                if all(m[i][k].is_zero() for i in range(k, n)):
-                    return ring.zero()
+                # the whole pivot column is zero from the diagonal down
                 return ring.zero()
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
@@ -804,118 +784,94 @@ def gradient(f: MultiPoly):
 # dense linear algebra over an exact field (elements, not polynomials)
 # ---------------------------------------------------------------------------
 
-def mat_rank(rows):
-    """Rank by Gaussian elimination; entries must support field operators."""
+_ONE = Fraction(1)
+
+
+def rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination.
+
+    Returns (pivots, reduced): the pivot column of each nonzero row, in
+    increasing order, and those rows, normalized to 1 at their pivot and
+    zero in every other pivot column; zero rows are dropped.  The entries
+    need the field operators and a zero test by truth value.  The reduced
+    rows are the unique RREF basis of the row span.
+    """
     m = [list(r) for r in rows]
-    rank = 0
+    nrows = len(m)
     ncols = len(m[0]) if m else 0
+    pivots = []
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                factor = m[i][col] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+        # columns left of col vanish in the pivot row: work on the tail
+        inv = _ONE / m[rank][col]
+        tail = [a * inv for a in m[rank][col:]]
+        m[rank][col:] = tail
+        for i in range(nrows):
+            f = m[i][col]
+            if i != rank and f:
+                m[i][col:] = [a - f * b for a, b in zip(m[i][col:], tail)]
+        pivots.append(col)
+    return pivots, m[:len(pivots)]
+
+
+def span_residual(pivots, reduced, v):
+    """v minus its combination Σ v[p]·row over RREF rows; the residual is
+    zero exactly when v lies in their span."""
+    v = list(v)
+    for p, row in zip(pivots, reduced):
+        c = v[p]
+        if c:
+            for k, b in enumerate(row):
+                if b:
+                    v[k] = v[k] - c * b
+    return v
+
+
+def span_coords(pivots, reduced, v):
+    """Coordinates of v on RREF rows (its entries at the pivots), or None
+    if v lies outside their span."""
+    if any(span_residual(pivots, reduced, v)):
+        return None
+    return [v[p] for p in pivots]
+
+
+def mat_rank(rows):
+    """Rank of a matrix over an exact field."""
+    return len(rref(rows)[0])
 
 
 def mat_kernel(rows, ncols, field):
-    """Basis of the right kernel of the matrix given by `rows`."""
-    m = [list(r) for r in rows]
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        m[rank] = [a / lead for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots[col] = rank
-        rank += 1
+    """Basis of the right kernel: one vector per free column, with 1 at
+    that column and minus the reduced entries at the pivot columns."""
+    pivots, reduced = rref(rows)
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [field.zero] * ncols
         v[fc] = field.one
-        for col, r in pivots.items():
-            v[col] = -m[r][fc]
+        for col, row in zip(pivots, reduced):
+            v[col] = -row[fc]
         basis.append(v)
     return basis
-
-
-def mat_det(rows, field):
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = field.one
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return field.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
 
 
 def mat_solve(rows, rhs, field):
     """Solve M x = rhs; returns None if inconsistent, raises on underdetermined
     systems with more than one solution."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0])
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        m[rank] = [a / lead for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots[col] = rank
-        rank += 1
-    for i in range(rank, len(m)):
-        if m[i][ncols]:
-            return None
+    pivots, reduced = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     if len(pivots) < ncols:
         raise ValueError("underdetermined linear system")
-    x = [field.zero] * ncols
-    for col, r in pivots.items():
-        x[col] = m[r][ncols]
-    return x
-
-
-def mat_adjugate3(rows, field):
-    """Adjugate of a numeric 3x3 matrix."""
-    m = rows
-
-    def cof(i, j):
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        d = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-        return d if (i + j) % 2 == 0 else -d
-
-    return [[cof(j, i) for j in range(3)] for i in range(3)]
+    return [row[ncols] for row in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +885,6 @@ def kernel_int_sparse(rows, ncols):
     (tuples of length ncols).  Exact; uses integer cross-multiplication
     with gcd normalization during elimination.
     """
-    from math import gcd
 
     def normalize(row):
         g = 0
@@ -971,8 +926,6 @@ def kernel_int_sparse(rows, ncols):
             if s:
                 x[lead] = -s / piv[lead]
         # clear denominators to a primitive integer vector
-        from math import lcm
-
         den = 1
         for v in x.values():
             den = lcm(den, v.denominator)

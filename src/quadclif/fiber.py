@@ -11,15 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .clifford import CliffordAlgebra, central_odd
 from .exactalg import (
     PrimeField,
-    QQ,
+    adjugate3,
     is_square_fraction,
     mat_kernel,
     mat_rank,
     mat_solve,
+    rref,
+    span_coords,
+    span_residual,
 )
 
 
@@ -456,91 +460,32 @@ def tensor_product(A, B):
                   check=False, assoc_note="tensor")
 
 
-class _Echelon:
-    """Reduced row echelon span with coordinate extraction."""
-
-    def __init__(self, field, ncols):
-        self.field = field
-        self.ncols = ncols
-        self.rows = []  # (pivot, vector normalized to 1 at pivot)
-
-    def _reduce(self, v):
-        v = list(v)
-        coeffs = [self.field.zero] * len(self.rows)
-        for idx, (piv, row) in enumerate(self.rows):
-            c = v[piv]
-            if c:
-                coeffs[idx] = c
-                for k in range(self.ncols):
-                    if row[k]:
-                        v[k] = v[k] - c * row[k]
-        return v, coeffs
-
-    def add(self, v):
-        """Insert v into the span; True if the rank grew."""
-        red, _ = self._reduce(v)
-        piv = next((k for k, c in enumerate(red) if c), None)
-        if piv is None:
-            return False
-        inv = self.field.one / red[piv]
-        norm = [c * inv for c in red]
-        # keep it reduced: clear the new pivot from earlier rows
-        for idx, (p, row) in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[idx] = (p, [x - c * y for x, y in zip(row, norm)])
-        self.rows.append((piv, norm))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-    def dim(self):
-        return len(self.rows)
-
-    def coords(self, v):
-        """Coordinates of v on the echelon rows, or None if v is outside."""
-        red, coeffs = self._reduce(v)
-        if any(red):
-            return None
-        return coeffs
-
-    def contains(self, v):
-        return self.coords(v) is not None
-
-    def basis_vectors(self):
-        return [tuple(row) for _, row in self.rows]
-
-    def pivots(self):
-        return [p for p, _ in self.rows]
-
-
 def corner_algebra(A, e, gens=None):
     """The algebra e·A·e for an idempotent e, on an echelon basis of the
     image.  When e is central this is a quotient of A, so images of
     generators of A still generate the corner."""
     if A.mul(e, e) != e:
         raise ValueError("corner needs an idempotent")
-    ech = _Echelon(A.field, A.dim)
-    for i in range(A.dim):
-        ech.add(A.mul(e, A.mul(A.basis_vec(i), e)))
-    basis = ech.basis_vectors()
-    m = ech.dim()
+    pivots, basis = rref([A.mul(e, A.mul(A.basis_vec(i), e))
+                          for i in range(A.dim)])
+    m = len(basis)
     table = []
     for x in basis:
         row = []
         for y in basis:
-            coords = ech.coords(A.mul(x, y))
+            coords = span_coords(pivots, basis, A.mul(x, y))
             if coords is None:
                 raise ValueError("corner is not multiplicatively closed")
             row.append(tuple(coords))
         table.append(row)
-    unit = ech.coords(e)
+    unit = span_coords(pivots, basis, e)
     if unit is None:
         raise ValueError("idempotent escaped its own corner")
     gvecs = None
     if gens is not None:
         gvecs = []
         for g in gens:
-            c = ech.coords(A.mul(e, A.mul(g, e)))
+            c = span_coords(pivots, basis, A.mul(e, A.mul(g, e)))
             if c is None:
                 raise ValueError("generator image escaped the corner")
             gvecs.append(tuple(c))
@@ -751,9 +696,7 @@ def _point(u):
 
 
 def _det_value(P, side, u):
-    curves = P.det_curves()
-    f = curves.f_plus if side == "plus" else curves.f_minus
-    return f.eval(u)
+    return P.det_curves().side(side).eval(u)
 
 
 _SIDE_CACHE = {}
@@ -902,28 +845,25 @@ def corank1_quotient(P, side, u, field=None):
         raise FiberError("the quotient only exists on the curve")
     # corank exactly one: the adjugate of the block must survive
     block = P.block_at(uc, side)
-    adj = _adjugate3(block, field)
+    adj = adjugate3([[field.coerce(x) for x in r] for r in block])
     if all(not x for row in adj for x in row):
         raise FiberError("corank at least two at this point")
     A, dvec, _ = side_fiber(P, side, uc, field)
     if any(A.mul(dvec, dvec)):
         raise AssertionError("central element square must vanish on the curve")
-    ideal = _Echelon(field, 8)
-    for i in range(8):
-        ideal.add(A.mul(dvec, A.basis_vec(i)))
-    if ideal.dim() != 4:
-        raise FiberError(f"ideal dimension {ideal.dim()} instead of 4")
-    for b in ideal.basis_vectors():
+    pivots, ideal = rref([A.mul(dvec, A.basis_vec(i)) for i in range(8)])
+    if len(ideal) != 4:
+        raise FiberError(f"ideal dimension {len(ideal)} instead of 4")
+    for b in ideal:
         for i in range(8):
-            if not ideal.contains(A.mul(A.basis_vec(i), b)):
+            if span_coords(pivots, ideal, A.mul(A.basis_vec(i), b)) is None:
                 raise AssertionError("ideal is not left-stable")
-            if not ideal.contains(A.mul(b, A.basis_vec(i))):
+            if span_coords(pivots, ideal, A.mul(b, A.basis_vec(i))) is None:
                 raise AssertionError("ideal is not right-stable")
-    pivots = set(ideal.pivots())
     complement = [i for i in range(8) if i not in pivots]
 
     def project(v):
-        red, _ = ideal._reduce(v)
+        red = span_residual(pivots, ideal, v)
         return tuple(red[i] for i in complement)
 
     lifts = [A.basis_vec(i) for i in complement]
@@ -932,18 +872,6 @@ def corank1_quotient(P, side, u, field=None):
                gens=[project(g) for g in A.gens])
     verdict = certify_matrix_algebra(Q, 2)
     return Q, verdict
-
-
-def _adjugate3(rows, field):
-    m = [[field.coerce(x) for x in r] for r in rows]
-
-    def cof(i, j):
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        d = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-        return d if (i + j) % 2 == 0 else -d
-
-    return [[cof(j, i) for j in range(3)] for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -1014,8 +942,7 @@ def rational_curve_point(P, side, rng, tries=200):
     intersecting with random rational lines and checking for rational
     roots; None if the budget runs out (the cubic is a genus-one curve,
     so rational points can legitimately be absent or hard to hit)."""
-    curves = P.det_curves()
-    f = curves.f_plus if side == "plus" else curves.f_minus
+    f = P.det_curves().side(side)
     for _ in range(tries):
         base = tuple(rng.randint(-4, 4) for _ in range(3))
         dirv = tuple(rng.randint(-4, 4) for _ in range(3))
@@ -1044,35 +971,22 @@ def rational_curve_point(P, side, rng, tries=200):
             u = tuple(Fraction(b) + t * d for b, d in zip(base, dirv))
             if not any(u):
                 continue
-            den_lcm = 1
-            for c in u:
-                den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+            den_lcm = lcm(*(c.denominator for c in u))
             uz = tuple(int(c * den_lcm) for c in u)
-            g = 0
-            for c in uz:
-                g = _gcd(g, abs(c))
+            g = gcd(*uz)
             uz = tuple(c // g for c in uz)
             uf = tuple(Fraction(c) for c in uz)
             if f.eval(uf) != 0:
                 continue
             # corank must be exactly one for the quotient construction
-            adj = _adjugate3(P.block_at(uf, side), QQ)
+            adj = adjugate3(P.block_at(uf, side))
             if any(x for row in adj for x in row):
                 return uz
     return None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def curve_points_fp(P, side, p, count):
     """First few curve points over F_p, for the prime-field fallback."""
     from . import geometry
 
-    curves = P.det_curves()
-    f = curves.f_plus if side == "plus" else curves.f_minus
-    pts = geometry.curve_points(f, p)
-    return pts[:count]
+    return geometry.curve_points(P.det_curves().side(side), p)[:count]

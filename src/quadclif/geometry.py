@@ -9,10 +9,10 @@ enough: a singular point of the curve satisfies f = 0 by definition.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .exactalg import FpElem, adjugate3, mat_rank
 
 
 class ScanError(Exception):
@@ -21,15 +21,6 @@ class ScanError(Exception):
 
 class GenericityError(Exception):
     """The instance violates a genericity assumption (corank ≥ 2)."""
-
-
-def worker_count():
-    """Worker count for sharded scans, from QUADCLIF_WORKERS (default 1)."""
-    try:
-        n = int(os.environ.get("QUADCLIF_WORKERS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(n, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -79,49 +70,31 @@ def eval_compiled(terms, pt, p):
     return acc % p
 
 
-def _zero_set(compiled, p, workers=None):
+def _zero_set(compiled, p):
     """All points of P²(F_p) where the compiled polynomial vanishes, in
-    enumeration order; asserts the sweep visited every point.
+    enumeration order; raises if the sweep missed a point.
 
     On the affine charts the polynomial is collapsed to a dense univariate
     in the last coordinate (degree ≤ 3 here), so the inner loop is a Horner
     evaluation instead of a term-by-term one.
     """
-    if workers is None:
-        workers = worker_count()
     deg3 = max(sum(e) for e, _ in compiled)
     if deg3 > 3:
         raise ScanError("sweep supports degree <= 3 only")
 
-    def sweep_chart1(a_range):
-        out = []
-        visited = 0
-        for a in a_range:
-            pa = (1, a, a * a % p, a * a % p * a % p)
-            dense = [0, 0, 0, 0]
-            for (e1, e2, e3), c in compiled:
-                dense[e3] += c * pa[e2]
-            d3, d2, d1, d0 = (dense[3] % p, dense[2] % p,
-                              dense[1] % p, dense[0] % p)
-            for b in range(p):
-                visited += 1
-                if (((d3 * b + d2) * b + d1) * b + d0) % p == 0:
-                    out.append((1, a, b))
-        return out, visited
-
     zeros = []
     visited = 0
-    if workers > 1:
-        chunk = (p + workers - 1) // workers
-        ranges = [range(i, min(i + chunk, p)) for i in range(0, p, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for part, seen in ex.map(sweep_chart1, ranges):
-                zeros.extend(part)
-                visited += seen
-    else:
-        part, seen = sweep_chart1(range(p))
-        zeros.extend(part)
-        visited += seen
+    for a in range(p):
+        pa = (1, a, a * a % p, a * a % p * a % p)
+        dense = [0, 0, 0, 0]
+        for (e1, e2, e3), c in compiled:
+            dense[e3] += c * pa[e2]
+        d3, d2, d1, d0 = (dense[3] % p, dense[2] % p,
+                          dense[1] % p, dense[0] % p)
+        for b in range(p):
+            visited += 1
+            if (((d3 * b + d2) * b + d1) * b + d0) % p == 0:
+                zeros.append((1, a, b))
     dense = [0, 0, 0, 0]
     for (e1, e2, e3), c in compiled:
         if e1 == 0:
@@ -134,32 +107,33 @@ def _zero_set(compiled, p, workers=None):
     visited += 1
     if eval_compiled(compiled, (0, 0, 1), p) == 0:
         zeros.append((0, 0, 1))
-    assert visited == p * p + p + 1, "projective sweep missed points"
+    if visited != p * p + p + 1:
+        raise AssertionError("projective sweep missed points")
     return zeros
 
 
-def curve_points(f, p, workers=None):
-    return _zero_set(compile_poly(f, p), p, workers)
+def curve_points(f, p):
+    return _zero_set(compile_poly(f, p), p)
 
 
 # ---------------------------------------------------------------------------
 # smoothness / transversality scans
 # ---------------------------------------------------------------------------
 
-def ff_scan_smooth(f, p, workers=None):
+def ff_scan_smooth(f, p):
     """Points of {f = 0} ⊂ P²(F_p) where the gradient also vanishes.
     An empty list certifies smoothness of the reduction mod p."""
     compiled = compile_poly(f, p)
     grads = [compile_poly(g, p) if not g.is_zero() else [] for g in
              (f.derivative(v) for v in f.ring.vars)]
     bad = []
-    for pt in _zero_set(compiled, p, workers):
+    for pt in _zero_set(compiled, p):
         if all((not g) or eval_compiled(g, pt, p) == 0 for g in grads):
             bad.append(pt)
     return bad
 
 
-def ff_scan_transversal(f_plus, f_minus, p, workers=None):
+def ff_scan_transversal(f_plus, f_minus, p):
     """Common points of the two curves where the 2×3 gradient matrix has
     rank ≤ 1.  Empty list = transverse intersection mod p."""
     cp = compile_poly(f_plus, p)
@@ -169,7 +143,7 @@ def ff_scan_transversal(f_plus, f_minus, p, workers=None):
     gm = [compile_poly(g, p) if not g.is_zero() else [] for g in
           (f_minus.derivative(v) for v in f_minus.ring.vars)]
     bad = []
-    for pt in _zero_set(cp, p, workers):
+    for pt in _zero_set(cp, p):
         if eval_compiled(cm, pt, p) != 0:
             continue
         a = [eval_compiled(g, pt, p) if g else 0 for g in gp]
@@ -204,38 +178,14 @@ def _block_mod(coeffs, pt, p):
     ]
 
 
-def adj3_mod(m, p):
-    """Adjugate of a 3×3 integer matrix mod p (so m·adj = det·I)."""
-    def cof(i, j):
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        d = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-        return d % p if (i + j) % 2 == 0 else -d % p
-
-    return [[cof(j, i) for j in range(3)] for i in range(3)]
-
-
-def det3_mod(m, p, adj=None):
-    if adj is None:
-        adj = adj3_mod(m, p)
+def det3_mod(m, p, adj):
+    """det(m) mod p from the first column of its adjugate."""
     return (m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]) % p
 
 
-def rank3_mod(m, p):
-    m = [row[:] for row in m]
-    rank = 0
-    for col in range(3):
-        piv = next((i for i in range(rank, 3) if m[i][col] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        for i in range(rank + 1, 3):
-            if m[i][col] % p:
-                f = m[i][col] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+def rank_mod(m, p):
+    """Rank over F_p of an integer matrix."""
+    return mat_rank([[FpElem(x, p) for x in row] for row in m])
 
 
 def ff_scan_corank(P, p):
@@ -244,17 +194,18 @@ def ff_scan_corank(P, p):
     exceeds 0 where the block determinant vanishes, so the sweep visits the
     curve points delivered by the exhaustive determinant scan."""
     max_corank = 0
+    curves = P.det_curves()
     for side in ("plus", "minus"):
-        f = P.linear_form_matrix(side).det3()
         coeffs = _entry_coeffs(P.side_mats(side))
-        for pt in curve_points(f, p):
+        for pt in curve_points(curves.side(side), p):
             m = _block_mod(coeffs, pt, p)
-            adj = adj3_mod(m, p)
-            assert det3_mod(m, p, adj) == 0, "curve scan and block eval disagree"
+            adj = adjugate3(m)
+            if det3_mod(m, p, adj):
+                raise AssertionError("curve scan and block eval disagree")
             if any(any(x % p for x in row) for row in adj):
                 corank = 1
             else:
-                corank = 3 - rank3_mod(m, p)
+                corank = 3 - rank_mod(m, p)
             if corank > max_corank:
                 max_corank = corank
     return max_corank
@@ -274,14 +225,14 @@ def singular_locus_C(P, side, p):
     the kernel direction x₀ of q_u; the Jacobian rank ≤ 1 condition is then
     re-verified honestly at each returned point.
     """
-    f = P.linear_form_matrix(side).det3()
+    f = P.det_curves().side(side)
     grads = [compile_poly(g, p) if not g.is_zero() else [] for g in
              (f.derivative(v) for v in f.ring.vars)]
     coeffs = _entry_coeffs(P.side_mats(side))
     found = []
     for u in curve_points(f, p):
         m = _block_mod(coeffs, u, p)
-        adj = adj3_mod(m, p)
+        adj = adjugate3(m)
         col = next(
             ([adj[0][j], adj[1][j], adj[2][j]] for j in range(3)
              if any(adj[i][j] % p for i in range(3))),
@@ -294,8 +245,8 @@ def singular_locus_C(P, side, p):
         inv = pow(lead, p - 2, p)
         x0 = tuple(c * inv % p for c in col)
         # kernel membership: columns of the adjugate lie in ker(q_u)
-        for i in range(3):
-            assert sum(m[i][j] * x0[j] for j in range(3)) % p == 0
+        if any(sum(m[i][j] * x0[j] for j in range(3)) % p for i in range(3)):
+            raise AssertionError(f"adjugate column outside ker(q_u) at {u}")
         # Jacobian rank <= 1: (x0^T q_k x0)_k proportional to grad f(u)
         g = [eval_compiled(gg, u, p) if gg else 0 for gg in grads]
         qk = [P.side_mats(side)[k] for k in range(3)]

@@ -22,7 +22,8 @@ from .exactalg import (
     MultiPoly,
     PolyRing,
     SymMatrix,
-    mat_det,
+    is_prime,
+    mat_rank,
     squarefree_univariate,
     sylvester_resultant,
 )
@@ -136,8 +137,8 @@ class InvariantPencil:
 
     def det_curves(self):
         return DetCurves(
-            f_plus=self.linear_form_matrix("plus").det3(),
-            f_minus=self.linear_form_matrix("minus").det3(),
+            f_plus=self.linear_form_matrix("plus").det(),
+            f_minus=self.linear_form_matrix("minus").det(),
         )
 
     # -- persistence -----------------------------------------------------------
@@ -176,6 +177,14 @@ class InvariantPencil:
 class DetCurves:
     f_plus: MultiPoly
     f_minus: MultiPoly
+
+    def side(self, side):
+        """The determinant cubic of one block."""
+        if side == "plus":
+            return self.f_plus
+        if side == "minus":
+            return self.f_minus
+        raise ValueError("side must be 'plus' or 'minus'")
 
 
 @dataclass(frozen=True)
@@ -252,7 +261,7 @@ def _coordinate_change(f, mat):
 def _random_gl3(rng):
     while True:
         m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        if mat_det([[Fraction(x) for x in r] for r in m], QQ):
+        if mat_rank([[Fraction(x) for x in r] for r in m]) == 3:
             return m
 
 
@@ -304,8 +313,8 @@ def genericity_check(P, primes=DEFAULT_PRIMES, do_resultant=True):
     if not primes:
         raise ValueError("primes must be nonempty")
     for p in primes:
-        if p < 17:
-            raise ValueError("primes must be >= 17")
+        if p < 17 or not is_prime(p):
+            raise ValueError(f"primes must each be a prime >= 17, got {p}")
     curves = P.det_curves()
     witnesses = []
     notes = []

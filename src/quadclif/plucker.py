@@ -15,11 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactalg import QQ, PolyRing, mat_kernel, mat_rank
+from .exactalg import (
+    QQ,
+    PolyRing,
+    adjugate3,
+    det_cofactor,
+    mat_kernel,
+    mat_rank,
+    rref,
+    span_coords,
+)
 from .fiber import (
     FiberError,
     QuadraticTower,
-    _Echelon,
     _side_algebra,
     split_full_rank,
 )
@@ -139,25 +147,6 @@ def wedge_with_basis(y, ring):
     return ws
 
 
-def _det_poly(rows):
-    """Leibniz determinant of a small square matrix of polynomials."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry.is_zero():
-            minor = _det_poly([r[:j] + r[j + 1:] for r in rows[1:]])
-            term = entry * minor
-            if j % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-    if acc is None:
-        return rows[0][0].ring.zero()
-    return acc
-
-
 def poly_residual_hash(polys):
     """Stable digest of a list of residual polynomials; all-zero residuals
     hash to a fixed value, so reports can pin the symbolic outcome."""
@@ -224,7 +213,7 @@ def segre_identity_check():
     cols = ws + [list(p_plus), list(p_minus)]
     for ci in combinations(range(6), 4):
         for ri in combinations(range(6), 4):
-            d = _det_poly([[cols[c][r] for c in ci] for r in ri])
+            d = det_cofactor([[cols[c][r] for c in ci] for r in ri], ring)
             residuals.append(d)
             if not d.is_zero():
                 failures.append(f"minor-4x4-{ci}-{ri}")
@@ -234,7 +223,7 @@ def segre_identity_check():
             break
         for ri in combinations(range(6), 3):
             rows = [[cols[c][r] for c in ci] for r in ri]
-            if not _det_poly(rows).is_zero():
+            if not det_cofactor(rows, ring).is_zero():
                 some_rank3 = True
                 break
     if not some_rank3:
@@ -341,12 +330,12 @@ def m0_identity_check():
             return False
     for ri in combinations(range(6), 4):
         rows4 = [list(rows[r]) for r in ri]
-        if not _det_poly(rows4).is_zero():
+        if not det_cofactor(rows4, ring).is_zero():
             return False
     cubes = set()
     for ri in combinations(range(6), 3):
         for ci in combinations(range(4), 3):
-            d = _det_poly([[rows[r][c] for c in ci] for r in ri])
+            d = det_cofactor([[rows[r][c] for c in ci] for r in ri], ring)
             for v, av in zip(A_VARS, a):
                 if d == av * av * av or d == -(av * av * av):
                     cubes.add(v)
@@ -366,14 +355,7 @@ def adjugate_double_line(P, side, u, field=None):
         field = QQ
     block = P.block_at(tuple(Fraction(c) for c in u), side)
     m = [[field.coerce(x) for x in row] for row in block]
-
-    def cof(i, j):
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        d = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-        return d if (i + j) % 2 == 0 else -d
-
-    adj = [[cof(j, i) for j in range(3)] for i in range(3)]
+    adj = adjugate3(m)
     det = sum((m[0][k] * adj[k][0] for k in range(3)), field.zero)
     if det:
         return "rank3", None
@@ -454,17 +436,14 @@ def module_rep(P, side, u):
     if C.mul(p, p) != p:
         raise AssertionError("module idempotent law failed")
 
-    ech = _Echelon(tower, C.dim)
-    for i in range(C.dim):
-        ech.add(C.mul(C.basis_vec(i), p))
-    if ech.dim() != 2:
-        raise FiberError(f"module dimension {ech.dim()} instead of 2")
-    basis = ech.basis_vectors()
+    pivots, basis = rref([C.mul(C.basis_vec(i), p) for i in range(C.dim)])
+    if len(basis) != 2:
+        raise FiberError(f"module dimension {len(basis)} instead of 2")
 
     def action(vec):
         cols = []
         for b in basis:
-            c = ech.coords(C.mul(vec, b))
+            c = span_coords(pivots, basis, C.mul(vec, b))
             if c is None:
                 raise AssertionError("module is not stable under the algebra")
             cols.append(c)
@@ -493,8 +472,7 @@ def module_rep(P, side, u):
         d_mat = _mat2_add(d_mat, tuple(
             tuple(tower.coerce(rv) * e for e in r) for r in mat
         ))
-    fval = P.det_curves()
-    fval = (fval.f_plus if side == "plus" else fval.f_minus).eval(uf)
+    fval = P.det_curves().side(side).eval(uf)
     root = tower.sqrt(fval)
     if root is None:
         raise AssertionError("determinant root left the tower")

@@ -14,7 +14,7 @@ from quadclif.checks import (
     run_all,
     run_single,
 )
-from quadclif.pencil import InvariantPencil
+from quadclif.pencil import InvariantPencil, genericity_check
 
 
 def diag_instance():
@@ -52,6 +52,15 @@ class TestRegistry:
             CheckContext(None, points=0)
         with pytest.raises(ValueError):
             CheckContext(None, max_degree=9)
+
+    def test_composite_primes_rejected(self):
+        # 121 = 11² passes the size bound but has no Fermat inverses
+        with pytest.raises(ValueError, match="prime >= 17, got 121"):
+            CheckContext(None, primes=(121,))
+        with pytest.raises(ValueError, match="got 143"):
+            CheckContext(None, primes=(101, 143))
+        with pytest.raises(ValueError, match="prime >= 17, got 121"):
+            genericity_check(diag_instance(), primes=(121,))
 
     def test_crash_becomes_fail(self, monkeypatch):
         def boom(ctx):

@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, report schema, determinism."""
 
+import ast
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from quadclif import __version__
 from quadclif.checks import CHECK_ORDER
@@ -15,6 +18,11 @@ from test_checks import diag_instance
 # Pinned output of `gen --seed 42 --bound 5`; the instance format and the
 # generator are both frozen, so this digest must never drift.
 SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d4"
+
+# SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
+# of `check --points 2` on that instance: every verdict and witness of the
+# full run is pinned byte for byte.
+FULL_RUN_SHA256 = "06e7670e6f4baf7ddd8a612f3a3509e117848c68f5e871d5ce2395673f34e4de"
 
 
 def gen(tmp_path, seed=42, bound=5, name="inst.json"):
@@ -79,6 +87,15 @@ class TestCheckUsage:
         inst = gen(tmp_path, seed=1, bound=3)
         assert main(["check", "prop3.13-center", "prop4.8-m0-matrix",
                      str(inst)]) == 2
+
+    def test_composite_primes(self, tmp_path, capsys):
+        path = tmp_path / "diag.json"
+        save_instance(diag_instance(), str(path))
+        rc = main(["check", "prop2.2-smoothness", str(path),
+                   "--primes", "121,143"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: primes must each be a prime >= 17, got 121" in err
 
     def test_bad_flags(self, tmp_path):
         inst = gen(tmp_path, seed=1, bound=3)
@@ -153,9 +170,38 @@ class TestCheckRuns:
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
         assert lines[-1] == "overall: pass"
         assert [ln.split()[1] for ln in lines[:-1]] == list(CHECK_ORDER)
-        rep = json.loads(report.read_text())
+        rep = stripped(report)
         assert [c["id"] for c in rep["checks"]] == list(CHECK_ORDER)
         assert all(c["status"] == "pass" for c in rep["checks"])
+        payload = json.dumps(rep, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == FULL_RUN_SHA256
+
+
+class TestOptimizedInterpreter:
+    """Certificate invariants are explicit raises, so `python -O`, which
+    strips assert statements, checks exactly as much."""
+
+    def test_no_assert_statements_in_src(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "quadclif"
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+            assert not lines, f"assert statements in {path.name} at {lines}"
+
+    def test_same_verdicts_under_python_O(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        save_instance(cached_pencil(42), str(inst))
+        for check_id in ("prop2.2-smoothness", "prop4.3-singular-locus"):
+            plain, optimized = tmp_path / "plain.json", tmp_path / "opt.json"
+            rc = main(["check", check_id, str(inst), "--report", str(plain)])
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "quadclif", "check", check_id,
+                 str(inst), "--report", str(optimized)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == rc == 0, proc.stderr
+            assert stripped(optimized) == stripped(plain)
+        capsys.readouterr()
 
 
 class TestEntryPoint:

@@ -245,7 +245,7 @@ def test_central_odd_symbolic_pattern():
     res = central_odd(alg)
     assert res.r_coeffs == (v["q23"], -v["q13"], v["q12"])
     assert res.sign == 1
-    assert res.square == Q.det3()
+    assert res.square == Q.det()
     for j in range(3):
         assert res.element.commutator(alg.gen(j)).is_zero()
 

@@ -1,4 +1,5 @@
-"""Kernel tests: fields, polynomials, determinants, resultants."""
+"""Kernel tests: fields, polynomials, determinants, resultants, and the
+shared elimination (rref) with everything derived from it."""
 
 import random
 from fractions import Fraction
@@ -12,28 +13,76 @@ from quadclif.exactalg import (
     PrimeField,
     PolyRing,
     SymMatrix,
+    adjugate3,
     as_univariate,
     bareiss_det,
+    det_cofactor,
     gradient,
     identity_matrix,
     is_square_fraction,
     kernel_int_sparse,
-    mat_adjugate3,
-    mat_det,
     mat_kernel,
     mat_rank,
     mat_solve,
     poly_exact_div,
+    rref,
+    span_coords,
     squarefree_univariate,
     sylvester_resultant,
 )
+from quadclif.fiber import QuadraticTower
+from quadclif.pencil import _derived_rng
 
 
 F101 = PrimeField(101)
+TOWER = QuadraticTower((2, 3))
 
 
 def rand_fraction(rng, bound=9):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def sparse_fraction(rng):
+    return rand_fraction(rng, 3) if rng.random() < 0.7 else Fraction(0)
+
+
+# (field, sampler) pairs for the seeded property tests: Q, a prime field,
+# and a two-level quadratic tower; entries are often zero so pivots move.
+FIELDS = (
+    (QQ, sparse_fraction),
+    (F101, lambda rng: F101.coerce(rng.randrange(101) if rng.random() < 0.7 else 0)),
+    (TOWER, lambda rng: TOWER.make(*(sparse_fraction(rng) for _ in range(4)))),
+)
+
+
+def low_rank_matrix(rng, field, draw, nrows, ncols, k):
+    """nrows × ncols product of random nrows × k and k × ncols factors."""
+    left = [[draw(rng) for _ in range(k)] for _ in range(nrows)]
+    right = [[draw(rng) for _ in range(ncols)] for _ in range(k)]
+    return [[sum((l[t] * right[t][j] for t in range(k)), field.zero)
+             for j in range(ncols)] for l in left]
+
+
+def matvec(rows, v, zero):
+    return [sum((a * b for a, b in zip(row, v)), zero) for row in rows]
+
+
+def leibniz3(m):
+    """Oracle: the six-term Leibniz expansion of a 3×3 determinant."""
+    return (m[0][0] * m[1][1] * m[2][2] + m[0][1] * m[1][2] * m[2][0]
+            + m[0][2] * m[1][0] * m[2][1] - m[0][0] * m[1][2] * m[2][1]
+            - m[0][1] * m[1][0] * m[2][2] - m[0][2] * m[1][1] * m[2][0])
+
+
+def assert_adjugate_identity(m, zero):
+    """m·adj(m) = adj(m)·m = det(m)·I with the Leibniz determinant."""
+    adj = adjugate3(m)
+    det = leibniz3(m)
+    for left, right in ((m, adj), (adj, m)):
+        for i in range(3):
+            for j in range(3):
+                entry = sum((left[i][k] * right[k][j] for k in range(3)), zero)
+                assert entry == (det if i == j else zero)
 
 
 # -- fields -----------------------------------------------------------------
@@ -198,8 +247,9 @@ def test_det3_symbolic():
     a, b, c, d, e, f = (ring.var(v) for v in ring.vars)
     M = SymMatrix(ring, [[a, b, c], [b, d, e], [c, e, f]])
     expect = a * d * f + 2 * b * e * c - a * e * e - d * c * c - f * b * b
-    assert M.det3() == expect
-    assert M.det3() == M.det()
+    assert M.det() == expect
+    assert leibniz3(M.rows) == expect
+    assert bareiss_det([list(r) for r in M.rows], ring) == expect
 
 
 def test_adjugate_identity_rational():
@@ -209,25 +259,46 @@ def test_adjugate_identity_rational():
         vals = [[Fraction(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
         rows = [[ring.const(vals[min(i, j)][max(i, j)]) for j in range(3)] for i in range(3)]
         M = SymMatrix(ring, rows)
-        A = M.adj3()
-        P = M.mat_mul(A)
-        det = M.det3()
+        A = adjugate3(M.rows)
+        SymMatrix(ring, A)  # raises unless the adjugate is symmetric too
+        det = M.det()
         for i in range(3):
             for j in range(3):
-                assert P[i][j] == (det if i == j else ring.zero())
+                entry = sum((M[i, k] * A[k][j] for k in range(3)), ring.zero())
+                assert entry == (det if i == j else ring.zero())
+    # the same identity over every ring the package feeds it
+    Ru = PolyRing(QQ, ("u1", "u2", "u3"))
+    rng = _derived_rng("test", "adjugate3")
+    for _ in range(10):
+        assert_adjugate_identity(
+            [[rand_poly(rng, Ru, deg=1, nterms=2) for _ in range(3)] for _ in range(3)],
+            Ru.zero())
+    for field, draw in FIELDS:
+        for _ in range(20):
+            assert_adjugate_identity(
+                [[draw(rng) for _ in range(3)] for _ in range(3)], field.zero)
+    p = 101
+    for _ in range(50):
+        m = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+        adj = [[x % p for x in row] for row in adjugate3(m)]
+        det = leibniz3(m) % p
+        for i in range(3):
+            for j in range(3):
+                entry = sum(m[i][k] * adj[k][j] for k in range(3)) % p
+                assert entry == (det if i == j else 0)
 
 
 def test_adjugate_vanishes_on_corank_two():
     ring = PolyRing(QQ, ("t",))
     z, o = ring.zero(), ring.one()
     M = SymMatrix(ring, [[o, z, z], [z, z, z], [z, z, z]])
-    A = M.adj3()
-    assert all(not A[i, j] for i in range(3) for j in range(3))
+    A = adjugate3(M.rows)
+    assert all(not A[i][j] for i in range(3) for j in range(3))
 
 
 def test_identity_matrix(Ru):
     I = identity_matrix(Ru, 3)
-    assert I.det3() == Ru.one()
+    assert I.det() == Ru.one()
 
 
 # -- resultants -------------------------------------------------------------
@@ -242,6 +313,15 @@ def test_bareiss_matches_cofactor_det(Ru):
                 vals[i][j] = vals[j][i] = rand_poly(rng, Ru, deg=1, nterms=2)
         M = SymMatrix(Ru, vals)
         assert bareiss_det([list(r) for r in M.rows], Ru) == M.det()
+    # general square polynomial matrices, singular ones included
+    rng = _derived_rng("test", "bareiss")
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            rows = [[rand_poly(rng, Ru, deg=1, nterms=2) for _ in range(n)]
+                    for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                rows[-1] = list(rows[0])
+            assert bareiss_det(rows, Ru) == det_cofactor(rows, Ru)
 
 
 def test_resultant_degree_and_specialization():
@@ -332,6 +412,36 @@ def test_rank_kernel_consistency():
         for v in ker:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
+    # rref and what is read off it, against their definitions
+    for field, draw in FIELDS:
+        rng = _derived_rng("test", "rref", field.name)
+        for _ in range(15):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            k = rng.randint(0, 4)
+            rows = low_rank_matrix(rng, field, draw, nrows, ncols, k)
+            pivots, reduced = rref(rows)
+            assert mat_rank(rows) == len(pivots) == len(reduced) <= k
+            assert pivots == sorted(set(pivots))
+            for p, row in zip(pivots, reduced):
+                assert row[p] == field.one
+                assert not any(row[:p])
+                assert all(not other[p] for other in reduced if other is not row)
+            for row in rows:
+                coords = span_coords(pivots, reduced, row)
+                assert coords is not None
+                combo = [sum((c * red[j] for c, red in zip(coords, reduced)),
+                             field.zero) for j in range(ncols)]
+                assert combo == list(row)
+            v = [draw(rng) for _ in range(ncols)]
+            outside = mat_rank(rows + [v]) > len(pivots)
+            assert (span_coords(pivots, reduced, v) is None) == outside
+            ker = mat_kernel(rows, ncols, field)
+            free = [c for c in range(ncols) if c not in pivots]
+            assert len(ker) == len(free) == ncols - len(pivots)
+            for fc, v in zip(free, ker):
+                assert all(v[c] == (field.one if c == fc else field.zero)
+                           for c in free)
+                assert not any(matvec(rows, v, field.zero))
 
 
 def test_det_and_solve():
@@ -339,21 +449,41 @@ def test_det_and_solve():
     for _ in range(20):
         n = rng.randint(1, 4)
         rows = [[rand_fraction(rng, 4) for _ in range(n)] for _ in range(n)]
-        d = mat_det(rows, QQ)
-        if not d:
+        if mat_rank(rows) < n:
             continue
         x_true = [rand_fraction(rng, 4) for _ in range(n)]
         rhs = [sum(a * b for a, b in zip(row, x_true)) for row in rows]
         x = mat_solve(rows, rhs, QQ)
         assert x == x_true
+    for field, draw in FIELDS:
+        rng = _derived_rng("test", "solve", field.name)
+        for _ in range(15):
+            ncols = rng.randint(1, 4)
+            nrows = ncols + rng.randint(0, 2)
+            k = rng.randint(1, 4)
+            rows = low_rank_matrix(rng, field, draw, nrows, ncols, k)
+            x_true = [draw(rng) for _ in range(ncols)]
+            rhs = matvec(rows, x_true, field.zero)
+            if mat_rank(rows) == ncols:
+                assert mat_solve(rows, rhs, field) == x_true
+            else:
+                with pytest.raises(ValueError):
+                    mat_solve(rows, rhs, field)
+            # a right-hand side outside the column span is inconsistent
+            bumped = list(rhs)
+            for i in range(nrows):
+                bumped[i] = bumped[i] + draw(rng)
+            augmented = [list(r) + [b] for r, b in zip(rows, bumped)]
+            if mat_rank(augmented) > mat_rank(rows):
+                assert mat_solve(rows, bumped, field) is None
 
 
 def test_adjugate3_numeric():
     rng = random.Random(37)
     for _ in range(50):
         m = [[rand_fraction(rng, 4) for _ in range(3)] for _ in range(3)]
-        adj = mat_adjugate3(m, QQ)
-        d = mat_det(m, QQ)
+        adj = adjugate3(m)
+        d = leibniz3(m)
         prod = [
             [sum(m[i][k] * adj[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)

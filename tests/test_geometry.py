@@ -4,19 +4,18 @@ import random
 
 import pytest
 
-from quadclif.exactalg import QQ, PolyRing
+from quadclif.exactalg import QQ, PolyRing, adjugate3
 from quadclif.geometry import (
     GenericityError,
     ScanError,
     StabilizerDescriptor,
-    adj3_mod,
     curve_points,
     det3_mod,
     ff_scan_corank,
     ff_scan_smooth,
     ff_scan_transversal,
     proj_points,
-    rank3_mod,
+    rank_mod,
     singular_locus_C,
     stabilizer,
     stabilizer_bruteforce,
@@ -96,9 +95,9 @@ def test_adjugate_corank_consistency_exhaustive_random():
         for i in range(3):
             for j in range(i, 3):
                 m[i][j] = m[j][i] = rng.randrange(p)
-        adj = adj3_mod(m, p)
+        adj = adjugate3(m)
         det = det3_mod(m, p, adj)
-        corank = 3 - rank3_mod(m, p)
+        corank = 3 - rank_mod(m, p)
         seen_coranks.add(corank)
         adj_zero = all(x % p == 0 for row in adj for x in row)
         if corank == 0:
@@ -130,7 +129,7 @@ def test_corank_scan_crafted_degenerate():
 def test_singular_locus_counts_and_certificates(pencil42):
     p = 101
     for side in ("plus", "minus"):
-        f = pencil42.linear_form_matrix(side).det3()
+        f = pencil42.det_curves().side(side)
         pts = singular_locus_C(pencil42, side, p)
         assert len(pts) == len(curve_points(f, p))
         for u, x0 in pts:
