@@ -25,12 +25,12 @@ from .clifford import (
     equivariance_check,
     hilbert_dims_center,
     lift,
-    phi,
-    phi_pair,
+    phi_failing_pairs,
     terms_homogeneous,
 )
 from .exactalg import PrimeField, adjugate3, is_prime
 from .fiber import (
+    SideFibers,
     certify_matrix_algebra,
     certify_split_pair,
     corank1_quotient,
@@ -38,7 +38,6 @@ from .fiber import (
     describe_field,
     rational_curve_point,
     sample_invertible_points,
-    side_fiber,
     specialize,
 )
 from .pencil import DEFAULT_PRIMES, _derived_rng, genericity_check
@@ -98,7 +97,8 @@ def _plain(x):
 class CheckContext:
     """Shared state for one verification run: the instance, the flag
     values, and caches so expensive artifacts (genericity scans, the
-    sampled fiber points) are computed once per run."""
+    sampled fiber points, the side algebras and their fibers) are computed
+    once per run."""
 
     def __init__(self, P=None, primes=DEFAULT_PRIMES, points=20, max_degree=6):
         self.P = P
@@ -115,6 +115,7 @@ class CheckContext:
         if not 1 <= self.max_degree <= 8:
             raise ValueError("max-degree must be between 1 and 8")
         self._cache = {}
+        self.sides = SideFibers(P) if P is not None else None
 
     def rng(self, label):
         tag = self.P.digest() if self.P is not None else "no-instance"
@@ -212,19 +213,13 @@ def _check_equivariance(ctx):
 
 
 def _check_phi(ctx):
-    sup, ordn = phi_pair(ctx.P)
-    even = [m for m in range(64) if bin(m).count("1") % 2 == 0]
-    bad_pairs = []
-    for ma in even:
-        a = sup.from_mask(ma)
-        fa = phi(a, ordn)
-        for mb in even:
-            b = sup.from_mask(mb)
-            if phi(a * b, ordn) != fa * phi(b, ordn):
-                bad_pairs.append([ma, mb])
-    pair = central_pair(ctx.P)
+    """phi multiplicative on every even basis pair, compared through the
+    structure constants of the two variants (see phi_failing_pairs)."""
     sup6 = CliffordAlgebra.from_pencil(ctx.P, "super")
     ord6 = CliffordAlgebra.from_pencil(ctx.P, "ordinary")
+    even = [m for m in range(64) if bin(m).count("1") % 2 == 0]
+    bad_pairs = phi_failing_pairs(sup6, ord6)
+    pair = central_pair(ctx.P)
     dps, dms = lift(pair.d_plus, sup6, "plus"), lift(pair.d_minus, sup6, "minus")
     dpo, dmo = lift(pair.d_plus, ord6, "plus"), lift(pair.d_minus, ord6, "minus")
     anti = (dps * dms + dms * dps).is_zero()
@@ -272,7 +267,7 @@ def _check_azumaya_m4(ctx):
     wit = []
     ok = True
     for u in ctx.fiber_points():
-        A = specialize(ctx.P, "ordinary", u)
+        A = specialize(ctx.P, "ordinary", u, sides=ctx.sides)
         verdict = certify_matrix_algebra(A, 4)
         ok = ok and verdict == "M4"
         wit.append({"point": list(u), "field": describe_field(A.field),
@@ -285,7 +280,7 @@ def _check_split_m2(ctx):
     ok = True
     for u in ctx.fiber_points():
         for side in ("plus", "minus"):
-            A, _, _ = side_fiber(ctx.P, side, u)
+            A, _, _ = ctx.sides.fiber(side, u)
             cert = certify_split_pair(A, 2)
             ok = ok and cert.verdict == "M2xM2"
             wit.append({"point": list(u), "side": side,
@@ -312,7 +307,7 @@ def _check_corank1_m2(ctx):
             pts.append((u, p))
         for u, p in pts:
             field = None if p is None else PrimeField(p)
-            Q, verdict = corank1_quotient(ctx.P, side, u, field)
+            Q, verdict = corank1_quotient(ctx.P, side, u, field, sides=ctx.sides)
             ok = ok and verdict == "M2" and Q.dim == 4
             total += 1
             entry = {"side": side, "point": list(u),
@@ -434,7 +429,7 @@ def _check_annihilator(ctx):
     wit = []
     ok = True
     for side in ("plus", "minus"):
-        rep = module_rep(ctx.P, side, u)
+        rep = module_rep(ctx.P, side, u, sides=ctx.sides)
         ws = []
         good = True
         for m in _ANNIHILATOR_LINES:

@@ -186,6 +186,57 @@ class CliffordAlgebra:
     def basis_product(self, ma, mb):
         return CliffordElement(self, dict(self.mask_mul(ma, mb)))
 
+    # -- structure-constant certificates -----------------------------------------
+
+    def verify_associativity(self):
+        """Prove the normal-form product associative over the coefficient
+        ring, or raise ValueError.  Two finite families are checked:
+
+        (i)  e_b·e_0 = e_0·e_b = e_b, and e_b·e_c = (e_b·e_c')·v_k for every
+             mask b and nonzero mask c, with v_k the top generator of c and
+             c' = c without it;
+        (ii) (e_a·e_b)·v_k = e_a·(e_b·v_k) for all masks a, b and generators k.
+
+        They give (xy)z = x(yz) for all x, y, z by induction on the length
+        of the monomial z = e_c:  (xy)e_c = ((xy)e_c')v_k = (x(y e_c'))v_k
+        = x((y e_c')v_k) = x(y e_c), by (i), the induction hypothesis, (ii)
+        extended bilinearly, and (i) again.  For three generators that is
+        64 + 192 identities over Q[u] instead of 512 triples at every base
+        point.  Associativity then holds in every specialization, because
+        evaluating u, embedding into a quadratic tower and reducing integer
+        structure constants mod p are ring homomorphisms.
+        """
+        n = 1 << self.ngens
+        one = self.one()
+        for b in range(n):
+            eb = self.from_mask(b)
+            if eb * one != eb or one * eb != eb:
+                raise ValueError(f"e_0 is not a unit on mask {b}")
+            for c in range(1, n):
+                top = c.bit_length() - 1
+                if (self.basis_product(b, c)
+                        != self.basis_product(b, c ^ (1 << top)) * self.gen(top)):
+                    raise ValueError(
+                        f"e_{b}·e_{c} is not built from generator steps")
+        for a in range(n):
+            ea = self.from_mask(a)
+            for b in range(n):
+                ab = self.basis_product(a, b)
+                for k in range(self.ngens):
+                    if ab * self.gen(k) != ea * self.basis_product(b, 1 << k):
+                        raise ValueError(
+                            f"associativity fails on (e_{a} e_{b}) v_{k}")
+        return True
+
+    def integral_structure(self):
+        """True when every structure constant lies in Z[u], so that
+        reducing them mod p is a ring homomorphism Z[u] → F_p."""
+        n = 1 << self.ngens
+        return all(getattr(c, "denominator", None) == 1
+                   for a in range(n) for b in range(n)
+                   for _, poly in self.mask_mul(a, b)
+                   for c in poly.terms.values())
+
 
 @dataclass(frozen=True)
 class BiDegree:
@@ -352,10 +403,18 @@ def veronese_dims(variant, D):
 # the even-part isomorphism between the super and ordinary variants
 # ---------------------------------------------------------------------------
 
+def phi_exponent(mask):
+    """ε(m): phi scales the basis monomial e_m by i^ε(m), where ε(m) is
+    the number of plus-block generators in m, mod 2.  Both `phi` and
+    `phi_failing_pairs` read the scaling from here."""
+    return _popcount(mask & 0b111) % 2
+
+
 def phi(e, target):
     """Map an even-weight element of the super algebra onto the ordinary
-    one.  Basis masks are preserved; each is scaled by i^(m mod 2) where m
-    counts its plus-block generators.
+    one.  Basis masks are preserved; each is scaled by i^ε(m) (see
+    `phi_exponent`), ε(m) = m mod 2 where m counts its plus-block
+    generators.
 
     The naive all-real scaling by (-1)^(m(m-1)/2) is NOT multiplicative:
     squaring the mask v1+v1- forces the weight-2 scalar eps to satisfy
@@ -374,10 +433,50 @@ def phi(e, target):
     for mask, poly in e.coeffs.items():
         if _popcount(mask) % 2:
             raise ValueError("phi is defined on even-weight elements only")
-        m_plus = _popcount(mask & 0b111)
-        scale = QQI.i if m_plus % 2 else QQI.one
+        scale = QQI.i if phi_exponent(mask) else QQI.one
         out[mask] = poly * scale
     return CliffordElement(target, out)
+
+
+def phi_failing_pairs(sup, target, exponent=phi_exponent):
+    """Even mask pairs [a, b] on which e_m ↦ i^exponent(m)·e_m fails to be
+    multiplicative, read off the structure constants over Q[u].
+
+    phi(e_a e_b) = Σ c^sup_m i^ε(m) e_m and phi(e_a) phi(e_b) =
+    i^(ε(a)+ε(b)) Σ c^ord_m e_m, so the pair is good iff
+    c^sup_m = i^δ c^ord_m for every mask m, with δ = ε(a)+ε(b)-ε(m) mod 4.
+    The coefficients are rational polynomials, so δ = 0 asks for equality,
+    δ = 2 for opposite signs, and odd δ for both to vanish (a real
+    polynomial equals an imaginary one only when both are zero).  This is
+    the same test as comparing phi(a·b) with phi(a)·phi(b) over Q(i)[u],
+    without any Gaussian arithmetic.  `exponent` may return any integer;
+    it is read mod 4.
+    """
+    if sup.variant != "super" or target.variant != "ordinary":
+        raise ValueError("phi maps the super variant onto the ordinary one")
+    if target.ring != sup.ring or sup.ring.field is not QQ:
+        raise ValueError("structure constants must share a rational ring")
+    zero = sup.ring.zero()
+    even = [m for m in range(1 << sup.ngens) if _popcount(m) % 2 == 0]
+    bad = []
+    for ma in even:
+        for mb in even:
+            lhs = dict(sup.mask_mul(ma, mb))
+            rhs = dict(target.mask_mul(ma, mb))
+            shift = exponent(ma) + exponent(mb)
+            for m in lhs.keys() | rhs.keys():
+                cs, co = lhs.get(m, zero), rhs.get(m, zero)
+                delta = (shift - exponent(m)) % 4
+                if delta == 0:
+                    good = cs == co
+                elif delta == 2:
+                    good = cs == -co
+                else:
+                    good = cs.is_zero() and co.is_zero()
+                if not good:
+                    bad.append([ma, mb])
+                    break
+    return bad
 
 
 def phi_pair(P):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .clifford import CliffordAlgebra, central_odd
+from .clifford import CliffordAlgebra, central_odd, lift
 from .exactalg import (
     PrimeField,
     adjugate3,
@@ -298,11 +298,25 @@ class FinAlg:
     """Associative unital algebra given by dense structure constants.
 
     table[i][j] is the coordinate tuple of e_i·e_j.  The unit is always
-    verified.  Associativity is verified on all basis triples for
-    dimension at most 8; larger constructions built here (tensor products,
-    corners, coerced copies) are associative by construction and are
-    flagged `assoc` accordingly instead of re-checked, with a full check
-    available via check_associativity().
+    verified.  `assoc` records where associativity comes from:
+
+    - "checked": check_associativity() passed on all basis triples (the
+      default for tables of dimension at most 8 with no other provenance);
+    - "clifford": a fiber of a Clifford normal-form engine whose
+      associativity was proven once over Q[u]
+      (CliffordAlgebra.verify_associativity); evaluation at a point, a
+      tower embedding and reduction of integer constants mod p are ring
+      homomorphisms, so they carry it to the fiber;
+    - "corner": e·A·e of an associative A, closed under multiplication,
+      hence a subalgebra of an associative algebra;
+    - "tensor": a tensor product of associative algebras;
+    - "inherited": a base change (map_field) of a checked table;
+    - None: no claim (built with check=False, or with check="auto" above
+      dimension 8).
+
+    check_associativity() stays available on every table as the long path.
+    mul() reads a sparse copy of the table, kept as the tuple of nonzero
+    (k, t) pairs of each entry.
     """
 
     def __init__(self, field, table, unit, gens=None, tensor_factors=None,
@@ -316,6 +330,10 @@ class FinAlg:
                 if len(vec) != self.dim:
                     raise ValueError("structure vector has wrong length")
         self.table = table
+        self._sparse = [
+            [tuple((k, t) for k, t in enumerate(vec) if t) for vec in row]
+            for row in table
+        ]
         self.unit = tuple(unit)
         self.gens = [tuple(g) for g in gens] if gens is not None else None
         self.tensor_factors = tensor_factors
@@ -350,17 +368,15 @@ class FinAlg:
 
     def mul(self, x, y):
         out = [self.field.zero] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+            row = self._sparse[i]
+            for j, yj in ys:
                 s = xi * yj
-                for k, t in enumerate(row[j]):
-                    if t:
-                        out[k] = out[k] + s * t
+                for k, t in row[j]:
+                    out[k] = out[k] + s * t
         return tuple(out)
 
     # -- verification --------------------------------------------------------
@@ -463,7 +479,13 @@ def tensor_product(A, B):
 def corner_algebra(A, e, gens=None):
     """The algebra e·A·e for an idempotent e, on an echelon basis of the
     image.  When e is central this is a quotient of A, so images of
-    generators of A still generate the corner."""
+    generators of A still generate the corner.
+
+    The corner is checked closed under multiplication, so it is a
+    subalgebra of A; a subalgebra of an associative algebra is
+    associative, so when A.assoc is set the corner inherits it as
+    "corner".  A corner of a table with no associativity claim runs the
+    full check on all basis triples."""
     if A.mul(e, e) != e:
         raise ValueError("corner needs an idempotent")
     pivots, basis = rref([A.mul(e, A.mul(A.basis_vec(i), e))
@@ -489,9 +511,10 @@ def corner_algebra(A, e, gens=None):
             if c is None:
                 raise ValueError("generator image escaped the corner")
             gvecs.append(tuple(c))
-    note = "corner" if m > 8 else None
+    inherited = A.assoc is not None
     return FinAlg(A.field, table, tuple(unit), gens=gvecs,
-                  check="auto" if m <= 8 else False, assoc_note=note)
+                  check=not inherited,
+                  assoc_note="corner" if inherited else None)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +574,13 @@ def center_basis(A):
 
 
 def center_dim(A):
+    """Dimension of the center.  Over a field the center of a tensor
+    product is the tensor product of the centers, Z(A⊗B) = Z(A)⊗Z(B), so
+    for a declared tensor product this is the product of the factors'
+    center dimensions, the same way radical_dim reads the Kronecker rank
+    of the Gram matrix off the factors."""
+    if A.tensor_factors:
+        return prod(center_dim(f) for f in A.tensor_factors)
     return len(center_basis(A))
 
 
@@ -656,9 +686,15 @@ def _eval_poly(poly, u, field):
     return field.coerce(poly.eval(u))
 
 
-def clifford_fiber(alg, u, field, check="auto"):
+def clifford_fiber(alg, u, field, assoc=None):
     """Structure constants of a Clifford algebra at the base point u.
-    The generator vectors are recorded so centers stay cheap."""
+    The generator vectors are recorded so centers stay cheap.
+
+    assoc is the provenance label to record when alg's associativity is
+    already established over its coefficient ring ("clifford" for the side
+    algebras of SideFibers.algebra); the fiber is a ring-homomorphic image
+    of alg's table, so it is not re-checked.  With assoc=None the table is checked on all basis triples
+    when its dimension is at most 8 and carries no claim otherwise."""
     n = 1 << alg.ngens
     zero = field.zero
     table = []
@@ -674,9 +710,8 @@ def clifford_fiber(alg, u, field, check="auto"):
     gens = []
     for g in range(alg.ngens):
         gens.append(tuple(field.one if k == (1 << g) else zero for k in range(n)))
-    note = "clifford" if n > 8 else None
-    return FinAlg(field, table, unit, gens=gens, check=check,
-                  assoc_note=note)
+    return FinAlg(field, table, unit, gens=gens,
+                  check="auto" if assoc is None else False, assoc_note=assoc)
 
 
 def eval_element(e, u, field, dim):
@@ -699,27 +734,59 @@ def _det_value(P, side, u):
     return P.det_curves().side(side).eval(u)
 
 
-_SIDE_CACHE = {}
+class SideFibers:
+    """The two side algebras of one pencil and their 8-dimensional fibers
+    over Q, each built once.
+
+    A CheckContext owns one for the length of a run, so checks visiting
+    the same (side, point) share one fiber and the symbolic associativity
+    proof runs once per side; memory is bounded by the two side algebras
+    and two fibers per sampled point.  The fiber functions called without
+    one build a private one per call."""
+
+    def __init__(self, P):
+        self.P = P
+        self._algebras = {}
+        self._fibers = {}
+
+    def algebra(self, side):
+        """(alg, its CentralOddResult) for one block over Q[u].  alg is
+        proven associative by CliffordAlgebra.verify_associativity and its
+        structure constants are checked to lie in Z[u], so associativity
+        carries to every fiber: over a tower by evaluation and embedding,
+        over F_p by the ring homomorphism Z[u] → F_p."""
+        got = self._algebras.get(side)
+        if got is None:
+            if side not in ("plus", "minus"):
+                raise ValueError("side must be 'plus' or 'minus'")
+            alg = CliffordAlgebra.from_pencil(self.P, side)
+            alg.verify_associativity()
+            if not alg.integral_structure():
+                raise ValueError("non-integer structure constant")
+            got = self._algebras[side] = (alg, central_odd(alg))
+        return got
+
+    def fiber(self, side, u, field=None):
+        """side_fiber(P, side, u, field), memoized when field is None."""
+        if field is not None:
+            return side_fiber(self.P, side, u, field, sides=self)
+        key = (side, _point(u))
+        got = self._fibers.get(key)
+        if got is None:
+            got = self._fibers[key] = side_fiber(self.P, side, u, sides=self)
+        return got
 
 
-def _side_algebra(P, side):
-    key = (P.digest(), side)
-    if key not in _SIDE_CACHE:
-        alg = CliffordAlgebra.from_pencil(P, "plus" if side == "plus" else "minus")
-        d = central_odd(alg)
-        _SIDE_CACHE[key] = (alg, d)
-    return _SIDE_CACHE[key]
-
-
-def side_fiber(P, side, u, field=None):
+def side_fiber(P, side, u, field=None, sides=None):
     """The 8-dimensional fiber of one block at u, with its central odd
     vector and the determinant value.  field=None means exact rationals
-    (a trivial tower, so later quadratic extensions can reuse it)."""
+    (a trivial tower, so later quadratic extensions can reuse it).  sides
+    supplies the side algebras (a private SideFibers when None)."""
     u = _point(u)
-    alg, dres = _side_algebra(P, side)
+    alg, dres = (sides or SideFibers(P)).algebra(side)
     if field is None:
         field = QuadraticTower(())
-    A = clifford_fiber(alg, u, field)
+    A = clifford_fiber(alg, u, field, assoc="clifford")
     dvec = eval_element(dres.element, u, field, 8)
     fval = field.coerce(_det_value(P, side, u))
     if A.mul(dvec, dvec) != A.scalar_vec(fval):
@@ -738,7 +805,7 @@ def _corner_by_idempotent(A, dvec, s):
     return corner_algebra(A, e, gens=A.gens), e
 
 
-def specialize(P, variant, u, y=None, via="tensor", field=None):
+def specialize(P, variant, u, y=None, via="tensor", field=None, sides=None):
     """Fiber of the chosen variant at base point u.
 
     plus/minus without y: the full 8-dimensional block over Q.
@@ -747,11 +814,13 @@ def specialize(P, variant, u, y=None, via="tensor", field=None):
     ordinary: the 16-dimensional fiber over Q(√f₊(u), √f₋(u)), as a
     tensor product of the two side corners (via="tensor"), or cut from
     the full 64-dimensional algebra by the product idempotent
-    (via="corner"; slower, used as a cross-check).
+    (via="corner"; slower, used as a cross-check).  sides shares side
+    algebras and fibers across calls (see SideFibers).
     """
     u = _point(u)
+    sides = sides or SideFibers(P)
     if variant in ("plus", "minus"):
-        A, dvec, fval = side_fiber(P, variant, u, field)
+        A, dvec, fval = sides.fiber(variant, u, field)
         if y is None:
             return A
         yv = A.field.coerce(y)
@@ -782,12 +851,12 @@ def specialize(P, variant, u, y=None, via="tensor", field=None):
     if via == "tensor":
         corners = []
         for side, s in (("plus", sp), ("minus", sm)):
-            A8_Q, dvec_Q, _ = side_fiber(P, side, u)
-            A8 = A8_Q.map_field(field) if isinstance(field, QuadraticTower) \
-                else clifford_fiber(_side_algebra(P, side)[0], u, field)
-            dvec = tuple(field.coerce(x) for x in dvec_Q) \
-                if isinstance(field, QuadraticTower) \
-                else eval_element(_side_algebra(P, side)[1].element, u, field, 8)
+            if isinstance(field, QuadraticTower):
+                A8_Q, dvec_Q, _ = sides.fiber(side, u)
+                A8 = A8_Q.map_field(field)
+                dvec = tuple(field.coerce(x) for x in dvec_Q)
+            else:
+                A8, dvec, _ = sides.fiber(side, u, field)
             C, _ = _corner_by_idempotent(A8, dvec, s)
             if C.dim != 4:
                 raise AssertionError("side corner has unexpected dimension")
@@ -796,11 +865,11 @@ def specialize(P, variant, u, y=None, via="tensor", field=None):
 
     if via != "corner":
         raise ValueError(f"unknown construction {via!r}")
+    # the 64-dimensional table carries no associativity claim, so the
+    # corner cut from it is checked on all basis triples
     alg = CliffordAlgebra.from_pencil(P, "ordinary")
-    A64 = clifford_fiber(alg, u, field, check=False)
-    dp, dm = (_side_algebra(P, side)[1].element for side in ("plus", "minus"))
-    from .clifford import lift
-
+    A64 = clifford_fiber(alg, u, field)
+    dp, dm = (sides.algebra(side)[1].element for side in ("plus", "minus"))
     dpv = eval_element(lift(dp, alg, "plus"), u, field, 64)
     dmv = eval_element(lift(dm, alg, "minus"), u, field, 64)
     half = field.one / field.coerce(2)
@@ -815,7 +884,7 @@ def specialize(P, variant, u, y=None, via="tensor", field=None):
     return C
 
 
-def split_full_rank(P, side, u):
+def split_full_rank(P, side, u, sides=None):
     """Over Q(√f(u)) the 8-dimensional block splits into two corners cut
     by the complementary central idempotents (1 ± d/√f(u))/2."""
     u = _point(u)
@@ -823,7 +892,7 @@ def split_full_rank(P, side, u):
     if fval == 0:
         raise FiberError("the block only splits away from its curve")
     tower, (s,) = QuadraticTower.create([fval])
-    A_Q, dvec_Q, _ = side_fiber(P, side, u)
+    A_Q, dvec_Q, _ = (sides or SideFibers(P)).fiber(side, u)
     A = A_Q.map_field(tower)
     dvec = tuple(tower.coerce(x) for x in dvec_Q)
     C1, e1 = _corner_by_idempotent(A, dvec, s)
@@ -833,10 +902,17 @@ def split_full_rank(P, side, u):
     return tower, (C1, C2), (e1, e2)
 
 
-def corank1_quotient(P, side, u, field=None):
+def corank1_quotient(P, side, u, field=None, sides=None):
     """At a curve point of corank one, the central odd vector squares to
     zero; the quotient by the 4-dimensional two-sided ideal it generates
-    is certified as a rank-2 matrix algebra."""
+    is certified as a rank-2 matrix algebra.
+
+    Over a prime field the 8-dimensional fiber is not re-checked for
+    associativity: the side algebra's structure constants are integer
+    polynomials (checked by SideFibers.algebra), so the
+    F_p table is the image of the Z[u]-table under the ring homomorphism
+    Z[u] → F_p, and the proof over Q[u] carries over.  The 4-dimensional
+    quotient table itself is checked on all basis triples."""
     if field is None:
         field = QuadraticTower(())
     uc = _point(u)
@@ -848,7 +924,7 @@ def corank1_quotient(P, side, u, field=None):
     adj = adjugate3([[field.coerce(x) for x in r] for r in block])
     if all(not x for row in adj for x in row):
         raise FiberError("corank at least two at this point")
-    A, dvec, _ = side_fiber(P, side, uc, field)
+    A, dvec, _ = side_fiber(P, side, uc, field, sides=sides)
     if any(A.mul(dvec, dvec)):
         raise AssertionError("central element square must vanish on the curve")
     pivots, ideal = rref([A.mul(dvec, A.basis_vec(i)) for i in range(8)])
@@ -911,7 +987,12 @@ def _divisors(n):
 
 
 def _rational_roots(coeffs):
-    """Rational roots of Σ coeffs[k] t^k with integer coefficients."""
+    """Rational roots of Σ coeffs[k] t^k with integer coefficients.
+
+    Each candidate n/d (n | constant term, d | leading coefficient) is
+    tested by the integer Σ coeffs[k] n^k d^(deg-k) = d^deg·p(n/d), which
+    vanishes exactly when n/d is a root; candidates are visited in a fixed
+    order and each hit is listed, repeats included."""
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     if not coeffs:
@@ -923,17 +1004,20 @@ def _rational_roots(coeffs):
             coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return roots
-    lead = coeffs[-1]
-    tail = coeffs[0]
-    for num in _divisors(tail):
-        for den in _divisors(lead):
-            for sgn in (1, -1):
-                t = Fraction(sgn * num, den)
-                acc = Fraction(0)
-                for c in reversed(coeffs):
-                    acc = acc * t + c
+    deg = len(coeffs) - 1
+    dens = _divisors(coeffs[-1])
+    # coeffs[k]·d^(deg-k), highest degree first, for each denominator d
+    scaled = {d: [c * d ** (deg - k) for k, c in reversed(list(enumerate(coeffs)))]
+              for d in dens}
+    for num in _divisors(coeffs[0]):
+        for den in dens:
+            terms = scaled[den]
+            for n in (num, -num):
+                acc = 0
+                for c in terms:
+                    acc = acc * n + c
                 if acc == 0:
-                    roots.append(t)
+                    roots.append(Fraction(n, den))
     return roots
 
 

@@ -136,10 +136,16 @@ class InvariantPencil:
         return tuple(rows)
 
     def det_curves(self):
-        return DetCurves(
-            f_plus=self.linear_form_matrix("plus").det(),
-            f_minus=self.linear_form_matrix("minus").det(),
-        )
+        """Both determinant cubics, computed once per instance (the
+        pencil is frozen, so they never change)."""
+        curves = self.__dict__.get("_det_curves")
+        if curves is None:
+            curves = DetCurves(
+                f_plus=self.linear_form_matrix("plus").det(),
+                f_minus=self.linear_form_matrix("minus").det(),
+            )
+            object.__setattr__(self, "_det_curves", curves)
+        return curves
 
     # -- persistence -----------------------------------------------------------
 

@@ -28,7 +28,7 @@ from .exactalg import (
 from .fiber import (
     FiberError,
     QuadraticTower,
-    _side_algebra,
+    SideFibers,
     split_full_rank,
 )
 from .geometry import GenericityError
@@ -403,13 +403,15 @@ def _mat2_add(x, y):
 W_CANDIDATES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
-def module_rep(P, side, u):
+def module_rep(P, side, u, sides=None):
     """A two-dimensional module for the block at a point of full rank:
     split the fiber, pick an anisotropic vector w, and cut the split
     corner by the idempotent of v_w/√(-q(w, w)).  The generator matrices
     then satisfy the Clifford relations of the block on the nose and the
-    odd central element acts by the square root of the determinant."""
-    tower, (C, _), _ = split_full_rank(P, side, u)
+    odd central element acts by the square root of the determinant.
+    sides shares the side algebra and fiber (see SideFibers)."""
+    sides = sides or SideFibers(P)
+    tower, (C, _), _ = split_full_rank(P, side, u, sides=sides)
     uf = tuple(Fraction(c) for c in u)
     block = P.block_at(uf, side)
 
@@ -465,7 +467,7 @@ def module_rep(P, side, u):
                 raise AssertionError("Clifford relation failed in the module")
 
     # the odd central element must act by the split square root
-    dres = _side_algebra(P, side)[1]
+    dres = sides.algebra(side)[1]
     r_at = [r.eval(uf) for r in dres.r_coeffs]
     d_mat = _mat2_mul(_mat2_mul(mats[0], mats[1]), mats[2])
     for rv, mat in zip(r_at, mats):

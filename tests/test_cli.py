@@ -191,12 +191,16 @@ class TestOptimizedInterpreter:
     def test_same_verdicts_under_python_O(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         save_instance(cached_pencil(42), str(inst))
-        for check_id in ("prop2.2-smoothness", "prop4.3-singular-locus"):
+        for check_id, flags in (("prop2.2-smoothness", []),
+                                ("prop4.3-singular-locus", []),
+                                ("prop3.17-azumaya-m4", ["--points", "1"]),
+                                ("prop3.18-corank1-m2", ["--points", "1"])):
             plain, optimized = tmp_path / "plain.json", tmp_path / "opt.json"
-            rc = main(["check", check_id, str(inst), "--report", str(plain)])
+            rc = main(["check", check_id, str(inst), *flags,
+                       "--report", str(plain)])
             proc = subprocess.run(
                 [sys.executable, "-O", "-m", "quadclif", "check", check_id,
-                 str(inst), "--report", str(optimized)],
+                 str(inst), *flags, "--report", str(optimized)],
                 capture_output=True, text=True,
             )
             assert proc.returncode == rc == 0, proc.stderr

@@ -2,6 +2,7 @@
 and degree-bounded commutants."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from quadclif.clifford import (
     BiDegree,
     CentralElementError,
     CliffordAlgebra,
+    CliffordElement,
     U_VARS,
     action_scales_relation,
     central_odd,
@@ -23,6 +25,8 @@ from quadclif.clifford import (
     hilbert_dims_center,
     lift,
     phi,
+    phi_exponent,
+    phi_failing_pairs,
     phi_pair,
     terms_homogeneous,
     veronese_dims,
@@ -91,6 +95,32 @@ def test_associativity_prime_field():
         b = random_element(alg, rng)
         c = random_element(alg, rng)
         assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_symbolic_associativity_and_integrality(side):
+    P = cached_pencil(42)
+    alg = CliffordAlgebra.from_pencil(P, side)
+    assert alg.verify_associativity()
+    assert alg.integral_structure()
+    # the long path on all 512 basis triples agrees
+    for a in range(8):
+        for b in range(8):
+            ab = alg.basis_product(a, b)
+            for c in range(8):
+                assert ab * alg.from_mask(c) == alg.from_mask(a) * alg.basis_product(b, c)
+
+
+def test_integral_structure_detects_fractions():
+    R = PolyRing(QQ, U_VARS)
+    u1 = R.var("u1")
+    half = R.const(Fraction(1, 2))
+    q = SymMatrix(R, [[u1 * half, R.zero(), R.zero()],
+                      [R.zero(), u1, R.zero()],
+                      [R.zero(), R.zero(), u1]])
+    alg = CliffordAlgebra(R, "plus", q_plus=q)
+    assert alg.verify_associativity()
+    assert not alg.integral_structure()
 
 
 def test_distributivity_and_scalars():
@@ -179,6 +209,70 @@ def test_phi_multiplicative_on_all_even_mask_pairs():
             fb = phi(sup.from_mask(mb), ordi)
             prod = sup.basis_product(ma, mb)
             assert phi(prod, ordi) == fa * fb
+
+
+def _i_power(k):
+    x = QQI.one
+    for _ in range(k % 4):
+        x = x * QQI.i
+    return x
+
+
+def _naive_exponent(mask):
+    """The all-real scaling (-1)^(m(m-1)/2), m = plus-block count, that
+    phi's docstring rules out, as a power of i."""
+    m = bin(mask & 0b111).count("1")
+    return 2 * ((m * (m - 1) // 2) % 2)
+
+
+def _failing_pairs_by_products(P, exponents):
+    """The reference: 1,024 products over Q(i)[u], each scaled mask by
+    mask by i^exponent(m), compared as elements; one list per exponent."""
+    sup, ordi = phi_pair(P)
+    masks = even_masks()
+    out = []
+    for exponent in exponents:
+        def image(e):
+            return CliffordElement(ordi, {m: p * _i_power(exponent(m))
+                                          for m, p in e.coeffs.items()})
+
+        images = {m: image(sup.from_mask(m)) for m in masks}
+        out.append([[ma, mb] for ma in masks for mb in masks
+                    if image(sup.basis_product(ma, mb)) != images[ma] * images[mb]])
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_phi_structure_constants_match_products(seed):
+    P = cached_pencil(seed)
+    sup = CliffordAlgebra.from_pencil(P, "super")
+    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    exponents = (phi_exponent,) if seed == 7 else (phi_exponent, _naive_exponent)
+    reference = _failing_pairs_by_products(P, exponents)
+    assert phi_failing_pairs(sup, ordi) == reference[0] == []
+    if seed == 42:
+        naive = phi_failing_pairs(sup, ordi, exponent=_naive_exponent)
+        assert naive  # the ruled-out real scaling is caught
+        assert [0b001001, 0b001001] in naive  # (v1+ v1-)²
+        assert naive == reference[1]
+
+
+def test_phi_exponent_is_the_scaling_phi_uses():
+    P = cached_pencil(42)
+    sup, ordi = phi_pair(P)
+    for m in even_masks():
+        img = phi(sup.from_mask(m), ordi)
+        assert img.coeffs[m].constant_value() == _i_power(phi_exponent(m))
+
+
+def test_phi_failing_pairs_rejects_wrong_inputs():
+    P = cached_pencil(42)
+    sup = CliffordAlgebra.from_pencil(P, "super")
+    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    with pytest.raises(ValueError):
+        phi_failing_pairs(ordi, sup)
+    with pytest.raises(ValueError):
+        phi_failing_pairs(*phi_pair(P))  # Gaussian coefficients
 
 
 def test_phi_fixed_values():

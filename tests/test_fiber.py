@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from quadclif.checks import CheckContext, run_single
+from quadclif.clifford import CliffordAlgebra
 from quadclif.exactalg import PrimeField, QQ
 from quadclif.fiber import (
     FiberError,
     FinAlg,
     QuadraticTower,
+    SideFibers,
+    _divisors,
+    _rational_roots,
     center_basis,
     center_dim,
     certify_matrix_algebra,
@@ -28,7 +33,7 @@ from quadclif.fiber import (
     split_full_rank,
     tensor_product,
 )
-from quadclif.pencil import InvariantPencil
+from quadclif.pencil import InvariantPencil, _derived_rng
 
 from conftest import cached_pencil
 
@@ -261,6 +266,100 @@ def test_kronecker_radical_matches_direct():
     assert via_kronecker == radical_dim(direct) == 4
 
 
+def split_etale_power(k, field=None):
+    """Q^k as a structure-constant algebra: k orthogonal idempotents."""
+    field = field or QuadraticTower(())
+    zero, one = field.zero, field.one
+    table = [[tuple(one if (i == j == l) else zero for l in range(k))
+              for j in range(k)] for i in range(k)]
+    return FinAlg(field, table, (one,) * k)
+
+
+def test_tensor_center_from_factors_negative_controls():
+    # Z(A⊗B) = Z(A)⊗Z(B): a non-central factor must fail the M_n
+    # certificate through the factor path, with the same count as the
+    # direct commutator kernel of the flattened table
+    for T, n in ((tensor_product(m2_algebra(), split_etale_power(4)), 4),
+                 (tensor_product(quadratic_etale(1), quadratic_etale(1)), 2)):
+        assert T.tensor_factors is not None
+        assert radical_dim(T) == 0
+        assert certify_matrix_algebra(T, n) == "fail:center-4"
+        flat = FinAlg(T.field, T.table, T.unit, gens=T.gens, check=False)
+        assert flat.tensor_factors is None
+        assert center_dim(T) == len(center_basis(flat)) == 4
+    T = tensor_product(m2_algebra(), m2_algebra())
+    flat = FinAlg(T.field, T.table, T.unit, gens=T.gens, check=False)
+    assert center_dim(T) == len(center_basis(flat)) == 1
+
+
+def test_corner_provenance():
+    A = m2_algebra()
+    e = A.vadd(A.basis_vec(0), A.basis_vec(3))  # the unit, as a corner
+    assert corner_algebra(A, e).assoc == "corner"
+    # no claim on the table: the corner runs the full check
+    bare = FinAlg(A.field, A.table, A.unit, check=False)
+    assert bare.assoc is None
+    assert corner_algebra(bare, e).assoc == "checked"
+    t = QuadraticTower(())
+    zero, one = t.zero, t.one
+    # basis 1, x, y with x·x = y, x·y = 1, y·x = y·y = 0: (xx)x ≠ x(xx)
+    e1, ex, ey, z = (one, zero, zero), (zero, one, zero), (zero, zero, one), (zero,) * 3
+    nonassoc = FinAlg(t, [[e1, ex, ey], [ex, ey, e1], [ey, z, z]], e1, check=False)
+    with pytest.raises(ValueError, match="associativity"):
+        corner_algebra(nonassoc, nonassoc.unit)
+
+
+def _flip_one_normal_form(monkeypatch, bad=(0b010, 0)):
+    """Negate the engine's normal form of e_mask·v_j on one (mask, j)."""
+    orig = CliffordAlgebra._mask_times_gen
+
+    def broken(self, mask, j):
+        res = orig(self, mask, j)
+        if (mask, j) == bad:
+            res = tuple((m, -c) for m, c in res)
+        return res
+
+    monkeypatch.setattr(CliffordAlgebra, "_mask_times_gen", broken)
+
+
+def test_broken_clifford_engine_is_caught(monkeypatch):
+    P = cached_pencil(42)
+    _flip_one_normal_form(monkeypatch)
+    alg = CliffordAlgebra.from_pencil(P, "plus")
+    with pytest.raises(ValueError, match="associativity"):
+        alg.verify_associativity()
+    with pytest.raises(ValueError, match="associativity"):
+        SideFibers(P).algebra("plus")
+    ctx = CheckContext(P, points=1)
+    for check_id in ("prop3.17-azumaya-m4", "prop3.18-split-m2"):
+        r = run_single(ctx, check_id)
+        assert r.status == "fail"
+        assert "associativity" in r.witnesses[0]["error"]
+
+
+def test_side_fiber_provenance_over_prime_field():
+    # integer structure constants reduce mod p by a ring homomorphism, so
+    # the F_p fiber carries the proof over Q[u]
+    P = cached_pencil(42)
+    pt = curve_points_fp(P, "plus", 101, 1)[0]
+    A, _, _ = side_fiber(P, "plus", pt, field=PrimeField(101))
+    assert A.assoc == "clifford"
+    assert A.check_associativity()
+
+
+def test_side_fibers_are_shared_per_point():
+    P = cached_pencil(42)
+    sides = SideFibers(P)
+    u = invertible_point(P)
+    first = sides.fiber("plus", u)
+    assert sides.fiber("plus", u) is first
+    assert sides.fiber("minus", u) is not first
+    assert sides.algebra("plus") is sides.algebra("plus")
+    A = specialize(P, "ordinary", u, sides=sides)
+    assert certify_matrix_algebra(A, 4) == "M4"
+    assert len(sides._fibers) == 2
+
+
 def test_trace_form_char_guard():
     F = PrimeField(7)
     P = cached_pencil(42)
@@ -282,6 +381,8 @@ def test_side_fiber_structure():
     u = invertible_point(P)
     A = specialize(P, "plus", u)
     assert A.dim == 8
+    assert A.assoc == "clifford"  # proven once over Q[u], not per point
+    assert A.check_associativity()  # the long path agrees
     assert A.assoc == "checked"
     assert radical_dim(A) == 0
     assert center_dim(A) == 2  # the base scalars and the odd central element
@@ -427,6 +528,57 @@ def test_rational_curve_point_search():
     assert P.det_curves().f_plus.eval(uf) == 0
     Q, verdict = corank1_quotient(P, "plus", pt)
     assert verdict == "M2"
+
+
+def _rational_roots_fraction_horner(coeffs):
+    """The reference: every candidate evaluated by Fraction Horner steps."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    if not coeffs:
+        return []
+    roots = []
+    if coeffs[0] == 0:
+        roots.append(Fraction(0))
+        while coeffs and coeffs[0] == 0:
+            coeffs = coeffs[1:]
+    if len(coeffs) <= 1:
+        return roots
+    for num in _divisors(coeffs[0]):
+        for den in _divisors(coeffs[-1]):
+            for sgn in (1, -1):
+                t = Fraction(sgn * num, den)
+                acc = Fraction(0)
+                for c in reversed(coeffs):
+                    acc = acc * t + c
+                if acc == 0:
+                    roots.append(t)
+    return roots
+
+
+def test_rational_roots_match_fraction_horner():
+    rng = _derived_rng("test", "rational-roots")
+    hits = 0
+    for trial in range(300):
+        if trial % 2:
+            # a product of rational linear factors, so roots exist
+            coeffs = [rng.randint(-6, 6) or 1]
+            for _ in range(rng.randint(1, 3)):
+                n, d = rng.randint(-9, 9), rng.randint(1, 6)
+                nxt = [0] * (len(coeffs) + 1)
+                for k, c in enumerate(coeffs):
+                    nxt[k] -= c * n
+                    nxt[k + 1] += c * d
+                coeffs = nxt
+        else:
+            coeffs = [rng.randint(-60, 60) for _ in range(4)]
+            if trial % 7 == 0:
+                coeffs[0] = 0
+        got = _rational_roots(list(coeffs))
+        assert got == _rational_roots_fraction_horner(list(coeffs)), coeffs
+        hits += bool(got)
+    assert hits > 100
+    assert _rational_roots([0, 0, 0]) == []
+    assert _rational_roots([6, -5, 1]) == _rational_roots_fraction_horner([6, -5, 1])
 
 
 def test_sampling_is_deterministic():
