@@ -28,7 +28,7 @@ from .clifford import (
     phi_failing_pairs,
     terms_homogeneous,
 )
-from .exactalg import PrimeField, adjugate3, is_prime
+from .exactalg import PrimeField, adjugate3
 from .fiber import (
     SideFibers,
     certify_matrix_algebra,
@@ -40,7 +40,7 @@ from .fiber import (
     sample_invertible_points,
     specialize,
 )
-from .pencil import DEFAULT_PRIMES, _derived_rng, genericity_check
+from .pencil import DEFAULT_PRIMES, _derived_rng, check_primes, genericity_check
 from .plucker import (
     adjugate_double_line,
     annihilator_line,
@@ -54,6 +54,11 @@ from .plucker import (
     segre_identity_check,
     transform_identity_check,
 )
+
+# Each fiber point costs each fiber check a few hundredths of a second; a
+# full check at this bound took 27 s and 40 MiB (README, "Limits").
+# Larger --points values are refused.
+MAX_POINTS = 200
 
 INSTANCE_FREE = frozenset({
     "prop2.3-stabilizers",
@@ -102,16 +107,13 @@ class CheckContext:
 
     def __init__(self, P=None, primes=DEFAULT_PRIMES, points=20, max_degree=6):
         self.P = P
-        self.primes = tuple(int(p) for p in primes)
+        self.primes = check_primes(primes)
         self.points = int(points)
         self.max_degree = int(max_degree)
-        if not self.primes:
-            raise ValueError("primes must be nonempty")
-        for p in self.primes:
-            if p < 17 or not is_prime(p):
-                raise ValueError(f"primes must each be a prime >= 17, got {p}")
         if self.points < 1:
             raise ValueError("points must be >= 1")
+        if self.points > MAX_POINTS:
+            raise ValueError(f"points must be at most {MAX_POINTS}, got {self.points}")
         if not 1 <= self.max_degree <= 8:
             raise ValueError("max-degree must be between 1 and 8")
         self._cache = {}
@@ -138,12 +140,6 @@ class CheckContext:
             lambda: sample_invertible_points(
                 self.P, self.rng("fiber-points"), self.points
             ),
-        )
-
-    def curve_points_mod(self, side, p):
-        f = self.P.det_curves().side(side)
-        return self.cached(
-            ("curve", side, p), lambda: geometry.curve_points(f, p)
         )
 
 
@@ -384,7 +380,7 @@ def _check_adjugate(ctx):
             wit.append({"side": side, "prime": p, "violation_at": violation,
                         "certificate": "randomized"})
             continue
-        curve = len(ctx.curve_points_mod(side, p))
+        curve = len(ctx.P.reduced_curve(side, p).points)
         agrees = counts["double_line"] == curve
         ok = ok and agrees
         wit.append({"side": side, "prime": p,
@@ -407,7 +403,7 @@ def _check_singular_locus(ctx):
                 ok = False
                 wit.append({"side": side, "prime": p, "error": str(exc)})
                 continue
-            curve = len(ctx.curve_points_mod(side, p))
+            curve = len(ctx.P.reduced_curve(side, p).points)
             agrees = len(found) == curve
             ok = ok and agrees
             wit.append({"side": side, "prime": p,

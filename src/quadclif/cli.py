@@ -15,13 +15,20 @@ import sys
 from . import __version__
 from .checks import (
     CHECK_ORDER,
+    MAX_POINTS,
     CheckContext,
     INSTANCE_FREE,
     UnknownCheckError,
     run_all,
     run_single,
 )
-from .pencil import DEFAULT_PRIMES, GenerationError, generate, load_instance
+from .pencil import (
+    DEFAULT_PRIMES,
+    MAX_PRIME,
+    GenerationError,
+    generate,
+    load_instance,
+)
 
 _ID_SHAPE = re.compile(r"^(prop|def)\d")
 
@@ -48,9 +55,11 @@ def _build_parser():
                         "every check runs, and a few identity checks need "
                         "no instance at all")
     c.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES),
-                   help="comma-separated scan primes (each a prime >= 17)")
+                   help="comma-separated scan primes (each a prime from 17 "
+                        f"to {MAX_PRIME}; scan time grows as p^2)")
     c.add_argument("--points", type=int, default=20,
-                   help="number of off-curve fiber points to certify")
+                   help="number of off-curve fiber points to certify "
+                        f"(1..{MAX_POINTS})")
     c.add_argument("--max-degree", type=int, default=6, dest="max_degree",
                    help="top weight for the center-dimension check (1..8)")
     c.add_argument("--report", metavar="PATH",

@@ -36,117 +36,158 @@ class FiberError(Exception):
 # ---------------------------------------------------------------------------
 
 class TowerElem:
-    """Element of Q(sqrt a, sqrt b): coordinates on (1, √a, √b, √ab).
+    """Element of Q(sqrt a, sqrt b) on the basis (1, √a, √b, √ab), stored
+    as four integer numerators n over one positive denominator d.
 
-    Basis index bit 0 marks a factor √a, bit 1 a factor √b; products
-    combine by xor with rational carry a and/or b on the shared bits.
+    This is the integral representation of number-field elements (Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138, §4.2):
+    coordinates n/d with gcd(n₀, n₁, n₂, n₃, d) = 1 and d > 0, so (n, d)
+    is canonical, equality and the zero test compare integers, and the
+    field operations work on integers and reduce once.  Basis index bit 0
+    marks a factor √a, bit 1 a factor √b; products combine by xor with
+    carry a and/or b on the shared bits (see QuadraticTower).  `c` is a
+    read-only view of the coordinates as Fractions.
     """
 
-    __slots__ = ("tower", "c")
+    __slots__ = ("tower", "n", "d")
 
-    def __init__(self, tower, c):
+    def __init__(self, tower, n, d=1):
+        """n is a tuple of four ints and d a nonzero int; the pair is
+        brought to canonical form (a denominator of 1 already is)."""
+        if d != 1:
+            n0, n1, n2, n3 = n
+            if d < 0:
+                n0, n1, n2, n3, d = -n0, -n1, -n2, -n3, -d
+            g = gcd(n0, n1, n2, n3, d)
+            if g != 1:
+                n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+            n = (n0, n1, n2, n3)
         self.tower = tower
-        self.c = c
+        self.n = n
+        self.d = d
+
+    @property
+    def c(self):
+        return tuple(Fraction(x, self.d) for x in self.n)
 
     def _coerce(self, other):
-        if isinstance(other, TowerElem):
-            if other.tower is self.tower or other.tower.radicands == self.tower.radicands:
-                return other
+        """other as an element with our coordinate meaning: an element of
+        this tower or of one with the same radicands as it is, anything
+        else through tower.coerce; None if it does not coerce."""
+        if other.__class__ is TowerElem and (
+                other.tower is self.tower
+                or other.tower.radicands == self.tower.radicands):
+            return other
+        try:
             return self.tower.coerce(other)
-        return self.tower.coerce(other)
+        except (TypeError, ValueError):
+            return None
 
     def __add__(self, other):
-        try:
-            other = self._coerce(other)
-        except (TypeError, ValueError):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return TowerElem(self.tower, tuple(x + y for x, y in zip(self.c, other.c)))
+        x0, x1, x2, x3 = self.n
+        y0, y1, y2, y3 = other.n
+        d, e = self.d, other.d
+        if d == e:
+            return TowerElem(self.tower, (x0 + y0, x1 + y1, x2 + y2, x3 + y3), d)
+        return TowerElem(self.tower, (x0 * e + y0 * d, x1 * e + y1 * d,
+                                      x2 * e + y2 * d, x3 * e + y3 * d), d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElem(self.tower, tuple(-x for x in self.c))
+        x0, x1, x2, x3 = self.n
+        return TowerElem(self.tower, (-x0, -x1, -x2, -x3), self.d)
 
     def __sub__(self, other):
-        try:
-            other = self._coerce(other)
-        except (TypeError, ValueError):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return TowerElem(self.tower, tuple(x - y for x, y in zip(self.c, other.c)))
+        x0, x1, x2, x3 = self.n
+        y0, y1, y2, y3 = other.n
+        d, e = self.d, other.d
+        if d == e:
+            return TowerElem(self.tower, (x0 - y0, x1 - y1, x2 - y2, x3 - y3), d)
+        return TowerElem(self.tower, (x0 * e - y0 * d, x1 * e - y1 * d,
+                                      x2 * e - y2 * d, x3 * e - y3 * d), d * e)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            other = self._coerce(other)
-        except (TypeError, ValueError):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        a = self.tower._a
-        b = self.tower._b
-        out = [Fraction(0)] * 4
-        for i, ci in enumerate(self.c):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.c):
-                if not cj:
-                    continue
-                s = ci * cj
-                if i & j & 1:
-                    s *= a
-                if i & j & 2:
-                    s *= b
-                out[i ^ j] += s
-        return TowerElem(self.tower, tuple(out))
+        x0, x1, x2, x3 = self.n
+        y0, y1, y2, y3 = other.n
+        d = self.d * other.d
+        if not (y1 or y2 or y3):
+            return TowerElem(self.tower, (x0 * y0, x1 * y0, x2 * y0, x3 * y0), d)
+        if not (x1 or x2 or x3):
+            return TowerElem(self.tower, (x0 * y0, x0 * y1, x0 * y2, x0 * y3), d)
+        k0, k1, k2, k3 = self.tower._carry
+        return TowerElem(self.tower, (
+            k0 * x0 * y0 + k1 * x1 * y1 + k2 * x2 * y2 + k3 * x3 * y3,
+            k0 * (x0 * y1 + x1 * y0) + k2 * (x2 * y3 + x3 * y2),
+            k0 * (x0 * y2 + x2 * y0) + k1 * (x1 * y3 + x3 * y1),
+            k0 * (x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1),
+        ), d * k0)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/x = σ_b(x)·σ_a(N_b(x)) / N(x), where σ_b negates √b (and
+        √ab), σ_a negates √a, N_b(x) = x·σ_b(x) lies in Q(√a) and
+        N(x) = N_b(x)·σ_a(N_b(x)) is rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
         t = self.tower
-        c = self.c
-        conj_b = TowerElem(t, (c[0], c[1], -c[2], -c[3]))
-        n = self * conj_b  # lands in Q(√a)
-        nc = n.c
-        conj_a = TowerElem(t, (nc[0], -nc[1], Fraction(0), Fraction(0)))
-        r = (n * conj_a).c
-        if r[1] or r[2] or r[3] or not r[0]:
+        n0, n1, n2, n3 = self.n
+        conj_b = TowerElem(t, (n0, n1, -n2, -n3), self.d)
+        nb = self * conj_b  # lands in Q(√a)
+        conj_a = TowerElem(t, (nb.n[0], -nb.n[1], 0, 0), nb.d)
+        r = nb * conj_a
+        if not r.is_rational() or not r:
             raise ZeroDivisionError("norm degenerated; tower is not a field")
-        return conj_b * conj_a * TowerElem(
-            t, (1 / r[0], Fraction(0), Fraction(0), Fraction(0))
-        )
+        return conj_b * conj_a * TowerElem(t, (r.d, 0, 0, 0), r.n[0])
 
     def __truediv__(self, other):
-        try:
-            other = self._coerce(other)
-        except (TypeError, ValueError):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except (TypeError, ValueError):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self.c == other.c
+        return self.d == other.d and self.n == other.n
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.n)
 
     def __hash__(self):
-        return hash((self.tower.radicands, self.c))
+        # a rational element equals its int or Fraction value, so it hashes
+        # like it; the embedding of a shallower tower keeps (n, d)
+        if self.is_rational():
+            return hash(Fraction(self.n[0], self.d))
+        return hash((self.n, self.d))
 
     def is_rational(self):
-        return not (self.c[1] or self.c[2] or self.c[3])
+        return not (self.n[1] or self.n[2] or self.n[3])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("element is irrational")
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
 
     def __repr__(self):
         rads = self.tower.radicands
@@ -168,6 +209,12 @@ class QuadraticTower:
     is a non-square, and at level two the product of the two is also a
     non-square (so neither root lies in the subfield generated by the
     other).
+
+    Elements are integer coordinate vectors over a common denominator
+    (TowerElem).  With a = aₙ/a_d and b = bₙ/b_d (zero above the level)
+    and L = a_d·b_d, the basis products carry 1, a, b or ab, that is
+    (L, aₙb_d, bₙa_d, aₙbₙ)/L: `_carry` holds those four integers, so a
+    product of two elements is sixteen integer products over d·d'·L.
     """
 
     def __init__(self, radicands=()):
@@ -184,8 +231,11 @@ class QuadraticTower:
         self.level = len(rads)
         self._a = rads[0] if self.level >= 1 else Fraction(0)
         self._b = rads[1] if self.level >= 2 else Fraction(0)
-        self.zero = TowerElem(self, (Fraction(0),) * 4)
-        self.one = TowerElem(self, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+        an, ad = self._a.numerator, self._a.denominator
+        bn, bd = self._b.numerator, self._b.denominator
+        self._carry = (ad * bd, an * bd, bn * ad, an * bn)
+        self.zero = TowerElem(self, (0, 0, 0, 0))
+        self.one = TowerElem(self, (1, 0, 0, 0))
         self.name = self.describe()
 
     def describe(self):
@@ -204,18 +254,22 @@ class QuadraticTower:
         return hash(self.radicands)
 
     def make(self, c0, c1=0, c2=0, c3=0):
-        return TowerElem(self, (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
+        c = [Fraction(x) for x in (c0, c1, c2, c3)]
+        d = lcm(*(x.denominator for x in c))
+        return TowerElem(self, tuple(x.numerator * (d // x.denominator) for x in c), d)
 
     def coerce(self, x):
         if isinstance(x, TowerElem):
-            if x.tower.radicands == self.radicands:
-                return TowerElem(self, x.c)
-            # embed a shallower tower whose radicands are a prefix of ours
+            # the same tower, or a shallower one whose radicands are a
+            # prefix of ours: the coordinates embed unchanged
             if x.tower.radicands == self.radicands[: x.tower.level]:
-                return TowerElem(self, x.c)
+                return TowerElem(self, x.n, x.d)
             raise ValueError("element of an incompatible tower")
-        if isinstance(x, (int, str, Fraction)):
-            return self.make(Fraction(x))
+        if isinstance(x, int):
+            return TowerElem(self, (x, 0, 0, 0))
+        if isinstance(x, (str, Fraction)):
+            x = Fraction(x)
+            return TowerElem(self, (x.numerator, 0, 0, 0), x.denominator)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def sqrt(self, x):
@@ -297,8 +351,17 @@ def _char_ok(field, dim):
 class FinAlg:
     """Associative unital algebra given by dense structure constants.
 
-    table[i][j] is the coordinate tuple of e_i·e_j.  The unit is always
-    verified.  `assoc` records where associativity comes from:
+    table[i][j] is the coordinate tuple of e_i·e_j.  `unit_source`
+    records why `unit` is the unit:
+
+    - "checked": _verify_unit() passed, 2·dim products (the default);
+    - "embedding": a base change (map_field) of a table with a unit; a
+      ring embedding maps 1 to 1;
+    - "tensor": a tensor product, whose unit is u_A ⊗ u_B;
+    - "corner": e·A·e with e idempotent in an associative A, whose unit
+      is e, because e·(e x e) = e x e = (e x e)·e.
+
+    `assoc` records where associativity comes from:
 
     - "checked": check_associativity() passed on all basis triples (the
       default for tables of dimension at most 8 with no other provenance);
@@ -320,7 +383,7 @@ class FinAlg:
     """
 
     def __init__(self, field, table, unit, gens=None, tensor_factors=None,
-                 check="auto", assoc_note=None):
+                 check="auto", assoc_note=None, unit_note=None):
         self.field = field
         self.dim = len(table)
         for row in table:
@@ -338,7 +401,10 @@ class FinAlg:
         self.gens = [tuple(g) for g in gens] if gens is not None else None
         self.tensor_factors = tensor_factors
         self.assoc = None
-        self._verify_unit()
+        if unit_note is None:
+            self._verify_unit()
+            unit_note = "checked"
+        self.unit_source = unit_note
         if check is True or (check == "auto" and self.dim <= 8):
             self.check_associativity()
         elif assoc_note:
@@ -406,7 +472,8 @@ class FinAlg:
 
     def map_field(self, new_field):
         """Base-change the structure constants through new_field.coerce.
-        Coercion is a ring embedding, so associativity transfers."""
+        Coercion is a ring embedding, so associativity and the unit
+        transfer."""
         conv = new_field.coerce
         table = [
             [tuple(conv(x) for x in vec) for vec in row] for row in self.table
@@ -418,7 +485,7 @@ class FinAlg:
                    if self.tensor_factors else None)
         note = "inherited" if self.assoc in ("checked", "inherited") else self.assoc
         return FinAlg(new_field, table, unit, gens=gens, tensor_factors=factors,
-                      check=False, assoc_note=note)
+                      check=False, assoc_note=note, unit_note="embedding")
 
 
 def tensor_product(A, B):
@@ -473,7 +540,7 @@ def tensor_product(A, B):
     if A.gens is not None and B.gens is not None:
         gens = [embed_left(g) for g in A.gens] + [embed_right(g) for g in B.gens]
     return FinAlg(A.field, table, unit, gens=gens, tensor_factors=(A, B),
-                  check=False, assoc_note="tensor")
+                  check=False, assoc_note="tensor", unit_note="tensor")
 
 
 def corner_algebra(A, e, gens=None):
@@ -484,8 +551,9 @@ def corner_algebra(A, e, gens=None):
     The corner is checked closed under multiplication, so it is a
     subalgebra of A; a subalgebra of an associative algebra is
     associative, so when A.assoc is set the corner inherits it as
-    "corner".  A corner of a table with no associativity claim runs the
-    full check on all basis triples."""
+    "corner", and so does the unit: e·(e x e) = e x e = (e x e)·e by
+    associativity and e² = e.  A corner of a table with no associativity
+    claim runs the full check on all basis triples and verifies its unit."""
     if A.mul(e, e) != e:
         raise ValueError("corner needs an idempotent")
     pivots, basis = rref([A.mul(e, A.mul(A.basis_vec(i), e))
@@ -514,7 +582,8 @@ def corner_algebra(A, e, gens=None):
     inherited = A.assoc is not None
     return FinAlg(A.field, table, tuple(unit), gens=gvecs,
                   check=not inherited,
-                  assoc_note="corner" if inherited else None)
+                  assoc_note="corner" if inherited else None,
+                  unit_note="corner" if inherited else None)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,6 +1140,4 @@ def rational_curve_point(P, side, rng, tries=200):
 
 def curve_points_fp(P, side, p, count):
     """First few curve points over F_p, for the prime-field fallback."""
-    from . import geometry
-
-    return geometry.curve_points(P.det_curves().side(side), p)[:count]
+    return list(P.reduced_curve(side, p).points[:count])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactalg import FpElem, adjugate3, mat_rank
 
@@ -116,38 +117,60 @@ def curve_points(f, p):
     return _zero_set(compile_poly(f, p), p)
 
 
+class ReducedCurve:
+    """The curve f = 0 reduced mod p: its compiled polynomial (ScanError
+    if f vanishes mod p), and, each computed once on first use, its points
+    in P²(F_p) in enumeration order and its compiled gradient (ScanError
+    if a nonzero partial derivative vanishes mod p; [] for a zero one).
+
+    InvariantPencil.reduced_curve keeps one per (side, p), so every scan of
+    one run reads the same sweep."""
+
+    def __init__(self, f, p):
+        self.f = f
+        self.p = p
+        self.compiled = compile_poly(f, p)
+
+    @cached_property
+    def points(self):
+        return tuple(_zero_set(self.compiled, self.p))
+
+    @cached_property
+    def gradient(self):
+        return tuple(compile_poly(g, self.p) if not g.is_zero() else []
+                     for g in (self.f.derivative(v) for v in self.f.ring.vars))
+
+
+def _eval_gradient(grads, pt, p):
+    return [eval_compiled(g, pt, p) if g else 0 for g in grads]
+
+
 # ---------------------------------------------------------------------------
 # smoothness / transversality scans
 # ---------------------------------------------------------------------------
 
-def ff_scan_smooth(f, p):
-    """Points of {f = 0} ⊂ P²(F_p) where the gradient also vanishes.
-    An empty list certifies smoothness of the reduction mod p."""
-    compiled = compile_poly(f, p)
-    grads = [compile_poly(g, p) if not g.is_zero() else [] for g in
-             (f.derivative(v) for v in f.ring.vars)]
-    bad = []
-    for pt in _zero_set(compiled, p):
-        if all((not g) or eval_compiled(g, pt, p) == 0 for g in grads):
-            bad.append(pt)
-    return bad
+def ff_scan_smooth(curve):
+    """Points of a ReducedCurve where the gradient also vanishes.  An
+    empty list certifies smoothness of the reduction mod p."""
+    grads = curve.gradient
+    return [pt for pt in curve.points
+            if all((not g) or eval_compiled(g, pt, curve.p) == 0 for g in grads)]
 
 
-def ff_scan_transversal(f_plus, f_minus, p):
-    """Common points of the two curves where the 2×3 gradient matrix has
-    rank ≤ 1.  Empty list = transverse intersection mod p."""
-    cp = compile_poly(f_plus, p)
-    cm = compile_poly(f_minus, p)
-    gp = [compile_poly(g, p) if not g.is_zero() else [] for g in
-          (f_plus.derivative(v) for v in f_plus.ring.vars)]
-    gm = [compile_poly(g, p) if not g.is_zero() else [] for g in
-          (f_minus.derivative(v) for v in f_minus.ring.vars)]
+def ff_scan_transversal(plus, minus):
+    """Common points of two ReducedCurves (same p) where the 2×3 gradient
+    matrix has rank ≤ 1.  Empty list = transverse intersection mod p."""
+    p = plus.p
+    if minus.p != p:
+        raise ValueError("curves reduced at different primes")
+    cm = minus.compiled
+    gp, gm = plus.gradient, minus.gradient
     bad = []
-    for pt in _zero_set(cp, p):
+    for pt in plus.points:
         if eval_compiled(cm, pt, p) != 0:
             continue
-        a = [eval_compiled(g, pt, p) if g else 0 for g in gp]
-        b = [eval_compiled(g, pt, p) if g else 0 for g in gm]
+        a = _eval_gradient(gp, pt, p)
+        b = _eval_gradient(gm, pt, p)
         minors = (
             a[0] * b[1] - a[1] * b[0],
             a[0] * b[2] - a[2] * b[0],
@@ -194,10 +217,9 @@ def ff_scan_corank(P, p):
     exceeds 0 where the block determinant vanishes, so the sweep visits the
     curve points delivered by the exhaustive determinant scan."""
     max_corank = 0
-    curves = P.det_curves()
     for side in ("plus", "minus"):
         coeffs = _entry_coeffs(P.side_mats(side))
-        for pt in curve_points(curves.side(side), p):
+        for pt in P.reduced_curve(side, p).points:
             m = _block_mod(coeffs, pt, p)
             adj = adjugate3(m)
             if det3_mod(m, p, adj):
@@ -225,12 +247,12 @@ def singular_locus_C(P, side, p):
     the kernel direction x₀ of q_u; the Jacobian rank ≤ 1 condition is then
     re-verified honestly at each returned point.
     """
-    f = P.det_curves().side(side)
-    grads = [compile_poly(g, p) if not g.is_zero() else [] for g in
-             (f.derivative(v) for v in f.ring.vars)]
+    curve = P.reduced_curve(side, p)
+    grads = curve.gradient
     coeffs = _entry_coeffs(P.side_mats(side))
+    qk = P.side_mats(side)
     found = []
-    for u in curve_points(f, p):
+    for u in curve.points:
         m = _block_mod(coeffs, u, p)
         adj = adjugate3(m)
         col = next(
@@ -248,8 +270,7 @@ def singular_locus_C(P, side, p):
         if any(sum(m[i][j] * x0[j] for j in range(3)) % p for i in range(3)):
             raise AssertionError(f"adjugate column outside ker(q_u) at {u}")
         # Jacobian rank <= 1: (x0^T q_k x0)_k proportional to grad f(u)
-        g = [eval_compiled(gg, u, p) if gg else 0 for gg in grads]
-        qk = [P.side_mats(side)[k] for k in range(3)]
+        g = _eval_gradient(grads, u, p)
         s = [
             sum(x0[i] * qk[k][i][j] * x0[j] for i in range(3) for j in range(3)) % p
             for k in range(3)

@@ -34,6 +34,26 @@ URING = PolyRing(QQ, U_VARS)
 
 DEFAULT_PRIMES = (101, 103, 107)
 
+# The scans sweep all p² + p + 1 points of P²(F_p) in pure Python, so their
+# time grows as p²; at this bound a full check with one scan prime took
+# 16 s, at 2003 it took 68 s (README, "Limits").  Larger primes are refused.
+MAX_PRIME = 1009
+
+
+def check_primes(primes):
+    """The scan primes as a tuple of ints.  ValueError unless there is at
+    least one and each is a prime between 17 and MAX_PRIME; the bound is
+    tested first, so a huge value never reaches the primality test."""
+    primes = tuple(int(p) for p in primes)
+    if not primes:
+        raise ValueError("primes must be nonempty")
+    for p in primes:
+        if p > MAX_PRIME:
+            raise ValueError(f"primes must each be at most {MAX_PRIME}, got {p}")
+        if p < 17 or not is_prime(p):
+            raise ValueError(f"primes must each be a prime >= 17, got {p}")
+    return primes
+
 
 class GenerationError(Exception):
     """Raised when rejection sampling exhausts its attempt budget."""
@@ -146,6 +166,22 @@ class InvariantPencil:
             )
             object.__setattr__(self, "_det_curves", curves)
         return curves
+
+    def reduced_curve(self, side, p):
+        """One block's determinant cubic reduced mod p, kept per (side, p)
+        like det_curves(): the genericity scans, the singular-locus and
+        adjugate checks and the prime-field curve points all read its one
+        sweep of P²(F_p).  Memory is one point list per (side, p) asked
+        for."""
+        memo = self.__dict__.get("_reduced_curves")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_reduced_curves", memo)
+        curve = memo.get((side, p))
+        if curve is None:
+            curve = memo[side, p] = geometry.ReducedCurve(
+                self.det_curves().side(side), p)
+        return curve
 
     # -- persistence -----------------------------------------------------------
 
@@ -316,11 +352,7 @@ def resultant_nine_points(f_plus, f_minus, rng=None):
 
 def genericity_check(P, primes=DEFAULT_PRIMES, do_resultant=True):
     """Run the full genericity suite and collect violation witnesses."""
-    if not primes:
-        raise ValueError("primes must be nonempty")
-    for p in primes:
-        if p < 17 or not is_prime(p):
-            raise ValueError(f"primes must each be a prime >= 17, got {p}")
+    primes = check_primes(primes)
     curves = P.det_curves()
     witnesses = []
     notes = []
@@ -334,9 +366,9 @@ def genericity_check(P, primes=DEFAULT_PRIMES, do_resultant=True):
     transversal_scans = True
     rank_ok = True
     for p in primes:
-        for side, f in (("plus", curves.f_plus), ("minus", curves.f_minus)):
+        for side in ("plus", "minus"):
             try:
-                bad = geometry.ff_scan_smooth(f, p)
+                bad = geometry.ff_scan_smooth(P.reduced_curve(side, p))
             except geometry.ScanError:
                 smooth[side] = False
                 witnesses.append({"kind": f"e_{side}_vanishes_mod_p", "prime": p, "point": None})
@@ -346,7 +378,8 @@ def genericity_check(P, primes=DEFAULT_PRIMES, do_resultant=True):
                 for pt in bad:
                     witnesses.append({"kind": f"e_{side}_singular", "prime": p, "point": list(pt)})
         try:
-            tang = geometry.ff_scan_transversal(curves.f_plus, curves.f_minus, p)
+            tang = geometry.ff_scan_transversal(P.reduced_curve("plus", p),
+                                                P.reduced_curve("minus", p))
         except geometry.ScanError:
             tang = None
             transversal_scans = False

@@ -14,7 +14,7 @@ from quadclif.checks import (
     run_all,
     run_single,
 )
-from quadclif.pencil import InvariantPencil, genericity_check
+from quadclif.pencil import MAX_PRIME, InvariantPencil, genericity_check
 
 
 def diag_instance():
@@ -61,6 +61,18 @@ class TestRegistry:
             CheckContext(None, primes=(101, 143))
         with pytest.raises(ValueError, match="prime >= 17, got 121"):
             genericity_check(diag_instance(), primes=(121,))
+
+    def test_prime_and_point_limits(self):
+        assert (MAX_PRIME, checks.MAX_POINTS) == (1009, 200)
+        for primes in ((1013,), (101, 2003), (10 ** 30 + 57,)):
+            with pytest.raises(ValueError, match="at most 1009, got"):
+                CheckContext(None, primes=primes)
+            with pytest.raises(ValueError, match="at most 1009, got"):
+                genericity_check(diag_instance(), primes=primes)
+        with pytest.raises(ValueError, match="points must be at most 200, got 201"):
+            CheckContext(None, points=201)
+        ctx = CheckContext(None, primes=(1009,), points=200)
+        assert (ctx.primes, ctx.points) == ((1009,), 200)
 
     def test_crash_becomes_fail(self, monkeypatch):
         def boom(ctx):

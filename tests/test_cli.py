@@ -97,6 +97,28 @@ class TestCheckUsage:
         err = capsys.readouterr().err
         assert "error: primes must each be a prime >= 17, got 121" in err
 
+    def test_prime_and_point_limits(self, tmp_path, capsys):
+        path = tmp_path / "diag.json"
+        save_instance(diag_instance(), str(path))
+        # the bound is tested before primality, so even a 31-digit value
+        # is refused at once
+        for primes, bad in (("1013", 1013), ("101,2003", 2003),
+                            ("1000000000000000000000000000057",
+                             1000000000000000000000000000057)):
+            rc = main(["check", "prop2.2-smoothness", str(path),
+                       "--primes", primes])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert f"error: primes must each be at most 1009, got {bad}" in err
+        rc = main(["check", "prop4.9-segre", str(path), "--points", "201"])
+        assert rc == 2
+        assert "error: points must be at most 200, got 201" in capsys.readouterr().err
+        # the bounds themselves are accepted
+        assert main(["check", "prop2.2-smoothness", str(path),
+                     "--primes", "1009", "--points", "200"]) == 1
+        assert main(["check", "prop4.9-segre", str(path),
+                     "--points", "200"]) == 0
+
     def test_bad_flags(self, tmp_path):
         inst = gen(tmp_path, seed=1, bound=3)
         assert main(["check", str(inst), "--primes", "101,frog"]) == 2

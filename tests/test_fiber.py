@@ -309,6 +309,59 @@ def test_corner_provenance():
         corner_algebra(nonassoc, nonassoc.unit)
 
 
+def test_unit_by_construction_passes_the_unit_check():
+    # map_field, tensor_product and corner_algebra record where their unit
+    # comes from instead of verifying it; the long check agrees on each
+    P = cached_pencil(42)
+    u = invertible_point(P)
+    A, _, _ = side_fiber(P, "plus", u)
+    assert A.unit_source == "checked"
+    tower, (C1, C2), _ = split_full_rank(P, "plus", u)
+    T = specialize(P, "ordinary", u)
+    for table, source in ((A.map_field(tower), "embedding"), (C1, "corner"),
+                          (C2, "corner"), (T, "tensor"),
+                          (T.tensor_factors[1], "corner")):
+        assert table.unit_source == source
+        table._verify_unit()
+    # a corner of a table with no associativity claim verifies its unit
+    M = m2_algebra()
+    bare = FinAlg(M.field, M.table, M.unit, check=False)
+    assert corner_algebra(bare, M.unit).unit_source == "checked"
+    # the oracle has teeth: a wrong unit recorded as constructed is caught
+    one, zero = M.field.one, M.field.zero
+    wrong = FinAlg(M.field, M.table, (one, zero, zero, zero), check=False,
+                   unit_note="tensor")
+    with pytest.raises(ValueError, match="unit"):
+        wrong._verify_unit()
+
+
+def test_non_semisimple_fiber_fails_through_the_registry(monkeypatch):
+    """Negative control for prop3.17-azumaya-m4: side fibers replaced by
+    D⊗D⊗Q[x]/(x² - f(u)), D the dual numbers (upper-triangular
+    [[a, b], [0, a]]), with x as the central odd element.  The real tensor
+    path then cuts D⊗D from each side over Q(√f₊(u), √f₋(u)) and builds a
+    16-dimensional fiber with a 15-dimensional radical; the same table
+    over Q gets the same verdict."""
+    P = cached_pencil(42)
+
+    def fake_fiber(self, side, u, field=None):
+        fval = P.det_curves().side(side).eval(tuple(Fraction(c) for c in u))
+        A = tensor_product(tensor_product(dual_numbers(), dual_numbers()),
+                           quadratic_etale(fval))
+        return A, A.basis_vec(1), fval  # basis vector 1 is 1⊗1⊗x
+
+    monkeypatch.setattr(SideFibers, "fiber", fake_fiber)
+    r = run_single(CheckContext(P, points=2), "prop3.17-azumaya-m4")
+    assert r.status == "fail"
+    assert [w["verdict"] for w in r.witnesses] == ["fail:radical-15"] * 2
+    for w in r.witnesses:
+        assert w["field"].startswith("Q(sqrt ") and w["field"].count("sqrt") == 2
+    DD = tensor_product(dual_numbers(), dual_numbers())
+    over_q = tensor_product(DD, DD)
+    assert over_q.field.level == 0
+    assert certify_matrix_algebra(over_q, 4) == "fail:radical-15"
+
+
 def _flip_one_normal_form(monkeypatch, bad=(0b010, 0)):
     """Negate the engine's normal form of e_mask·v_j on one (mask, j)."""
     orig = CliffordAlgebra._mask_times_gen

@@ -7,6 +7,7 @@ import pytest
 from quadclif.exactalg import QQ, PolyRing, adjugate3
 from quadclif.geometry import (
     GenericityError,
+    ReducedCurve,
     ScanError,
     StabilizerDescriptor,
     curve_points,
@@ -35,27 +36,28 @@ def test_proj_points_count():
 
 def test_scan_smooth_fermat_and_triangle():
     fermat = U1 ** 3 + U2 ** 3 + U3 ** 3
-    assert ff_scan_smooth(fermat, 101) == []
+    assert ff_scan_smooth(ReducedCurve(fermat, 101)) == []
     triangle = U1 * U2 * U3
-    bad = set(ff_scan_smooth(triangle, 101))
+    bad = set(ff_scan_smooth(ReducedCurve(triangle, 101)))
     assert {(1, 0, 0), (0, 1, 0), (0, 0, 1)} <= bad
 
 
 def test_scan_smooth_rejects_zero_poly():
     with pytest.raises(ScanError):
-        ff_scan_smooth(101 * U1 ** 3, 101)
+        ff_scan_smooth(ReducedCurve(101 * U1 ** 3, 101))
 
 
 def test_scan_smooth_nodal_cubic():
     # u2^2*u3 = u1^2*(u1 + u3) has a node at (0:0:1)
     nodal = U2 ** 2 * U3 - U1 ** 3 - U1 ** 2 * U3
-    assert (0, 0, 1) in ff_scan_smooth(nodal, 101)
+    assert (0, 0, 1) in ff_scan_smooth(ReducedCurve(nodal, 101))
 
 
 def test_scan_transversal_detects_tangency():
     f_plus = U1 ** 3 + U2 ** 3 + U3 ** 3
     f_minus = U1 ** 3 + U2 ** 3 + 2 * U3 ** 3
-    bad = ff_scan_transversal(f_plus, f_minus, 101)
+    bad = ff_scan_transversal(ReducedCurve(f_plus, 101),
+                              ReducedCurve(f_minus, 101))
     assert bad
     # every common point has u3 = 0 and is a tangency point
     for pt in bad:
@@ -64,14 +66,14 @@ def test_scan_transversal_detects_tangency():
 
 def test_scan_transversal_identical_curves():
     f = U1 ** 3 + U2 ** 3 + U3 ** 3
-    bad = ff_scan_transversal(f, f, 101)
+    bad = ff_scan_transversal(ReducedCurve(f, 101), ReducedCurve(f, 101))
     assert len(bad) == len(curve_points(f, 101))
 
 
 def test_scan_transversal_generic(pencil42):
-    curves = pencil42.det_curves()
     for p in (101, 103, 107):
-        assert ff_scan_transversal(curves.f_plus, curves.f_minus, p) == []
+        assert ff_scan_transversal(pencil42.reduced_curve("plus", p),
+                                   pencil42.reduced_curve("minus", p)) == []
 
 
 def test_curve_points_match_bruteforce_small():
@@ -144,6 +146,48 @@ def test_singular_locus_rejects_corank2():
     P = InvariantPencil(q_plus=q, q_minus=q, seed=0, coeff_bound=1)
     with pytest.raises(GenericityError):
         singular_locus_C(P, "plus", 101)
+
+
+def test_scan_gradient_vanishing_mod_p_is_a_scan_error():
+    # ∂f/∂u1 = 101·u2·u3 is nonzero over Q but vanishes mod 101
+    curve = ReducedCurve(U2 ** 3 + U3 ** 3 + 101 * U1 * U2 * U3, 101)
+    with pytest.raises(ScanError):
+        ff_scan_smooth(curve)
+    with pytest.raises(ScanError):
+        ff_scan_transversal(curve, ReducedCurve(U1 ** 3 + U2 ** 3 + U3 ** 3, 101))
+
+
+def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
+    """The genericity scans and the scan-reading checks of one run share
+    one sweep per (side, p), in the order of curve_points."""
+    from quadclif import geometry
+    from quadclif.checks import CheckContext, run_single
+    from quadclif.pencil import genericity_check
+
+    swept = []
+    sweep = geometry._zero_set
+
+    def counting(compiled, p):
+        swept.append(p)
+        return sweep(compiled, p)
+
+    monkeypatch.setattr(geometry, "_zero_set", counting)
+    P = InvariantPencil.from_json_dict(pencil42.to_json_dict())  # no memo yet
+    primes = (101, 103, 107)
+    assert genericity_check(P, primes=primes).all_ok()
+    assert sorted(swept) == sorted(primes * 2)
+    ctx = CheckContext(P, primes=primes, points=1)
+    for check_id in ("prop2.2-smoothness", "prop2.2-transversality",
+                     "def2.1-rank4", "prop3.18-corank1-m2",
+                     "prop4.2-adjugate-double-line", "prop4.3-singular-locus"):
+        assert run_single(ctx, check_id).status == "pass"
+    assert len(swept) == 6
+    monkeypatch.setattr(geometry, "_zero_set", sweep)
+    for side in ("plus", "minus"):
+        for p in primes:
+            curve = P.reduced_curve(side, p)
+            assert P.reduced_curve(side, p) is curve
+            assert list(curve.points) == curve_points(P.det_curves().side(side), p)
 
 
 # -- stabilizers ---------------------------------------------------------------
