@@ -25,6 +25,7 @@ from .checks import (
 from .pencil import (
     DEFAULT_PRIMES,
     MAX_PRIME,
+    MAX_PRIMES,
     GenerationError,
     generate,
     load_instance,
@@ -55,8 +56,9 @@ def _build_parser():
                         "every check runs, and a few identity checks need "
                         "no instance at all")
     c.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES),
-                   help="comma-separated scan primes (each a prime from 17 "
-                        f"to {MAX_PRIME}; scan time grows as p^2)")
+                   help=f"comma-separated distinct scan primes (at most "
+                        f"{MAX_PRIMES}, each a prime from 17 to {MAX_PRIME}; "
+                        "scan time grows as p^2)")
     c.add_argument("--points", type=int, default=20,
                    help="number of off-curve fiber points to certify "
                         f"(1..{MAX_POINTS})")

@@ -576,10 +576,9 @@ def central_odd(alg):
                             r_coeffs=tuple(r))
 
 
-def central_odd_pencil(P, side, field=QQ):
-    alg = CliffordAlgebra.from_pencil(P, "plus" if side == "plus" else "minus",
-                                      field=field)
-    return central_odd(alg)
+def central_odd_pencil(P, side):
+    variant = "plus" if side == "plus" else "minus"
+    return central_odd(CliffordAlgebra.from_pencil(P, variant))
 
 
 @dataclass(frozen=True)
@@ -590,9 +589,9 @@ class CentralPair:
     sign: int
 
 
-def central_pair(P, field=QQ):
-    rp = central_odd_pencil(P, "plus", field)
-    rm = central_odd_pencil(P, "minus", field)
+def central_pair(P):
+    rp = central_odd_pencil(P, "plus")
+    rm = central_odd_pencil(P, "minus")
     if rp.sign != rm.sign:
         raise CentralElementError("the two blocks realize different signs")
     return CentralPair(d_plus=rp.element, d_minus=rm.element,

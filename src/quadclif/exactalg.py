@@ -458,9 +458,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
-
     def constant_value(self):
         return self.terms.get((0,) * len(self.ring.vars), self.ring.field.zero)
 

@@ -1023,12 +1023,13 @@ def corank1_quotient(P, side, u, field=None, sides=None):
 # point sampling
 # ---------------------------------------------------------------------------
 
-def sample_invertible_points(P, rng, count, bound=9, max_attempts=5000):
-    """Integer base points where both determinant cubics are nonzero."""
+def sample_invertible_points(P, rng, count, bound=9):
+    """Integer base points where both determinant cubics are nonzero, from
+    at most 5000 draws."""
     curves = P.det_curves()
     seen = set()
     out = []
-    for _ in range(max_attempts):
+    for _ in range(5000):
         if len(out) >= count:
             break
         u = tuple(rng.randint(-bound, bound) for _ in range(3))
@@ -1090,20 +1091,25 @@ def _rational_roots(coeffs):
     return roots
 
 
-def rational_curve_point(P, side, rng, tries=200):
+def rational_curve_point(P, side, rng):
     """Search for a rational point of one determinant cubic by
-    intersecting with random rational lines and checking for rational
+    intersecting with 200 random integer lines and checking for rational
     roots; None if the budget runs out (the cubic is a genus-one curve,
-    so rational points can legitimately be absent or hard to hit)."""
+    so rational points can legitimately be absent or hard to hit).  The
+    cubic is the determinant of an integer block, so its coefficients are
+    integers and each restriction is integer arithmetic."""
     f = P.det_curves().side(side)
-    for _ in range(tries):
+    if any(Fraction(c).denominator != 1 for c in f.terms.values()):
+        raise FiberError("determinant cubic has a non-integer coefficient")
+    terms = [(exps, int(c)) for exps, c in f.terms.items()]
+    for _ in range(200):
         base = tuple(rng.randint(-4, 4) for _ in range(3))
         dirv = tuple(rng.randint(-4, 4) for _ in range(3))
         if not any(dirv):
             continue
         # restrict to the line base + t·dir: a univariate integer cubic
         coeffs = [0, 0, 0, 0]
-        for exps, c in f.terms.items():
+        for exps, c in terms:
             # expand Π (base_i + t dir_i)^{e_i}
             poly_t = [c]
             for i, e in enumerate(exps):
@@ -1115,12 +1121,9 @@ def rational_curve_point(P, side, rng, tries=200):
                     poly_t = nxt
             for k, a in enumerate(poly_t):
                 coeffs[k] += a
-        if all(c == 0 for c in coeffs):
+        if not any(coeffs):
             continue
-        if any(Fraction(c).denominator != 1 for c in coeffs):
-            continue
-        ints = [int(c) for c in coeffs]
-        for t in _rational_roots(ints):
+        for t in _rational_roots(coeffs):
             u = tuple(Fraction(b) + t * d for b, d in zip(base, dirv))
             if not any(u):
                 continue

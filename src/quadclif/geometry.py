@@ -1,10 +1,12 @@
 """Finite-field certificates for the determinant curves, plus the
 group-action stabilizer tables.
 
-The scans are exhaustive over the p²+p+1 points of the projective plane
-(a counter enforces this) with polynomial evaluation compiled to integer
-arithmetic mod p.  Gradients are only evaluated on curve points, which is
-enough: a singular point of the curve satisfies f = 0 by definition.
+Each curve is swept once, exhaustively over the p²+p+1 points of the
+projective plane (a counter enforces this), with polynomial evaluation
+compiled to integer arithmetic mod p.  Gradients and block adjugates are
+only evaluated on curve points, which is enough: a singular point of the
+curve satisfies f = 0 by definition, and off the curve the block is
+invertible.
 """
 
 from __future__ import annotations
@@ -27,16 +29,6 @@ class GenericityError(Exception):
 # ---------------------------------------------------------------------------
 # point enumeration and compiled evaluation
 # ---------------------------------------------------------------------------
-
-def proj_points(p):
-    """Normalized representatives of P²(F_p): exactly p²+p+1 points."""
-    for a in range(p):
-        for b in range(p):
-            yield (1, a, b)
-    for c in range(p):
-        yield (0, 1, c)
-    yield (0, 0, 1)
-
 
 def _reduce_coeff(c, p):
     c = Fraction(c)
@@ -73,7 +65,8 @@ def eval_compiled(terms, pt, p):
 
 def _zero_set(compiled, p):
     """All points of P²(F_p) where the compiled polynomial vanishes, in
-    enumeration order; raises if the sweep missed a point.
+    enumeration order ((1, a, b), then (0, 1, c), then (0, 0, 1)); raises
+    if the sweep missed a point.  This is the one loop over P²(F_p).
 
     On the affine charts the polynomial is collapsed to a dense univariate
     in the last coordinate (degree ≤ 3 here), so the inner loop is a Horner
@@ -122,13 +115,16 @@ class ReducedCurve:
     if f vanishes mod p), and, each computed once on first use, its points
     in P²(F_p) in enumeration order and its compiled gradient (ScanError
     if a nonzero partial derivative vanishes mod p; [] for a zero one).
+    When f is the determinant of a block Σ uₖ mats[k], `kernel_columns`
+    records the block's adjugate along those points.
 
     InvariantPencil.reduced_curve keeps one per (side, p), so every scan of
-    one run reads the same sweep."""
+    one run reads the same sweep and the same adjugate pass."""
 
-    def __init__(self, f, p):
+    def __init__(self, f, p, mats=None):
         self.f = f
         self.p = p
+        self.coeffs = None if mats is None else _entry_coeffs(mats)
         self.compiled = compile_poly(f, p)
 
     @cached_property
@@ -139,6 +135,33 @@ class ReducedCurve:
     def gradient(self):
         return tuple(compile_poly(g, self.p) if not g.is_zero() else []
                      for g in (self.f.derivative(v) for v in self.f.ring.vars))
+
+    @cached_property
+    def kernel_columns(self):
+        """Per curve point, in order: the first nonzero column of the
+        block's adjugate (integers, not reduced), or None where the
+        adjugate vanishes mod p.
+
+        No other point of P²(F_p) needs an adjugate: f ≡ det(block) mod p,
+        since f is the block determinant and reduction is a ring map, so
+        off the curve the block has rank 3 with nothing computed; on it
+        det(block) ≡ 0 is re-checked at each point.  For a 3×3
+        matrix, rank 2 ⇔ adj ≠ 0, and then rank adj = 1 (its columns span
+        the kernel); adj = 0 ⇔ corank ≥ 2."""
+        p, coeffs = self.p, self.coeffs
+        if coeffs is None:
+            raise ValueError("curve was reduced without its block matrices")
+        cols = []
+        for pt in self.points:
+            m = _block_mod(coeffs, pt, p)
+            adj = adjugate3(m)
+            if det3_mod(m, p, adj):
+                raise AssertionError("curve scan and block eval disagree")
+            cols.append(next(
+                ((adj[0][j], adj[1][j], adj[2][j]) for j in range(3)
+                 if adj[0][j] % p or adj[1][j] % p or adj[2][j] % p),
+                None))
+        return tuple(cols)
 
 
 def _eval_gradient(grads, pt, p):
@@ -186,19 +209,13 @@ def ff_scan_transversal(plus, minus):
 # ---------------------------------------------------------------------------
 
 def _entry_coeffs(mats):
-    """For each (i,j), the integer coefficient triple of the linear form."""
-    return tuple(
-        tuple((mats[0][i][j], mats[1][i][j], mats[2][i][j]) for j in range(3))
-        for i in range(3)
-    )
+    """For each (i, j), the coefficients (q₁[i][j], q₂[i][j], q₃[i][j])."""
+    return tuple(tuple(zip(*rows)) for rows in zip(*mats))
 
 
 def _block_mod(coeffs, pt, p):
     x, y, z = pt
-    return [
-        [(c[0] * x + c[1] * y + c[2] * z) % p for c in row]
-        for row in coeffs
-    ]
+    return [[(a * x + b * y + c * z) % p for a, b, c in row] for row in coeffs]
 
 
 def det3_mod(m, p, adj):
@@ -212,25 +229,15 @@ def rank_mod(m, p):
 
 
 def ff_scan_corank(P, p):
-    """Max corank of the 3×3 blocks along E±(F_p).  Value 1 certifies that
-    the 6×6 forms keep rank ≥ 4 along the scanned locus.  Corank only
-    exceeds 0 where the block determinant vanishes, so the sweep visits the
-    curve points delivered by the exhaustive determinant scan."""
-    max_corank = 0
-    for side in ("plus", "minus"):
-        coeffs = _entry_coeffs(P.side_mats(side))
-        for pt in P.reduced_curve(side, p).points:
-            m = _block_mod(coeffs, pt, p)
-            adj = adjugate3(m)
-            if det3_mod(m, p, adj):
-                raise AssertionError("curve scan and block eval disagree")
-            if any(any(x % p for x in row) for row in adj):
-                corank = 1
-            else:
-                corank = 3 - rank_mod(m, p)
-            if corank > max_corank:
-                max_corank = corank
-    return max_corank
+    """Max corank of the 3×3 blocks along E±(F_p), read off each curve's
+    adjugate pass (ReducedCurve.kernel_columns).  Value 1 certifies that
+    the 6×6 forms keep rank ≥ 4 along the scanned locus; off the curves
+    the blocks are invertible."""
+    coranks = (1 if col is not None
+               else 3 - rank_mod(_block_mod(curve.coeffs, pt, p), p)
+               for curve in (P.reduced_curve(s, p) for s in ("plus", "minus"))
+               for pt, col in zip(curve.points, curve.kernel_columns))
+    return max(coranks, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +251,15 @@ def singular_locus_C(P, side, p):
     2 q_u x).  Off the curve, q_u is invertible so no fiber point is
     singular; with y ≠ 0 a rank drop would force q_u x = 0 with x ≠ 0,
     contradicting det q_u = y² ≠ 0.  So the sweep only needs u ∈ E(F_p) and
-    the kernel direction x₀ of q_u; the Jacobian rank ≤ 1 condition is then
-    re-verified honestly at each returned point.
+    the kernel direction x₀ of q_u, an adjugate column from the curve's
+    adjugate pass; kernel membership and the Jacobian rank ≤ 1 condition
+    are then re-verified honestly at each returned point.
     """
     curve = P.reduced_curve(side, p)
     grads = curve.gradient
-    coeffs = _entry_coeffs(P.side_mats(side))
     qk = P.side_mats(side)
     found = []
-    for u in curve.points:
-        m = _block_mod(coeffs, u, p)
-        adj = adjugate3(m)
-        col = next(
-            ([adj[0][j], adj[1][j], adj[2][j]] for j in range(3)
-             if any(adj[i][j] % p for i in range(3))),
-            None,
-        )
+    for u, col in zip(curve.points, curve.kernel_columns):
         if col is None:
             raise GenericityError(f"corank >= 2 at {u} mod {p}")
         # normalize the kernel direction
@@ -267,6 +267,7 @@ def singular_locus_C(P, side, p):
         inv = pow(lead, p - 2, p)
         x0 = tuple(c * inv % p for c in col)
         # kernel membership: columns of the adjugate lie in ker(q_u)
+        m = _block_mod(curve.coeffs, u, p)
         if any(sum(m[i][j] * x0[j] for j in range(3)) % p for i in range(3)):
             raise AssertionError(f"adjugate column outside ker(q_u) at {u}")
         # Jacobian rank <= 1: (x0^T q_k x0)_k proportional to grad f(u)

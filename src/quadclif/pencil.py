@@ -34,19 +34,31 @@ URING = PolyRing(QQ, U_VARS)
 
 DEFAULT_PRIMES = (101, 103, 107)
 
-# The scans sweep all p² + p + 1 points of P²(F_p) in pure Python, so their
-# time grows as p²; at this bound a full check with one scan prime took
-# 16 s, at 2003 it took 68 s (README, "Limits").  Larger primes are refused.
+# Each curve sweep visits all p² + p + 1 points of P²(F_p) in pure Python,
+# so its time grows as p²; the adjugate is only taken at the curve points.
+# With one scan prime at this bound a full check at --points 1 took 1.1 s,
+# 0.33 s of it in the sweeps (README, "Limits").  Larger primes are refused.
 MAX_PRIME = 1009
+
+# Each scan prime costs one sweep and one adjugate pass per side; the 15
+# primes from 907 to 1009 took 5.7 s and 37 MiB for a full check at
+# --points 1 (README, "Limits").  Longer lists are refused.
+MAX_PRIMES = 16
 
 
 def check_primes(primes):
-    """The scan primes as a tuple of ints.  ValueError unless there is at
-    least one and each is a prime between 17 and MAX_PRIME; the bound is
-    tested first, so a huge value never reaches the primality test."""
+    """The scan primes as a tuple of ints.  ValueError unless there are
+    between 1 and MAX_PRIMES of them, no two equal, and each is a prime
+    between 17 and MAX_PRIME; the bounds are tested first, so a huge value
+    or list never reaches the primality test."""
     primes = tuple(int(p) for p in primes)
     if not primes:
         raise ValueError("primes must be nonempty")
+    if len(primes) > MAX_PRIMES:
+        raise ValueError(f"at most {MAX_PRIMES} primes, got {len(primes)}")
+    if len(set(primes)) != len(primes):
+        dup = next(p for i, p in enumerate(primes) if p in primes[:i])
+        raise ValueError(f"primes must be distinct, got {dup} more than once")
     for p in primes:
         if p > MAX_PRIME:
             raise ValueError(f"primes must each be at most {MAX_PRIME}, got {p}")
@@ -171,7 +183,8 @@ class InvariantPencil:
         """One block's determinant cubic reduced mod p, kept per (side, p)
         like det_curves(): the genericity scans, the singular-locus and
         adjugate checks and the prime-field curve points all read its one
-        sweep of P²(F_p).  Memory is one point list per (side, p) asked
+        sweep of P²(F_p) and its one adjugate pass along the curve.
+        Memory is one point list and one column list per (side, p) asked
         for."""
         memo = self.__dict__.get("_reduced_curves")
         if memo is None:
@@ -180,7 +193,7 @@ class InvariantPencil:
         curve = memo.get((side, p))
         if curve is None:
             curve = memo[side, p] = geometry.ReducedCurve(
-                self.det_curves().side(side), p)
+                self.det_curves().side(side), p, self.side_mats(side))
         return curve
 
     # -- persistence -----------------------------------------------------------
@@ -262,7 +275,7 @@ def _random_sym3(rng, bound):
     return tuple(tuple(r) for r in m)
 
 
-def generate(seed, coeff_bound, primes=DEFAULT_PRIMES, max_attempts=50):
+def generate(seed, coeff_bound, max_attempts=50):
     """Seeded rejection sampling: draw integer pencils until the genericity
     suite passes.  Deterministic in (seed, coeff_bound)."""
     if coeff_bound < 1:
@@ -275,7 +288,7 @@ def generate(seed, coeff_bound, primes=DEFAULT_PRIMES, max_attempts=50):
             seed=seed,
             coeff_bound=coeff_bound,
         )
-        if genericity_check(P, primes=primes).all_ok():
+        if genericity_check(P).all_ok():
             return P
     raise GenerationError(
         f"no generic pencil after {max_attempts} attempts "
@@ -309,10 +322,12 @@ def _random_gl3(rng):
 
 def resultant_nine_points(f_plus, f_minus, rng=None):
     """(nine_points, squarefree, degree, notes): eliminates u3 from the two
-    cubics and tests the resulting binary form.  A squarefree degree-9
-    resultant certifies nine distinct transverse intersection points; the
-    projection center is moved by a seeded coordinate change when it is
-    unlucky (on a curve, or lined up with two intersection points)."""
+    cubic forms and tests the resulting binary form for squarefreeness.  A
+    squarefree degree-9 resultant certifies nine distinct transverse
+    intersection points; the projection center (0:0:1) is moved by a
+    seeded coordinate change when it lies on a curve.  A center lined up
+    with two intersection points gives a repeated root, so it can only
+    refuse an instance, never pass one."""
     if rng is None:
         rng = _derived_rng("resultant", repr(sorted(f_plus.terms.items())))
     notes = []
@@ -330,27 +345,16 @@ def resultant_nine_points(f_plus, f_minus, rng=None):
     if R.is_zero():
         return False, False, -1, tuple(notes + ["resultant identically zero"])
     deg = R.total_degree()
-    # dehomogenize along a direction that is not a root, so no root escapes
-    tring = PolyRing(QQ, ("t",))
-    t = tring.var("t")
-    h = None
-    for attempt in range(6):
-        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        c, d = rng.randint(-9, 9), rng.randint(-9, 9)
-        if a * d - b * c == 0:
-            continue
-        cand = R.subs({"u1": a * t + tring.const(b), "u2": c * t + tring.const(d),
-                       "u3": tring.zero()})
-        if cand.degree_in("t") == deg:
-            h = cand
-            break
-    if h is None:
-        return False, False, deg, tuple(notes + ["no faithful dehomogenization"])
-    squarefree, _ = squarefree_univariate(h, "t")
+    # R is a binary form in (u1, u2): u2^k ∥ R means a k-fold root at
+    # (1:0), and R(t, 1) carries the other roots, with degree deg − k.  So
+    # R is squarefree iff k ≤ 1 and R(t, 1) is squarefree.
+    h = R.ring.from_terms(((e[0], 0, 0), c) for e, c in R.terms.items())
+    squarefree = (h.degree_in("u1") >= deg - 1
+                  and squarefree_univariate(h, "u1")[0])
     return (deg == 9 and squarefree), squarefree, deg, tuple(notes)
 
 
-def genericity_check(P, primes=DEFAULT_PRIMES, do_resultant=True):
+def genericity_check(P, primes=DEFAULT_PRIMES):
     """Run the full genericity suite and collect violation witnesses."""
     primes = check_primes(primes)
     curves = P.det_curves()
@@ -395,23 +399,20 @@ def genericity_check(P, primes=DEFAULT_PRIMES, do_resultant=True):
             rank_ok = False
             witnesses.append({"kind": "corank", "prime": p, "point": None, "value": mc})
 
-    nine = False
-    squarefree = False
-    if do_resultant:
-        rng = _derived_rng("resultant", P.seed, P.coeff_bound, P.digest())
-        nine, squarefree, deg, rnotes = resultant_nine_points(
-            curves.f_plus, curves.f_minus, rng
-        )
-        notes.extend(rnotes)
-        if not nine:
-            witnesses.append({"kind": "resultant", "prime": None, "point": None,
-                              "degree": deg, "squarefree": squarefree})
-        if squarefree and not transversal_scans:
-            # a squarefree resultant over Q can coexist with a mod-p tangency
-            # only through bad reduction; record it rather than hide it
-            notes.append("squarefree resultant but a scan found a tangency (bad reduction)")
+    rng = _derived_rng("resultant", P.seed, P.coeff_bound, P.digest())
+    nine, squarefree, deg, rnotes = resultant_nine_points(
+        curves.f_plus, curves.f_minus, rng
+    )
+    notes.extend(rnotes)
+    if not nine:
+        witnesses.append({"kind": "resultant", "prime": None, "point": None,
+                          "degree": deg, "squarefree": squarefree})
+    if squarefree and not transversal_scans:
+        # a squarefree resultant over Q can coexist with a mod-p tangency
+        # only through bad reduction; record it rather than hide it
+        notes.append("squarefree resultant but a scan found a tangency (bad reduction)")
 
-    transversal = transversal_scans and (squarefree or not do_resultant)
+    transversal = transversal_scans and squarefree
     return GenericityReport(
         e_plus_smooth=smooth["plus"],
         e_minus_smooth=smooth["minus"],

@@ -14,7 +14,8 @@ from quadclif.checks import (
     run_all,
     run_single,
 )
-from quadclif.pencil import MAX_PRIME, InvariantPencil, genericity_check
+from quadclif.exactalg import is_prime
+from quadclif.pencil import MAX_PRIME, MAX_PRIMES, InvariantPencil, genericity_check
 
 
 def diag_instance():
@@ -73,6 +74,20 @@ class TestRegistry:
             CheckContext(None, points=201)
         ctx = CheckContext(None, primes=(1009,), points=200)
         assert (ctx.primes, ctx.points) == ((1009,), 200)
+
+    def test_prime_list_limits(self):
+        assert MAX_PRIMES == 16
+        for primes, message in (((101, 103, 101), "distinct, got 101 more"),
+                                ((1009,) * 2, "distinct, got 1009 more"),
+                                ((101,) * 17, "at most 16 primes, got 17"),
+                                ((10 ** 30 + 57,) * 10 ** 4,
+                                 "at most 16 primes, got 10000")):
+            with pytest.raises(ValueError, match=message):
+                CheckContext(None, primes=primes)
+            with pytest.raises(ValueError, match=message):
+                genericity_check(diag_instance(), primes=primes)
+        sixteen = tuple(p for p in range(17, 200) if is_prime(p))[:16]
+        assert CheckContext(None, primes=sixteen).primes == sixteen
 
     def test_crash_becomes_fail(self, monkeypatch):
         def boom(ctx):

@@ -10,6 +10,7 @@ from pathlib import Path
 from quadclif import __version__
 from quadclif.checks import CHECK_ORDER
 from quadclif.cli import main
+from quadclif.exactalg import is_prime
 from quadclif.pencil import load_instance, save_instance
 
 from conftest import cached_pencil
@@ -113,11 +114,22 @@ class TestCheckUsage:
         rc = main(["check", "prop4.9-segre", str(path), "--points", "201"])
         assert rc == 2
         assert "error: points must be at most 200, got 201" in capsys.readouterr().err
+        for primes, message in (("101,103,101", "primes must be distinct, got 101"),
+                                (",".join(["101"] * 17), "at most 16 primes, got 17"),
+                                (",".join(["2003"] * 10 ** 4),
+                                 "at most 16 primes, got 10000")):
+            rc = main(["check", "prop2.2-smoothness", str(path),
+                       "--primes", primes])
+            assert rc == 2
+            assert f"error: {message}" in capsys.readouterr().err
         # the bounds themselves are accepted
         assert main(["check", "prop2.2-smoothness", str(path),
                      "--primes", "1009", "--points", "200"]) == 1
         assert main(["check", "prop4.9-segre", str(path),
                      "--points", "200"]) == 0
+        sixteen = [str(p) for p in range(17, 200) if is_prime(p)][:16]
+        assert main(["check", "prop4.9-segre", str(path),
+                     "--primes", ",".join(sixteen)]) == 0
 
     def test_bad_flags(self, tmp_path):
         inst = gen(tmp_path, seed=1, bound=3)

@@ -583,6 +583,62 @@ def test_rational_curve_point_search():
     assert verdict == "M2"
 
 
+def _rational_curve_point_by_subs(P, side, rng):
+    """The reference search: the same 200 seeded lines, each restriction
+    computed by substituting the line into the cubic over Q[t]."""
+    from math import gcd, lcm
+
+    from quadclif.exactalg import PolyRing, adjugate3, as_univariate
+
+    f = P.det_curves().side(side)
+    tring = PolyRing(QQ, ("t",))
+    t = tring.var("t")
+    for _ in range(200):
+        base = tuple(rng.randint(-4, 4) for _ in range(3))
+        dirv = tuple(rng.randint(-4, 4) for _ in range(3))
+        if not any(dirv):
+            continue
+        line = f.subs({v: tring.const(b) + d * t
+                       for v, b, d in zip(f.ring.vars, base, dirv)})
+        if line.is_zero():
+            continue
+        coeffs = [int(c) for c in as_univariate(line, "t")]
+        for root in _rational_roots_fraction_horner(coeffs):
+            u = tuple(b + root * d for b, d in zip(base, dirv))
+            if not any(u):
+                continue
+            den = lcm(*(Fraction(c).denominator for c in u))
+            uz = tuple(int(c * den) for c in u)
+            uz = tuple(c // gcd(*uz) for c in uz)
+            if P.det_curves().side(side).eval(uz) != 0:
+                continue
+            if any(x for row in adjugate3(P.block_at(uz, side)) for x in row):
+                return uz
+    return None
+
+
+@pytest.mark.parametrize("seed,bound", [(42, 5), (1, 1), (8, 1), (15, 1)])
+def test_rational_curve_point_matches_substitution(seed, bound):
+    # bound 1: points found on most sides, none on the minus side of 8 and
+    # 15; bound 5: none found, so all 200 lines are compared
+    P = cached_pencil(seed, bound)
+    for side in ("plus", "minus"):
+        label = f"curve-point-{seed}-{side}"
+        got = rational_curve_point(P, side, _derived_rng(label))
+        assert got == _rational_curve_point_by_subs(P, side, _derived_rng(label))
+
+
+def test_rational_curve_point_rejects_fractional_cubic(pencil42):
+    from quadclif.pencil import DetCurves
+
+    P = InvariantPencil.from_json_dict(pencil42.to_json_dict())
+    curves = P.det_curves()
+    object.__setattr__(P, "_det_curves",
+                       DetCurves(curves.f_plus * Fraction(1, 2), curves.f_minus))
+    with pytest.raises(FiberError, match="non-integer coefficient"):
+        rational_curve_point(P, "plus", random.Random(0))
+
+
 def _rational_roots_fraction_horner(coeffs):
     """The reference: every candidate evaluated by Fraction Horner steps."""
     while coeffs and coeffs[-1] == 0:

@@ -1,10 +1,11 @@
 """Finite-field scans, stabilizer tables, singular locus of the fibration."""
 
+import hashlib
 import random
 
 import pytest
 
-from quadclif.exactalg import QQ, PolyRing, adjugate3
+from quadclif.exactalg import FpElem, PrimeField, adjugate3, mat_kernel
 from quadclif.geometry import (
     GenericityError,
     ReducedCurve,
@@ -15,7 +16,6 @@ from quadclif.geometry import (
     ff_scan_corank,
     ff_scan_smooth,
     ff_scan_transversal,
-    proj_points,
     rank_mod,
     singular_locus_C,
     stabilizer,
@@ -25,6 +25,17 @@ from quadclif.pencil import URING, InvariantPencil
 
 
 U1, U2, U3 = (URING.var(v) for v in URING.vars)
+
+
+def proj_points(p):
+    """Normalized representatives of P²(F_p): exactly p²+p+1 points, in
+    the order the curve sweep visits them."""
+    for a in range(p):
+        for b in range(p):
+            yield (1, a, b)
+    for c in range(p):
+        yield (0, 1, c)
+    yield (0, 0, 1)
 
 
 def test_proj_points_count():
@@ -188,6 +199,150 @@ def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
             curve = P.reduced_curve(side, p)
             assert P.reduced_curve(side, p) is curve
             assert list(curve.points) == curve_points(P.det_curves().side(side), p)
+
+
+# -- the adjugate pass against the exhaustive P²(F_p) sweep ---------------------
+
+
+def _diag_pencil():
+    e = lambda k: tuple(
+        tuple(1 if i == j == k else 0 for j in range(3)) for i in range(3))
+    q = (e(0), e(1), e(2))
+    return InvariantPencil(q_plus=q, q_minus=q, seed=0, coeff_bound=1)
+
+
+def _crafted_corank2_pencil():
+    # the pencil of test_corank_scan_crafted_degenerate
+    d = lambda a, b, c: ((a, 0, 0), (0, b, 0), (0, 0, c))
+    return InvariantPencil(q_plus=(d(1, 1, 0), d(0, 0, 1), d(0, 0, 0)),
+                           q_minus=(d(1, 0, 0), d(0, 1, 0), d(0, 0, 1)),
+                           seed=0, coeff_bound=1)
+
+
+def _block_mod(P, side, pt, p):
+    return [[x % p for x in row] for row in P.block_at(pt, side)]
+
+
+def exhaustive_adjugate_sweep(P, side, p):
+    """The adjugate at every point of P²(F_p), in enumeration order:
+    ({"rank3", "double_line"}, None), or (None, first point where the
+    block is singular and its adjugate is not rank one)."""
+    rank3 = double = 0
+    for pt in proj_points(p):
+        m = _block_mod(P, side, pt, p)
+        adj = adjugate3(m)
+        if det3_mod(m, p, adj):
+            rank3 += 1
+            continue
+        if rank_mod(adj, p) != 1:
+            return None, list(pt)
+        double += 1
+    return {"rank3": rank3, "double_line": double}, None
+
+
+def exhaustive_max_corank(P, p):
+    """Max corank of the blocks over all of P²(F_p), by elimination."""
+    return max(3 - rank_mod(_block_mod(P, side, pt, p), p)
+               for side in ("plus", "minus") for pt in proj_points(p))
+
+
+def exhaustive_kernel_lines(P, side, p):
+    """(u, x0) at every point where the block is singular, x0 its kernel
+    line by elimination, scaled to lead with 1; ("corank", u) instead at
+    the first point of corank >= 2."""
+    out = []
+    for u in proj_points(p):
+        m = _block_mod(P, side, u, p)
+        if det3_mod(m, p, adjugate3(m)):
+            continue
+        ker = mat_kernel([[FpElem(x, p) for x in row] for row in m], 3,
+                         PrimeField(p))
+        if len(ker) != 1:
+            return ("corank", u)
+        v = [c.r for c in ker[0]]
+        inv = pow(next(c for c in v if c), p - 2, p)
+        out.append((u, tuple(c * inv % p for c in v)))
+    return out
+
+
+# Values at the commit before the shared adjugate pass: max corank, and
+# per side the singular locus (count and SHA-256 prefix of its repr, or
+# the error it raised) and the prop4.2 scan result.
+PARENT_SCANS = {
+    ("pencil42", 101): (1, {
+        "plus": ((102, "1608824ab189c9d6"), (10201, 102)),
+        "minus": ((116, "8f027656de759cff"), (10187, 116))}),
+    ("pencil42", 17): (1, {
+        "plus": ((20, "75de6eac93a7c742"), (287, 20)),
+        "minus": ((20, "c224ad596c406945"), (287, 20))}),
+    ("diag", 101): (2, {
+        "plus": ("corank >= 2 at (1, 0, 0) mod 101", [1, 0, 0]),
+        "minus": ("corank >= 2 at (1, 0, 0) mod 101", [1, 0, 0])}),
+    ("crafted", 101): (3, {
+        "plus": ("corank >= 2 at (0, 1, 0) mod 101", [0, 1, 0]),
+        "minus": ("corank >= 2 at (1, 0, 0) mod 101", [1, 0, 0])}),
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(PARENT_SCANS))
+def test_adjugate_pass_matches_exhaustive_sweep(name, p, pencil42):
+    from quadclif.checks import CheckContext, _adjugate_scan
+
+    P = {"pencil42": pencil42, "diag": _diag_pencil(),
+         "crafted": _crafted_corank2_pencil()}[name]
+    P = InvariantPencil.from_json_dict(P.to_json_dict())  # no memo yet
+    corank, sides = PARENT_SCANS[name, p]
+    assert ff_scan_corank(P, p) == corank == exhaustive_max_corank(P, p)
+    ctx = CheckContext(P, primes=(p,), points=1)
+    for side in ("plus", "minus"):
+        singular, adjugate = sides[side]
+        scan = _adjugate_scan(ctx, side, p)
+        assert scan == exhaustive_adjugate_sweep(P, side, p)
+        oracle = exhaustive_kernel_lines(P, side, p)
+        if isinstance(singular, str):
+            assert scan == (None, adjugate)
+            with pytest.raises(GenericityError) as err:
+                singular_locus_C(P, side, p)
+            assert str(err.value) == singular
+            assert oracle == ("corank", tuple(adjugate))
+        else:
+            assert scan == ({"rank3": adjugate[0], "double_line": adjugate[1]},
+                            None)
+            found = singular_locus_C(P, side, p)
+            digest = hashlib.sha256(repr(found).encode()).hexdigest()[:16]
+            assert (len(found), digest) == singular
+            assert found == oracle
+
+
+def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
+    """The corank scan, the singular locus and prop4.2 share one adjugate
+    pass per (side, p), taken only at the curve points."""
+    from quadclif import geometry
+    from quadclif.checks import CheckContext, _adjugate_scan
+
+    calls = []
+    adj = geometry.adjugate3
+
+    def counting(m):
+        calls.append(1)
+        return adj(m)
+
+    monkeypatch.setattr(geometry, "adjugate3", counting)
+    P = InvariantPencil.from_json_dict(pencil42.to_json_dict())  # no memo yet
+    p = 101
+    ctx = CheckContext(P, primes=(p,), points=1)
+    assert ff_scan_corank(P, p) == 1
+    for side in ("plus", "minus"):
+        singular_locus_C(P, side, p)
+        _adjugate_scan(ctx, side, p)
+    assert len(calls) == sum(len(P.reduced_curve(side, p).points)
+                             for side in ("plus", "minus"))
+
+
+def test_kernel_columns_need_the_block():
+    curve = ReducedCurve(U1 ** 3 + U2 ** 3 + U3 ** 3, 17)
+    with pytest.raises(ValueError):
+        curve.kernel_columns
 
 
 # -- stabilizers ---------------------------------------------------------------

@@ -4,11 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from quadclif.exactalg import QQ, PolyRing, SymMatrix, mat_rank
+from quadclif.exactalg import (
+    QQ,
+    PolyRing,
+    SymMatrix,
+    mat_rank,
+    squarefree_univariate,
+    sylvester_resultant,
+)
 from quadclif.pencil import (
     URING,
     InvariantPencil,
     GenerationError,
+    _coordinate_change,
+    _derived_rng,
+    _random_gl3,
+    _random_sym3,
     generate,
     genericity_check,
     resultant_nine_points,
@@ -167,3 +178,79 @@ def test_resultant_tangent_pair_not_squarefree():
     assert deg == 9
     assert not squarefree
     assert not nine
+
+
+def random_dehomogenization_resultant(f_plus, f_minus, rng):
+    """The resultant verdict read through seeded random Möbius
+    dehomogenizations u1 = a·t + b, u2 = c·t + d (up to six tries for one
+    that keeps the degree): the oracle for reading R as a binary form.
+    The coordinate change before it is the same as resultant_nine_points'."""
+    notes = []
+    fp, fm = f_plus, f_minus
+    for _ in range(6):
+        if fp.eval([0, 0, 1]) and fm.eval([0, 0, 1]):
+            break
+        M = _random_gl3(rng)
+        fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)
+        notes.append("coordinate change (projection center on a curve)")
+    else:
+        return False, False, -1, tuple(notes + ["no usable projection center"])
+    R = sylvester_resultant(fp, fm, "u3")
+    if R.is_zero():
+        return False, False, -1, tuple(notes + ["resultant identically zero"])
+    deg = R.total_degree()
+    tring = PolyRing(QQ, ("t",))
+    t = tring.var("t")
+    for _ in range(6):
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        c, d = rng.randint(-9, 9), rng.randint(-9, 9)
+        if a * d - b * c == 0:
+            continue
+        h = R.subs({"u1": a * t + tring.const(b), "u2": c * t + tring.const(d),
+                    "u3": tring.zero()})
+        if h.degree_in("t") == deg:
+            squarefree, _ = squarefree_univariate(h, "t")
+            return (deg == 9 and squarefree), squarefree, deg, tuple(notes)
+    return False, False, deg, tuple(notes + ["no faithful dehomogenization"])
+
+
+def _seeded_pencil(i):
+    rng = _derived_rng("resultant-oracle", i)
+    bound = 1 + i % 2
+    return InvariantPencil(
+        q_plus=tuple(_random_sym3(rng, bound) for _ in range(3)),
+        q_minus=tuple(_random_sym3(rng, bound) for _ in range(3)),
+        seed=i, coeff_bound=bound)
+
+
+def test_binary_form_reading_matches_random_dehomogenization():
+    seen = {"non-squarefree": 0, "coordinate change": 0, "nine": 0}
+    for i in range(120):
+        curves = _seeded_pencil(i).det_curves()
+        if curves.f_plus.is_zero() or curves.f_minus.is_zero():
+            continue
+        got = resultant_nine_points(curves.f_plus, curves.f_minus,
+                                    _derived_rng("resultant", i))
+        want = random_dehomogenization_resultant(
+            curves.f_plus, curves.f_minus, _derived_rng("resultant", i))
+        assert "no faithful dehomogenization" not in want[3]
+        assert got == want, i
+        if got[2] >= 0 and not got[1]:
+            seen["non-squarefree"] += 1
+        if got[3]:
+            seen["coordinate change"] += 1
+        seen["nine"] += got[0]
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("i,power,squarefree", [(0, 1, True), (94, 2, False)])
+def test_resultant_root_at_infinity(i, power, squarefree):
+    # u2^power ∥ R: a root at (1:0), which R(t, 1) does not see
+    curves = _seeded_pencil(i).det_curves()
+    R = sylvester_resultant(curves.f_plus, curves.f_minus, "u3")
+    assert min(e[1] for e in R.terms) == power
+    got = resultant_nine_points(curves.f_plus, curves.f_minus,
+                                _derived_rng("resultant", i))
+    assert got[:3] == (squarefree, squarefree, 9)
+    assert got == random_dehomogenization_resultant(
+        curves.f_plus, curves.f_minus, _derived_rng("resultant", i))
