@@ -25,7 +25,10 @@ from .clifford import (
     equivariance_check,
     hilbert_dims_center,
     lift,
+    phi_exponent,
     phi_failing_pairs,
+    phi_sign_rule_failures,
+    phi_twist_failures,
     terms_homogeneous,
 )
 from .exactalg import PrimeField
@@ -209,12 +212,17 @@ def _check_equivariance(ctx):
 
 
 def _check_phi(ctx):
-    """phi multiplicative on every even basis pair, compared through the
-    structure constants of the two variants (see phi_failing_pairs)."""
+    """phi multiplicative on every even basis pair.  The generator-step
+    certificate (phi_twist_failures and phi_sign_rule_failures) proves
+    that no pair fails; when it names a step or a pair it proves nothing,
+    and the structure constants are compared pair by pair
+    (phi_failing_pairs), so a FAIL carries the true failing pairs."""
     sup6 = CliffordAlgebra.from_pencil(ctx.P, "super")
     ord6 = CliffordAlgebra.from_pencil(ctx.P, "ordinary")
     even = [m for m in range(64) if bin(m).count("1") % 2 == 0]
-    bad_pairs = phi_failing_pairs(sup6, ord6)
+    bad_pairs = []
+    if phi_twist_failures(sup6, ord6) or phi_sign_rule_failures(phi_exponent):
+        bad_pairs = phi_failing_pairs(sup6, ord6, phi_exponent)
     pair = central_pair(ctx.P)
     dps, dms = lift(pair.d_plus, sup6, "plus"), lift(pair.d_minus, sup6, "minus")
     dpo, dmo = lift(pair.d_plus, ord6, "plus"), lift(pair.d_minus, ord6, "minus")

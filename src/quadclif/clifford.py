@@ -238,15 +238,6 @@ class CliffordAlgebra:
                    for c in poly.terms.values())
 
 
-@dataclass(frozen=True)
-class BiDegree:
-    parity: int
-    weight: int
-
-    def __add__(self, other):
-        return BiDegree((self.parity + other.parity) % 2, self.weight + other.weight)
-
-
 class CliffordElement:
     __slots__ = ("alg", "coeffs")
 
@@ -331,27 +322,11 @@ class CliffordElement:
     def commutator(self, other):
         return self * other - other * self
 
-    def anticommutator(self, other):
-        return self * other + other * self
-
     def scalar_part(self):
         return self.coeffs.get(0, self.alg.ring.zero())
 
     def is_scalar(self):
         return all(m == 0 for m in self.coeffs)
-
-    def bidegree(self):
-        """Common (parity, weight) if homogeneous, else None.  Generators
-        weigh 1 (the negated ones carry parity 1), base variables weigh 2."""
-        degs = set()
-        for mask, poly in self.coeffs.items():
-            pop = _popcount(mask)
-            par = _popcount(mask & self.alg.minus_mask) & 1
-            for exps in poly.terms:
-                degs.add((par, pop + 2 * sum(exps)))
-        if len(degs) == 1:
-            return BiDegree(*degs.pop())
-        return None
 
     def to_json_terms(self):
         out = []
@@ -378,35 +353,13 @@ class CliffordElement:
 
 
 # ---------------------------------------------------------------------------
-# grading and Veronese dimensions
-# ---------------------------------------------------------------------------
-
-def veronese_dims(variant, D):
-    """Weight-space dimensions for n = 0..D, counting (generator mask,
-    base monomial) basis pairs, plus the even-weight (degree-2 Veronese)
-    slice."""
-    if D > 12:
-        raise ValueError("degree bound capped at 12")
-    ngens = 6 if variant in ("super", "ordinary") else 3
-    dims = []
-    for n in range(D + 1):
-        total = 0
-        for k in range(min(n, ngens) + 1):
-            if (n - k) % 2:
-                continue
-            total += comb(ngens, k) * comb((n - k) // 2 + 2, 2)
-        dims.append(total)
-    return dims, dims[0::2]
-
-
-# ---------------------------------------------------------------------------
 # the even-part isomorphism between the super and ordinary variants
 # ---------------------------------------------------------------------------
 
 def phi_exponent(mask):
     """ε(m): phi scales the basis monomial e_m by i^ε(m), where ε(m) is
-    the number of plus-block generators in m, mod 2.  Both `phi` and
-    `phi_failing_pairs` read the scaling from here."""
+    the number of plus-block generators in m, mod 2.  `phi`,
+    `phi_failing_pairs` and `phi_sign_rule_failures` read it from here."""
     return _popcount(mask & 0b111) % 2
 
 
@@ -479,11 +432,80 @@ def phi_failing_pairs(sup, target, exponent=phi_exponent):
     return bad
 
 
-def phi_pair(P):
-    """(super, ordinary) algebras over Q(i)[u] for the same pencil."""
-    a = CliffordAlgebra.from_pencil(P, "super", field=QQI)
-    b = CliffordAlgebra.from_pencil(P, "ordinary", field=QQI)
-    return a, b
+def _block_parities(mask):
+    """(|m₊| mod 2, |m₋| mod 2) for a six-generator mask."""
+    return _popcount(mask & 0b000111) % 2, _popcount(mask & 0b111000) % 2
+
+
+def phi_twist_failures(sup, target):
+    """Generator steps (m, j) on which the super engine is not the ordinary
+    one up to its cross-block swap signs.  With m₊, m₋ the generators of m
+    in each block, every mask m < 64 and generator j < 6 must satisfy
+
+    (T) sup._mask_times_gen(m, j) is target._mask_times_gen(m, j) with
+        every coefficient multiplied by (-1)^(|m₋|·[j ∈ plus]);
+    (P) every output mask m' has |m'₊| ≡ |m₊| + [j ∈ plus] and
+        |m'₋| ≡ |m₋| + [j ∈ minus] (mod 2).
+
+    An empty list proves sup.mask_mul(a, b) = (-1)^(|a₋|·|b₊|) ·
+    target.mask_mul(a, b) term by term for all masks a, b, every mask of
+    the product lying in the block-parity class of a ⊕ b.  mask_mul
+    multiplies e_a on the right by the generators of b in ascending order,
+    so b's plus generators come first.  By induction on the steps taken:
+    while plus generators are applied, (P) keeps |m₋| ≡ |a₋| on every mask
+    of the accumulator, so by (T) each such step scales the whole super
+    accumulator by the same sign (-1)^|a₋| against the ordinary one; minus
+    steps scale it by 1.  One sign for the whole accumulator means sums and
+    cancellations agree on both sides.  That is 384 step comparisons
+    instead of 1,024 products per variant, the way `verify_associativity`
+    lifts generator identities to all products.  A named step proves
+    nothing about phi; `phi_failing_pairs` then decides.
+    """
+    if sup.variant != "super" or target.variant != "ordinary":
+        raise ValueError("phi maps the super variant onto the ordinary one")
+    if target.ring != sup.ring:
+        raise ValueError("the two engines must share the coefficient ring")
+    bad = []
+    for m in range(1 << sup.ngens):
+        for j in range(sup.ngens):
+            flip = _popcount(m & sup.minus_mask) % 2 and not sup.gen_parity(j)
+            want = tuple((m2, -c if flip else c)
+                         for m2, c in target._mask_times_gen(m, j))
+            parity = _block_parities(m ^ (1 << j))
+            if (sup._mask_times_gen(m, j) != want
+                    or any(_block_parities(m2) != parity for m2, _ in want)):
+                bad.append((m, j))
+    return bad
+
+
+def phi_sign_rule_failures(exponent=phi_exponent):
+    """Even mask pairs [a, b] on which the sign twist of
+    `phi_twist_failures` does not by itself make e_m ↦ i^exponent(m)·e_m
+    multiplicative.
+
+    By `phi_failing_pairs` the pair is good iff c^sup_m = i^δ c^ord_m for
+    every mask m of the product, δ = ε(a)+ε(b)-ε(m) mod 4.  Under the twist
+    c^sup_m = (-1)^(|a₋|·|b₊|) c^ord_m with m in the parity class of a ⊕ b,
+    so it suffices that i^δ = (-1)^(|a₋|·|b₊|) for every m in that class.
+    For `phi_exponent` this always holds: for even a, |a₋| ≡ |a₊| = ε(a),
+    and ε(m) ≡ ε(a)+ε(b), so δ = 2 exactly when ε(a) = ε(b) = 1, which is
+    when the sign is -1.  The rule reads whole parity classes rather than
+    the masks that occur, so a listed pair proves nothing; then
+    `phi_failing_pairs` decides.
+    """
+    eps = [exponent(m) % 4 for m in range(64)]
+    classes = {}
+    for m in range(64):
+        classes.setdefault(_block_parities(m), []).append(m)
+    even = [m for m in range(64) if _popcount(m) % 2 == 0]
+    bad = []
+    for a in even:
+        for b in even:
+            sign = 2 * (_popcount(a & 0b111000) * _popcount(b & 0b000111) % 2)
+            if any((eps[a] + eps[b] - eps[m] - sign) % 4
+                   for m in classes[_block_parities(a ^ b)]):
+                bad.append([a, b])
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, re, im=QQ.zero):
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, other):
         other = QQI.coerce(other)
@@ -81,6 +81,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = QQI.coerce(other)
+        if not (self.im or other.im):
+            return GaussianRational(self.re * other.re)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -454,13 +456,6 @@ class MultiPoly:
         i = self.ring.vars.index(name)
         return max(e[i] for e in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def constant_value(self):
-        return self.terms.get((0,) * len(self.ring.vars), self.ring.field.zero)
-
     def leading_term(self):
         """Graded-lex leading (exps, coeff); raises on the zero polynomial."""
         if not self.terms:
@@ -620,11 +615,6 @@ def adjugate3(m):
         [f * g - d * i, a * i - c * g, c * d - a * f],
         [d * h - e * g, b * g - a * h, a * e - b * d],
     ]
-
-
-def identity_matrix(ring, n):
-    one, zero = ring.one(), ring.zero()
-    return SymMatrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

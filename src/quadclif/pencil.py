@@ -150,23 +150,6 @@ class InvariantPencil:
             for i in range(3)
         )
 
-    def quadric_at(self, u):
-        """Block-diagonal 6×6 matrix of the form at u ≠ 0."""
-        if len(u) != 3:
-            raise ValueError("u must be a 3-vector")
-        u = tuple(Fraction(x) for x in u)
-        if not any(u):
-            raise ValueError("u must be nonzero")
-        qp = self.block_at(u, "plus")
-        qm = self.block_at(u, "minus")
-        zero = Fraction(0)
-        rows = []
-        for i in range(3):
-            rows.append(tuple(qp[i]) + (zero,) * 3)
-        for i in range(3):
-            rows.append((zero,) * 3 + tuple(qm[i]))
-        return tuple(rows)
-
     def det_curves(self):
         """Both determinant cubics, computed once per instance (the
         pencil is frozen, so they never change)."""
@@ -429,9 +412,3 @@ def load_instance(path):
         data = json.loads(fh.read().decode())
     return InvariantPencil.from_json_dict(data)
 
-
-def save_instance(P, path):
-    payload = P.canonical_bytes()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-    return hashlib.sha256(payload).hexdigest()

@@ -109,21 +109,6 @@ def segre_points(ring=None):
     return p_plus, p_minus
 
 
-def segre_point_x(side, ring=None):
-    """The same families pushed through the transform to x coordinates."""
-    ring = ring or PolyRing(QQ, A_VARS)
-    p_plus, p_minus = segre_points(ring)
-    p = p_plus if side == "plus" else p_minus
-    out = []
-    for row in plucker_transform():
-        acc = ring.zero()
-        for c, comp in zip(row, p):
-            if c:
-                acc = acc + comp * c
-        out.append(acc)
-    return tuple(out)
-
-
 def segre_y(ring):
     """The point of the three-space both families of lines pass through."""
     a0, a1, a2, a3 = (ring.var(v) for v in A_VARS[:4])

@@ -1,5 +1,7 @@
 import pytest
 
+from quadclif.clifford import CliffordAlgebra
+from quadclif.exactalg import QQI
 from quadclif.pencil import generate
 
 
@@ -11,6 +13,16 @@ def cached_pencil(seed, bound=5):
     if key not in _CACHE:
         _CACHE[key] = generate(seed, bound)
     return _CACHE[key]
+
+
+def phi_pair(P):
+    """(super, ordinary) algebras over Q(i)[u] for the same pencil."""
+    return (CliffordAlgebra.from_pencil(P, "super", field=QQI),
+            CliffordAlgebra.from_pencil(P, "ordinary", field=QQI))
+
+
+def is_homogeneous(poly):
+    return len({sum(e) for e in poly.terms}) <= 1
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import sys
 import time
 from functools import lru_cache
 
-from conftest import cached_pencil
+from conftest import cached_pencil, phi_pair
 from test_checks import diag_instance
 
 from quadclif.checks import CheckContext, run_single
@@ -27,7 +27,6 @@ from quadclif.clifford import (
     hilbert_dims_center,
     lift,
     phi,
-    phi_pair,
     terms_homogeneous,
 )
 from quadclif.geometry import stabilizer, stabilizer_bruteforce

@@ -11,10 +11,17 @@ from quadclif import __version__
 from quadclif.checks import CHECK_ORDER
 from quadclif.cli import main
 from quadclif.exactalg import is_prime
-from quadclif.pencil import load_instance, save_instance
+from quadclif.pencil import load_instance
 
 from conftest import cached_pencil
 from test_checks import diag_instance
+
+
+def save_instance(P, path):
+    payload = P.canonical_bytes()
+    with open(path, "wb") as fh:
+        fh.write(payload)
+    return hashlib.sha256(payload).hexdigest()
 
 # Pinned output of `gen --seed 42 --bound 5`; the instance format and the
 # generator are both frozen, so this digest must never drift.

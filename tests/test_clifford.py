@@ -2,6 +2,7 @@
 and degree-bounded commutants."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +10,6 @@ import pytest
 
 from quadclif.exactalg import QQ, QQI, PolyRing, PrimeField, SymMatrix
 from quadclif.clifford import (
-    BiDegree,
     CentralElementError,
     CliffordAlgebra,
     CliffordElement,
@@ -27,11 +27,12 @@ from quadclif.clifford import (
     phi,
     phi_exponent,
     phi_failing_pairs,
-    phi_pair,
+    phi_sign_rule_failures,
+    phi_twist_failures,
     terms_homogeneous,
-    veronese_dims,
 )
-from quadclif.pencil import InvariantPencil
+from quadclif.checks import CheckContext, run_single
+from quadclif.pencil import InvariantPencil, generate
 
 from conftest import cached_pencil
 
@@ -42,6 +43,14 @@ def diag_pencil():
     )
     return InvariantPencil(q_plus=(e(0), e(1), e(2)), q_minus=(e(0), e(1), e(2)),
                            seed=0, coeff_bound=1)
+
+
+def constant_value(poly):
+    return poly.terms.get((0,) * len(poly.ring.vars), poly.ring.field.zero)
+
+
+def anticommutator(x, y):
+    return x * y + y * x
 
 
 def random_element(alg, rng, nterms=3, max_u=1):
@@ -147,17 +156,53 @@ def test_algebra_mismatch_rejected():
 # -- bidegrees ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class BiDegree:
+    parity: int
+    weight: int
+
+    def __add__(self, other):
+        return BiDegree((self.parity + other.parity) % 2,
+                        self.weight + other.weight)
+
+
+def bidegree(e):
+    """Common (parity, weight) of an element if homogeneous, else None.
+    Generators weigh 1 (the negated ones carry parity 1), base variables
+    weigh 2."""
+    degs = set()
+    for mask, poly in e.coeffs.items():
+        pop = bin(mask).count("1")
+        par = bin(mask & e.alg.minus_mask).count("1") & 1
+        for exps in poly.terms:
+            degs.add((par, pop + 2 * sum(exps)))
+    return BiDegree(*degs.pop()) if len(degs) == 1 else None
+
+
+def veronese_dims(variant, D):
+    """Weight-space dimensions for n = 0..D, counting (generator mask,
+    base monomial) basis pairs, plus the even-weight (degree-2 Veronese)
+    slice."""
+    if D > 12:
+        raise ValueError("degree bound capped at 12")
+    ngens = 6 if variant in ("super", "ordinary") else 3
+    dims = [sum(comb(ngens, k) * comb((n - k) // 2 + 2, 2)
+                for k in range(min(n, ngens) + 1) if (n - k) % 2 == 0)
+            for n in range(D + 1)]
+    return dims, dims[0::2]
+
+
 def test_bidegree_examples():
     P = cached_pencil(42)
     alg = CliffordAlgebra.from_pencil(P, "super")
     u1 = alg.ring.var("u1")
     v1m = alg.gen(3)
-    assert v1m.bidegree() == BiDegree(1, 1)
+    assert bidegree(v1m) == BiDegree(1, 1)
     # u1 * v1+ * v2-  has parity 1 and weight 1 + 1 + 2
     e = (u1 * alg.gen(0)) * alg.gen(4)
-    assert e.bidegree() == BiDegree(1, 4)
-    assert (alg.gen(0) + u1 * alg.one()).bidegree() is None
-    assert (u1 * alg.one()).bidegree() == BiDegree(0, 2)
+    assert bidegree(e) == BiDegree(1, 4)
+    assert bidegree(alg.gen(0) + u1 * alg.one()) is None
+    assert bidegree(u1 * alg.one()) == BiDegree(0, 2)
     assert BiDegree(1, 3) + BiDegree(1, 3) == BiDegree(0, 6)
 
 
@@ -173,9 +218,9 @@ def test_bidegree_additive_on_products():
         prod = ea * eb
         if prod.is_zero():
             continue
-        d = prod.bidegree()
+        d = bidegree(prod)
         assert d is not None
-        assert d == ea.bidegree() + eb.bidegree()
+        assert d == bidegree(ea) + bidegree(eb)
 
 
 def test_veronese_dims_frozen():
@@ -198,9 +243,25 @@ def even_masks():
     return [m for m in range(64) if bin(m).count("1") % 2 == 0]
 
 
-def test_phi_multiplicative_on_all_even_mask_pairs():
-    P = cached_pencil(42)
-    sup, ordi = phi_pair(P)
+@pytest.fixture(scope="module")
+def algebra_pair():
+    """(super, ordinary) algebras by seed and coefficient field, built once
+    for this module so that the phi oracles share their normal forms."""
+    pairs = {}
+
+    def get(seed, field=QQ):
+        if (seed, field) not in pairs:
+            P = cached_pencil(seed)
+            pairs[seed, field] = (
+                CliffordAlgebra.from_pencil(P, "super", field=field),
+                CliffordAlgebra.from_pencil(P, "ordinary", field=field))
+        return pairs[seed, field]
+
+    return get
+
+
+def test_phi_multiplicative_on_all_even_mask_pairs(algebra_pair):
+    sup, ordi = algebra_pair(42, QQI)
     masks = even_masks()
     assert len(masks) == 32
     for ma in masks:
@@ -225,10 +286,9 @@ def _naive_exponent(mask):
     return 2 * ((m * (m - 1) // 2) % 2)
 
 
-def _failing_pairs_by_products(P, exponents):
+def _failing_pairs_by_products(sup, ordi, exponents):
     """The reference: 1,024 products over Q(i)[u], each scaled mask by
     mask by i^exponent(m), compared as elements; one list per exponent."""
-    sup, ordi = phi_pair(P)
     masks = even_masks()
     out = []
     for exponent in exponents:
@@ -243,12 +303,10 @@ def _failing_pairs_by_products(P, exponents):
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-def test_phi_structure_constants_match_products(seed):
-    P = cached_pencil(seed)
-    sup = CliffordAlgebra.from_pencil(P, "super")
-    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+def test_phi_structure_constants_match_products(seed, algebra_pair):
+    sup, ordi = algebra_pair(seed)
     exponents = (phi_exponent,) if seed == 7 else (phi_exponent, _naive_exponent)
-    reference = _failing_pairs_by_products(P, exponents)
+    reference = _failing_pairs_by_products(*algebra_pair(seed, QQI), exponents)
     assert phi_failing_pairs(sup, ordi) == reference[0] == []
     if seed == 42:
         naive = phi_failing_pairs(sup, ordi, exponent=_naive_exponent)
@@ -257,33 +315,29 @@ def test_phi_structure_constants_match_products(seed):
         assert naive == reference[1]
 
 
-def test_phi_exponent_is_the_scaling_phi_uses():
-    P = cached_pencil(42)
-    sup, ordi = phi_pair(P)
+def test_phi_exponent_is_the_scaling_phi_uses(algebra_pair):
+    sup, ordi = algebra_pair(42, QQI)
     for m in even_masks():
         img = phi(sup.from_mask(m), ordi)
-        assert img.coeffs[m].constant_value() == _i_power(phi_exponent(m))
+        assert constant_value(img.coeffs[m]) == _i_power(phi_exponent(m))
 
 
-def test_phi_failing_pairs_rejects_wrong_inputs():
-    P = cached_pencil(42)
-    sup = CliffordAlgebra.from_pencil(P, "super")
-    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+def test_phi_failing_pairs_rejects_wrong_inputs(algebra_pair):
+    sup, ordi = algebra_pair(42)
     with pytest.raises(ValueError):
         phi_failing_pairs(ordi, sup)
     with pytest.raises(ValueError):
-        phi_failing_pairs(*phi_pair(P))  # Gaussian coefficients
+        phi_failing_pairs(*algebra_pair(42, QQI))  # Gaussian coefficients
 
 
-def test_phi_fixed_values():
+def test_phi_fixed_values(algebra_pair):
     # The scaling is i on masks with an odd number of plus-block
     # generators and 1 otherwise; it cannot be made all-real, because
     # (v1+ v1-)² = q11+ q11-  in the super variant but
     # (v1+ v1-)² = -q11+ q11-  in the ordinary one, forcing eps² = -1 on
     # that mask, while contractions such as (v1+ v2+)(v2+ v3+) glue all
     # even plus-counts to the scalar 1.
-    P = cached_pencil(42)
-    sup, ordi = phi_pair(P)
+    sup, ordi = algebra_pair(42, QQI)
     img = phi(sup.from_mask(0b000011), ordi)  # v1+ v2+
     assert img == ordi.from_mask(0b000011)
     img = phi(sup.from_mask(0b001001), ordi)  # v1+ v1-
@@ -292,25 +346,149 @@ def test_phi_fixed_values():
     assert phi(u1 * sup.one(), ordi) == ordi.ring.var("u1") * ordi.one()
 
 
-def test_phi_is_a_graded_linear_bijection():
-    P = cached_pencil(42)
-    sup, ordi = phi_pair(P)
+def test_phi_is_a_graded_linear_bijection(algebra_pair):
+    sup, ordi = algebra_pair(42, QQI)
     for m in even_masks():
         img = phi(sup.from_mask(m), ordi)
         assert set(img.coeffs) == {m}
-        sc = img.coeffs[m].constant_value()
+        sc = constant_value(img.coeffs[m])
         assert sc in (QQI.one, QQI.i)
-        assert sup.from_mask(m).bidegree().weight == img.bidegree().weight
+        assert bidegree(sup.from_mask(m)).weight == bidegree(img).weight
 
 
-def test_phi_rejects_odd_weight():
+def test_phi_rejects_odd_weight(algebra_pair):
     P = cached_pencil(42)
-    sup, ordi = phi_pair(P)
+    sup, ordi = algebra_pair(42, QQI)
     with pytest.raises(ValueError):
         phi(sup.gen(0), ordi)
     with pytest.raises(ValueError):
         phi(CliffordAlgebra.from_pencil(P, "super").one(),
             CliffordAlgebra.from_pencil(P, "ordinary"))  # rationals lack i
+
+
+# -- the generator-step certificate for phi -----------------------------------
+
+
+def _flip_step(monkeypatch, variant, bad):
+    """Negate the engine's normal form of e_mask·v_j on one (mask, j) of
+    one variant."""
+    orig = CliffordAlgebra._mask_times_gen
+
+    def broken(self, mask, j):
+        res = orig(self, mask, j)
+        if self.variant == variant and (mask, j) == bad:
+            res = tuple((m, -c) for m, c in res)
+        return res
+
+    monkeypatch.setattr(CliffordAlgebra, "_mask_times_gen", broken)
+
+
+def _block_sizes(m):
+    return bin(m & 0b000111).count("1"), bin(m & 0b111000).count("1")
+
+
+@pytest.mark.parametrize("seed", [42, 7, "generated"])
+def test_phi_certificate_agrees_with_structure_constants(seed, algebra_pair):
+    if seed == "generated":
+        P = generate(2024, 2)
+        sup = CliffordAlgebra.from_pencil(P, "super")
+        ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    else:
+        sup, ordi = algebra_pair(seed)
+    assert phi_twist_failures(sup, ordi) == []
+    assert phi_failing_pairs(sup, ordi) == []
+
+
+def test_phi_sign_rule():
+    # phi_exponent absorbs the twist sign on every even pair; the all-real
+    # scaling does not, already on (v1+ v1-)²
+    assert phi_sign_rule_failures() == []
+    assert phi_sign_rule_failures(phi_exponent) == []
+    assert [0b001001, 0b001001] in phi_sign_rule_failures(_naive_exponent)
+
+
+def test_phi_twist_lemma_on_mask_pairs(algebra_pair):
+    # the conclusion the certificate's induction draws, on 1,024 seeded
+    # pairs of masks, odd ones included: super = (-1)^(|a-|·|b+|) ·
+    # ordinary, term by term, with the product masks in the block-parity
+    # class of a xor b
+    sup, ordi = algebra_pair(42)
+    rng = random.Random("twist-lemma")
+    for _ in range(1024):
+        a, b = rng.randrange(64), rng.randrange(64)
+        sign = -1 if _block_sizes(a)[1] * _block_sizes(b)[0] % 2 else 1
+        want = tuple((m, c * sign) for m, c in ordi.mask_mul(a, b))
+        assert sup.mask_mul(a, b) == want
+        parity = [k % 2 for k in _block_sizes(a ^ b)]
+        for m, _ in want:
+            assert [k % 2 for k in _block_sizes(m)] == parity
+
+
+def test_phi_certificate_names_the_mutated_step(monkeypatch):
+    P = cached_pencil(42)
+    _flip_step(monkeypatch, "super", (0b001001, 1))  # v1+ v1- · v2+
+    sup = CliffordAlgebra.from_pencil(P, "super")
+    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    # the flipped step and the three steps whose normal form peels down to it
+    assert phi_twist_failures(sup, ordi) == [(9, 1), (25, 1), (41, 1), (57, 1)]
+
+
+def test_phi_certificate_checks_output_parities(monkeypatch):
+    # an extra term of the wrong block parity, added to both engines alike,
+    # keeps the signs equal but breaks (P)
+    P = cached_pencil(42)
+    orig = CliffordAlgebra._mask_times_gen
+
+    def extra(self, mask, j):
+        res = orig(self, mask, j)
+        if (mask, j) == (0, 0):
+            res = res + ((0b001000, self.ring.one()),)
+        return res
+
+    monkeypatch.setattr(CliffordAlgebra, "_mask_times_gen", extra)
+    sup = CliffordAlgebra.from_pencil(P, "super")
+    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    assert phi_twist_failures(sup, ordi)[0] == (0, 0)
+
+
+def test_phi_certificate_rejects_wrong_inputs():
+    P = cached_pencil(42)
+    sup = CliffordAlgebra.from_pencil(P, "super")
+    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    with pytest.raises(ValueError):
+        phi_twist_failures(ordi, sup)
+    with pytest.raises(ValueError):
+        phi_twist_failures(sup, CliffordAlgebra.from_pencil(P, "ordinary",
+                                                            field=QQI))
+
+
+def test_phi_check_falls_back_on_a_broken_engine(monkeypatch):
+    # a flipped cross sign in the super engine: the certificate names the
+    # step, so the check compares the structure constants and reports the
+    # pairs that truly fail
+    P = cached_pencil(42)
+    _flip_step(monkeypatch, "super", (0b001001, 1))
+    r = run_single(CheckContext(P, points=1), "prop3.9-phi")
+    assert r.status == "fail"
+    (wit,) = r.witnesses
+    expected = phi_failing_pairs(CliffordAlgebra.from_pencil(P, "super"),
+                                 CliffordAlgebra.from_pencil(P, "ordinary"))
+    assert expected
+    assert wit["failing_pairs"] == expected[:8]
+    assert [0b001001, 0b001010] in wit["failing_pairs"]
+    assert wit["pairs"] == 1024
+
+
+def test_phi_check_catches_the_real_scaling(monkeypatch, algebra_pair):
+    from quadclif import checks
+
+    monkeypatch.setattr(checks, "phi_exponent", _naive_exponent)
+    r = run_single(CheckContext(cached_pencil(42), points=1), "prop3.9-phi")
+    assert r.status == "fail"
+    naive = phi_failing_pairs(*algebra_pair(42), exponent=_naive_exponent)
+    assert r.witnesses[0]["failing_pairs"] == naive[:8]
+    assert r.witnesses[0]["super_pair_anticommutes"]
+    assert r.witnesses[0]["ordinary_pair_commutes"]
 
 
 # -- odd central elements -----------------------------------------------------
@@ -377,12 +555,12 @@ def test_central_pair_cross_behaviour():
     dm_o = lift(pair.d_minus, ordi, "minus")
     # the two odd elements anticommute in the super variant and commute in
     # the ordinary one
-    assert dp_s.anticommutator(dm_s).is_zero()
+    assert anticommutator(dp_s, dm_s).is_zero()
     assert dp_o.commutator(dm_o).is_zero()
     # in the super variant d+ anticommutes with every minus generator, so
     # it is not central there; in the ordinary variant it is central
     for j in range(3, 6):
-        assert dp_s.anticommutator(sup.gen(j)).is_zero()
+        assert anticommutator(dp_s, sup.gen(j)).is_zero()
         assert not dp_s.commutator(sup.gen(j)).is_zero()
         assert dp_o.commutator(ordi.gen(j)).is_zero()
     for j in range(3):
@@ -438,7 +616,7 @@ def test_commutant_plus_variant():
     (w3,) = commutant_basis(alg, 3)[3]
     # the sole weight-3 commutant vector is a scalar multiple of d
     assert 0b111 in w3.coeffs
-    assert w3 == d * w3.coeffs[0b111].constant_value()
+    assert w3 == d * constant_value(w3.coeffs[0b111])
 
 
 def test_commutant_cap():

@@ -25,6 +25,8 @@ from quadclif.pencil import (
     resultant_nine_points,
 )
 
+from conftest import is_homogeneous
+
 
 def diag_pencil(minus=None):
     """q_plus[k] = E_kk so f_plus = u1*u2*u3; q_minus defaults to the same."""
@@ -52,7 +54,7 @@ def test_diagonal_det_curve():
     u1, u2, u3 = (URING.var(v) for v in URING.vars)
     curves = P.det_curves()
     assert curves.f_plus == u1 * u2 * u3
-    assert curves.f_plus.is_homogeneous()
+    assert is_homogeneous(curves.f_plus)
     assert curves.f_plus.total_degree() == 3
 
 
@@ -66,25 +68,39 @@ def test_zero_minus_side_is_degenerate():
     assert any(w["kind"] == "degenerate_determinant" for w in rep.witnesses)
 
 
+def quadric_at(P, u):
+    """Block-diagonal 6×6 matrix of the form at u ≠ 0."""
+    if len(u) != 3:
+        raise ValueError("u must be a 3-vector")
+    u = tuple(Fraction(x) for x in u)
+    if not any(u):
+        raise ValueError("u must be nonzero")
+    qp = P.block_at(u, "plus")
+    qm = P.block_at(u, "minus")
+    zero = Fraction(0)
+    return tuple([tuple(qp[i]) + (zero,) * 3 for i in range(3)]
+                 + [(zero,) * 3 + tuple(qm[i]) for i in range(3)])
+
+
 def test_quadric_at_basis_and_linearity(pencil42):
     P = pencil42
-    m = P.quadric_at((1, 0, 0))
+    m = quadric_at(P, (1, 0, 0))
     for i in range(3):
         for j in range(3):
             assert m[i][j] == P.q_plus[0][i][j]
             assert m[3 + i][3 + j] == P.q_minus[0][i][j]
             assert m[i][3 + j] == 0
-    m12 = P.quadric_at((1, 1, 0))
-    m2 = P.quadric_at((0, 1, 0))
+    m12 = quadric_at(P, (1, 1, 0))
+    m2 = quadric_at(P, (0, 1, 0))
     for i in range(6):
         for j in range(6):
             assert m12[i][j] == m[i][j] + m2[i][j]
     with pytest.raises(ValueError):
-        P.quadric_at((0, 0, 0))
+        quadric_at(P, (0, 0, 0))
 
 
 def test_generic_point_rank_at_least_4(pencil42):
-    m = pencil42.quadric_at((Fraction(1), Fraction(2), Fraction(5, 3)))
+    m = quadric_at(pencil42, (Fraction(1), Fraction(2), Fraction(5, 3)))
     assert mat_rank([list(r) for r in m]) >= 4
 
 

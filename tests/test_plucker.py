@@ -25,13 +25,27 @@ from quadclif.plucker import (
     plucker_quadric_poly,
     plucker_transform,
     segre_identity_check,
-    segre_point_x,
     segre_points,
     split_quadric_poly,
     transform_identity_check,
     wedge_with_basis,
     segre_y,
 )
+
+
+def segre_point_x(side, ring):
+    """The two Segre families pushed through the transform to x
+    coordinates."""
+    p_plus, p_minus = segre_points(ring)
+    p = p_plus if side == "plus" else p_minus
+    out = []
+    for row in plucker_transform():
+        acc = ring.zero()
+        for c, comp in zip(row, p):
+            if c:
+                acc = acc + comp * c
+        out.append(acc)
+    return tuple(out)
 
 
 def diag_blocks(d_plus, d_minus):
