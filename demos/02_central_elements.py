@@ -27,7 +27,8 @@ def main():
             print(f"    r{i}(u) =", r)
         print("    d^2 == f:", res.square == f, "| sign:", res.sign)
 
-    pair = central_pair(P)
+    pair = central_pair(*(central_odd_pencil(P, side)
+                          for side in ("plus", "minus")))
     sup = CliffordAlgebra.from_pencil(P, "super")
     ordn = CliffordAlgebra.from_pencil(P, "ordinary")
     dps, dms = lift(pair.d_plus, sup, "plus"), lift(pair.d_minus, sup, "minus")

@@ -2,17 +2,18 @@
 
 Away from the determinant curves the specialized even Clifford algebra
 is a full 4x4 matrix algebra over the two-root field Q(sqrt f+, sqrt f-);
-each side splits as M2 x M2 once one root is adjoined, and on a corank-1
+each side splits as M2 x M2 once one root is adjoined (the side is its
+4-dimensional even part tensored with Q[x]/(x^2 - f(u))), and on a corank-1
 curve point the quotient by the radical is a single M2.  All certificates
 are exact: idempotents, traces, and dimension counts over the field.
 """
 
 from quadclif.exactalg import PrimeField
 from quadclif.fiber import (
+    SideFibers,
     certify_matrix_algebra,
     certify_split_pair,
     corank1_quotient,
-    curve_points_fp,
     describe_field,
     rational_curve_point,
     sample_invertible_points,
@@ -32,11 +33,16 @@ def main():
     print("  field:", describe_field(A.field))
     print("  full even algebra:", certify_matrix_algebra(A, 4))
 
+    sides = SideFibers(P)
     for side in ("plus", "minus"):
         B, _, _ = side_fiber(P, side, u)
         cert = certify_split_pair(B, 2)
         print(f"  side {side} over {describe_field(cert.field)}:",
               cert.verdict)
+        # the check reads the same verdict off the 4-dimensional even part
+        _, even = sides.even_fiber(side, u, sides.fiber(side, u)[0])
+        print(f"    C = C0 + C0*d over Q[u]: {sides.splits(side)};"
+              f" even part C0 over Q: {even}")
 
     for side in ("plus", "minus"):
         pt = rational_curve_point(P, side, rng)
@@ -44,7 +50,7 @@ def main():
         where = "Q"
         if pt is None:
             # no small rational point on this curve; certify mod p instead
-            pt = curve_points_fp(P, side, 101, 1)[0]
+            pt = P.reduced_curve(side, 101).points[0]
             field = PrimeField(101)
             where = "F_101"
         Q, verdict = corank1_quotient(P, side, pt, field)

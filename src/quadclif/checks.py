@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import geometry
 from .clifford import (
     CliffordAlgebra,
-    central_odd_pencil,
     central_pair,
     commutant_dims,
     defining_relations,
@@ -34,14 +33,12 @@ from .clifford import (
 from .exactalg import PrimeField
 from .fiber import (
     SideFibers,
-    certify_matrix_algebra,
-    certify_split_pair,
+    certify_ordinary_m4,
+    certify_side_split,
     corank1_quotient,
-    curve_points_fp,
     describe_field,
     rational_curve_point,
     sample_invertible_points,
-    specialize,
 )
 from .pencil import DEFAULT_PRIMES, _derived_rng, check_primes, genericity_check
 from .plucker import (
@@ -58,9 +55,9 @@ from .plucker import (
     transform_identity_check,
 )
 
-# Each fiber point costs each fiber check a few hundredths of a second; a
-# full check at this bound took 27 s and 40 MiB (README, "Limits").
-# Larger --points values are refused.
+# Each fiber point costs each fiber check a few milliseconds; a full check
+# at this bound took 2.5 s and 41 MiB (README, "Limits").  Larger --points
+# values are refused.
 MAX_POINTS = 200
 
 INSTANCE_FREE = frozenset({
@@ -89,9 +86,7 @@ class CheckResult:
 
 def _plain(x):
     """Flatten witnesses to plain JSON types with deterministic text."""
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, float):
+    if x is None or isinstance(x, (bool, int, str, float)):
         return x
     if isinstance(x, Fraction):
         return str(x)
@@ -223,7 +218,8 @@ def _check_phi(ctx):
     bad_pairs = []
     if phi_twist_failures(sup6, ord6) or phi_sign_rule_failures(phi_exponent):
         bad_pairs = phi_failing_pairs(sup6, ord6, phi_exponent)
-    pair = central_pair(ctx.P)
+    pair = central_pair(*(ctx.sides.central(side)[1]
+                          for side in ("plus", "minus")))
     dps, dms = lift(pair.d_plus, sup6, "plus"), lift(pair.d_minus, sup6, "minus")
     dpo, dmo = lift(pair.d_plus, ord6, "plus"), lift(pair.d_minus, ord6, "minus")
     anti = (dps * dms + dms * dps).is_zero()
@@ -236,7 +232,7 @@ def _check_phi(ctx):
 
 
 def _d_square_check(ctx, side):
-    res = central_odd_pencil(ctx.P, side)
+    res = ctx.sides.central(side)[1]
     f = ctx.P.det_curves().side(side)
     ok = res.sign == 1 and res.square == f
     wit = [{"side": side, "sign": res.sign,
@@ -271,10 +267,9 @@ def _check_azumaya_m4(ctx):
     wit = []
     ok = True
     for u in ctx.fiber_points():
-        A = specialize(ctx.P, "ordinary", u, sides=ctx.sides)
-        verdict = certify_matrix_algebra(A, 4)
+        field, verdict = certify_ordinary_m4(ctx.sides, u)
         ok = ok and verdict == "M4"
-        wit.append({"point": list(u), "field": describe_field(A.field),
+        wit.append({"point": list(u), "field": describe_field(field),
                     "verdict": verdict})
     return ok, wit
 
@@ -284,12 +279,10 @@ def _check_split_m2(ctx):
     ok = True
     for u in ctx.fiber_points():
         for side in ("plus", "minus"):
-            A, _, _ = ctx.sides.fiber(side, u)
-            cert = certify_split_pair(A, 2)
-            ok = ok and cert.verdict == "M2xM2"
+            field, verdict = certify_side_split(ctx.sides, side, u)
+            ok = ok and verdict == "M2xM2"
             wit.append({"point": list(u), "side": side,
-                        "field": describe_field(cert.field),
-                        "verdict": cert.verdict})
+                        "field": describe_field(field), "verdict": verdict})
     return ok, wit
 
 
@@ -307,7 +300,7 @@ def _check_corank1_m2(ctx):
                         "note": "no rational curve point found; "
                                 "finite-field fallback"})
         p = ctx.primes[0]
-        for u in curve_points_fp(ctx.P, side, p, 3 - len(pts)):
+        for u in ctx.P.reduced_curve(side, p).points[:3 - len(pts)]:
             pts.append((u, p))
         for u, p in pts:
             field = None if p is None else PrimeField(p)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactalg import QQ, QQI, MultiPoly, PolyRing, kernel_int_sparse, mat_solve
+from .exactalg import QQ, MultiPoly, PolyRing, as_int, kernel_int_sparse, mat_solve
 
 U_VARS = ("u1", "u2", "u3")
 
@@ -65,6 +65,7 @@ class CliffordAlgebra:
         self.cross_sign = -1 if variant == "super" else 1
         self._gen_cache = {}
         self._mul_cache = {}
+        self._terms = None
 
     @classmethod
     def from_pencil(cls, P, variant, field=QQ):
@@ -228,14 +229,23 @@ class CliffordAlgebra:
                             f"associativity fails on (e_{a} e_{b}) v_{k}")
         return True
 
+    def structure_terms(self):
+        """mask_mul(a, b) for every pair of masks, indexed [a][b], with
+        each coefficient polynomial as a tuple of (exponents, coefficient)
+        terms and the integral coefficients as ints; built once."""
+        if self._terms is None:
+            n = 1 << self.ngens
+            self._terms = [[tuple((mask, tuple((e, as_int(c))
+                                               for e, c in poly.terms.items()))
+                                  for mask, poly in self.mask_mul(a, b))
+                            for b in range(n)] for a in range(n)]
+        return self._terms
+
     def integral_structure(self):
         """True when every structure constant lies in Z[u], so that
         reducing them mod p is a ring homomorphism Z[u] → F_p."""
-        n = 1 << self.ngens
-        return all(getattr(c, "denominator", None) == 1
-                   for a in range(n) for b in range(n)
-                   for _, poly in self.mask_mul(a, b)
-                   for c in poly.terms.values())
+        return all(isinstance(c, int) for row in self.structure_terms()
+                   for entry in row for _, terms in entry for _, c in terms)
 
 
 class CliffordElement:
@@ -328,13 +338,6 @@ class CliffordElement:
     def is_scalar(self):
         return all(m == 0 for m in self.coeffs)
 
-    def to_json_terms(self):
-        out = []
-        for mask in sorted(self.coeffs):
-            bits = format(mask, f"0{self.alg.ngens}b")[::-1]
-            out.append([bits, self.coeffs[mask].to_json_terms()])
-        return out
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -373,20 +376,21 @@ def phi(e, target):
     squaring the mask v1+v1- forces the weight-2 scalar eps to satisfy
     eps^2 = -1, and contracting pairs like (v1+v2+)(v2+v3+) force the
     same-parity masks to share one scalar.  Those two constraints pin the
-    map to eps(m) = i^(m mod 2) up to conjugation, so the coefficients
-    must contain a square root of -1.
+    map to eps(m) = i^(m mod 2) up to conjugation, so the coefficient
+    field must carry a square root of -1, as `field.i`.
     """
     if e.alg.variant != "super" or target.variant != "ordinary":
         raise ValueError("phi maps the super variant onto the ordinary one")
     if target.ring != e.alg.ring:
         raise ValueError("source and target must share the coefficient ring")
-    if e.alg.ring.field is not QQI:
+    field = e.alg.ring.field
+    if getattr(field, "i", None) is None:
         raise ValueError("phi needs coefficients containing i")
     out = {}
     for mask, poly in e.coeffs.items():
         if _popcount(mask) % 2:
             raise ValueError("phi is defined on even-weight elements only")
-        scale = QQI.i if phi_exponent(mask) else QQI.one
+        scale = field.i if phi_exponent(mask) else field.one
         out[mask] = poly * scale
     return CliffordElement(target, out)
 
@@ -611,9 +615,9 @@ class CentralPair:
     sign: int
 
 
-def central_pair(P):
-    rp = central_odd_pencil(P, "plus")
-    rm = central_odd_pencil(P, "minus")
+def central_pair(rp, rm):
+    """The odd central elements of the plus and minus blocks, from their
+    CentralOddResults."""
     if rp.sign != rm.sign:
         raise CentralElementError("the two blocks realize different signs")
     return CentralPair(d_plus=rp.element, d_minus=rm.element,

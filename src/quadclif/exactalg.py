@@ -54,94 +54,6 @@ class RationalField:
 QQ = RationalField()
 
 
-class GaussianRational:
-    """Element a + b*i of Q(i)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=QQ.zero):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
-
-    def __add__(self, other):
-        other = QQI.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = QQI.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return QQI.coerce(other) - self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = QQI.coerce(other)
-        if not (self.im or other.im):
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = QQI.coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __eq__(self, other):
-        try:
-            other = QQI.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        return f"({self.re}+{self.im}i)"
-
-
-class GaussianField:
-    """Q(i), used where an exact square root of -1 is required."""
-
-    name = "Q(i)"
-    zero = GaussianRational(0)
-    one = GaussianRational(1)
-    i = GaussianRational(0, 1)
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        raise TypeError(f"cannot coerce {x!r} into Q(i)")
-
-    def __repr__(self):
-        return "QQI"
-
-
-QQI = GaussianField()
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -256,6 +168,12 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
+
+
+def as_int(c):
+    """c as an int when it is integral (an int or a Fraction with
+    denominator 1), else c unchanged."""
+    return int(c) if getattr(c, "denominator", None) == 1 else c
 
 
 def is_square_fraction(a: Fraction):
@@ -400,6 +318,13 @@ class MultiPoly:
                 return self.ring.zero()
             return MultiPoly(self.ring, {e: v * c for e, v in self.terms.items()})
         other = self._check(other)
+        for a, b in ((self, other), (other, self)):
+            if len(b.terms) == 1:
+                (e, c), = b.terms.items()
+                if not any(e):  # b is a nonzero constant
+                    if c == self.ring.field.one:
+                        return a
+                    return MultiPoly(self.ring, {k: v * c for k, v in a.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -760,11 +685,6 @@ def squarefree_univariate(h: MultiPoly, name: str):
             terms[tuple(e)] = c
     gpoly = MultiPoly(ring, terms)
     return (len(g) <= 1, gpoly)
-
-
-def gradient(f: MultiPoly):
-    """Tuple of partial derivatives in ring order."""
-    return tuple(f.derivative(v) for v in f.ring.vars)
 
 
 # ---------------------------------------------------------------------------

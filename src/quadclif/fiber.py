@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .clifford import CliffordAlgebra, central_odd, lift
+from .clifford import CliffordAlgebra, central_odd
 from .exactalg import (
     PrimeField,
     adjugate3,
+    as_int,
+    det_cofactor,
     is_square_fraction,
     mat_kernel,
     mat_rank,
@@ -330,14 +332,6 @@ def describe_field(field):
     return getattr(field, "name", repr(field))
 
 
-def field_sqrt(field, x):
-    if isinstance(field, QuadraticTower):
-        return field.sqrt(x)
-    if isinstance(field, PrimeField):
-        return field.sqrt(x)
-    return is_square_fraction(Fraction(x))
-
-
 def _char_ok(field, dim):
     """Trace-form radicals are only trusted in characteristic 0 or > dim."""
     if isinstance(field, PrimeField) and field.p <= dim:
@@ -359,7 +353,8 @@ class FinAlg:
       ring embedding maps 1 to 1;
     - "tensor": a tensor product, whose unit is u_A ⊗ u_B;
     - "corner": e·A·e with e idempotent in an associative A, whose unit
-      is e, because e·(e x e) = e x e = (e x e)·e.
+      is e, because e·(e x e) = e x e = (e x e)·e;
+    - "even": the even part of a Clifford fiber, which contains its unit.
 
     `assoc` records where associativity comes from:
 
@@ -372,6 +367,8 @@ class FinAlg:
       homomorphisms, so they carry it to the fiber;
     - "corner": e·A·e of an associative A, closed under multiplication,
       hence a subalgebra of an associative algebra;
+    - "even": the even part of an associative Clifford fiber, likewise a
+      subalgebra (see even_subalgebra);
     - "tensor": a tensor product of associative algebras;
     - "inherited": a base change (map_field) of a checked table;
     - None: no claim (built with check=False, or with check="auto" above
@@ -615,15 +612,8 @@ def gram_matrix(A):
 
 
 def radical_dim(A):
-    """Dimension of the radical via the trace form (char 0 or > dim).
-    For declared tensor products the Gram matrix factors as a Kronecker
-    product, so its rank is the product of the factor ranks."""
+    """Dimension of the radical via the trace form (char 0 or > dim)."""
     _char_ok(A.field, A.dim)
-    if A.tensor_factors:
-        rank = 1
-        for f in A.tensor_factors:
-            rank *= mat_rank(gram_matrix(f))
-        return A.dim - rank
     return A.dim - mat_rank(gram_matrix(A))
 
 
@@ -643,13 +633,7 @@ def center_basis(A):
 
 
 def center_dim(A):
-    """Dimension of the center.  Over a field the center of a tensor
-    product is the tensor product of the centers, Z(A⊗B) = Z(A)⊗Z(B), so
-    for a declared tensor product this is the product of the factors'
-    center dimensions, the same way radical_dim reads the Kronecker rank
-    of the Gram matrix off the factors."""
-    if A.tensor_factors:
-        return prod(center_dim(f) for f in A.tensor_factors)
+    """Dimension of the center, from center_basis."""
     return len(center_basis(A))
 
 
@@ -660,13 +644,26 @@ def center_dim(A):
 def certify_matrix_algebra(A, n):
     """Verdict 'M{n}' when A has dimension n², zero radical, and trivial
     center: a form of rank n² that becomes the full matrix algebra after
-    any base change splitting it (the certificate is closure-level)."""
-    if A.dim != n * n:
-        return f"fail:dim-{A.dim}"
-    r = radical_dim(A)
+    any base change splitting it (the certificate is closure-level).  A
+    declared tensor product is read off its factors."""
+    return certify_tensor_product(A.tensor_factors or (A,), n)
+
+
+def certify_tensor_product(factors, n):
+    """certify_matrix_algebra of (A₁ ⊗ … ⊗ A_k) ⊗ K, K any extension of the
+    factors' field, without the product table: the trace-form Gram matrix
+    of A ⊗ B is the Kronecker product of the factors' Grams, so its rank is
+    the product of their ranks (dim − radical_dim); Z(A ⊗ B) = Z(A) ⊗ Z(B)
+    over a field; and ranks and kernel dimensions do not change under
+    field extension."""
+    dim = prod(f.dim for f in factors)
+    if dim != n * n:
+        return f"fail:dim-{dim}"
+    _char_ok(factors[0].field, dim)
+    r = dim - prod(f.dim - radical_dim(f) for f in factors)
     if r:
         return f"fail:radical-{r}"
-    c = center_dim(A)
+    c = prod(center_dim(f) for f in factors)
     if c != 1:
         return f"fail:center-{c}"
     return f"M{n}"
@@ -693,7 +690,7 @@ def certify_split_pair(A, n):
     if len(zb) != 2:
         return SplitCert(f"fail:center-{len(zb)}", A.field)
     z = next((tuple(v) for v in zb
-              if _independent_of(A, tuple(v), A.unit)), None)
+              if mat_rank([[v[k], A.unit[k]] for k in range(A.dim)]) == 2), None)
     if z is None:
         return SplitCert("fail:center-degenerate", A.field)
     # z² = α z + β
@@ -714,7 +711,7 @@ def certify_split_pair(A, n):
             break
     if delta is None or A.scalar_vec(delta) != ww:
         return SplitCert("fail:center-not-etale", A.field)
-    s = field_sqrt(A.field, delta)
+    s = A.field.sqrt(delta)
     if s is None:
         # one rational extension attempt
         if isinstance(A.field, QuadraticTower):
@@ -743,36 +740,39 @@ def certify_split_pair(A, n):
     return SplitCert(f"M{n}xM{n}", A.field, tuple(corners))
 
 
-def _independent_of(A, v, w):
-    return mat_rank([[v[k], w[k]] for k in range(A.dim)]) == 2
-
-
 # ---------------------------------------------------------------------------
 # fibers of the Clifford construction
 # ---------------------------------------------------------------------------
 
-def _eval_poly(poly, u, field):
-    return field.coerce(poly.eval(u))
-
-
 def clifford_fiber(alg, u, field, assoc=None):
     """Structure constants of a Clifford algebra at the base point u.
-    The generator vectors are recorded so centers stay cheap.
+    The generator vectors are recorded so centers stay cheap.  Monomials
+    of u are evaluated once, in ints where u and the coefficients
+    (alg.structure_terms) are integral.
 
     assoc is the provenance label to record when alg's associativity is
     already established over its coefficient ring ("clifford" for the side
     algebras of SideFibers.algebra); the fiber is a ring-homomorphic image
-    of alg's table, so it is not re-checked.  With assoc=None the table is checked on all basis triples
-    when its dimension is at most 8 and carries no claim otherwise."""
+    of alg's table, so it is not re-checked.  With assoc=None the table is
+    checked on all basis triples when its dimension is at most 8 and
+    carries no claim otherwise."""
     n = 1 << alg.ngens
     zero = field.zero
+    point = [as_int(alg.ring.field.coerce(c)) for c in u]
+    monomials = {}
     table = []
-    for i in range(n):
+    for terms_row in alg.structure_terms():
         row = []
-        for j in range(n):
+        for entry in terms_row:
             vec = [zero] * n
-            for mask, poly in alg.mask_mul(i, j):
-                vec[mask] = _eval_poly(poly, u, field)
+            for mask, terms in entry:
+                acc = 0
+                for e, c in terms:
+                    m = monomials.get(e)
+                    if m is None:
+                        m = monomials[e] = prod(x ** k for x, k in zip(point, e))
+                    acc += c * m
+                vec[mask] = field.coerce(acc)
             row.append(tuple(vec))
         table.append(row)
     unit = tuple(field.one if k == 0 else zero for k in range(n))
@@ -786,7 +786,7 @@ def clifford_fiber(alg, u, field, assoc=None):
 def eval_element(e, u, field, dim):
     vec = [field.zero] * dim
     for mask, poly in e.coeffs.items():
-        vec[mask] = _eval_poly(poly, u, field)
+        vec[mask] = field.coerce(poly.eval(u))
     return tuple(vec)
 
 
@@ -803,37 +803,105 @@ def _det_value(P, side, u):
     return P.det_curves().side(side).eval(u)
 
 
+EVEN_MASKS = (0, 3, 5, 6)
+ODD_MASKS = (1, 2, 4, 7)
+
+
+def right_mul_det(alg, d):
+    """det over Q[u] of x ↦ x·d from the even to the odd masks of a
+    3-generator block, in mask order; None if some e_m·d is not odd."""
+    rows = []
+    for m in EVEN_MASKS:
+        coeffs = (alg.from_mask(m) * d).coeffs
+        if any(mask not in ODD_MASKS for mask in coeffs):
+            return None
+        rows.append([coeffs.get(o, alg.ring.zero()) for o in ODD_MASKS])
+    return det_cofactor(rows, alg.ring)
+
+
+def even_subalgebra(A):
+    """C₀ = span(e_0, e_3, e_5, e_6) of an 8-dimensional Clifford fiber A.
+    The 16 products of even masks are checked to be even, so C₀ is a
+    subalgebra holding A's unit; it inherits associativity and the unit
+    ("even") when A.assoc is set, and checks both otherwise."""
+    table = []
+    for i in EVEN_MASKS:
+        row = []
+        for j in EVEN_MASKS:
+            vec = A.table[i][j]
+            if any(vec[k] for k in ODD_MASKS):
+                raise ValueError("even masks are not closed under multiplication")
+            row.append(tuple(vec[k] for k in EVEN_MASKS))
+        table.append(row)
+    note = "even" if A.assoc is not None else None
+    return FinAlg(A.field, table, tuple(A.unit[k] for k in EVEN_MASKS),
+                  check=note is None, assoc_note=note, unit_note=note)
+
+
 class SideFibers:
     """The two side algebras of one pencil and their 8-dimensional fibers
     over Q, each built once.
 
     A CheckContext owns one for the length of a run, so checks visiting
-    the same (side, point) share one fiber and the symbolic associativity
-    proof runs once per side; memory is bounded by the two side algebras
-    and two fibers per sampled point.  The fiber functions called without
-    one build a private one per call."""
+    the same (side, point) share one fiber, and per side the odd central
+    element is solved once and the symbolic associativity proof and the
+    even/odd identity (splits) run once; memory is bounded by the two side
+    algebras and two fibers per sampled point.  The fiber functions called
+    without one build a private one per call."""
 
     def __init__(self, P):
         self.P = P
-        self._algebras = {}
+        self._blocks = {}
+        self._central = {}
+        self._proven = set()
+        self._splits = {}
         self._fibers = {}
+        self._evens = {}
 
-    def algebra(self, side):
-        """(alg, its CentralOddResult) for one block over Q[u].  alg is
-        proven associative by CliffordAlgebra.verify_associativity and its
-        structure constants are checked to lie in Z[u], so associativity
-        carries to every fiber: over a tower by evaluation and embedding,
-        over F_p by the ring homomorphism Z[u] → F_p."""
-        got = self._algebras.get(side)
-        if got is None:
+    def _block(self, side):
+        if side not in self._blocks:
             if side not in ("plus", "minus"):
                 raise ValueError("side must be 'plus' or 'minus'")
-            alg = CliffordAlgebra.from_pencil(self.P, side)
+            self._blocks[side] = CliffordAlgebra.from_pencil(self.P, side)
+        return self._blocks[side]
+
+    def central(self, side):
+        """(alg, its CentralOddResult) for one block over Q[u], solved once;
+        prop3.12 reads it without the associativity proof."""
+        if side not in self._central:
+            alg = self._block(side)
+            self._central[side] = (alg, central_odd(alg))
+        return self._central[side]
+
+    def algebra(self, side):
+        """central(side), with alg proven associative by
+        CliffordAlgebra.verify_associativity (before d is solved, so a
+        broken engine fails the proof first) and its structure constants
+        checked to lie in Z[u], so associativity carries to every fiber:
+        over a tower by evaluation and embedding, over F_p by the ring
+        homomorphism Z[u] → F_p."""
+        if side not in self._proven:
+            alg = self._block(side)
             alg.verify_associativity()
             if not alg.integral_structure():
                 raise ValueError("non-integer structure constant")
-            got = self._algebras[side] = (alg, central_odd(alg))
-        return got
+            self._proven.add(side)
+        return self.central(side)
+
+    def splits(self, side):
+        """Whether C(q) = C₀(q) ⊕ C₀(q)·d off the curve f = 0, checked once
+        over Q[u]: d² = f, and right_mul_det(alg, d) = f².  Then at u with
+        f(u) ≠ 0, x ↦ x·d maps C₀ onto C₁, and as d is central
+        (central_odd checks it), a ⊗ xᵏ ↦ a·dᵏ is an algebra isomorphism
+        C₀(q_u) ⊗ Q[x]/(x² − f(u)) → C(q_u), the structure theorem for
+        odd-rank Clifford algebras (Lam, Introduction to Quadratic Forms
+        over Fields, GSM 67, Ch. V §2)."""
+        if side not in self._splits:
+            alg, res = self.algebra(side)
+            f = self.P.det_curves().side(side)
+            self._splits[side] = (res.square == f
+                                  and right_mul_det(alg, res.element) == f * f)
+        return self._splits[side]
 
     def fiber(self, side, u, field=None):
         """side_fiber(P, side, u, field), memoized when field is None."""
@@ -844,6 +912,21 @@ class SideFibers:
         if got is None:
             got = self._fibers[key] = side_fiber(self.P, side, u, sides=self)
         return got
+
+    def even_fiber(self, side, u, A):
+        """(C₀, certify_matrix_algebra(C₀, 2)) for C₀ = even_subalgebra(A),
+        built once per point, when A is the fiber over Q this object built
+        at (side, u), f(u) ≠ 0 and the side splits; None for any other
+        table (a replaced fiber, a failed identity, a curve point), which
+        the caller certifies by the computed route instead."""
+        key = (side, _point(u))
+        got = self._fibers.get(key)
+        if got is None or got[0] is not A or not got[2] or not self.splits(side):
+            return None
+        if key not in self._evens:
+            C0 = even_subalgebra(A)
+            self._evens[key] = (C0, certify_matrix_algebra(C0, 2))
+        return self._evens[key]
 
 
 def side_fiber(P, side, u, field=None, sides=None):
@@ -874,33 +957,18 @@ def _corner_by_idempotent(A, dvec, s):
     return corner_algebra(A, e, gens=A.gens), e
 
 
-def specialize(P, variant, u, y=None, via="tensor", field=None, sides=None):
+def specialize(P, variant, u, field=None, sides=None):
     """Fiber of the chosen variant at base point u.
 
-    plus/minus without y: the full 8-dimensional block over Q.
-    plus/minus with y (y² = f(u), y ≠ 0): the 4-dimensional corner on
-    which the central odd element acts as y.
+    plus/minus: the full 8-dimensional block over Q (or field).
     ordinary: the 16-dimensional fiber over Q(√f₊(u), √f₋(u)), as a
-    tensor product of the two side corners (via="tensor"), or cut from
-    the full 64-dimensional algebra by the product idempotent
-    (via="corner"; slower, used as a cross-check).  sides shares side
-    algebras and fibers across calls (see SideFibers).
+    tensor product of the two side corners.  sides shares side algebras
+    and fibers across calls (see SideFibers).
     """
     u = _point(u)
     sides = sides or SideFibers(P)
     if variant in ("plus", "minus"):
-        A, dvec, fval = sides.fiber(variant, u, field)
-        if y is None:
-            return A
-        yv = A.field.coerce(y)
-        if not yv:
-            raise ValueError("the corner needs an invertible y")
-        if yv * yv != fval:
-            raise ValueError("y² must equal the determinant value at u")
-        C, _ = _corner_by_idempotent(A, dvec, yv)
-        if C.dim != 4:
-            raise AssertionError("side corner has unexpected dimension")
-        return C
+        return sides.fiber(variant, u, field)[0]
     if variant != "ordinary":
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -911,46 +979,65 @@ def specialize(P, variant, u, y=None, via="tensor", field=None, sides=None):
             raise FiberError("base point lies on a determinant curve")
         field, (sp, sm) = QuadraticTower.create([fp, fm])
     else:
-        sp = field_sqrt(field, field.coerce(fp))
-        sm = field_sqrt(field, field.coerce(fm))
+        sp = field.sqrt(field.coerce(fp))
+        sm = field.sqrt(field.coerce(fm))
         if sp is None or sm is None or not sp or not sm:
             raise FiberError("determinant values are not invertible squares "
                              "in the requested field")
 
-    if via == "tensor":
-        corners = []
-        for side, s in (("plus", sp), ("minus", sm)):
-            if isinstance(field, QuadraticTower):
-                A8_Q, dvec_Q, _ = sides.fiber(side, u)
-                A8 = A8_Q.map_field(field)
-                dvec = tuple(field.coerce(x) for x in dvec_Q)
-            else:
-                A8, dvec, _ = sides.fiber(side, u, field)
-            C, _ = _corner_by_idempotent(A8, dvec, s)
-            if C.dim != 4:
-                raise AssertionError("side corner has unexpected dimension")
-            corners.append(C)
-        return tensor_product(corners[0], corners[1])
+    corners = []
+    for side, s in (("plus", sp), ("minus", sm)):
+        if isinstance(field, QuadraticTower):
+            A8_Q, dvec_Q, _ = sides.fiber(side, u)
+            A8 = A8_Q.map_field(field)
+            dvec = tuple(field.coerce(x) for x in dvec_Q)
+        else:
+            A8, dvec, _ = sides.fiber(side, u, field)
+        C, _ = _corner_by_idempotent(A8, dvec, s)
+        if C.dim != 4:
+            raise AssertionError("side corner has unexpected dimension")
+        corners.append(C)
+    return tensor_product(corners[0], corners[1])
 
-    if via != "corner":
-        raise ValueError(f"unknown construction {via!r}")
-    # the 64-dimensional table carries no associativity claim, so the
-    # corner cut from it is checked on all basis triples
-    alg = CliffordAlgebra.from_pencil(P, "ordinary")
-    A64 = clifford_fiber(alg, u, field)
-    dp, dm = (sides.algebra(side)[1].element for side in ("plus", "minus"))
-    dpv = eval_element(lift(dp, alg, "plus"), u, field, 64)
-    dmv = eval_element(lift(dm, alg, "minus"), u, field, 64)
-    half = field.one / field.coerce(2)
-    ep = A64.vscale(A64.vadd(A64.unit, A64.vscale(dpv, field.one / sp)), half)
-    em = A64.vscale(A64.vadd(A64.unit, A64.vscale(dmv, field.one / sm)), half)
-    e = A64.mul(ep, em)
-    if A64.mul(e, e) != e:
-        raise AssertionError("product idempotent law failed")
-    C = corner_algebra(A64, e, gens=A64.gens)
-    if C.dim != 16:
-        raise AssertionError("ordinary corner has unexpected dimension")
-    return C
+
+def certify_ordinary_m4(sides, u):
+    """(field, verdict) of certify_matrix_algebra(specialize(P, "ordinary",
+    u), 4) for the pencil P = sides.P at u off both curves, with K =
+    Q(√f₊(u), √f₋(u)) the field.
+
+    When both sides have even parts (SideFibers.even_fiber), each side
+    fiber is C₀ ⊗ Q[x]/(x² − f(u)) ≅ C₀,K × C₀,K over K, and the side corner
+    cut by (1 + d/√f(u))/2 is C₀,K; the ordinary fiber is (C₀₊ ⊗ C₀₋) ⊗ K,
+    so the verdict is certify_tensor_product of the even parts (M4 when
+    both are M2), and K is only named, by the QuadraticTower.create call
+    specialize makes.  Otherwise the fiber is built and certified."""
+    u = _point(u)
+    evens = [sides.even_fiber(side, u, sides.fiber(side, u)[0])
+             for side in ("plus", "minus")]
+    if None in evens:
+        T = specialize(sides.P, "ordinary", u, sides=sides)
+        return T.field, certify_matrix_algebra(T, 4)
+    field, _ = QuadraticTower.create([_det_value(sides.P, side, u)
+                                      for side in ("plus", "minus")])
+    if all(verdict == "M2" for _, verdict in evens):
+        return field, "M4"
+    return field, certify_tensor_product([C0 for C0, _ in evens], 4)
+
+
+def certify_side_split(sides, side, u):
+    """(field, verdict) of certify_split_pair(A, 2) for the side fiber A
+    at u off its curve.  When A has an even part C₀ that certifies as M2
+    (SideFibers.even_fiber), A = C₀ ⊗ Q[x]/(x² − f(u)) has center
+    span(1, d) with d² = f(u), and over K = Q(√f(u)) it is C₀,K × C₀,K:
+    M2xM2, with K named by QuadraticTower.create([f(u)]).  Every other
+    verdict comes from certify_split_pair itself."""
+    u = _point(u)
+    A = sides.fiber(side, u)[0]
+    even = sides.even_fiber(side, u, A)
+    if even is not None and even[1] == "M2":
+        return QuadraticTower.create([_det_value(sides.P, side, u)])[0], "M2xM2"
+    cert = certify_split_pair(A, 2)
+    return cert.field, cert.verdict
 
 
 def split_full_rank(P, side, u, sides=None):
@@ -1139,8 +1226,3 @@ def rational_curve_point(P, side, rng):
             if any(x for row in adj for x in row):
                 return uz
     return None
-
-
-def curve_points_fp(P, side, p, count):
-    """First few curve points over F_p, for the prime-field fallback."""
-    return list(P.reduced_curve(side, p).points[:count])

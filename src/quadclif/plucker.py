@@ -452,7 +452,7 @@ def module_rep(P, side, u, sides=None):
                 raise AssertionError("Clifford relation failed in the module")
 
     # the odd central element must act by the split square root
-    dres = sides.algebra(side)[1]
+    dres = sides.central(side)[1]
     r_at = [r.eval(uf) for r in dres.r_coeffs]
     d_mat = _mat2_mul(_mat2_mul(mats[0], mats[1]), mats[2])
     for rv, mat in zip(r_at, mats):

@@ -89,7 +89,8 @@ def test_criterion_3_phi_multiplicative():
                 got = phi(a * sup.from_mask(mb), ordn)
                 if got != images[ma] * images[mb]:
                     failures.append((seed, ma, mb))
-        pair = central_pair(P)
+        pair = central_pair(*(central_odd_pencil(P, side)
+                              for side in ("plus", "minus")))
         sup6 = CliffordAlgebra.from_pencil(P, "super")
         ord6 = CliffordAlgebra.from_pencil(P, "ordinary")
         dps = lift(pair.d_plus, sup6, "plus")

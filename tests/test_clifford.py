@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from quadclif.exactalg import QQ, QQI, PolyRing, PrimeField, SymMatrix
+from quadclif.exactalg import QQ, PolyRing, PrimeField, SymMatrix
 from quadclif.clifford import (
     CentralElementError,
     CliffordAlgebra,
@@ -34,7 +34,7 @@ from quadclif.clifford import (
 from quadclif.checks import CheckContext, run_single
 from quadclif.pencil import InvariantPencil, generate
 
-from conftest import cached_pencil
+from conftest import QQI, cached_pencil
 
 
 def diag_pencil():
@@ -546,7 +546,8 @@ def test_central_odd_rejects_zero_block():
 
 def test_central_pair_cross_behaviour():
     P = cached_pencil(42)
-    pair = central_pair(P)
+    pair = central_pair(*(central_odd_pencil(P, side)
+                          for side in ("plus", "minus")))
     sup = CliffordAlgebra.from_pencil(P, "super")
     ordi = CliffordAlgebra.from_pencil(P, "ordinary")
     dp_s = lift(pair.d_plus, sup, "plus")
@@ -597,7 +598,8 @@ def test_commutant_contains_central_pair_ordinary():
     alg = CliffordAlgebra.from_pencil(P, "ordinary")
     basis = commutant_basis(alg, 3)
     assert [len(b) for b in basis] == [1, 0, 3, 2]
-    pair = central_pair(P)
+    pair = central_pair(*(central_odd_pencil(P, side)
+                          for side in ("plus", "minus")))
     span_masks = set()
     for e in basis[3]:
         for g in range(6):

@@ -8,8 +8,6 @@ import pytest
 
 from quadclif.exactalg import (
     QQ,
-    QQI,
-    GaussianRational,
     PrimeField,
     PolyRing,
     SymMatrix,
@@ -17,7 +15,6 @@ from quadclif.exactalg import (
     as_univariate,
     bareiss_det,
     det_cofactor,
-    gradient,
     is_square_fraction,
     kernel_int_sparse,
     mat_kernel,
@@ -32,7 +29,7 @@ from quadclif.exactalg import (
 from quadclif.fiber import QuadraticTower
 from quadclif.pencil import _derived_rng
 
-from conftest import is_homogeneous
+from conftest import QQI, GaussianRational, is_homogeneous
 
 
 F101 = PrimeField(101)
@@ -173,6 +170,31 @@ def test_poly_ring_axioms(Ru):
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f - f == Ru.zero()
+
+
+def _termwise_product(f, g):
+    """The product summed over all pairs of terms, the general path."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, f.ring.field.zero) + c1 * c2
+    return f.ring.from_terms([(e, c) for e, c in out.items() if c])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), QQI], ids=["Q", "F101", "QI"])
+def test_constant_factor_products_match_termwise(field):
+    # a nonzero constant factor scales the other operand's coefficients
+    # (and the constant 1 returns it unchanged) instead of pairing terms
+    R = PolyRing(field, ("u1", "u2", "u3"))
+    rng = random.Random(12)
+    polys = [rand_poly(rng, PolyRing(QQ, R.vars)).map_field(R) for _ in range(4)]
+    consts = [R.one(), R.const(-1), R.const(Fraction(3, 2)), R.zero()]
+    if field is QQI:
+        consts.append(R.const(QQI.i))
+    for f in polys + consts:
+        for c in consts:
+            assert f * c == c * f == _termwise_product(f, c)
 
 
 def test_poly_eval_matches_structure(Ru):
@@ -396,6 +418,11 @@ def test_as_univariate_rejects_extra_vars(Ru):
     f = Ru.var("u1") + Ru.var("u2")
     with pytest.raises(ValueError):
         as_univariate(f, "u1")
+
+
+def gradient(f):
+    """Tuple of partial derivatives in ring order."""
+    return tuple(f.derivative(v) for v in f.ring.vars)
 
 
 def test_gradient(Ru):

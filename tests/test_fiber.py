@@ -6,24 +6,26 @@ from fractions import Fraction
 import pytest
 
 from quadclif.checks import CheckContext, run_single
-from quadclif.clifford import CliffordAlgebra
+from quadclif.clifford import CliffordAlgebra, lift
 from quadclif.exactalg import PrimeField, QQ
 from quadclif.fiber import (
     FiberError,
     FinAlg,
     QuadraticTower,
     SideFibers,
+    _corner_by_idempotent,
     _divisors,
     _rational_roots,
     center_basis,
     center_dim,
     certify_matrix_algebra,
     certify_split_pair,
+    certify_tensor_product,
     clifford_fiber,
     corank1_quotient,
     corner_algebra,
-    curve_points_fp,
     describe_field,
+    eval_element,
     gram_matrix,
     radical_dim,
     rational_curve_point,
@@ -261,9 +263,13 @@ def test_kronecker_radical_matches_direct():
     B = m2_algebra()
     T = tensor_product(A, B)
     assert T.tensor_factors is not None
-    via_kronecker = radical_dim(T)
     direct = FinAlg(T.field, T.table, T.unit, gens=T.gens, check=False)
-    assert via_kronecker == radical_dim(direct) == 4
+    assert radical_dim(T) == radical_dim(direct) == 4
+    # the factor path: 16 − rank G_A · rank G_B · rank G_A = 16 − 1·4·1
+    T3 = tensor_product(T, A)
+    flat = FinAlg(T3.field, T3.table, T3.unit, gens=T3.gens, check=False)
+    assert (certify_tensor_product([A, B, A], 4) == certify_matrix_algebra(T3, 4)
+            == certify_matrix_algebra(flat, 4) == "fail:radical-12")
 
 
 def split_etale_power(k, field=None):
@@ -394,7 +400,7 @@ def test_side_fiber_provenance_over_prime_field():
     # integer structure constants reduce mod p by a ring homomorphism, so
     # the F_p fiber carries the proof over Q[u]
     P = cached_pencil(42)
-    pt = curve_points_fp(P, "plus", 101, 1)[0]
+    pt = P.reduced_curve("plus", 101).points[0]
     A, _, _ = side_fiber(P, "plus", pt, field=PrimeField(101))
     assert A.assoc == "clifford"
     assert A.check_associativity()
@@ -443,15 +449,27 @@ def test_side_fiber_structure():
     assert A.mul(dvec, dvec) == A.scalar_vec(fval)
 
 
+def side_corner(P, side, u, y):
+    """The 4-dimensional corner of a side fiber on which the central odd
+    element acts as y, for y² = f(u) and y ≠ 0."""
+    A, dvec, fval = side_fiber(P, side, u)
+    yv = A.field.coerce(y)
+    if not yv:
+        raise ValueError("the corner needs an invertible y")
+    if yv * yv != fval:
+        raise ValueError("y² must equal the determinant value at u")
+    return _corner_by_idempotent(A, dvec, yv)[0]
+
+
 def test_corner_with_rational_y():
     P = diag_pencil()
-    C = specialize(P, "plus", (1, 1, 4), y=2)
+    C = side_corner(P, "plus", (1, 1, 4), 2)
     assert C.dim == 4
     assert certify_matrix_algebra(C, 2) == "M2"
     with pytest.raises(ValueError):
-        specialize(P, "plus", (1, 1, 4), y=3)
+        side_corner(P, "plus", (1, 1, 4), 3)
     with pytest.raises(ValueError):
-        specialize(P, "plus", (1, 1, 4), y=0)
+        side_corner(P, "plus", (1, 1, 4), 0)
 
 
 def test_ordinary_fiber_m4():
@@ -481,6 +499,30 @@ def qr_point(P, field, seed="fp16", count=40):
     raise AssertionError("no suitable point found")
 
 
+def ordinary_fiber_by_corner(P, u, field):
+    """The 16-dimensional ordinary fiber cut from the full 64-dimensional
+    algebra by the product idempotent ((1 + d₊/√f₊)/2)·((1 + d₋/√f₋)/2):
+    the long path that specialize's tensor of side corners replaces.  The
+    64-dimensional table carries no associativity claim, so the corner cut
+    from it is checked on all basis triples."""
+    u = tuple(Fraction(c) for c in u)
+    curves = P.det_curves()
+    sp = field.sqrt(field.coerce(curves.f_plus.eval(u)))
+    sm = field.sqrt(field.coerce(curves.f_minus.eval(u)))
+    assert sp and sm
+    alg = CliffordAlgebra.from_pencil(P, "ordinary")
+    A64 = clifford_fiber(alg, u, field)
+    sides = SideFibers(P)
+    dpv, dmv = (eval_element(lift(sides.central(side)[1].element, alg, side),
+                             u, field, 64) for side in ("plus", "minus"))
+    half = field.one / field.coerce(2)
+    ep = A64.vscale(A64.vadd(A64.unit, A64.vscale(dpv, field.one / sp)), half)
+    em = A64.vscale(A64.vadd(A64.unit, A64.vscale(dmv, field.one / sm)), half)
+    e = A64.mul(ep, em)
+    assert A64.mul(e, e) == e
+    return corner_algebra(A64, e, gens=A64.gens)
+
+
 def test_ordinary_fiber_corner_construction_agrees():
     # cutting the 64-dimensional algebra down by the product idempotent
     # must agree with the tensor-of-corners shortcut; run the heavy
@@ -488,8 +530,8 @@ def test_ordinary_fiber_corner_construction_agrees():
     P = cached_pencil(42)
     F = PrimeField(101)
     u = qr_point(P, F)
-    A = specialize(P, "ordinary", u, field=F, via="tensor")
-    B = specialize(P, "ordinary", u, field=F, via="corner")
+    A = specialize(P, "ordinary", u, field=F)
+    B = ordinary_fiber_by_corner(P, u, F)
     assert B.dim == 16
     assert certify_matrix_algebra(A, 4) == "M4"
     assert certify_matrix_algebra(B, 4) == "M4"
@@ -563,7 +605,7 @@ def test_corank1_quotient_diag_pencil():
 def test_corank1_quotient_prime_field():
     P = cached_pencil(42)
     F = PrimeField(101)
-    pts = curve_points_fp(P, "plus", 101, 3)
+    pts = P.reduced_curve("plus", 101).points[:3]
     assert pts
     for pt in pts:
         Q, verdict = corank1_quotient(P, "plus", pt, field=F)
