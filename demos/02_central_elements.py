@@ -9,7 +9,7 @@ this script prints the recovered coefficients and verifies the square.
 
 from quadclif.clifford import (
     CliffordAlgebra,
-    central_odd_pencil,
+    central_odd,
     central_pair,
     lift,
 )
@@ -20,15 +20,16 @@ def main():
     P = generate(seed=42, coeff_bound=5)
     curves = P.det_curves()
 
+    results = {side: central_odd(CliffordAlgebra.from_pencil(P, side))
+               for side in ("plus", "minus")}
     for side, f in (("plus", curves.f_plus), ("minus", curves.f_minus)):
-        res = central_odd_pencil(P, side)
+        res = results[side]
         print(f"side {side}:")
         for i, r in enumerate(res.r_coeffs, start=1):
             print(f"    r{i}(u) =", r)
         print("    d^2 == f:", res.square == f, "| sign:", res.sign)
 
-    pair = central_pair(*(central_odd_pencil(P, side)
-                          for side in ("plus", "minus")))
+    pair = central_pair(results["plus"], results["minus"])
     sup = CliffordAlgebra.from_pencil(P, "super")
     ordn = CliffordAlgebra.from_pencil(P, "ordinary")
     dps, dms = lift(pair.d_plus, sup, "plus"), lift(pair.d_minus, sup, "minus")

@@ -15,10 +15,9 @@ from quadclif.fiber import (
     certify_split_pair,
     corank1_quotient,
     describe_field,
+    ordinary_fiber,
     rational_curve_point,
     sample_invertible_points,
-    side_fiber,
-    specialize,
 )
 from quadclif.pencil import _derived_rng, generate
 
@@ -27,20 +26,20 @@ def main():
     P = generate(seed=42, coeff_bound=5)
     rng = _derived_rng("demo", P.digest(), "points")
 
+    sides = SideFibers(P)
     u = sample_invertible_points(P, rng, 1)[0]
-    A = specialize(P, "ordinary", u)
+    A = ordinary_fiber(sides, u)
     print(f"off-curve point u = {u}")
     print("  field:", describe_field(A.field))
     print("  full even algebra:", certify_matrix_algebra(A, 4))
 
-    sides = SideFibers(P)
     for side in ("plus", "minus"):
-        B, _, _ = side_fiber(P, side, u)
+        B = sides.fiber(side, u)[0]
         cert = certify_split_pair(B, 2)
         print(f"  side {side} over {describe_field(cert.field)}:",
               cert.verdict)
         # the check reads the same verdict off the 4-dimensional even part
-        _, even = sides.even_fiber(side, u, sides.fiber(side, u)[0])
+        _, even = sides.even_fiber(side, u, B)
         print(f"    C = C0 + C0*d over Q[u]: {sides.splits(side)};"
               f" even part C0 over Q: {even}")
 
@@ -53,7 +52,7 @@ def main():
             pt = P.reduced_curve(side, 101).points[0]
             field = PrimeField(101)
             where = "F_101"
-        Q, verdict = corank1_quotient(P, side, pt, field)
+        Q, verdict = corank1_quotient(sides, side, pt, field)
         print(f"curve point {pt} on side {side} over {where}:"
               f" radical quotient is {verdict} (dim {Q.dim})")
 

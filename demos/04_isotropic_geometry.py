@@ -16,7 +16,11 @@ from quadclif.plucker import (
     module_rep,
     segre_identity_check,
 )
-from quadclif.fiber import rational_curve_point, sample_invertible_points
+from quadclif.fiber import (
+    SideFibers,
+    rational_curve_point,
+    sample_invertible_points,
+)
 
 
 def main():
@@ -37,7 +41,7 @@ def main():
         print(f"adjugate at curve point {pt}: {verdict}, line {line}")
 
     u = sample_invertible_points(P, rng, 1)[0]
-    rep = module_rep(P, "plus", u)
+    rep = module_rep(SideFibers(P), "plus", u)
     print(f"rank-2 module at u = {u} over {rep.tower.describe()}")
     for m in ((1, 0), (1, 1), (2, -3)):
         w = annihilator_line(rep, m)

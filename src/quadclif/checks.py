@@ -251,7 +251,7 @@ def _check_dminus_square(ctx):
 
 def _check_center(ctx):
     alg = CliffordAlgebra.from_pencil(ctx.P, "ordinary")
-    D = min(ctx.max_degree, 6)
+    D = ctx.max_degree
     dims = commutant_dims(alg, D)
     oracle = hilbert_dims_center(D)
     wit = [{"weights": f"0..{D}", "commutant_dims": dims,
@@ -304,7 +304,7 @@ def _check_corank1_m2(ctx):
             pts.append((u, p))
         for u, p in pts:
             field = None if p is None else PrimeField(p)
-            Q, verdict = corank1_quotient(ctx.P, side, u, field, sides=ctx.sides)
+            Q, verdict = corank1_quotient(ctx.sides, side, u, field)
             ok = ok and verdict == "M2" and Q.dim == 4
             total += 1
             entry = {"side": side, "point": list(u),
@@ -418,7 +418,7 @@ def _check_annihilator(ctx):
     wit = []
     ok = True
     for side in ("plus", "minus"):
-        rep = module_rep(ctx.P, side, u, sides=ctx.sides)
+        rep = module_rep(ctx.sides, side, u)
         ws = []
         good = True
         for m in _ANNIHILATOR_LINES:

@@ -602,11 +602,6 @@ def central_odd(alg):
                             r_coeffs=tuple(r))
 
 
-def central_odd_pencil(P, side):
-    variant = "plus" if side == "plus" else "minus"
-    return central_odd(CliffordAlgebra.from_pencil(P, variant))
-
-
 @dataclass(frozen=True)
 class CentralPair:
     d_plus: CliffordElement

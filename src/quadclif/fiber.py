@@ -345,34 +345,28 @@ def _char_ok(field, dim):
 class FinAlg:
     """Associative unital algebra given by dense structure constants.
 
-    table[i][j] is the coordinate tuple of e_i·e_j.  `unit_source`
-    records why `unit` is the unit:
+    table[i][j] is the coordinate tuple of e_i·e_j.  `proof` names why the
+    table is a unital associative algebra with unit `unit`:
 
-    - "checked": _verify_unit() passed, 2·dim products (the default);
-    - "embedding": a base change (map_field) of a table with a unit; a
-      ring embedding maps 1 to 1;
-    - "tensor": a tensor product, whose unit is u_A ⊗ u_B;
-    - "corner": e·A·e with e idempotent in an associative A, whose unit
-      is e, because e·(e x e) = e x e = (e x e)·e;
-    - "even": the even part of a Clifford fiber, which contains its unit.
-
-    `assoc` records where associativity comes from:
-
-    - "checked": check_associativity() passed on all basis triples (the
-      default for tables of dimension at most 8 with no other provenance);
-    - "clifford": a fiber of a Clifford normal-form engine whose
-      associativity was proven once over Q[u]
-      (CliffordAlgebra.verify_associativity); evaluation at a point, a
-      tower embedding and reduction of integer constants mod p are ring
-      homomorphisms, so they carry it to the fiber;
-    - "corner": e·A·e of an associative A, closed under multiplication,
-      hence a subalgebra of an associative algebra;
-    - "even": the even part of an associative Clifford fiber, likewise a
-      subalgebra (see even_subalgebra);
-    - "tensor": a tensor product of associative algebras;
-    - "inherited": a base change (map_field) of a checked table;
-    - None: no claim (built with check=False, or with check="auto" above
-      dimension 8).
+    - "checked": check_associativity() passed on all basis triples, and
+      the unit was verified by the constructor or covered by an earlier
+      proof;
+    - "clifford": a fiber of a Clifford normal-form engine proven once
+      over Q[u] by CliffordAlgebra.verify_associativity, whose family (i)
+      also proves e₀ the unit; evaluation at a point, a tower embedding
+      and reduction of integer constants mod p are ring homomorphisms, so
+      they carry both to the fiber;
+    - "embedding": a base change (map_field) of a table with a proof; a
+      ring embedding maps 1 to 1 and keeps every identity;
+    - "tensor": a tensor product of two tables with a proof, whose unit
+      is u_A ⊗ u_B;
+    - "corner": e·A·e with e idempotent in an A with a proof, closed under
+      multiplication, hence a subalgebra with unit e, because
+      e·(e x e) = e x e = (e x e)·e;
+    - "even": the even part of a Clifford fiber with a proof, likewise a
+      subalgebra holding the unit (see even_subalgebra);
+    - None: no claim.  The constructor verifies the unit (2·dim
+      products), and associativity holds only after check_associativity().
 
     check_associativity() stays available on every table as the long path.
     mul() reads a sparse copy of the table, kept as the tuple of nonzero
@@ -380,7 +374,7 @@ class FinAlg:
     """
 
     def __init__(self, field, table, unit, gens=None, tensor_factors=None,
-                 check="auto", assoc_note=None, unit_note=None):
+                 proof=None):
         self.field = field
         self.dim = len(table)
         for row in table:
@@ -397,15 +391,9 @@ class FinAlg:
         self.unit = tuple(unit)
         self.gens = [tuple(g) for g in gens] if gens is not None else None
         self.tensor_factors = tensor_factors
-        self.assoc = None
-        if unit_note is None:
+        self.proof = proof
+        if proof is None:
             self._verify_unit()
-            unit_note = "checked"
-        self.unit_source = unit_note
-        if check is True or (check == "auto" and self.dim <= 8):
-            self.check_associativity()
-        elif assoc_note:
-            self.assoc = assoc_note
 
     # -- vector helpers ------------------------------------------------------
 
@@ -462,15 +450,14 @@ class FinAlg:
                         raise ValueError(
                             f"associativity fails on basis triple {(i, j, k)}"
                         )
-        self.assoc = "checked"
+        self.proof = "checked"
         return True
 
     # -- base change -----------------------------------------------------------
 
     def map_field(self, new_field):
         """Base-change the structure constants through new_field.coerce.
-        Coercion is a ring embedding, so associativity and the unit
-        transfer."""
+        Coercion is a ring embedding, so a proof transfers ("embedding")."""
         conv = new_field.coerce
         table = [
             [tuple(conv(x) for x in vec) for vec in row] for row in self.table
@@ -480,13 +467,13 @@ class FinAlg:
                 if self.gens is not None else None)
         factors = (tuple(f.map_field(new_field) for f in self.tensor_factors)
                    if self.tensor_factors else None)
-        note = "inherited" if self.assoc in ("checked", "inherited") else self.assoc
         return FinAlg(new_field, table, unit, gens=gens, tensor_factors=factors,
-                      check=False, assoc_note=note, unit_note="embedding")
+                      proof="embedding" if self.proof else None)
 
 
 def tensor_product(A, B):
-    """Plain tensor product (the factors commute with each other)."""
+    """Plain tensor product (the factors commute with each other).  It
+    carries the proof "tensor" only when both factors carry a proof."""
     if A.field is not B.field and A.field != B.field:
         raise ValueError("tensor factors live over different fields")
     n, m = A.dim, B.dim
@@ -537,7 +524,7 @@ def tensor_product(A, B):
     if A.gens is not None and B.gens is not None:
         gens = [embed_left(g) for g in A.gens] + [embed_right(g) for g in B.gens]
     return FinAlg(A.field, table, unit, gens=gens, tensor_factors=(A, B),
-                  check=False, assoc_note="tensor", unit_note="tensor")
+                  proof="tensor" if A.proof and B.proof else None)
 
 
 def corner_algebra(A, e, gens=None):
@@ -547,10 +534,10 @@ def corner_algebra(A, e, gens=None):
 
     The corner is checked closed under multiplication, so it is a
     subalgebra of A; a subalgebra of an associative algebra is
-    associative, so when A.assoc is set the corner inherits it as
-    "corner", and so does the unit: e·(e x e) = e x e = (e x e)·e by
-    associativity and e² = e.  A corner of a table with no associativity
-    claim runs the full check on all basis triples and verifies its unit."""
+    associative, with unit e: e·(e x e) = e x e = (e x e)·e by
+    associativity and e² = e.  So a corner of a table with a proof carries
+    "corner"; a corner of a table without one verifies its unit and runs
+    the full check on all basis triples."""
     if A.mul(e, e) != e:
         raise ValueError("corner needs an idempotent")
     pivots, basis = rref([A.mul(e, A.mul(A.basis_vec(i), e))
@@ -576,11 +563,11 @@ def corner_algebra(A, e, gens=None):
             if c is None:
                 raise ValueError("generator image escaped the corner")
             gvecs.append(tuple(c))
-    inherited = A.assoc is not None
-    return FinAlg(A.field, table, tuple(unit), gens=gvecs,
-                  check=not inherited,
-                  assoc_note="corner" if inherited else None,
-                  unit_note="corner" if inherited else None)
+    C = FinAlg(A.field, table, tuple(unit), gens=gvecs,
+               proof="corner" if A.proof else None)
+    if C.proof is None:
+        C.check_associativity()
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -744,18 +731,16 @@ def certify_split_pair(A, n):
 # fibers of the Clifford construction
 # ---------------------------------------------------------------------------
 
-def clifford_fiber(alg, u, field, assoc=None):
+def clifford_fiber(alg, u, field, proof=None):
     """Structure constants of a Clifford algebra at the base point u.
     The generator vectors are recorded so centers stay cheap.  Monomials
     of u are evaluated once, in ints where u and the coefficients
     (alg.structure_terms) are integral.
 
-    assoc is the provenance label to record when alg's associativity is
-    already established over its coefficient ring ("clifford" for the side
-    algebras of SideFibers.algebra); the fiber is a ring-homomorphic image
-    of alg's table, so it is not re-checked.  With assoc=None the table is
-    checked on all basis triples when its dimension is at most 8 and
-    carries no claim otherwise."""
+    proof is "clifford" when alg was proven over its coefficient ring
+    (the side algebras of SideFibers.algebra): the fiber is a
+    ring-homomorphic image of alg's table, so it is not re-checked.  With
+    proof=None the table makes no claim (see FinAlg)."""
     n = 1 << alg.ngens
     zero = field.zero
     point = [as_int(alg.ring.field.coerce(c)) for c in u]
@@ -779,8 +764,7 @@ def clifford_fiber(alg, u, field, assoc=None):
     gens = []
     for g in range(alg.ngens):
         gens.append(tuple(field.one if k == (1 << g) else zero for k in range(n)))
-    return FinAlg(field, table, unit, gens=gens,
-                  check="auto" if assoc is None else False, assoc_note=assoc)
+    return FinAlg(field, table, unit, gens=gens, proof=proof)
 
 
 def eval_element(e, u, field, dim):
@@ -822,8 +806,8 @@ def right_mul_det(alg, d):
 def even_subalgebra(A):
     """C₀ = span(e_0, e_3, e_5, e_6) of an 8-dimensional Clifford fiber A.
     The 16 products of even masks are checked to be even, so C₀ is a
-    subalgebra holding A's unit; it inherits associativity and the unit
-    ("even") when A.assoc is set, and checks both otherwise."""
+    subalgebra holding A's unit: it carries "even" when A carries a proof,
+    and verifies its unit and runs the full check otherwise."""
     table = []
     for i in EVEN_MASKS:
         row = []
@@ -833,9 +817,11 @@ def even_subalgebra(A):
                 raise ValueError("even masks are not closed under multiplication")
             row.append(tuple(vec[k] for k in EVEN_MASKS))
         table.append(row)
-    note = "even" if A.assoc is not None else None
-    return FinAlg(A.field, table, tuple(A.unit[k] for k in EVEN_MASKS),
-                  check=note is None, assoc_note=note, unit_note=note)
+    C0 = FinAlg(A.field, table, tuple(A.unit[k] for k in EVEN_MASKS),
+                proof="even" if A.proof else None)
+    if C0.proof is None:
+        C0.check_associativity()
+    return C0
 
 
 class SideFibers:
@@ -846,8 +832,8 @@ class SideFibers:
     the same (side, point) share one fiber, and per side the odd central
     element is solved once and the symbolic associativity proof and the
     even/odd identity (splits) run once; memory is bounded by the two side
-    algebras and two fibers per sampled point.  The fiber functions called
-    without one build a private one per call."""
+    algebras and two fibers per sampled point.  Every fiber function takes
+    one first and reads the pencil from it."""
 
     def __init__(self, P):
         self.P = P
@@ -903,14 +889,12 @@ class SideFibers:
                                   and right_mul_det(alg, res.element) == f * f)
         return self._splits[side]
 
-    def fiber(self, side, u, field=None):
-        """side_fiber(P, side, u, field), memoized when field is None."""
-        if field is not None:
-            return side_fiber(self.P, side, u, field, sides=self)
+    def fiber(self, side, u):
+        """side_fiber(self, side, u) over Q, memoized."""
         key = (side, _point(u))
         got = self._fibers.get(key)
         if got is None:
-            got = self._fibers[key] = side_fiber(self.P, side, u, sides=self)
+            got = self._fibers[key] = side_fiber(self, side, u)
         return got
 
     def even_fiber(self, side, u, A):
@@ -929,18 +913,18 @@ class SideFibers:
         return self._evens[key]
 
 
-def side_fiber(P, side, u, field=None, sides=None):
-    """The 8-dimensional fiber of one block at u, with its central odd
-    vector and the determinant value.  field=None means exact rationals
-    (a trivial tower, so later quadratic extensions can reuse it).  sides
-    supplies the side algebras (a private SideFibers when None)."""
+def side_fiber(sides, side, u, field=None):
+    """The 8-dimensional fiber of one block of sides.P at u, with its
+    central odd vector and the determinant value.  field=None means exact
+    rationals (a trivial tower, so later quadratic extensions can reuse
+    it)."""
     u = _point(u)
-    alg, dres = (sides or SideFibers(P)).algebra(side)
+    alg, dres = sides.algebra(side)
     if field is None:
         field = QuadraticTower(())
-    A = clifford_fiber(alg, u, field, assoc="clifford")
+    A = clifford_fiber(alg, u, field, proof="clifford")
     dvec = eval_element(dres.element, u, field, 8)
-    fval = field.coerce(_det_value(P, side, u))
+    fval = field.coerce(_det_value(sides.P, side, u))
     if A.mul(dvec, dvec) != A.scalar_vec(fval):
         raise AssertionError("central element square drifted from the determinant")
     return A, dvec, fval
@@ -957,23 +941,13 @@ def _corner_by_idempotent(A, dvec, s):
     return corner_algebra(A, e, gens=A.gens), e
 
 
-def specialize(P, variant, u, field=None, sides=None):
-    """Fiber of the chosen variant at base point u.
-
-    plus/minus: the full 8-dimensional block over Q (or field).
-    ordinary: the 16-dimensional fiber over Q(√f₊(u), √f₋(u)), as a
-    tensor product of the two side corners.  sides shares side algebras
-    and fibers across calls (see SideFibers).
-    """
+def ordinary_fiber(sides, u, field=None):
+    """The 16-dimensional ordinary fiber of sides.P at u over
+    Q(√f₊(u), √f₋(u)) (or field), as a tensor product of the two side
+    corners."""
     u = _point(u)
-    sides = sides or SideFibers(P)
-    if variant in ("plus", "minus"):
-        return sides.fiber(variant, u, field)[0]
-    if variant != "ordinary":
-        raise ValueError(f"unknown variant {variant!r}")
-
-    fp = _det_value(P, "plus", u)
-    fm = _det_value(P, "minus", u)
+    fp = _det_value(sides.P, "plus", u)
+    fm = _det_value(sides.P, "minus", u)
     if field is None:
         if fp == 0 or fm == 0:
             raise FiberError("base point lies on a determinant curve")
@@ -992,7 +966,7 @@ def specialize(P, variant, u, field=None, sides=None):
             A8 = A8_Q.map_field(field)
             dvec = tuple(field.coerce(x) for x in dvec_Q)
         else:
-            A8, dvec, _ = sides.fiber(side, u, field)
+            A8, dvec, _ = side_fiber(sides, side, u, field)
         C, _ = _corner_by_idempotent(A8, dvec, s)
         if C.dim != 4:
             raise AssertionError("side corner has unexpected dimension")
@@ -1001,21 +975,21 @@ def specialize(P, variant, u, field=None, sides=None):
 
 
 def certify_ordinary_m4(sides, u):
-    """(field, verdict) of certify_matrix_algebra(specialize(P, "ordinary",
-    u), 4) for the pencil P = sides.P at u off both curves, with K =
-    Q(√f₊(u), √f₋(u)) the field.
+    """(field, verdict) of certify_matrix_algebra(ordinary_fiber(sides, u),
+    4) at u off both curves of sides.P, with K = Q(√f₊(u), √f₋(u)) the
+    field.
 
     When both sides have even parts (SideFibers.even_fiber), each side
     fiber is C₀ ⊗ Q[x]/(x² − f(u)) ≅ C₀,K × C₀,K over K, and the side corner
     cut by (1 + d/√f(u))/2 is C₀,K; the ordinary fiber is (C₀₊ ⊗ C₀₋) ⊗ K,
     so the verdict is certify_tensor_product of the even parts (M4 when
     both are M2), and K is only named, by the QuadraticTower.create call
-    specialize makes.  Otherwise the fiber is built and certified."""
+    ordinary_fiber makes.  Otherwise the fiber is built and certified."""
     u = _point(u)
     evens = [sides.even_fiber(side, u, sides.fiber(side, u)[0])
              for side in ("plus", "minus")]
     if None in evens:
-        T = specialize(sides.P, "ordinary", u, sides=sides)
+        T = ordinary_fiber(sides, u)
         return T.field, certify_matrix_algebra(T, 4)
     field, _ = QuadraticTower.create([_det_value(sides.P, side, u)
                                       for side in ("plus", "minus")])
@@ -1040,25 +1014,7 @@ def certify_side_split(sides, side, u):
     return cert.field, cert.verdict
 
 
-def split_full_rank(P, side, u, sides=None):
-    """Over Q(√f(u)) the 8-dimensional block splits into two corners cut
-    by the complementary central idempotents (1 ± d/√f(u))/2."""
-    u = _point(u)
-    fval = _det_value(P, side, u)
-    if fval == 0:
-        raise FiberError("the block only splits away from its curve")
-    tower, (s,) = QuadraticTower.create([fval])
-    A_Q, dvec_Q, _ = (sides or SideFibers(P)).fiber(side, u)
-    A = A_Q.map_field(tower)
-    dvec = tuple(tower.coerce(x) for x in dvec_Q)
-    C1, e1 = _corner_by_idempotent(A, dvec, s)
-    C2, e2 = _corner_by_idempotent(A, A.vscale(dvec, -A.field.one), s)
-    if any(A.mul(e1, e2)) or A.vadd(e1, e2) != A.unit:
-        raise AssertionError("idempotents are not complementary")
-    return tower, (C1, C2), (e1, e2)
-
-
-def corank1_quotient(P, side, u, field=None, sides=None):
+def corank1_quotient(sides, side, u, field=None):
     """At a curve point of corank one, the central odd vector squares to
     zero; the quotient by the 4-dimensional two-sided ideal it generates
     is certified as a rank-2 matrix algebra.
@@ -1071,6 +1027,7 @@ def corank1_quotient(P, side, u, field=None, sides=None):
     quotient table itself is checked on all basis triples."""
     if field is None:
         field = QuadraticTower(())
+    P = sides.P
     uc = _point(u)
     fval = field.coerce(_det_value(P, side, uc))
     if fval:
@@ -1080,7 +1037,7 @@ def corank1_quotient(P, side, u, field=None, sides=None):
     adj = adjugate3([[field.coerce(x) for x in r] for r in block])
     if all(not x for row in adj for x in row):
         raise FiberError("corank at least two at this point")
-    A, dvec, _ = side_fiber(P, side, uc, field, sides=sides)
+    A, dvec, _ = side_fiber(sides, side, uc, field)
     if any(A.mul(dvec, dvec)):
         raise AssertionError("central element square must vanish on the curve")
     pivots, ideal = rref([A.mul(dvec, A.basis_vec(i)) for i in range(8)])
@@ -1102,6 +1059,7 @@ def corank1_quotient(P, side, u, field=None, sides=None):
     table = [[project(A.mul(x, y)) for y in lifts] for x in lifts]
     Q = FinAlg(field, table, project(A.unit),
                gens=[project(g) for g in A.gens])
+    Q.check_associativity()
     verdict = certify_matrix_algebra(Q, 2)
     return Q, verdict
 

@@ -25,12 +25,7 @@ from .exactalg import (
     rref,
     span_coords,
 )
-from .fiber import (
-    FiberError,
-    QuadraticTower,
-    SideFibers,
-    split_full_rank,
-)
+from .fiber import FiberError, QuadraticTower, _corner_by_idempotent
 from .geometry import GenericityError
 
 X_VARS = ("x1", "x2", "x3", "x4", "x5", "x6")
@@ -388,17 +383,22 @@ def _mat2_add(x, y):
 W_CANDIDATES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
-def module_rep(P, side, u, sides=None):
-    """A two-dimensional module for the block at a point of full rank:
-    split the fiber, pick an anisotropic vector w, and cut the split
-    corner by the idempotent of v_w/√(-q(w, w)).  The generator matrices
-    then satisfy the Clifford relations of the block on the nose and the
-    odd central element acts by the square root of the determinant.
-    sides shares the side algebra and fiber (see SideFibers)."""
-    sides = sides or SideFibers(P)
-    tower, (C, _), _ = split_full_rank(P, side, u, sides=sides)
+def module_rep(sides, side, u):
+    """A two-dimensional module for the block of sides.P at a point of
+    full rank: over Q(√f(u)), cut the side fiber by the central idempotent
+    (1 + d/√f(u))/2, pick an anisotropic vector w, and cut that corner by
+    the idempotent of v_w/√(-q(w, w)).  The generator matrices then
+    satisfy the Clifford relations of the block on the nose and the odd
+    central element acts by the square root of the determinant."""
     uf = tuple(Fraction(c) for c in u)
-    block = P.block_at(uf, side)
+    fval = sides.P.det_curves().side(side).eval(uf)
+    if fval == 0:
+        raise FiberError("the block only splits away from its curve")
+    tower, (s,) = QuadraticTower.create([fval])
+    A, dvec, _ = sides.fiber(side, u)
+    C, _ = _corner_by_idempotent(A.map_field(tower),
+                                 tuple(tower.coerce(x) for x in dvec), s)
+    block = sides.P.block_at(uf, side)
 
     lam = None
     for w in W_CANDIDATES:
@@ -459,7 +459,6 @@ def module_rep(P, side, u, sides=None):
         d_mat = _mat2_add(d_mat, tuple(
             tuple(tower.coerce(rv) * e for e in r) for r in mat
         ))
-    fval = P.det_curves().side(side).eval(uf)
     root = tower.sqrt(fval)
     if root is None:
         raise AssertionError("determinant root left the tower")

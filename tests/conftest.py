@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadclif.clifford import CliffordAlgebra
+from quadclif.clifford import CliffordAlgebra, central_odd
 from quadclif.exactalg import QQ
 from quadclif.pencil import generate
 
@@ -103,6 +103,11 @@ def cached_pencil(seed, bound=5):
     if key not in _CACHE:
         _CACHE[key] = generate(seed, bound)
     return _CACHE[key]
+
+
+def central_odd_pencil(P, side):
+    """The CentralOddResult of one block of P over Q[u]."""
+    return central_odd(CliffordAlgebra.from_pencil(P, side))
 
 
 def phi_pair(P):

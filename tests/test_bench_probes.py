@@ -71,3 +71,25 @@ def test_traced_gen_batch_keeps_every_layer_metric(tmp_path, tracer):
     spans, out = _traced(tmp_path, "gen-batch", str(jobs))
     assert out.split()[0] == "0"
     _assert_full_metric_set(tracer, spans)
+
+
+def test_traced_benchmark_run_ends_with_its_json_result():
+    """The benchmark as it is run: bench/run.py on check-pinned with the
+    tracer, for about one operation.  It must exit 0 with nothing on
+    stderr and end with the JSON result line, correct, with no failed
+    operation and exactly the per-layer metrics BENCHMARK.json declares."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "check-pinned",
+         "--trace", "1", "--seconds", "1"],
+        cwd=ROOT, capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    assert proc.stderr == ""
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["metrics"]) == {m["name"] for m in declared}
+    # every side fiber of the run is built once
+    assert result["metrics"]["fiber.side_fibers_per_point"]["value"] == 1.0

@@ -14,6 +14,7 @@ from quadclif.checks import (
     run_all,
     run_single,
 )
+from quadclif.clifford import hilbert_dims_center
 from quadclif.exactalg import is_prime
 from quadclif.pencil import MAX_PRIME, MAX_PRIMES, InvariantPencil, genericity_check
 
@@ -53,6 +54,17 @@ class TestRegistry:
             CheckContext(None, points=0)
         with pytest.raises(ValueError):
             CheckContext(None, max_degree=9)
+
+    def test_max_degree_reaches_the_center_check(self):
+        # degrees 7 and 8 are accepted, so the check must compute them too
+        P = cached_pencil(42)
+        for D in (7, 8):
+            r = run_single(CheckContext(P, max_degree=D), "prop3.13-center")
+            assert r.status == "pass"
+            (w,) = r.witnesses
+            assert w["weights"] == f"0..{D}"
+            assert len(w["commutant_dims"]) == D + 1
+            assert w["commutant_dims"] == hilbert_dims_center(D)
 
     def test_composite_primes_rejected(self):
         # 121 = 11² passes the size bound but has no Fermat inverses

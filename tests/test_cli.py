@@ -10,6 +10,7 @@ from pathlib import Path
 from quadclif import __version__
 from quadclif.checks import CHECK_ORDER
 from quadclif.cli import main
+from quadclif.clifford import hilbert_dims_center
 from quadclif.exactalg import is_prime
 from quadclif.pencil import load_instance
 
@@ -200,6 +201,19 @@ class TestCheckRuns:
         assert rep["flags"] == {"points": 20, "max_degree": 6}
         ids = [c["id"] for c in rep["checks"]]
         assert ids == ["prop3.13-center"]
+
+    def test_max_degree_8_reaches_the_center_check(self, tmp_path, capsys):
+        inst = gen(tmp_path)
+        report = tmp_path / "r.json"
+        assert main(["check", "prop3.13-center", str(inst), "--max-degree", "8",
+                     "--report", str(report)]) == 0
+        capsys.readouterr()
+        rep = stripped(report)
+        assert rep["flags"] == {"points": 20, "max_degree": 8}
+        (w,) = rep["checks"][0]["witnesses"]
+        assert w["weights"] == "0..8"
+        assert len(w["commutant_dims"]) == 9
+        assert w["commutant_dims"] == w["free_module_oracle"] == hilbert_dims_center(8)
 
     def test_full_run(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

@@ -16,7 +16,6 @@ from quadclif.clifford import (
     U_VARS,
     action_scales_relation,
     central_odd,
-    central_odd_pencil,
     central_pair,
     commutant_basis,
     commutant_dims,
@@ -34,7 +33,7 @@ from quadclif.clifford import (
 from quadclif.checks import CheckContext, run_single
 from quadclif.pencil import InvariantPencil, generate
 
-from conftest import QQI, cached_pencil
+from conftest import QQI, cached_pencil, central_odd_pencil
 
 
 def diag_pencil():

@@ -33,10 +33,10 @@ from quadclif.fiber import (
     clifford_fiber,
     describe_field,
     even_subalgebra,
+    ordinary_fiber,
     right_mul_det,
     sample_invertible_points,
     side_fiber,
-    specialize,
     tensor_product,
 )
 from quadclif.pencil import _derived_rng
@@ -127,7 +127,7 @@ def test_even_route_matches_the_computed_route(name):
             # the discriminant certify_split_pair splits is f(u) itself
             f_u = P.det_curves().side(side).eval(uf)
             assert cert.field.radicands == QuadraticTower.create([f_u])[0].radicands
-        T = specialize(P, "ordinary", u, sides=sides)
+        T = ordinary_fiber(sides, u)
         field, verdict = certify_ordinary_m4(sides, u)
         assert verdict == certify_matrix_algebra(T, 4) == "M4"
         assert describe_field(field) == describe_field(T.field)
@@ -146,7 +146,7 @@ def _etale_pair():
 def test_tensor_verdict_from_factors_matches_the_built_table(left, right):
     A, B = left(), right()
     T = tensor_product(A, B)
-    flat = FinAlg(T.field, T.table, T.unit, gens=T.gens, check=False)
+    flat = FinAlg(T.field, T.table, T.unit, gens=T.gens)
     want = certify_matrix_algebra(flat, 4)
     assert certify_tensor_product([A, B], 4) == want
     # radical and center dimensions do not move under a base change
@@ -181,14 +181,14 @@ def test_failed_identity_takes_the_computed_route(monkeypatch):
     assert ctx.sides.splits("plus") and ctx.sides.splits("minus")
     real = fiber.right_mul_det
     monkeypatch.setattr(fiber, "right_mul_det", lambda alg, d: real(alg, d * 2))
-    calls = _count_calls(monkeypatch, fiber, ("certify_split_pair", "specialize"))
+    calls = _count_calls(monkeypatch, fiber, ("certify_split_pair", "ordinary_fiber"))
     ctx = CheckContext(P, points=2)
     for cid in FIBER_CHECKS:
         r = run_single(ctx, cid)
         assert r.status == "pass"
         assert r.witnesses == want[cid]
     assert not ctx.sides.splits("plus") and not ctx.sides.splits("minus")
-    assert calls.count("specialize") == 2
+    assert calls.count("ordinary_fiber") == 2
     assert calls.count("certify_split_pair") >= 4
     assert not ctx.sides._evens
 
@@ -244,7 +244,7 @@ def test_even_fiber_needs_the_cached_fiber_off_the_curve():
     assert sides.even_fiber("plus", u, A)[0] is C0  # built once per point
     # the same table built elsewhere, or the other side's table, has no
     # provenance here
-    assert sides.even_fiber("plus", u, side_fiber(P, "plus", u)[0]) is None
+    assert sides.even_fiber("plus", u, side_fiber(sides, "plus", u)[0]) is None
     assert sides.even_fiber("minus", u, A) is None
     assert SideFibers(P).even_fiber("plus", u, A) is None
     # a curve point: f(u) = 0, so C₀·d is not all of C₁
@@ -273,22 +273,22 @@ def _group_algebra(op):
     t = QuadraticTower(())
     table = [[tuple(t.one if k == op(i, j) else t.zero for k in range(8))
               for j in range(8)] for i in range(8)]
-    return FinAlg(t, table, tuple(t.one if k == 0 else t.zero for k in range(8)),
-                  check=False)
+    return FinAlg(t, table, tuple(t.one if k == 0 else t.zero for k in range(8)))
 
 
 def test_even_subalgebra_provenance_and_closure():
     P = cached_pencil(42)
     u = _points("42", 1)[1][0]
-    A = side_fiber(P, "minus", u)[0]
+    A = side_fiber(SideFibers(P), "minus", u)[0]
     C0 = even_subalgebra(A)
-    assert (C0.assoc, C0.unit_source) == ("even", "even")
+    assert C0.proof == "even"
     C0._verify_unit()
     assert C0.check_associativity()
-    # no claim on the table: the subalgebra runs the full checks
+    # no claim on the table: the subalgebra verifies its unit and runs the
+    # full check
     xor = _group_algebra(lambda i, j: i ^ j)
-    assert even_subalgebra(xor).assoc == "checked"
-    assert even_subalgebra(xor).unit_source == "checked"
+    assert xor.proof is None
+    assert even_subalgebra(xor).proof == "checked"
     # Z/8 with masks as residues: e_3·e_6 = e_1 leaves the even masks
     with pytest.raises(ValueError, match="not closed"):
         even_subalgebra(_group_algebra(lambda i, j: (i + j) % 8))
@@ -346,7 +346,7 @@ def test_clifford_fiber_matches_polynomial_evaluation(field):
     for alg in algs:
         for u in ((1, 2, 3), (-4, 0, 7), (Fraction(1, 2), Fraction(-3, 5), 2)):
             uf = tuple(Fraction(c) for c in u)
-            A = clifford_fiber(alg, uf, field, assoc="clifford")
+            A = clifford_fiber(alg, uf, field, proof="clifford")
             for i in range(8):
                 for j in range(8):
                     want = [field.zero] * 8

@@ -29,10 +29,9 @@ from quadclif.fiber import (
     gram_matrix,
     radical_dim,
     rational_curve_point,
+    ordinary_fiber,
     sample_invertible_points,
     side_fiber,
-    specialize,
-    split_full_rank,
     tensor_product,
 )
 from quadclif.pencil import InvariantPencil, _derived_rng
@@ -129,6 +128,12 @@ def test_tower_coerce_and_inverse_errors():
 # -- structure-constant algebras -------------------------------------------------
 
 
+def checked(A):
+    """A after check_associativity(), so it carries the proof "checked"."""
+    A.check_associativity()
+    return A
+
+
 def m2_algebra(field=None):
     """2×2 matrices on the basis E11, E12, E21, E22."""
     field = field or QuadraticTower(())
@@ -145,7 +150,7 @@ def m2_algebra(field=None):
             row.append(tuple(vec))
         table.append(row)
     unit = (one, zero, zero, one)
-    return FinAlg(field, table, unit)
+    return checked(FinAlg(field, table, unit))
 
 
 def dual_numbers(field=None):
@@ -155,7 +160,7 @@ def dual_numbers(field=None):
         [(one, zero), (zero, one)],
         [(zero, one), (zero, zero)],
     ]
-    return FinAlg(field, table, (one, zero))
+    return checked(FinAlg(field, table, (one, zero)))
 
 
 def quadratic_etale(c, field=None):
@@ -167,7 +172,7 @@ def quadratic_etale(c, field=None):
         [(one, zero), (zero, one)],
         [(zero, one), (cc, zero)],
     ]
-    return FinAlg(field, table, (one, zero))
+    return checked(FinAlg(field, table, (one, zero)))
 
 
 def test_golden_m2():
@@ -230,20 +235,18 @@ def test_unit_and_associativity_validation():
     ]
     with pytest.raises(ValueError):
         FinAlg(t, bad, (one, zero))
-    # a genuinely non-associative table with a correct unit
-    nonassoc = [
-        [(one, zero), (zero, one)],
-        [(zero, one), (one, one)],
-    ]
-    B = FinAlg(t, nonassoc, (one, zero), check=False)
+    # a genuinely non-associative table with a correct unit: the
+    # constructor makes no associativity claim, the explicit check fails
     bad2 = [
         [(one, zero, zero), (zero, one, zero), (zero, zero, one)],
         [(zero, one, zero), (zero, zero, one), (one, zero, zero)],
         [(zero, zero, one), (one, zero, zero), (zero, one, one)],
     ]
-    with pytest.raises(ValueError):
-        FinAlg(t, bad2, (one, zero, zero))
-    assert B.assoc is None  # skipped check leaves no claim
+    B = FinAlg(t, bad2, (one, zero, zero))
+    assert B.proof is None
+    with pytest.raises(ValueError, match="associativity"):
+        B.check_associativity()
+    assert B.proof is None
 
 
 def test_tensor_product_full_associativity_dim16():
@@ -251,9 +254,9 @@ def test_tensor_product_full_associativity_dim16():
     B = m2_algebra()
     T = tensor_product(A, B)
     assert T.dim == 16
-    assert T.assoc == "tensor"
+    assert T.proof == "tensor"
     T.check_associativity()
-    assert T.assoc == "checked"
+    assert T.proof == "checked"
     assert radical_dim(T) == 0
     assert certify_matrix_algebra(T, 4) == "M4"
 
@@ -263,11 +266,11 @@ def test_kronecker_radical_matches_direct():
     B = m2_algebra()
     T = tensor_product(A, B)
     assert T.tensor_factors is not None
-    direct = FinAlg(T.field, T.table, T.unit, gens=T.gens, check=False)
+    direct = FinAlg(T.field, T.table, T.unit, gens=T.gens)
     assert radical_dim(T) == radical_dim(direct) == 4
     # the factor path: 16 − rank G_A · rank G_B · rank G_A = 16 − 1·4·1
     T3 = tensor_product(T, A)
-    flat = FinAlg(T3.field, T3.table, T3.unit, gens=T3.gens, check=False)
+    flat = FinAlg(T3.field, T3.table, T3.unit, gens=T3.gens)
     assert (certify_tensor_product([A, B, A], 4) == certify_matrix_algebra(T3, 4)
             == certify_matrix_algebra(flat, 4) == "fail:radical-12")
 
@@ -278,7 +281,7 @@ def split_etale_power(k, field=None):
     zero, one = field.zero, field.one
     table = [[tuple(one if (i == j == l) else zero for l in range(k))
               for j in range(k)] for i in range(k)]
-    return FinAlg(field, table, (one,) * k)
+    return checked(FinAlg(field, table, (one,) * k))
 
 
 def test_tensor_center_from_factors_negative_controls():
@@ -290,53 +293,75 @@ def test_tensor_center_from_factors_negative_controls():
         assert T.tensor_factors is not None
         assert radical_dim(T) == 0
         assert certify_matrix_algebra(T, n) == "fail:center-4"
-        flat = FinAlg(T.field, T.table, T.unit, gens=T.gens, check=False)
+        flat = FinAlg(T.field, T.table, T.unit, gens=T.gens)
         assert flat.tensor_factors is None
         assert center_dim(T) == len(center_basis(flat)) == 4
     T = tensor_product(m2_algebra(), m2_algebra())
-    flat = FinAlg(T.field, T.table, T.unit, gens=T.gens, check=False)
+    flat = FinAlg(T.field, T.table, T.unit, gens=T.gens)
     assert center_dim(T) == len(center_basis(flat)) == 1
+
+
+def nonassoc_table():
+    """Basis 1, x, y with x·x = y, x·y = 1, y·x = y·y = 0: the unit is
+    right, but (xx)x = 0 ≠ 1 = x(xx), on the basis triple (1, 1, 1)."""
+    t = QuadraticTower(())
+    zero, one = t.zero, t.one
+    e1, ex, ey, z = (one, zero, zero), (zero, one, zero), (zero, zero, one), (zero,) * 3
+    return FinAlg(t, [[e1, ex, ey], [ex, ey, e1], [ey, z, z]], e1)
 
 
 def test_corner_provenance():
     A = m2_algebra()
     e = A.vadd(A.basis_vec(0), A.basis_vec(3))  # the unit, as a corner
-    assert corner_algebra(A, e).assoc == "corner"
+    assert corner_algebra(A, e).proof == "corner"
     # no claim on the table: the corner runs the full check
-    bare = FinAlg(A.field, A.table, A.unit, check=False)
-    assert bare.assoc is None
-    assert corner_algebra(bare, e).assoc == "checked"
-    t = QuadraticTower(())
-    zero, one = t.zero, t.one
-    # basis 1, x, y with x·x = y, x·y = 1, y·x = y·y = 0: (xx)x ≠ x(xx)
-    e1, ex, ey, z = (one, zero, zero), (zero, one, zero), (zero, zero, one), (zero,) * 3
-    nonassoc = FinAlg(t, [[e1, ex, ey], [ex, ey, e1], [ey, z, z]], e1, check=False)
+    bare = FinAlg(A.field, A.table, A.unit)
+    assert bare.proof is None
+    assert corner_algebra(bare, e).proof == "checked"
+    nonassoc = nonassoc_table()
     with pytest.raises(ValueError, match="associativity"):
         corner_algebra(nonassoc, nonassoc.unit)
 
 
+def test_tensor_with_an_unproven_factor_carries_no_proof():
+    t = QuadraticTower(())
+    Q1 = checked(FinAlg(t, [[(t.one,)]], (t.one,)))
+    nonassoc = nonassoc_table()
+    for T in (tensor_product(nonassoc, Q1), tensor_product(Q1, nonassoc)):
+        assert T.proof is None
+        with pytest.raises(ValueError, match=r"basis triple \(1, 1, 1\)"):
+            corner_algebra(T, T.unit)
+    # the same table labelled "tensor" regardless of its factors would let
+    # the corner inherit a claim that check_associativity refutes
+    forged = FinAlg(t, nonassoc.table, nonassoc.unit, proof="tensor")
+    C = corner_algebra(forged, forged.unit)
+    assert C.proof == "corner"
+    with pytest.raises(ValueError, match=r"basis triple \(1, 1, 1\)"):
+        C.check_associativity()
+
+
 def test_unit_by_construction_passes_the_unit_check():
-    # map_field, tensor_product and corner_algebra record where their unit
-    # comes from instead of verifying it; the long check agrees on each
+    # map_field, tensor_product and corner_algebra record a proof instead
+    # of verifying the unit, and so does a side fiber ("clifford"); the
+    # long check agrees on each
     P = cached_pencil(42)
+    sides = SideFibers(P)
     u = invertible_point(P)
-    A, _, _ = side_fiber(P, "plus", u)
-    assert A.unit_source == "checked"
-    tower, (C1, C2), _ = split_full_rank(P, "plus", u)
-    T = specialize(P, "ordinary", u)
-    for table, source in ((A.map_field(tower), "embedding"), (C1, "corner"),
-                          (C2, "corner"), (T, "tensor"),
-                          (T.tensor_factors[1], "corner")):
-        assert table.unit_source == source
+    A = sides.fiber("plus", u)[0]
+    tower, (C1, C2), _ = split_full_rank(sides, "plus", u)
+    T = ordinary_fiber(sides, u)
+    for table, proof in ((A, "clifford"), (A.map_field(tower), "embedding"),
+                         (C1, "corner"), (C2, "corner"), (T, "tensor"),
+                         (T.tensor_factors[1], "corner")):
+        assert table.proof == proof
         table._verify_unit()
-    # a corner of a table with no associativity claim verifies its unit
+    # a corner of a table with no proof verifies its unit and is checked
     M = m2_algebra()
-    bare = FinAlg(M.field, M.table, M.unit, check=False)
-    assert corner_algebra(bare, M.unit).unit_source == "checked"
-    # the oracle has teeth: a wrong unit recorded as constructed is caught
+    bare = FinAlg(M.field, M.table, M.unit)
+    assert corner_algebra(bare, M.unit).proof == "checked"
+    # the oracle has teeth: a wrong unit under a proof is caught
     one, zero = M.field.one, M.field.zero
-    wrong = FinAlg(M.field, M.table, (one, zero, zero, zero), check=False,
-                   unit_note="tensor")
+    wrong = FinAlg(M.field, M.table, (one, zero, zero, zero), proof="tensor")
     with pytest.raises(ValueError, match="unit"):
         wrong._verify_unit()
 
@@ -350,7 +375,7 @@ def test_non_semisimple_fiber_fails_through_the_registry(monkeypatch):
     over Q gets the same verdict."""
     P = cached_pencil(42)
 
-    def fake_fiber(self, side, u, field=None):
+    def fake_fiber(self, side, u):
         fval = P.det_curves().side(side).eval(tuple(Fraction(c) for c in u))
         A = tensor_product(tensor_product(dual_numbers(), dual_numbers()),
                            quadratic_etale(fval))
@@ -401,8 +426,8 @@ def test_side_fiber_provenance_over_prime_field():
     # the F_p fiber carries the proof over Q[u]
     P = cached_pencil(42)
     pt = P.reduced_curve("plus", 101).points[0]
-    A, _, _ = side_fiber(P, "plus", pt, field=PrimeField(101))
-    assert A.assoc == "clifford"
+    A, _, _ = side_fiber(SideFibers(P), "plus", pt, field=PrimeField(101))
+    assert A.proof == "clifford"
     assert A.check_associativity()
 
 
@@ -414,7 +439,7 @@ def test_side_fibers_are_shared_per_point():
     assert sides.fiber("plus", u) is first
     assert sides.fiber("minus", u) is not first
     assert sides.algebra("plus") is sides.algebra("plus")
-    A = specialize(P, "ordinary", u, sides=sides)
+    A = ordinary_fiber(sides, u)
     assert certify_matrix_algebra(A, 4) == "M4"
     assert len(sides._fibers) == 2
 
@@ -422,7 +447,7 @@ def test_side_fibers_are_shared_per_point():
 def test_trace_form_char_guard():
     F = PrimeField(7)
     P = cached_pencil(42)
-    A = specialize(P, "plus", (1, 2, 1), field=F)
+    A = side_fiber(SideFibers(P), "plus", (1, 2, 1), F)[0]
     with pytest.raises(ValueError):
         radical_dim(A)
 
@@ -438,21 +463,20 @@ def invertible_point(P, seed="pts"):
 def test_side_fiber_structure():
     P = cached_pencil(42)
     u = invertible_point(P)
-    A = specialize(P, "plus", u)
+    A, dvec, fval = SideFibers(P).fiber("plus", u)
     assert A.dim == 8
-    assert A.assoc == "clifford"  # proven once over Q[u], not per point
+    assert A.proof == "clifford"  # proven once over Q[u], not per point
     assert A.check_associativity()  # the long path agrees
-    assert A.assoc == "checked"
+    assert A.proof == "checked"
     assert radical_dim(A) == 0
     assert center_dim(A) == 2  # the base scalars and the odd central element
-    _, dvec, fval = side_fiber(P, "plus", u)
     assert A.mul(dvec, dvec) == A.scalar_vec(fval)
 
 
 def side_corner(P, side, u, y):
     """The 4-dimensional corner of a side fiber on which the central odd
     element acts as y, for y² = f(u) and y ≠ 0."""
-    A, dvec, fval = side_fiber(P, side, u)
+    A, dvec, fval = side_fiber(SideFibers(P), side, u)
     yv = A.field.coerce(y)
     if not yv:
         raise ValueError("the corner needs an invertible y")
@@ -475,7 +499,7 @@ def test_corner_with_rational_y():
 def test_ordinary_fiber_m4():
     P = cached_pencil(42)
     u = invertible_point(P)
-    A = specialize(P, "ordinary", u)
+    A = ordinary_fiber(SideFibers(P), u)
     assert A.dim == 16
     assert A.tensor_factors is not None
     assert isinstance(A.field, QuadraticTower)
@@ -502,7 +526,7 @@ def qr_point(P, field, seed="fp16", count=40):
 def ordinary_fiber_by_corner(P, u, field):
     """The 16-dimensional ordinary fiber cut from the full 64-dimensional
     algebra by the product idempotent ((1 + d₊/√f₊)/2)·((1 + d₋/√f₋)/2):
-    the long path that specialize's tensor of side corners replaces.  The
+    the long path that ordinary_fiber's tensor of side corners replaces.  The
     64-dimensional table carries no associativity claim, so the corner cut
     from it is checked on all basis triples."""
     u = tuple(Fraction(c) for c in u)
@@ -530,52 +554,72 @@ def test_ordinary_fiber_corner_construction_agrees():
     P = cached_pencil(42)
     F = PrimeField(101)
     u = qr_point(P, F)
-    A = specialize(P, "ordinary", u, field=F)
+    A = ordinary_fiber(SideFibers(P), u, F)
     B = ordinary_fiber_by_corner(P, u, F)
     assert B.dim == 16
     assert certify_matrix_algebra(A, 4) == "M4"
     assert certify_matrix_algebra(B, 4) == "M4"
     assert center_dim(A) == center_dim(B) == 1
     B.check_associativity()
-    assert B.assoc == "checked"
+    assert B.proof == "checked"
 
 
 def test_ordinary_fiber_rejects_curve_points():
     P = diag_pencil()
     with pytest.raises(FiberError):
-        specialize(P, "ordinary", (1, 1, 0))
+        ordinary_fiber(SideFibers(P), (1, 1, 0))
 
 
 def test_ordinary_fiber_over_prime_field():
     P = cached_pencil(42)
     F = PrimeField(101)
     u = qr_point(P, F)
-    A = specialize(P, "ordinary", u, field=F)
+    A = ordinary_fiber(SideFibers(P), u, F)
     assert A.dim == 16
     assert certify_matrix_algebra(A, 4) == "M4"
+
+
+def split_full_rank(sides, side, u):
+    """Over Q(√f(u)) the 8-dimensional block splits into two corners cut
+    by the complementary central idempotents (1 ± d/√f(u))/2: both corners
+    of the one plucker.module_rep reads."""
+    u = tuple(Fraction(c) for c in u)
+    fval = sides.P.det_curves().side(side).eval(u)
+    if fval == 0:
+        raise FiberError("the block only splits away from its curve")
+    tower, (s,) = QuadraticTower.create([fval])
+    A_Q, dvec_Q, _ = sides.fiber(side, u)
+    A = A_Q.map_field(tower)
+    dvec = tuple(tower.coerce(x) for x in dvec_Q)
+    C1, e1 = _corner_by_idempotent(A, dvec, s)
+    C2, e2 = _corner_by_idempotent(A, A.vscale(dvec, -A.field.one), s)
+    if any(A.mul(e1, e2)) or A.vadd(e1, e2) != A.unit:
+        raise AssertionError("idempotents are not complementary")
+    return tower, (C1, C2), (e1, e2)
 
 
 def test_split_full_rank():
     P = cached_pencil(42)
     u = invertible_point(P)
-    tower, (C1, C2), (e1, e2) = split_full_rank(P, "plus", u)
+    tower, (C1, C2), (e1, e2) = split_full_rank(SideFibers(P), "plus", u)
     assert tower.level <= 1
     assert C1.dim == C2.dim == 4
     assert certify_matrix_algebra(C1, 2) == "M2"
     assert certify_matrix_algebra(C2, 2) == "M2"
     with pytest.raises(FiberError):
-        split_full_rank(diag_pencil(), "plus", (1, 1, 0))
+        split_full_rank(SideFibers(diag_pencil()), "plus", (1, 1, 0))
 
 
 def test_split_pair_certificate_on_side_fiber():
     P = cached_pencil(42)
     u = invertible_point(P)
-    A = specialize(P, "plus", u)
+    sides = SideFibers(P)
+    A = sides.fiber("plus", u)[0]
     cert = certify_split_pair(A, 2)
     assert cert.verdict == "M2xM2"
     assert len(cert.corners) == 2
     # the splitting field is exactly the one attached to √f₊(u)
-    tower, _, _ = split_full_rank(P, "plus", u)
+    tower, _, _ = split_full_rank(sides, "plus", u)
     assert cert.field.radicands == tower.radicands
 
 
@@ -584,20 +628,22 @@ def test_corank1_quotient_rational():
     P = InvariantPencil(q_plus=mats, q_minus=(basis_mat(0), basis_mat(1), basis_mat(2)),
                         seed=0, coeff_bound=1)
     # f₊ = u1²·u2; at (1, 0, ·) the block is diag(1, 1, 0): corank one
-    Q, verdict = corank1_quotient(P, "plus", (1, 0, 0))
+    sides = SideFibers(P)
+    Q, verdict = corank1_quotient(sides, "plus", (1, 0, 0))
     assert Q.dim == 4
     assert verdict == "M2"
+    assert Q.proof == "checked"  # the quotient is checked on all basis triples
     # at (0, 1, 0) the block is diag(0, 0, 1): corank two
     with pytest.raises(FiberError):
-        corank1_quotient(P, "plus", (0, 1, 0))
+        corank1_quotient(sides, "plus", (0, 1, 0))
     # off the curve there is no quotient
     with pytest.raises(FiberError):
-        corank1_quotient(P, "plus", (1, 1, 1))
+        corank1_quotient(sides, "plus", (1, 1, 1))
 
 
 def test_corank1_quotient_diag_pencil():
     P = diag_pencil()
-    Q, verdict = corank1_quotient(P, "plus", (1, 1, 0))
+    Q, verdict = corank1_quotient(SideFibers(P), "plus", (1, 1, 0))
     assert verdict == "M2"
     assert center_dim(Q) == 1
 
@@ -605,10 +651,11 @@ def test_corank1_quotient_diag_pencil():
 def test_corank1_quotient_prime_field():
     P = cached_pencil(42)
     F = PrimeField(101)
+    sides = SideFibers(P)
     pts = P.reduced_curve("plus", 101).points[:3]
     assert pts
     for pt in pts:
-        Q, verdict = corank1_quotient(P, "plus", pt, field=F)
+        Q, verdict = corank1_quotient(sides, "plus", pt, field=F)
         assert Q.dim == 4
         assert verdict == "M2"
 
@@ -621,7 +668,7 @@ def test_rational_curve_point_search():
     assert pt is not None
     uf = tuple(Fraction(c) for c in pt)
     assert P.det_curves().f_plus.eval(uf) == 0
-    Q, verdict = corank1_quotient(P, "plus", pt)
+    Q, verdict = corank1_quotient(SideFibers(P), "plus", pt)
     assert verdict == "M2"
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import cached_pencil
 from quadclif.exactalg import QQ, PolyRing, PrimeField, mat_rank
-from quadclif.fiber import FiberError, sample_invertible_points
+from quadclif.fiber import FiberError, SideFibers, sample_invertible_points
 from quadclif.geometry import GenericityError, curve_points
 from quadclif.pencil import InvariantPencil
 from quadclif.plucker import (
@@ -284,7 +284,7 @@ class TestModuleRep:
         P = cached_pencil(seed)
         rng = random.Random(3)
         u = sample_invertible_points(P, rng, 1)[0]
-        return P, u, module_rep(P, side, u)
+        return P, u, module_rep(SideFibers(P), side, u)
 
     def test_construction_and_d_scalar(self):
         P, u, rep = self.rep_at()
@@ -332,3 +332,11 @@ class TestModuleRep:
             annihilator_line(rep, (0, 0))
         with pytest.raises(ValueError):
             module_line_for(rep, (0, 0, 0))
+
+    def test_rejects_curve_points(self):
+        # the diagonal pencil: f₊ = u1·u2·u3 vanishes at (1, 1, 0)
+        mats = tuple(tuple(tuple(int(i == j == k) for j in range(3))
+                           for i in range(3)) for k in range(3))
+        P = InvariantPencil(q_plus=mats, q_minus=mats, seed=0, coeff_bound=1)
+        with pytest.raises(FiberError, match="away from its curve"):
+            module_rep(SideFibers(P), "plus", (1, 1, 0))
