@@ -4,18 +4,20 @@ Away from the determinant curves the specialized even Clifford algebra
 is a full 4x4 matrix algebra over the two-root field Q(sqrt f+, sqrt f-);
 each side splits as M2 x M2 once one root is adjoined (the side is its
 4-dimensional even part tensored with Q[x]/(x^2 - f(u))), and on a corank-1
-curve point the quotient by the radical is a single M2.  All certificates
-are exact: idempotents, traces, and dimension counts over the field.
+curve point the quotient by the radical is a single M2.  Off the curves
+each verdict is read off the even parts C0 over Q, after checking at the
+point that the side fiber is C0 tensor Q[x]/(x^2 - f(u)); the root fields
+are only named.  All certificates are exact: traces and dimension counts
+over the field.
 """
 
 from quadclif.exactalg import PrimeField
 from quadclif.fiber import (
     SideFibers,
-    certify_matrix_algebra,
-    certify_split_pair,
+    certify_ordinary_m4,
+    certify_side_split,
     corank1_quotient,
     describe_field,
-    ordinary_fiber,
     rational_curve_point,
     sample_invertible_points,
 )
@@ -28,20 +30,16 @@ def main():
 
     sides = SideFibers(P)
     u = sample_invertible_points(P, rng, 1)[0]
-    A = ordinary_fiber(sides, u)
+    field, verdict = certify_ordinary_m4(sides, u)
     print(f"off-curve point u = {u}")
-    print("  field:", describe_field(A.field))
-    print("  full even algebra:", certify_matrix_algebra(A, 4))
+    print("  field:", describe_field(field))
+    print("  full even algebra:", verdict)
 
     for side in ("plus", "minus"):
-        B = sides.fiber(side, u)[0]
-        cert = certify_split_pair(B, 2)
-        print(f"  side {side} over {describe_field(cert.field)}:",
-              cert.verdict)
-        # the check reads the same verdict off the 4-dimensional even part
-        _, even = sides.even_fiber(side, u, B)
-        print(f"    C = C0 + C0*d over Q[u]: {sides.splits(side)};"
-              f" even part C0 over Q: {even}")
+        field, verdict = certify_side_split(sides, side, u)
+        print(f"  side {side} over {describe_field(field)}:", verdict)
+        C0, even = sides.even(side, u)
+        print(f"    even part C0 over Q: dim {C0.dim}, {even}")
 
     for side in ("plus", "minus"):
         pt = rational_curve_point(P, side, rng)

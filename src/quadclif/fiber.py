@@ -9,7 +9,6 @@ prime field.  Everything is exact; no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -18,11 +17,9 @@ from .exactalg import (
     PrimeField,
     adjugate3,
     as_int,
-    det_cofactor,
     is_square_fraction,
     mat_kernel,
     mat_rank,
-    mat_solve,
     rref,
     span_coords,
     span_residual,
@@ -656,77 +653,6 @@ def certify_tensor_product(factors, n):
     return f"M{n}"
 
 
-@dataclass
-class SplitCert:
-    verdict: str
-    field: object
-    corners: tuple = ()
-
-
-def certify_split_pair(A, n):
-    """Certify A ≅ M_n × M_n after at most one rational quadratic base
-    change: the center must be 2-dimensional and étale; splitting its
-    discriminant yields two central idempotents whose corners must both
-    certify as M_n."""
-    if A.dim != 2 * n * n:
-        return SplitCert(f"fail:dim-{A.dim}", A.field)
-    r = radical_dim(A)
-    if r:
-        return SplitCert(f"fail:radical-{r}", A.field)
-    zb = center_basis(A)
-    if len(zb) != 2:
-        return SplitCert(f"fail:center-{len(zb)}", A.field)
-    z = next((tuple(v) for v in zb
-              if mat_rank([[v[k], A.unit[k]] for k in range(A.dim)]) == 2), None)
-    if z is None:
-        return SplitCert("fail:center-degenerate", A.field)
-    # z² = α z + β
-    cols = [A.unit, z]
-    zz = A.mul(z, z)
-    sol = mat_solve([[cols[0][k], cols[1][k]] for k in range(A.dim)],
-                    list(zz), A.field)
-    if sol is None:
-        return SplitCert("fail:center-not-quadratic", A.field)
-    beta, alpha = sol
-    half = A.field.one / A.field.coerce(2)
-    w = A.vsub(z, A.vscale(A.unit, alpha * half))
-    ww = A.mul(w, w)
-    delta = None
-    for k in range(A.dim):
-        if A.unit[k]:
-            delta = ww[k] / A.unit[k]
-            break
-    if delta is None or A.scalar_vec(delta) != ww:
-        return SplitCert("fail:center-not-etale", A.field)
-    s = A.field.sqrt(delta)
-    if s is None:
-        # one rational extension attempt
-        if isinstance(A.field, QuadraticTower):
-            d = A.field.coerce(delta)
-            if d.is_rational() and A.field.level < 2:
-                tower, s2 = A.field.extended(d.rational_value())
-                return certify_split_pair(A.map_field(tower), n)
-        return SplitCert("fail:discriminant-not-split", A.field)
-    if not s:
-        return SplitCert("fail:discriminant-zero", A.field)
-    inv = A.field.one / s
-    e1 = A.vscale(A.vadd(A.unit, A.vscale(w, inv)), half)
-    e2 = A.vsub(A.unit, e1)
-    for e in (e1, e2):
-        if A.mul(e, e) != e:
-            return SplitCert("fail:idempotent", A.field)
-    if any(A.mul(e1, e2)):
-        return SplitCert("fail:orthogonality", A.field)
-    corners = []
-    for e in (e1, e2):
-        C = corner_algebra(A, e, gens=A.gens)
-        v = certify_matrix_algebra(C, n)
-        if v != f"M{n}":
-            return SplitCert(f"fail:corner-{v}", A.field)
-        corners.append(C)
-    return SplitCert(f"M{n}xM{n}", A.field, tuple(corners))
-
-
 # ---------------------------------------------------------------------------
 # fibers of the Clifford construction
 # ---------------------------------------------------------------------------
@@ -791,18 +717,6 @@ EVEN_MASKS = (0, 3, 5, 6)
 ODD_MASKS = (1, 2, 4, 7)
 
 
-def right_mul_det(alg, d):
-    """det over Q[u] of x ↦ x·d from the even to the odd masks of a
-    3-generator block, in mask order; None if some e_m·d is not odd."""
-    rows = []
-    for m in EVEN_MASKS:
-        coeffs = (alg.from_mask(m) * d).coeffs
-        if any(mask not in ODD_MASKS for mask in coeffs):
-            return None
-        rows.append([coeffs.get(o, alg.ring.zero()) for o in ODD_MASKS])
-    return det_cofactor(rows, alg.ring)
-
-
 def even_subalgebra(A):
     """C₀ = span(e_0, e_3, e_5, e_6) of an 8-dimensional Clifford fiber A.
     The 16 products of even masks are checked to be even, so C₀ is a
@@ -824,15 +738,54 @@ def even_subalgebra(A):
     return C0
 
 
+def even_part(A, d, f):
+    """C₀ = even_subalgebra(A) for an 8-dimensional fiber A with odd
+    central vector d at a point where the determinant takes the value f,
+    once A ≅ C₀ ⊗ Q[x]/(x² − f) is checked at that point:
+
+    1. f ≠ 0;
+    2. A is associative (check_associativity() when A carries no proof);
+    3. e_m·d has no even coordinate for every m in EVEN_MASKS;
+    4. d commutes with A.gens, or with every basis vector when A has none;
+    5. d·d = f·1.
+
+    By 1, 2 and 5, (x·d)·d = f·x with f ≠ 0, so right multiplication by d
+    is invertible; by 3 it maps C₀ into the 4-dimensional odd span C₁, so
+    A = C₀ ⊕ C₀·d.  By 4 d is central (the generators generate A), so with
+    5, a ⊗ xᵏ ↦ a·dᵏ is an algebra isomorphism C₀ ⊗ Q[x]/(x² − f) → A: the
+    structure theorem for odd-rank Clifford algebras (Lam, Introduction to
+    Quadratic Forms over Fields, GSM 67, Ch. V §2), checked at the point.
+    On a Clifford fiber off the curve, 3 to 5 hold by prop3.5 (grading)
+    and prop3.12 (d odd and central, d² = f).  A failed condition raises
+    FiberError naming it."""
+    if not f:
+        raise FiberError("base point lies on a determinant curve")
+    if A.proof is None:
+        try:
+            A.check_associativity()
+        except ValueError as exc:
+            raise FiberError(str(exc)) from exc
+    for m in EVEN_MASKS:
+        md = A.mul(A.basis_vec(m), d)
+        if any(md[k] for k in EVEN_MASKS):
+            raise FiberError(f"e_{m}·d has an even coordinate")
+    for g in A.gens or [A.basis_vec(i) for i in range(A.dim)]:
+        if A.mul(g, d) != A.mul(d, g):
+            raise FiberError("d does not commute with the generators")
+    if A.mul(d, d) != A.scalar_vec(f):
+        raise FiberError("d·d is not f(u)·1")
+    return even_subalgebra(A)
+
+
 class SideFibers:
     """The two side algebras of one pencil and their 8-dimensional fibers
     over Q, each built once.
 
     A CheckContext owns one for the length of a run, so checks visiting
     the same (side, point) share one fiber, and per side the odd central
-    element is solved once and the symbolic associativity proof and the
-    even/odd identity (splits) run once; memory is bounded by the two side
-    algebras and two fibers per sampled point.  Every fiber function takes
+    element is solved once and the symbolic associativity proof runs once;
+    memory is bounded by the two side algebras and two fibers (with their
+    even parts) per sampled point.  Every fiber function takes
     one first and reads the pencil from it."""
 
     def __init__(self, P):
@@ -840,7 +793,6 @@ class SideFibers:
         self._blocks = {}
         self._central = {}
         self._proven = set()
-        self._splits = {}
         self._fibers = {}
         self._evens = {}
 
@@ -874,21 +826,6 @@ class SideFibers:
             self._proven.add(side)
         return self.central(side)
 
-    def splits(self, side):
-        """Whether C(q) = C₀(q) ⊕ C₀(q)·d off the curve f = 0, checked once
-        over Q[u]: d² = f, and right_mul_det(alg, d) = f².  Then at u with
-        f(u) ≠ 0, x ↦ x·d maps C₀ onto C₁, and as d is central
-        (central_odd checks it), a ⊗ xᵏ ↦ a·dᵏ is an algebra isomorphism
-        C₀(q_u) ⊗ Q[x]/(x² − f(u)) → C(q_u), the structure theorem for
-        odd-rank Clifford algebras (Lam, Introduction to Quadratic Forms
-        over Fields, GSM 67, Ch. V §2)."""
-        if side not in self._splits:
-            alg, res = self.algebra(side)
-            f = self.P.det_curves().side(side)
-            self._splits[side] = (res.square == f
-                                  and right_mul_det(alg, res.element) == f * f)
-        return self._splits[side]
-
     def fiber(self, side, u):
         """side_fiber(self, side, u) over Q, memoized."""
         key = (side, _point(u))
@@ -897,18 +834,13 @@ class SideFibers:
             got = self._fibers[key] = side_fiber(self, side, u)
         return got
 
-    def even_fiber(self, side, u, A):
-        """(C₀, certify_matrix_algebra(C₀, 2)) for C₀ = even_subalgebra(A),
-        built once per point, when A is the fiber over Q this object built
-        at (side, u), f(u) ≠ 0 and the side splits; None for any other
-        table (a replaced fiber, a failed identity, a curve point), which
-        the caller certifies by the computed route instead."""
+    def even(self, side, u):
+        """(C₀, certify_matrix_algebra(C₀, 2)) for C₀ = even_part of the
+        fiber at (side, u), built once per point; FiberError on a curve
+        point or a fiber that fails even_part's conditions."""
         key = (side, _point(u))
-        got = self._fibers.get(key)
-        if got is None or got[0] is not A or not got[2] or not self.splits(side):
-            return None
         if key not in self._evens:
-            C0 = even_subalgebra(A)
+            C0 = even_part(*self.fiber(side, u))
             self._evens[key] = (C0, certify_matrix_algebra(C0, 2))
         return self._evens[key]
 
@@ -917,7 +849,8 @@ def side_fiber(sides, side, u, field=None):
     """The 8-dimensional fiber of one block of sides.P at u, with its
     central odd vector and the determinant value.  field=None means exact
     rationals (a trivial tower, so later quadratic extensions can reuse
-    it)."""
+    it).  Its consumers check d² = f(u): even_part, corank1_quotient, and
+    the idempotent law of _corner_by_idempotent."""
     u = _point(u)
     alg, dres = sides.algebra(side)
     if field is None:
@@ -925,8 +858,6 @@ def side_fiber(sides, side, u, field=None):
     A = clifford_fiber(alg, u, field, proof="clifford")
     dvec = eval_element(dres.element, u, field, 8)
     fval = field.coerce(_det_value(sides.P, side, u))
-    if A.mul(dvec, dvec) != A.scalar_vec(fval):
-        raise AssertionError("central element square drifted from the determinant")
     return A, dvec, fval
 
 
@@ -941,56 +872,17 @@ def _corner_by_idempotent(A, dvec, s):
     return corner_algebra(A, e, gens=A.gens), e
 
 
-def ordinary_fiber(sides, u, field=None):
-    """The 16-dimensional ordinary fiber of sides.P at u over
-    Q(√f₊(u), √f₋(u)) (or field), as a tensor product of the two side
-    corners."""
-    u = _point(u)
-    fp = _det_value(sides.P, "plus", u)
-    fm = _det_value(sides.P, "minus", u)
-    if field is None:
-        if fp == 0 or fm == 0:
-            raise FiberError("base point lies on a determinant curve")
-        field, (sp, sm) = QuadraticTower.create([fp, fm])
-    else:
-        sp = field.sqrt(field.coerce(fp))
-        sm = field.sqrt(field.coerce(fm))
-        if sp is None or sm is None or not sp or not sm:
-            raise FiberError("determinant values are not invertible squares "
-                             "in the requested field")
-
-    corners = []
-    for side, s in (("plus", sp), ("minus", sm)):
-        if isinstance(field, QuadraticTower):
-            A8_Q, dvec_Q, _ = sides.fiber(side, u)
-            A8 = A8_Q.map_field(field)
-            dvec = tuple(field.coerce(x) for x in dvec_Q)
-        else:
-            A8, dvec, _ = side_fiber(sides, side, u, field)
-        C, _ = _corner_by_idempotent(A8, dvec, s)
-        if C.dim != 4:
-            raise AssertionError("side corner has unexpected dimension")
-        corners.append(C)
-    return tensor_product(corners[0], corners[1])
-
-
 def certify_ordinary_m4(sides, u):
-    """(field, verdict) of certify_matrix_algebra(ordinary_fiber(sides, u),
-    4) at u off both curves of sides.P, with K = Q(√f₊(u), √f₋(u)) the
-    field.
+    """(field, verdict) for the 16-dimensional ordinary fiber at u off both
+    curves of sides.P, over K = Q(√f₊(u), √f₋(u)).
 
-    When both sides have even parts (SideFibers.even_fiber), each side
-    fiber is C₀ ⊗ Q[x]/(x² − f(u)) ≅ C₀,K × C₀,K over K, and the side corner
-    cut by (1 + d/√f(u))/2 is C₀,K; the ordinary fiber is (C₀₊ ⊗ C₀₋) ⊗ K,
-    so the verdict is certify_tensor_product of the even parts (M4 when
-    both are M2), and K is only named, by the QuadraticTower.create call
-    ordinary_fiber makes.  Otherwise the fiber is built and certified."""
+    Each side fiber is C₀ ⊗ Q[x]/(x² − f(u)) ≅ C₀,K × C₀,K over K
+    (SideFibers.even), and the side corner cut by (1 + d/√f(u))/2 is C₀,K,
+    so the ordinary fiber, the tensor product of the two side corners, is
+    (C₀₊ ⊗ C₀₋) ⊗ K: the verdict is certify_tensor_product of the even
+    parts (M4 when both are M2), and K is only named."""
     u = _point(u)
-    evens = [sides.even_fiber(side, u, sides.fiber(side, u)[0])
-             for side in ("plus", "minus")]
-    if None in evens:
-        T = ordinary_fiber(sides, u)
-        return T.field, certify_matrix_algebra(T, 4)
+    evens = [sides.even(side, u) for side in ("plus", "minus")]
     field, _ = QuadraticTower.create([_det_value(sides.P, side, u)
                                       for side in ("plus", "minus")])
     if all(verdict == "M2" for _, verdict in evens):
@@ -999,19 +891,19 @@ def certify_ordinary_m4(sides, u):
 
 
 def certify_side_split(sides, side, u):
-    """(field, verdict) of certify_split_pair(A, 2) for the side fiber A
-    at u off its curve.  When A has an even part C₀ that certifies as M2
-    (SideFibers.even_fiber), A = C₀ ⊗ Q[x]/(x² − f(u)) has center
+    """(field, verdict) certifying the side fiber A at u off its curve as
+    M2 × M2 after one square root.  A = C₀ ⊗ E with E = Q[x]/(x² − f(u))
+    étale of dimension 2 (SideFibers.even).  When C₀ is M2, A has center
     span(1, d) with d² = f(u), and over K = Q(√f(u)) it is C₀,K × C₀,K:
-    M2xM2, with K named by QuadraticTower.create([f(u)]).  Every other
-    verdict comes from certify_split_pair itself."""
+    M2xM2, with K named by QuadraticTower.create([f(u)]).  Otherwise
+    rad(A) = rad(C₀) ⊗ E and Z(A) = Z(C₀) ⊗ E, so A fails with twice C₀'s
+    radical or center dimension, over A's own field (which C₀ shares)."""
     u = _point(u)
-    A = sides.fiber(side, u)[0]
-    even = sides.even_fiber(side, u, A)
-    if even is not None and even[1] == "M2":
+    C0, verdict = sides.even(side, u)
+    if verdict == "M2":
         return QuadraticTower.create([_det_value(sides.P, side, u)])[0], "M2xM2"
-    cert = certify_split_pair(A, 2)
-    return cert.field, cert.verdict
+    kind, dim = verdict.rsplit("-", 1)
+    return C0.field, f"{kind}-{2 * int(dim)}"
 
 
 def corank1_quotient(sides, side, u, field=None):

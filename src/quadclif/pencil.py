@@ -79,7 +79,7 @@ def _check_sym3(mats, label):
             raise ValueError(f"{label} matrices must be 3×3")
         for i in range(3):
             for j in range(3):
-                if not isinstance(m[i][j], int):
+                if type(m[i][j]) is not int:  # bool is an int subclass
                     raise ValueError(f"{label} entries must be integers")
                 if m[i][j] != m[j][i]:
                     raise ValueError(f"{label} matrices must be symmetric")
@@ -105,6 +105,8 @@ class InvariantPencil:
         _check_sym3(self.q_minus, "q_minus")
         object.__setattr__(self, "q_plus", _freeze(self.q_plus))
         object.__setattr__(self, "q_minus", _freeze(self.q_minus))
+        if type(self.seed) is not int or type(self.coeff_bound) is not int:
+            raise ValueError("seed and coeff_bound must be integers")
         if self.coeff_bound < 0:
             raise ValueError("coeff_bound must be nonnegative")
         b = self.coeff_bound
@@ -204,8 +206,8 @@ class InvariantPencil:
             return cls(
                 q_plus=d["q_plus"],
                 q_minus=d["q_minus"],
-                seed=int(d["seed"]),
-                coeff_bound=int(d["coeff_bound"]),
+                seed=d["seed"],
+                coeff_bound=d["coeff_bound"],
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed instance data: {exc}") from exc
@@ -409,6 +411,9 @@ def genericity_check(P, primes=DEFAULT_PRIMES):
 
 def load_instance(path):
     with open(path, "rb") as fh:
-        data = json.loads(fh.read().decode())
+        try:
+            data = json.loads(fh.read().decode())
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc
     return InvariantPencil.from_json_dict(data)
 

@@ -148,10 +148,25 @@ class TestCheckUsage:
         assert main(["check", "prop4.9-segre", str(inst),
                      "--max-degree", "9"]) == 2
 
-    def test_corrupt_instance_json(self, tmp_path):
+    def test_corrupt_instance_json(self, tmp_path, capsys):
+        good = json.loads(cached_pencil(42).canonical_bytes())
+        k, i, j = next((k, i, j) for k in range(3) for i in range(3)
+                       for j in range(3) if good["q_plus"][k][i][j] == 1)
+        with_true = json.loads(json.dumps(good))
+        with_true["q_plus"][k][i][j] = with_true["q_plus"][k][j][i] = True
+        texts = ["{\"not\": \"an instance\"}",
+                 # bool is an int subclass; true must not pass as 1
+                 json.dumps(with_true),
+                 # no silent truncation or parsing of the header fields
+                 json.dumps(dict(good, coeff_bound=5.9)),
+                 json.dumps(dict(good, seed="12")),
+                 # too deep for the JSON parser: a usage error, not a crash
+                 "[" * 200_000]
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"not\": \"an instance\"}")
-        assert main(["check", bad.as_posix()]) == 2
+        for text in texts:
+            bad.write_text(text)
+            assert main(["check", bad.as_posix()]) == 2
+            assert "malformed instance" in capsys.readouterr().err
 
 
 class TestCheckRuns:

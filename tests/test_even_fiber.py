@@ -1,12 +1,12 @@
 """The even-part route of prop3.17 and prop3.18.
 
-Off its curve a side fiber is C(q_u) = C₀(q_u) ⊗ Q[x]/(x² − f(u)) once
-right multiplication by the odd central element d maps the even masks onto
-the odd masks with determinant f² over Q[u].  These tests check that
-identity on three instances, that the route through C₀ gives the same
-verdicts and field witnesses as the computed route (certify_split_pair and
-the 16-dimensional tensor table), and that every table without the
-identity's provenance still takes the computed route.
+Off its curve a side fiber is C(q_u) = C₀(q_u) ⊗ Q[x]/(x² − f(u)), which
+even_part checks at each point.  Over Q[u] the same theorem says that right
+multiplication by the odd central element d maps the even masks onto the
+odd masks with determinant f².  These tests check that identity on three
+instances, and that the route through C₀ gives the same verdicts and field
+witnesses as the computed route (certify_split_pair and the 16-dimensional
+tensor table, oracles in test_fiber).
 """
 
 from dataclasses import replace
@@ -22,19 +22,18 @@ from quadclif.exactalg import QQ, PolyRing, PrimeField, SymMatrix, bareiss_det
 from quadclif.fiber import (
     EVEN_MASKS,
     ODD_MASKS,
+    FiberError,
     FinAlg,
     QuadraticTower,
     SideFibers,
     certify_matrix_algebra,
     certify_ordinary_m4,
     certify_side_split,
-    certify_split_pair,
     certify_tensor_product,
     clifford_fiber,
     describe_field,
+    even_part,
     even_subalgebra,
-    ordinary_fiber,
-    right_mul_det,
     sample_invertible_points,
     side_fiber,
     tensor_product,
@@ -42,7 +41,14 @@ from quadclif.fiber import (
 from quadclif.pencil import _derived_rng
 
 from conftest import cached_pencil
-from test_fiber import diag_pencil, dual_numbers, m2_algebra, quadratic_etale
+from test_fiber import (
+    certify_split_pair,
+    diag_pencil,
+    dual_numbers,
+    m2_algebra,
+    ordinary_fiber,
+    quadratic_etale,
+)
 
 INSTANCES = {"42": (42, 5), "7": (7, 5), "generated": (2024, 2)}
 FIBER_CHECKS = ("prop3.17-azumaya-m4", "prop3.18-split-m2")
@@ -69,6 +75,19 @@ def _leibniz_det(rows):
 # -- the identity ----------------------------------------------------------------
 
 
+def right_mul_det(alg, d):
+    """det over Q[u] of x ↦ x·d from the even to the odd masks, by
+    fraction-free elimination; None if some e_m·d is not odd."""
+    rows = []
+    for m in EVEN_MASKS:
+        em_d = sum((alg.from_mask(m) * alg.from_mask(k, c)
+                    for k, c in d.coeffs.items()), alg.zero())
+        if not set(em_d.coeffs) <= set(ODD_MASKS):
+            return None
+        rows.append([em_d.coeffs.get(o, alg.ring.zero()) for o in ODD_MASKS])
+    return bareiss_det(rows, alg.ring)
+
+
 @pytest.mark.parametrize("name", INSTANCES)
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_right_multiplication_by_d_has_determinant_f_squared(name, side):
@@ -76,18 +95,8 @@ def test_right_multiplication_by_d_has_determinant_f_squared(name, side):
     sides = SideFibers(P)
     alg, res = sides.algebra(side)
     f = P.det_curves().side(side)
-    # the 4×4 matrix from products of basis monomials, its determinant by
-    # fraction-free elimination instead of cofactors
-    rows = []
-    for m in EVEN_MASKS:
-        em_d = sum((alg.from_mask(m) * alg.from_mask(k, c)
-                    for k, c in res.element.coeffs.items()), alg.zero())
-        assert set(em_d.coeffs) <= set(ODD_MASKS)
-        rows.append([em_d.coeffs.get(o, alg.ring.zero()) for o in ODD_MASKS])
-    assert bareiss_det(rows, alg.ring) == f * f
     assert right_mul_det(alg, res.element) == f * f
     assert res.square == f
-    assert sides.splits(side)
     # at each point the fiber's own 4×4 block has determinant f(u)² ≠ 0
     for u in pts:
         A, dvec, fval = sides.fiber(side, u)
@@ -97,6 +106,7 @@ def test_right_multiplication_by_d_has_determinant_f_squared(name, side):
                    for m in EVEN_MASKS for e in EVEN_MASKS)
         assert _leibniz_det([[x.rational_value() for x in row] for row in block]) \
             == fval.rational_value() ** 2 != 0
+        assert even_part(A, dvec, fval).dim == 4
 
 
 def test_identity_rejects_a_wrong_central_element():
@@ -119,7 +129,7 @@ def test_even_route_matches_the_computed_route(name):
         uf = tuple(Fraction(c) for c in u)
         for side in ("plus", "minus"):
             A = sides.fiber(side, u)[0]
-            assert sides.even_fiber(side, u, A) is not None  # the route is taken
+            assert sides.even(side, u)[1] == "M2"
             cert = certify_split_pair(A, 2)
             field, verdict = certify_side_split(sides, side, u)
             assert verdict == cert.verdict == "M2xM2"
@@ -155,57 +165,14 @@ def test_tensor_verdict_from_factors_matches_the_built_table(left, right):
     assert certify_tensor_product([A], 4) == "fail:dim-4"
 
 
-# -- every other table takes the computed route ----------------------------------
-
-
-def _count_calls(monkeypatch, module, names):
-    calls = []
-    for name in names:
-        orig = getattr(module, name)
-
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls.append(_name)
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_failed_identity_takes_the_computed_route(monkeypatch):
-    """Mutant: the identity sees 2d, whose determinant is 16f², so neither
-    side splits; both checks must still pass, with the computed route's
-    witnesses, which equal the even route's."""
-    P = cached_pencil(42)
-    ctx = CheckContext(P, points=2)
-    want = {cid: run_single(ctx, cid).witnesses for cid in FIBER_CHECKS}
-    assert ctx.sides.splits("plus") and ctx.sides.splits("minus")
-    real = fiber.right_mul_det
-    monkeypatch.setattr(fiber, "right_mul_det", lambda alg, d: real(alg, d * 2))
-    calls = _count_calls(monkeypatch, fiber, ("certify_split_pair", "ordinary_fiber"))
-    ctx = CheckContext(P, points=2)
-    for cid in FIBER_CHECKS:
-        r = run_single(ctx, cid)
-        assert r.status == "pass"
-        assert r.witnesses == want[cid]
-    assert not ctx.sides.splits("plus") and not ctx.sides.splits("minus")
-    assert calls.count("ordinary_fiber") == 2
-    assert calls.count("certify_split_pair") >= 4
-    assert not ctx.sides._evens
-
-
-def test_wrong_square_fails_the_identity():
-    P = cached_pencil(42)
-    sides = SideFibers(P)
-    alg, res = sides.central("plus")
-    sides._central["plus"] = (alg, replace(res, square=-res.square))
-    assert not sides.splits("plus")
+# -- the verdicts come from the even part -----------------------------------------
 
 
 def test_even_verdicts_come_from_the_even_part(monkeypatch):
     """Mutant: the plus side's even part replaced by D⊗D (radical 3).
     prop3.17 then reads fail:radical-12 (16 − 1·4) off the two factors,
-    and prop3.18 falls back to certify_split_pair, which still certifies
-    the real fiber."""
+    and prop3.18 fail:radical-6 (twice 3) over Q, while the computed route
+    still certifies the real fiber."""
     P = cached_pencil(42)
     sides = SideFibers(P)
     u = _points("42", 1)[1][0]
@@ -216,53 +183,51 @@ def test_even_verdicts_come_from_the_even_part(monkeypatch):
     field, verdict = certify_ordinary_m4(sides, u)
     assert verdict == "fail:radical-12"
     assert describe_field(field).count("sqrt") == 2
-    calls = _count_calls(monkeypatch, fiber, ("certify_split_pair",))
-    assert certify_side_split(sides, "plus", u)[1] == "M2xM2"
-    assert calls  # the M2xM2 came from the computed route
-    assert sides.even_fiber("plus", u, A_plus)[1] == "fail:radical-3"
+    field, verdict = certify_side_split(sides, "plus", u)
+    assert (describe_field(field), verdict) == ("Q", "fail:radical-6")
+    assert sides.even("plus", u)[1] == "fail:radical-3"
+    assert certify_split_pair(A_plus, 2).verdict == "M2xM2"
 
 
-def test_odd_part_leak_takes_the_computed_route(monkeypatch):
-    P = cached_pencil(42)
-    real = fiber.right_mul_det
-    monkeypatch.setattr(fiber, "right_mul_det", lambda alg, d: real(alg, d + 1))
-    calls = _count_calls(monkeypatch, fiber, ("certify_split_pair",))
-    ctx = CheckContext(P, points=1)
-    r = run_single(ctx, "prop3.18-split-m2")
-    assert r.status == "pass"
-    assert not ctx.sides.splits("plus")
-    assert calls
-
-
-def test_even_fiber_needs_the_cached_fiber_off_the_curve():
+def test_even_part_is_built_once_per_point():
     P = cached_pencil(42)
     sides = SideFibers(P)
     u = _points("42", 1)[1][0]
-    A = sides.fiber("plus", u)[0]
-    C0, verdict = sides.even_fiber("plus", u, A)
-    assert verdict == "M2" and C0.dim == 4
-    assert sides.even_fiber("plus", u, A)[0] is C0  # built once per point
-    # the same table built elsewhere, or the other side's table, has no
-    # provenance here
-    assert sides.even_fiber("plus", u, side_fiber(sides, "plus", u)[0]) is None
-    assert sides.even_fiber("minus", u, A) is None
-    assert SideFibers(P).even_fiber("plus", u, A) is None
-    # a curve point: f(u) = 0, so C₀·d is not all of C₁
-    D = diag_pencil()
-    dsides = SideFibers(D)
-    assert dsides.splits("plus")
-    curve_fiber = dsides.fiber("plus", (1, 1, 0))[0]
-    assert dsides.even_fiber("plus", (1, 1, 0), curve_fiber) is None
+    C0, verdict = sides.even("plus", u)
+    assert verdict == "M2" and C0.dim == 4 and C0.proof == "even"
+    assert sides.even("plus", u)[0] is C0
+    assert sides.even("minus", u)[0] is not C0
+    # a table without a proof is checked on all basis triples first
+    A, dvec, fval = sides.fiber("plus", u)
+    bare = FinAlg(A.field, A.table, A.unit, gens=A.gens)
+    assert even_part(bare, dvec, fval).table == C0.table
+    assert bare.proof == "checked"
 
 
-def test_curve_point_takes_the_computed_route():
-    D = diag_pencil()
-    sides = SideFibers(D)
-    field, verdict = certify_side_split(sides, "plus", (1, 1, 0))
-    cert = certify_split_pair(sides.fiber("plus", (1, 1, 0))[0], 2)
-    assert (field, verdict) == (cert.field, cert.verdict)
-    assert verdict.startswith("fail:radical")
+def test_wrong_square_fails_the_identity():
+    """Mutant: the solved central element doubled, so its fibers square to
+    4f(u); the pointwise identity catches it and both checks fail."""
+    P = cached_pencil(42)
+    ctx = CheckContext(P, points=1)
+    alg, res = ctx.sides.central("plus")
+    ctx.sides._central["plus"] = (alg, replace(res, element=res.element * 2))
+    for cid in FIBER_CHECKS:
+        r = run_single(ctx, cid)
+        assert r.status == "fail"
+        assert r.witnesses == [{"error": "FiberError: d·d is not f(u)·1"}]
+
+
+def test_curve_point_raises_and_the_oracle_fails():
+    """At a curve point f(u) = 0, so C₀·d is not all of C₁: the even route
+    raises, and the computed route finds the radical."""
+    sides = SideFibers(diag_pencil())
+    with pytest.raises(FiberError, match="determinant curve"):
+        certify_side_split(sides, "plus", (1, 1, 0))
+    with pytest.raises(FiberError, match="determinant curve"):
+        certify_ordinary_m4(sides, (1, 1, 0))
     assert not sides._evens
+    cert = certify_split_pair(sides.fiber("plus", (1, 1, 0))[0], 2)
+    assert cert.verdict.startswith("fail:radical-")
 
 
 # -- the even subalgebra ------------------------------------------------------------

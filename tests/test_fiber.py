@@ -1,13 +1,14 @@
 """Quadratic towers, structure-constant algebras, and fiber certification."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from quadclif.checks import CheckContext, run_single
 from quadclif.clifford import CliffordAlgebra, lift
-from quadclif.exactalg import PrimeField, QQ
+from quadclif.exactalg import PrimeField, QQ, mat_rank, mat_solve
 from quadclif.fiber import (
     FiberError,
     FinAlg,
@@ -19,7 +20,6 @@ from quadclif.fiber import (
     center_basis,
     center_dim,
     certify_matrix_algebra,
-    certify_split_pair,
     certify_tensor_product,
     clifford_fiber,
     corank1_quotient,
@@ -29,7 +29,6 @@ from quadclif.fiber import (
     gram_matrix,
     radical_dim,
     rational_curve_point,
-    ordinary_fiber,
     sample_invertible_points,
     side_fiber,
     tensor_product,
@@ -173,6 +172,104 @@ def quadratic_etale(c, field=None):
         [(zero, one), (cc, zero)],
     ]
     return checked(FinAlg(field, table, (one, zero)))
+
+
+# -- the computed route: oracles for the even-part certificates ----------------
+
+
+@dataclass
+class SplitCert:
+    verdict: str
+    field: object
+    corners: tuple = ()
+
+
+def certify_split_pair(A, n):
+    """Certify A ≅ M_n × M_n after at most one rational quadratic base
+    change: the center must be 2-dimensional and étale; splitting its
+    discriminant yields two central idempotents whose corners must both
+    certify as M_n."""
+    if A.dim != 2 * n * n:
+        return SplitCert(f"fail:dim-{A.dim}", A.field)
+    r = radical_dim(A)
+    if r:
+        return SplitCert(f"fail:radical-{r}", A.field)
+    zb = center_basis(A)
+    if len(zb) != 2:
+        return SplitCert(f"fail:center-{len(zb)}", A.field)
+    z = next((tuple(v) for v in zb
+              if mat_rank([[v[k], A.unit[k]] for k in range(A.dim)]) == 2), None)
+    if z is None:
+        return SplitCert("fail:center-degenerate", A.field)
+    # z² = α z + β
+    cols = [A.unit, z]
+    sol = mat_solve([[cols[0][k], cols[1][k]] for k in range(A.dim)],
+                    list(A.mul(z, z)), A.field)
+    if sol is None:
+        return SplitCert("fail:center-not-quadratic", A.field)
+    beta, alpha = sol
+    half = A.field.one / A.field.coerce(2)
+    w = A.vsub(z, A.vscale(A.unit, alpha * half))
+    ww = A.mul(w, w)
+    delta = next((ww[k] / A.unit[k] for k in range(A.dim) if A.unit[k]), None)
+    if delta is None or A.scalar_vec(delta) != ww:
+        return SplitCert("fail:center-not-etale", A.field)
+    s = A.field.sqrt(delta)
+    if s is None:
+        # one rational extension attempt
+        if isinstance(A.field, QuadraticTower):
+            d = A.field.coerce(delta)
+            if d.is_rational() and A.field.level < 2:
+                tower, _ = A.field.extended(d.rational_value())
+                return certify_split_pair(A.map_field(tower), n)
+        return SplitCert("fail:discriminant-not-split", A.field)
+    if not s:
+        return SplitCert("fail:discriminant-zero", A.field)
+    e1 = A.vscale(A.vadd(A.unit, A.vscale(w, A.field.one / s)), half)
+    e2 = A.vsub(A.unit, e1)
+    for e in (e1, e2):
+        if A.mul(e, e) != e:
+            return SplitCert("fail:idempotent", A.field)
+    if any(A.mul(e1, e2)):
+        return SplitCert("fail:orthogonality", A.field)
+    corners = []
+    for e in (e1, e2):
+        C = corner_algebra(A, e, gens=A.gens)
+        v = certify_matrix_algebra(C, n)
+        if v != f"M{n}":
+            return SplitCert(f"fail:corner-{v}", A.field)
+        corners.append(C)
+    return SplitCert(f"M{n}xM{n}", A.field, tuple(corners))
+
+
+def ordinary_fiber(sides, u, field=None):
+    """The 16-dimensional ordinary fiber of sides.P at u over
+    Q(√f₊(u), √f₋(u)) (or field), as a tensor product of the two side
+    corners."""
+    uf = tuple(Fraction(c) for c in u)
+    fp, fm = (sides.P.det_curves().side(side).eval(uf) for side in ("plus", "minus"))
+    if field is None:
+        if fp == 0 or fm == 0:
+            raise FiberError("base point lies on a determinant curve")
+        field, (sp, sm) = QuadraticTower.create([fp, fm])
+    else:
+        sp = field.sqrt(field.coerce(fp))
+        sm = field.sqrt(field.coerce(fm))
+        if not sp or not sm:
+            raise FiberError("determinant values are not invertible squares "
+                             "in the requested field")
+    corners = []
+    for side, s in (("plus", sp), ("minus", sm)):
+        if isinstance(field, QuadraticTower):
+            A8_Q, dvec_Q, _ = sides.fiber(side, u)
+            A8 = A8_Q.map_field(field)
+            dvec = tuple(field.coerce(x) for x in dvec_Q)
+        else:
+            A8, dvec, _ = side_fiber(sides, side, u, field)
+        C, _ = _corner_by_idempotent(A8, dvec, s)
+        assert C.dim == 4
+        corners.append(C)
+    return tensor_product(corners[0], corners[1])
 
 
 def test_golden_m2():
@@ -367,30 +464,79 @@ def test_unit_by_construction_passes_the_unit_check():
 
 
 def test_non_semisimple_fiber_fails_through_the_registry(monkeypatch):
-    """Negative control for prop3.17-azumaya-m4: side fibers replaced by
-    D⊗D⊗Q[x]/(x² - f(u)), D the dual numbers (upper-triangular
-    [[a, b], [0, a]]), with x as the central odd element.  The real tensor
-    path then cuts D⊗D from each side over Q(√f₊(u), √f₋(u)) and builds a
-    16-dimensional fiber with a 15-dimensional radical; the same table
-    over Q gets the same verdict."""
+    """Negative control for prop3.17-azumaya-m4 and prop3.18-split-m2: side
+    fibers replaced by D⊗D⊗Q[x]/(x² - f(u)), D the dual numbers
+    (upper-triangular [[a, b], [0, a]]), with x as the central odd element.
+    The fake table passes every condition of even_part, whose even masks
+    span a 4-dimensional algebra with a 3-dimensional radical: prop3.17
+    reads a 15-dimensional radical of the 16-dimensional fiber off the two
+    even parts, and prop3.18 a 6-dimensional radical of each side fiber
+    over Q.  The computed route gives the same verdicts."""
     P = cached_pencil(42)
 
     def fake_fiber(self, side, u):
         fval = P.det_curves().side(side).eval(tuple(Fraction(c) for c in u))
         A = tensor_product(tensor_product(dual_numbers(), dual_numbers()),
                            quadratic_etale(fval))
-        return A, A.basis_vec(1), fval  # basis vector 1 is 1⊗1⊗x
+        return A, A.basis_vec(1), A.field.coerce(fval)  # basis vector 1 is 1⊗1⊗x
 
     monkeypatch.setattr(SideFibers, "fiber", fake_fiber)
-    r = run_single(CheckContext(P, points=2), "prop3.17-azumaya-m4")
+    ctx = CheckContext(P, points=2)
+    r = run_single(ctx, "prop3.17-azumaya-m4")
     assert r.status == "fail"
     assert [w["verdict"] for w in r.witnesses] == ["fail:radical-15"] * 2
     for w in r.witnesses:
         assert w["field"].startswith("Q(sqrt ") and w["field"].count("sqrt") == 2
+    r = run_single(ctx, "prop3.18-split-m2")
+    assert r.status == "fail"
+    assert [(w["side"], w["field"], w["verdict"]) for w in r.witnesses] == \
+        [("plus", "Q", "fail:radical-6"), ("minus", "Q", "fail:radical-6")] * 2
+    # the oracles on the same tables
+    for u in ctx.fiber_points():
+        for side in ("plus", "minus"):
+            cert = certify_split_pair(fake_fiber(None, side, u)[0], 2)
+            assert (cert.verdict, describe_field(cert.field)) == ("fail:radical-6", "Q")
     DD = tensor_product(dual_numbers(), dual_numbers())
     over_q = tensor_product(DD, DD)
     assert over_q.field.level == 0
     assert certify_matrix_algebra(over_q, 4) == "fail:radical-15"
+
+
+def _non_associative_copy(A):
+    """A's table with the product e_1·e_2 negated and no proof: the unit
+    still holds, associativity does not."""
+    table = [list(row) for row in A.table]
+    table[1][2] = tuple(-x for x in table[1][2])
+    return FinAlg(A.field, table, A.unit, gens=A.gens)
+
+
+# (mutant of (A, d, f), what the FiberError must name): one mutant per
+# condition of even_part
+EVEN_PART_MUTANTS = {
+    "d-scaled-by-2": (lambda A, d, f: (A, A.vscale(d, A.field.coerce(2)), f),
+                      "d·d is not f(u)·1"),
+    "non-central-d": (lambda A, d, f: (A, A.basis_vec(1), f),
+                      "d does not commute with the generators"),
+    "d-plus-1": (lambda A, d, f: (A, A.vadd(d, A.unit), f),
+                 "e_0·d has an even coordinate"),
+    "non-associative": (lambda A, d, f: (_non_associative_copy(A), d, f),
+                        "associativity fails on basis triple"),
+}
+
+
+@pytest.mark.parametrize("mutant", EVEN_PART_MUTANTS)
+def test_even_part_mutants_fail_through_the_registry(monkeypatch, mutant):
+    mutate, message = EVEN_PART_MUTANTS[mutant]
+    P = cached_pencil(42)
+    real = SideFibers.fiber
+    monkeypatch.setattr(SideFibers, "fiber",
+                        lambda self, side, u: mutate(*real(self, side, u)))
+    ctx = CheckContext(P, points=1)
+    for check_id in ("prop3.17-azumaya-m4", "prop3.18-split-m2"):
+        r = run_single(ctx, check_id)
+        [witness] = r.witnesses
+        assert r.status == "fail"
+        assert witness["error"].startswith(f"FiberError: {message}")
 
 
 def _flip_one_normal_form(monkeypatch, bad=(0b010, 0)):
