@@ -4,9 +4,9 @@ polynomials, and the package's only dense linear algebra.
 Everything in this module is exact.  Rationals are `fractions.Fraction`,
 prime-field residues are reduced on every operation, and polynomial
 arithmetic never rounds.  The polynomial layer is deliberately small: ring
-operations, derivatives, Sylvester resultants, and a univariate gcd for
-squarefreeness tests.  Terms are kept in a dict keyed by exponent tuples;
-zero coefficients are never stored, so equality is dict equality.
+operations, derivatives and evaluation; resultants and squarefreeness
+take integer coefficient lists.  Terms are kept in a dict keyed by exponent
+tuples; zero coefficients are never stored, so equality is dict equality.
 Serialization orders terms graded-lex.
 
 Linear algebra has one routine per job, shared by every module:
@@ -16,8 +16,13 @@ Linear algebra has one routine per job, shared by every module:
   `span_coords`) are read off its pivots and reduced rows;
 * `adjugate3` is the single 3×3 adjugate, written once for any
   commutative ring (polynomials, field elements, plain integers);
-* `det_cofactor` expands small polynomial determinants, and `bareiss_det`
-  is the fraction-free elimination behind the Sylvester resultant;
+* `det_cofactor` expands small polynomial determinants; `bareiss_det` is
+  the fraction-free integer elimination, each division checked exact,
+  behind `sylvester_resultant`, which with `interpolate_int` gives
+  resultants by evaluation and interpolation (Collins, J. ACM 18 (1971);
+  von zur Gathen and Gerhard, *Modern Computer Algebra*, Ch. 6), and
+  `squarefree_univariate` certifies mod one prime (sound by Gauss's
+  lemma) before the exact gcd over Q decides;
 * `kernel_int_sparse` is the separate sparse integer kernel of the graded
   commutant solver.
 """
@@ -370,33 +375,12 @@ class MultiPoly:
 
     # -- structure ----------------------------------------------------------
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name):
-        if not self.terms:
-            return -1
-        i = self.ring.vars.index(name)
-        return max(e[i] for e in self.terms)
-
     def leading_term(self):
         """Graded-lex leading (exps, coeff); raises on the zero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=lambda t: (sum(t), t))
         return e, self.terms[e]
-
-    def coeff_of_power(self, name, k):
-        """Coefficient of name**k, kept in the same ring with exponent zeroed."""
-        i = self.ring.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                e2 = e[:i] + (0,) + e[i + 1:]
-                out[e2] = out.get(e2, self.ring.field.zero) + c
-        return MultiPoly(self.ring, {e: c for e, c in out.items() if c})
 
     def derivative(self, name):
         i = self.ring.vars.index(name)
@@ -543,99 +527,84 @@ def adjugate3(m):
 
 
 # ---------------------------------------------------------------------------
-# resultants and squarefreeness
+# integer resultants, interpolation and squarefreeness
 # ---------------------------------------------------------------------------
 
-def poly_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact division f/g; raises ValueError if g does not divide f."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    ring = f.ring
-    q = ring.zero()
-    r = f
-    ge, gc = g.leading_term()
-    while not r.is_zero():
-        re, rc = r.leading_term()
-        de = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in de):
-            raise ValueError("inexact polynomial division")
-        t = ring.monomial(de, rc / gc)
-        q = q + t
-        r = r - t * g
-    return q
+def int_coeffs(coeffs):
+    """coeffs as a list of ints (a Fraction with denominator 1 is taken as
+    its int); ValueError on a float or a non-integral value, so nothing
+    rounded enters the integer routes below."""
+    out = [as_int(c) for c in coeffs]
+    if any(type(c) is not int for c in out):
+        raise ValueError("coefficients must be integers")
+    return out
 
 
-def bareiss_det(rows, ring):
-    """Fraction-free determinant of a square matrix of MultiPoly."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = ring.one()
+def bareiss_det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination.  Each step divides by the previous pivot, which is exact
+    by Sylvester's identity; the remainder is checked all the same."""
+    m = [int_coeffs(r) for r in rows]
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("matrix is not square")
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
                 # the whole pivot column is zero from the diagonal down
-                return ring.zero()
+                return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = poly_exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = ring.zero()
+                q, r = divmod(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                if r:
+                    raise ArithmeticError("inexact Bareiss division")
+                m[i][j] = q
         prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign > 0 else -d
+    return sign * m[-1][-1] if n else 1
 
 
-def sylvester_resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Resultant of f and g with respect to the variable `name`,
-    via the Sylvester matrix in their actual degrees and Bareiss
-    elimination.  Errors on zero input."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    ring = f.ring
-    dm, dn = f.degree_in(name), g.degree_in(name)
-    if dm == 0 and dn == 0:
-        return ring.one()
-    if dm == 0:
-        return f ** dn
-    if dn == 0:
-        return g ** dm
-    fc = [f.coeff_of_power(name, k) for k in range(dm, -1, -1)]
-    gc = [g.coeff_of_power(name, k) for k in range(dn, -1, -1)]
-    size = dm + dn
-    rows = []
-    for s in range(dn):
-        row = [ring.zero()] * size
-        for k, c in enumerate(fc):
-            row[s + k] = c
-        rows.append(row)
-    for s in range(dm):
-        row = [ring.zero()] * size
-        for k, c in enumerate(gc):
-            row[s + k] = c
-        rows.append(row)
-    return bareiss_det(rows, ring)
+def sylvester_resultant(f, g):
+    """Resultant of two integer polynomials given as coefficient lists
+    [c0, ..., cd] with a nonzero last entry: the determinant of their
+    Sylvester matrix, by `bareiss_det`."""
+    f, g = int_coeffs(f), int_coeffs(g)
+    if not (f and f[-1] and g and g[-1]):
+        raise ValueError("resultant needs nonzero leading coefficients")
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * s + f[::-1] + [0] * (n - 1 - s) for s in range(n)]
+    rows += [[0] * s + g[::-1] + [0] * (m - 1 - s) for s in range(m)]
+    return bareiss_det(rows)
 
 
-def as_univariate(f: MultiPoly, name: str):
-    """Dense coefficient list [c0..cd] of a polynomial univariate in `name`;
-    raises if any other variable occurs."""
-    i = f.ring.vars.index(name)
-    d = max((e[i] for e in f.terms), default=0)
-    coeffs = [f.ring.field.zero] * (d + 1)
-    for e, c in f.terms.items():
-        if any(k != 0 for j, k in enumerate(e) if j != i):
-            raise ValueError("polynomial is not univariate in " + name)
-        coeffs[e[i]] = coeffs[e[i]] + c
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
+def interpolate_int(values):
+    """Coefficients [c0, ..., cn] of the polynomial in Z[t] of degree at
+    most n that takes values[t] at t = 0, ..., n, by Newton divided
+    differences.  At consecutive integers the divided differences of an
+    integer polynomial are integers (for tⁱ they are Stirling numbers), so
+    each division must be exact; ArithmeticError if one is not, when no
+    integer polynomial takes these values."""
+    dd = int_coeffs(values)
+    n = len(dd) - 1
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            q, r = divmod(dd[i] - dd[i - 1], k)
+            if r:
+                raise ArithmeticError("no integer polynomial takes these values")
+            dd[i] = q
+    coeffs = [dd[n]]
+    for k in range(n - 1, -1, -1):  # h ← dd[k] + (t − k)·h
+        coeffs = [dd[k] - k * coeffs[0]] + [
+            a - k * b for a, b in zip(coeffs, coeffs[1:] + [0])]
     return coeffs
 
 
-def _dense_gcd(a, b, field):
-    """Monic Euclidean gcd of dense coefficient lists over a field."""
+def _gcd_with_derivative(h, field):
+    """Monic Euclidean gcd of h and h′ over a field, h a dense coefficient
+    list [c0..cd]."""
 
     def strip(v):
         v = list(v)
@@ -658,7 +627,7 @@ def _dense_gcd(a, b, field):
             u = strip(u)
         return u
 
-    a, b = strip(a), strip(b)
+    a, b = strip(h), strip([c * k for k, c in enumerate(h)][1:])
     while b:
         a, b = b, rem(a, b)
     if a:
@@ -667,24 +636,32 @@ def _dense_gcd(a, b, field):
     return a
 
 
-def squarefree_univariate(h: MultiPoly, name: str):
-    """(is_squarefree, gcd(h, h')) for a univariate polynomial over a field.
-    Squarefree means the gcd with the derivative is constant."""
-    if h.is_zero():
+# The mod-p squarefree certificate uses the first that does not divide lc(h).
+SQUAREFREE_FIELDS = tuple(PrimeField(p) for p in (1000003, 1000033, 1000037))
+
+
+def squarefree_univariate(coeffs):
+    """(is_squarefree, gcd(h, h′)) for h = Σ coeffs[k]·tᵏ in Z[t], nonzero;
+    the gcd is monic over Q, as a coefficient list.
+
+    h is first reduced mod the first p in SQUAREFREE_FIELDS with p ∤ lc(h).
+    A constant gcd(h̄, h̄′) there certifies h squarefree over Q, by Gauss's
+    lemma: if h = g²k over Q with deg g ≥ 1, g may be taken primitive in
+    Z[t] with g² | h in Z[t], so p ∤ lc(g) and h̄ keeps the square factor
+    ḡ² of positive degree.  When that test does not certify (or p divides
+    every lc), the exact Euclidean gcd over Q decides, so a "not
+    squarefree" verdict is always exact."""
+    h = int_coeffs(coeffs)
+    while h and not h[-1]:
+        h.pop()
+    if not h:
         raise ValueError("squarefreeness of the zero polynomial")
-    coeffs = as_univariate(h, name)
-    dcoeffs = [coeffs[k] * k for k in range(1, len(coeffs))]
-    g = _dense_gcd(coeffs, dcoeffs, h.ring.field)
-    ring = h.ring
-    i = ring.vars.index(name)
-    terms = {}
-    for k, c in enumerate(g):
-        if c:
-            e = [0] * len(ring.vars)
-            e[i] = k
-            terms[tuple(e)] = c
-    gpoly = MultiPoly(ring, terms)
-    return (len(g) <= 1, gpoly)
+    field = next((F for F in SQUAREFREE_FIELDS if h[-1] % F.p), None)
+    if field is not None and len(_gcd_with_derivative(
+            [FpElem(c, field.p) for c in h], field)) == 1:
+        return True, [QQ.one]
+    g = _gcd_with_derivative([Fraction(c) for c in h], QQ)
+    return len(g) == 1, g
 
 
 # ---------------------------------------------------------------------------

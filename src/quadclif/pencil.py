@@ -7,6 +7,12 @@ f_± = det(Σ uₖ q_±[k]) plane cubics.  Random instances are accepted only
 when they pass the genericity suite: smooth cubics, transverse
 intersection, nine distinct intersection points (via a squarefree degree-9
 resultant), and corank ≤ 1 along the curves.
+
+The binary form R = Res_u3(f₊, f₋) of degree 9 is interpolated over Z
+from ten 6×6 integer Sylvester determinants R(t, 1), t = 0..9 (Collins,
+J. ACM 18 (1971); von zur Gathen and Gerhard, *Modern Computer Algebra*,
+Ch. 6).  R(t, 1) is certified squarefree mod one prime when it can be
+(sound by Gauss's lemma), else the exact gcd over Q decides.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .exactalg import (
     MultiPoly,
     PolyRing,
     SymMatrix,
+    int_coeffs,
+    interpolate_int,
     is_prime,
     mat_rank,
     squarefree_univariate,
@@ -305,6 +313,31 @@ def _random_gl3(rng):
             return m
 
 
+def binary_resultant(f_plus, f_minus):
+    """Coefficients [r0, ..., r9] of the binary form R = Res_u3(f₊, f₋) =
+    Σ rᵢ·u1ⁱ·u2⁹⁻ⁱ, for integer cubic forms with f±(0,0,1) ≠ 0, by
+    evaluation and interpolation (Collins, J. ACM 18 (1971); von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, Ch. 6).  This is exact:
+    - the u3³ coefficients f±(0,0,1) are nonzero constants, so setting
+      (u1, u2) = (t, 1) keeps both degrees in u3 and commutes with the
+      Sylvester determinant: R(t, 1) = Res_u3(f₊(t,1,u3), f₋(t,1,u3)),
+      a 6×6 integer determinant at each integer t;
+    - R is a binary form of degree 9, so R(t, 1) = Σ rᵢ·tⁱ carries all its
+      coefficients and its values at t = 0..9 fix it; the interpolation
+      checks that its divisions are exact.
+    So R = 0 iff all ten values vanish, and deg R = 9 whenever R ≠ 0."""
+    specialized = []
+    for f in (f_plus, f_minus):
+        if not f.terms.get((0, 0, 3)) or any(sum(e) != 3 for e in f.terms):
+            raise ValueError("need cubic forms with f(0, 0, 1) ≠ 0")
+        terms = list(zip(f.terms, int_coeffs(f.terms.values())))
+        specialized.append(
+            [[sum(c * t ** e[0] for e, c in terms if e[2] == k) for k in range(4)]
+             for t in range(10)])
+    return interpolate_int(
+        [sylvester_resultant(a, b) for a, b in zip(*specialized)])
+
+
 def resultant_nine_points(f_plus, f_minus, rng=None):
     """(nine_points, squarefree, degree, notes): eliminates u3 from the two
     cubic forms and tests the resulting binary form for squarefreeness.  A
@@ -326,17 +359,16 @@ def resultant_nine_points(f_plus, f_minus, rng=None):
         notes.append("coordinate change (projection center on a curve)")
     else:
         return False, False, -1, tuple(notes + ["no usable projection center"])
-    R = sylvester_resultant(fp, fm, "u3")
-    if R.is_zero():
+    h = binary_resultant(fp, fm)
+    if not any(h):
         return False, False, -1, tuple(notes + ["resultant identically zero"])
-    deg = R.total_degree()
-    # R is a binary form in (u1, u2): u2^k ∥ R means a k-fold root at
-    # (1:0), and R(t, 1) carries the other roots, with degree deg − k.  So
-    # R is squarefree iff k ≤ 1 and R(t, 1) is squarefree.
-    h = R.ring.from_terms(((e[0], 0, 0), c) for e, c in R.terms.items())
-    squarefree = (h.degree_in("u1") >= deg - 1
-                  and squarefree_univariate(h, "u1")[0])
-    return (deg == 9 and squarefree), squarefree, deg, tuple(notes)
+    # u2^k ∥ R means a k-fold root at (1:0), and h = R(t, 1) carries the
+    # other roots, with degree 9 − k.  So R is squarefree iff k ≤ 1 and
+    # R(t, 1) is squarefree.
+    while not h[-1]:
+        h.pop()
+    squarefree = len(h) >= 9 and squarefree_univariate(h)[0]
+    return squarefree, squarefree, 9, tuple(notes)
 
 
 def genericity_check(P, primes=DEFAULT_PRIMES):

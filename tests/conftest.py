@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from quadclif.clifford import CliffordAlgebra, central_odd
-from quadclif.exactalg import QQ
-from quadclif.pencil import generate
+from quadclif.exactalg import QQ, MultiPoly
+from quadclif.pencil import InvariantPencil, _derived_rng, _random_sym3, generate
 
 
 class GaussianRational:
@@ -103,6 +103,122 @@ def cached_pencil(seed, bound=5):
     if key not in _CACHE:
         _CACHE[key] = generate(seed, bound)
     return _CACHE[key]
+
+
+def seeded_pencil(i):
+    """A random small pencil, generic or not, for the resultant oracles."""
+    rng = _derived_rng("resultant-oracle", i)
+    bound = 1 + i % 2
+    return InvariantPencil(
+        q_plus=tuple(_random_sym3(rng, bound) for _ in range(3)),
+        q_minus=tuple(_random_sym3(rng, bound) for _ in range(3)),
+        seed=i, coeff_bound=bound)
+
+
+# -- MultiPoly elimination: the oracle for the integer resultant route ----------
+
+
+def total_degree(f):
+    return max((sum(e) for e in f.terms), default=-1)
+
+
+def degree_in(f, name):
+    i = f.ring.vars.index(name)
+    return max((e[i] for e in f.terms), default=-1)
+
+
+def poly_exact_div(f, g):
+    """Exact division f/g; raises ValueError if g does not divide f."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    ring = f.ring
+    q = ring.zero()
+    r = f
+    ge, gc = g.leading_term()
+    while not r.is_zero():
+        re, rc = r.leading_term()
+        de = tuple(a - b for a, b in zip(re, ge))
+        if any(d < 0 for d in de):
+            raise ValueError("inexact polynomial division")
+        t = ring.monomial(de, rc / gc)
+        q = q + t
+        r = r - t * g
+    return q
+
+
+def poly_bareiss_det(rows, ring):
+    """Fraction-free determinant of a square matrix of MultiPoly."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = ring.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if swap is None:
+                return ring.zero()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = poly_exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+            m[i][k] = ring.zero()
+        prev = m[k][k]
+    d = m[n - 1][n - 1]
+    return d if sign > 0 else -d
+
+
+def coeff_of_power(f, name, k):
+    """Coefficient of name**k, kept in the same ring with exponent zeroed."""
+    i = f.ring.vars.index(name)
+    out = {}
+    for e, c in f.terms.items():
+        if e[i] == k:
+            e2 = e[:i] + (0,) + e[i + 1:]
+            out[e2] = out.get(e2, f.ring.field.zero) + c
+    return MultiPoly(f.ring, {e: c for e, c in out.items() if c})
+
+
+def poly_sylvester_resultant(f, g, name):
+    """Resultant of f and g with respect to the variable `name`, via the
+    Sylvester matrix in their actual degrees and Bareiss elimination over
+    MultiPoly.  Errors on zero input."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of the zero polynomial")
+    ring = f.ring
+    dm, dn = degree_in(f, name), degree_in(g, name)
+    if dm == 0 and dn == 0:
+        return ring.one()
+    if dm == 0:
+        return f ** dn
+    if dn == 0:
+        return g ** dm
+    fc = [coeff_of_power(f, name, k) for k in range(dm, -1, -1)]
+    gc = [coeff_of_power(g, name, k) for k in range(dn, -1, -1)]
+    size = dm + dn
+    rows = []
+    for coeffs, count in ((fc, dn), (gc, dm)):
+        for s in range(count):
+            row = [ring.zero()] * size
+            for k, c in enumerate(coeffs):
+                row[s + k] = c
+            rows.append(row)
+    return poly_bareiss_det(rows, ring)
+
+
+def as_univariate(f, name):
+    """Dense coefficient list [c0..cd] of a polynomial univariate in `name`;
+    raises if any other variable occurs."""
+    i = f.ring.vars.index(name)
+    d = max((e[i] for e in f.terms), default=0)
+    coeffs = [f.ring.field.zero] * (d + 1)
+    for e, c in f.terms.items():
+        if any(k != 0 for j, k in enumerate(e) if j != i):
+            raise ValueError("polynomial is not univariate in " + name)
+        coeffs[e[i]] = coeffs[e[i]] + c
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 def central_odd_pencil(P, side):

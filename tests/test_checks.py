@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import cached_pencil
+from conftest import cached_pencil, seeded_pencil
 from quadclif import checks
 from quadclif.checks import (
     CHECK_ORDER,
@@ -14,6 +14,7 @@ from quadclif.checks import (
     run_all,
     run_single,
 )
+from quadclif.cli import main
 from quadclif.clifford import hilbert_dims_center
 from quadclif.exactalg import is_prime
 from quadclif.pencil import MAX_PRIME, MAX_PRIMES, InvariantPencil, genericity_check
@@ -178,6 +179,36 @@ class TestOnInstance:
         pts = [tuple(w["point"]) for w in r.witnesses if w.get("point")]
         for corner in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
             assert corner in pts
+
+    def test_double_resultant_root_fails_exactly_the_resultant_checks(
+            self, tmp_path, capsys):
+        # seeded_pencil(94) is tangent at (1:0:0), so u2² ∥ R: the
+        # resultant is not squarefree and only its two checks FAIL
+        P = seeded_pencil(94)
+        resultant = ('{"degree": 9, "kind": "resultant", "point": null, '
+                     '"prime": null, "squarefree": false}')
+        ids = {"prop2.2-transversality", "prop2.5-nine-points"}
+
+        def resultant_witnesses(witnesses):
+            return [json.dumps(w, sort_keys=True) for w in witnesses
+                    if w.get("kind") == "resultant"]
+
+        ctx = CheckContext(P, points=1)
+        for cid in sorted(ids):
+            res = run_single(ctx, cid)
+            assert res.status == "fail"
+            assert resultant_witnesses(res.witnesses) == [resultant]
+        inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+        inst.write_bytes(P.canonical_bytes())
+        assert main(["check", str(inst), "--points", "1",
+                     "--report", str(report)]) == 1
+        capsys.readouterr()
+        rep = json.loads(report.read_text())
+        assert [c["id"] for c in rep["checks"]] == list(CHECK_ORDER)
+        assert {c["id"] for c in rep["checks"] if c["status"] != "pass"} == ids
+        for c in rep["checks"]:
+            if c["id"] in ids:
+                assert resultant_witnesses(c["witnesses"]) == [resultant]
 
     def test_corank1_reaches_five_points(self):
         P = cached_pencil(42)

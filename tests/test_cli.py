@@ -33,6 +33,11 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 # full run is pinned byte for byte.
 FULL_RUN_SHA256 = "06e7670e6f4baf7ddd8a612f3a3509e117848c68f5e871d5ce2395673f34e4de"
 
+# SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
+# 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.
+GEN_DIGESTS_SHA256 = "1a732b621be775acd66c6923bd60ba5d7276652bca618641d33c435c0c501c32"
+GEN_JOBS = ((7, 5), (42, 5)) + tuple((s, b) for b in (3, 9) for s in range(1, 26))
+
 
 def gen(tmp_path, seed=42, bound=5, name="inst.json"):
     out = tmp_path / name
@@ -57,6 +62,13 @@ class TestGen:
         out2 = gen(tmp_path, name="again.json")
         assert out2.read_bytes() == data
         assert load_instance(str(out)).digest() == SEED42_DIGEST
+
+    def test_gen_digests_pinned(self, tmp_path, capsys):
+        for seed, bound in GEN_JOBS:
+            gen(tmp_path, seed, bound)
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == len(GEN_JOBS)
+        assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS_SHA256
 
     def test_different_seed_different_instance(self, tmp_path, capsys):
         gen(tmp_path, seed=7, name="a.json")

@@ -18,7 +18,7 @@ import pytest
 from quadclif import clifford, fiber
 from quadclif.checks import CheckContext, run_single
 from quadclif.clifford import CliffordAlgebra
-from quadclif.exactalg import QQ, PolyRing, PrimeField, SymMatrix, bareiss_det
+from quadclif.exactalg import QQ, PolyRing, PrimeField, SymMatrix
 from quadclif.fiber import (
     EVEN_MASKS,
     ODD_MASKS,
@@ -40,7 +40,7 @@ from quadclif.fiber import (
 )
 from quadclif.pencil import _derived_rng
 
-from conftest import cached_pencil
+from conftest import cached_pencil, poly_bareiss_det
 from test_fiber import (
     certify_split_pair,
     diag_pencil,
@@ -85,7 +85,7 @@ def right_mul_det(alg, d):
         if not set(em_d.coeffs) <= set(ODD_MASKS):
             return None
         rows.append([em_d.coeffs.get(o, alg.ring.zero()) for o in ODD_MASKS])
-    return bareiss_det(rows, alg.ring)
+    return poly_bareiss_det(rows, alg.ring)
 
 
 @pytest.mark.parametrize("name", INSTANCES)

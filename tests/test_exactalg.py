@@ -6,21 +6,22 @@ from fractions import Fraction
 
 import pytest
 
+from quadclif import exactalg
 from quadclif.exactalg import (
     QQ,
+    SQUAREFREE_FIELDS,
     PrimeField,
     PolyRing,
     SymMatrix,
     adjugate3,
-    as_univariate,
     bareiss_det,
     det_cofactor,
+    interpolate_int,
     is_square_fraction,
     kernel_int_sparse,
     mat_kernel,
     mat_rank,
     mat_solve,
-    poly_exact_div,
     rref,
     span_coords,
     squarefree_univariate,
@@ -29,7 +30,17 @@ from quadclif.exactalg import (
 from quadclif.fiber import QuadraticTower
 from quadclif.pencil import _derived_rng
 
-from conftest import QQI, GaussianRational, is_homogeneous
+from conftest import (
+    QQI,
+    GaussianRational,
+    as_univariate,
+    coeff_of_power,
+    is_homogeneous,
+    poly_bareiss_det,
+    poly_exact_div,
+    poly_sylvester_resultant,
+    total_degree,
+)
 
 
 F101 = PrimeField(101)
@@ -201,7 +212,7 @@ def test_poly_eval_matches_structure(Ru):
     u1, u2, u3 = (Ru.var(v) for v in Ru.vars)
     f = u1 * u2 - 3 * u3 ** 2 + 1
     assert f.eval([2, 5, 1]) == 2 * 5 - 3 + 1
-    assert f.total_degree() == 2
+    assert total_degree(f) == 2
     assert not is_homogeneous(f)
     assert is_homogeneous(u1 * u2 * u3)
 
@@ -248,9 +259,9 @@ def test_poly_exact_div(Ru):
 def test_coeff_of_power(Ru):
     u1, u2, u3 = (Ru.var(v) for v in Ru.vars)
     f = u3 ** 2 * u1 + u3 * u2 + 5
-    assert f.coeff_of_power("u3", 2) == u1
-    assert f.coeff_of_power("u3", 1) == u2
-    assert f.coeff_of_power("u3", 0) == Ru.const(5)
+    assert coeff_of_power(f, "u3", 2) == u1
+    assert coeff_of_power(f, "u3", 1) == u2
+    assert coeff_of_power(f, "u3", 0) == Ru.const(5)
 
 
 def test_serialization_grlex_order(Ru):
@@ -272,7 +283,7 @@ def test_det3_symbolic():
     expect = a * d * f + 2 * b * e * c - a * e * e - d * c * c - f * b * b
     assert M.det() == expect
     assert leibniz3(M.rows) == expect
-    assert bareiss_det([list(r) for r in M.rows], ring) == expect
+    assert poly_bareiss_det([list(r) for r in M.rows], ring) == expect
 
 
 def test_adjugate_identity_rational():
@@ -330,7 +341,11 @@ def test_identity_matrix(Ru):
     assert I.det() == Ru.one()
 
 
-# -- resultants -------------------------------------------------------------
+# -- resultants ------------------------------------------------------------------
+
+
+def rand_int_matrix(rng, n, bound=9):
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
 
 
 def test_bareiss_matches_cofactor_det(Ru):
@@ -341,7 +356,7 @@ def test_bareiss_matches_cofactor_det(Ru):
             for j in range(i, 3):
                 vals[i][j] = vals[j][i] = rand_poly(rng, Ru, deg=1, nterms=2)
         M = SymMatrix(Ru, vals)
-        assert bareiss_det([list(r) for r in M.rows], Ru) == M.det()
+        assert poly_bareiss_det([list(r) for r in M.rows], Ru) == M.det()
     # general square polynomial matrices, singular ones included
     rng = _derived_rng("test", "bareiss")
     for n in (1, 2, 3, 4):
@@ -350,7 +365,29 @@ def test_bareiss_matches_cofactor_det(Ru):
                     for _ in range(n)]
             if n > 1 and rng.random() < 0.3:
                 rows[-1] = list(rows[0])
-            assert bareiss_det(rows, Ru) == det_cofactor(rows, Ru)
+            assert poly_bareiss_det(rows, Ru) == det_cofactor(rows, Ru)
+    # the integer elimination, against cofactor expansion over constants
+    for n in range(1, 6):
+        for _ in range(20):
+            m = rand_int_matrix(rng, n)
+            if n > 1 and rng.random() < 0.3:
+                m[-1] = [2 * x for x in m[0]]
+            if rng.random() < 0.3:
+                m[0][0] = 0  # forces a row swap
+            rows = [[Ru.const(x) for x in r] for r in m]
+            assert bareiss_det(m) == det_cofactor(rows, Ru)
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[0, 1], [0, 2]]) == 0
+
+
+def test_integer_bareiss_takes_only_integers():
+    for bad in ([[1.0, 2], [3, 4]], [[Fraction(1, 2), 2], [3, 4]]):
+        with pytest.raises(ValueError):
+            bareiss_det(bad)
+    assert bareiss_det([[Fraction(3), 1], [1, 1]]) == 2
+    with pytest.raises(ValueError):
+        bareiss_det([[1, 2], [3, 4], [5, 6]])
 
 
 def test_resultant_degree_and_specialization():
@@ -359,8 +396,13 @@ def test_resultant_degree_and_specialization():
     # res_t of (t - s)(t - 2s) and (t - 3s) is product of differences
     f = (t - s) * (t - 2 * s)
     g = t - 3 * s
-    r = sylvester_resultant(f, g, "t")
+    r = poly_sylvester_resultant(f, g, "t")
     assert r == (3 * s - s) * (3 * s - 2 * s)
+    # the integer route at each s, on the same coefficient lists
+    for v in range(-4, 5):
+        fv = [2 * v * v, -3 * v, 1]
+        gv = [-3 * v, 1]
+        assert sylvester_resultant(fv, gv) == r.eval([v, 0])
 
 
 def test_resultant_shared_root_vanishes():
@@ -368,7 +410,17 @@ def test_resultant_shared_root_vanishes():
     s, t = ring.var("s"), ring.var("t")
     f = (t - s) * (t + 1)
     g = (t - s) * (t - 2)
-    assert sylvester_resultant(f, g, "t").is_zero()
+    assert poly_sylvester_resultant(f, g, "t").is_zero()
+    # (t − 5)(t + 1) and (t − 5)(t − 2)
+    assert sylvester_resultant([-5, -4, 1], [10, -7, 1]) == 0
+
+
+def from_roots(roots, lead=1):
+    """Integer coefficients [c0..cd] of lead·Π(t − a)."""
+    coeffs = [lead]
+    for a in roots:
+        coeffs = [-a * coeffs[0]] + [x - a * y for x, y in zip(coeffs, coeffs[1:] + [0])]
+    return coeffs
 
 
 def test_resultant_vs_fp_bruteforce():
@@ -386,10 +438,20 @@ def test_resultant_vs_fp_bruteforce():
         g = ring.one()
         for _ in range(2):
             g = g * (t - rng.randrange(p))
-        r = sylvester_resultant(f, g, "t")
+        r = poly_sylvester_resultant(f, g, "t")
         roots_f = {a for a in range(p) if not f.eval([a])}
         roots_g = {a for a in range(p) if not g.eval([a])}
         assert r.is_zero() == bool(roots_f & roots_g)
+    # over Z: Res(a·Π(t − αᵢ), b·Π(t − βⱼ)) = a^n·b^m·Π(αᵢ − βⱼ)
+    for _ in range(40):
+        af = [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))]
+        bg = [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))]
+        a, b = rng.choice([-3, -1, 1, 2]), rng.choice([-2, 1, 5])
+        want = a ** len(bg) * b ** len(af)
+        for x in af:
+            for y in bg:
+                want *= x - y
+        assert sylvester_resultant(from_roots(af, a), from_roots(bg, b)) == want
 
 
 def test_resultant_multiplicative_in_first_arg():
@@ -398,20 +460,124 @@ def test_resultant_multiplicative_in_first_arg():
     f1 = t - s
     f2 = t ** 2 + s ** 2 + 1
     g = t - 2 * s + 1
-    lhs = sylvester_resultant(f1 * f2, g, "t")
-    rhs = sylvester_resultant(f1, g, "t") * sylvester_resultant(f2, g, "t")
+    lhs = poly_sylvester_resultant(f1 * f2, g, "t")
+    rhs = poly_sylvester_resultant(f1, g, "t") * poly_sylvester_resultant(f2, g, "t")
     assert lhs == rhs
+    rng = random.Random(29)
+    for _ in range(20):
+        f1, f2, g = ([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 4)]
+                     for _ in range(3))
+        prod = [sum(f1[i] * f2[k - i] for i in range(len(f1)) if 0 <= k - i < len(f2))
+                for k in range(len(f1) + len(f2) - 1)]
+        assert (sylvester_resultant(prod, g)
+                == sylvester_resultant(f1, g) * sylvester_resultant(f2, g))
+
+
+def test_integer_resultant_matches_the_multipoly_oracle():
+    ring = PolyRing(QQ, ("t",))
+    rng = _derived_rng("test", "int-resultant")
+    for _ in range(60):
+        f, g = ([rng.randint(-7, 7) for _ in range(rng.randint(0, 4))] + [rng.choice([-2, 1, 3])]
+                for _ in range(2))
+        fp, gp = (ring.from_terms(((k,), c) for k, c in enumerate(v)) for v in (f, g))
+        assert sylvester_resultant(f, g) == poly_sylvester_resultant(fp, gp, "t").eval([0])
+    for bad in (([1, 2, 0], [1, 1]), ([], [1]), ([1, 2.0], [1, 1]),
+                ([1, Fraction(1, 2)], [1, 1])):
+        with pytest.raises(ValueError):
+            sylvester_resultant(*bad)
+
+
+def test_interpolate_int_round_trip():
+    rng = _derived_rng("test", "interpolate")
+    for n in range(0, 11):
+        for _ in range(10):
+            coeffs = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n + 1)]
+            values = [sum(c * t ** k for k, c in enumerate(coeffs)) for t in range(n + 1)]
+            assert interpolate_int(values) == coeffs
+    # t(t − 1)/2 is integer-valued but not in Z[t]
+    with pytest.raises(ArithmeticError):
+        interpolate_int([0, 0, 1])
+    with pytest.raises(ValueError):
+        interpolate_int([0, 1.0, 4])
 
 
 def test_squarefree_detection():
-    ring = PolyRing(QQ, ("t",))
-    t = ring.var("t")
-    sf, _ = squarefree_univariate((t - 1) * (t - 2) * (t + 3), "t")
+    t = PolyRing(QQ, ("t",)).var("t")
+    sf, _ = squarefree_univariate(as_univariate((t - 1) * (t - 2) * (t + 3), "t"))
     assert sf
-    sf, g = squarefree_univariate((t - 1) ** 2 * (t + 5), "t")
+    sf, g = squarefree_univariate(as_univariate((t - 1) ** 2 * (t + 5), "t"))
     assert not sf
-    assert g.degree_in("t") == 1
-    assert not g.eval([1])
+    assert g == [-1, 1]  # monic t − 1
+
+
+def gcd_fields(monkeypatch):
+    """The names of the fields of every gcd squarefree_univariate takes,
+    in order, as a list that fills while the test runs."""
+    seen = []
+    real = exactalg._gcd_with_derivative
+
+    def spy(h, field):
+        seen.append(field.name)
+        return real(h, field)
+
+    monkeypatch.setattr(exactalg, "_gcd_with_derivative", spy)
+    return seen
+
+
+def poly_mul(a, b):
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)]
+
+
+def discriminant_squarefree(h):
+    """Oracle: h ∈ Z[t] of degree ≥ 1 is squarefree over Q iff
+    Res(h, h′) ≠ 0, by the MultiPoly elimination."""
+    ring = PolyRing(QQ, ("t",))
+    hp = ring.from_terms(((k,), c) for k, c in enumerate(h))
+    return not poly_sylvester_resultant(hp, hp.derivative("t"), "t").is_zero()
+
+
+def test_squarefree_certificate_matches_the_exact_gcd(monkeypatch):
+    seen = gcd_fields(monkeypatch)
+    p1, p2, p3 = (F.p for F in SQUAREFREE_FIELDS)
+    rng = _derived_rng("test", "squarefree-certificate")
+    verdicts = {True: 0, False: 0}
+    for i in range(150):
+        h = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.choice([-3, 1, 2])]
+        if i % 3 == 0:  # a constructed square factor g²
+            g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 2))] + [rng.choice([-1, 1, 2])]
+            h = poly_mul(poly_mul(g, g), h)
+        if i % 5 == 0:
+            h = [p1 * c for c in h]  # the first prime divides lc(h)
+        del seen[:]
+        sf, gcd = squarefree_univariate(h)
+        # a "not squarefree" verdict always comes from the gcd over Q
+        assert seen[0] == ("F%d" % (p2 if i % 5 == 0 else p1))
+        assert sf or seen[-1] == "Q"
+        assert sf == discriminant_squarefree(h), h
+        del seen[:]
+        assert gcd == exactalg._gcd_with_derivative([Fraction(c) for c in h], QQ)
+        if i % 3 == 0:
+            assert not sf
+        verdicts[sf] += 1
+    assert min(verdicts.values()) >= 30, verdicts
+
+    # p | lc(h) for every listed prime: the exact gcd alone decides
+    del seen[:]
+    assert squarefree_univariate([1, 0, p1 * p2 * p3]) == (True, [1])
+    assert seen == ["Q"]
+    # (t² − p)·(t + 1) is squarefree over Q but is t²·(t + 1) mod p:
+    # the certificate fails and the exact gcd returns True
+    del seen[:]
+    assert squarefree_univariate(poly_mul([-p1, 0, 1], [1, 1])) == (True, [1])
+    assert seen == ["F%d" % p1, "Q"]
+    # a certified h takes the F_p gcd only
+    del seen[:]
+    assert squarefree_univariate([-2, 0, 1]) == (True, [1])
+    assert seen == ["F%d" % p1]
+    for bad in ([1, 2.0, 1], [1, Fraction(1, 2)], [0, 0]):
+        with pytest.raises(ValueError):
+            squarefree_univariate(bad)
 
 
 def test_as_univariate_rejects_extra_vars(Ru):

@@ -35,7 +35,7 @@ from quadclif.fiber import (
 )
 from quadclif.pencil import InvariantPencil, _derived_rng
 
-from conftest import cached_pencil
+from conftest import as_univariate, cached_pencil
 
 
 def diag_matrix(*d):
@@ -823,7 +823,7 @@ def _rational_curve_point_by_subs(P, side, rng):
     computed by substituting the line into the cubic over Q[t]."""
     from math import gcd, lcm
 
-    from quadclif.exactalg import PolyRing, adjugate3, as_univariate
+    from quadclif.exactalg import PolyRing, adjugate3
 
     f = P.det_curves().side(side)
     tring = PolyRing(QQ, ("t",))

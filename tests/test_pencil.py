@@ -10,7 +10,6 @@ from quadclif.exactalg import (
     SymMatrix,
     mat_rank,
     squarefree_univariate,
-    sylvester_resultant,
 )
 from quadclif.pencil import (
     URING,
@@ -19,13 +18,21 @@ from quadclif.pencil import (
     _coordinate_change,
     _derived_rng,
     _random_gl3,
-    _random_sym3,
+    binary_resultant,
     generate,
     genericity_check,
     resultant_nine_points,
 )
 
-from conftest import is_homogeneous
+from conftest import (
+    as_univariate,
+    cached_pencil,
+    degree_in,
+    is_homogeneous,
+    poly_sylvester_resultant,
+    seeded_pencil,
+    total_degree,
+)
 
 
 def diag_pencil(minus=None):
@@ -55,7 +62,7 @@ def test_diagonal_det_curve():
     curves = P.det_curves()
     assert curves.f_plus == u1 * u2 * u3
     assert is_homogeneous(curves.f_plus)
-    assert curves.f_plus.total_degree() == 3
+    assert total_degree(curves.f_plus) == 3
 
 
 def test_zero_minus_side_is_degenerate():
@@ -196,25 +203,33 @@ def test_resultant_tangent_pair_not_squarefree():
     assert not nine
 
 
+def projection_center(f_plus, f_minus, rng):
+    """(fp, fm, notes): the curves after resultant_nine_points' seeded
+    coordinate change, if (0:0:1) lies on one; fp is None when six tries
+    find no usable center."""
+    notes = []
+    fp, fm = f_plus, f_minus
+    for _ in range(6):
+        if fp.eval([0, 0, 1]) and fm.eval([0, 0, 1]):
+            return fp, fm, tuple(notes)
+        M = _random_gl3(rng)
+        fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)
+        notes.append("coordinate change (projection center on a curve)")
+    return None, None, tuple(notes + ["no usable projection center"])
+
+
 def random_dehomogenization_resultant(f_plus, f_minus, rng):
     """The resultant verdict read through seeded random Möbius
     dehomogenizations u1 = a·t + b, u2 = c·t + d (up to six tries for one
     that keeps the degree): the oracle for reading R as a binary form.
     The coordinate change before it is the same as resultant_nine_points'."""
-    notes = []
-    fp, fm = f_plus, f_minus
-    for _ in range(6):
-        if fp.eval([0, 0, 1]) and fm.eval([0, 0, 1]):
-            break
-        M = _random_gl3(rng)
-        fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)
-        notes.append("coordinate change (projection center on a curve)")
-    else:
-        return False, False, -1, tuple(notes + ["no usable projection center"])
-    R = sylvester_resultant(fp, fm, "u3")
+    fp, fm, notes = projection_center(f_plus, f_minus, rng)
+    if fp is None:
+        return False, False, -1, notes
+    R = poly_sylvester_resultant(fp, fm, "u3")
     if R.is_zero():
         return False, False, -1, tuple(notes + ["resultant identically zero"])
-    deg = R.total_degree()
+    deg = total_degree(R)
     tring = PolyRing(QQ, ("t",))
     t = tring.var("t")
     for _ in range(6):
@@ -224,25 +239,16 @@ def random_dehomogenization_resultant(f_plus, f_minus, rng):
             continue
         h = R.subs({"u1": a * t + tring.const(b), "u2": c * t + tring.const(d),
                     "u3": tring.zero()})
-        if h.degree_in("t") == deg:
-            squarefree, _ = squarefree_univariate(h, "t")
+        if degree_in(h, "t") == deg:
+            squarefree, _ = squarefree_univariate(as_univariate(h, "t"))
             return (deg == 9 and squarefree), squarefree, deg, tuple(notes)
     return False, False, deg, tuple(notes + ["no faithful dehomogenization"])
-
-
-def _seeded_pencil(i):
-    rng = _derived_rng("resultant-oracle", i)
-    bound = 1 + i % 2
-    return InvariantPencil(
-        q_plus=tuple(_random_sym3(rng, bound) for _ in range(3)),
-        q_minus=tuple(_random_sym3(rng, bound) for _ in range(3)),
-        seed=i, coeff_bound=bound)
 
 
 def test_binary_form_reading_matches_random_dehomogenization():
     seen = {"non-squarefree": 0, "coordinate change": 0, "nine": 0}
     for i in range(120):
-        curves = _seeded_pencil(i).det_curves()
+        curves = seeded_pencil(i).det_curves()
         if curves.f_plus.is_zero() or curves.f_minus.is_zero():
             continue
         got = resultant_nine_points(curves.f_plus, curves.f_minus,
@@ -262,11 +268,47 @@ def test_binary_form_reading_matches_random_dehomogenization():
 @pytest.mark.parametrize("i,power,squarefree", [(0, 1, True), (94, 2, False)])
 def test_resultant_root_at_infinity(i, power, squarefree):
     # u2^power ∥ R: a root at (1:0), which R(t, 1) does not see
-    curves = _seeded_pencil(i).det_curves()
-    R = sylvester_resultant(curves.f_plus, curves.f_minus, "u3")
+    curves = seeded_pencil(i).det_curves()
+    R = poly_sylvester_resultant(curves.f_plus, curves.f_minus, "u3")
     assert min(e[1] for e in R.terms) == power
     got = resultant_nine_points(curves.f_plus, curves.f_minus,
                                 _derived_rng("resultant", i))
     assert got[:3] == (squarefree, squarefree, 9)
     assert got == random_dehomogenization_resultant(
         curves.f_plus, curves.f_minus, _derived_rng("resultant", i))
+
+
+def test_integer_resultant_matches_the_multipoly_oracle():
+    """binary_resultant (ten integer Sylvester determinants, interpolated)
+    equals the MultiPoly Sylvester elimination coefficient for
+    coefficient, after the same projection-center step."""
+    cases = [(f"seeded-{i}", seeded_pencil(i)) for i in range(400)]
+    cases += [(f"gen-{s}-{b}", cached_pencil(s, b)) for b in (3, 9) for s in range(1, 26)]
+    cases.append(("diagonal", diag_pencil()))
+    seen = {"coordinate change": 0, "zero": 0, "compared": 0}
+    powers = {}
+    for name, P in cases:
+        curves = P.det_curves()
+        if curves.f_plus.is_zero() or curves.f_minus.is_zero():
+            continue
+        fp, fm, notes = projection_center(curves.f_plus, curves.f_minus,
+                                          _derived_rng("resultant", name))
+        if fp is None:
+            continue
+        R = poly_sylvester_resultant(fp, fm, "u3")
+        got = binary_resultant(fp, fm)
+        assert R.terms == {(i, 9 - i, 0): r for i, r in enumerate(got) if r}, name
+        seen["compared"] += 1
+        seen["coordinate change"] += bool(notes)
+        seen["zero"] += not any(got)
+        if name in ("seeded-0", "seeded-94"):
+            # u2^k ∥ R: R(t, 1) has degree 9 − k
+            powers[name] = 9 - max(i for i, r in enumerate(got) if r)
+    assert seen["compared"] >= 350, seen
+    assert min(seen.values()) >= 1, seen
+    assert powers == {"seeded-0": 1, "seeded-94": 2}
+    # only integer cubic forms with f(0, 0, 1) ≠ 0 are taken
+    u1, u2, u3 = (URING.var(v) for v in URING.vars)
+    for bad in (u1 ** 3 + u2 * u3 ** 2, u3 ** 3 + u1, u3 ** 3 * Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            binary_resultant(bad, u3 ** 3 + u1 ** 3)
