@@ -648,9 +648,9 @@ def squarefree_univariate(coeffs):
     A constant gcd(h̄, h̄′) there certifies h squarefree over Q, by Gauss's
     lemma: if h = g²k over Q with deg g ≥ 1, g may be taken primitive in
     Z[t] with g² | h in Z[t], so p ∤ lc(g) and h̄ keeps the square factor
-    ḡ² of positive degree.  When that test does not certify (or p divides
-    every lc), the exact Euclidean gcd over Q decides, so a "not
-    squarefree" verdict is always exact."""
+    ḡ² of positive degree.  When that test does not certify, or every
+    listed p divides lc(h), the exact Euclidean gcd over Q decides, so a
+    "not squarefree" verdict is always exact."""
     h = int_coeffs(coeffs)
     while h and not h[-1]:
         h.pop()
