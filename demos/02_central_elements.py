@@ -1,10 +1,11 @@
-"""Recover the odd central elements of the two graded Clifford blocks.
+"""Build the odd central elements of the two graded Clifford blocks.
 
-Each 3-generator block carries a unique monic odd element
-d = v1 v2 v3 + r1(u) v1 + r2(u) v2 + r3(u) v3 with d central and
-d^2 = det(u . Q), the determinant cubic.  The solver sets up the
-commutation conditions as exact linear algebra and enforces uniqueness;
-this script prints the recovered coefficients and verifies the square.
+Each 3-generator block carries a unique monic odd central element, the
+antisymmetrised volume element d = v1 v2 v3 + q23 v1 - q13 v2 + q12 v3,
+with d^2 = det(u . Q), the determinant cubic.  `central_odd` builds it
+in closed form and verifies over Q[u] that it commutes with the
+generators and squares to the determinant; this script prints the
+coefficients r(u) = (q23, -q13, q12) and the verified square.
 """
 
 from quadclif.clifford import (

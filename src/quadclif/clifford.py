@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactalg import QQ, MultiPoly, PolyRing, as_int, kernel_int_sparse, mat_solve
+from .exactalg import QQ, MultiPoly, PolyRing, as_int, kernel_int_sparse
 
 U_VARS = ("u1", "u2", "u3")
 
@@ -29,7 +29,7 @@ VARIANTS = ("super", "ordinary", "plus", "minus")
 
 
 class CentralElementError(Exception):
-    """The central-element ansatz has no (unique) solution."""
+    """A block's odd central element failed its verification."""
 
 
 def _popcount(m):
@@ -522,71 +522,40 @@ class CentralOddResult:
     sign: int
     square: MultiPoly
     det: MultiPoly
-    r_coeffs: tuple  # the three coefficient polynomials of the ansatz
+    r_coeffs: tuple  # the coefficients (r1, r2, r3) of v1, v2, v3 in d
 
 
 def central_odd(alg):
-    """Solve [d, v_i] = 0 for d = v1 v2 v3 + r1 v1 + r2 v2 + r3 v3 with the
-    r_i drawn from the span of the monomials present in the block; exact
-    linear algebra, uniqueness enforced.  Verifies d² is the scalar
-    s·det(q) and records the sign s."""
+    """The odd central element of a 3-generator block, in closed form:
+
+        d = v1 v2 v3 + q23·v1 − q13·v2 + q12·v3,
+
+    that is r = (q[1,2], −q[0,2], q[0,1]).  This is the antisymmetrisation
+    (1/6)·Σ_σ sgn(σ)·v_σ1 v_σ2 v_σ3, the image of the volume element
+    v1∧v2∧v3 under the Chevalley map Λ(V) → C(q) (Chevalley, The
+    Algebraic Theory of Spinors, 1954).
+
+    It is the unique odd central element with coefficient 1 on e_7.  If d′
+    is another, then d′ − d = Σ aᵢvᵢ is central.  For i ≠ j the normal form
+    of vᵢvⱼ − vⱼvᵢ has coefficient ±2 on the mask {i, j}, and distinct i
+    give distinct masks, so [d′ − d, vⱼ] = 0 forces every aᵢ = 0 over Q[u]:
+    uniqueness holds among all odd elements.
+
+    The closed form is verified over the coefficient ring, not assumed:
+    [d, vⱼ] = 0 for each generator, and d² is the scalar s·det(q), with the
+    sign s recorded; a failure raises CentralElementError.  The ansatz
+    solve this replaces is the oracle in tests/conftest.py."""
     if alg.ngens != 3:
         raise ValueError("central_odd works on a 3-generator block")
-    ring = alg.ring
     q = alg.q_plus if alg.variant == "plus" else alg.q_minus
-    monos = sorted({e for i in range(3) for j in range(3)
-                    for e in q[i, j].terms})
-    if not monos:
+    if all(q[i, j].is_zero() for i in range(3) for j in range(3)):
         raise CentralElementError("zero block has no central element")
-    unknowns = [(j, mexp) for j in range(3) for mexp in monos]
-
-    top = alg.from_mask(0b111)
+    r = (q[1, 2], -q[0, 2], q[0, 1])
     gens = [alg.gen(j) for j in range(3)]
-    base_comm = [top.commutator(g) for g in gens]
-    gen_comm = [[alg.gen(j).commutator(g) for g in gens] for j in range(3)]
-
-    rows_by_key = {}
-    rhs_by_key = {}
-
-    def add(key, col, c):
-        row = rows_by_key.setdefault(key, {})
-        row[col] = row.get(col, Fraction(0)) + c
-
-    for gi in range(3):
-        for mask, poly in base_comm[gi].coeffs.items():
-            for pexp, c in poly.terms.items():
-                key = (gi, mask, pexp)
-                rhs_by_key[key] = rhs_by_key.get(key, Fraction(0)) + c
-                rows_by_key.setdefault(key, {})
-        for col, (j, mexp) in enumerate(unknowns):
-            for mask, poly in gen_comm[j][gi].coeffs.items():
-                for pexp, c in poly.terms.items():
-                    key = (gi, mask, tuple(a + b for a, b in zip(pexp, mexp)))
-                    add(key, col, c)
-                    rhs_by_key.setdefault(key, Fraction(0))
-
-    keys = sorted(rows_by_key)
-    matrix = [[rows_by_key[k].get(col, Fraction(0)) for col in range(len(unknowns))]
-              for k in keys]
-    rhs = [-rhs_by_key.get(k, Fraction(0)) for k in keys]
-    try:
-        sol = mat_solve(matrix, rhs, QQ)
-    except ValueError as exc:
-        raise CentralElementError(f"central ansatz not unique: {exc}") from exc
-    if sol is None:
-        raise CentralElementError("central ansatz inconsistent")
-
-    r = []
-    for j in range(3):
-        terms = []
-        for col, (jj, mexp) in enumerate(unknowns):
-            if jj == j and sol[col]:
-                terms.append((mexp, sol[col]))
-        r.append(ring.from_terms(terms))
-    d = top + sum((r[j] * gens[j] for j in range(3)), alg.zero())
-    for g in gens:
+    d = alg.from_mask(0b111) + sum((rj * g for rj, g in zip(r, gens)), alg.zero())
+    for j, g in enumerate(gens):
         if not d.commutator(g).is_zero():
-            raise CentralElementError("solver output fails to commute")
+            raise CentralElementError(f"d does not commute with v{j + 1}")
     sq = d * d
     if not sq.is_scalar():
         raise CentralElementError("d² is not scalar")
@@ -599,7 +568,7 @@ def central_odd(alg):
     else:
         raise CentralElementError("d² is not ±det(q)")
     return CentralOddResult(element=d, sign=sign, square=square, det=det,
-                            r_coeffs=tuple(r))
+                            r_coeffs=r)
 
 
 @dataclass(frozen=True)
@@ -620,17 +589,15 @@ def central_pair(rp, rm):
 
 
 def lift(e, target, side):
-    """Embed a 3-generator element into a 6-generator algebra (the minus
-    block shifts its generators up by three)."""
+    """Embed a 3-generator element into a 6-generator algebra over the same
+    ring (the minus block shifts its generators up by three)."""
     if target.ngens != 6:
         raise ValueError("lift target must have six generators")
+    if e.alg.ring != target.ring:
+        raise ValueError("lift target must share the coefficient ring")
     shift = 0 if side == "plus" else 3
-    out = {}
-    for mask, poly in e.coeffs.items():
-        if poly.ring != target.ring:
-            poly = poly.map_field(target.ring)
-        out[mask << shift] = poly
-    return CliffordElement(target, out)
+    return CliffordElement(target, {mask << shift: poly
+                                    for mask, poly in e.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

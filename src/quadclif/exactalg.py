@@ -13,7 +13,9 @@ Linear algebra has one routine per job, shared by every module:
 
 * `rref` is the single Gaussian elimination over a field; rank, kernel,
   solve and span coordinates (`mat_rank`, `mat_kernel`, `mat_solve`,
-  `span_coords`) are read off its pivots and reduced rows;
+  `span_coords`) are read off its pivots and reduced rows; `mat_solve` has
+  no caller in the package and stays for the `exactalg.solve` benchmark
+  probe and the tests;
 * `adjugate3` is the single 3×3 adjugate, written once for any
   commutative ring (polynomials, field elements, plain integers);
 * `det_cofactor` expands small polynomial determinants; `bareiss_det` is
@@ -162,14 +164,6 @@ class PrimeField:
         if isinstance(x, Fraction):
             return FpElem(0, self.p) + x
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def sqrt(self, x):
-        """Square root by scan; fields used here are small."""
-        x = self.coerce(x)
-        for r in range((self.p + 1) // 2 + 1):
-            if (r * r - x.r) % self.p == 0:
-                return FpElem(r, self.p)
-        return None
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -426,12 +420,6 @@ class MultiPoly:
                 t = t * mapping[name] ** k
             acc = acc + t
         return acc
-
-    def map_field(self, ring):
-        """Reinterpret coefficients in another ring with the same variables."""
-        if ring.vars != self.ring.vars:
-            raise ValueError("variable mismatch")
-        return MultiPoly(ring, {e: ring.field.coerce(c) for e, c in self.terms.items()})
 
     # -- serialization -------------------------------------------------------
 

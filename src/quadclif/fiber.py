@@ -718,10 +718,12 @@ ODD_MASKS = (1, 2, 4, 7)
 
 
 def even_subalgebra(A):
-    """C₀ = span(e_0, e_3, e_5, e_6) of an 8-dimensional Clifford fiber A.
-    The 16 products of even masks are checked to be even, so C₀ is a
-    subalgebra holding A's unit: it carries "even" when A carries a proof,
-    and verifies its unit and runs the full check otherwise."""
+    """C₀ = span(e_0, e_3, e_5, e_6) of an 8-dimensional Clifford fiber A
+    that carries a proof.  The 16 products of even masks are checked to be
+    even, so C₀ is a subalgebra holding A's unit, labelled "even".  A table
+    without a proof raises ValueError: even_part proves A first."""
+    if A.proof is None:
+        raise ValueError("the even subalgebra needs a table with a proof")
     table = []
     for i in EVEN_MASKS:
         row = []
@@ -731,11 +733,8 @@ def even_subalgebra(A):
                 raise ValueError("even masks are not closed under multiplication")
             row.append(tuple(vec[k] for k in EVEN_MASKS))
         table.append(row)
-    C0 = FinAlg(A.field, table, tuple(A.unit[k] for k in EVEN_MASKS),
-                proof="even" if A.proof else None)
-    if C0.proof is None:
-        C0.check_associativity()
-    return C0
+    return FinAlg(A.field, table, tuple(A.unit[k] for k in EVEN_MASKS),
+                  proof="even")
 
 
 def even_part(A, d, f):
@@ -783,7 +782,7 @@ class SideFibers:
 
     A CheckContext owns one for the length of a run, so checks visiting
     the same (side, point) share one fiber, and per side the odd central
-    element is solved once and the symbolic associativity proof runs once;
+    element is built once and the symbolic associativity proof runs once;
     memory is bounded by the two side algebras and two fibers (with their
     even parts) per sampled point.  Every fiber function takes
     one first and reads the pencil from it."""
@@ -804,7 +803,7 @@ class SideFibers:
         return self._blocks[side]
 
     def central(self, side):
-        """(alg, its CentralOddResult) for one block over Q[u], solved once;
+        """(alg, its CentralOddResult) for one block over Q[u], built once;
         prop3.12 reads it without the associativity proof."""
         if side not in self._central:
             alg = self._block(side)
@@ -813,7 +812,7 @@ class SideFibers:
 
     def algebra(self, side):
         """central(side), with alg proven associative by
-        CliffordAlgebra.verify_associativity (before d is solved, so a
+        CliffordAlgebra.verify_associativity (before d is built, so a
         broken engine fails the proof first) and its structure constants
         checked to lie in Z[u], so associativity carries to every fiber:
         over a tower by evaluation and embedding, over F_p by the ring

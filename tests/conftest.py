@@ -2,8 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from quadclif.clifford import CliffordAlgebra, central_odd
-from quadclif.exactalg import QQ, MultiPoly
+from quadclif.clifford import (
+    CentralElementError,
+    CentralOddResult,
+    CliffordAlgebra,
+    central_odd,
+)
+from quadclif.exactalg import QQ, FpElem, MultiPoly, mat_solve
 from quadclif.pencil import InvariantPencil, _derived_rng, _random_sym3, generate
 
 
@@ -93,6 +98,13 @@ class GaussianField:
 
 
 QQI = GaussianField()
+
+
+def fp_sqrt(x):
+    """A square root of the prime-field element x by scan, or None; the
+    fields used here are small."""
+    return next((FpElem(r, x.p) for r in range(x.p // 2 + 1)
+                 if (r * r - x.r) % x.p == 0), None)
 
 
 _CACHE = {}
@@ -224,6 +236,83 @@ def as_univariate(f, name):
 def central_odd_pencil(P, side):
     """The CentralOddResult of one block of P over Q[u]."""
     return central_odd(CliffordAlgebra.from_pencil(P, side))
+
+
+def central_odd_by_ansatz(alg):
+    """The oracle for central_odd's closed form: solve [d, v_i] = 0 for
+    d = v1 v2 v3 + r1 v1 + r2 v2 + r3 v3 with the r_i drawn from the span
+    of the monomials present in the block, by exact linear algebra with
+    uniqueness enforced, then verify d² = s·det(q) and record the sign s."""
+    if alg.ngens != 3:
+        raise ValueError("central_odd works on a 3-generator block")
+    ring = alg.ring
+    q = alg.q_plus if alg.variant == "plus" else alg.q_minus
+    monos = sorted({e for i in range(3) for j in range(3)
+                    for e in q[i, j].terms})
+    if not monos:
+        raise CentralElementError("zero block has no central element")
+    unknowns = [(j, mexp) for j in range(3) for mexp in monos]
+
+    top = alg.from_mask(0b111)
+    gens = [alg.gen(j) for j in range(3)]
+    base_comm = [top.commutator(g) for g in gens]
+    gen_comm = [[alg.gen(j).commutator(g) for g in gens] for j in range(3)]
+
+    rows_by_key = {}
+    rhs_by_key = {}
+
+    def add(key, col, c):
+        row = rows_by_key.setdefault(key, {})
+        row[col] = row.get(col, Fraction(0)) + c
+
+    for gi in range(3):
+        for mask, poly in base_comm[gi].coeffs.items():
+            for pexp, c in poly.terms.items():
+                key = (gi, mask, pexp)
+                rhs_by_key[key] = rhs_by_key.get(key, Fraction(0)) + c
+                rows_by_key.setdefault(key, {})
+        for col, (j, mexp) in enumerate(unknowns):
+            for mask, poly in gen_comm[j][gi].coeffs.items():
+                for pexp, c in poly.terms.items():
+                    key = (gi, mask, tuple(a + b for a, b in zip(pexp, mexp)))
+                    add(key, col, c)
+                    rhs_by_key.setdefault(key, Fraction(0))
+
+    keys = sorted(rows_by_key)
+    matrix = [[rows_by_key[k].get(col, Fraction(0)) for col in range(len(unknowns))]
+              for k in keys]
+    rhs = [-rhs_by_key.get(k, Fraction(0)) for k in keys]
+    try:
+        sol = mat_solve(matrix, rhs, QQ)
+    except ValueError as exc:
+        raise CentralElementError(f"central ansatz not unique: {exc}") from exc
+    if sol is None:
+        raise CentralElementError("central ansatz inconsistent")
+
+    r = []
+    for j in range(3):
+        terms = []
+        for col, (jj, mexp) in enumerate(unknowns):
+            if jj == j and sol[col]:
+                terms.append((mexp, sol[col]))
+        r.append(ring.from_terms(terms))
+    d = top + sum((r[j] * gens[j] for j in range(3)), alg.zero())
+    for g in gens:
+        if not d.commutator(g).is_zero():
+            raise CentralElementError("solver output fails to commute")
+    sq = d * d
+    if not sq.is_scalar():
+        raise CentralElementError("d² is not scalar")
+    square = sq.scalar_part()
+    det = q.det()
+    if square == det:
+        sign = 1
+    elif square == -det:
+        sign = -1
+    else:
+        raise CentralElementError("d² is not ±det(q)")
+    return CentralOddResult(element=d, sign=sign, square=square, det=det,
+                            r_coeffs=tuple(r))
 
 
 def phi_pair(P):

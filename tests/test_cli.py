@@ -276,7 +276,8 @@ class TestOptimizedInterpreter:
         for check_id, flags in (("prop2.2-smoothness", []),
                                 ("prop4.3-singular-locus", []),
                                 ("prop3.17-azumaya-m4", ["--points", "1"]),
-                                ("prop3.18-corank1-m2", ["--points", "1"])):
+                                ("prop3.18-corank1-m2", ["--points", "1"]),
+                                ("prop3.12-dplus-square", [])):
             plain, optimized = tmp_path / "plain.json", tmp_path / "opt.json"
             rc = main(["check", check_id, str(inst), *flags,
                        "--report", str(plain)])

@@ -4,6 +4,7 @@ and degree-bounded commutants."""
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -33,7 +34,7 @@ from quadclif.clifford import (
 from quadclif.checks import CheckContext, run_single
 from quadclif.pencil import InvariantPencil, generate
 
-from conftest import QQI, cached_pencil, central_odd_pencil
+from conftest import QQI, cached_pencil, central_odd_by_ansatz, central_odd_pencil
 
 
 def diag_pencil():
@@ -519,6 +520,26 @@ def test_central_odd_symbolic_pattern():
     assert res.square == Q.det()
     for j in range(3):
         assert res.element.commutator(alg.gen(j)).is_zero()
+    # d is the antisymmetrisation (1/6)·Σ sgn(σ)·v_σ1 v_σ2 v_σ3, and the
+    # ansatz solve finds the same element over the generic block
+    anti = alg.zero()
+    for perm in permutations(range(3)):
+        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+        word = alg.gen(perm[0]) * alg.gen(perm[1]) * alg.gen(perm[2])
+        anti = anti + (-1) ** inversions * word
+    assert anti == res.element * 6
+    assert central_odd_by_ansatz(alg) == res
+
+
+def test_central_odd_agrees_with_the_ansatz_oracle():
+    pencils = ([cached_pencil(seed, bound) for bound in (3, 9)
+                for seed in range(1, 26)]
+               + [cached_pencil(42), cached_pencil(7), diag_pencil()])
+    for P in pencils:
+        for side in ("plus", "minus"):
+            alg = CliffordAlgebra.from_pencil(P, side)
+            # element, sign, square, det and r_coeffs
+            assert central_odd(alg) == central_odd_by_ansatz(alg)
 
 
 def test_central_odd_generated_pencil():
@@ -543,6 +564,28 @@ def test_central_odd_rejects_zero_block():
         central_odd(alg)
 
 
+# One negated engine step of one block makes exactly that block's prop3.12
+# check fail through the registry; the closed form is verified, not trusted.
+CENTRAL_MUTANTS = [
+    ((0b010, 0), "CentralElementError: d does not commute with v1"),
+    ((0b001, 0), "CentralElementError: d² is not ±det(q)"),
+]
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("step,error", CENTRAL_MUTANTS,
+                         ids=["v2.v1", "v1.v1"])
+def test_central_square_check_fails_on_a_flipped_step(monkeypatch, side, step,
+                                                      error):
+    _flip_step(monkeypatch, side, step)
+    ctx = CheckContext(cached_pencil(42), points=1)
+    other = "minus" if side == "plus" else "plus"
+    r = run_single(ctx, f"prop3.12-d{side}-square")
+    assert r.status == "fail"
+    assert r.witnesses == [{"error": error}]
+    assert run_single(ctx, f"prop3.12-d{other}-square").status == "pass"
+
+
 def test_central_pair_cross_behaviour():
     P = cached_pencil(42)
     pair = central_pair(*(central_odd_pencil(P, side)
@@ -553,6 +596,9 @@ def test_central_pair_cross_behaviour():
     dm_s = lift(pair.d_minus, sup, "minus")
     dp_o = lift(pair.d_plus, ordi, "plus")
     dm_o = lift(pair.d_minus, ordi, "minus")
+    with pytest.raises(ValueError, match="coefficient ring"):
+        lift(pair.d_plus, CliffordAlgebra.from_pencil(P, "ordinary", field=QQI),
+             "plus")
     # the two odd elements anticommute in the super variant and commute in
     # the ordinary one
     assert anticommutator(dp_s, dm_s).is_zero()

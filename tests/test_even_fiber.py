@@ -205,7 +205,7 @@ def test_even_part_is_built_once_per_point():
 
 
 def test_wrong_square_fails_the_identity():
-    """Mutant: the solved central element doubled, so its fibers square to
+    """Mutant: the central element doubled, so its fibers square to
     4f(u); the pointwise identity catches it and both checks fail."""
     P = cached_pencil(42)
     ctx = CheckContext(P, points=1)
@@ -249,17 +249,22 @@ def test_even_subalgebra_provenance_and_closure():
     assert C0.proof == "even"
     C0._verify_unit()
     assert C0.check_associativity()
-    # no claim on the table: the subalgebra verifies its unit and runs the
-    # full check
+    # no claim on the table: even_part proves A first, so the subalgebra
+    # refuses it
     xor = _group_algebra(lambda i, j: i ^ j)
     assert xor.proof is None
-    assert even_subalgebra(xor).proof == "checked"
+    with pytest.raises(ValueError, match="needs a table with a proof"):
+        even_subalgebra(xor)
+    xor.check_associativity()
+    assert even_subalgebra(xor).proof == "even"
     # Z/8 with masks as residues: e_3·e_6 = e_1 leaves the even masks
+    z8 = _group_algebra(lambda i, j: (i + j) % 8)
+    z8.check_associativity()
     with pytest.raises(ValueError, match="not closed"):
-        even_subalgebra(_group_algebra(lambda i, j: (i + j) % 8))
+        even_subalgebra(z8)
 
 
-# -- the odd central elements are solved once per run -------------------------------
+# -- the odd central elements are built once per run --------------------------------
 
 
 def test_central_elements_are_solved_once_per_run(monkeypatch):

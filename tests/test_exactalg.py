@@ -35,6 +35,7 @@ from conftest import (
     GaussianRational,
     as_univariate,
     coeff_of_power,
+    fp_sqrt,
     is_homogeneous,
     poly_bareiss_det,
     poly_exact_div,
@@ -115,11 +116,13 @@ def test_prime_field_fraction_coercion():
 
 
 def test_prime_field_sqrt():
-    r = F101.sqrt(F101.coerce(4))
+    r = fp_sqrt(F101.coerce(4))
     assert r is not None and r * r == 4
     # 101 = 1 mod 4 so -1 is a square
-    r = F101.sqrt(F101.coerce(-1))
+    r = fp_sqrt(F101.coerce(-1))
     assert r is not None and r * r == -1
+    # 103 = 3 mod 4 so it is not
+    assert fp_sqrt(PrimeField(103).coerce(-1)) is None
 
 
 def test_gaussian_rationals():
@@ -199,7 +202,9 @@ def test_constant_factor_products_match_termwise(field):
     # (and the constant 1 returns it unchanged) instead of pairing terms
     R = PolyRing(field, ("u1", "u2", "u3"))
     rng = random.Random(12)
-    polys = [rand_poly(rng, PolyRing(QQ, R.vars)).map_field(R) for _ in range(4)]
+    # rational polynomials, coefficients coerced into the field
+    polys = [R.from_terms(rand_poly(rng, PolyRing(QQ, R.vars)).terms.items())
+             for _ in range(4)]
     consts = [R.one(), R.const(-1), R.const(Fraction(3, 2)), R.zero()]
     if field is QQI:
         consts.append(R.const(QQI.i))

@@ -35,7 +35,7 @@ from quadclif.fiber import (
 )
 from quadclif.pencil import InvariantPencil, _derived_rng
 
-from conftest import as_univariate, cached_pencil
+from conftest import as_univariate, cached_pencil, fp_sqrt
 
 
 def diag_matrix(*d):
@@ -244,8 +244,8 @@ def certify_split_pair(A, n):
 
 def ordinary_fiber(sides, u, field=None):
     """The 16-dimensional ordinary fiber of sides.P at u over
-    Q(√f₊(u), √f₋(u)) (or field), as a tensor product of the two side
-    corners."""
+    Q(√f₊(u), √f₋(u)) (or the prime field `field`), as a tensor product of
+    the two side corners."""
     uf = tuple(Fraction(c) for c in u)
     fp, fm = (sides.P.det_curves().side(side).eval(uf) for side in ("plus", "minus"))
     if field is None:
@@ -253,8 +253,8 @@ def ordinary_fiber(sides, u, field=None):
             raise FiberError("base point lies on a determinant curve")
         field, (sp, sm) = QuadraticTower.create([fp, fm])
     else:
-        sp = field.sqrt(field.coerce(fp))
-        sm = field.sqrt(field.coerce(fm))
+        sp = fp_sqrt(field.coerce(fp))
+        sm = fp_sqrt(field.coerce(fm))
         if not sp or not sm:
             raise FiberError("determinant values are not invertible squares "
                              "in the requested field")
@@ -664,7 +664,8 @@ def qr_point(P, field, seed="fp16", count=40):
     curves = P.det_curves()
     for cand in sample_invertible_points(P, random.Random(seed), count, bound=6):
         uf = tuple(Fraction(c) for c in cand)
-        if field.sqrt(curves.f_plus.eval(uf)) and field.sqrt(curves.f_minus.eval(uf)):
+        if (fp_sqrt(field.coerce(curves.f_plus.eval(uf)))
+                and fp_sqrt(field.coerce(curves.f_minus.eval(uf)))):
             return cand
     raise AssertionError("no suitable point found")
 
@@ -677,8 +678,8 @@ def ordinary_fiber_by_corner(P, u, field):
     from it is checked on all basis triples."""
     u = tuple(Fraction(c) for c in u)
     curves = P.det_curves()
-    sp = field.sqrt(field.coerce(curves.f_plus.eval(u)))
-    sm = field.sqrt(field.coerce(curves.f_minus.eval(u)))
+    sp = fp_sqrt(field.coerce(curves.f_plus.eval(u)))
+    sm = fp_sqrt(field.coerce(curves.f_minus.eval(u)))
     assert sp and sm
     alg = CliffordAlgebra.from_pencil(P, "ordinary")
     A64 = clifford_fiber(alg, u, field)
