@@ -58,7 +58,7 @@ def _build_parser():
     c.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES),
                    help=f"comma-separated distinct scan primes (at most "
                         f"{MAX_PRIMES}, each a prime from 17 to {MAX_PRIME}; "
-                        "scan time grows as p^2)")
+                        "the root tables of each grow as p^2)")
     c.add_argument("--points", type=int, default=20,
                    help="number of off-curve fiber points to certify "
                         f"(1..{MAX_POINTS})")

@@ -1,16 +1,25 @@
 """Finite-field certificates for the determinant curves, plus the
 group-action stabilizer tables.
 
-Each curve is swept once, exhaustively over the p²+p+1 points of the
-projective plane (a counter enforces this), with polynomial evaluation
-compiled to integer arithmetic mod p.  Gradients and block adjugates are
-only evaluated on curve points, which is enough: a singular point of the
-curve satisfies f = 0 by definition, and off the curve the block is
+Each curve is swept once over P²(F_p), line by line: on each of the p + 1
+lines the cubic collapses to a univariate of degree ≤ 3, whose roots are
+read from per-prime tables instead of evaluating it at all p points.  The
+lookup is exact because, for p ≠ 2, 3:
+- b = t - A/3 depresses a monic cubic b³ + Ab² + Bb + C to t³ + Pt + Q
+  (Tschirnhaus), so one table indexed by (P, Q) covers every cubic line;
+- one root t₁ deflates it to t² + t₁t + (t₁² + P) (Vieta), and quadratics
+  are solved by the quadratic formula from a square-root table;
+- the tables are complete: every (P, Q) with a root receives one, which a
+  count against the number of reducible depressed cubics checks.
+Every root found is re-checked by Horner.  Gradients and block adjugates
+are only evaluated on curve points, which is enough: a singular point of
+the curve satisfies f = 0 by definition, and off the curve the block is
 invertible.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,46 +72,126 @@ def eval_compiled(terms, pt, p):
     return acc % p
 
 
-def _zero_set(compiled, p):
-    """All points of P²(F_p) where the compiled polynomial vanishes, in
-    enumeration order ((1, a, b), then (0, 1, c), then (0, 0, 1)); raises
-    if the sweep missed a point.  This is the one loop over P²(F_p).
+# Root tables by prime, oldest first.  They depend on p alone and nothing
+# writes to them, so one cache serves every curve of the process.  They are
+# built on first use and kept for at most MAX_PRIMES primes and MAX_PRIME²
+# cubic-table entries (2 MiB) at a time: `gen` keeps its three small ones,
+# and a check over many large primes, which sweeps both sides of one prime
+# in a row, holds one at a time.
+_ROOT_TABLES = {}
 
-    On the affine charts the polynomial is collapsed to a dense univariate
-    in the last coordinate (degree ≤ 3 here), so the inner loop is a Horner
-    evaluation instead of a term-by-term one.
+
+def _build_root_tables(p):
+    """(first, sqrt, inv) for F_p: first[P·p + Q] is the smallest root of
+    t³ + Pt + Q and sqrt[a] the smallest square root of a, each -1 where
+    there is none, and inv[a] = a⁻¹ (inv[0] = 0)."""
+    first = array("h", [-1]) * (p * p)
+    for t in range(p - 1, -1, -1):
+        q = -t * t * t % p
+        for row in range(0, p * p, p):
+            first[row + q] = t
+            q = (q - t) % p
+    sqrt = array("h", [-1]) * p
+    for r in range(p - 1, -1, -1):
+        sqrt[r * r % p] = r
+    return first, sqrt, [0] + [pow(a, p - 2, p) for a in range(1, p)]
+
+
+def _root_tables(p):
+    """The root tables of F_p, built once per prime and checked complete:
+    for p ≠ 3, a depressed cubic t³ + Pt + Q is irreducible for exactly
+    (p² - 1)/3 pairs (P, Q), since t ↦ t + c moves the t² coefficient
+    by 3c and so meets each trace class of the (p³ - p)/3 irreducible monic
+    cubics equally often; so (2p² + 1)/3 entries of `first` hold a root.
+    Likewise (p + 1)/2 residues have a square root."""
+    tables = _ROOT_TABLES.get(p)
+    if tables is None:
+        from .pencil import MAX_PRIME, MAX_PRIMES  # pencil imports this module
+
+        if p < 5:
+            raise ScanError("root tables need p >= 5")
+        while _ROOT_TABLES and (
+                len(_ROOT_TABLES) >= MAX_PRIMES
+                or p * p + sum(q * q for q in _ROOT_TABLES) > MAX_PRIME ** 2):
+            del _ROOT_TABLES[next(iter(_ROOT_TABLES))]
+        tables = _build_root_tables(p)
+        first, sqrt, _ = tables
+        if (p * p - first.count(-1) != (2 * p * p + 1) // 3
+                or p - sqrt.count(-1) != (p + 1) // 2):
+            raise AssertionError(f"root tables for F_{p} miss a root")
+        _ROOT_TABLES[p] = tables
+    return tables
+
+
+def _line_roots(dense, p, tables):
+    """The roots in F_p of d0 + d1·b + d2·b² + d3·b³, dense = [d0, .., d3],
+    in increasing order, all of F_p if it vanishes mod p; each root is
+    re-checked by Horner.
+
+    A cubic is made monic, b³ + Ab² + Bb + C, and depressed by b = t - s,
+    s = A/3 (p ≠ 3), to t³ + Pt + Q with P = B - 3s² and Q = 2s³ - Bs + C.
+    Given one root t₁ from the table, Vieta deflates it to
+    t² + t₁t + (t₁² + P), and quadratics are solved by the quadratic
+    formula (p ≠ 2) with the square-root table."""
+    first, sqrt, inv = tables
+    d0, d1, d2, d3 = (d % p for d in dense)
+    if d3:
+        i = inv[d3]
+        B, C, s = d1 * i % p, d0 * i, d2 * i * inv[3] % p
+        P = (B - 3 * s * s) % p
+        t = first[P * p + (2 * s * s * s - B * s + C) % p]
+        if t < 0:
+            return ()
+        ts = {t}
+        r = sqrt[(-3 * t * t - 4 * P) % p]
+        if r >= 0:
+            ts.update(((r - t) * inv[2] % p, (-r - t) * inv[2] % p))
+        roots = sorted({(x - s) % p for x in ts})
+    elif d2:
+        r = sqrt[(d1 * d1 - 4 * d2 * d0) % p]
+        if r < 0:
+            return ()
+        i = inv[2 * d2 % p]
+        roots = sorted({(r - d1) * i % p, (-r - d1) * i % p})
+    elif d1:
+        roots = [-d0 * inv[d1] % p]
+    else:
+        return () if d0 else range(p)
+    for b in roots:
+        if (((d3 * b + d2) * b + d1) * b + d0) % p:
+            raise AssertionError(f"root table gave a non-root {b} mod {p}")
+    return roots
+
+
+def _zero_set(compiled, p):
+    """All points of P²(F_p) where the compiled polynomial (degree ≤ 3)
+    vanishes, in enumeration order ((1, a, b), then (0, 1, c), then
+    (0, 0, 1)).  This is the one sweep of P²(F_p).
+
+    Each chart line is collapsed to a dense univariate in its last
+    coordinate, whose roots come from the root tables of F_p
+    (`_line_roots`); a line where it vanishes contributes all p points.
+    The sweep is exhaustive because the lines (1, a, ·) and (0, 1, ·) and
+    the point (0, 0, 1) partition P²(F_p) and the tables are complete.
     """
     deg3 = max(sum(e) for e, _ in compiled)
     if deg3 > 3:
         raise ScanError("sweep supports degree <= 3 only")
-
+    tables = _root_tables(p)
     zeros = []
-    visited = 0
     for a in range(p):
         pa = (1, a, a * a % p, a * a % p * a % p)
         dense = [0, 0, 0, 0]
         for (e1, e2, e3), c in compiled:
             dense[e3] += c * pa[e2]
-        d3, d2, d1, d0 = (dense[3] % p, dense[2] % p,
-                          dense[1] % p, dense[0] % p)
-        for b in range(p):
-            visited += 1
-            if (((d3 * b + d2) * b + d1) * b + d0) % p == 0:
-                zeros.append((1, a, b))
+        zeros.extend((1, a, b) for b in _line_roots(dense, p, tables))
     dense = [0, 0, 0, 0]
     for (e1, e2, e3), c in compiled:
         if e1 == 0:
             dense[e3] += c
-    d3, d2, d1, d0 = (dense[3] % p, dense[2] % p, dense[1] % p, dense[0] % p)
-    for cc in range(p):
-        visited += 1
-        if (((d3 * cc + d2) * cc + d1) * cc + d0) % p == 0:
-            zeros.append((0, 1, cc))
-    visited += 1
+    zeros.extend((0, 1, c) for c in _line_roots(dense, p, tables))
     if eval_compiled(compiled, (0, 0, 1), p) == 0:
         zeros.append((0, 0, 1))
-    if visited != p * p + p + 1:
-        raise AssertionError("projective sweep missed points")
     return zeros
 
 

@@ -18,6 +18,7 @@ Ch. 6).  R(t, 1) is certified squarefree mod one prime when it can be
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -42,15 +43,18 @@ URING = PolyRing(QQ, U_VARS)
 
 DEFAULT_PRIMES = (101, 103, 107)
 
-# Each curve sweep visits all p² + p + 1 points of P²(F_p) in pure Python,
-# so its time grows as p²; the adjugate is only taken at the curve points.
-# With one scan prime at this bound a full check at --points 1 took 1.1 s,
-# 0.33 s of it in the sweeps (README, "Limits").  Larger primes are refused.
+# Each curve sweep reads its roots line by line from per-prime root tables
+# (geometry._root_tables), so a sweep does work proportional to p; building
+# the cubic table takes p² steps once per prime, about 0.2-0.3 s at this
+# bound.  The adjugate is only taken at the curve points.  With one scan
+# prime at this bound a full check at --points 1 took 1.1-1.3 s, 0.27-0.43 s
+# of it in the table and the sweeps (README, "Limits").  Larger primes are refused.
 MAX_PRIME = 1009
 
-# Each scan prime costs one sweep and one adjugate pass per side; the 15
-# primes from 907 to 1009 took 5.7 s and 37 MiB for a full check at
-# --points 1 (README, "Limits").  Longer lists are refused.
+# Each scan prime costs one root-table build, and one sweep and one
+# adjugate pass per side; the 15 primes from 907 to 1009 took 4.4-6.8 s and
+# 33 MiB for a full check at --points 1 (README, "Limits").  Longer lists
+# are refused.
 MAX_PRIMES = 16
 
 
@@ -73,6 +77,23 @@ def check_primes(primes):
         if p < 17 or not is_prime(p):
             raise ValueError(f"primes must each be a prime >= 17, got {p}")
     return primes
+
+
+def det_cubic(mats):
+    """det(Σ uₖ mats[k]) as a cubic form over Q.  The determinant is linear
+    in each column, and column c of Σ uₖ mats[k] is Σ uₖ·(column c of
+    mats[k]), so det(Σ uₖ mats[k]) = Σ_{i,j,k} uᵢuⱼuₖ·det[xᵢ, yⱼ, zₖ] with
+    xᵢ, yⱼ, zₖ columns 0, 1, 2 of mats[i], mats[j], mats[k]: 27 integer
+    3×3 determinants, each the triple product xᵢ·(yⱼ × zₖ)."""
+    x, y, z = ([tuple(r[c] for r in m) for m in mats] for c in range(3))
+    acc = {}
+    for j, k in itertools.product(range(3), repeat=2):
+        (y0, y1, y2), (z0, z1, z2) = y[j], z[k]
+        cross = (y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0)
+        for i in range(3):
+            exps = tuple((i == v) + (j == v) + (k == v) for v in range(3))
+            acc[exps] = acc.get(exps, 0) + sum(a * b for a, b in zip(x[i], cross))
+    return URING.from_terms((e, QQ.coerce(c)) for e, c in acc.items())
 
 
 class GenerationError(Exception):
@@ -165,10 +186,8 @@ class InvariantPencil:
         pencil is frozen, so they never change)."""
         curves = self.__dict__.get("_det_curves")
         if curves is None:
-            curves = DetCurves(
-                f_plus=self.linear_form_matrix("plus").det(),
-                f_minus=self.linear_form_matrix("minus").det(),
-            )
+            curves = DetCurves(f_plus=det_cubic(self.q_plus),
+                               f_minus=det_cubic(self.q_minus))
             object.__setattr__(self, "_det_curves", curves)
         return curves
 

@@ -333,3 +333,31 @@ def pencil42():
 @pytest.fixture(scope="session")
 def pencil7():
     return cached_pencil(7)
+
+
+# -- the exhaustive Horner sweep: the oracle for geometry._zero_set ------------
+
+
+def zero_set_by_horner(compiled, p):
+    """All points of P²(F_p) where the compiled polynomial (degree ≤ 3)
+    vanishes, in enumeration order ((1, a, b), then (0, 1, c), then
+    (0, 0, 1)), by evaluating it at every one of the p²+p+1 points."""
+    zeros = []
+    for a in range(p):
+        pa = (1, a, a * a % p, a * a % p * a % p)
+        dense = [0, 0, 0, 0]
+        for (e1, e2, e3), c in compiled:
+            dense[e3] += c * pa[e2]
+        d3, d2, d1, d0 = (x % p for x in reversed(dense))
+        zeros.extend((1, a, b) for b in range(p)
+                     if (((d3 * b + d2) * b + d1) * b + d0) % p == 0)
+    dense = [0, 0, 0, 0]
+    for (e1, e2, e3), c in compiled:
+        if e1 == 0:
+            dense[e3] += c
+    d3, d2, d1, d0 = (x % p for x in reversed(dense))
+    zeros.extend((0, 1, c) for c in range(p)
+                 if (((d3 * c + d2) * c + d1) * c + d0) % p == 0)
+    if sum(c for e, c in compiled if e[:2] == (0, 0)) % p == 0:
+        zeros.append((0, 0, 1))
+    return zeros

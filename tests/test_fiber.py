@@ -781,7 +781,7 @@ def test_corank1_quotient_rational():
     assert verdict == "M2"
     assert Q.proof == "checked"  # the quotient is checked on all basis triples
     # at (0, 1, 0) the block is diag(0, 0, 1): corank two
-    with pytest.raises(FiberError):
+    with pytest.raises(FiberError, match="^corank at least two at this point$"):
         corank1_quotient(sides, "plus", (0, 1, 0))
     # off the curve there is no quotient
     with pytest.raises(FiberError):
@@ -793,6 +793,19 @@ def test_corank1_quotient_diag_pencil():
     Q, verdict = corank1_quotient(SideFibers(P), "plus", (1, 1, 0))
     assert verdict == "M2"
     assert center_dim(Q) == 1
+
+
+def test_corank_two_fails_the_diagonal_corank1_check():
+    """The diagonal control's first F_101 curve point in sweep order is
+    (1, 0, 0), where its block diag(1, 0, 0) has corank two; that is the
+    reason prop3.18-corank1-m2 fails there."""
+    P = diag_pencil()
+    with pytest.raises(FiberError, match="^corank at least two at this point$"):
+        corank1_quotient(SideFibers(P), "plus", (1, 0, 0), field=PrimeField(101))
+    assert P.reduced_curve("plus", 101).points[0] == (1, 0, 0)
+    r = run_single(CheckContext(P, points=1), "prop3.18-corank1-m2")
+    assert r.status == "fail"
+    assert r.witnesses == [{"error": "FiberError: corank at least two at this point"}]
 
 
 def test_corank1_quotient_prime_field():

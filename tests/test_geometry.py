@@ -2,15 +2,21 @@
 
 import hashlib
 import random
+from array import array
 
 import pytest
 
+from quadclif import geometry
 from quadclif.exactalg import FpElem, PrimeField, adjugate3, mat_kernel
 from quadclif.geometry import (
     GenericityError,
     ReducedCurve,
     ScanError,
     StabilizerDescriptor,
+    _line_roots,
+    _root_tables,
+    _zero_set,
+    compile_poly,
     curve_points,
     det3_mod,
     ff_scan_corank,
@@ -21,7 +27,9 @@ from quadclif.geometry import (
     stabilizer,
     stabilizer_bruteforce,
 )
-from quadclif.pencil import URING, InvariantPencil
+from quadclif.pencil import DEFAULT_PRIMES, MAX_PRIMES, URING, InvariantPencil
+
+from conftest import cached_pencil, zero_set_by_horner
 
 
 U1, U2, U3 = (URING.var(v) for v in URING.vars)
@@ -199,6 +207,145 @@ def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
             curve = P.reduced_curve(side, p)
             assert P.reduced_curve(side, p) is curve
             assert list(curve.points) == curve_points(P.det_curves().side(side), p)
+
+
+# -- the root-table sweep against the Horner sweep ------------------------------
+
+
+MONOMIALS = {d: [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+             for d in (1, 2, 3)}
+
+
+def random_compiled(rng, p, degree):
+    """A random form of the given degree mod p, as compile_poly lays it out."""
+    while True:
+        compiled = [(e, c) for e, c in
+                    ((e, rng.randrange(p)) for e in MONOMIALS[degree]) if c]
+        if compiled:
+            return compiled
+
+
+CONIC = U1 ** 2 + 3 * U2 * U3 - 5 * U3 ** 2 + U1 * U3
+
+# (name, form, p, the line (1, a, ·) or (0, 1, ·) on which it vanishes)
+SPECIAL_FORMS = (
+    ("line-x-conic", (U2 - 3 * U1) * CONIC, 101, (1, 3)),
+    ("infinity-x-conic", U1 * CONIC, 103, (0, 1)),
+    # the chart line a = 0 is (b - 1)³, a triple root
+    ("triple-root-line", (U3 - U1) ** 3 + U2 * (U1 ** 2 + U3 ** 2), 107, None),
+    ("diagonal", U1 * U2 * U3, 101, (1, 0)),
+)
+
+
+def _random_corpus():
+    rng = random.Random(2718)
+    cases = [pytest.param(random_compiled(rng, p, d), p, id=f"deg{d}-{p}-{i}")
+             for p in (17, 101, 103, 107) for d in (1, 2, 3) for i in range(4)]
+    cases.append(pytest.param(random_compiled(rng, 1009, 3), 1009,
+                              id="deg3-1009"))
+    # no u3³ term, so no chart line (1, a, ·) is a cubic
+    flat = [(e, c) for e, c in random_compiled(rng, 101, 3) if e != (0, 0, 3)]
+    cases.append(pytest.param(flat, 101, id="deg3-f001-zero"))
+    return cases
+
+
+@pytest.mark.parametrize("compiled,p", _random_corpus())
+def test_zero_set_matches_horner_sweep(compiled, p):
+    assert _zero_set(compiled, p) == zero_set_by_horner(compiled, p)
+
+
+@pytest.mark.parametrize("name,f,p,line", SPECIAL_FORMS,
+                         ids=[case[0] for case in SPECIAL_FORMS])
+def test_zero_set_special_forms(name, f, p, line):
+    compiled = compile_poly(f, p)
+    zeros = _zero_set(compiled, p)
+    assert zeros == zero_set_by_horner(compiled, p)
+    if line is not None:
+        assert sum(pt[:2] == line for pt in zeros) == p
+    if name == "triple-root-line":
+        assert [pt for pt in zeros if pt[:2] == (1, 0)] == [(1, 0, 1)]
+
+
+@pytest.mark.parametrize("name", ("pencil42", "pencil7", "diagonal"))
+def test_zero_set_matches_horner_sweep_on_pencils(name):
+    P = _diag_pencil() if name == "diagonal" else cached_pencil(int(name[6:]))
+    curves = P.det_curves()
+    for side in ("plus", "minus"):
+        for p in DEFAULT_PRIMES:
+            compiled = compile_poly(curves.side(side), p)
+            assert _zero_set(compiled, p) == zero_set_by_horner(compiled, p)
+
+
+@pytest.mark.parametrize("p", (17, 19))
+def test_root_tables_give_every_root(p):
+    first, sqrt, inv = _root_tables(p)
+    for a in range(p):
+        roots = [r for r in range(p) if (r * r - a) % p == 0]
+        assert sqrt[a] == (roots[0] if roots else -1)
+        assert a == 0 or a * inv[a] % p == 1
+    for P in range(p):
+        for Q in range(p):
+            roots = [t for t in range(p) if (t * t * t + P * t + Q) % p == 0]
+            assert first[P * p + Q] == (roots[0] if roots else -1)
+            assert list(_line_roots((Q, P, 0, 1), p, (first, sqrt, inv))) == roots
+
+
+def test_line_roots_exhaustive_at_17():
+    p = 17
+    tables = _root_tables(p)
+    for d3 in (0, 1, 3):
+        for d2 in range(p):
+            for d1 in range(p):
+                for d0 in range(p):
+                    roots = [b for b in range(p)
+                             if (((d3 * b + d2) * b + d1) * b + d0) % p == 0]
+                    assert list(_line_roots((d0, d1, d2, d3), p, tables)) == roots
+
+
+def test_root_table_cache_stays_bounded(monkeypatch):
+    from quadclif import pencil
+
+    monkeypatch.setattr(geometry, "_ROOT_TABLES", {})
+    primes = [q for q in range(17, 200) if all(q % r for r in range(2, q))]
+    assert len(primes) > MAX_PRIMES
+    for q in primes:
+        _root_tables(q)
+        assert len(geometry._ROOT_TABLES) <= MAX_PRIMES
+    assert list(geometry._ROOT_TABLES) == primes[-MAX_PRIMES:]
+    # the entry budget: with MAX_PRIME = 60, 17² + 19² + ... stays <= 3600
+    monkeypatch.setattr(geometry, "_ROOT_TABLES", {})
+    monkeypatch.setattr(pencil, "MAX_PRIME", 60)
+    for q in primes[:8]:
+        _root_tables(q)
+        assert sum(r * r for r in geometry._ROOT_TABLES) <= 60 ** 2
+        assert q in geometry._ROOT_TABLES
+    assert list(geometry._ROOT_TABLES) == [41, 43]
+
+
+@pytest.mark.parametrize("table", (0, 1))
+def test_incomplete_root_table_is_refused(table, monkeypatch):
+    build = geometry._build_root_tables
+
+    def dropping(p):
+        tables = build(p)
+        column = tables[table]
+        column[next(i for i, t in enumerate(column) if t >= 0)] = -1
+        return tables
+
+    monkeypatch.setattr(geometry, "_ROOT_TABLES", {})
+    monkeypatch.setattr(geometry, "_build_root_tables", dropping)
+    with pytest.raises(AssertionError, match="miss a root"):
+        _root_tables(17)
+    assert geometry._ROOT_TABLES == {}
+
+
+def test_wrong_root_table_entry_is_caught(monkeypatch):
+    p = 17
+    first, sqrt, inv = geometry._build_root_tables(p)
+    shifted = array("h", [t if t < 0 else (t + 1) % p for t in first])
+    monkeypatch.setattr(geometry, "_ROOT_TABLES", {p: (shifted, sqrt, inv)})
+    with pytest.raises(AssertionError, match="non-root"):
+        _zero_set(compile_poly(U1 ** 3 + U2 ** 3 + U3 ** 3, p), p)
 
 
 # -- the adjugate pass against the exhaustive P²(F_p) sweep ---------------------

@@ -65,6 +65,24 @@ def test_diagonal_det_curve():
     assert total_degree(curves.f_plus) == 3
 
 
+def _det_oracle_pencils():
+    """The gen-batch seeds at both bounds, the two pinned seeds and the
+    diagonal pencil."""
+    yield from (cached_pencil(seed, bound)
+                for bound in (3, 9) for seed in range(1, 26))
+    yield from (cached_pencil(42), cached_pencil(7), diag_pencil())
+
+
+def test_det_curves_match_cofactor_expansion():
+    """The 27 mixed determinants give det_cofactor's cubic exactly, with
+    Fraction coefficients only."""
+    for P in _det_oracle_pencils():
+        for side in ("plus", "minus"):
+            f = P.det_curves().side(side)
+            assert f == P.linear_form_matrix(side).det()
+            assert {type(c) for c in f.terms.values()} == {Fraction}
+
+
 def test_zero_minus_side_is_degenerate():
     zero = tuple(tuple((0,) * 3 for _ in range(3)) for _ in range(3))
     P = InvariantPencil(q_plus=diag_pencil().q_plus, q_minus=zero,
