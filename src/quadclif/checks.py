@@ -348,9 +348,9 @@ def _stabilizer_check(group):
 
 def _adjugate_scan(ctx, side, p):
     """Stratification of the adjugate over ℙ²(F_p), read off the curve's
-    adjugate pass (ReducedCurve.kernel_columns states why): rank 3 at the
-    p²+p+1 − |E(F_p)| points off the curve, a rank-one double line on it,
-    and a violation at the first curve point where the adjugate vanishes."""
+    pass (ReducedCurve._pass states why): rank 3 at the p²+p+1 − |E(F_p)|
+    points off the curve, a rank-one double line on it, and a violation
+    at the first curve point where the adjugate vanishes."""
     curve = ctx.P.reduced_curve(side, p)
     for pt, col in zip(curve.points, curve.kernel_columns):
         if col is None:

@@ -16,8 +16,8 @@ Linear algebra has one routine per job, shared by every module:
   `span_coords`) are read off its pivots and reduced rows; `mat_solve` has
   no caller in the package and stays for the `exactalg.solve` benchmark
   probe and the tests;
-* `adjugate3` is the single 3×3 adjugate, written once for any
-  commutative ring (polynomials, field elements, plain integers);
+* `adjugate3` is the 3×3 adjugate over any commutative ring; only the
+  hot curve pass in `geometry` expands six cofactors of a symmetric block;
 * `det_cofactor` expands small polynomial determinants; `bareiss_det` is
   the fraction-free integer elimination, each division checked exact,
   behind `sylvester_resultant`, which with `interpolate_int` gives

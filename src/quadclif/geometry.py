@@ -11,10 +11,12 @@ lookup is exact because, for p ≠ 2, 3:
   are solved by the quadratic formula from a square-root table;
 - the tables are complete: every (P, Q) with a root receives one, which a
   count against the number of reducible depressed cubics checks.
-Every root found is re-checked by Horner.  Gradients and block adjugates
-are only evaluated on curve points, which is enough: a singular point of
-the curve satisfies f = 0 by definition, and off the curve the block is
-invertible.
+Every root found is re-checked by Horner.  One pass along the curve
+points then builds each block M once and reads from its adjugate the
+kernel column and, by Jacobi's formula ∂ₖ det M = tr(adj M·Qₖ), the
+gradient of f = det M.  That is enough: a singular point of the curve
+satisfies f = 0, off the curve the block is invertible, and two curves
+meet exactly at the points their two sweeps share.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-from .exactalg import FpElem, adjugate3, mat_rank
+from operator import mul
 
 
 class ScanError(Exception):
@@ -58,18 +59,6 @@ def compile_poly(f, p):
     if not terms:
         raise ScanError(f"polynomial vanishes identically mod {p}")
     return terms
-
-
-def eval_compiled(terms, pt, p):
-    acc = 0
-    x, y, z = pt
-    # power tables up to the small degrees that occur here
-    px = (1, x, x * x % p, x * x % p * x % p)
-    py = (1, y, y * y % p, y * y % p * y % p)
-    pz = (1, z, z * z % p, z * z % p * z % p)
-    for (e1, e2, e3), c in terms:
-        acc += c * px[e1] % p * py[e2] % p * pz[e3]
-    return acc % p
 
 
 # Root tables by prime, oldest first.  They depend on p alone and nothing
@@ -174,8 +163,7 @@ def _zero_set(compiled, p):
     The sweep is exhaustive because the lines (1, a, ·) and (0, 1, ·) and
     the point (0, 0, 1) partition P²(F_p) and the tables are complete.
     """
-    deg3 = max(sum(e) for e, _ in compiled)
-    if deg3 > 3:
+    if max(sum(e) for e, _ in compiled) > 3:
         raise ScanError("sweep supports degree <= 3 only")
     tables = _root_tables(p)
     zeros = []
@@ -190,7 +178,8 @@ def _zero_set(compiled, p):
         if e1 == 0:
             dense[e3] += c
     zeros.extend((0, 1, c) for c in _line_roots(dense, p, tables))
-    if eval_compiled(compiled, (0, 0, 1), p) == 0:
+    # f(0, 0, 1) is the coefficient of the pure power of u3
+    if sum(c for (e1, e2, _), c in compiled if not e1 and not e2) % p == 0:
         zeros.append((0, 0, 1))
     return zeros
 
@@ -200,20 +189,18 @@ def curve_points(f, p):
 
 
 class ReducedCurve:
-    """The curve f = 0 reduced mod p: its compiled polynomial (ScanError
-    if f vanishes mod p), and, each computed once on first use, its points
-    in P²(F_p) in enumeration order and its compiled gradient (ScanError
-    if a nonzero partial derivative vanishes mod p; [] for a zero one).
-    When f is the determinant of a block Σ uₖ mats[k], `kernel_columns`
-    records the block's adjugate along those points.
+    """The curve f = 0 reduced mod p: its compiled polynomial (ScanError if
+    f vanishes mod p), and, each computed once on first use, its points in
+    P²(F_p) in enumeration order and one pass along them, which needs the
+    symmetric blocks mats with f = det Σ uₖ mats[k].
 
     InvariantPencil.reduced_curve keeps one per (side, p), so every scan of
-    one run reads the same sweep and the same adjugate pass."""
+    one run reads the same sweep and the same pass."""
 
     def __init__(self, f, p, mats=None):
         self.f = f
         self.p = p
-        self.coeffs = None if mats is None else _entry_coeffs(mats)
+        self.coeffs = None if mats is None else _upper_coeffs(mats)
         self.compiled = compile_poly(f, p)
 
     @cached_property
@@ -221,40 +208,66 @@ class ReducedCurve:
         return tuple(_zero_set(self.compiled, self.p))
 
     @cached_property
-    def gradient(self):
-        return tuple(compile_poly(g, self.p) if not g.is_zero() else []
-                     for g in (self.f.derivative(v) for v in self.f.ring.vars))
-
-    @cached_property
-    def kernel_columns(self):
-        """Per curve point, in order: the first nonzero column of the
-        block's adjugate (integers, not reduced), or None where the
-        adjugate vanishes mod p.
+    def _pass(self):
+        """(blocks, kernel_columns, gradients), one entry each per curve point.
 
         No other point of P²(F_p) needs an adjugate: f ≡ det(block) mod p,
         since f is the block determinant and reduction is a ring map, so
         off the curve the block has rank 3 with nothing computed; on it
-        det(block) ≡ 0 is re-checked at each point.  For a 3×3
-        matrix, rank 2 ⇔ adj ≠ 0, and then rank adj = 1 (its columns span
-        the kernel); adj = 0 ⇔ corank ≥ 2."""
+        det(block) ≡ 0 is re-checked at each point.  For a 3×3 matrix,
+        rank 2 ⇔ adj ≠ 0, and then rank adj = 1 (its columns span the
+        kernel); adj = 0 ⇔ corank ≥ 2.  The gradient is Jacobi's formula
+        ∂ₖ det M(u) = tr(adj M(u)·Qₖ) (Magnus and Neudecker, *Matrix
+        Differential Calculus*, Ch. 8), a polynomial identity over Z and so
+        valid mod p at every point; with M symmetric, adj is too, and the
+        trace is Σᵢ adjᵢᵢ·Qₖᵢᵢ + 2·Σᵢ<ⱼ adjᵢⱼ·Qₖᵢⱼ over six cofactors."""
         p, coeffs = self.p, self.coeffs
         if coeffs is None:
             raise ValueError("curve was reduced without its block matrices")
-        cols = []
-        for pt in self.points:
-            m = _block_mod(coeffs, pt, p)
-            adj = adjugate3(m)
-            if det3_mod(m, p, adj):
+        # per k, the weights of (adj00, adj01, adj02, adj11, adj12, adj22)
+        wx, wy, wz = (tuple(c[k] * w % p for c, w in zip(coeffs, (1, 2, 2, 1, 2, 1)))
+                      for k in range(3))
+        blocks = _block_mod(coeffs, self.points, p)
+        cols, grads = [], []
+        for m00, m01, m02, m11, m12, m22 in blocks:
+            adj = a00, a01, a02, a11, a12, a22 = (
+                m11 * m22 - m12 * m12, m02 * m12 - m01 * m22, m01 * m12 - m02 * m11,
+                m00 * m22 - m02 * m02, m01 * m02 - m00 * m12, m00 * m11 - m01 * m01)
+            if (m00 * a00 + m01 * a01 + m02 * a02) % p:
                 raise AssertionError("curve scan and block eval disagree")
-            cols.append(next(
-                ((adj[0][j], adj[1][j], adj[2][j]) for j in range(3)
-                 if adj[0][j] % p or adj[1][j] % p or adj[2][j] % p),
-                None))
-        return tuple(cols)
+            if a00 % p or a01 % p or a02 % p:
+                cols.append((a00, a01, a02))
+            elif a11 % p or a12 % p:
+                cols.append((a01, a11, a12))
+            elif a22 % p:
+                cols.append((a02, a12, a22))
+            else:
+                cols.append(None)
+            grads.append((sum(map(mul, wx, adj)) % p, sum(map(mul, wy, adj)) % p,
+                          sum(map(mul, wz, adj)) % p))
+        return blocks, tuple(cols), tuple(grads)
 
+    @property
+    def blocks(self):
+        """The block mod p at each curve point, as its upper triangle."""
+        return self._pass[0]
 
-def _eval_gradient(grads, pt, p):
-    return [eval_compiled(g, pt, p) if g else 0 for g in grads]
+    @property
+    def kernel_columns(self):
+        """The first column of the adjugate nonzero mod p at each curve
+        point (integers, not reduced), or None where the adjugate vanishes."""
+        return self._pass[1]
+
+    @property
+    def gradients(self):
+        """∇f mod p at each curve point.  ScanError if some ∂ₖf is nonzero
+        over Q but vanishes mod p, that is, since p > 3 exceeds every
+        exponent, if f has a term with eₖ > 0 but no compiled term does."""
+        for k in range(3):
+            if (any(e[k] for e in self.f.terms)
+                    and not any(e[k] for e, _ in self.compiled)):
+                raise ScanError(f"polynomial vanishes identically mod {self.p}")
+        return self._pass[2]
 
 
 # ---------------------------------------------------------------------------
@@ -264,68 +277,56 @@ def _eval_gradient(grads, pt, p):
 def ff_scan_smooth(curve):
     """Points of a ReducedCurve where the gradient also vanishes.  An
     empty list certifies smoothness of the reduction mod p."""
-    grads = curve.gradient
-    return [pt for pt in curve.points
-            if all((not g) or eval_compiled(g, pt, curve.p) == 0 for g in grads)]
+    return [pt for pt, g in zip(curve.points, curve.gradients) if not any(g)]
 
 
 def ff_scan_transversal(plus, minus):
     """Common points of two ReducedCurves (same p) where the 2×3 gradient
-    matrix has rank ≤ 1.  Empty list = transverse intersection mod p."""
+    matrix has rank ≤ 1, in the order of plus's points.  The common points
+    are those both sweeps found.  Empty list = transverse intersection mod p."""
     p = plus.p
     if minus.p != p:
         raise ValueError("curves reduced at different primes")
-    cm = minus.compiled
-    gp, gm = plus.gradient, minus.gradient
-    bad = []
-    for pt in plus.points:
-        if eval_compiled(cm, pt, p) != 0:
-            continue
-        a = _eval_gradient(gp, pt, p)
-        b = _eval_gradient(gm, pt, p)
-        minors = (
-            a[0] * b[1] - a[1] * b[0],
-            a[0] * b[2] - a[2] * b[0],
-            a[1] * b[2] - a[2] * b[1],
-        )
-        if all(m % p == 0 for m in minors):
-            bad.append(pt)
-    return bad
+    on_minus = dict(zip(minus.points, minus.gradients))
+    return [pt for pt, g in zip(plus.points, plus.gradients)
+            if pt in on_minus and _dependent(g, on_minus[pt], p)]
+
+
+def _dependent(a, b, p):
+    """Whether a, b ∈ F_p³ are linearly dependent: all 2×2 minors vanish."""
+    return not ((a[0] * b[1] - a[1] * b[0]) % p or (a[0] * b[2] - a[2] * b[0]) % p
+                or (a[1] * b[2] - a[2] * b[1]) % p)
 
 
 # ---------------------------------------------------------------------------
 # corank scans via the adjugate
 # ---------------------------------------------------------------------------
 
-def _entry_coeffs(mats):
-    """For each (i, j), the coefficients (q₁[i][j], q₂[i][j], q₃[i][j])."""
-    return tuple(tuple(zip(*rows)) for rows in zip(*mats))
+def _upper_coeffs(mats):
+    """(q₁[i][j], q₂[i][j], q₃[i][j]) for each i ≤ j, in row order."""
+    return tuple(tuple(m[i][j] for m in mats) for i in range(3) for j in range(i, 3))
 
 
-def _block_mod(coeffs, pt, p):
-    x, y, z = pt
-    return [[(a * x + b * y + c * z) % p for a, b, c in row] for row in coeffs]
-
-
-def det3_mod(m, p, adj):
-    """det(m) mod p from the first column of its adjugate."""
-    return (m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]) % p
-
-
-def rank_mod(m, p):
-    """Rank over F_p of an integer matrix."""
-    return mat_rank([[FpElem(x, p) for x in row] for row in m])
+def _block_mod(coeffs, points, p):
+    """The symmetric block Σ uₖ qₖ mod p at each point, as its upper
+    triangle (m00, m01, m02, m11, m12, m22)."""
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4), \
+        (a5, b5, c5) = coeffs
+    return tuple(((a0 * x + b0 * y + c0 * z) % p, (a1 * x + b1 * y + c1 * z) % p,
+                  (a2 * x + b2 * y + c2 * z) % p, (a3 * x + b3 * y + c3 * z) % p,
+                  (a4 * x + b4 * y + c4 * z) % p, (a5 * x + b5 * y + c5 * z) % p)
+                 for x, y, z in points)
 
 
 def ff_scan_corank(P, p):
     """Max corank of the 3×3 blocks along E±(F_p), read off each curve's
-    adjugate pass (ReducedCurve.kernel_columns).  Value 1 certifies that
-    the 6×6 forms keep rank ≥ 4 along the scanned locus; off the curves
-    the blocks are invertible."""
-    coranks = (1 if col is not None
-               else 3 - rank_mod(_block_mod(curve.coeffs, pt, p), p)
+    pass: corank 1 where the adjugate has a kernel column; where it
+    vanishes the rank is ≤ 1, and 0 only for the zero block.  Value 1
+    certifies that the 6×6 forms keep rank ≥ 4 along the scanned locus;
+    off the curves the blocks are invertible."""
+    coranks = (1 if col is not None else 2 if any(block) else 3
                for curve in (P.reduced_curve(s, p) for s in ("plus", "minus"))
-               for pt, col in zip(curve.points, curve.kernel_columns))
+               for block, col in zip(curve.blocks, curve.kernel_columns))
     return max(coranks, default=0)
 
 
@@ -341,14 +342,18 @@ def singular_locus_C(P, side, p):
     singular; with y ≠ 0 a rank drop would force q_u x = 0 with x ≠ 0,
     contradicting det q_u = y² ≠ 0.  So the sweep only needs u ∈ E(F_p) and
     the kernel direction x₀ of q_u, an adjugate column from the curve's
-    adjugate pass; kernel membership and the Jacobian rank ≤ 1 condition
-    are then re-verified honestly at each returned point.
+    pass, which is re-verified to lie in ker(q_u) at each returned point.
+    The Jacobian rank ≤ 1 condition holds by construction: at corank 1,
+    adj = λ·x₀x₀ᵀ with λ ≠ 0, and the pass's gradient is Jacobi's
+    gₖ = tr(adj·Qₖ) = λ·x₀ᵀQₖx₀ = λ·sₖ; its minors test is a consistency
+    re-check of the pass.
     """
     curve = P.reduced_curve(side, p)
-    grads = curve.gradient
+    grads = curve.gradients
     qk = P.side_mats(side)
     found = []
-    for u, col in zip(curve.points, curve.kernel_columns):
+    for u, block, col, g in zip(curve.points, curve.blocks,
+                                curve.kernel_columns, grads):
         if col is None:
             raise GenericityError(f"corank >= 2 at {u} mod {p}")
         # normalize the kernel direction
@@ -356,19 +361,14 @@ def singular_locus_C(P, side, p):
         inv = pow(lead, p - 2, p)
         x0 = tuple(c * inv % p for c in col)
         # kernel membership: columns of the adjugate lie in ker(q_u)
-        m = _block_mod(curve.coeffs, u, p)
-        if any(sum(m[i][j] * x0[j] for j in range(3)) % p for i in range(3)):
+        m00, m01, m02, m11, m12, m22 = block
+        if any((a * x0[0] + b * x0[1] + c * x0[2]) % p for a, b, c in
+               ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22))):
             raise AssertionError(f"adjugate column outside ker(q_u) at {u}")
         # Jacobian rank <= 1: (x0^T q_k x0)_k proportional to grad f(u)
-        g = _eval_gradient(grads, u, p)
-        s = [
-            sum(x0[i] * qk[k][i][j] * x0[j] for i in range(3) for j in range(3)) % p
-            for k in range(3)
-        ]
-        minors = (g[0] * s[1] - g[1] * s[0],
-                  g[0] * s[2] - g[2] * s[0],
-                  g[1] * s[2] - g[2] * s[1])
-        if any(mi % p for mi in minors):
+        s = [sum(x0[i] * qk[k][i][j] * x0[j] for i in range(3) for j in range(3))
+             for k in range(3)]
+        if not _dependent(g, s, p):
             raise GenericityError(
                 f"Jacobian rank 2 at curve point {u} mod {p}: "
                 "kernel direction not aligned with grad f"

@@ -195,9 +195,9 @@ class InvariantPencil:
         """One block's determinant cubic reduced mod p, kept per (side, p)
         like det_curves(): the genericity scans, the singular-locus and
         adjugate checks and the prime-field curve points all read its one
-        sweep of P²(F_p) and its one adjugate pass along the curve.
-        Memory is one point list and one column list per (side, p) asked
-        for."""
+        sweep of P²(F_p) and its one pass along the curve.  Memory is one
+        point list and a block, kernel column and gradient per point, for
+        each (side, p) asked for."""
         memo = self.__dict__.get("_reduced_curves")
         if memo is None:
             memo = {}

@@ -8,7 +8,8 @@ from quadclif.clifford import (
     CliffordAlgebra,
     central_odd,
 )
-from quadclif.exactalg import QQ, FpElem, MultiPoly, mat_solve
+from quadclif.exactalg import QQ, FpElem, MultiPoly, adjugate3, mat_rank, mat_solve
+from quadclif.geometry import compile_poly
 from quadclif.pencil import InvariantPencil, _derived_rng, _random_sym3, generate
 
 
@@ -361,3 +362,75 @@ def zero_set_by_horner(compiled, p):
     if sum(c for e, c in compiled if e[:2] == (0, 0)) % p == 0:
         zeros.append((0, 0, 1))
     return zeros
+
+
+# -- compiled gradients and the full adjugate: the oracle for the curve pass --
+
+
+def eval_compiled(terms, pt, p):
+    """A compiled polynomial at a point, term by term."""
+    acc = 0
+    x, y, z = pt
+    px = (1, x, x * x % p, x * x % p * x % p)
+    py = (1, y, y * y % p, y * y % p * y % p)
+    pz = (1, z, z * z % p, z * z % p * z % p)
+    for (e1, e2, e3), c in terms:
+        acc += c * px[e1] % p * py[e2] % p * pz[e3]
+    return acc % p
+
+
+def compiled_gradient(curve):
+    """The partial derivatives of curve.f, each compiled mod p ([] for a
+    zero one); ScanError if a nonzero one vanishes mod p."""
+    f = curve.f
+    return tuple(compile_poly(g, curve.p) if not g.is_zero() else []
+                 for g in (f.derivative(v) for v in f.ring.vars))
+
+
+def eval_gradient(grads, pt, p):
+    return [eval_compiled(g, pt, p) if g else 0 for g in grads]
+
+
+def scan_smooth_by_compiled_gradient(curve):
+    """ff_scan_smooth by evaluating the compiled gradient at each point."""
+    grads = compiled_gradient(curve)
+    return [pt for pt in curve.points
+            if all((not g) or eval_compiled(g, pt, curve.p) == 0 for g in grads)]
+
+
+def scan_transversal_by_compiled_gradient(plus, minus):
+    """ff_scan_transversal by evaluating f₋ at every point of E₊ and both
+    compiled gradients at the common points."""
+    p = plus.p
+    gp, gm = compiled_gradient(plus), compiled_gradient(minus)
+    bad = []
+    for pt in plus.points:
+        if eval_compiled(minus.compiled, pt, p) != 0:
+            continue
+        a, b = eval_gradient(gp, pt, p), eval_gradient(gm, pt, p)
+        minors = (a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0],
+                  a[1] * b[2] - a[2] * b[1])
+        if all(m % p == 0 for m in minors):
+            bad.append(pt)
+    return bad
+
+
+def det3_mod(m, p, adj):
+    """det(m) mod p from the first column of its adjugate."""
+    return (m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]) % p
+
+
+def rank_mod(m, p):
+    """Rank over F_p of an integer matrix, by elimination."""
+    return mat_rank([[FpElem(x, p) for x in row] for row in m])
+
+
+def kernel_column_by_adjugate(P, side, pt, p):
+    """The first column of adjugate3 of the reduced block at pt that is
+    nonzero mod p (integers, not reduced), or None where it vanishes."""
+    m = [[x % p for x in row] for row in P.block_at(pt, side)]
+    adj = adjugate3(m)
+    if det3_mod(m, p, adj):
+        raise AssertionError(f"{pt} is not a curve point mod {p}")
+    return next(((adj[0][j], adj[1][j], adj[2][j]) for j in range(3)
+                 if adj[0][j] % p or adj[1][j] % p or adj[2][j] % p), None)

@@ -1,13 +1,15 @@
 """Finite-field scans, stabilizer tables, singular locus of the fibration."""
 
+import dataclasses
 import hashlib
+import json
 import random
 from array import array
 
 import pytest
 
 from quadclif import geometry
-from quadclif.exactalg import FpElem, PrimeField, adjugate3, mat_kernel
+from quadclif.exactalg import FpElem, MultiPoly, PrimeField, adjugate3, mat_kernel
 from quadclif.geometry import (
     GenericityError,
     ReducedCurve,
@@ -18,18 +20,33 @@ from quadclif.geometry import (
     _zero_set,
     compile_poly,
     curve_points,
-    det3_mod,
     ff_scan_corank,
     ff_scan_smooth,
     ff_scan_transversal,
-    rank_mod,
     singular_locus_C,
     stabilizer,
     stabilizer_bruteforce,
 )
-from quadclif.pencil import DEFAULT_PRIMES, MAX_PRIMES, URING, InvariantPencil
+from quadclif.pencil import (
+    DEFAULT_PRIMES,
+    MAX_PRIMES,
+    URING,
+    InvariantPencil,
+    det_cubic,
+    genericity_check,
+)
 
-from conftest import cached_pencil, zero_set_by_horner
+from conftest import (
+    cached_pencil,
+    compiled_gradient,
+    det3_mod,
+    eval_gradient,
+    kernel_column_by_adjugate,
+    rank_mod,
+    scan_smooth_by_compiled_gradient,
+    scan_transversal_by_compiled_gradient,
+    zero_set_by_horner,
+)
 
 
 U1, U2, U3 = (URING.var(v) for v in URING.vars)
@@ -53,40 +70,97 @@ def test_proj_points_count():
         assert len(set(pts)) == len(pts)
 
 
+def sym(*rows):
+    """A symmetric 3×3 matrix from its upper triangle, row by row."""
+    (a, b, c), (d, e), (f,) = rows
+    return ((a, b, c), (b, d, e), (c, e, f))
+
+
+def diag(a, b, c):
+    return sym((a, 0, 0), (b, 0), (c,))
+
+
+def block_curve(mats, p=101):
+    """det Σ uₖ mats[k] reduced mod p with its blocks, as
+    InvariantPencil.reduced_curve builds it."""
+    return ReducedCurve(det_cubic(mats), p, mats)
+
+
+# The scans read gradients off the block's adjugate, so they run on
+# determinantal curves; bare polynomials go through the compiled-gradient
+# oracle, and the live scans refuse them.
+# [[u1, 0, u2], [0, u3, u1], [u2, u1, u3]]: u2²u3 = -u1(u1 - u3)(u1 + u3),
+# a smooth Weierstrass cubic
+SMOOTH = (sym((1, 0, 0), (0, 1), (0,)), sym((0, 0, 1), (0, 0), (0,)),
+          sym((0, 0, 0), (1, 0), (1,)))
+TRIANGLE = (diag(1, 0, 0), diag(0, 1, 0), diag(0, 0, 1))   # diag(u1, u2, u3)
+# [[u3, 0, u1], [0, -u1, u2], [u1, u2, -u1]]: det = u1³ + u1²u3 - u2²u3,
+# with a node at (0:0:1)
+NODAL = (sym((0, 0, 1), (-1, 0), (-1,)), sym((0, 0, 0), (0, 1), (0,)),
+         sym((1, 0, 0), (0, 0), (0,)))
+# [[0, u3, u1], [u3, u2, u2], [u1, u2, u1 + t·u3]]: det = -u1²u2 + ... - t·u3³,
+# so the two curves t = 0, 1 meet only on u3 = 0, with equal gradients there
+TANGENT = tuple((sym((0, 0, 1), (0, 0), (1,)), sym((0, 0, 0), (1, 1), (0,)),
+                 sym((0, 1, 0), (0, 0), (t,))) for t in (0, 1))
+# diag(101u1 + u2, u2, u3): f = (101u1 + u2)u2u3, and ∂f/∂u1 = 101u2u3 is
+# nonzero over Q but vanishes mod 101
+VANISHING_PARTIAL = (diag(101, 0, 0), diag(1, 1, 0), diag(0, 0, 1))
+
+
 def test_scan_smooth_fermat_and_triangle():
     fermat = U1 ** 3 + U2 ** 3 + U3 ** 3
-    assert ff_scan_smooth(ReducedCurve(fermat, 101)) == []
-    triangle = U1 * U2 * U3
-    bad = set(ff_scan_smooth(ReducedCurve(triangle, 101)))
+    assert scan_smooth_by_compiled_gradient(ReducedCurve(fermat, 101)) == []
+    with pytest.raises(ValueError, match="block"):
+        ff_scan_smooth(ReducedCurve(fermat, 101))
+    smooth = block_curve(SMOOTH)
+    assert smooth.f == U1 * U3 ** 2 - U1 ** 3 - U2 ** 2 * U3
+    assert ff_scan_smooth(smooth) == [] == scan_smooth_by_compiled_gradient(smooth)
+    triangle = block_curve(TRIANGLE)
+    assert triangle.f == U1 * U2 * U3
+    bad = set(ff_scan_smooth(triangle))
     assert {(1, 0, 0), (0, 1, 0), (0, 0, 1)} <= bad
+    assert ff_scan_smooth(triangle) == scan_smooth_by_compiled_gradient(triangle)
 
 
 def test_scan_smooth_rejects_zero_poly():
     with pytest.raises(ScanError):
         ff_scan_smooth(ReducedCurve(101 * U1 ** 3, 101))
+    with pytest.raises(ScanError):
+        ff_scan_smooth(block_curve((diag(101, 1, 1), diag(0, 0, 0), diag(0, 0, 0))))
 
 
 def test_scan_smooth_nodal_cubic():
     # u2^2*u3 = u1^2*(u1 + u3) has a node at (0:0:1)
     nodal = U2 ** 2 * U3 - U1 ** 3 - U1 ** 2 * U3
-    assert (0, 0, 1) in ff_scan_smooth(ReducedCurve(nodal, 101))
+    assert (0, 0, 1) in scan_smooth_by_compiled_gradient(ReducedCurve(nodal, 101))
+    curve = block_curve(NODAL)
+    assert curve.f == -nodal
+    assert (0, 0, 1) in ff_scan_smooth(curve)
+    assert ff_scan_smooth(curve) == scan_smooth_by_compiled_gradient(curve)
 
 
 def test_scan_transversal_detects_tangency():
     f_plus = U1 ** 3 + U2 ** 3 + U3 ** 3
     f_minus = U1 ** 3 + U2 ** 3 + 2 * U3 ** 3
-    bad = ff_scan_transversal(ReducedCurve(f_plus, 101),
-                              ReducedCurve(f_minus, 101))
-    assert bad
-    # every common point has u3 = 0 and is a tangency point
-    for pt in bad:
-        assert pt[2] == 0
+    for bad in (scan_transversal_by_compiled_gradient(ReducedCurve(f_plus, 101),
+                                                      ReducedCurve(f_minus, 101)),
+                ff_scan_transversal(*map(block_curve, TANGENT))):
+        assert bad
+        # every common point has u3 = 0 and is a tangency point
+        for pt in bad:
+            assert pt[2] == 0
+    plus, minus = map(block_curve, TANGENT)
+    assert plus.f - minus.f == U3 ** 3
+    assert ff_scan_transversal(plus, minus) == [(1, 0, 0), (0, 1, 0)]
 
 
 def test_scan_transversal_identical_curves():
     f = U1 ** 3 + U2 ** 3 + U3 ** 3
-    bad = ff_scan_transversal(ReducedCurve(f, 101), ReducedCurve(f, 101))
+    bad = scan_transversal_by_compiled_gradient(ReducedCurve(f, 101),
+                                                ReducedCurve(f, 101))
     assert len(bad) == len(curve_points(f, 101))
+    bad = ff_scan_transversal(block_curve(SMOOTH), block_curve(SMOOTH))
+    assert bad == list(block_curve(SMOOTH).points)
 
 
 def test_scan_transversal_generic(pencil42):
@@ -169,19 +243,29 @@ def test_singular_locus_rejects_corank2():
 
 def test_scan_gradient_vanishing_mod_p_is_a_scan_error():
     # ∂f/∂u1 = 101·u2·u3 is nonzero over Q but vanishes mod 101
-    curve = ReducedCurve(U2 ** 3 + U3 ** 3 + 101 * U1 * U2 * U3, 101)
+    bare = ReducedCurve(U2 ** 3 + U3 ** 3 + 101 * U1 * U2 * U3, 101)
+    fermat = ReducedCurve(U1 ** 3 + U2 ** 3 + U3 ** 3, 101)
+    with pytest.raises(ScanError):
+        scan_smooth_by_compiled_gradient(bare)
+    with pytest.raises(ScanError):
+        scan_transversal_by_compiled_gradient(bare, fermat)
+    curve = block_curve(VANISHING_PARTIAL)
+    assert curve.f == (101 * U1 + U2) * U2 * U3
+    with pytest.raises(ScanError):
+        scan_smooth_by_compiled_gradient(curve)
     with pytest.raises(ScanError):
         ff_scan_smooth(curve)
-    with pytest.raises(ScanError):
-        ff_scan_transversal(curve, ReducedCurve(U1 ** 3 + U2 ** 3 + U3 ** 3, 101))
+    for pair in ((curve, block_curve(SMOOTH)), (block_curve(SMOOTH), curve)):
+        with pytest.raises(ScanError):
+            ff_scan_transversal(*pair)
+    # the pass itself does not raise: the corank scan still reads it
+    assert len(curve.kernel_columns) == len(curve.points)
 
 
 def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
     """The genericity scans and the scan-reading checks of one run share
     one sweep per (side, p), in the order of curve_points."""
-    from quadclif import geometry
     from quadclif.checks import CheckContext, run_single
-    from quadclif.pencil import genericity_check
 
     swept = []
     sweep = geometry._zero_set
@@ -462,34 +546,107 @@ def test_adjugate_pass_matches_exhaustive_sweep(name, p, pencil42):
 
 
 def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
-    """The corank scan, the singular locus and prop4.2 share one adjugate
-    pass per (side, p), taken only at the curve points."""
-    from quadclif import geometry
+    """genericity_check, the corank scan, the singular locus and prop4.2
+    build each curve point's block exactly once per (side, p), in one pass
+    taken only at the curve points, and genericity_check differentiates
+    nothing."""
     from quadclif.checks import CheckContext, _adjugate_scan
 
-    calls = []
-    adj = geometry.adjugate3
+    built, derived = [], []
+    block_mod, derivative = geometry._block_mod, MultiPoly.derivative
 
-    def counting(m):
-        calls.append(1)
-        return adj(m)
+    def counting_blocks(coeffs, points, p):
+        built.extend((coeffs, pt, p) for pt in points)
+        return block_mod(coeffs, points, p)
 
-    monkeypatch.setattr(geometry, "adjugate3", counting)
+    def counting_derivative(poly, name):
+        derived.append(name)
+        return derivative(poly, name)
+
+    monkeypatch.setattr(geometry, "_block_mod", counting_blocks)
+    monkeypatch.setattr(MultiPoly, "derivative", counting_derivative)
     P = InvariantPencil.from_json_dict(pencil42.to_json_dict())  # no memo yet
-    p = 101
-    ctx = CheckContext(P, primes=(p,), points=1)
-    assert ff_scan_corank(P, p) == 1
-    for side in ("plus", "minus"):
-        singular_locus_C(P, side, p)
-        _adjugate_scan(ctx, side, p)
-    assert len(calls) == sum(len(P.reduced_curve(side, p).points)
-                             for side in ("plus", "minus"))
+    assert genericity_check(P, primes=DEFAULT_PRIMES).all_ok()
+    assert derived == []
+    curves = [P.reduced_curve(side, p)
+              for side in ("plus", "minus") for p in DEFAULT_PRIMES]
+    expected = sorted((c.coeffs, pt, c.p) for c in curves for pt in c.points)
+    assert sorted(built) == expected
+    for p in DEFAULT_PRIMES:
+        ctx = CheckContext(P, primes=(p,), points=1)
+        assert ff_scan_corank(P, p) == 1
+        for side in ("plus", "minus"):
+            singular_locus_C(P, side, p)
+            _adjugate_scan(ctx, side, p)
+    assert len(built) == len(expected)
 
 
 def test_kernel_columns_need_the_block():
     curve = ReducedCurve(U1 ** 3 + U2 ** 3 + U3 ** 3, 17)
     with pytest.raises(ValueError):
         curve.kernel_columns
+
+
+# -- the curve pass against compiled gradients and the full adjugate ----------
+
+
+ORACLE_PENCILS = ([f"seed{s}-bound{b}" for s in range(1, 26) for b in (3, 9)]
+                  + ["pencil42", "pencil7", "diagonal"])
+
+
+def _oracle_pencil(name):
+    if name == "diagonal":
+        return _diag_pencil()
+    if name.startswith("pencil"):
+        return cached_pencil(int(name[6:]))
+    seed, bound = name[4:].split("-bound")
+    return cached_pencil(int(seed), int(bound))
+
+
+@pytest.mark.parametrize("name", ORACLE_PENCILS)
+def test_curve_pass_matches_compiled_gradients_and_adjugate(name):
+    """At every curve point, the Jacobi gradient equals the compiled
+    derivatives of f and the kernel column equals adjugate3's, integer for
+    integer; the scans that read them give the compiled-gradient lists."""
+    P = _oracle_pencil(name)
+    for p in DEFAULT_PRIMES:
+        for side in ("plus", "minus"):
+            curve = P.reduced_curve(side, p)
+            grads = compiled_gradient(curve)
+            assert len(curve.gradients) == len(curve.points) > 0
+            for pt, g, col in zip(curve.points, curve.gradients,
+                                  curve.kernel_columns):
+                assert list(g) == eval_gradient(grads, pt, p)
+                assert col == kernel_column_by_adjugate(P, side, pt, p)
+            assert ff_scan_smooth(curve) == scan_smooth_by_compiled_gradient(curve)
+        plus, minus = P.reduced_curve("plus", p), P.reduced_curve("minus", p)
+        assert (ff_scan_transversal(plus, minus)
+                == scan_transversal_by_compiled_gradient(plus, minus))
+
+
+# The diagonal control's full genericity report, and the witnesses of the
+# seed-42 instance with a q_plus whose smooth f₊ is singular mod 101 (its
+# discriminant is divisible by 101), as computed before the curve pass.
+DIAG_GENERICITY_SHA256 = \
+    "8491189e360bc217ef3e04e61dde0c461788a51921e90c7d05f5e7060cac5aa3"
+BAD_REDUCTION_Q_PLUS = (((3, -2, 2), (-2, 1, 1), (2, 1, 2)),
+                        ((3, 3, -3), (3, -1, -3), (-3, -3, 3)),
+                        ((-3, -2, -2), (-2, -1, -1), (-2, -1, -2)))
+
+
+def test_genericity_witnesses_are_pinned(pencil42):
+    rep = genericity_check(_diag_pencil())
+    blob = json.dumps(dataclasses.asdict(rep), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == DIAG_GENERICITY_SHA256
+    assert len(rep.witnesses) == 955
+    P = InvariantPencil(q_plus=BAD_REDUCTION_Q_PLUS, q_minus=pencil42.q_minus,
+                        seed=42, coeff_bound=5)
+    rep = genericity_check(P)
+    assert rep.witnesses == (
+        {"kind": "e_plus_singular", "prime": 101, "point": [1, 25, 86]},
+        {"kind": "corank", "prime": 101, "point": None, "value": 2})
+    assert not rep.e_plus_smooth and not rep.rank_ge_4
+    assert rep.e_minus_smooth and rep.transversal and rep.nine_points
 
 
 # -- stabilizers ---------------------------------------------------------------
