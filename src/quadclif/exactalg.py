@@ -20,8 +20,11 @@ Linear algebra has one routine per job, shared by every module:
   hot curve pass in `geometry` expands six cofactors of a symmetric block;
 * `det_cofactor` expands small polynomial determinants; `bareiss_det` is
   the fraction-free integer elimination, each division checked exact,
-  behind `sylvester_resultant`, which with `interpolate_int` gives
-  resultants by evaluation and interpolation (Collins, J. ACM 18 (1971);
+  behind `sylvester_resultant`, which takes the max(m, n)-square Bézout
+  matrix instead of the (m + n)-square Sylvester matrix, by
+  Res(f, g) = (-1)^(m(m-1)/2)·det Bez(f, g)/lc(f)^(m-n) for m ≥ n, and
+  with `interpolate_int` gives resultants by evaluation and
+  interpolation (Collins, J. ACM 18 (1971);
   von zur Gathen and Gerhard, *Modern Computer Algebra*, Ch. 6), and
   `squarefree_univariate` certifies mod one prime (sound by Gauss's
   lemma) before the exact gcd over Q decides;
@@ -556,16 +559,41 @@ def bareiss_det(rows):
 
 
 def sylvester_resultant(f, g):
-    """Resultant of two integer polynomials given as coefficient lists
-    [c0, ..., cd] with a nonzero last entry: the determinant of their
-    Sylvester matrix, by `bareiss_det`."""
+    """Resultant Res(f, g), the determinant of the Sylvester matrix, of two
+    integer polynomials given as coefficient lists [c0, ..., cd] with a
+    nonzero last entry, by `bareiss_det` of their Bézout matrix.
+
+    For deg f = m ≥ n = deg g, with g padded by zeros to m + 1
+    coefficients, the Bézout matrix is the m×m integer matrix of
+    (f(x)g(y) - f(y)g(x))/(x - y) = Σ Bᵢⱼ·xⁱyʲ.  Row by row,
+    Bᵢⱼ = B₍ᵢ₋₁₎₍ⱼ₊₁₎ + f_{j+1}·gᵢ - fᵢ·g_{j+1}, with B₍₋₁₎ⱼ = Bᵢₘ = 0.
+    Then
+        Res(f, g) = (-1)^(m(m-1)/2) · det B / lc(f)^(m-n)
+    (the Bézout formula, Gelfand, Kapranov and Zelevinsky,
+    *Discriminants, Resultants and Multidimensional Determinants*, Ch. 12
+    §1; the padding gives the formal resultant in degrees (m, m), which is
+    lc(f)^(m-n)·Res(f, g) by expanding the Sylvester matrix along its first
+    m - n columns).  For m < n, Res(f, g) = (-1)^(mn)·Res(g, f).  The
+    division is exact by the identity, and checked all the same."""
     f, g = int_coeffs(f), int_coeffs(g)
     if not (f and f[-1] and g and g[-1]):
         raise ValueError("resultant needs nonzero leading coefficients")
     m, n = len(f) - 1, len(g) - 1
-    rows = [[0] * s + f[::-1] + [0] * (n - 1 - s) for s in range(n)]
-    rows += [[0] * s + g[::-1] + [0] * (m - 1 - s) for s in range(m)]
-    return bareiss_det(rows)
+    sign = 1
+    if m < n:
+        f, g, m, n = g, f, n, m
+        sign = (-1) ** (m * n)
+    if m * (m - 1) // 2 % 2:
+        sign = -sign
+    g = g + [0] * (m - n)
+    bez, row = [], [0] * (m + 1)
+    for i in range(m):
+        row = [row[j + 1] + f[j + 1] * g[i] - f[i] * g[j + 1] for j in range(m)] + [0]
+        bez.append(row[:m])
+    q, r = divmod(bareiss_det(bez), f[-1] ** (m - n))
+    if r:
+        raise ArithmeticError("inexact Bézout division")
+    return sign * q
 
 
 def interpolate_int(values):

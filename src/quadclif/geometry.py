@@ -11,12 +11,17 @@ lookup is exact because, for p ≠ 2, 3:
   are solved by the quadratic formula from a square-root table;
 - the tables are complete: every (P, Q) with a root receives one, which a
   count against the number of reducible depressed cubics checks.
-Every root found is re-checked by Horner.  One pass along the curve
-points then builds each block M once and reads from its adjugate the
-kernel column and, by Jacobi's formula ∂ₖ det M = tr(adj M·Qₖ), the
-gradient of f = det M.  That is enough: a singular point of the curve
-satisfies f = 0, off the curve the block is invertible, and two curves
-meet exactly at the points their two sweeps share.
+On the chart lines (1, a, ·) the b³ coefficient is the u3³ coefficient,
+the same on every line, since u3³ is the only monomial of degree ≤ 3 in
+which u3 has exponent 3.  When it is a unit mod p, s = A/3, P and Q are
+polynomials in a of degrees ≤ 1, 2 and 3, computed once per curve, so all
+p table keys are read in one pass.  Every root found is re-checked by
+Horner.  One pass along the curve points then builds each block M once
+and reads from its adjugate the kernel column and, by Jacobi's formula
+∂ₖ det M = tr(adj M·Qₖ), the gradient of f = det M.  That is enough: a
+singular point of the curve satisfies f = 0, off the curve the block is
+invertible, and two curves meet exactly at the points their two sweeps
+share.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 
 class ScanError(Exception):
@@ -152,27 +156,83 @@ def _line_roots(dense, p, tables):
     return roots
 
 
+def _chart_zeros(d, d3, p, tables):
+    """The zeros (1, a, b) of Σ d[k][j]·aʲ·bᵏ, for d3 = d[3][0] a unit mod
+    p, in enumeration order: `_line_roots` on all p chart lines at once,
+    with s, P and Q polynomials in a (see `_zero_set`)."""
+    first, sqrt, inv = tables
+    i = inv[d3]
+    s0, s1 = (c * i * inv[3] % p for c in d[2][:2])
+    B0, B1, B2 = (c * i % p for c in d[1][:3])
+    C0, C1, C2, C3 = (c * i % p for c in d[0])
+    # P = B - 3s² and Q = 2s³ - Bs + C, coefficient by coefficient in a
+    P0, P1, P2 = (B0 - 3 * s0 * s0) % p, (B1 - 6 * s0 * s1) % p, (B2 - 3 * s1 * s1) % p
+    Q0 = (2 * s0 * s0 * s0 - B0 * s0 + C0) % p
+    Q1 = (6 * s0 * s0 * s1 - B0 * s1 - B1 * s0 + C1) % p
+    Q2 = (6 * s0 * s1 * s1 - B1 * s1 - B2 * s0 + C2) % p
+    Q3 = (2 * s1 * s1 * s1 - B2 * s1 + C3) % p
+    keys = [first[((P2 * a + P1) * a + P0) % p * p
+                  + (((Q3 * a + Q2) * a + Q1) * a + Q0) % p] for a in range(p)]
+    (e20, e21, _, _), (e10, e11, e12, _), (e00, e01, e02, e03) = d[2], d[1], d[0]
+    half = inv[2]
+    zeros = []
+    for a, t in enumerate(keys):
+        if t < 0:
+            continue
+        s = s1 * a + s0
+        r = sqrt[(-3 * t * t - 4 * ((P2 * a + P1) * a + P0)) % p]
+        if r < 0:
+            roots = ((t - s) % p,)
+        else:
+            roots = sorted({(t - s) % p, ((r - t) * half - s) % p,
+                            ((-r - t) * half - s) % p})
+        c2, c1 = e21 * a + e20, (e12 * a + e11) * a + e10
+        c0 = ((e03 * a + e02) * a + e01) * a + e00
+        for b in roots:
+            if (((d3 * b + c2) * b + c1) * b + c0) % p:
+                raise AssertionError(f"root table gave a non-root {b} mod {p}")
+            zeros.append((1, a, b))
+    return zeros
+
+
 def _zero_set(compiled, p):
     """All points of P²(F_p) where the compiled polynomial (degree ≤ 3)
     vanishes, in enumeration order ((1, a, b), then (0, 1, c), then
     (0, 0, 1)).  This is the one sweep of P²(F_p).
 
-    Each chart line is collapsed to a dense univariate in its last
-    coordinate, whose roots come from the root tables of F_p
-    (`_line_roots`); a line where it vanishes contributes all p points.
-    The sweep is exhaustive because the lines (1, a, ·) and (0, 1, ·) and
-    the point (0, 0, 1) partition P²(F_p) and the tables are complete.
+    On the chart line (1, a, ·) the polynomial is the cubic
+    f(1, a, b) = d3·b³ + d2(a)·b² + d1(a)·b + d0(a) with deg dₖ ≤ 3 - k:
+    a term c·u1^e1·u2^e2·u3^e3 adds c·a^e2 to d_e3, and e2 + e3 ≤ 3.  So
+    d3, the u3³ coefficient, is the same on every chart line.  When it is
+    a unit mod p, the monic depressed quantities of `_line_roots` are
+    polynomials in a, computed once per curve:
+    - s(a) = d2(a)/(3·d3), of degree ≤ 1;
+    - P(a) = B(a) - 3s(a)², of degree ≤ 2, with B = d1/d3;
+    - Q(a) = 2s(a)³ - B(a)s(a) + C(a), of degree ≤ 3, with C = d0/d3.
+    All p table keys P(a)·p + Q(a) are read by Horner in a, and only the
+    lines whose key holds a root are deflated as in `_line_roots`; each
+    root is re-checked by Horner on the line's dense cubic.  When
+    d3 ≡ 0 mod p, each chart line goes through `_line_roots`, which also
+    solves the line (0, 1, ·).  A line where f vanishes contributes all p
+    points.  The sweep is exhaustive because the lines (1, a, ·) and
+    (0, 1, ·) and the point (0, 0, 1) partition P²(F_p) and the tables
+    are complete.
     """
     if max(sum(e) for e, _ in compiled) > 3:
         raise ScanError("sweep supports degree <= 3 only")
     tables = _root_tables(p)
-    zeros = []
-    for a in range(p):
-        pa = (1, a, a * a % p, a * a % p * a % p)
-        dense = [0, 0, 0, 0]
-        for (e1, e2, e3), c in compiled:
-            dense[e3] += c * pa[e2]
-        zeros.extend((1, a, b) for b in _line_roots(dense, p, tables))
+    # d[k][j]: the coefficient of aʲ·bᵏ on the chart lines (1, a, b)
+    d = [[0] * 4 for _ in range(4)]
+    for (e1, e2, e3), c in compiled:
+        d[e3][e2] += c
+    d3 = d[3][0] % p
+    if d3:
+        zeros = _chart_zeros(d, d3, p, tables)
+    else:
+        zeros = []
+        for a in range(p):
+            dense = [((dk[3] * a + dk[2]) * a + dk[1]) * a + dk[0] for dk in d]
+            zeros.extend((1, a, b) for b in _line_roots(dense, p, tables))
     dense = [0, 0, 0, 0]
     for (e1, e2, e3), c in compiled:
         if e1 == 0:
@@ -224,15 +284,23 @@ class ReducedCurve:
         p, coeffs = self.p, self.coeffs
         if coeffs is None:
             raise ValueError("curve was reduced without its block matrices")
-        # per k, the weights of (adj00, adj01, adj02, adj11, adj12, adj22)
-        wx, wy, wz = (tuple(c[k] * w % p for c, w in zip(coeffs, (1, 2, 2, 1, 2, 1)))
-                      for k in range(3))
-        blocks = _block_mod(coeffs, self.points, p)
-        cols, grads = [], []
-        for m00, m01, m02, m11, m12, m22 in blocks:
-            adj = a00, a01, a02, a11, a12, a22 = (
-                m11 * m22 - m12 * m12, m02 * m12 - m01 * m22, m01 * m12 - m02 * m11,
-                m00 * m22 - m02 * m02, m01 * m02 - m00 * m12, m00 * m11 - m01 * m01)
+        # block entry i is aᵢ·x + bᵢ·y + cᵢ·z at the point (x, y, z), and ∂ₖf
+        # weighs cofactor i by coeffs[i][k], doubled off the diagonal
+        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4), \
+            (a5, b5, c5) = coeffs
+        (gx0, gx1, gx2, gx3, gx4, gx5), (gy0, gy1, gy2, gy3, gy4, gy5), \
+            (gz0, gz1, gz2, gz3, gz4, gz5) = (
+                tuple(c[k] * w % p for c, w in zip(coeffs, (1, 2, 2, 1, 2, 1)))
+                for k in range(3))
+        blocks, cols, grads = [], [], []
+        for x, y, z in self.points:
+            block = m00, m01, m02, m11, m12, m22 = (
+                (a0 * x + b0 * y + c0 * z) % p, (a1 * x + b1 * y + c1 * z) % p,
+                (a2 * x + b2 * y + c2 * z) % p, (a3 * x + b3 * y + c3 * z) % p,
+                (a4 * x + b4 * y + c4 * z) % p, (a5 * x + b5 * y + c5 * z) % p)
+            blocks.append(block)
+            a00, a01, a02 = m11 * m22 - m12 * m12, m02 * m12 - m01 * m22, m01 * m12 - m02 * m11
+            a11, a12, a22 = m00 * m22 - m02 * m02, m01 * m02 - m00 * m12, m00 * m11 - m01 * m01
             if (m00 * a00 + m01 * a01 + m02 * a02) % p:
                 raise AssertionError("curve scan and block eval disagree")
             if a00 % p or a01 % p or a02 % p:
@@ -243,9 +311,11 @@ class ReducedCurve:
                 cols.append((a02, a12, a22))
             else:
                 cols.append(None)
-            grads.append((sum(map(mul, wx, adj)) % p, sum(map(mul, wy, adj)) % p,
-                          sum(map(mul, wz, adj)) % p))
-        return blocks, tuple(cols), tuple(grads)
+            grads.append((
+                (gx0 * a00 + gx1 * a01 + gx2 * a02 + gx3 * a11 + gx4 * a12 + gx5 * a22) % p,
+                (gy0 * a00 + gy1 * a01 + gy2 * a02 + gy3 * a11 + gy4 * a12 + gy5 * a22) % p,
+                (gz0 * a00 + gz1 * a01 + gz2 * a02 + gz3 * a11 + gz4 * a12 + gz5 * a22) % p))
+        return tuple(blocks), tuple(cols), tuple(grads)
 
     @property
     def blocks(self):
@@ -305,17 +375,6 @@ def _dependent(a, b, p):
 def _upper_coeffs(mats):
     """(q₁[i][j], q₂[i][j], q₃[i][j]) for each i ≤ j, in row order."""
     return tuple(tuple(m[i][j] for m in mats) for i in range(3) for j in range(i, 3))
-
-
-def _block_mod(coeffs, points, p):
-    """The symmetric block Σ uₖ qₖ mod p at each point, as its upper
-    triangle (m00, m01, m02, m11, m12, m22)."""
-    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4), \
-        (a5, b5, c5) = coeffs
-    return tuple(((a0 * x + b0 * y + c0 * z) % p, (a1 * x + b1 * y + c1 * z) % p,
-                  (a2 * x + b2 * y + c2 * z) % p, (a3 * x + b3 * y + c3 * z) % p,
-                  (a4 * x + b4 * y + c4 * z) % p, (a5 * x + b5 * y + c5 * z) % p)
-                 for x, y, z in points)
 
 
 def ff_scan_corank(P, p):

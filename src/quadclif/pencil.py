@@ -9,7 +9,7 @@ intersection, nine distinct intersection points (via a squarefree degree-9
 resultant), and corank ≤ 1 along the curves.
 
 The binary form R = Res_u3(f₊, f₋) of degree 9 is interpolated over Z
-from ten 6×6 integer Sylvester determinants R(t, 1), t = 0..9 (Collins,
+from ten integer resultants of cubics R(t, 1), t = 0..9 (Collins,
 J. ACM 18 (1971); von zur Gathen and Gerhard, *Modern Computer Algebra*,
 Ch. 6).  R(t, 1) is certified squarefree mod one prime when it can be
 (sound by Gauss's lemma), else the exact gcd over Q decides.
@@ -340,7 +340,7 @@ def binary_resultant(f_plus, f_minus):
     - the u3³ coefficients f±(0,0,1) are nonzero constants, so setting
       (u1, u2) = (t, 1) keeps both degrees in u3 and commutes with the
       Sylvester determinant: R(t, 1) = Res_u3(f₊(t,1,u3), f₋(t,1,u3)),
-      a 6×6 integer determinant at each integer t;
+      an integer resultant of two cubics at each integer t;
     - R is a binary form of degree 9, so R(t, 1) = Σ rᵢ·tⁱ carries all its
       coefficients and its values at t = 0..9 fix it; the interpolation
       checks that its divisions are exact.
@@ -370,8 +370,9 @@ def resultant_nine_points(f_plus, f_minus, rng=None):
     notes = []
     fp, fm = f_plus, f_minus
     for attempt in range(6):
-        # Sylvester in u3 sees degree 3 exactly iff f(0,0,1) ≠ 0
-        if fp.eval([0, 0, 1]) and fm.eval([0, 0, 1]):
+        # the resultant in u3 sees degree 3 exactly iff the u3³ coefficient,
+        # f(0,0,1) for a cubic form, is nonzero
+        if fp.terms.get((0, 0, 3)) and fm.terms.get((0, 0, 3)):
             break
         M = _random_gl3(rng)
         fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)

@@ -8,7 +8,16 @@ from quadclif.clifford import (
     CliffordAlgebra,
     central_odd,
 )
-from quadclif.exactalg import QQ, FpElem, MultiPoly, adjugate3, mat_rank, mat_solve
+from quadclif.exactalg import (
+    QQ,
+    FpElem,
+    MultiPoly,
+    adjugate3,
+    bareiss_det,
+    int_coeffs,
+    mat_rank,
+    mat_solve,
+)
 from quadclif.geometry import compile_poly
 from quadclif.pencil import InvariantPencil, _derived_rng, _random_sym3, generate
 
@@ -217,6 +226,17 @@ def poly_sylvester_resultant(f, g, name):
                 row[s + k] = c
             rows.append(row)
     return poly_bareiss_det(rows, ring)
+
+
+def sylvester_resultant_by_bareiss(f, g):
+    """Res(f, g) of integer coefficient lists [c0, ..., cd] (nonzero last
+    entries) as the Bareiss determinant of their (m + n)-square Sylvester
+    matrix: the oracle for exactalg.sylvester_resultant's Bézout route."""
+    f, g = int_coeffs(f), int_coeffs(g)
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * s + f[::-1] + [0] * (n - 1 - s) for s in range(n)]
+    rows += [[0] * s + g[::-1] + [0] * (m - 1 - s) for s in range(m)]
+    return bareiss_det(rows)
 
 
 def as_univariate(f, name):

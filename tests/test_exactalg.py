@@ -40,6 +40,7 @@ from conftest import (
     poly_bareiss_det,
     poly_exact_div,
     poly_sylvester_resultant,
+    sylvester_resultant_by_bareiss,
     total_degree,
 )
 
@@ -487,6 +488,45 @@ def test_integer_resultant_matches_the_multipoly_oracle():
         fp, gp = (ring.from_terms(((k,), c) for k, c in enumerate(v)) for v in (f, g))
         assert sylvester_resultant(f, g) == poly_sylvester_resultant(fp, gp, "t").eval([0])
     for bad in (([1, 2, 0], [1, 1]), ([], [1]), ([1, 2.0], [1, 1]),
+                ([1, Fraction(1, 2)], [1, 1])):
+        with pytest.raises(ValueError):
+            sylvester_resultant(*bad)
+
+
+def _int_poly(rng, degree, lead=None):
+    return ([rng.randint(-9, 9) for _ in range(degree)]
+            + [lead if lead is not None else rng.choice([-5, -2, -1, 1, 3, 7])])
+
+
+def test_bezout_resultant_matches_the_sylvester_oracle():
+    """The Bézout route equals the integer Sylvester determinant on every
+    degree pair from 1 to 5 in both argument orders, on pairs with a
+    common root, and with leading coefficients divisible by the
+    squarefree-certificate primes."""
+    rng = _derived_rng("test", "bezout-resultant")
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for _ in range(12):
+                f, g = _int_poly(rng, m), _int_poly(rng, n)
+                for a, b in ((f, g), (g, f)):
+                    assert sylvester_resultant(a, b) == sylvester_resultant_by_bareiss(a, b)
+            # a common root t = r: zero resultant either way round
+            r = rng.randint(-4, 4)
+            f = from_roots([r] + [rng.randint(-4, 4) for _ in range(m - 1)], rng.choice([1, -3]))
+            g = from_roots([r] + [rng.randint(-4, 4) for _ in range(n - 1)], rng.choice([2, 5]))
+            assert sylvester_resultant(f, g) == sylvester_resultant(g, f) == 0
+            assert sylvester_resultant_by_bareiss(f, g) == 0
+            for F in SQUAREFREE_FIELDS:
+                f = _int_poly(rng, m, F.p * rng.choice([1, -2]))
+                g = _int_poly(rng, n, F.p * 3)
+                for a, b in ((f, g), (g, f)):
+                    assert sylvester_resultant(a, b) == sylvester_resultant_by_bareiss(a, b)
+    # constants: Res(c, g) = c^deg g, and Res(c, d) = 1
+    assert sylvester_resultant([3], [1, 0, 2]) == 9
+    assert sylvester_resultant_by_bareiss([3], [1, 0, 2]) == 9
+    assert sylvester_resultant([1, 0, 2], [-3]) == 9
+    assert sylvester_resultant([5], [7]) == 1
+    for bad in (([1, 2, 0], [1, 1]), ([1, 1], [0]), ([], [1]), ([1, 2.0], [1, 1]),
                 ([1, Fraction(1, 2)], [1, 1])):
         with pytest.raises(ValueError):
             sylvester_resultant(*bad)

@@ -1,6 +1,7 @@
 """Finite-field scans, stabilizer tables, singular locus of the fibration."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -350,9 +351,24 @@ def test_zero_set_special_forms(name, f, p, line):
         assert [pt for pt in zeros if pt[:2] == (1, 0)] == [(1, 0, 1)]
 
 
-@pytest.mark.parametrize("name", ("pencil42", "pencil7", "diagonal"))
+ORACLE_PENCILS = ([f"seed{s}-bound{b}" for s in range(1, 26) for b in (3, 9)]
+                  + ["pencil42", "pencil7", "diagonal"])
+
+
+def _oracle_pencil(name):
+    if name == "diagonal":
+        return _diag_pencil()
+    if name.startswith("pencil"):
+        return cached_pencil(int(name[6:]))
+    seed, bound = name[4:].split("-bound")
+    return cached_pencil(int(seed), int(bound))
+
+
+@pytest.mark.parametrize("name", ORACLE_PENCILS)
 def test_zero_set_matches_horner_sweep_on_pencils(name):
-    P = _diag_pencil() if name == "diagonal" else cached_pencil(int(name[6:]))
+    """The sweep equals the Horner sweep on both cubics at every default
+    prime, whether or not they have a u3³ term."""
+    P = _oracle_pencil(name)
     curves = P.det_curves()
     for side in ("plus", "minus"):
         for p in DEFAULT_PRIMES:
@@ -430,6 +446,66 @@ def test_wrong_root_table_entry_is_caught(monkeypatch):
     monkeypatch.setattr(geometry, "_ROOT_TABLES", {p: (shifted, sqrt, inv)})
     with pytest.raises(AssertionError, match="non-root"):
         _zero_set(compile_poly(U1 ** 3 + U2 ** 3 + U3 ** 3, p), p)
+
+
+def test_wrong_root_table_entry_is_caught_on_the_chart_lines(monkeypatch):
+    """The per-curve chart sweep re-checks its own roots: here the line
+    (0, 1, ·) is c³ + c + 3, irreducible mod 17, so no other line can
+    hit the shifted table entry."""
+    p = 17
+    f = U3 ** 3 + U2 ** 2 * U3 + 3 * U2 ** 3 + U1 ** 3 + U1 * U2 * U3
+    first, sqrt, inv = geometry._build_root_tables(p)
+    assert first[1 * p + 3] < 0
+    shifted = array("h", [t if t < 0 else (t + 1) % p for t in first])
+    monkeypatch.setattr(geometry, "_ROOT_TABLES", {p: (shifted, sqrt, inv)})
+    with pytest.raises(AssertionError, match="non-root"):
+        _zero_set(compile_poly(f, p), p)
+
+
+# pencil42 with a third q_plus matrix of determinant 101: f₊ has the u3³
+# coefficient 101, so at p = 101 its chart lines are swept one by one
+FLAT_AT_101 = ((-4, 1, -4), (1, 0, -4), (-4, -4, -5))
+
+
+def test_per_line_fallback_runs_end_to_end(pencil42, monkeypatch):
+    """With d3 ≡ 0 mod 101 but not over Q, genericity_check goes through
+    `_line_roots` on every chart line of f₊ at 101 and gives the report
+    of the Horner sweep and the compiled-gradient scans."""
+    def pencil():
+        return InvariantPencil(q_plus=pencil42.q_plus[:2] + (FLAT_AT_101,),
+                               q_minus=pencil42.q_minus, seed=42, coeff_bound=5)
+
+    assert pencil().det_curves().f_plus.terms[(0, 0, 3)] == 101
+    lines, line_roots = [], geometry._line_roots
+
+    def counting(dense, p, tables):
+        lines.append(p)
+        return line_roots(dense, p, tables)
+
+    monkeypatch.setattr(geometry, "_line_roots", counting)
+    P = pencil()
+    rep = genericity_check(P)
+    # f₊'s 101 chart lines, and the line (0, 1, ·) of each curve and prime
+    assert sorted(lines) == [101] * 103 + [103] * 2 + [107] * 2
+    assert rep.all_ok()
+    for side in ("plus", "minus"):
+        for p in DEFAULT_PRIMES:
+            curve = P.reduced_curve(side, p)
+            assert list(curve.points) == zero_set_by_horner(curve.compiled, p)
+    monkeypatch.setattr(geometry, "_zero_set", zero_set_by_horner)
+    monkeypatch.setattr(geometry, "ff_scan_smooth", scan_smooth_by_compiled_gradient)
+    monkeypatch.setattr(geometry, "ff_scan_transversal",
+                        scan_transversal_by_compiled_gradient)
+    assert genericity_check(pencil()) == rep
+
+
+def test_curve_pass_rechecks_the_determinant():
+    """The pass refuses a block that is regular at a swept point: here
+    the points of f₊ meet the blocks of q₋."""
+    P = cached_pencil(42)
+    curve = ReducedCurve(P.det_curves().f_plus, 101, P.q_minus)
+    with pytest.raises(AssertionError, match="block eval disagree"):
+        curve.gradients
 
 
 # -- the adjugate pass against the exhaustive P²(F_p) sweep ---------------------
@@ -553,17 +629,21 @@ def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
     from quadclif.checks import CheckContext, _adjugate_scan
 
     built, derived = [], []
-    block_mod, derivative = geometry._block_mod, MultiPoly.derivative
+    curve_pass, derivative = ReducedCurve._pass.func, MultiPoly.derivative
 
-    def counting_blocks(coeffs, points, p):
-        built.extend((coeffs, pt, p) for pt in points)
-        return block_mod(coeffs, points, p)
+    # the pass builds one block per curve point in its loop, so each call
+    # counts as one build at each of the curve's points
+    def counting_pass(curve):
+        built.extend((curve.coeffs, pt, curve.p) for pt in curve.points)
+        return curve_pass(curve)
 
     def counting_derivative(poly, name):
         derived.append(name)
         return derivative(poly, name)
 
-    monkeypatch.setattr(geometry, "_block_mod", counting_blocks)
+    counting = functools.cached_property(counting_pass)
+    counting.__set_name__(ReducedCurve, "_pass")
+    monkeypatch.setattr(ReducedCurve, "_pass", counting)
     monkeypatch.setattr(MultiPoly, "derivative", counting_derivative)
     P = InvariantPencil.from_json_dict(pencil42.to_json_dict())  # no memo yet
     assert genericity_check(P, primes=DEFAULT_PRIMES).all_ok()
@@ -572,6 +652,11 @@ def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
               for side in ("plus", "minus") for p in DEFAULT_PRIMES]
     expected = sorted((c.coeffs, pt, c.p) for c in curves for pt in c.points)
     assert sorted(built) == expected
+    for c in curves:
+        side = "plus" if c.f is P.det_curves().f_plus else "minus"
+        assert list(c.blocks) == [
+            tuple(m[i][j] % c.p for i in range(3) for j in range(i, 3))
+            for m in (P.block_at(pt, side) for pt in c.points)]
     for p in DEFAULT_PRIMES:
         ctx = CheckContext(P, primes=(p,), points=1)
         assert ff_scan_corank(P, p) == 1
@@ -588,19 +673,6 @@ def test_kernel_columns_need_the_block():
 
 
 # -- the curve pass against compiled gradients and the full adjugate ----------
-
-
-ORACLE_PENCILS = ([f"seed{s}-bound{b}" for s in range(1, 26) for b in (3, 9)]
-                  + ["pencil42", "pencil7", "diagonal"])
-
-
-def _oracle_pencil(name):
-    if name == "diagonal":
-        return _diag_pencil()
-    if name.startswith("pencil"):
-        return cached_pencil(int(name[6:]))
-    seed, bound = name[4:].split("-bound")
-    return cached_pencil(int(seed), int(bound))
 
 
 @pytest.mark.parametrize("name", ORACLE_PENCILS)
