@@ -4,9 +4,11 @@ Each check id names one verified claim about an instance (or, for the
 model-quadric identities and the stabilizer tables, no instance at all).
 Results carry JSON-ready witnesses and are deterministic for a given
 (instance, flags) pair; only the timing field varies between runs.
-Finite-field sweeps are labeled "randomized" in their witnesses: they
-certify a Zariski-open condition at several primes, they are not proofs
-over Q.
+The genericity and section-4 curve checks take their verdicts from the
+exact discriminants and resultant (`pencil.genericity_check`).  Their
+finite-field sweeps are witnesses, labeled "randomized": a sweep sees
+only F_p-points, and where it contradicts an exact verdict, through bad
+reduction, its witness carries a note naming the prime.
 """
 
 from __future__ import annotations
@@ -40,7 +42,14 @@ from .fiber import (
     rational_curve_point,
     sample_invertible_points,
 )
-from .pencil import DEFAULT_PRIMES, _derived_rng, check_primes, genericity_check
+from .pencil import (
+    DEFAULT_PRIMES,
+    _derived_rng,
+    check_primes,
+    genericity_check,
+    genericity_scans,
+    noted,
+)
 from .plucker import (
     adjugate_double_line,
     annihilator_line,
@@ -127,8 +136,10 @@ class CheckContext:
         return self._cache[key]
 
     def genericity(self):
+        """The exact genericity report with the run's scan witnesses."""
         return self.cached(
-            "genericity", lambda: genericity_check(self.P, primes=self.primes)
+            "genericity",
+            lambda: genericity_scans(self.P, self.primes, genericity_check(self.P)),
         )
 
     def fiber_points(self):
@@ -150,7 +161,7 @@ def _check_smoothness(ctx):
     ok = rep.e_plus_smooth and rep.e_minus_smooth
     wit = [w for w in rep.witnesses
            if "singular" in w["kind"] or "vanishes" in w["kind"]
-           or w["kind"] == "degenerate_determinant"]
+           or w["kind"] in ("discriminant", "degenerate_determinant")]
     wit.append({"primes": list(ctx.primes), "certificate": "randomized"})
     return ok, wit
 
@@ -165,7 +176,7 @@ def _check_transversality(ctx):
 
 def _check_rank4(ctx):
     rep = ctx.genericity()
-    wit = [w for w in rep.witnesses if w["kind"] == "corank"]
+    wit = [w for w in rep.witnesses if w["kind"] in ("discriminant", "corank")]
     wit.append({"primes": list(ctx.primes), "max_corank_allowed": 1,
                 "certificate": "randomized"})
     return rep.rank_ge_4, wit
@@ -359,10 +370,23 @@ def _adjugate_scan(ctx, side, p):
     return {"rank3": p * p + p + 1 - n, "double_line": n}, None
 
 
+def _curve_verdict(ctx):
+    """(ok, witnesses, smooth by side) of the section-4 curve claims, which
+    Δ₊Δ₋ ≠ 0 certifies over Q̄.  For 3×3 matrices adj(adj M) = det(M)·M
+    (Horn and Johnson, *Matrix Analysis*, Ch. 0), so rank adj M ≤ 1 on E;
+    adj M = 0 means corank ≥ 2, hence a singular point of E by Jacobi's
+    formula (`pencil.genericity_check`).  So with Δ ≠ 0 adj M has rank one
+    on E, and each degenerate conic has one singular point, the kernel
+    line spanned by adj M.  Δ = 0 leaves the claims uncertified: FAIL."""
+    rep = ctx.genericity()
+    smooth = {"plus": rep.e_plus_smooth, "minus": rep.e_minus_smooth}
+    wit = [w for w in rep.witnesses if w["kind"] == "discriminant"]
+    return smooth["plus"] and smooth["minus"], wit, smooth
+
+
 def _check_adjugate(ctx):
+    ok, wit, smooth = _curve_verdict(ctx)
     p = ctx.primes[0]
-    wit = []
-    ok = True
     for u in ctx.fiber_points()[:3]:
         for side in ("plus", "minus"):
             verdict, _ = adjugate_double_line(ctx.P, side, u)
@@ -372,9 +396,9 @@ def _check_adjugate(ctx):
     for side in ("plus", "minus"):
         counts, violation = _adjugate_scan(ctx, side, p)
         if counts is None:
-            ok = False
-            wit.append({"side": side, "prime": p, "violation_at": violation,
-                        "certificate": "randomized"})
+            wit.append(noted({"side": side, "prime": p, "violation_at": violation,
+                              "certificate": "randomized"},
+                             smooth[side], f"Delta_{side} != 0"))
             continue
         wit.append({"side": side, "prime": p,
                     "points_scanned": p * p + p + 1,
@@ -386,15 +410,14 @@ def _check_adjugate(ctx):
 
 
 def _check_singular_locus(ctx):
-    wit = []
-    ok = True
+    ok, wit, smooth = _curve_verdict(ctx)
     for side in ("plus", "minus"):
         for p in ctx.primes:
             try:
                 found = geometry.singular_locus_C(ctx.P, side, p)
             except geometry.GenericityError as exc:
-                ok = False
-                wit.append({"side": side, "prime": p, "error": str(exc)})
+                wit.append(noted({"side": side, "prime": p, "violation": str(exc)},
+                                 smooth[side], f"Delta_{side} != 0"))
                 continue
             curve = len(ctx.P.reduced_curve(side, p).points)
             agrees = len(found) == curve

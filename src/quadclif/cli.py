@@ -56,9 +56,10 @@ def _build_parser():
                         "every check runs, and a few identity checks need "
                         "no instance at all")
     c.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES),
-                   help=f"comma-separated distinct scan primes (at most "
-                        f"{MAX_PRIMES}, each a prime from 17 to {MAX_PRIME}; "
-                        "the root tables of each grow as p^2)")
+                   help=f"comma-separated distinct primes of the witness "
+                        f"scans (at most {MAX_PRIMES}, each a prime from 17 "
+                        f"to {MAX_PRIME}; each scan sweeps all p^2 + p + 1 "
+                        "points of the plane mod p)")
     c.add_argument("--points", type=int, default=20,
                    help="number of off-curve fiber points to certify "
                         f"(1..{MAX_POINTS})")

@@ -4,9 +4,10 @@ polynomials, and the package's only dense linear algebra.
 Everything in this module is exact.  Rationals are `fractions.Fraction`,
 prime-field residues are reduced on every operation, and polynomial
 arithmetic never rounds.  The polynomial layer is deliberately small: ring
-operations, derivatives and evaluation; resultants and squarefreeness
-take integer coefficient lists.  Terms are kept in a dict keyed by exponent
-tuples; zero coefficients are never stored, so equality is dict equality.
+operations, derivatives (the partials behind `pencil.discriminant`) and
+evaluation; resultants and squarefreeness take integer coefficient
+lists.  Terms are kept in a dict keyed by exponent tuples; zero
+coefficients are never stored, so equality is dict equality.
 Serialization orders terms graded-lex.
 
 Linear algebra has one routine per job, shared by every module:
@@ -20,7 +21,8 @@ Linear algebra has one routine per job, shared by every module:
   hot curve pass in `geometry` expands six cofactors of a symmetric block;
 * `det_cofactor` expands small polynomial determinants; `bareiss_det` is
   the fraction-free integer elimination, each division checked exact,
-  behind `sylvester_resultant`, which takes the max(m, n)-square Bézout
+  behind `pencil.ternary_quadric_resultant` and `sylvester_resultant`,
+  which takes the max(m, n)-square Bézout
   matrix instead of the (m + n)-square Sylvester matrix, by
   Res(f, g) = (-1)^(m(m-1)/2)·det Bez(f, g)/lc(f)^(m-n) for m ≥ n, and
   with `interpolate_int` gives resultants by evaluation and

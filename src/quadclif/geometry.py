@@ -1,32 +1,21 @@
-"""Finite-field certificates for the determinant curves, plus the
+"""Finite-field witnesses for the determinant curves, plus the
 group-action stabilizer tables.
 
-Each curve is swept once over P²(F_p), line by line: on each of the p + 1
-lines the cubic collapses to a univariate of degree ≤ 3, whose roots are
-read from per-prime tables instead of evaluating it at all p points.  The
-lookup is exact because, for p ≠ 2, 3:
-- b = t - A/3 depresses a monic cubic b³ + Ab² + Bb + C to t³ + Pt + Q
-  (Tschirnhaus), so one table indexed by (P, Q) covers every cubic line;
-- one root t₁ deflates it to t² + t₁t + (t₁² + P) (Vieta), and quadratics
-  are solved by the quadratic formula from a square-root table;
-- the tables are complete: every (P, Q) with a root receives one, which a
-  count against the number of reducible depressed cubics checks.
-On the chart lines (1, a, ·) the b³ coefficient is the u3³ coefficient,
-the same on every line, since u3³ is the only monomial of degree ≤ 3 in
-which u3 has exponent 3.  When it is a unit mod p, s = A/3, P and Q are
-polynomials in a of degrees ≤ 1, 2 and 3, computed once per curve, so all
-p table keys are read in one pass.  Every root found is re-checked by
-Horner.  One pass along the curve points then builds each block M once
-and reads from its adjugate the kernel column and, by Jacobi's formula
-∂ₖ det M = tr(adj M·Qₖ), the gradient of f = det M.  That is enough: a
-singular point of the curve satisfies f = 0, off the curve the block is
-invertible, and two curves meet exactly at the points their two sweeps
-share.
+The genericity verdicts are exact and come from `pencil` (discriminants
+and the resultant); the scans here only add point witnesses mod p.  Each
+curve is swept once over P²(F_p) by evaluating it at every point, line
+by line by Horner.  One pass along the curve points then builds each
+block M once and reads from its adjugate the kernel column and, by
+Jacobi's formula ∂ₖ det M = tr(adj M·Qₖ), the gradient of f = det M.
+That is enough: a singular point of the curve satisfies f = 0, off the
+curve the block is invertible, and two curves meet exactly at the points
+their two sweeps share.  A scan sees only F_p-points: an empty list says
+nothing about points over extensions of F_p, and a point found at a
+prime of bad reduction says nothing over Q.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,181 +54,24 @@ def compile_poly(f, p):
     return terms
 
 
-# Root tables by prime, oldest first.  They depend on p alone and nothing
-# writes to them, so one cache serves every curve of the process.  They are
-# built on first use and kept for at most MAX_PRIMES primes and MAX_PRIME²
-# cubic-table entries (2 MiB) at a time: `gen` keeps its three small ones,
-# and a check over many large primes, which sweeps both sides of one prime
-# in a row, holds one at a time.
-_ROOT_TABLES = {}
-
-
-def _build_root_tables(p):
-    """(first, sqrt, inv) for F_p: first[P·p + Q] is the smallest root of
-    t³ + Pt + Q and sqrt[a] the smallest square root of a, each -1 where
-    there is none, and inv[a] = a⁻¹ (inv[0] = 0)."""
-    first = array("h", [-1]) * (p * p)
-    for t in range(p - 1, -1, -1):
-        q = -t * t * t % p
-        for row in range(0, p * p, p):
-            first[row + q] = t
-            q = (q - t) % p
-    sqrt = array("h", [-1]) * p
-    for r in range(p - 1, -1, -1):
-        sqrt[r * r % p] = r
-    return first, sqrt, [0] + [pow(a, p - 2, p) for a in range(1, p)]
-
-
-def _root_tables(p):
-    """The root tables of F_p, built once per prime and checked complete:
-    for p ≠ 3, a depressed cubic t³ + Pt + Q is irreducible for exactly
-    (p² - 1)/3 pairs (P, Q), since t ↦ t + c moves the t² coefficient
-    by 3c and so meets each trace class of the (p³ - p)/3 irreducible monic
-    cubics equally often; so (2p² + 1)/3 entries of `first` hold a root.
-    Likewise (p + 1)/2 residues have a square root."""
-    tables = _ROOT_TABLES.get(p)
-    if tables is None:
-        from .pencil import MAX_PRIME, MAX_PRIMES  # pencil imports this module
-
-        if p < 5:
-            raise ScanError("root tables need p >= 5")
-        while _ROOT_TABLES and (
-                len(_ROOT_TABLES) >= MAX_PRIMES
-                or p * p + sum(q * q for q in _ROOT_TABLES) > MAX_PRIME ** 2):
-            del _ROOT_TABLES[next(iter(_ROOT_TABLES))]
-        tables = _build_root_tables(p)
-        first, sqrt, _ = tables
-        if (p * p - first.count(-1) != (2 * p * p + 1) // 3
-                or p - sqrt.count(-1) != (p + 1) // 2):
-            raise AssertionError(f"root tables for F_{p} miss a root")
-        _ROOT_TABLES[p] = tables
-    return tables
-
-
-def _line_roots(dense, p, tables):
-    """The roots in F_p of d0 + d1·b + d2·b² + d3·b³, dense = [d0, .., d3],
-    in increasing order, all of F_p if it vanishes mod p; each root is
-    re-checked by Horner.
-
-    A cubic is made monic, b³ + Ab² + Bb + C, and depressed by b = t - s,
-    s = A/3 (p ≠ 3), to t³ + Pt + Q with P = B - 3s² and Q = 2s³ - Bs + C.
-    Given one root t₁ from the table, Vieta deflates it to
-    t² + t₁t + (t₁² + P), and quadratics are solved by the quadratic
-    formula (p ≠ 2) with the square-root table."""
-    first, sqrt, inv = tables
-    d0, d1, d2, d3 = (d % p for d in dense)
-    if d3:
-        i = inv[d3]
-        B, C, s = d1 * i % p, d0 * i, d2 * i * inv[3] % p
-        P = (B - 3 * s * s) % p
-        t = first[P * p + (2 * s * s * s - B * s + C) % p]
-        if t < 0:
-            return ()
-        ts = {t}
-        r = sqrt[(-3 * t * t - 4 * P) % p]
-        if r >= 0:
-            ts.update(((r - t) * inv[2] % p, (-r - t) * inv[2] % p))
-        roots = sorted({(x - s) % p for x in ts})
-    elif d2:
-        r = sqrt[(d1 * d1 - 4 * d2 * d0) % p]
-        if r < 0:
-            return ()
-        i = inv[2 * d2 % p]
-        roots = sorted({(r - d1) * i % p, (-r - d1) * i % p})
-    elif d1:
-        roots = [-d0 * inv[d1] % p]
-    else:
-        return () if d0 else range(p)
-    for b in roots:
-        if (((d3 * b + d2) * b + d1) * b + d0) % p:
-            raise AssertionError(f"root table gave a non-root {b} mod {p}")
-    return roots
-
-
-def _chart_zeros(d, d3, p, tables):
-    """The zeros (1, a, b) of Σ d[k][j]·aʲ·bᵏ, for d3 = d[3][0] a unit mod
-    p, in enumeration order: `_line_roots` on all p chart lines at once,
-    with s, P and Q polynomials in a (see `_zero_set`)."""
-    first, sqrt, inv = tables
-    i = inv[d3]
-    s0, s1 = (c * i * inv[3] % p for c in d[2][:2])
-    B0, B1, B2 = (c * i % p for c in d[1][:3])
-    C0, C1, C2, C3 = (c * i % p for c in d[0])
-    # P = B - 3s² and Q = 2s³ - Bs + C, coefficient by coefficient in a
-    P0, P1, P2 = (B0 - 3 * s0 * s0) % p, (B1 - 6 * s0 * s1) % p, (B2 - 3 * s1 * s1) % p
-    Q0 = (2 * s0 * s0 * s0 - B0 * s0 + C0) % p
-    Q1 = (6 * s0 * s0 * s1 - B0 * s1 - B1 * s0 + C1) % p
-    Q2 = (6 * s0 * s1 * s1 - B1 * s1 - B2 * s0 + C2) % p
-    Q3 = (2 * s1 * s1 * s1 - B2 * s1 + C3) % p
-    keys = [first[((P2 * a + P1) * a + P0) % p * p
-                  + (((Q3 * a + Q2) * a + Q1) * a + Q0) % p] for a in range(p)]
-    (e20, e21, _, _), (e10, e11, e12, _), (e00, e01, e02, e03) = d[2], d[1], d[0]
-    half = inv[2]
-    zeros = []
-    for a, t in enumerate(keys):
-        if t < 0:
-            continue
-        s = s1 * a + s0
-        r = sqrt[(-3 * t * t - 4 * ((P2 * a + P1) * a + P0)) % p]
-        if r < 0:
-            roots = ((t - s) % p,)
-        else:
-            roots = sorted({(t - s) % p, ((r - t) * half - s) % p,
-                            ((-r - t) * half - s) % p})
-        c2, c1 = e21 * a + e20, (e12 * a + e11) * a + e10
-        c0 = ((e03 * a + e02) * a + e01) * a + e00
-        for b in roots:
-            if (((d3 * b + c2) * b + c1) * b + c0) % p:
-                raise AssertionError(f"root table gave a non-root {b} mod {p}")
-            zeros.append((1, a, b))
-    return zeros
-
-
 def _zero_set(compiled, p):
     """All points of P²(F_p) where the compiled polynomial (degree ≤ 3)
     vanishes, in enumeration order ((1, a, b), then (0, 1, c), then
-    (0, 0, 1)).  This is the one sweep of P²(F_p).
-
-    On the chart line (1, a, ·) the polynomial is the cubic
-    f(1, a, b) = d3·b³ + d2(a)·b² + d1(a)·b + d0(a) with deg dₖ ≤ 3 - k:
-    a term c·u1^e1·u2^e2·u3^e3 adds c·a^e2 to d_e3, and e2 + e3 ≤ 3.  So
-    d3, the u3³ coefficient, is the same on every chart line.  When it is
-    a unit mod p, the monic depressed quantities of `_line_roots` are
-    polynomials in a, computed once per curve:
-    - s(a) = d2(a)/(3·d3), of degree ≤ 1;
-    - P(a) = B(a) - 3s(a)², of degree ≤ 2, with B = d1/d3;
-    - Q(a) = 2s(a)³ - B(a)s(a) + C(a), of degree ≤ 3, with C = d0/d3.
-    All p table keys P(a)·p + Q(a) are read by Horner in a, and only the
-    lines whose key holds a root are deflated as in `_line_roots`; each
-    root is re-checked by Horner on the line's dense cubic.  When
-    d3 ≡ 0 mod p, each chart line goes through `_line_roots`, which also
-    solves the line (0, 1, ·).  A line where f vanishes contributes all p
-    points.  The sweep is exhaustive because the lines (1, a, ·) and
-    (0, 1, ·) and the point (0, 0, 1) partition P²(F_p) and the tables
-    are complete.
-    """
+    (0, 0, 1)), by evaluating it at every one of the p² + p + 1 points:
+    on each line (x, a, ·) the polynomial is a dense cubic in the last
+    coordinate, evaluated by Horner.  This is the one sweep of P²(F_p)."""
     if max(sum(e) for e, _ in compiled) > 3:
         raise ScanError("sweep supports degree <= 3 only")
-    tables = _root_tables(p)
-    # d[k][j]: the coefficient of aʲ·bᵏ on the chart lines (1, a, b)
-    d = [[0] * 4 for _ in range(4)]
-    for (e1, e2, e3), c in compiled:
-        d[e3][e2] += c
-    d3 = d[3][0] % p
-    if d3:
-        zeros = _chart_zeros(d, d3, p, tables)
-    else:
-        zeros = []
-        for a in range(p):
-            dense = [((dk[3] * a + dk[2]) * a + dk[1]) * a + dk[0] for dk in d]
-            zeros.extend((1, a, b) for b in _line_roots(dense, p, tables))
-    dense = [0, 0, 0, 0]
-    for (e1, e2, e3), c in compiled:
-        if e1 == 0:
-            dense[e3] += c
-    zeros.extend((0, 1, c) for c in _line_roots(dense, p, tables))
+    zeros = []
+    for x, a in [(1, a) for a in range(p)] + [(0, 1)]:
+        dense = [0, 0, 0, 0]
+        for (e1, e2, e3), c in compiled:
+            dense[e3] += c * x ** e1 * a ** e2
+        d0, d1, d2, d3 = (d % p for d in dense)
+        zeros.extend((x, a, b) for b in range(p)
+                     if (((d3 * b + d2) * b + d1) * b + d0) % p == 0)
     # f(0, 0, 1) is the coefficient of the pure power of u3
-    if sum(c for (e1, e2, _), c in compiled if not e1 and not e2) % p == 0:
+    if sum(c for e, c in compiled if e[:2] == (0, 0)) % p == 0:
         zeros.append((0, 0, 1))
     return zeros
 
@@ -345,15 +177,15 @@ class ReducedCurve:
 # ---------------------------------------------------------------------------
 
 def ff_scan_smooth(curve):
-    """Points of a ReducedCurve where the gradient also vanishes.  An
-    empty list certifies smoothness of the reduction mod p."""
+    """Points of a ReducedCurve where the gradient also vanishes: the
+    singular F_p-points of the reduction mod p."""
     return [pt for pt, g in zip(curve.points, curve.gradients) if not any(g)]
 
 
 def ff_scan_transversal(plus, minus):
     """Common points of two ReducedCurves (same p) where the 2×3 gradient
     matrix has rank ≤ 1, in the order of plus's points.  The common points
-    are those both sweeps found.  Empty list = transverse intersection mod p."""
+    are those both sweeps found: the non-transverse common F_p-points."""
     p = plus.p
     if minus.p != p:
         raise ValueError("curves reduced at different primes")
@@ -381,8 +213,8 @@ def ff_scan_corank(P, p):
     """Max corank of the 3×3 blocks along E±(F_p), read off each curve's
     pass: corank 1 where the adjugate has a kernel column; where it
     vanishes the rank is ≤ 1, and 0 only for the zero block.  Value 1
-    certifies that the 6×6 forms keep rank ≥ 4 along the scanned locus;
-    off the curves the blocks are invertible."""
+    means that the 6×6 forms keep rank ≥ 4 at every F_p-point; off the
+    curves the blocks are invertible."""
     coranks = (1 if col is not None else 2 if any(block) else 3
                for curve in (P.reduced_curve(s, p) for s in ("plus", "minus"))
                for block, col in zip(curve.blocks, curve.kernel_columns))

@@ -4,15 +4,17 @@ An instance is a pair of pencils of symmetric integer 3×3 matrices
 (q_plus[k], q_minus[k] for k = 1..3); the induced 6×6 form at u is the
 block-diagonal sum, so its determinant factors as f_plus·f_minus with
 f_± = det(Σ uₖ q_±[k]) plane cubics.  Random instances are accepted only
-when they pass the genericity suite: smooth cubics, transverse
-intersection, nine distinct intersection points (via a squarefree degree-9
-resultant), and corank ≤ 1 along the curves.
+when they are generic over Q̄: smooth cubics (a nonzero discriminant Δ±,
+see `ternary_quadric_resultant`), which also gives corank ≤ 1 along the
+curves, and nine distinct transverse intersection points (a squarefree
+degree-9 resultant).
 
 The binary form R = Res_u3(f₊, f₋) of degree 9 is interpolated over Z
 from ten integer resultants of cubics R(t, 1), t = 0..9 (Collins,
 J. ACM 18 (1971); von zur Gathen and Gerhard, *Modern Computer Algebra*,
 Ch. 6).  R(t, 1) is certified squarefree mod one prime when it can be
-(sound by Gauss's lemma), else the exact gcd over Q decides.
+(sound by Gauss's lemma), else the exact gcd over Q decides.  The F_p
+scans of `geometry` are witnesses only (`genericity_scans`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactalg import (
@@ -29,6 +31,7 @@ from .exactalg import (
     MultiPoly,
     PolyRing,
     SymMatrix,
+    bareiss_det,
     int_coeffs,
     interpolate_int,
     is_prime,
@@ -43,18 +46,14 @@ URING = PolyRing(QQ, U_VARS)
 
 DEFAULT_PRIMES = (101, 103, 107)
 
-# Each curve sweep reads its roots line by line from per-prime root tables
-# (geometry._root_tables), so a sweep does work proportional to p; building
-# the cubic table takes p² steps once per prime, about 0.2-0.3 s at this
-# bound.  The adjugate is only taken at the curve points.  With one scan
-# prime at this bound a full check at --points 1 took 1.1-1.3 s, 0.27-0.43 s
-# of it in the table and the sweeps (README, "Limits").  Larger primes are refused.
+# Each scan prime costs a Horner sweep of all p² + p + 1 points per side
+# (geometry._zero_set) and an adjugate pass along the curve points: at this
+# bound, 0.5 s of a 1.3 s check at --points 1 (README, "Limits").  Larger
+# primes are refused.
 MAX_PRIME = 1009
 
-# Each scan prime costs one root-table build, and one sweep and one
-# adjugate pass per side; the 15 primes from 907 to 1009 took 4.4-6.8 s and
-# 33 MiB for a full check at --points 1 (README, "Limits").  Longer lists
-# are refused.
+# The 15 primes from 907 to 1009 took 6.7-8.3 s and 40 MiB for a full
+# check at --points 1 (README, "Limits").  Longer lists are refused.
 MAX_PRIMES = 16
 
 
@@ -94,6 +93,44 @@ def det_cubic(mats):
             exps = tuple((i == v) + (j == v) + (k == v) for v in range(3))
             acc[exps] = acc.get(exps, 0) + sum(a * b for a, b in zip(x[i], cross))
     return URING.from_terms((e, QQ.coerce(c)) for e, c in acc.items())
+
+
+_QUADRATIC = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+# _PAIR[j][k]: the index of uⱼuₖ in _QUADRATIC
+_PAIR = [[_QUADRATIC.index(tuple((j == v) + (k == v) for v in range(3)))
+          for k in range(3)] for j in range(3)]
+
+
+def ternary_quadric_resultant(q0, q1, q2):
+    """Δ = det[q0, q1, q2, J_u1, J_u2, J_u3] for three integer quadratic
+    forms in u1, u2, u3, each row read on the six quadratic monomials,
+    where J = det(∂qᵢ/∂uⱼ) is their Jacobian determinant, a cubic.
+
+    Δ is a nonzero constant times the resultant Res(q0, q1, q2), the
+    classical formula for three ternary quadrics (Cox, Little and O'Shea,
+    *Using Algebraic Geometry*, GTM 185, Ch. 3 §2; Sturmfels, *Solving
+    Systems of Polynomial Equations*, CBMS 97, Ch. 4); the constant is
+    Δ(u1², u2², u3²) = ±8³.  So Δ = 0 iff q0, q1, q2 have a common zero
+    in P²(Q̄).  Applied to the partials of a cubic f, Δ(f) is the
+    discriminant: by Euler's formula 3f = Σ uₖ·∂ₖf, a common zero of the
+    partials lies on f, so f is smooth over Q̄ iff Δ ≠ 0; J is then the
+    Hessian determinant of f."""
+    qs = [int_coeffs(q.terms.get(e, 0) for e in _QUADRATIC) for q in (q0, q1, q2)]
+    if any(sum(e) != 2 for q in (q0, q1, q2) for e in q.terms):
+        raise ValueError("need quadratic forms")
+    # ∂ⱼq is the linear form Σₖ (1 + [j = k])·c(uⱼuₖ)·uₖ, and mats[k][i][j]
+    # is its uₖ coefficient for q = qᵢ
+    mats = [[[(1 + (j == k)) * q[_PAIR[j][k]] for j in range(3)] for q in qs]
+            for k in range(3)]
+    J = det_cubic(mats)
+    rows = qs + [[g.get(e, 0) for e in _QUADRATIC]
+                 for g in (J.derivative(v).terms for v in U_VARS)]
+    return bareiss_det(rows)
+
+
+def discriminant(f):
+    """Δ(f) of a ternary cubic form: the resultant of its partials."""
+    return ternary_quadric_resultant(*(f.derivative(v) for v in U_VARS))
 
 
 class GenerationError(Exception):
@@ -360,105 +397,129 @@ def binary_resultant(f_plus, f_minus):
 def resultant_nine_points(f_plus, f_minus, rng=None):
     """(nine_points, squarefree, degree, notes): eliminates u3 from the two
     cubic forms and tests the resulting binary form for squarefreeness.  A
-    squarefree degree-9 resultant certifies nine distinct transverse
-    intersection points; the projection center (0:0:1) is moved by a
-    seeded coordinate change when it lies on a curve.  A center lined up
-    with two intersection points gives a repeated root, so it can only
-    refuse an instance, never pass one."""
+    squarefree degree-9 resultant certifies nine distinct intersection
+    points, each of multiplicity one by Bézout, so transverse.  Up to six
+    projection centers are tried, each move a seeded coordinate change
+    noted: the center (0:0:1) moves when it lies on a curve, and when R is
+    not squarefree, since a center lined up with two intersection points
+    also gives a repeated root.  A tangency gives one from every center."""
     if rng is None:
         rng = _derived_rng("resultant", repr(sorted(f_plus.terms.items())))
     notes = []
     fp, fm = f_plus, f_minus
+    degree = -1
     for attempt in range(6):
+        if attempt:
+            M = _random_gl3(rng)
+            fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)
+            notes.append(f"coordinate change ({reason})")
         # the resultant in u3 sees degree 3 exactly iff the u3³ coefficient,
         # f(0,0,1) for a cubic form, is nonzero
-        if fp.terms.get((0, 0, 3)) and fm.terms.get((0, 0, 3)):
-            break
-        M = _random_gl3(rng)
-        fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)
-        notes.append("coordinate change (projection center on a curve)")
-    else:
-        return False, False, -1, tuple(notes + ["no usable projection center"])
-    h = binary_resultant(fp, fm)
-    if not any(h):
-        return False, False, -1, tuple(notes + ["resultant identically zero"])
-    # u2^k ∥ R means a k-fold root at (1:0), and h = R(t, 1) carries the
-    # other roots, with degree 9 − k.  So R is squarefree iff k ≤ 1 and
-    # R(t, 1) is squarefree.
-    while not h[-1]:
-        h.pop()
-    squarefree = len(h) >= 9 and squarefree_univariate(h)[0]
-    return squarefree, squarefree, 9, tuple(notes)
+        if not (fp.terms.get((0, 0, 3)) and fm.terms.get((0, 0, 3))):
+            reason = "projection center on a curve"
+            continue
+        h = binary_resultant(fp, fm)
+        if not any(h):
+            return False, False, -1, tuple(notes + ["resultant identically zero"])
+        # u2^k ∥ R means a k-fold root at (1:0), and h = R(t, 1) carries the
+        # other roots, with degree 9 − k.  So R is squarefree iff k ≤ 1 and
+        # R(t, 1) is squarefree.
+        while not h[-1]:
+            h.pop()
+        if len(h) >= 9 and squarefree_univariate(h)[0]:
+            return True, True, 9, tuple(notes)
+        degree, reason = 9, "resultant not squarefree"
+    if degree < 0:
+        notes.append("no usable projection center")
+    return False, False, degree, tuple(notes)
 
 
-def genericity_check(P, primes=DEFAULT_PRIMES):
-    """Run the full genericity suite and collect violation witnesses."""
-    primes = check_primes(primes)
+def genericity_check(P):
+    """The exact genericity verdicts over Q̄, with witnesses for the ones
+    that fail:
+    - E± is smooth iff its discriminant Δ± ≠ 0 (`discriminant`);
+    - the blocks have corank ≤ 1 everywhere, so the 6×6 forms have rank
+      ≥ 4, when Δ₊Δ₋ ≠ 0: by Jacobi's formula ∂ₖ det M = tr(adj M·Qₖ)
+      (Magnus and Neudecker, *Matrix Differential Calculus*, Ch. 8), and a
+      block of corank ≥ 2 has adj M = 0, so it sits at a singular point;
+    - the intersection is nine transverse points iff the degree-9
+      resultant is squarefree (`resultant_nine_points`)."""
     curves = P.det_curves()
-    witnesses = []
-    notes = []
-
     if curves.f_plus.is_zero() or curves.f_minus.is_zero():
-        witnesses.append({"kind": "degenerate_determinant", "prime": None, "point": None})
-        return GenericityReport(False, False, False, False, False,
-                                tuple(witnesses), ("a determinant cubic vanishes identically",))
+        return GenericityReport(
+            False, False, False, False, False,
+            ({"kind": "degenerate_determinant", "prime": None, "point": None},),
+            ("a determinant cubic vanishes identically",))
+    smooth = {side: discriminant(curves.side(side)) != 0
+              for side in ("plus", "minus")}
+    witnesses = [{"kind": "discriminant", "side": side, "delta": 0}
+                 for side, ok in smooth.items() if not ok]
+    rng = _derived_rng("resultant", P.seed, P.coeff_bound, P.digest())
+    nine, squarefree, deg, notes = resultant_nine_points(
+        curves.f_plus, curves.f_minus, rng)
+    if not nine:
+        witnesses.append({"kind": "resultant", "prime": None, "point": None,
+                          "degree": deg, "squarefree": squarefree})
+    return GenericityReport(
+        e_plus_smooth=smooth["plus"],
+        e_minus_smooth=smooth["minus"],
+        transversal=nine,
+        nine_points=nine,
+        rank_ge_4=smooth["plus"] and smooth["minus"],
+        witnesses=tuple(witnesses),
+        notes=notes,
+    )
 
-    smooth = {"plus": True, "minus": True}
-    transversal_scans = True
-    rank_ok = True
+
+def noted(witness, holds, claim):
+    """A scan witness, noted as bad reduction at its prime when it
+    contradicts an exact claim that holds over Q."""
+    if holds:
+        witness["note"] = f"bad reduction mod {witness['prime']}: {claim} over Q"
+    return witness
+
+
+def genericity_scans(P, primes, report):
+    """The exact report with the F_p scan witnesses of each prime appended,
+    per prime: singular points or a curve vanishing mod p on each side,
+    tangencies, and a max corank other than 1.  A scan can contradict an
+    exact verdict only through bad reduction (a singular F_p-point makes p
+    divide Δ), and such a witness is `noted`; a scan that finds nothing
+    proves nothing beyond its F_p-points."""
+    primes = check_primes(primes)
+    if any(w["kind"] == "degenerate_determinant" for w in report.witnesses):
+        return report
+    smooth = {"plus": report.e_plus_smooth, "minus": report.e_minus_smooth}
+    witnesses = list(report.witnesses)
+    add = witnesses.append
     for p in primes:
         for side in ("plus", "minus"):
+            claim = f"Delta_{side} != 0"
             try:
                 bad = geometry.ff_scan_smooth(P.reduced_curve(side, p))
             except geometry.ScanError:
-                smooth[side] = False
-                witnesses.append({"kind": f"e_{side}_vanishes_mod_p", "prime": p, "point": None})
+                add(noted({"kind": f"e_{side}_vanishes_mod_p", "prime": p,
+                           "point": None}, smooth[side], claim))
                 continue
-            if bad:
-                smooth[side] = False
-                for pt in bad:
-                    witnesses.append({"kind": f"e_{side}_singular", "prime": p, "point": list(pt)})
+            for pt in bad:
+                add(noted({"kind": f"e_{side}_singular", "prime": p,
+                           "point": list(pt)}, smooth[side], claim))
         try:
             tang = geometry.ff_scan_transversal(P.reduced_curve("plus", p),
                                                 P.reduced_curve("minus", p))
         except geometry.ScanError:
-            tang = None
-            transversal_scans = False
-        if tang:
-            transversal_scans = False
-            for pt in tang:
-                witnesses.append({"kind": "tangency", "prime": p, "point": list(pt)})
+            tang = ()
+        for pt in tang:
+            add(noted({"kind": "tangency", "prime": p, "point": list(pt)},
+                      report.transversal, "the resultant is squarefree"))
         try:
             mc = geometry.ff_scan_corank(P, p)
         except (geometry.GenericityError, geometry.ScanError):
             mc = 3
         if mc != 1:
-            rank_ok = False
-            witnesses.append({"kind": "corank", "prime": p, "point": None, "value": mc})
-
-    rng = _derived_rng("resultant", P.seed, P.coeff_bound, P.digest())
-    nine, squarefree, deg, rnotes = resultant_nine_points(
-        curves.f_plus, curves.f_minus, rng
-    )
-    notes.extend(rnotes)
-    if not nine:
-        witnesses.append({"kind": "resultant", "prime": None, "point": None,
-                          "degree": deg, "squarefree": squarefree})
-    if squarefree and not transversal_scans:
-        # a squarefree resultant over Q can coexist with a mod-p tangency
-        # only through bad reduction; record it rather than hide it
-        notes.append("squarefree resultant but a scan found a tangency (bad reduction)")
-
-    transversal = transversal_scans and squarefree
-    return GenericityReport(
-        e_plus_smooth=smooth["plus"],
-        e_minus_smooth=smooth["minus"],
-        transversal=transversal,
-        nine_points=nine,
-        rank_ge_4=rank_ok,
-        witnesses=tuple(witnesses),
-        notes=tuple(notes),
-    )
+            add(noted({"kind": "corank", "prime": p, "point": None, "value": mc},
+                      report.rank_ge_4, "Delta_plus * Delta_minus != 0"))
+    return replace(report, witnesses=tuple(witnesses))
 
 
 def load_instance(path):

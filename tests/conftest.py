@@ -19,7 +19,13 @@ from quadclif.exactalg import (
     mat_solve,
 )
 from quadclif.geometry import compile_poly
-from quadclif.pencil import InvariantPencil, _derived_rng, _random_sym3, generate
+from quadclif.pencil import (
+    URING,
+    InvariantPencil,
+    _derived_rng,
+    _random_sym3,
+    generate,
+)
 
 
 class GaussianRational:
@@ -125,6 +131,26 @@ def cached_pencil(seed, bound=5):
     if key not in _CACHE:
         _CACHE[key] = generate(seed, bound)
     return _CACHE[key]
+
+
+# Two q_plus for the seed-42 instance that F_p scans alone judge wrongly:
+# f₊ = u1·(u1u2 − 29u2² − u3²) is singular at (0 : 1 : ±√−29), where the
+# block has corank 2, and no scan at 101, 103 or 107 sees it, since −29 is
+# a non-residue mod each; and a smooth f₊ with a singular point mod 101,
+# which divides its discriminant.
+SINGULAR_OFF_FP_Q_PLUS = (((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+                          ((0, 0, 0), (0, 1, 0), (0, 0, -29)),
+                          ((0, 0, 0), (0, 0, 1), (0, 1, 0)))
+BAD_REDUCTION_Q_PLUS = (((3, -2, 2), (-2, 1, 1), (2, 1, 2)),
+                        ((3, 3, -3), (3, -1, -3), (-3, -3, 3)),
+                        ((-3, -2, -2), (-2, -1, -1), (-2, -1, -2)))
+
+
+def with_q_plus(q_plus):
+    """The seed-42 instance with its q_plus replaced."""
+    bound = max(abs(x) for m in q_plus for r in m for x in r)
+    return InvariantPencil(q_plus=q_plus, q_minus=cached_pencil(42).q_minus,
+                           seed=42, coeff_bound=max(bound, 5))
 
 
 def seeded_pencil(i):
@@ -356,32 +382,61 @@ def pencil7():
     return cached_pencil(7)
 
 
-# -- the exhaustive Horner sweep: the oracle for geometry._zero_set ------------
+# -- Macaulay's quotient: the oracle for pencil.ternary_quadric_resultant -------
 
 
-def zero_set_by_horner(compiled, p):
-    """All points of P²(F_p) where the compiled polynomial (degree ≤ 3)
-    vanishes, in enumeration order ((1, a, b), then (0, 1, c), then
-    (0, 0, 1)), by evaluating it at every one of the p²+p+1 points."""
-    zeros = []
+DEGREE_4 = [(a, b, 4 - a - b) for a in range(4, -1, -1) for b in range(4 - a, -1, -1)]
+
+
+def macaulay_matrix(q0, q1, q2):
+    """(M, extraneous) for three ternary quadrics, as integer matrices:
+    Macaulay's 15×15 matrix in degree 4, whose row for the monomial m is
+    the coefficient row of (m / uᵢ²)·qᵢ with i the first index such that
+    uᵢ² divides m, and its minor on the rows and columns of the three
+    monomials that two of u1², u2², u3² divide (Cox, Little and O'Shea,
+    *Using Algebraic Geometry*, GTM 185, Ch. 3 §4).  Res(q0, q1, q2) is
+    det M / det extraneous whenever the minor is nonzero, and
+    Res(u1², u2², u3²) = 1."""
+    rows = []
+    for m in DEGREE_4:
+        i = next(k for k in range(3) if m[k] >= 2)
+        shift = URING.monomial(tuple(e - 2 * (k == i) for k, e in enumerate(m)))
+        product = (shift * (q0, q1, q2)[i]).terms
+        rows.append([int(product.get(col, 0)) for col in DEGREE_4])
+    reduced = [k for k, m in enumerate(DEGREE_4) if sum(e >= 2 for e in m) >= 2]
+    return rows, [[rows[i][j] for j in reduced] for i in reduced]
+
+
+def macaulay_resultant(q0, q1, q2):
+    """Res(q0, q1, q2) by Macaulay's quotient, or None where the
+    extraneous minor vanishes."""
+    M, extraneous = macaulay_matrix(q0, q1, q2)
+    den = bareiss_det(extraneous)
+    return Fraction(bareiss_det(M), den) if den else None
+
+
+# -- brute-force evaluation: the oracle for geometry._zero_set -----------------
+
+
+def proj_points(p):
+    """Normalized representatives of P²(F_p): exactly p²+p+1 points, in
+    the order the curve sweep visits them."""
     for a in range(p):
-        pa = (1, a, a * a % p, a * a % p * a % p)
-        dense = [0, 0, 0, 0]
-        for (e1, e2, e3), c in compiled:
-            dense[e3] += c * pa[e2]
-        d3, d2, d1, d0 = (x % p for x in reversed(dense))
-        zeros.extend((1, a, b) for b in range(p)
-                     if (((d3 * b + d2) * b + d1) * b + d0) % p == 0)
-    dense = [0, 0, 0, 0]
-    for (e1, e2, e3), c in compiled:
-        if e1 == 0:
-            dense[e3] += c
-    d3, d2, d1, d0 = (x % p for x in reversed(dense))
-    zeros.extend((0, 1, c) for c in range(p)
-                 if (((d3 * c + d2) * c + d1) * c + d0) % p == 0)
-    if sum(c for e, c in compiled if e[:2] == (0, 0)) % p == 0:
-        zeros.append((0, 0, 1))
-    return zeros
+        for b in range(p):
+            yield (1, a, b)
+    for c in range(p):
+        yield (0, 1, c)
+    yield (0, 0, 1)
+
+
+def zero_set_by_evaluation(compiled, p):
+    """The points of P²(F_p) where the compiled polynomial (degree ≤ 3)
+    vanishes, in enumeration order, by evaluating it term by term at every
+    point, as eval_compiled does, from one table of powers."""
+    pw = [(1, x, x * x % p, x * x * x % p) for x in range(p)]
+    return [(x, y, z) for x, y, z in proj_points(p)
+            if sum(c * pw[x][e1] * pw[y][e2] * pw[z][e3]
+                   for (e1, e2, e3), c in compiled) % p == 0]
 
 
 # -- compiled gradients and the full adjugate: the oracle for the curve pass --

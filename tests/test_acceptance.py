@@ -148,15 +148,15 @@ def test_criterion_6_genericity_with_negative_control():
     )
     if not (nine and squarefree and degree == 9):
         failures.append(("resultant", nine, squarefree, degree))
-    rep = genericity_check(P, primes=(101, 103, 107))
+    rep = genericity_check(P)
     for flag in ("e_plus_smooth", "e_minus_smooth", "transversal",
                  "nine_points", "rank_ge_4"):
         if not getattr(rep, flag):
             failures.append((flag, rep.witnesses[:3]))
-    bad = genericity_check(diag_instance(), primes=(101,))
+    bad = genericity_check(diag_instance())
     if bad.e_plus_smooth:
         failures.append("diagonal control passed smoothness")
-    verdict(6, "squarefree degree-9 resultant, clean scans", failures)
+    verdict(6, "nonzero discriminants, squarefree degree-9 resultant", failures)
 
 
 def test_criterion_7_isotropic_geometry():

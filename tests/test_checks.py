@@ -17,7 +17,26 @@ from quadclif.checks import (
 from quadclif.cli import main
 from quadclif.clifford import hilbert_dims_center
 from quadclif.exactalg import is_prime
-from quadclif.pencil import MAX_PRIME, MAX_PRIMES, InvariantPencil, genericity_check
+from quadclif.pencil import (
+    MAX_PRIME,
+    MAX_PRIMES,
+    InvariantPencil,
+    genericity_check,
+    genericity_scans,
+)
+
+
+DIAGONAL_FAILS = {
+    "prop2.2-smoothness", "prop2.2-transversality", "def2.1-rank4",
+    "prop2.5-nine-points", "prop3.18-corank1-m2",
+    "prop4.2-adjugate-double-line", "prop4.3-singular-locus",
+}
+
+
+def scan_diag(primes):
+    """The scan witnesses of the diagonal control at the given primes."""
+    P = diag_instance()
+    return genericity_scans(P, primes, genericity_check(P))
 
 
 def diag_instance():
@@ -74,7 +93,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="got 143"):
             CheckContext(None, primes=(101, 143))
         with pytest.raises(ValueError, match="prime >= 17, got 121"):
-            genericity_check(diag_instance(), primes=(121,))
+            scan_diag((121,))
 
     def test_prime_and_point_limits(self):
         assert (MAX_PRIME, checks.MAX_POINTS) == (1009, 200)
@@ -82,7 +101,7 @@ class TestRegistry:
             with pytest.raises(ValueError, match="at most 1009, got"):
                 CheckContext(None, primes=primes)
             with pytest.raises(ValueError, match="at most 1009, got"):
-                genericity_check(diag_instance(), primes=primes)
+                scan_diag(primes)
         with pytest.raises(ValueError, match="points must be at most 200, got 201"):
             CheckContext(None, points=201)
         ctx = CheckContext(None, primes=(1009,), points=200)
@@ -98,7 +117,7 @@ class TestRegistry:
             with pytest.raises(ValueError, match=message):
                 CheckContext(None, primes=primes)
             with pytest.raises(ValueError, match=message):
-                genericity_check(diag_instance(), primes=primes)
+                scan_diag(primes)
         sixteen = tuple(p for p in range(17, 200) if is_prime(p))[:16]
         assert CheckContext(None, primes=sixteen).primes == sixteen
 
@@ -179,6 +198,41 @@ class TestOnInstance:
         pts = [tuple(w["point"]) for w in r.witnesses if w.get("point")]
         for corner in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
             assert corner in pts
+
+    def test_diagonal_control_fails_exactly_its_seven_checks(self):
+        """f± = u1·u2·u3: three lines meeting in three singular points,
+        corank 2 there, and a resultant that vanishes identically.  The
+        seven curve checks FAIL with Δ± = 0 or the resultant behind them,
+        and the scans, which agree, carry no bad-reduction note."""
+        run = run_all(CheckContext(diag_instance(), points=1))
+        assert {r.id for r in run if r.status != "pass"} == DIAGONAL_FAILS
+        results = {r.id: r.witnesses for r in run}
+        delta = [{"kind": "discriminant", "side": side, "delta": 0}
+                 for side in ("plus", "minus")]
+        resultant = {"kind": "resultant", "prime": None, "point": None,
+                     "degree": -1, "squarefree": False}
+        for cid in ("prop2.2-smoothness", "def2.1-rank4",
+                    "prop4.2-adjugate-double-line", "prop4.3-singular-locus"):
+            assert results[cid][:2] == delta
+        for cid in ("prop2.2-transversality", "prop2.5-nine-points"):
+            assert results[cid][0] == resultant
+        assert {"kind": "e_plus_singular", "prime": 101,
+                "point": [1, 0, 0]} in results["prop2.2-smoothness"]
+        assert {"kind": "tangency", "prime": 107,
+                "point": [1, 0, 0]} in results["prop2.2-transversality"]
+        assert {"kind": "corank", "prime": 103, "point": None,
+                "value": 2} in results["def2.1-rank4"]
+        assert results["prop2.5-nine-points"][1]["notes"][-1] \
+            == "resultant identically zero"
+        assert results["prop3.18-corank1-m2"] == [
+            {"error": "FiberError: corank at least two at this point"}]
+        assert {"side": "minus", "prime": 101, "violation_at": [1, 0, 0],
+                "certificate": "randomized"} in results["prop4.2-adjugate-double-line"]
+        assert {"side": "plus", "prime": 107,
+                "violation": "corank >= 2 at (1, 0, 0) mod 107"} \
+            in results["prop4.3-singular-locus"]
+        assert not any("note" in w for cid in DIAGONAL_FAILS
+                       for w in results[cid])
 
     def test_double_resultant_root_fails_exactly_the_resultant_checks(
             self, tmp_path, capsys):

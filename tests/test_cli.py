@@ -14,7 +14,12 @@ from quadclif.clifford import hilbert_dims_center
 from quadclif.exactalg import is_prime
 from quadclif.pencil import load_instance
 
-from conftest import cached_pencil
+from conftest import (
+    BAD_REDUCTION_Q_PLUS,
+    SINGULAR_OFF_FP_Q_PLUS,
+    cached_pencil,
+    with_q_plus,
+)
 from test_checks import diag_instance
 
 
@@ -35,7 +40,7 @@ FULL_RUN_SHA256 = "06e7670e6f4baf7ddd8a612f3a3509e117848c68f5e871d5ce2395673f34e
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.
-GEN_DIGESTS_SHA256 = "1a732b621be775acd66c6923bd60ba5d7276652bca618641d33c435c0c501c32"
+GEN_DIGESTS_SHA256 = "2489f7c1665a018f375cc9f36e71e95fb0fcfb35147af8f084b826a164b4ba00"
 GEN_JOBS = ((7, 5), (42, 5)) + tuple((s, b) for b in (3, 9) for s in range(1, 26))
 
 
@@ -289,6 +294,54 @@ class TestOptimizedInterpreter:
             assert proc.returncode == rc == 0, proc.stderr
             assert stripped(optimized) == stripped(plain)
         capsys.readouterr()
+
+    def _full_check_both_ways(self, tmp_path, capsys, P):
+        """(exit code, stripped report) of `check --points 4` in-process,
+        after asserting that `python -O` gives the same code and bytes."""
+        inst = tmp_path / "inst.json"
+        save_instance(P, str(inst))
+        plain, optimized = tmp_path / "plain.json", tmp_path / "opt.json"
+        rc = main(["check", str(inst), "--points", "4", "--report", str(plain)])
+        capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "quadclif", "check", str(inst),
+             "--points", "4", "--report", str(optimized)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == rc, proc.stderr
+        assert stripped(optimized) == stripped(plain)
+        return rc, stripped(plain)
+
+    def test_singular_net_invisible_mod_p_fails(self, tmp_path, capsys):
+        """f₊ = u1·(u1u2 − 29u2² − u3²) is singular off every F_p-point the
+        scans see; Δ₊ = 0 FAILs exactly the four checks that need it."""
+        rc, rep = self._full_check_both_ways(
+            tmp_path, capsys, with_q_plus(SINGULAR_OFF_FP_Q_PLUS))
+        assert rc == 1 and rep["overall"] == "fail"
+        fails = {c["id"]: c["witnesses"] for c in rep["checks"]
+                 if c["status"] != "pass"}
+        assert set(fails) == {"prop2.2-smoothness", "def2.1-rank4",
+                              "prop4.2-adjugate-double-line",
+                              "prop4.3-singular-locus"}
+        for witnesses in fails.values():
+            assert {"kind": "discriminant", "side": "plus", "delta": 0} in witnesses
+
+    def test_bad_reduction_net_passes(self, tmp_path, capsys):
+        """A smooth f₊ with a singular point mod 101: all twenty checks
+        PASS, and every scan witness that contradicts a verdict carries a
+        bad-reduction note naming 101."""
+        rc, rep = self._full_check_both_ways(
+            tmp_path, capsys, with_q_plus(BAD_REDUCTION_Q_PLUS))
+        assert rc == 0 and rep["overall"] == "pass"
+        assert [c["status"] for c in rep["checks"]] == ["pass"] * 20
+        notes = {c["id"]: [w["note"] for w in c["witnesses"]
+                           if w.get("note", "").startswith("bad reduction")]
+                 for c in rep["checks"]}
+        assert {cid for cid, n in notes.items() if n} == {
+            "prop2.2-smoothness", "def2.1-rank4",
+            "prop4.2-adjugate-double-line", "prop4.3-singular-locus"}
+        assert all(n.startswith("bad reduction mod 101:")
+                   for ns in notes.values() for n in ns)
 
 
 class TestEntryPoint:

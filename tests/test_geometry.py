@@ -5,7 +5,6 @@ import functools
 import hashlib
 import json
 import random
-from array import array
 
 import pytest
 
@@ -16,8 +15,6 @@ from quadclif.geometry import (
     ReducedCurve,
     ScanError,
     StabilizerDescriptor,
-    _line_roots,
-    _root_tables,
     _zero_set,
     compile_poly,
     curve_points,
@@ -30,38 +27,30 @@ from quadclif.geometry import (
 )
 from quadclif.pencil import (
     DEFAULT_PRIMES,
-    MAX_PRIMES,
     URING,
     InvariantPencil,
     det_cubic,
     genericity_check,
+    genericity_scans,
 )
 
 from conftest import (
+    BAD_REDUCTION_Q_PLUS,
     cached_pencil,
     compiled_gradient,
     det3_mod,
     eval_gradient,
     kernel_column_by_adjugate,
+    proj_points,
     rank_mod,
     scan_smooth_by_compiled_gradient,
     scan_transversal_by_compiled_gradient,
-    zero_set_by_horner,
+    with_q_plus,
+    zero_set_by_evaluation,
 )
 
 
 U1, U2, U3 = (URING.var(v) for v in URING.vars)
-
-
-def proj_points(p):
-    """Normalized representatives of P²(F_p): exactly p²+p+1 points, in
-    the order the curve sweep visits them."""
-    for a in range(p):
-        for b in range(p):
-            yield (1, a, b)
-    for c in range(p):
-        yield (0, 1, c)
-    yield (0, 0, 1)
 
 
 def test_proj_points_count():
@@ -264,8 +253,9 @@ def test_scan_gradient_vanishing_mod_p_is_a_scan_error():
 
 
 def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
-    """The genericity scans and the scan-reading checks of one run share
-    one sweep per (side, p), in the order of curve_points."""
+    """genericity_check sweeps nothing; the scan witnesses and the
+    scan-reading checks of one run share one sweep per (side, p), in the
+    order of curve_points."""
     from quadclif.checks import CheckContext, run_single
 
     swept = []
@@ -278,9 +268,11 @@ def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
     monkeypatch.setattr(geometry, "_zero_set", counting)
     P = InvariantPencil.from_json_dict(pencil42.to_json_dict())  # no memo yet
     primes = (101, 103, 107)
-    assert genericity_check(P, primes=primes).all_ok()
-    assert sorted(swept) == sorted(primes * 2)
+    assert genericity_check(P).all_ok()
+    assert swept == []
     ctx = CheckContext(P, primes=primes, points=1)
+    assert ctx.genericity().witnesses == ()
+    assert sorted(swept) == sorted(primes * 2)
     for check_id in ("prop2.2-smoothness", "prop2.2-transversality",
                      "def2.1-rank4", "prop3.18-corank1-m2",
                      "prop4.2-adjugate-double-line", "prop4.3-singular-locus"):
@@ -294,7 +286,7 @@ def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
             assert list(curve.points) == curve_points(P.det_curves().side(side), p)
 
 
-# -- the root-table sweep against the Horner sweep ------------------------------
+# -- the Horner sweep against brute-force evaluation ---------------------------
 
 
 MONOMIALS = {d: [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
@@ -334,9 +326,11 @@ def _random_corpus():
     return cases
 
 
+# The test names keep "horner_sweep" from when the Horner sweep was the
+# oracle of a faster sweep; it is now the live sweep, checked by evaluation.
 @pytest.mark.parametrize("compiled,p", _random_corpus())
 def test_zero_set_matches_horner_sweep(compiled, p):
-    assert _zero_set(compiled, p) == zero_set_by_horner(compiled, p)
+    assert _zero_set(compiled, p) == zero_set_by_evaluation(compiled, p)
 
 
 @pytest.mark.parametrize("name,f,p,line", SPECIAL_FORMS,
@@ -344,7 +338,7 @@ def test_zero_set_matches_horner_sweep(compiled, p):
 def test_zero_set_special_forms(name, f, p, line):
     compiled = compile_poly(f, p)
     zeros = _zero_set(compiled, p)
-    assert zeros == zero_set_by_horner(compiled, p)
+    assert zeros == zero_set_by_evaluation(compiled, p)
     if line is not None:
         assert sum(pt[:2] == line for pt in zeros) == p
     if name == "triple-root-line":
@@ -366,137 +360,40 @@ def _oracle_pencil(name):
 
 @pytest.mark.parametrize("name", ORACLE_PENCILS)
 def test_zero_set_matches_horner_sweep_on_pencils(name):
-    """The sweep equals the Horner sweep on both cubics at every default
-    prime, whether or not they have a u3³ term."""
+    """The sweep equals brute-force evaluation on both cubics at the first
+    default prime."""
     P = _oracle_pencil(name)
     curves = P.det_curves()
+    p = DEFAULT_PRIMES[0]
     for side in ("plus", "minus"):
-        for p in DEFAULT_PRIMES:
-            compiled = compile_poly(curves.side(side), p)
-            assert _zero_set(compiled, p) == zero_set_by_horner(compiled, p)
-
-
-@pytest.mark.parametrize("p", (17, 19))
-def test_root_tables_give_every_root(p):
-    first, sqrt, inv = _root_tables(p)
-    for a in range(p):
-        roots = [r for r in range(p) if (r * r - a) % p == 0]
-        assert sqrt[a] == (roots[0] if roots else -1)
-        assert a == 0 or a * inv[a] % p == 1
-    for P in range(p):
-        for Q in range(p):
-            roots = [t for t in range(p) if (t * t * t + P * t + Q) % p == 0]
-            assert first[P * p + Q] == (roots[0] if roots else -1)
-            assert list(_line_roots((Q, P, 0, 1), p, (first, sqrt, inv))) == roots
-
-
-def test_line_roots_exhaustive_at_17():
-    p = 17
-    tables = _root_tables(p)
-    for d3 in (0, 1, 3):
-        for d2 in range(p):
-            for d1 in range(p):
-                for d0 in range(p):
-                    roots = [b for b in range(p)
-                             if (((d3 * b + d2) * b + d1) * b + d0) % p == 0]
-                    assert list(_line_roots((d0, d1, d2, d3), p, tables)) == roots
-
-
-def test_root_table_cache_stays_bounded(monkeypatch):
-    from quadclif import pencil
-
-    monkeypatch.setattr(geometry, "_ROOT_TABLES", {})
-    primes = [q for q in range(17, 200) if all(q % r for r in range(2, q))]
-    assert len(primes) > MAX_PRIMES
-    for q in primes:
-        _root_tables(q)
-        assert len(geometry._ROOT_TABLES) <= MAX_PRIMES
-    assert list(geometry._ROOT_TABLES) == primes[-MAX_PRIMES:]
-    # the entry budget: with MAX_PRIME = 60, 17² + 19² + ... stays <= 3600
-    monkeypatch.setattr(geometry, "_ROOT_TABLES", {})
-    monkeypatch.setattr(pencil, "MAX_PRIME", 60)
-    for q in primes[:8]:
-        _root_tables(q)
-        assert sum(r * r for r in geometry._ROOT_TABLES) <= 60 ** 2
-        assert q in geometry._ROOT_TABLES
-    assert list(geometry._ROOT_TABLES) == [41, 43]
-
-
-@pytest.mark.parametrize("table", (0, 1))
-def test_incomplete_root_table_is_refused(table, monkeypatch):
-    build = geometry._build_root_tables
-
-    def dropping(p):
-        tables = build(p)
-        column = tables[table]
-        column[next(i for i, t in enumerate(column) if t >= 0)] = -1
-        return tables
-
-    monkeypatch.setattr(geometry, "_ROOT_TABLES", {})
-    monkeypatch.setattr(geometry, "_build_root_tables", dropping)
-    with pytest.raises(AssertionError, match="miss a root"):
-        _root_tables(17)
-    assert geometry._ROOT_TABLES == {}
-
-
-def test_wrong_root_table_entry_is_caught(monkeypatch):
-    p = 17
-    first, sqrt, inv = geometry._build_root_tables(p)
-    shifted = array("h", [t if t < 0 else (t + 1) % p for t in first])
-    monkeypatch.setattr(geometry, "_ROOT_TABLES", {p: (shifted, sqrt, inv)})
-    with pytest.raises(AssertionError, match="non-root"):
-        _zero_set(compile_poly(U1 ** 3 + U2 ** 3 + U3 ** 3, p), p)
-
-
-def test_wrong_root_table_entry_is_caught_on_the_chart_lines(monkeypatch):
-    """The per-curve chart sweep re-checks its own roots: here the line
-    (0, 1, ·) is c³ + c + 3, irreducible mod 17, so no other line can
-    hit the shifted table entry."""
-    p = 17
-    f = U3 ** 3 + U2 ** 2 * U3 + 3 * U2 ** 3 + U1 ** 3 + U1 * U2 * U3
-    first, sqrt, inv = geometry._build_root_tables(p)
-    assert first[1 * p + 3] < 0
-    shifted = array("h", [t if t < 0 else (t + 1) % p for t in first])
-    monkeypatch.setattr(geometry, "_ROOT_TABLES", {p: (shifted, sqrt, inv)})
-    with pytest.raises(AssertionError, match="non-root"):
-        _zero_set(compile_poly(f, p), p)
+        compiled = compile_poly(curves.side(side), p)
+        assert _zero_set(compiled, p) == zero_set_by_evaluation(compiled, p)
 
 
 # pencil42 with a third q_plus matrix of determinant 101: f₊ has the u3³
-# coefficient 101, so at p = 101 its chart lines are swept one by one
+# coefficient 101, so at p = 101 no chart line (1, a, ·) is a cubic
 FLAT_AT_101 = ((-4, 1, -4), (1, 0, -4), (-4, -4, -5))
 
 
-def test_per_line_fallback_runs_end_to_end(pencil42, monkeypatch):
-    """With d3 ≡ 0 mod 101 but not over Q, genericity_check goes through
-    `_line_roots` on every chart line of f₊ at 101 and gives the report
-    of the Horner sweep and the compiled-gradient scans."""
+def test_zero_set_where_the_u3_cube_vanishes_mod_p(pencil42, monkeypatch):
+    """With d3 ≡ 0 mod 101 but not over Q, the sweep of f₊ at 101 is the
+    brute-force zero set, and the scan witnesses are those of the
+    compiled-gradient scans: none."""
     def pencil():
         return InvariantPencil(q_plus=pencil42.q_plus[:2] + (FLAT_AT_101,),
                                q_minus=pencil42.q_minus, seed=42, coeff_bound=5)
 
-    assert pencil().det_curves().f_plus.terms[(0, 0, 3)] == 101
-    lines, line_roots = [], geometry._line_roots
-
-    def counting(dense, p, tables):
-        lines.append(p)
-        return line_roots(dense, p, tables)
-
-    monkeypatch.setattr(geometry, "_line_roots", counting)
     P = pencil()
-    rep = genericity_check(P)
-    # f₊'s 101 chart lines, and the line (0, 1, ·) of each curve and prime
-    assert sorted(lines) == [101] * 103 + [103] * 2 + [107] * 2
-    assert rep.all_ok()
-    for side in ("plus", "minus"):
-        for p in DEFAULT_PRIMES:
-            curve = P.reduced_curve(side, p)
-            assert list(curve.points) == zero_set_by_horner(curve.compiled, p)
-    monkeypatch.setattr(geometry, "_zero_set", zero_set_by_horner)
+    assert P.det_curves().f_plus.terms[(0, 0, 3)] == 101
+    curve = P.reduced_curve("plus", 101)
+    assert list(curve.points) == zero_set_by_evaluation(curve.compiled, 101)
+    rep = genericity_scans(P, DEFAULT_PRIMES, genericity_check(P))
+    assert rep.all_ok() and rep.witnesses == ()
     monkeypatch.setattr(geometry, "ff_scan_smooth", scan_smooth_by_compiled_gradient)
     monkeypatch.setattr(geometry, "ff_scan_transversal",
                         scan_transversal_by_compiled_gradient)
-    assert genericity_check(pencil()) == rep
+    P = pencil()
+    assert genericity_scans(P, DEFAULT_PRIMES, genericity_check(P)) == rep
 
 
 def test_curve_pass_rechecks_the_determinant():
@@ -622,9 +519,9 @@ def test_adjugate_pass_matches_exhaustive_sweep(name, p, pencil42):
 
 
 def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
-    """genericity_check, the corank scan, the singular locus and prop4.2
+    """The scan witnesses, the corank scan, the singular locus and prop4.2
     build each curve point's block exactly once per (side, p), in one pass
-    taken only at the curve points, and genericity_check differentiates
+    taken only at the curve points, and the scans differentiate
     nothing."""
     from quadclif.checks import CheckContext, _adjugate_scan
 
@@ -646,7 +543,9 @@ def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
     monkeypatch.setattr(ReducedCurve, "_pass", counting)
     monkeypatch.setattr(MultiPoly, "derivative", counting_derivative)
     P = InvariantPencil.from_json_dict(pencil42.to_json_dict())  # no memo yet
-    assert genericity_check(P, primes=DEFAULT_PRIMES).all_ok()
+    rep = genericity_check(P)
+    derived.clear()
+    assert genericity_scans(P, DEFAULT_PRIMES, rep).witnesses == ()
     assert derived == []
     curves = [P.reduced_curve(side, p)
               for side in ("plus", "minus") for p in DEFAULT_PRIMES]
@@ -696,29 +595,43 @@ def test_curve_pass_matches_compiled_gradients_and_adjugate(name):
                 == scan_transversal_by_compiled_gradient(plus, minus))
 
 
-# The diagonal control's full genericity report, and the witnesses of the
-# seed-42 instance with a q_plus whose smooth f₊ is singular mod 101 (its
-# discriminant is divisible by 101), as computed before the curve pass.
+# The diagonal control's exact genericity report; its scan witnesses at
+# the default primes, which hash, with the resultant witness and notes of
+# the exact report, to the genericity report the scans gave before the
+# verdicts came from the discriminants.
 DIAG_GENERICITY_SHA256 = \
+    "00e04e5da84413bacc45403f9311bc7c00db4ad694c8112911166d773312bf72"
+DIAG_SCAN_GENERICITY_SHA256 = \
     "8491189e360bc217ef3e04e61dde0c461788a51921e90c7d05f5e7060cac5aa3"
-BAD_REDUCTION_Q_PLUS = (((3, -2, 2), (-2, 1, 1), (2, 1, 2)),
-                        ((3, 3, -3), (3, -1, -3), (-3, -3, 3)),
-                        ((-3, -2, -2), (-2, -1, -1), (-2, -1, -2)))
+
+
+def _sha256(rep):
+    blob = json.dumps(dataclasses.asdict(rep), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_genericity_witnesses_are_pinned(pencil42):
-    rep = genericity_check(_diag_pencil())
-    blob = json.dumps(dataclasses.asdict(rep), sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == DIAG_GENERICITY_SHA256
-    assert len(rep.witnesses) == 955
-    P = InvariantPencil(q_plus=BAD_REDUCTION_Q_PLUS, q_minus=pencil42.q_minus,
-                        seed=42, coeff_bound=5)
+    P = _diag_pencil()
     rep = genericity_check(P)
+    assert _sha256(rep) == DIAG_GENERICITY_SHA256
     assert rep.witnesses == (
-        {"kind": "e_plus_singular", "prime": 101, "point": [1, 25, 86]},
-        {"kind": "corank", "prime": 101, "point": None, "value": 2})
-    assert not rep.e_plus_smooth and not rep.rank_ge_4
-    assert rep.e_minus_smooth and rep.transversal and rep.nine_points
+        {"kind": "discriminant", "side": "plus", "delta": 0},
+        {"kind": "discriminant", "side": "minus", "delta": 0},
+        {"kind": "resultant", "prime": None, "point": None, "degree": -1,
+         "squarefree": False})
+    scans = genericity_scans(P, DEFAULT_PRIMES, rep).witnesses[3:]
+    assert len(scans) == 954 and not any("note" in w for w in scans)
+    assert _sha256(dataclasses.replace(
+        rep, witnesses=scans + rep.witnesses[2:])) == DIAG_SCAN_GENERICITY_SHA256
+    P = with_q_plus(BAD_REDUCTION_Q_PLUS)
+    rep = genericity_check(P)
+    assert rep.all_ok() and rep.witnesses == ()
+    note = "bad reduction mod 101: Delta_plus != 0 over Q"
+    assert genericity_scans(P, DEFAULT_PRIMES, rep).witnesses == (
+        {"kind": "e_plus_singular", "prime": 101, "point": [1, 25, 86],
+         "note": note},
+        {"kind": "corank", "prime": 101, "point": None, "value": 2,
+         "note": "bad reduction mod 101: Delta_plus * Delta_minus != 0 over Q"})
 
 
 # -- stabilizers ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from quadclif.exactalg import (
     squarefree_univariate,
 )
 from quadclif.pencil import (
+    DEFAULT_PRIMES,
     URING,
     InvariantPencil,
     GenerationError,
@@ -21,6 +22,7 @@ from quadclif.pencil import (
     binary_resultant,
     generate,
     genericity_check,
+    genericity_scans,
     resultant_nine_points,
 )
 
@@ -174,15 +176,20 @@ def test_json_roundtrip_and_digest(pencil42):
 
 
 def test_diagonal_pencil_fails_smoothness():
-    rep = genericity_check(diag_pencil())
+    P = diag_pencil()
+    rep = genericity_check(P)
     assert not rep.e_plus_smooth
+    assert {"kind": "discriminant", "side": "plus", "delta": 0} in rep.witnesses
     coord_pts = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    scans = genericity_scans(P, DEFAULT_PRIMES, rep)
     singular = {
         tuple(w["point"])
-        for w in rep.witnesses
+        for w in scans.witnesses
         if w["kind"] == "e_plus_singular"
     }
     assert singular & coord_pts
+    # the scans agree with the exact verdict, so no witness has a note
+    assert not any("note" in w for w in scans.witnesses)
 
 
 def test_equal_sides_fail_transversality(pencil42):
@@ -236,17 +243,10 @@ def projection_center(f_plus, f_minus, rng):
     return None, None, tuple(notes + ["no usable projection center"])
 
 
-def random_dehomogenization_resultant(f_plus, f_minus, rng):
-    """The resultant verdict read through seeded random Möbius
-    dehomogenizations u1 = a·t + b, u2 = c·t + d (up to six tries for one
-    that keeps the degree): the oracle for reading R as a binary form.
-    The coordinate change before it is the same as resultant_nine_points'."""
-    fp, fm, notes = projection_center(f_plus, f_minus, rng)
-    if fp is None:
-        return False, False, -1, notes
-    R = poly_sylvester_resultant(fp, fm, "u3")
-    if R.is_zero():
-        return False, False, -1, tuple(notes + ["resultant identically zero"])
+def dehomogenized_squarefree(R, rng):
+    """Whether the binary form R is squarefree, read through seeded random
+    Möbius dehomogenizations u1 = a·t + b, u2 = c·t + d (up to six tries
+    for one that keeps the degree); None when none does."""
     deg = total_degree(R)
     tring = PolyRing(QQ, ("t",))
     t = tring.var("t")
@@ -258,9 +258,41 @@ def random_dehomogenization_resultant(f_plus, f_minus, rng):
         h = R.subs({"u1": a * t + tring.const(b), "u2": c * t + tring.const(d),
                     "u3": tring.zero()})
         if degree_in(h, "t") == deg:
-            squarefree, _ = squarefree_univariate(as_univariate(h, "t"))
-            return (deg == 9 and squarefree), squarefree, deg, tuple(notes)
-    return False, False, deg, tuple(notes + ["no faithful dehomogenization"])
+            return squarefree_univariate(as_univariate(h, "t"))[0]
+    return None
+
+
+def random_dehomogenization_resultant(f_plus, f_minus, rng):
+    """The resultant verdict with R read as a binary form through random
+    dehomogenizations (`dehomogenized_squarefree`, drawing from its own
+    seeded generator): the oracle for resultant_nine_points, which it
+    follows in its choice of up to six projection centers, moved by the
+    same seeded coordinate changes for the same reasons."""
+    mobius = _derived_rng("mobius")
+    notes = []
+    fp, fm = f_plus, f_minus
+    degree = -1
+    for attempt in range(6):
+        if attempt:
+            M = _random_gl3(rng)
+            fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)
+            notes.append(f"coordinate change ({reason})")
+        if not (fp.eval([0, 0, 1]) and fm.eval([0, 0, 1])):
+            reason = "projection center on a curve"
+            continue
+        R = poly_sylvester_resultant(fp, fm, "u3")
+        if R.is_zero():
+            return False, False, -1, tuple(notes + ["resultant identically zero"])
+        degree = total_degree(R)
+        squarefree = dehomogenized_squarefree(R, mobius)
+        if squarefree is None:
+            return False, False, degree, tuple(notes + ["no faithful dehomogenization"])
+        if degree == 9 and squarefree:
+            return True, True, 9, tuple(notes)
+        reason = "resultant not squarefree"
+    if degree < 0:
+        notes.append("no usable projection center")
+    return False, False, degree, tuple(notes)
 
 
 def test_binary_form_reading_matches_random_dehomogenization():
@@ -294,6 +326,36 @@ def test_resultant_root_at_infinity(i, power, squarefree):
     assert got[:3] == (squarefree, squarefree, 9)
     assert got == random_dehomogenization_resultant(
         curves.f_plus, curves.f_minus, _derived_rng("resultant", i))
+
+
+@pytest.mark.parametrize("i", (270, 358))
+def test_center_lined_up_with_two_points_is_moved(i):
+    """Two transverse nets whose nine points project with a repeated root
+    from some center: a coordinate change, recorded in the notes, moves
+    that center, and the resultant certifies (seeded_pencil(270) has a
+    singular E₋, which does not touch the intersection)."""
+    P = seeded_pencil(i)
+    assert P.coeff_bound == 1
+    rep = genericity_check(P)
+    assert rep.transversal and rep.nine_points
+    assert not any(w["kind"] == "resultant" for w in rep.witnesses)
+    curves = P.det_curves()
+    nine, squarefree, degree, notes = resultant_nine_points(
+        curves.f_plus, curves.f_minus, _derived_rng("resultant-retry", i))
+    assert (nine, squarefree, degree) == (True, True, 9)
+    assert "coordinate change (resultant not squarefree)" in notes
+
+
+def test_center_budget_is_six_projections():
+    """On seeded_pencil(270) the projection centers of this seed lie on a
+    curve four times and once give a repeated root; the sixth center is
+    the last one tried, so the instance is refused, never passed."""
+    curves = seeded_pencil(270).det_curves()
+    got = resultant_nine_points(curves.f_plus, curves.f_minus,
+                                _derived_rng("resultant", 270))
+    assert got == (False, False, 9,
+                   ("coordinate change (projection center on a curve)",) * 4
+                   + ("coordinate change (resultant not squarefree)",))
 
 
 def test_integer_resultant_matches_the_multipoly_oracle():
