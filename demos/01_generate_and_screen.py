@@ -20,16 +20,14 @@ def main():
     print("f_plus  =", curves.f_plus)
     print("f_minus =", curves.f_minus)
 
+    # smooth curves also give rank >= 4 (corank <= 1 along the curves), and
+    # nine transverse points are a squarefree degree-9 resultant
     rep = genericity_check(P)
     print("smooth:", rep.e_plus_smooth and rep.e_minus_smooth,
-          "| transversal:", rep.transversal,
-          "| rank >= 4:", rep.rank_ge_4)
+          "| nine transverse points:", rep.nine_points)
 
-    nine, squarefree, degree, notes = resultant_nine_points(
-        curves.f_plus, curves.f_minus
-    )
-    print(f"resultant: degree {degree}, squarefree {squarefree},"
-          f" nine points {nine}")
+    nine, degree, notes = resultant_nine_points(curves.f_plus, curves.f_minus)
+    print(f"resultant: degree {degree}, squarefree (nine points) {nine}")
     for note in notes:
         print("   note:", note)
 

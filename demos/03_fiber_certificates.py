@@ -12,6 +12,7 @@ over the field.
 """
 
 from quadclif.exactalg import PrimeField
+from quadclif.geometry import curve_points
 from quadclif.fiber import (
     SideFibers,
     certify_ordinary_m4,
@@ -47,7 +48,7 @@ def main():
         where = "Q"
         if pt is None:
             # no small rational point on this curve; certify mod p instead
-            pt = P.reduced_curve(side, 101).points[0]
+            pt = curve_points(P.det_curves().side(side), 101)[0]
             field = PrimeField(101)
             where = "F_101"
         Q, verdict = corank1_quotient(sides, side, pt, field)

@@ -6,15 +6,18 @@ Results carry JSON-ready witnesses and are deterministic for a given
 (instance, flags) pair; only the timing field varies between runs.
 The genericity and section-4 curve checks take their verdicts from the
 exact discriminants and resultant (`pencil.genericity_check`).  Their
-finite-field sweeps are witnesses, labeled "randomized": a sweep sees
-only F_p-points, and where it contradicts an exact verdict, through bad
-reduction, its witness carries a note naming the prime.
+finite-field sweeps, run here, are witnesses, labeled "randomized": a
+sweep sees only F_p-points.  One rule covers every scan: a sweep that
+cannot run at a prime (`geometry.ScanError`: the curve or one of its
+partials vanishes mod p, so p divides Δ) gives a witness, never a crash,
+and a witness that contradicts an exact verdict, which only bad
+reduction can cause, carries a note naming the prime (`noted`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import geometry
@@ -32,7 +35,7 @@ from .clifford import (
     phi_twist_failures,
     terms_homogeneous,
 )
-from .exactalg import PrimeField
+from .exactalg import PrimeField, is_prime
 from .fiber import (
     SideFibers,
     certify_ordinary_m4,
@@ -42,14 +45,7 @@ from .fiber import (
     rational_curve_point,
     sample_invertible_points,
 )
-from .pencil import (
-    DEFAULT_PRIMES,
-    _derived_rng,
-    check_primes,
-    genericity_check,
-    genericity_scans,
-    noted,
-)
+from .pencil import _derived_rng, genericity_check
 from .plucker import (
     adjugate_double_line,
     annihilator_line,
@@ -64,6 +60,18 @@ from .plucker import (
     transform_identity_check,
 )
 
+DEFAULT_PRIMES = (101, 103, 107)
+
+# Each scan prime costs a Horner sweep of all p² + p + 1 points per side
+# (geometry._zero_set) and an adjugate pass along the curve points: at this
+# bound, 0.5 s of a 1.3 s check at --points 1 (README, "Limits").  Larger
+# primes are refused.
+MAX_PRIME = 1009
+
+# The 15 primes from 907 to 1009 took 6.7-8.3 s and 40 MiB for a full
+# check at --points 1 (README, "Limits").  Longer lists are refused.
+MAX_PRIMES = 16
+
 # Each fiber point costs each fiber check a few milliseconds; a full check
 # at this bound took 2.5 s and 41 MiB (README, "Limits").  Larger --points
 # values are refused.
@@ -75,6 +83,27 @@ INSTANCE_FREE = frozenset({
     "prop4.8-m0-matrix",
     "prop4.9-segre",
 })
+
+
+def check_primes(primes):
+    """The scan primes as a tuple of ints.  ValueError unless there are
+    between 1 and MAX_PRIMES of them, no two equal, and each is a prime
+    between 17 and MAX_PRIME; the bounds are tested first, so a huge value
+    or list never reaches the primality test."""
+    primes = tuple(int(p) for p in primes)
+    if not primes:
+        raise ValueError("primes must be nonempty")
+    if len(primes) > MAX_PRIMES:
+        raise ValueError(f"at most {MAX_PRIMES} primes, got {len(primes)}")
+    if len(set(primes)) != len(primes):
+        dup = next(p for i, p in enumerate(primes) if p in primes[:i])
+        raise ValueError(f"primes must be distinct, got {dup} more than once")
+    for p in primes:
+        if p > MAX_PRIME:
+            raise ValueError(f"primes must each be at most {MAX_PRIME}, got {p}")
+        if p < 17 or not is_prime(p):
+            raise ValueError(f"primes must each be a prime >= 17, got {p}")
+    return primes
 
 
 @dataclass
@@ -108,9 +137,10 @@ def _plain(x):
 
 class CheckContext:
     """Shared state for one verification run: the instance, the flag
-    values, and caches so expensive artifacts (genericity scans, the
-    sampled fiber points, the side algebras and their fibers) are computed
-    once per run."""
+    values, and caches so expensive artifacts are computed once per run:
+    the reduced curves (`curve`, the one memo every F_p scan reads), the
+    genericity report with its scan witnesses, the sampled fiber points,
+    and the side algebras and their fibers (`sides`)."""
 
     def __init__(self, P=None, primes=DEFAULT_PRIMES, points=20, max_degree=6):
         self.P = P
@@ -135,12 +165,17 @@ class CheckContext:
             self._cache[key] = fn()
         return self._cache[key]
 
+    def curve(self, side, p):
+        """E_side reduced mod p, built once per run, so every scan of the
+        run reads one sweep of P²(F_p) and one pass along the curve.
+        ScanError, and nothing cached, if the cubic vanishes mod p."""
+        return self.cached(("curve", side, p), lambda: geometry.ReducedCurve(
+            self.P.det_curves().side(side), self.P.side_mats(side), p))
+
     def genericity(self):
         """The exact genericity report with the run's scan witnesses."""
         return self.cached(
-            "genericity",
-            lambda: genericity_scans(self.P, self.primes, genericity_check(self.P)),
-        )
+            "genericity", lambda: genericity_scans(self, genericity_check(self.P)))
 
     def fiber_points(self):
         """Off-curve base points shared by the fiber-level checks."""
@@ -155,6 +190,59 @@ class CheckContext:
 # ---------------------------------------------------------------------------
 # genericity block
 # ---------------------------------------------------------------------------
+
+def noted(witness, holds, claim):
+    """A scan witness, noted as bad reduction at its prime when it
+    contradicts an exact claim that holds over Q."""
+    if holds:
+        witness["note"] = f"bad reduction mod {witness['prime']}: {claim} over Q"
+    return witness
+
+
+def genericity_scans(ctx, report):
+    """The exact report with the F_p scan witnesses of each of the run's
+    primes appended, per prime: singular points or a curve vanishing mod p
+    on each side, tangencies, and a max corank other than 1.  A scan can
+    contradict an exact verdict only through bad reduction (a singular
+    F_p-point makes p divide Δ), and such a witness is `noted`; a scan
+    that finds nothing proves nothing beyond its F_p-points.  A vanishing
+    partial breaks only the gradient scans, so the corank scan runs on."""
+    if any(w["kind"] == "degenerate_determinant" for w in report.witnesses):
+        return report
+    smooth = {"plus": report.e_plus_smooth, "minus": report.e_minus_smooth}
+    witnesses = list(report.witnesses)
+    add = witnesses.append
+    for p in ctx.primes:
+        for side in ("plus", "minus"):
+            claim = f"Delta_{side} != 0"
+            try:
+                bad = geometry.ff_scan_smooth(ctx.curve(side, p))
+            except geometry.ScanError:
+                add(noted({"kind": f"e_{side}_vanishes_mod_p", "prime": p,
+                           "point": None}, smooth[side], claim))
+                continue
+            for pt in bad:
+                add(noted({"kind": f"e_{side}_singular", "prime": p,
+                           "point": list(pt)}, smooth[side], claim))
+        try:
+            tang = geometry.ff_scan_transversal(ctx.curve("plus", p),
+                                                ctx.curve("minus", p))
+        except geometry.ScanError:
+            tang = ()
+        for pt in tang:
+            add(noted({"kind": "tangency", "prime": p, "point": list(pt)},
+                      report.nine_points, "the resultant is squarefree"))
+        try:
+            mc = geometry.ff_scan_corank(ctx.curve("plus", p),
+                                         ctx.curve("minus", p))
+        except geometry.ScanError:
+            mc = 3
+        if mc != 1:
+            add(noted({"kind": "corank", "prime": p, "point": None, "value": mc},
+                      smooth["plus"] and smooth["minus"],
+                      "Delta_plus * Delta_minus != 0"))
+    return replace(report, witnesses=tuple(witnesses))
+
 
 def _check_smoothness(ctx):
     rep = ctx.genericity()
@@ -171,7 +259,7 @@ def _check_transversality(ctx):
     wit = [w for w in rep.witnesses if w["kind"] in ("tangency", "resultant")]
     wit.append({"primes": list(ctx.primes), "certificate": "randomized",
                 "notes": list(rep.notes)})
-    return rep.transversal, wit
+    return rep.nine_points, wit
 
 
 def _check_rank4(ctx):
@@ -179,7 +267,7 @@ def _check_rank4(ctx):
     wit = [w for w in rep.witnesses if w["kind"] in ("discriminant", "corank")]
     wit.append({"primes": list(ctx.primes), "max_corank_allowed": 1,
                 "certificate": "randomized"})
-    return rep.rank_ge_4, wit
+    return rep.e_plus_smooth and rep.e_minus_smooth, wit
 
 
 def _check_nine_points(ctx):
@@ -311,7 +399,7 @@ def _check_corank1_m2(ctx):
                         "note": "no rational curve point found; "
                                 "finite-field fallback"})
         p = ctx.primes[0]
-        for u in ctx.P.reduced_curve(side, p).points[:3 - len(pts)]:
+        for u in ctx.curve(side, p).points[:3 - len(pts)]:
             pts.append((u, p))
         for u, p in pts:
             field = None if p is None else PrimeField(p)
@@ -362,7 +450,7 @@ def _adjugate_scan(ctx, side, p):
     pass (ReducedCurve._pass states why): rank 3 at the p²+p+1 − |E(F_p)|
     points off the curve, a rank-one double line on it, and a violation
     at the first curve point where the adjugate vanishes."""
-    curve = ctx.P.reduced_curve(side, p)
+    curve = ctx.curve(side, p)
     for pt, col in zip(curve.points, curve.kernel_columns):
         if col is None:
             return None, list(pt)
@@ -394,9 +482,13 @@ def _check_adjugate(ctx):
             wit.append({"point": list(u), "side": side, "field": "Q",
                         "verdict": verdict})
     for side in ("plus", "minus"):
-        counts, violation = _adjugate_scan(ctx, side, p)
+        try:
+            counts, at = _adjugate_scan(ctx, side, p)
+            failure = {"violation_at": at}
+        except geometry.ScanError as exc:
+            counts, failure = None, {"violation": str(exc)}
         if counts is None:
-            wit.append(noted({"side": side, "prime": p, "violation_at": violation,
+            wit.append(noted({"side": side, "prime": p, **failure,
                               "certificate": "randomized"},
                              smooth[side], f"Delta_{side} != 0"))
             continue
@@ -414,17 +506,17 @@ def _check_singular_locus(ctx):
     for side in ("plus", "minus"):
         for p in ctx.primes:
             try:
-                found = geometry.singular_locus_C(ctx.P, side, p)
-            except geometry.GenericityError as exc:
+                curve = ctx.curve(side, p)
+                found = geometry.singular_locus_C(curve)
+            except (geometry.GenericityError, geometry.ScanError) as exc:
                 wit.append(noted({"side": side, "prime": p, "violation": str(exc)},
                                  smooth[side], f"Delta_{side} != 0"))
                 continue
-            curve = len(ctx.P.reduced_curve(side, p).points)
-            agrees = len(found) == curve
+            agrees = len(found) == len(curve.points)
             ok = ok and agrees
             wit.append({"side": side, "prime": p,
                         "singular_points": len(found),
-                        "curve_points": curve,
+                        "curve_points": len(curve.points),
                         "one_per_degenerate_fiber": agrees,
                         "certificate": "randomized"})
     return ok, wit

@@ -15,21 +15,17 @@ import sys
 from . import __version__
 from .checks import (
     CHECK_ORDER,
+    DEFAULT_PRIMES,
     MAX_POINTS,
+    MAX_PRIME,
+    MAX_PRIMES,
     CheckContext,
     INSTANCE_FREE,
     UnknownCheckError,
     run_all,
     run_single,
 )
-from .pencil import (
-    DEFAULT_PRIMES,
-    MAX_PRIME,
-    MAX_PRIMES,
-    GenerationError,
-    generate,
-    load_instance,
-)
+from .pencil import GenerationError, generate, load_instance
 
 _ID_SHAPE = re.compile(r"^(prop|def)\d")
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .exactalg import int_coeffs
+
 
 class ScanError(Exception):
     """A scan precondition failed (e.g. the curve vanishes mod p)."""
@@ -33,22 +35,12 @@ class GenericityError(Exception):
 # point enumeration and compiled evaluation
 # ---------------------------------------------------------------------------
 
-def _reduce_coeff(c, p):
-    c = Fraction(c)
-    den = c.denominator % p
-    if den == 0:
-        raise ScanError(f"coefficient denominator divisible by {p}")
-    return c.numerator * pow(den, p - 2, p) % p
-
-
 def compile_poly(f, p):
-    """Term list [(exps, coeff mod p)] with zero terms dropped; ScanError
-    if the whole polynomial vanishes mod p."""
-    terms = []
-    for e, c in sorted(f.terms.items()):
-        r = _reduce_coeff(c, p)
-        if r:
-            terms.append((e, r))
+    """Term list [(exps, coeff mod p)] of an integer polynomial with zero
+    terms dropped; ScanError if the whole polynomial vanishes mod p."""
+    exps = sorted(f.terms)
+    reduced = zip(exps, (c % p for c in int_coeffs(f.terms[e] for e in exps)))
+    terms = [(e, c) for e, c in reduced if c]
     if not terms:
         raise ScanError(f"polynomial vanishes identically mod {p}")
     return terms
@@ -81,18 +73,18 @@ def curve_points(f, p):
 
 
 class ReducedCurve:
-    """The curve f = 0 reduced mod p: its compiled polynomial (ScanError if
-    f vanishes mod p), and, each computed once on first use, its points in
-    P²(F_p) in enumeration order and one pass along them, which needs the
-    symmetric blocks mats with f = det Σ uₖ mats[k].
+    """The curve f = det Σ uₖ mats[k] = 0 of integer symmetric blocks
+    reduced mod p: its compiled polynomial (ScanError if f vanishes mod p),
+    and, each computed once on first use, its points in P²(F_p) in
+    enumeration order and one pass along them.
 
-    InvariantPencil.reduced_curve keeps one per (side, p), so every scan of
+    `checks.CheckContext.curve` keeps one per (side, p), so every scan of
     one run reads the same sweep and the same pass."""
 
-    def __init__(self, f, p, mats=None):
+    def __init__(self, f, mats, p):
         self.f = f
+        self.mats = mats
         self.p = p
-        self.coeffs = None if mats is None else _upper_coeffs(mats)
         self.compiled = compile_poly(f, p)
 
     @cached_property
@@ -113,9 +105,7 @@ class ReducedCurve:
         Differential Calculus*, Ch. 8), a polynomial identity over Z and so
         valid mod p at every point; with M symmetric, adj is too, and the
         trace is Σᵢ adjᵢᵢ·Qₖᵢᵢ + 2·Σᵢ<ⱼ adjᵢⱼ·Qₖᵢⱼ over six cofactors."""
-        p, coeffs = self.p, self.coeffs
-        if coeffs is None:
-            raise ValueError("curve was reduced without its block matrices")
+        p, coeffs = self.p, _upper_coeffs(self.mats)
         # block entry i is aᵢ·x + bᵢ·y + cᵢ·z at the point (x, y, z), and ∂ₖf
         # weighs cofactor i by coeffs[i][k], doubled off the diagonal
         (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4), \
@@ -209,14 +199,14 @@ def _upper_coeffs(mats):
     return tuple(tuple(m[i][j] for m in mats) for i in range(3) for j in range(i, 3))
 
 
-def ff_scan_corank(P, p):
-    """Max corank of the 3×3 blocks along E±(F_p), read off each curve's
-    pass: corank 1 where the adjugate has a kernel column; where it
-    vanishes the rank is ≤ 1, and 0 only for the zero block.  Value 1
-    means that the 6×6 forms keep rank ≥ 4 at every F_p-point; off the
-    curves the blocks are invertible."""
+def ff_scan_corank(plus, minus):
+    """Max corank of the 3×3 blocks along E±(F_p), read off the pass of
+    each ReducedCurve: corank 1 where the adjugate has a kernel column;
+    where it vanishes the rank is ≤ 1, and 0 only for the zero block.
+    Value 1 means that the 6×6 forms keep rank ≥ 4 at every F_p-point; off
+    the curves the blocks are invertible."""
     coranks = (1 if col is not None else 2 if any(block) else 3
-               for curve in (P.reduced_curve(s, p) for s in ("plus", "minus"))
+               for curve in (plus, minus)
                for block, col in zip(curve.blocks, curve.kernel_columns))
     return max(coranks, default=0)
 
@@ -225,8 +215,9 @@ def ff_scan_corank(P, p):
 # singular locus of the conic fibration
 # ---------------------------------------------------------------------------
 
-def singular_locus_C(P, side, p):
-    """Singular points of the fibration {y² = f(u), q_u(x) = 0} over F_p.
+def singular_locus_C(curve):
+    """Singular points of the fibration {y² = f(u), q_u(x) = 0} over F_p,
+    for the ReducedCurve of f = det q_u.
 
     The 2×7 Jacobian in (u, y, x) has rows (−∇f, 2y, 0) and (x^T q_k x, 0,
     2 q_u x).  Off the curve, q_u is invertible so no fiber point is
@@ -239,9 +230,8 @@ def singular_locus_C(P, side, p):
     gₖ = tr(adj·Qₖ) = λ·x₀ᵀQₖx₀ = λ·sₖ; its minors test is a consistency
     re-check of the pass.
     """
-    curve = P.reduced_curve(side, p)
+    p, qk = curve.p, curve.mats
     grads = curve.gradients
-    qk = P.side_mats(side)
     found = []
     for u, block, col, g in zip(curve.points, curve.blocks,
                                 curve.kernel_columns, grads):

@@ -13,8 +13,8 @@ The binary form R = Res_u3(f₊, f₋) of degree 9 is interpolated over Z
 from ten integer resultants of cubics R(t, 1), t = 0..9 (Collins,
 J. ACM 18 (1971); von zur Gathen and Gerhard, *Modern Computer Algebra*,
 Ch. 6).  R(t, 1) is certified squarefree mod one prime when it can be
-(sound by Gauss's lemma), else the exact gcd over Q decides.  The F_p
-scans of `geometry` are witnesses only (`genericity_scans`).
+(sound by Gauss's lemma), else the exact gcd over Q decides.  This
+module holds exact facts only; the F_p scan witnesses live in `checks`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
@@ -34,48 +34,13 @@ from .exactalg import (
     bareiss_det,
     int_coeffs,
     interpolate_int,
-    is_prime,
     mat_rank,
     squarefree_univariate,
     sylvester_resultant,
 )
-from . import geometry
 
 U_VARS = ("u1", "u2", "u3")
 URING = PolyRing(QQ, U_VARS)
-
-DEFAULT_PRIMES = (101, 103, 107)
-
-# Each scan prime costs a Horner sweep of all p² + p + 1 points per side
-# (geometry._zero_set) and an adjugate pass along the curve points: at this
-# bound, 0.5 s of a 1.3 s check at --points 1 (README, "Limits").  Larger
-# primes are refused.
-MAX_PRIME = 1009
-
-# The 15 primes from 907 to 1009 took 6.7-8.3 s and 40 MiB for a full
-# check at --points 1 (README, "Limits").  Longer lists are refused.
-MAX_PRIMES = 16
-
-
-def check_primes(primes):
-    """The scan primes as a tuple of ints.  ValueError unless there are
-    between 1 and MAX_PRIMES of them, no two equal, and each is a prime
-    between 17 and MAX_PRIME; the bounds are tested first, so a huge value
-    or list never reaches the primality test."""
-    primes = tuple(int(p) for p in primes)
-    if not primes:
-        raise ValueError("primes must be nonempty")
-    if len(primes) > MAX_PRIMES:
-        raise ValueError(f"at most {MAX_PRIMES} primes, got {len(primes)}")
-    if len(set(primes)) != len(primes):
-        dup = next(p for i, p in enumerate(primes) if p in primes[:i])
-        raise ValueError(f"primes must be distinct, got {dup} more than once")
-    for p in primes:
-        if p > MAX_PRIME:
-            raise ValueError(f"primes must each be at most {MAX_PRIME}, got {p}")
-        if p < 17 or not is_prime(p):
-            raise ValueError(f"primes must each be a prime >= 17, got {p}")
-    return primes
 
 
 def det_cubic(mats):
@@ -228,23 +193,6 @@ class InvariantPencil:
             object.__setattr__(self, "_det_curves", curves)
         return curves
 
-    def reduced_curve(self, side, p):
-        """One block's determinant cubic reduced mod p, kept per (side, p)
-        like det_curves(): the genericity scans, the singular-locus and
-        adjugate checks and the prime-field curve points all read its one
-        sweep of P²(F_p) and its one pass along the curve.  Memory is one
-        point list and a block, kernel column and gradient per point, for
-        each (side, p) asked for."""
-        memo = self.__dict__.get("_reduced_curves")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_reduced_curves", memo)
-        curve = memo.get((side, p))
-        if curve is None:
-            curve = memo[side, p] = geometry.ReducedCurve(
-                self.det_curves().side(side), p, self.side_mats(side))
-        return curve
-
     # -- persistence -----------------------------------------------------------
 
     def to_json_dict(self):
@@ -293,22 +241,17 @@ class DetCurves:
 
 @dataclass(frozen=True)
 class GenericityReport:
+    """The exact verdicts of `genericity_check`: rank ≥ 4 is e_plus_smooth
+    and e_minus_smooth, and transversality is nine_points."""
+
     e_plus_smooth: bool
     e_minus_smooth: bool
-    transversal: bool
     nine_points: bool
-    rank_ge_4: bool
     witnesses: tuple
     notes: tuple = ()
 
     def all_ok(self):
-        return (
-            self.e_plus_smooth
-            and self.e_minus_smooth
-            and self.transversal
-            and self.nine_points
-            and self.rank_ge_4
-        )
+        return self.e_plus_smooth and self.e_minus_smooth and self.nine_points
 
 
 def _derived_rng(*parts):
@@ -395,8 +338,8 @@ def binary_resultant(f_plus, f_minus):
 
 
 def resultant_nine_points(f_plus, f_minus, rng=None):
-    """(nine_points, squarefree, degree, notes): eliminates u3 from the two
-    cubic forms and tests the resulting binary form for squarefreeness.  A
+    """(nine_points, degree, notes): eliminates u3 from the two cubic
+    forms and tests the resulting binary form for squarefreeness.  A
     squarefree degree-9 resultant certifies nine distinct intersection
     points, each of multiplicity one by Bézout, so transverse.  Up to six
     projection centers are tried, each move a seeded coordinate change
@@ -420,18 +363,18 @@ def resultant_nine_points(f_plus, f_minus, rng=None):
             continue
         h = binary_resultant(fp, fm)
         if not any(h):
-            return False, False, -1, tuple(notes + ["resultant identically zero"])
+            return False, -1, tuple(notes + ["resultant identically zero"])
         # u2^k ∥ R means a k-fold root at (1:0), and h = R(t, 1) carries the
         # other roots, with degree 9 − k.  So R is squarefree iff k ≤ 1 and
         # R(t, 1) is squarefree.
         while not h[-1]:
             h.pop()
         if len(h) >= 9 and squarefree_univariate(h)[0]:
-            return True, True, 9, tuple(notes)
+            return True, 9, tuple(notes)
         degree, reason = 9, "resultant not squarefree"
     if degree < 0:
         notes.append("no usable projection center")
-    return False, False, degree, tuple(notes)
+    return False, degree, tuple(notes)
 
 
 def genericity_check(P):
@@ -447,7 +390,7 @@ def genericity_check(P):
     curves = P.det_curves()
     if curves.f_plus.is_zero() or curves.f_minus.is_zero():
         return GenericityReport(
-            False, False, False, False, False,
+            False, False, False,
             ({"kind": "degenerate_determinant", "prime": None, "point": None},),
             ("a determinant cubic vanishes identically",))
     smooth = {side: discriminant(curves.side(side)) != 0
@@ -455,71 +398,17 @@ def genericity_check(P):
     witnesses = [{"kind": "discriminant", "side": side, "delta": 0}
                  for side, ok in smooth.items() if not ok]
     rng = _derived_rng("resultant", P.seed, P.coeff_bound, P.digest())
-    nine, squarefree, deg, notes = resultant_nine_points(
-        curves.f_plus, curves.f_minus, rng)
+    nine, deg, notes = resultant_nine_points(curves.f_plus, curves.f_minus, rng)
     if not nine:
         witnesses.append({"kind": "resultant", "prime": None, "point": None,
-                          "degree": deg, "squarefree": squarefree})
+                          "degree": deg, "squarefree": False})
     return GenericityReport(
         e_plus_smooth=smooth["plus"],
         e_minus_smooth=smooth["minus"],
-        transversal=nine,
         nine_points=nine,
-        rank_ge_4=smooth["plus"] and smooth["minus"],
         witnesses=tuple(witnesses),
         notes=notes,
     )
-
-
-def noted(witness, holds, claim):
-    """A scan witness, noted as bad reduction at its prime when it
-    contradicts an exact claim that holds over Q."""
-    if holds:
-        witness["note"] = f"bad reduction mod {witness['prime']}: {claim} over Q"
-    return witness
-
-
-def genericity_scans(P, primes, report):
-    """The exact report with the F_p scan witnesses of each prime appended,
-    per prime: singular points or a curve vanishing mod p on each side,
-    tangencies, and a max corank other than 1.  A scan can contradict an
-    exact verdict only through bad reduction (a singular F_p-point makes p
-    divide Δ), and such a witness is `noted`; a scan that finds nothing
-    proves nothing beyond its F_p-points."""
-    primes = check_primes(primes)
-    if any(w["kind"] == "degenerate_determinant" for w in report.witnesses):
-        return report
-    smooth = {"plus": report.e_plus_smooth, "minus": report.e_minus_smooth}
-    witnesses = list(report.witnesses)
-    add = witnesses.append
-    for p in primes:
-        for side in ("plus", "minus"):
-            claim = f"Delta_{side} != 0"
-            try:
-                bad = geometry.ff_scan_smooth(P.reduced_curve(side, p))
-            except geometry.ScanError:
-                add(noted({"kind": f"e_{side}_vanishes_mod_p", "prime": p,
-                           "point": None}, smooth[side], claim))
-                continue
-            for pt in bad:
-                add(noted({"kind": f"e_{side}_singular", "prime": p,
-                           "point": list(pt)}, smooth[side], claim))
-        try:
-            tang = geometry.ff_scan_transversal(P.reduced_curve("plus", p),
-                                                P.reduced_curve("minus", p))
-        except geometry.ScanError:
-            tang = ()
-        for pt in tang:
-            add(noted({"kind": "tangency", "prime": p, "point": list(pt)},
-                      report.transversal, "the resultant is squarefree"))
-        try:
-            mc = geometry.ff_scan_corank(P, p)
-        except (geometry.GenericityError, geometry.ScanError):
-            mc = 3
-        if mc != 1:
-            add(noted({"kind": "corank", "prime": p, "point": None, "value": mc},
-                      report.rank_ge_4, "Delta_plus * Delta_minus != 0"))
-    return replace(report, witnesses=tuple(witnesses))
 
 
 def load_instance(path):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,7 @@ from quadclif.exactalg import (
     mat_rank,
     mat_solve,
 )
-from quadclif.geometry import compile_poly
+from quadclif.geometry import ReducedCurve, _zero_set, compile_poly
 from quadclif.pencil import (
     URING,
     InvariantPencil,
@@ -146,11 +147,38 @@ BAD_REDUCTION_Q_PLUS = (((3, -2, 2), (-2, 1, 1), (2, 1, 2)),
                         ((-3, -2, -2), (-2, -1, -1), (-2, -1, -2)))
 
 
+def _times_101(m):
+    return tuple(tuple(101 * x for x in r) for r in m)
+
+
+# Two more q_plus for the seed-42 instance whose reduction mod 101 breaks
+# the scans while Δ₊ ≠ 0: every matrix times 101, the same net, so f₊ is
+# 101³ times the seed-42 cubic and vanishes mod 101; and only the first
+# times 101, so f₊ mod 101 has no u1 and ∂f₊/∂u1 vanishes mod 101.
+SCALED_Q_PLUS = tuple(_times_101(m) for m in cached_pencil(42).q_plus)
+VANISHING_PARTIAL_Q_PLUS = ((_times_101(cached_pencil(42).q_plus[0]),)
+                            + cached_pencil(42).q_plus[1:])
+
+
 def with_q_plus(q_plus):
     """The seed-42 instance with its q_plus replaced."""
     bound = max(abs(x) for m in q_plus for r in m for x in r)
     return InvariantPencil(q_plus=q_plus, q_minus=cached_pencil(42).q_minus,
                            seed=42, coeff_bound=max(bound, 5))
+
+
+def reduced_curve(P, side, p):
+    """One side's determinant cubic of P reduced mod p, with its blocks."""
+    return ReducedCurve(P.det_curves().side(side), P.side_mats(side), p)
+
+
+def bare_curve(f, p):
+    """A bare polynomial reduced mod p, with the attributes the
+    compiled-gradient scans read (f, p, compiled, points), for curves that
+    have no blocks."""
+    compiled = compile_poly(f, p)
+    return SimpleNamespace(f=f, p=p, compiled=compiled,
+                           points=tuple(_zero_set(compiled, p)))
 
 
 def seeded_pencil(i):

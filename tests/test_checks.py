@@ -5,25 +5,22 @@ import json
 import pytest
 
 from conftest import cached_pencil, seeded_pencil
-from quadclif import checks
+from quadclif import checks, clifford
 from quadclif.checks import (
     CHECK_ORDER,
+    MAX_PRIME,
+    MAX_PRIMES,
     CheckContext,
     INSTANCE_FREE,
     UnknownCheckError,
+    genericity_scans,
     run_all,
     run_single,
 )
 from quadclif.cli import main
 from quadclif.clifford import hilbert_dims_center
 from quadclif.exactalg import is_prime
-from quadclif.pencil import (
-    MAX_PRIME,
-    MAX_PRIMES,
-    InvariantPencil,
-    genericity_check,
-    genericity_scans,
-)
+from quadclif.pencil import InvariantPencil, genericity_check
 
 
 DIAGONAL_FAILS = {
@@ -36,7 +33,7 @@ DIAGONAL_FAILS = {
 def scan_diag(primes):
     """The scan witnesses of the diagonal control at the given primes."""
     P = diag_instance()
-    return genericity_scans(P, primes, genericity_check(P))
+    return genericity_scans(CheckContext(P, primes=primes), genericity_check(P))
 
 
 def diag_instance():
@@ -129,6 +126,37 @@ class TestRegistry:
         r = run_single(CheckContext(None), "prop4.9-segre")
         assert r.status == "fail"
         assert r.witnesses == [{"error": "ZeroDivisionError: synthetic"}]
+
+
+class TestRegistryMutants:
+    """Checks made to FAIL through run_single by a mutated engine step."""
+
+    def test_grading_fails_on_a_grafted_odd_word(self, monkeypatch):
+        relations = checks.defining_relations
+
+        def grafted(alg):
+            rels = relations(alg)
+            return [rels[0] + [((0,), alg.ring.one())]] + rels[1:]
+
+        monkeypatch.setattr(checks, "defining_relations", grafted)
+        r = run_single(CheckContext(cached_pencil(42)), "prop3.5-grading")
+        assert r.status == "fail"
+        assert [(w["variant"], w["inhomogeneous"]) for w in r.witnesses] == [
+            ("ordinary", 1), ("super", 1)]
+
+    def test_equivariance_fails_on_a_wrong_scaling(self, monkeypatch):
+        scales = clifford.action_scales_relation
+
+        def generators_at_lambda_squared(alg, terms, s, lam):
+            # each word read twice: a generator picks up λ², not λ
+            return scales(alg, [(word * 2, poly) for word, poly in terms], s, lam)
+
+        monkeypatch.setattr(clifford, "action_scales_relation",
+                            generators_at_lambda_squared)
+        r = run_single(CheckContext(cached_pencil(42)), "prop3.19-equivariance")
+        assert r.status == "fail"
+        assert [(w["variant"], w["single_scalar"]) for w in r.witnesses] == [
+            ("ordinary", False), ("super", False)]
 
 
 class TestInstanceFree:

@@ -33,6 +33,7 @@ from quadclif.fiber import (
     side_fiber,
     tensor_product,
 )
+from quadclif.geometry import curve_points
 from quadclif.pencil import InvariantPencil, _derived_rng
 
 from conftest import as_univariate, cached_pencil, fp_sqrt
@@ -571,7 +572,7 @@ def test_side_fiber_provenance_over_prime_field():
     # integer structure constants reduce mod p by a ring homomorphism, so
     # the F_p fiber carries the proof over Q[u]
     P = cached_pencil(42)
-    pt = P.reduced_curve("plus", 101).points[0]
+    pt = curve_points(P.det_curves().f_plus, 101)[0]
     A, _, _ = side_fiber(SideFibers(P), "plus", pt, field=PrimeField(101))
     assert A.proof == "clifford"
     assert A.check_associativity()
@@ -802,7 +803,7 @@ def test_corank_two_fails_the_diagonal_corank1_check():
     P = diag_pencil()
     with pytest.raises(FiberError, match="^corank at least two at this point$"):
         corank1_quotient(SideFibers(P), "plus", (1, 0, 0), field=PrimeField(101))
-    assert P.reduced_curve("plus", 101).points[0] == (1, 0, 0)
+    assert curve_points(P.det_curves().f_plus, 101)[0] == (1, 0, 0)
     r = run_single(CheckContext(P, points=1), "prop3.18-corank1-m2")
     assert r.status == "fail"
     assert r.witnesses == [{"error": "FiberError: corank at least two at this point"}]
@@ -812,7 +813,7 @@ def test_corank1_quotient_prime_field():
     P = cached_pencil(42)
     F = PrimeField(101)
     sides = SideFibers(P)
-    pts = P.reduced_curve("plus", 101).points[:3]
+    pts = curve_points(P.det_curves().f_plus, 101)[:3]
     assert pts
     for pt in pts:
         Q, verdict = corank1_quotient(sides, "plus", pt, field=F)

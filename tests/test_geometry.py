@@ -9,6 +9,13 @@ import random
 import pytest
 
 from quadclif import geometry
+from quadclif.checks import (
+    DEFAULT_PRIMES,
+    CheckContext,
+    _adjugate_scan,
+    genericity_scans,
+    run_single,
+)
 from quadclif.exactalg import FpElem, MultiPoly, PrimeField, adjugate3, mat_kernel
 from quadclif.geometry import (
     GenericityError,
@@ -25,17 +32,13 @@ from quadclif.geometry import (
     stabilizer,
     stabilizer_bruteforce,
 )
-from quadclif.pencil import (
-    DEFAULT_PRIMES,
-    URING,
-    InvariantPencil,
-    det_cubic,
-    genericity_check,
-    genericity_scans,
-)
+from quadclif.pencil import URING, InvariantPencil, det_cubic, genericity_check
 
 from conftest import (
     BAD_REDUCTION_Q_PLUS,
+    SCALED_Q_PLUS,
+    VANISHING_PARTIAL_Q_PLUS,
+    bare_curve,
     cached_pencil,
     compiled_gradient,
     det3_mod,
@@ -43,6 +46,7 @@ from conftest import (
     kernel_column_by_adjugate,
     proj_points,
     rank_mod,
+    reduced_curve,
     scan_smooth_by_compiled_gradient,
     scan_transversal_by_compiled_gradient,
     with_q_plus,
@@ -72,13 +76,18 @@ def diag(a, b, c):
 
 def block_curve(mats, p=101):
     """det Σ uₖ mats[k] reduced mod p with its blocks, as
-    InvariantPencil.reduced_curve builds it."""
-    return ReducedCurve(det_cubic(mats), p, mats)
+    CheckContext.curve builds it."""
+    return ReducedCurve(det_cubic(mats), mats, p)
+
+
+def max_corank(P, p):
+    """ff_scan_corank on both reduced curves of P."""
+    return ff_scan_corank(*(reduced_curve(P, side, p) for side in ("plus", "minus")))
 
 
 # The scans read gradients off the block's adjugate, so they run on
-# determinantal curves; bare polynomials go through the compiled-gradient
-# oracle, and the live scans refuse them.
+# determinantal curves; bare polynomials (`bare_curve`) go through the
+# compiled-gradient oracle only.
 # [[u1, 0, u2], [0, u3, u1], [u2, u1, u3]]: u2²u3 = -u1(u1 - u3)(u1 + u3),
 # a smooth Weierstrass cubic
 SMOOTH = (sym((1, 0, 0), (0, 1), (0,)), sym((0, 0, 1), (0, 0), (0,)),
@@ -99,9 +108,7 @@ VANISHING_PARTIAL = (diag(101, 0, 0), diag(1, 1, 0), diag(0, 0, 1))
 
 def test_scan_smooth_fermat_and_triangle():
     fermat = U1 ** 3 + U2 ** 3 + U3 ** 3
-    assert scan_smooth_by_compiled_gradient(ReducedCurve(fermat, 101)) == []
-    with pytest.raises(ValueError, match="block"):
-        ff_scan_smooth(ReducedCurve(fermat, 101))
+    assert scan_smooth_by_compiled_gradient(bare_curve(fermat, 101)) == []
     smooth = block_curve(SMOOTH)
     assert smooth.f == U1 * U3 ** 2 - U1 ** 3 - U2 ** 2 * U3
     assert ff_scan_smooth(smooth) == [] == scan_smooth_by_compiled_gradient(smooth)
@@ -114,7 +121,7 @@ def test_scan_smooth_fermat_and_triangle():
 
 def test_scan_smooth_rejects_zero_poly():
     with pytest.raises(ScanError):
-        ff_scan_smooth(ReducedCurve(101 * U1 ** 3, 101))
+        compile_poly(101 * U1 ** 3, 101)
     with pytest.raises(ScanError):
         ff_scan_smooth(block_curve((diag(101, 1, 1), diag(0, 0, 0), diag(0, 0, 0))))
 
@@ -122,7 +129,7 @@ def test_scan_smooth_rejects_zero_poly():
 def test_scan_smooth_nodal_cubic():
     # u2^2*u3 = u1^2*(u1 + u3) has a node at (0:0:1)
     nodal = U2 ** 2 * U3 - U1 ** 3 - U1 ** 2 * U3
-    assert (0, 0, 1) in scan_smooth_by_compiled_gradient(ReducedCurve(nodal, 101))
+    assert (0, 0, 1) in scan_smooth_by_compiled_gradient(bare_curve(nodal, 101))
     curve = block_curve(NODAL)
     assert curve.f == -nodal
     assert (0, 0, 1) in ff_scan_smooth(curve)
@@ -132,8 +139,8 @@ def test_scan_smooth_nodal_cubic():
 def test_scan_transversal_detects_tangency():
     f_plus = U1 ** 3 + U2 ** 3 + U3 ** 3
     f_minus = U1 ** 3 + U2 ** 3 + 2 * U3 ** 3
-    for bad in (scan_transversal_by_compiled_gradient(ReducedCurve(f_plus, 101),
-                                                      ReducedCurve(f_minus, 101)),
+    for bad in (scan_transversal_by_compiled_gradient(bare_curve(f_plus, 101),
+                                                      bare_curve(f_minus, 101)),
                 ff_scan_transversal(*map(block_curve, TANGENT))):
         assert bad
         # every common point has u3 = 0 and is a tangency point
@@ -146,8 +153,8 @@ def test_scan_transversal_detects_tangency():
 
 def test_scan_transversal_identical_curves():
     f = U1 ** 3 + U2 ** 3 + U3 ** 3
-    bad = scan_transversal_by_compiled_gradient(ReducedCurve(f, 101),
-                                                ReducedCurve(f, 101))
+    bad = scan_transversal_by_compiled_gradient(bare_curve(f, 101),
+                                                bare_curve(f, 101))
     assert len(bad) == len(curve_points(f, 101))
     bad = ff_scan_transversal(block_curve(SMOOTH), block_curve(SMOOTH))
     assert bad == list(block_curve(SMOOTH).points)
@@ -155,8 +162,8 @@ def test_scan_transversal_identical_curves():
 
 def test_scan_transversal_generic(pencil42):
     for p in (101, 103, 107):
-        assert ff_scan_transversal(pencil42.reduced_curve("plus", p),
-                                   pencil42.reduced_curve("minus", p)) == []
+        assert ff_scan_transversal(reduced_curve(pencil42, "plus", p),
+                                   reduced_curve(pencil42, "minus", p)) == []
 
 
 def test_curve_points_match_bruteforce_small():
@@ -196,7 +203,7 @@ def test_adjugate_corank_consistency_exhaustive_random():
 
 def test_corank_scan_generic(pencil42):
     for p in (101, 103, 107):
-        assert ff_scan_corank(pencil42, p) == 1
+        assert max_corank(pencil42, p) == 1
 
 
 def test_corank_scan_crafted_degenerate():
@@ -208,14 +215,14 @@ def test_corank_scan_crafted_degenerate():
     q_plus = (d(1, 1, 0), d(0, 0, 1), d(0, 0, 0))
     q_minus = (d(1, 0, 0), d(0, 1, 0), d(0, 0, 1))
     P = InvariantPencil(q_plus=q_plus, q_minus=q_minus, seed=0, coeff_bound=1)
-    assert ff_scan_corank(P, 101) >= 2
+    assert max_corank(P, 101) >= 2
 
 
 def test_singular_locus_counts_and_certificates(pencil42):
     p = 101
     for side in ("plus", "minus"):
         f = pencil42.det_curves().side(side)
-        pts = singular_locus_C(pencil42, side, p)
+        pts = singular_locus_C(reduced_curve(pencil42, side, p))
         assert len(pts) == len(curve_points(f, p))
         for u, x0 in pts:
             m = pencil42.block_at(u, side)
@@ -228,13 +235,13 @@ def test_singular_locus_rejects_corank2():
     q = (d(1, 1, 0), d(0, 0, 1), d(0, 0, 0))
     P = InvariantPencil(q_plus=q, q_minus=q, seed=0, coeff_bound=1)
     with pytest.raises(GenericityError):
-        singular_locus_C(P, "plus", 101)
+        singular_locus_C(reduced_curve(P, "plus", 101))
 
 
 def test_scan_gradient_vanishing_mod_p_is_a_scan_error():
     # ∂f/∂u1 = 101·u2·u3 is nonzero over Q but vanishes mod 101
-    bare = ReducedCurve(U2 ** 3 + U3 ** 3 + 101 * U1 * U2 * U3, 101)
-    fermat = ReducedCurve(U1 ** 3 + U2 ** 3 + U3 ** 3, 101)
+    bare = bare_curve(U2 ** 3 + U3 ** 3 + 101 * U1 * U2 * U3, 101)
+    fermat = bare_curve(U1 ** 3 + U2 ** 3 + U3 ** 3, 101)
     with pytest.raises(ScanError):
         scan_smooth_by_compiled_gradient(bare)
     with pytest.raises(ScanError):
@@ -255,9 +262,7 @@ def test_scan_gradient_vanishing_mod_p_is_a_scan_error():
 def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
     """genericity_check sweeps nothing; the scan witnesses and the
     scan-reading checks of one run share one sweep per (side, p), in the
-    order of curve_points."""
-    from quadclif.checks import CheckContext, run_single
-
+    order of curve_points, through the run's one curve memo."""
     swept = []
     sweep = geometry._zero_set
 
@@ -266,7 +271,7 @@ def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
         return sweep(compiled, p)
 
     monkeypatch.setattr(geometry, "_zero_set", counting)
-    P = InvariantPencil.from_json_dict(pencil42.to_json_dict())  # no memo yet
+    P = pencil42
     primes = (101, 103, 107)
     assert genericity_check(P).all_ok()
     assert swept == []
@@ -281,8 +286,8 @@ def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
     monkeypatch.setattr(geometry, "_zero_set", sweep)
     for side in ("plus", "minus"):
         for p in primes:
-            curve = P.reduced_curve(side, p)
-            assert P.reduced_curve(side, p) is curve
+            curve = ctx.curve(side, p)
+            assert ctx.curve(side, p) is curve
             assert list(curve.points) == curve_points(P.det_curves().side(side), p)
 
 
@@ -385,22 +390,22 @@ def test_zero_set_where_the_u3_cube_vanishes_mod_p(pencil42, monkeypatch):
 
     P = pencil()
     assert P.det_curves().f_plus.terms[(0, 0, 3)] == 101
-    curve = P.reduced_curve("plus", 101)
+    curve = reduced_curve(P, "plus", 101)
     assert list(curve.points) == zero_set_by_evaluation(curve.compiled, 101)
-    rep = genericity_scans(P, DEFAULT_PRIMES, genericity_check(P))
+    rep = genericity_scans(CheckContext(P), genericity_check(P))
     assert rep.all_ok() and rep.witnesses == ()
     monkeypatch.setattr(geometry, "ff_scan_smooth", scan_smooth_by_compiled_gradient)
     monkeypatch.setattr(geometry, "ff_scan_transversal",
                         scan_transversal_by_compiled_gradient)
     P = pencil()
-    assert genericity_scans(P, DEFAULT_PRIMES, genericity_check(P)) == rep
+    assert genericity_scans(CheckContext(P), genericity_check(P)) == rep
 
 
 def test_curve_pass_rechecks_the_determinant():
     """The pass refuses a block that is regular at a swept point: here
     the points of f₊ meet the blocks of q₋."""
     P = cached_pencil(42)
-    curve = ReducedCurve(P.det_curves().f_plus, 101, P.q_minus)
+    curve = ReducedCurve(P.det_curves().f_plus, P.q_minus, 101)
     with pytest.raises(AssertionError, match="block eval disagree"):
         curve.gradients
 
@@ -490,14 +495,12 @@ PARENT_SCANS = {
 
 @pytest.mark.parametrize("name,p", sorted(PARENT_SCANS))
 def test_adjugate_pass_matches_exhaustive_sweep(name, p, pencil42):
-    from quadclif.checks import CheckContext, _adjugate_scan
-
     P = {"pencil42": pencil42, "diag": _diag_pencil(),
          "crafted": _crafted_corank2_pencil()}[name]
-    P = InvariantPencil.from_json_dict(P.to_json_dict())  # no memo yet
     corank, sides = PARENT_SCANS[name, p]
-    assert ff_scan_corank(P, p) == corank == exhaustive_max_corank(P, p)
     ctx = CheckContext(P, primes=(p,), points=1)
+    assert (ff_scan_corank(ctx.curve("plus", p), ctx.curve("minus", p))
+            == corank == exhaustive_max_corank(P, p))
     for side in ("plus", "minus"):
         singular, adjugate = sides[side]
         scan = _adjugate_scan(ctx, side, p)
@@ -506,13 +509,13 @@ def test_adjugate_pass_matches_exhaustive_sweep(name, p, pencil42):
         if isinstance(singular, str):
             assert scan == (None, adjugate)
             with pytest.raises(GenericityError) as err:
-                singular_locus_C(P, side, p)
+                singular_locus_C(ctx.curve(side, p))
             assert str(err.value) == singular
             assert oracle == ("corank", tuple(adjugate))
         else:
             assert scan == ({"rank3": adjugate[0], "double_line": adjugate[1]},
                             None)
-            found = singular_locus_C(P, side, p)
+            found = singular_locus_C(ctx.curve(side, p))
             digest = hashlib.sha256(repr(found).encode()).hexdigest()[:16]
             assert (len(found), digest) == singular
             assert found == oracle
@@ -523,15 +526,13 @@ def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
     build each curve point's block exactly once per (side, p), in one pass
     taken only at the curve points, and the scans differentiate
     nothing."""
-    from quadclif.checks import CheckContext, _adjugate_scan
-
     built, derived = [], []
     curve_pass, derivative = ReducedCurve._pass.func, MultiPoly.derivative
 
     # the pass builds one block per curve point in its loop, so each call
     # counts as one build at each of the curve's points
     def counting_pass(curve):
-        built.extend((curve.coeffs, pt, curve.p) for pt in curve.points)
+        built.extend((curve.mats, pt, curve.p) for pt in curve.points)
         return curve_pass(curve)
 
     def counting_derivative(poly, name):
@@ -542,14 +543,15 @@ def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
     counting.__set_name__(ReducedCurve, "_pass")
     monkeypatch.setattr(ReducedCurve, "_pass", counting)
     monkeypatch.setattr(MultiPoly, "derivative", counting_derivative)
-    P = InvariantPencil.from_json_dict(pencil42.to_json_dict())  # no memo yet
+    P = pencil42
+    ctx = CheckContext(P, points=1)
     rep = genericity_check(P)
     derived.clear()
-    assert genericity_scans(P, DEFAULT_PRIMES, rep).witnesses == ()
+    assert genericity_scans(ctx, rep).witnesses == ()
     assert derived == []
-    curves = [P.reduced_curve(side, p)
+    curves = [ctx.curve(side, p)
               for side in ("plus", "minus") for p in DEFAULT_PRIMES]
-    expected = sorted((c.coeffs, pt, c.p) for c in curves for pt in c.points)
+    expected = sorted((c.mats, pt, c.p) for c in curves for pt in c.points)
     assert sorted(built) == expected
     for c in curves:
         side = "plus" if c.f is P.det_curves().f_plus else "minus"
@@ -557,18 +559,11 @@ def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
             tuple(m[i][j] % c.p for i in range(3) for j in range(i, 3))
             for m in (P.block_at(pt, side) for pt in c.points)]
     for p in DEFAULT_PRIMES:
-        ctx = CheckContext(P, primes=(p,), points=1)
-        assert ff_scan_corank(P, p) == 1
+        assert ff_scan_corank(ctx.curve("plus", p), ctx.curve("minus", p)) == 1
         for side in ("plus", "minus"):
-            singular_locus_C(P, side, p)
+            singular_locus_C(ctx.curve(side, p))
             _adjugate_scan(ctx, side, p)
     assert len(built) == len(expected)
-
-
-def test_kernel_columns_need_the_block():
-    curve = ReducedCurve(U1 ** 3 + U2 ** 3 + U3 ** 3, 17)
-    with pytest.raises(ValueError):
-        curve.kernel_columns
 
 
 # -- the curve pass against compiled gradients and the full adjugate ----------
@@ -582,7 +577,7 @@ def test_curve_pass_matches_compiled_gradients_and_adjugate(name):
     P = _oracle_pencil(name)
     for p in DEFAULT_PRIMES:
         for side in ("plus", "minus"):
-            curve = P.reduced_curve(side, p)
+            curve = reduced_curve(P, side, p)
             grads = compiled_gradient(curve)
             assert len(curve.gradients) == len(curve.points) > 0
             for pt, g, col in zip(curve.points, curve.gradients,
@@ -590,7 +585,7 @@ def test_curve_pass_matches_compiled_gradients_and_adjugate(name):
                 assert list(g) == eval_gradient(grads, pt, p)
                 assert col == kernel_column_by_adjugate(P, side, pt, p)
             assert ff_scan_smooth(curve) == scan_smooth_by_compiled_gradient(curve)
-        plus, minus = P.reduced_curve("plus", p), P.reduced_curve("minus", p)
+        plus, minus = reduced_curve(P, "plus", p), reduced_curve(P, "minus", p)
         assert (ff_scan_transversal(plus, minus)
                 == scan_transversal_by_compiled_gradient(plus, minus))
 
@@ -598,7 +593,9 @@ def test_curve_pass_matches_compiled_gradients_and_adjugate(name):
 # The diagonal control's exact genericity report; its scan witnesses at
 # the default primes, which hash, with the resultant witness and notes of
 # the exact report, to the genericity report the scans gave before the
-# verdicts came from the discriminants.
+# verdicts came from the discriminants.  Both hash the report as it was
+# laid out when it still had the fields transversal (= nine_points) and
+# rank_ge_4 (= e_plus_smooth and e_minus_smooth).
 DIAG_GENERICITY_SHA256 = \
     "00e04e5da84413bacc45403f9311bc7c00db4ad694c8112911166d773312bf72"
 DIAG_SCAN_GENERICITY_SHA256 = \
@@ -606,7 +603,9 @@ DIAG_SCAN_GENERICITY_SHA256 = \
 
 
 def _sha256(rep):
-    blob = json.dumps(dataclasses.asdict(rep), sort_keys=True)
+    fields = dict(dataclasses.asdict(rep), transversal=rep.nine_points,
+                  rank_ge_4=rep.e_plus_smooth and rep.e_minus_smooth)
+    blob = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -619,7 +618,7 @@ def test_genericity_witnesses_are_pinned(pencil42):
         {"kind": "discriminant", "side": "minus", "delta": 0},
         {"kind": "resultant", "prime": None, "point": None, "degree": -1,
          "squarefree": False})
-    scans = genericity_scans(P, DEFAULT_PRIMES, rep).witnesses[3:]
+    scans = genericity_scans(CheckContext(P), rep).witnesses[3:]
     assert len(scans) == 954 and not any("note" in w for w in scans)
     assert _sha256(dataclasses.replace(
         rep, witnesses=scans + rep.witnesses[2:])) == DIAG_SCAN_GENERICITY_SHA256
@@ -627,11 +626,22 @@ def test_genericity_witnesses_are_pinned(pencil42):
     rep = genericity_check(P)
     assert rep.all_ok() and rep.witnesses == ()
     note = "bad reduction mod 101: Delta_plus != 0 over Q"
-    assert genericity_scans(P, DEFAULT_PRIMES, rep).witnesses == (
+    assert genericity_scans(CheckContext(P), rep).witnesses == (
         {"kind": "e_plus_singular", "prime": 101, "point": [1, 25, 86],
          "note": note},
         {"kind": "corank", "prime": 101, "point": None, "value": 2,
          "note": "bad reduction mod 101: Delta_plus * Delta_minus != 0 over Q"})
+    # f₊, or one of its partials, vanishes mod 101, so the smoothness scan
+    # cannot run there; the corank scan reads 3, from the zero block at
+    # (1:0:0) or, where f₊ itself vanishes, for want of a curve
+    for q_plus in (SCALED_Q_PLUS, VANISHING_PARTIAL_Q_PLUS):
+        P = with_q_plus(q_plus)
+        rep = genericity_check(P)
+        assert rep.all_ok() and genericity_scans(CheckContext(P), rep).witnesses == (
+            {"kind": "e_plus_vanishes_mod_p", "prime": 101, "point": None,
+             "note": note},
+            {"kind": "corank", "prime": 101, "point": None, "value": 3,
+             "note": "bad reduction mod 101: Delta_plus * Delta_minus != 0 over Q"})
 
 
 # -- stabilizers ---------------------------------------------------------------

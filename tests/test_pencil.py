@@ -1,9 +1,14 @@
 """Instance model: block structure, determinant cubics, genericity."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from quadclif.checks import CheckContext, genericity_scans
 from quadclif.exactalg import (
     QQ,
     PolyRing,
@@ -12,7 +17,6 @@ from quadclif.exactalg import (
     squarefree_univariate,
 )
 from quadclif.pencil import (
-    DEFAULT_PRIMES,
     URING,
     InvariantPencil,
     GenerationError,
@@ -22,7 +26,6 @@ from quadclif.pencil import (
     binary_resultant,
     generate,
     genericity_check,
-    genericity_scans,
     resultant_nine_points,
 )
 
@@ -45,6 +48,18 @@ def diag_pencil(minus=None):
     q = (e(0), e(1), e(2))
     return InvariantPencil(q_plus=q, q_minus=minus if minus is not None else q,
                            seed=0, coeff_bound=1)
+
+
+def test_pencil_imports_no_geometry():
+    """pencil holds the exact facts only: importing it loads none of the
+    F_p scan code, which checks runs as witnesses."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quadclif.pencil; print('quadclif.geometry' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_validation():
@@ -181,7 +196,7 @@ def test_diagonal_pencil_fails_smoothness():
     assert not rep.e_plus_smooth
     assert {"kind": "discriminant", "side": "plus", "delta": 0} in rep.witnesses
     coord_pts = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    scans = genericity_scans(P, DEFAULT_PRIMES, rep)
+    scans = genericity_scans(CheckContext(P), rep)
     singular = {
         tuple(w["point"])
         for w in scans.witnesses
@@ -196,14 +211,14 @@ def test_equal_sides_fail_transversality(pencil42):
     P = InvariantPencil(q_plus=pencil42.q_plus, q_minus=pencil42.q_plus,
                         seed=0, coeff_bound=pencil42.coeff_bound)
     rep = genericity_check(P)
-    assert not rep.transversal
+    assert not rep.nine_points
     assert any(w["kind"] in ("tangency", "resultant") for w in rep.witnesses)
 
 
 def test_resultant_nine_points_generic(pencil42):
     curves = pencil42.det_curves()
-    nine, squarefree, deg, _ = resultant_nine_points(curves.f_plus, curves.f_minus)
-    assert nine and squarefree and deg == 9
+    nine, deg, _ = resultant_nine_points(curves.f_plus, curves.f_minus)
+    assert nine and deg == 9
 
 
 def test_resultant_shared_component():
@@ -211,7 +226,7 @@ def test_resultant_shared_component():
     u1, u2, u3 = (ring.var(v) for v in ring.vars)
     f_plus = u3 * (u1 ** 2 + u2 ** 2 + u3 ** 2)
     f_minus = u3 * (u1 ** 2 - u2 ** 2 + u3 ** 2)
-    nine, squarefree, deg, notes = resultant_nine_points(f_plus, f_minus)
+    nine, deg, notes = resultant_nine_points(f_plus, f_minus)
     assert not nine
     assert any("identically zero" in n for n in notes)
 
@@ -222,9 +237,8 @@ def test_resultant_tangent_pair_not_squarefree():
     u1, u2, u3 = (ring.var(v) for v in ring.vars)
     f_plus = u1 ** 3 + u2 ** 3 + u3 ** 3
     f_minus = u1 ** 3 + u2 ** 3 + 2 * u3 ** 3
-    nine, squarefree, deg, _ = resultant_nine_points(f_plus, f_minus)
+    nine, deg, _ = resultant_nine_points(f_plus, f_minus)
     assert deg == 9
-    assert not squarefree
     assert not nine
 
 
@@ -282,17 +296,17 @@ def random_dehomogenization_resultant(f_plus, f_minus, rng):
             continue
         R = poly_sylvester_resultant(fp, fm, "u3")
         if R.is_zero():
-            return False, False, -1, tuple(notes + ["resultant identically zero"])
+            return False, -1, tuple(notes + ["resultant identically zero"])
         degree = total_degree(R)
         squarefree = dehomogenized_squarefree(R, mobius)
         if squarefree is None:
-            return False, False, degree, tuple(notes + ["no faithful dehomogenization"])
+            return False, degree, tuple(notes + ["no faithful dehomogenization"])
         if degree == 9 and squarefree:
-            return True, True, 9, tuple(notes)
+            return True, 9, tuple(notes)
         reason = "resultant not squarefree"
     if degree < 0:
         notes.append("no usable projection center")
-    return False, False, degree, tuple(notes)
+    return False, degree, tuple(notes)
 
 
 def test_binary_form_reading_matches_random_dehomogenization():
@@ -305,11 +319,11 @@ def test_binary_form_reading_matches_random_dehomogenization():
                                     _derived_rng("resultant", i))
         want = random_dehomogenization_resultant(
             curves.f_plus, curves.f_minus, _derived_rng("resultant", i))
-        assert "no faithful dehomogenization" not in want[3]
+        assert "no faithful dehomogenization" not in want[2]
         assert got == want, i
-        if got[2] >= 0 and not got[1]:
+        if got[1] >= 0 and not got[0]:
             seen["non-squarefree"] += 1
-        if got[3]:
+        if got[2]:
             seen["coordinate change"] += 1
         seen["nine"] += got[0]
     assert min(seen.values()) >= 3, seen
@@ -323,7 +337,7 @@ def test_resultant_root_at_infinity(i, power, squarefree):
     assert min(e[1] for e in R.terms) == power
     got = resultant_nine_points(curves.f_plus, curves.f_minus,
                                 _derived_rng("resultant", i))
-    assert got[:3] == (squarefree, squarefree, 9)
+    assert got[:2] == (squarefree, 9)
     assert got == random_dehomogenization_resultant(
         curves.f_plus, curves.f_minus, _derived_rng("resultant", i))
 
@@ -337,12 +351,12 @@ def test_center_lined_up_with_two_points_is_moved(i):
     P = seeded_pencil(i)
     assert P.coeff_bound == 1
     rep = genericity_check(P)
-    assert rep.transversal and rep.nine_points
+    assert rep.nine_points
     assert not any(w["kind"] == "resultant" for w in rep.witnesses)
     curves = P.det_curves()
-    nine, squarefree, degree, notes = resultant_nine_points(
+    nine, degree, notes = resultant_nine_points(
         curves.f_plus, curves.f_minus, _derived_rng("resultant-retry", i))
-    assert (nine, squarefree, degree) == (True, True, 9)
+    assert (nine, degree) == (True, 9)
     assert "coordinate change (resultant not squarefree)" in notes
 
 
@@ -353,7 +367,7 @@ def test_center_budget_is_six_projections():
     curves = seeded_pencil(270).det_curves()
     got = resultant_nine_points(curves.f_plus, curves.f_minus,
                                 _derived_rng("resultant", 270))
-    assert got == (False, False, 9,
+    assert got == (False, 9,
                    ("coordinate change (projection center on a curve)",) * 4
                    + ("coordinate change (resultant not squarefree)",))
 
