@@ -18,7 +18,7 @@ from quadclif.plucker import (
 )
 from quadclif.fiber import (
     SideFibers,
-    rational_curve_point,
+    cubic_section_point,
     sample_invertible_points,
 )
 
@@ -35,14 +35,14 @@ def main():
 
     P = generate(seed=42, coeff_bound=5)
     rng = _derived_rng("demo", P.digest(), "geometry")
-    pt = rational_curve_point(P, "plus", rng)
-    if pt is not None:
-        verdict, line = adjugate_double_line(P, "plus", pt)
-        print(f"adjugate at curve point {pt}: {verdict}, line {line}")
+    _, _, K, pt = cubic_section_point(P, "plus")
+    verdict, line = adjugate_double_line(P, "plus", pt, K)
+    print(f"adjugate at curve point {tuple(str(c) for c in pt)} over {K.name}:")
+    print(f"  {verdict}, line {tuple(str(c) for c in line)}")
 
     u = sample_invertible_points(P, rng, 1)[0]
     rep = module_rep(SideFibers(P), "plus", u)
-    print(f"rank-2 module at u = {u} over {rep.tower.describe()}")
+    print(f"rank-2 module at u = {u} over {rep.tower.name}")
     for m in ((1, 0), (1, 1), (2, -3)):
         w = annihilator_line(rep, m)
         back = module_line_for(rep, w)

@@ -35,14 +35,13 @@ from .clifford import (
     phi_twist_failures,
     terms_homogeneous,
 )
-from .exactalg import PrimeField, is_prime
+from .exactalg import is_prime
 from .fiber import (
     SideFibers,
     certify_ordinary_m4,
     certify_side_split,
     corank1_quotient,
-    describe_field,
-    rational_curve_point,
+    cubic_section_point,
     sample_invertible_points,
 )
 from .pencil import _derived_rng, genericity_check
@@ -175,7 +174,11 @@ class CheckContext:
     def genericity(self):
         """The exact genericity report with the run's scan witnesses."""
         return self.cached(
-            "genericity", lambda: genericity_scans(self, genericity_check(self.P)))
+            "genericity", lambda: genericity_scans(self, self.exact_genericity()))
+
+    def exact_genericity(self):
+        """The exact genericity report alone, with no scan."""
+        return self.cached("exact-genericity", lambda: genericity_check(self.P))
 
     def fiber_points(self):
         """Off-curve base points shared by the fiber-level checks."""
@@ -368,7 +371,7 @@ def _check_azumaya_m4(ctx):
     for u in ctx.fiber_points():
         field, verdict = certify_ordinary_m4(ctx.sides, u)
         ok = ok and verdict == "M4"
-        wit.append({"point": list(u), "field": describe_field(field),
+        wit.append({"point": list(u), "field": field.name,
                     "verdict": verdict})
     return ok, wit
 
@@ -381,37 +384,34 @@ def _check_split_m2(ctx):
             field, verdict = certify_side_split(ctx.sides, side, u)
             ok = ok and verdict == "M2xM2"
             wit.append({"point": list(u), "side": side,
-                        "field": describe_field(field), "verdict": verdict})
+                        "field": field.name, "verdict": verdict})
     return ok, wit
 
 
 def _check_corank1_m2(ctx):
-    wit = []
-    ok = True
+    """The M2 quotient, exactly, at one curve point u per side over the
+    cubic field K of a line section (fiber.cubic_section_point), once
+    Δ₊Δ₋ ≠ 0 puts every curve point at corank one (_curve_verdict).  u
+    stands for three points: the structure constants are polynomials in u
+    over Q, so each embedding σ: K → Q̄ carries the computation to σ(u),
+    three distinct points as g is irreducible, hence separable, and a
+    radical of 0 and a center of dimension 1 survive base change."""
+    ok, wit, _ = _curve_verdict(ctx)
+    if not ok:
+        return False, wit
     total = 0
     for side in ("plus", "minus"):
-        pts = []
-        rat = rational_curve_point(ctx.P, side, ctx.rng(f"corank1-{side}"))
-        if rat is not None:
-            pts.append((rat, None))
-        else:
-            wit.append({"side": side,
-                        "note": "no rational curve point found; "
-                                "finite-field fallback"})
-        p = ctx.primes[0]
-        for u in ctx.curve(side, p).points[:3 - len(pts)]:
-            pts.append((u, p))
-        for u, p in pts:
-            field = None if p is None else PrimeField(p)
-            Q, verdict = corank1_quotient(ctx.sides, side, u, field)
-            ok = ok and verdict == "M2" and Q.dim == 4
-            total += 1
-            entry = {"side": side, "point": list(u),
-                     "field": "Q" if p is None else f"F_{p}",
-                     "verdict": verdict}
-            if p is not None:
-                entry["certificate"] = "randomized"
-            wit.append(entry)
+        found = cubic_section_point(ctx.P, side)
+        if found is None:  # total stays below the 5 required
+            wit.append({"side": side, "verdict": "no section certified irreducible"})
+            continue
+        line, p, K, u = found
+        Q, verdict = corank1_quotient(ctx.sides, side, u, K)
+        ok = ok and verdict == "M2" and Q.dim == 4
+        total += 3
+        wit.append({"side": side, "line": line, "section": K.section,
+                    "irreducible_mod": p, "field": K.name,
+                    "point": u, "conjugate_points": 3, "verdict": verdict})
     wit.append({"corank1_points": total, "required": 5})
     return ok and total >= 5, wit
 
@@ -465,10 +465,11 @@ def _curve_verdict(ctx):
     adj M = 0 means corank ≥ 2, hence a singular point of E by Jacobi's
     formula (`pencil.genericity_check`).  So with Δ ≠ 0 adj M has rank one
     on E, and each degenerate conic has one singular point, the kernel
-    line spanned by adj M.  Δ = 0 leaves the claims uncertified: FAIL."""
-    rep = ctx.genericity()
+    line spanned by adj M.  Δ = 0 (or f ≡ 0) leaves the claims uncertified."""
+    rep = ctx.exact_genericity()
     smooth = {"plus": rep.e_plus_smooth, "minus": rep.e_minus_smooth}
-    wit = [w for w in rep.witnesses if w["kind"] == "discriminant"]
+    wit = [w for w in rep.witnesses
+           if w["kind"] in ("discriminant", "degenerate_determinant")]
     return smooth["plus"] and smooth["minus"], wit, smooth
 
 
@@ -549,7 +550,7 @@ def _check_annihilator(ctx):
         )
         ok = ok and good and inj
         wit.append({"side": side, "point": list(u),
-                    "field": rep.tower.describe(),
+                    "field": rep.tower.name,
                     "lines": len(_ANNIHILATOR_LINES),
                     "round_trip": good, "injective": inj})
     return ok, wit

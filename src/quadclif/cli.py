@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -88,12 +89,12 @@ def cmd_gen(args):
 
 
 def _split_target(target):
-    """The check subcommand takes up to two positionals: a check id and an
-    instance path, in either order."""
+    """The check subcommand takes up to two positionals, a check id and an
+    instance path, in either order; a known id or id-shaped non-file is the id."""
     check_id = None
     inst_path = None
     for t in target:
-        if t in CHECK_ORDER or _ID_SHAPE.match(t):
+        if t in CHECK_ORDER or (_ID_SHAPE.match(t) and not os.path.isfile(t)):
             if check_id is not None:
                 raise ValueError("more than one check id given")
             check_id = t

@@ -392,10 +392,11 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: c for e, c in out.items() if c})
 
     def eval(self, values):
-        """Evaluate at a point given as a sequence aligned with ring.vars."""
+        """Evaluate at a point given as a sequence aligned with ring.vars;
+        a value with its own field (an extension's element) stays as it is."""
         if len(values) != len(self.ring.vars):
             raise ValueError("wrong number of values")
-        vals = [self.ring.field.coerce(v) for v in values]
+        vals = [v if hasattr(v, "field") else self.ring.field.coerce(v) for v in values]
         acc = self.ring.field.zero
         for e, c in self.terms.items():
             t = c

@@ -3,13 +3,14 @@ points: exact quadratic towers, structure-constant algebras, radical and
 center computations, and matrix-algebra certification.
 
 Scalars live in a small tower of quadratic extensions of Q (at most two
-square roots, which is all the idempotent constructions need) or in a
-prime field.  Everything is exact; no floating point anywhere.
+square roots, which is all the idempotent constructions need), a cubic
+field or a prime field.  Everything is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm, prod
 
 from .clifford import CliffordAlgebra, central_odd
@@ -17,6 +18,7 @@ from .exactalg import (
     PrimeField,
     adjugate3,
     as_int,
+    is_prime,
     is_square_fraction,
     mat_kernel,
     mat_rank,
@@ -31,26 +33,27 @@ class FiberError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# quadratic towers
+# number fields: quadratic towers and cubic fields
 # ---------------------------------------------------------------------------
 
-class TowerElem:
-    """Element of Q(sqrt a, sqrt b) on the basis (1, √a, √b, √ab), stored
-    as four integer numerators n over one positive denominator d.
+class NumberElem:
+    """Element of a number field K (a QuadraticTower or a CubicField) on
+    K's basis, (1, √a, √b, √ab) or (1, s, s²) with n₃ = 0, stored as four
+    integer numerators n over one positive denominator d.
 
     This is the integral representation of number-field elements (Cohen,
     A Course in Computational Algebraic Number Theory, GTM 138, §4.2):
     coordinates n/d with gcd(n₀, n₁, n₂, n₃, d) = 1 and d > 0, so (n, d)
     is canonical, equality and the zero test compare integers, and the
-    field operations work on integers and reduce once.  Basis index bit 0
-    marks a factor √a, bit 1 a factor √b; products combine by xor with
-    carry a and/or b on the shared bits (see QuadraticTower).  `c` is a
-    read-only view of the coordinates as Fractions.
+    field operations work on integers and reduce once.  Both bases start
+    with 1, so sums and rational multiples are field-free; K.times and
+    K.inverse do the rest.  `c` is a read-only view of the coordinates as
+    Fractions.
     """
 
-    __slots__ = ("tower", "n", "d")
+    __slots__ = ("field", "n", "d")
 
-    def __init__(self, tower, n, d=1):
+    def __init__(self, field, n, d=1):
         """n is a tuple of four ints and d a nonzero int; the pair is
         brought to canonical form (a denominator of 1 already is)."""
         if d != 1:
@@ -61,7 +64,7 @@ class TowerElem:
             if g != 1:
                 n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
             n = (n0, n1, n2, n3)
-        self.tower = tower
+        self.field = field
         self.n = n
         self.d = d
 
@@ -71,14 +74,13 @@ class TowerElem:
 
     def _coerce(self, other):
         """other as an element with our coordinate meaning: an element of
-        this tower or of one with the same radicands as it is, anything
-        else through tower.coerce; None if it does not coerce."""
-        if other.__class__ is TowerElem and (
-                other.tower is self.tower
-                or other.tower.radicands == self.tower.radicands):
+        this field or of an equal one (a tower with the same radicands),
+        anything else through field.coerce; None if it does not coerce."""
+        if other.__class__ is NumberElem and (
+                other.field is self.field or other.field == self.field):
             return other
         try:
-            return self.tower.coerce(other)
+            return self.field.coerce(other)
         except (TypeError, ValueError):
             return None
 
@@ -90,15 +92,15 @@ class TowerElem:
         y0, y1, y2, y3 = other.n
         d, e = self.d, other.d
         if d == e:
-            return TowerElem(self.tower, (x0 + y0, x1 + y1, x2 + y2, x3 + y3), d)
-        return TowerElem(self.tower, (x0 * e + y0 * d, x1 * e + y1 * d,
-                                      x2 * e + y2 * d, x3 * e + y3 * d), d * e)
+            return NumberElem(self.field, (x0 + y0, x1 + y1, x2 + y2, x3 + y3), d)
+        return NumberElem(self.field, (x0 * e + y0 * d, x1 * e + y1 * d,
+                                       x2 * e + y2 * d, x3 * e + y3 * d), d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
         x0, x1, x2, x3 = self.n
-        return TowerElem(self.tower, (-x0, -x1, -x2, -x3), self.d)
+        return NumberElem(self.field, (-x0, -x1, -x2, -x3), self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -108,9 +110,9 @@ class TowerElem:
         y0, y1, y2, y3 = other.n
         d, e = self.d, other.d
         if d == e:
-            return TowerElem(self.tower, (x0 - y0, x1 - y1, x2 - y2, x3 - y3), d)
-        return TowerElem(self.tower, (x0 * e - y0 * d, x1 * e - y1 * d,
-                                      x2 * e - y2 * d, x3 * e - y3 * d), d * e)
+            return NumberElem(self.field, (x0 - y0, x1 - y1, x2 - y2, x3 - y3), d)
+        return NumberElem(self.field, (x0 * e - y0 * d, x1 * e - y1 * d,
+                                       x2 * e - y2 * d, x3 * e - y3 * d), d * e)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -123,34 +125,20 @@ class TowerElem:
         y0, y1, y2, y3 = other.n
         d = self.d * other.d
         if not (y1 or y2 or y3):
-            return TowerElem(self.tower, (x0 * y0, x1 * y0, x2 * y0, x3 * y0), d)
+            return NumberElem(self.field, (x0 * y0, x1 * y0, x2 * y0, x3 * y0), d)
         if not (x1 or x2 or x3):
-            return TowerElem(self.tower, (x0 * y0, x0 * y1, x0 * y2, x0 * y3), d)
-        k0, k1, k2, k3 = self.tower._carry
-        return TowerElem(self.tower, (
-            k0 * x0 * y0 + k1 * x1 * y1 + k2 * x2 * y2 + k3 * x3 * y3,
-            k0 * (x0 * y1 + x1 * y0) + k2 * (x2 * y3 + x3 * y2),
-            k0 * (x0 * y2 + x2 * y0) + k1 * (x1 * y3 + x3 * y1),
-            k0 * (x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1),
-        ), d * k0)
+            return NumberElem(self.field, (x0 * y0, x0 * y1, x0 * y2, x0 * y3), d)
+        return self.field.times(self.n, other.n, d)
 
     __rmul__ = __mul__
 
+    def __pow__(self, k):
+        return prod([self] * k, start=self.field.one)
+
     def inverse(self):
-        """1/x = σ_b(x)·σ_a(N_b(x)) / N(x), where σ_b negates √b (and
-        √ab), σ_a negates √a, N_b(x) = x·σ_b(x) lies in Q(√a) and
-        N(x) = N_b(x)·σ_a(N_b(x)) is rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        t = self.tower
-        n0, n1, n2, n3 = self.n
-        conj_b = TowerElem(t, (n0, n1, -n2, -n3), self.d)
-        nb = self * conj_b  # lands in Q(√a)
-        conj_a = TowerElem(t, (nb.n[0], -nb.n[1], 0, 0), nb.d)
-        r = nb * conj_a
-        if not r.is_rational() or not r:
-            raise ZeroDivisionError("norm degenerated; tower is not a field")
-        return conj_b * conj_a * TowerElem(t, (r.d, 0, 0, 0), r.n[0])
+        return self.field.inverse(self)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -189,16 +177,8 @@ class TowerElem:
         return Fraction(self.n[0], self.d)
 
     def __repr__(self):
-        rads = self.tower.radicands
-        labels = ["", None, None, None]
-        if len(rads) >= 1:
-            labels[1] = f"*sqrt({rads[0]})"
-        if len(rads) >= 2:
-            labels[2] = f"*sqrt({rads[1]})"
-            labels[3] = f"*sqrt({rads[0] * rads[1]})"
-        parts = [f"{c}{labels[k]}" if k else f"{c}"
-                 for k, c in enumerate(self.c) if c]
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"{c}{label}" for c, label
+                          in zip(self.c, self.field.labels) if c) or "0"
 
 
 class QuadraticTower:
@@ -209,11 +189,12 @@ class QuadraticTower:
     non-square (so neither root lies in the subfield generated by the
     other).
 
-    Elements are integer coordinate vectors over a common denominator
-    (TowerElem).  With a = aₙ/a_d and b = bₙ/b_d (zero above the level)
-    and L = a_d·b_d, the basis products carry 1, a, b or ab, that is
-    (L, aₙb_d, bₙa_d, aₙbₙ)/L: `_carry` holds those four integers, so a
-    product of two elements is sixteen integer products over d·d'·L.
+    Elements are NumberElems on the basis (1, √a, √b, √ab), which multiply
+    by xor of the index bits (bit 0 √a, bit 1 √b).  With a = aₙ/a_d and
+    b = bₙ/b_d (zero above the level) and L = a_d·b_d, the basis products
+    carry 1, a, b or ab, that is (L, aₙb_d, bₙa_d, aₙbₙ)/L: `_carry` holds
+    those four integers, so a product of two elements is sixteen integer
+    products over d·d'·L.
     """
 
     def __init__(self, radicands=()):
@@ -233,15 +214,11 @@ class QuadraticTower:
         an, ad = self._a.numerator, self._a.denominator
         bn, bd = self._b.numerator, self._b.denominator
         self._carry = (ad * bd, an * bd, bn * ad, an * bn)
-        self.zero = TowerElem(self, (0, 0, 0, 0))
-        self.one = TowerElem(self, (1, 0, 0, 0))
-        self.name = self.describe()
-
-    def describe(self):
-        if self.level == 0:
-            return "Q"
-        inner = ", ".join(f"sqrt {r}" for r in self.radicands)
-        return f"Q({inner})"
+        self.labels = ("", *(f"*sqrt({r})" for r in
+                             (self._a, self._b, self._a * self._b)))
+        self.zero = NumberElem(self, (0, 0, 0, 0))
+        self.one = NumberElem(self, (1, 0, 0, 0))
+        self.name = f"Q({', '.join(f'sqrt {r}' for r in rads)})" if rads else "Q"
 
     def __repr__(self):
         return f"QuadraticTower({self.radicands})"
@@ -252,23 +229,48 @@ class QuadraticTower:
     def __hash__(self):
         return hash(self.radicands)
 
+    def times(self, x, y, d):
+        """The element with numerators x times y over d."""
+        x0, x1, x2, x3 = x
+        y0, y1, y2, y3 = y
+        k0, k1, k2, k3 = self._carry
+        return NumberElem(self, (
+            k0 * x0 * y0 + k1 * x1 * y1 + k2 * x2 * y2 + k3 * x3 * y3,
+            k0 * (x0 * y1 + x1 * y0) + k2 * (x2 * y3 + x3 * y2),
+            k0 * (x0 * y2 + x2 * y0) + k1 * (x1 * y3 + x3 * y1),
+            k0 * (x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1)), d * k0)
+
+    def inverse(self, x):
+        """1/x = σ_b(x)·σ_a(N_b(x)) / N(x), where σ_b negates √b (and
+        √ab), σ_a negates √a, N_b(x) = x·σ_b(x) lies in Q(√a) and
+        N(x) = N_b(x)·σ_a(N_b(x)) is rational."""
+        n0, n1, n2, n3 = x.n
+        conj_b = NumberElem(self, (n0, n1, -n2, -n3), x.d)
+        nb = x * conj_b  # lands in Q(√a)
+        conj_a = NumberElem(self, (nb.n[0], -nb.n[1], 0, 0), nb.d)
+        r = nb * conj_a
+        if not r.is_rational() or not r:
+            raise ZeroDivisionError("norm degenerated; tower is not a field")
+        return conj_b * conj_a * NumberElem(self, (r.d, 0, 0, 0), r.n[0])
+
     def make(self, c0, c1=0, c2=0, c3=0):
         c = [Fraction(x) for x in (c0, c1, c2, c3)]
         d = lcm(*(x.denominator for x in c))
-        return TowerElem(self, tuple(x.numerator * (d // x.denominator) for x in c), d)
+        return NumberElem(self, tuple(x.numerator * (d // x.denominator) for x in c), d)
 
     def coerce(self, x):
-        if isinstance(x, TowerElem):
+        if isinstance(x, NumberElem):
             # the same tower, or a shallower one whose radicands are a
             # prefix of ours: the coordinates embed unchanged
-            if x.tower.radicands == self.radicands[: x.tower.level]:
-                return TowerElem(self, x.n, x.d)
-            raise ValueError("element of an incompatible tower")
+            if (isinstance(x.field, QuadraticTower)
+                    and x.field.radicands == self.radicands[: x.field.level]):
+                return NumberElem(self, x.n, x.d)
+            raise ValueError("element of an incompatible field")
         if isinstance(x, int):
-            return TowerElem(self, (x, 0, 0, 0))
+            return NumberElem(self, (x, 0, 0, 0))
         if isinstance(x, (str, Fraction)):
             x = Fraction(x)
-            return TowerElem(self, (x.numerator, 0, 0, 0), x.denominator)
+            return NumberElem(self, (x.numerator, 0, 0, 0), x.denominator)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def sqrt(self, x):
@@ -321,12 +323,54 @@ class QuadraticTower:
         return tower, roots
 
 
-def describe_field(field):
-    if isinstance(field, QuadraticTower):
-        return field.describe()
-    if isinstance(field, PrimeField):
-        return f"F_{field.p}"
-    return getattr(field, "name", repr(field))
+class CubicField:
+    """K = Q(θ) for an integer cubic g(t) = g₀ + g₁t + g₂t² + g₃t³ with
+    g(θ) = 0, on the power basis (1, s, s²) of s = g₃θ.  s is a root of
+    the monic integer cubic h(s) = g₃²·g(s/g₃) = s³ + g₂s² + g₁g₃s + g₀g₃²,
+    so Z[s] is closed under products.  K is a field only for g irreducible
+    over Q, which the caller certifies (irreducible_mod)."""
+
+    labels = ("", "*s", "*s^2")
+
+    def __init__(self, g):
+        g0, g1, g2, g3 = self.section = tuple(g)
+        if not g3:
+            raise ValueError("the section is not a cubic")
+        self.h = (g0 * g3 * g3, g1 * g3, g2)
+        self.zero = NumberElem(self, (0, 0, 0, 0))
+        self.one = NumberElem(self, (1, 0, 0, 0))
+        self.name = "Q[s]/(s^3" + "".join(
+            f" {'-' if c < 0 else '+'} {abs(c)}{m}"
+            for c, m in zip(self.h[::-1], ("*s^2", "*s", "")) if c) + ")"
+
+    def times(self, x, y, d):
+        """The element with numerators x times y over d, by
+        s³ = −(a₂s² + a₁s + a₀) for h = (a₀, a₁, a₂)."""
+        (x0, x1, x2, _), (y0, y1, y2, _), (a0, a1, a2) = x, y, self.h
+        c4 = x2 * y2
+        c3 = x1 * y2 + x2 * y1 - c4 * a2
+        return NumberElem(self, (
+            x0 * y0 - c3 * a0, x0 * y1 + x1 * y0 - c4 * a0 - c3 * a1,
+            x0 * y2 + x1 * y1 + x2 * y0 - c4 * a1 - c3 * a2, 0), d)
+
+    def inverse(self, x):
+        """1/x = d·adj(M)·e₀/det M for x = n/d, where M is the integer
+        matrix of multiplication by n, with columns n, n·s and n·s²: n·y = 1
+        reads M·y = e₀, and det M, the norm of n, is nonzero in a field."""
+        ns = self.times(x.n, (0, 1, 0, 0), 1).n
+        cols = [x.n, ns, self.times(ns, (0, 1, 0, 0), 1).n]
+        adj = adjugate3([[c[i] for c in cols] for i in range(3)])
+        det = sum(cols[j][0] * adj[j][0] for j in range(3))
+        if not det:
+            raise ZeroDivisionError("norm vanished; the cubic is reducible")
+        return NumberElem(self, (*(x.d * a for a, _, _ in adj), 0), det)
+
+    def coerce(self, x):
+        if isinstance(x, NumberElem) and getattr(x.field, "h", None) == self.h:
+            return x
+        if isinstance(x, (int, Fraction)):
+            return NumberElem(self, (x.numerator, 0, 0, 0), x.denominator)
+        raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
 
 def _char_ok(field, dim):
@@ -669,7 +713,7 @@ def clifford_fiber(alg, u, field, proof=None):
     proof=None the table makes no claim (see FinAlg)."""
     n = 1 << alg.ngens
     zero = field.zero
-    point = [as_int(alg.ring.field.coerce(c)) for c in u]
+    point = [c if hasattr(c, "field") else as_int(alg.ring.field.coerce(c)) for c in u]
     monomials = {}
     table = []
     for terms_row in alg.structure_terms():
@@ -701,7 +745,7 @@ def eval_element(e, u, field, dim):
 
 
 def _point(u):
-    u = tuple(Fraction(c) for c in u)
+    u = tuple(c if hasattr(c, "field") else Fraction(c) for c in u)
     if len(u) != 3:
         raise ValueError("base points have three coordinates")
     if not any(u):
@@ -814,9 +858,9 @@ class SideFibers:
         """central(side), with alg proven associative by
         CliffordAlgebra.verify_associativity (before d is built, so a
         broken engine fails the proof first) and its structure constants
-        checked to lie in Z[u], so associativity carries to every fiber:
-        over a tower by evaluation and embedding, over F_p by the ring
-        homomorphism Z[u] → F_p."""
+        checked to lie in Z[u], so associativity carries to every fiber
+        by the ring homomorphism Z[u] → K of evaluation at a point over K:
+        a tower, a cubic field, or F_p."""
         if side not in self._proven:
             alg = self._block(side)
             alg.verify_associativity()
@@ -910,12 +954,11 @@ def corank1_quotient(sides, side, u, field=None):
     zero; the quotient by the 4-dimensional two-sided ideal it generates
     is certified as a rank-2 matrix algebra.
 
-    Over a prime field the 8-dimensional fiber is not re-checked for
-    associativity: the side algebra's structure constants are integer
-    polynomials (checked by SideFibers.algebra), so the
-    F_p table is the image of the Z[u]-table under the ring homomorphism
-    Z[u] → F_p, and the proof over Q[u] carries over.  The 4-dimensional
-    quotient table itself is checked on all basis triples."""
+    u is rational, or a point over a CubicField passed as field (see
+    cubic_section_point).  The 8-dimensional fiber is not re-checked for
+    associativity: it is the image of the side algebra's Z[u]-table under
+    evaluation at u (SideFibers.algebra).  The 4-dimensional quotient
+    table is checked on all basis triples."""
     if field is None:
         field = QuadraticTower(())
     P = sides.P
@@ -980,98 +1023,52 @@ def sample_invertible_points(P, rng, count, bound=9):
     return out
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
+def section_lines():
+    """The 145 lines n·u = 0, n = (a, b, c) primitive with |nᵢ| ≤ 3, one per
+    ±n, by |n|₁ and then n (coordinate lines first), each as (base, dir), a
+    basis of n⊥; generated, not stored, as the walk stopped by index 18 on
+    the 800 sides of gen seeds 1–200 at bounds 1 and 2."""
+    for a, b, c in sorted(product(range(-3, 4), repeat=3),
+                          key=lambda n: (sum(map(abs, n)), n)):
+        if gcd(a, b, c) == 1 and (a, b, c) > (0, 0, 0):
+            yield ((c, 0, -a), (0, c, -b)) if c else ((b, -a, 0), (0, 0, 1))
 
 
-def _rational_roots(coeffs):
-    """Rational roots of Σ coeffs[k] t^k with integer coefficients.
-
-    Each candidate n/d (n | constant term, d | leading coefficient) is
-    tested by the integer Σ coeffs[k] n^k d^(deg-k) = d^deg·p(n/d), which
-    vanishes exactly when n/d is a root; candidates are visited in a fixed
-    order and each hit is listed, repeats included."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if not coeffs:
-        return []
-    roots = []
-    if coeffs[0] == 0:
-        roots.append(Fraction(0))
-        while coeffs and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-    if len(coeffs) <= 1:
-        return roots
-    deg = len(coeffs) - 1
-    dens = _divisors(coeffs[-1])
-    # coeffs[k]·d^(deg-k), highest degree first, for each denominator d
-    scaled = {d: [c * d ** (deg - k) for k, c in reversed(list(enumerate(coeffs)))]
-              for d in dens}
-    for num in _divisors(coeffs[0]):
-        for den in dens:
-            terms = scaled[den]
-            for n in (num, -num):
-                acc = 0
-                for c in terms:
-                    acc = acc * n + c
-                if acc == 0:
-                    roots.append(Fraction(n, den))
-    return roots
+IRREDUCIBILITY_PRIMES = tuple(p for p in range(100) if is_prime(p))
 
 
-def rational_curve_point(P, side, rng):
-    """Search for a rational point of one determinant cubic by
-    intersecting with 200 random integer lines and checking for rational
-    roots; None if the budget runs out (the cubic is a genus-one curve,
-    so rational points can legitimately be absent or hard to hit).  The
-    cubic is the determinant of an integer block, so its coefficients are
-    integers and each restriction is integer arithmetic."""
+def irreducible_mod(g):
+    """The first p in IRREDUCIBILITY_PRIMES with p ∤ g₃ at which the
+    integer cubic g = (g₀, g₁, g₂, g₃) has no root mod p, else None.  Such
+    a p proves g irreducible over Q: a factorization has a linear factor
+    over Z (Gauss's lemma) whose leading coefficient divides g₃, so mod p
+    it stays linear and has a root.  None proves nothing."""
+    g0, g1, g2, g3 = g
+    return next((p for p in IRREDUCIBILITY_PRIMES if g3 % p and all(
+        (g0 + t * (g1 + t * (g2 + t * g3))) % p for t in range(p))), None)
+
+
+def cubic_section_point(P, side):
+    """(line, p, K, u) for the first line (base, dir) of section_lines()
+    whose section g(t) = f(base + t·dir) irreducible_mod certifies at p:
+    K = CubicField(g) and u = g₃·base + s·dir = g₃·(base + θ·dir), a curve
+    point over K with coordinates in Z[s].  None when no line qualifies.
+    g₀ = f(base), g₃ = f(dir) and g(±1) = f(base ± dir) are integers, as
+    f, the determinant of an integer block, has integer coefficients."""
     f = P.det_curves().side(side)
     if any(Fraction(c).denominator != 1 for c in f.terms.values()):
         raise FiberError("determinant cubic has a non-integer coefficient")
-    terms = [(exps, int(c)) for exps, c in f.terms.items()]
-    for _ in range(200):
-        base = tuple(rng.randint(-4, 4) for _ in range(3))
-        dirv = tuple(rng.randint(-4, 4) for _ in range(3))
-        if not any(dirv):
-            continue
-        # restrict to the line base + t·dir: a univariate integer cubic
-        coeffs = [0, 0, 0, 0]
-        for exps, c in terms:
-            # expand Π (base_i + t dir_i)^{e_i}
-            poly_t = [c]
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    nxt = [0] * (len(poly_t) + 1)
-                    for k, a in enumerate(poly_t):
-                        nxt[k] += a * base[i]
-                        nxt[k + 1] += a * dirv[i]
-                    poly_t = nxt
-            for k, a in enumerate(poly_t):
-                coeffs[k] += a
-        if not any(coeffs):
-            continue
-        for t in _rational_roots(coeffs):
-            u = tuple(Fraction(b) + t * d for b, d in zip(base, dirv))
-            if not any(u):
-                continue
-            den_lcm = lcm(*(c.denominator for c in u))
-            uz = tuple(int(c * den_lcm) for c in u)
-            g = gcd(*uz)
-            uz = tuple(c // g for c in uz)
-            uf = tuple(Fraction(c) for c in uz)
-            if f.eval(uf) != 0:
-                continue
-            # corank must be exactly one for the quotient construction
-            adj = adjugate3(P.block_at(uf, side))
-            if any(x for row in adj for x in row):
-                return uz
+    for base, dirv in section_lines():
+        g0, g3, gp, gm = (int(f.eval(v)) for v in (
+            base, dirv, [b + d for b, d in zip(base, dirv)],
+            [b - d for b, d in zip(base, dirv)]))
+        g = (g0, (gp - gm) // 2 - g3, (gp + gm) // 2 - g0, g3)
+        p = irreducible_mod(g)
+        if p is not None:
+            K = CubicField(g)
+            return (base, dirv), p, K, tuple(
+                NumberElem(K, (g3 * b, d, 0, 0)) for b, d in zip(base, dirv))
     return None
+
+
+rational_curve_point = cubic_section_point  # bench/tracer.py probes this name

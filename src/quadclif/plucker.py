@@ -329,11 +329,11 @@ def m0_identity_check():
 def adjugate_double_line(P, side, u, field=None):
     """Stratify the adjugate of one block at u: full rank away from the
     curve, and on the curve a certified rank-one symmetric matrix (the
-    double of the kernel line); corank two or a failed rank-one
-    certificate raises GenericityError."""
+    double of the kernel line), over field, which holds u's coordinates;
+    corank two or a failed rank-one certificate raises GenericityError."""
     if field is None:
         field = QQ
-    block = P.block_at(tuple(Fraction(c) for c in u), side)
+    block = P.block_at(u, side)
     m = [[field.coerce(x) for x in row] for row in block]
     adj = adjugate3(m)
     det = sum((m[0][k] * adj[k][0] for k in range(3)), field.zero)

@@ -308,6 +308,20 @@ def as_univariate(f, name):
     return coeffs
 
 
+def flip_step(monkeypatch, variant, bad):
+    """Negate the engine's normal form of e_mask·v_j on one (mask, j) of
+    one variant: the sign-broken engine."""
+    orig = CliffordAlgebra._mask_times_gen
+
+    def broken(self, mask, j):
+        res = orig(self, mask, j)
+        if self.variant == variant and (mask, j) == bad:
+            res = tuple((m, -c) for m, c in res)
+        return res
+
+    monkeypatch.setattr(CliffordAlgebra, "_mask_times_gen", broken)
+
+
 def central_odd_pencil(P, side):
     """The CentralOddResult of one block of P over Q[u]."""
     return central_odd(CliffordAlgebra.from_pencil(P, side))
@@ -537,3 +551,96 @@ def kernel_column_by_adjugate(P, side, pt, p):
         raise AssertionError(f"{pt} is not a curve point mod {p}")
     return next(((adj[0][j], adj[1][j], adj[2][j]) for j in range(3)
                  if adj[0][j] % p or adj[1][j] % p or adj[2][j] % p), None)
+
+
+# -- the random rational curve point search: the oracle for the line walk -------
+
+
+def divisors(n):
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return out
+
+
+def rational_roots(coeffs):
+    """Rational roots of Σ coeffs[k] t^k with integer coefficients.
+
+    Each candidate n/d (n | constant term, d | leading coefficient) is
+    tested by the integer Σ coeffs[k] n^k d^(deg-k) = d^deg·p(n/d), which
+    vanishes exactly when n/d is a root; candidates are visited in a fixed
+    order and each hit is listed, repeats included."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    if not coeffs:
+        return []
+    roots = []
+    if coeffs[0] == 0:
+        roots.append(Fraction(0))
+        while coeffs and coeffs[0] == 0:
+            coeffs = coeffs[1:]
+    if len(coeffs) <= 1:
+        return roots
+    deg = len(coeffs) - 1
+    dens = divisors(coeffs[-1])
+    # coeffs[k]·d^(deg-k), highest degree first, for each denominator d
+    scaled = {d: [c * d ** (deg - k) for k, c in reversed(list(enumerate(coeffs)))]
+              for d in dens}
+    for num in divisors(coeffs[0]):
+        for den in dens:
+            terms = scaled[den]
+            for n in (num, -num):
+                acc = 0
+                for c in terms:
+                    acc = acc * n + c
+                if acc == 0:
+                    roots.append(Fraction(n, den))
+    return roots
+
+
+def random_rational_curve_point(P, side, rng):
+    """A rational point of corank one on one determinant cubic, searched
+    on 200 random integer lines by their rational roots; None if the
+    budget runs out (a genus-one curve may have no rational point).  The
+    search the exact line walk (fiber.cubic_section_point) replaced."""
+    from math import gcd, lcm
+
+    f = P.det_curves().side(side)
+    terms = [(exps, int(c)) for exps, c in f.terms.items()]
+    for _ in range(200):
+        base = tuple(rng.randint(-4, 4) for _ in range(3))
+        dirv = tuple(rng.randint(-4, 4) for _ in range(3))
+        if not any(dirv):
+            continue
+        # restrict to the line base + t·dir: a univariate integer cubic
+        coeffs = [0, 0, 0, 0]
+        for exps, c in terms:
+            poly_t = [c]
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    nxt = [0] * (len(poly_t) + 1)
+                    for k, a in enumerate(poly_t):
+                        nxt[k] += a * base[i]
+                        nxt[k + 1] += a * dirv[i]
+                    poly_t = nxt
+            for k, a in enumerate(poly_t):
+                coeffs[k] += a
+        if not any(coeffs):
+            continue
+        for t in rational_roots(coeffs):
+            u = tuple(Fraction(b) + t * d for b, d in zip(base, dirv))
+            if not any(u):
+                continue
+            den_lcm = lcm(*(c.denominator for c in u))
+            uz = tuple(int(c * den_lcm) for c in u)
+            uz = tuple(c // gcd(*uz) for c in uz)
+            if f.eval(uz) != 0:
+                continue
+            if any(x for row in adjugate3(P.block_at(uz, side)) for x in row):
+                return uz
+    return None

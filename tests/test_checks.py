@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import cached_pencil, seeded_pencil
+from conftest import cached_pencil, flip_step, seeded_pencil
 from quadclif import checks, clifford
 from quadclif.checks import (
     CHECK_ORDER,
@@ -158,6 +158,39 @@ class TestRegistryMutants:
         assert [(w["variant"], w["single_scalar"]) for w in r.witnesses] == [
             ("ordinary", False), ("super", False)]
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_corank1_fails_on_a_flipped_step(self, monkeypatch, side):
+        # a negated v2·v1 step breaks one side algebra; its associativity
+        # proof fails before any curve point is built
+        flip_step(monkeypatch, side, (0b010, 0))
+        r = run_single(CheckContext(cached_pencil(42), points=1),
+                       "prop3.18-corank1-m2")
+        assert r.status == "fail"
+        assert r.witnesses == [
+            {"error": "ValueError: associativity fails on (e_1 e_2) v_0"}]
+
+    def test_corank1_fails_on_the_diagonal_with_the_discriminants(self):
+        # Δ₊ = Δ₋ = 0 allows corank-2 points, so no curve point is tried
+        r = run_single(CheckContext(diag_instance(), points=1),
+                       "prop3.18-corank1-m2")
+        assert r.status == "fail"
+        assert r.witnesses == [{"kind": "discriminant", "side": side, "delta": 0}
+                               for side in ("plus", "minus")]
+
+    def test_curve_checks_fail_on_a_vanishing_cubic_with_its_witness(self):
+        # q₋ = 0 makes f₋ vanish identically: the exact report has no Δ, and
+        # the checks gated by _curve_verdict name the degenerate cubic
+        # (prop4.2 reports the error of its off-curve sampling instead)
+        zero = tuple(tuple((0,) * 3 for _ in range(3)) for _ in range(3))
+        P = InvariantPencil(q_plus=cached_pencil(42).q_plus, q_minus=zero,
+                            seed=0, coeff_bound=5)
+        degenerate = {"kind": "degenerate_determinant", "prime": None,
+                      "point": None}
+        for cid in ("prop3.18-corank1-m2", "prop4.3-singular-locus"):
+            r = run_single(CheckContext(P, points=1), cid)
+            assert r.status != "pass"
+            assert degenerate in r.witnesses, (cid, r.witnesses)
+
 
 class TestInstanceFree:
     def test_all_pass_without_instance(self):
@@ -252,8 +285,7 @@ class TestOnInstance:
                 "value": 2} in results["def2.1-rank4"]
         assert results["prop2.5-nine-points"][1]["notes"][-1] \
             == "resultant identically zero"
-        assert results["prop3.18-corank1-m2"] == [
-            {"error": "FiberError: corank at least two at this point"}]
+        assert results["prop3.18-corank1-m2"] == delta
         assert {"side": "minus", "prime": 101, "violation_at": [1, 0, 0],
                 "certificate": "randomized"} in results["prop4.2-adjugate-double-line"]
         assert {"side": "plus", "prime": 107,
@@ -297,10 +329,16 @@ class TestOnInstance:
         ctx = CheckContext(P, points=2)
         r = run_single(ctx, "prop3.18-corank1-m2")
         assert r.status == "pass"
-        summary = r.witnesses[-1]
-        assert summary["corank1_points"] >= 5
-        fields = {w["field"] for w in r.witnesses if "field" in w}
-        assert fields  # every certified point names its field
+        *points, summary = r.witnesses
+        assert summary == {"corank1_points": 6, "required": 5}
+        # one point per side over the cubic field of its section, named with
+        # the prime that certifies the section irreducible; no mod-p label
+        assert [w["side"] for w in points] == ["plus", "minus"]
+        for w in points:
+            assert w["verdict"] == "M2" and w["conjugate_points"] == 3
+            assert w["field"].startswith("Q[s]/(s^3")
+            assert w["section"][3] % w["irreducible_mod"]
+            assert "certificate" not in w
 
     def test_adjugate_scan_counts(self):
         P = cached_pencil(42)

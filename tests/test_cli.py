@@ -39,8 +39,10 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 
 # SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
 # of `check --points 2` on that instance: every verdict and witness of the
-# full run is pinned byte for byte.
-FULL_RUN_SHA256 = "06e7670e6f4baf7ddd8a612f3a3509e117848c68f5e871d5ce2395673f34e4de"
+# full run is pinned byte for byte.  It changed only through the witnesses
+# of prop3.18-corank1-m2, when that check moved to exact points over the
+# cubic field of a line section (before: 06e7670e…f34e4de).
+FULL_RUN_SHA256 = "3ed3d3e32d924cdbe87be724756820ab1e50e5b056351f7aa113efe4b1f40df9"
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.
@@ -105,6 +107,19 @@ class TestCheckUsage:
     def test_unknown_check_id(self, tmp_path):
         inst = gen(tmp_path, seed=1, bound=3)
         assert main(["check", "prop9.9-nope", str(inst)]) == 2
+
+    def test_instance_file_named_like_a_check_id(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # an existing file is the instance even when its name has the shape
+        # of an id; an id-shaped name that is no file stays an unknown id
+        gen(tmp_path, name="prop42.json")
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "prop3.12-dplus-square", "prop42.json"]) == 0
+        assert "PASS prop3.12-dplus-square" in capsys.readouterr().out
+        assert main(["check", "prop42.json", "--points", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: pass"
+        assert main(["check", "prop43.json"]) == 2
+        assert "unknown check id: prop43.json" in capsys.readouterr().err
 
     def test_two_instance_paths(self, tmp_path):
         inst = gen(tmp_path, seed=1, bound=3)
@@ -319,13 +334,14 @@ class TestOptimizedInterpreter:
 
     def test_singular_net_invisible_mod_p_fails(self, tmp_path, capsys):
         """f₊ = u1·(u1u2 − 29u2² − u3²) is singular off every F_p-point the
-        scans see; Δ₊ = 0 FAILs exactly the four checks that need it."""
+        scans see; Δ₊ = 0 FAILs exactly the five checks that need it."""
         rc, rep = self._full_check_both_ways(
             tmp_path, capsys, with_q_plus(SINGULAR_OFF_FP_Q_PLUS))
         assert rc == 1 and rep["overall"] == "fail"
         fails = {c["id"]: c["witnesses"] for c in rep["checks"]
                  if c["status"] != "pass"}
         assert set(fails) == {"prop2.2-smoothness", "def2.1-rank4",
+                              "prop3.18-corank1-m2",
                               "prop4.2-adjugate-double-line",
                               "prop4.3-singular-locus"}
         for witnesses in fails.values():
@@ -354,8 +370,8 @@ class TestOptimizedInterpreter:
                                                       q_plus):
         """Δ₊ ≠ 0, but f₊ or one of its partials vanishes mod 101, so some
         scans cannot run there.  Each such scan gives a witness with a
-        bad-reduction note, never a crash, and the four curve checks
-        PASS."""
+        bad-reduction note, never a crash, and all twenty checks PASS:
+        prop3.18-corank1-m2 reads no scan prime."""
         _, rep = self._full_check_both_ways(
             tmp_path, capsys, with_q_plus(q_plus), points=1)
         results = {c["id"]: c for c in rep["checks"]}
@@ -364,11 +380,9 @@ class TestOptimizedInterpreter:
             assert results[cid]["status"] == "pass"
             assert any(w.get("note", "").startswith("bad reduction mod 101")
                        for w in results[cid]["witnesses"]), cid
-        # prop3.18-corank1-m2 takes its F_101 fallback points outside this
-        # rule, and fails on both nets (ROADMAP item 4)
-        others = [c for cid, c in results.items() if cid != "prop3.18-corank1-m2"]
-        assert all(c["status"] == "pass" for c in others)
-        assert not any("error" in w for c in others for w in c["witnesses"])
+        assert [c["status"] for c in results.values()] == ["pass"] * 20
+        assert not any("error" in w for c in results.values()
+                       for w in c["witnesses"])
 
 
 class TestEntryPoint:

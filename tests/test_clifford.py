@@ -34,7 +34,13 @@ from quadclif.clifford import (
 from quadclif.checks import CheckContext, run_single
 from quadclif.pencil import InvariantPencil, generate
 
-from conftest import QQI, cached_pencil, central_odd_by_ansatz, central_odd_pencil
+from conftest import (
+    QQI,
+    cached_pencil,
+    central_odd_by_ansatz,
+    central_odd_pencil,
+    flip_step,
+)
 
 
 def diag_pencil():
@@ -369,20 +375,6 @@ def test_phi_rejects_odd_weight(algebra_pair):
 # -- the generator-step certificate for phi -----------------------------------
 
 
-def _flip_step(monkeypatch, variant, bad):
-    """Negate the engine's normal form of e_mask·v_j on one (mask, j) of
-    one variant."""
-    orig = CliffordAlgebra._mask_times_gen
-
-    def broken(self, mask, j):
-        res = orig(self, mask, j)
-        if self.variant == variant and (mask, j) == bad:
-            res = tuple((m, -c) for m, c in res)
-        return res
-
-    monkeypatch.setattr(CliffordAlgebra, "_mask_times_gen", broken)
-
-
 def _block_sizes(m):
     return bin(m & 0b000111).count("1"), bin(m & 0b111000).count("1")
 
@@ -426,7 +418,7 @@ def test_phi_twist_lemma_on_mask_pairs(algebra_pair):
 
 def test_phi_certificate_names_the_mutated_step(monkeypatch):
     P = cached_pencil(42)
-    _flip_step(monkeypatch, "super", (0b001001, 1))  # v1+ v1- · v2+
+    flip_step(monkeypatch, "super", (0b001001, 1))  # v1+ v1- · v2+
     sup = CliffordAlgebra.from_pencil(P, "super")
     ordi = CliffordAlgebra.from_pencil(P, "ordinary")
     # the flipped step and the three steps whose normal form peels down to it
@@ -467,7 +459,7 @@ def test_phi_check_falls_back_on_a_broken_engine(monkeypatch):
     # step, so the check compares the structure constants and reports the
     # pairs that truly fail
     P = cached_pencil(42)
-    _flip_step(monkeypatch, "super", (0b001001, 1))
+    flip_step(monkeypatch, "super", (0b001001, 1))
     r = run_single(CheckContext(P, points=1), "prop3.9-phi")
     assert r.status == "fail"
     (wit,) = r.witnesses
@@ -577,7 +569,7 @@ CENTRAL_MUTANTS = [
                          ids=["v2.v1", "v1.v1"])
 def test_central_square_check_fails_on_a_flipped_step(monkeypatch, side, step,
                                                       error):
-    _flip_step(monkeypatch, side, step)
+    flip_step(monkeypatch, side, step)
     ctx = CheckContext(cached_pencil(42), points=1)
     other = "minus" if side == "plus" else "plus"
     r = run_single(ctx, f"prop3.12-d{side}-square")

@@ -3,20 +3,23 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from quadclif import fiber
 from quadclif.checks import CheckContext, run_single
 from quadclif.clifford import CliffordAlgebra, lift
 from quadclif.exactalg import PrimeField, QQ, mat_rank, mat_solve
 from quadclif.fiber import (
+    IRREDUCIBILITY_PRIMES,
+    CubicField,
     FiberError,
     FinAlg,
+    NumberElem,
     QuadraticTower,
     SideFibers,
     _corner_by_idempotent,
-    _divisors,
-    _rational_roots,
     center_basis,
     center_dim,
     certify_matrix_algebra,
@@ -24,19 +27,27 @@ from quadclif.fiber import (
     clifford_fiber,
     corank1_quotient,
     corner_algebra,
-    describe_field,
+    cubic_section_point,
     eval_element,
     gram_matrix,
+    irreducible_mod,
     radical_dim,
-    rational_curve_point,
     sample_invertible_points,
+    section_lines,
     side_fiber,
     tensor_product,
 )
 from quadclif.geometry import curve_points
 from quadclif.pencil import InvariantPencil, _derived_rng
 
-from conftest import as_univariate, cached_pencil, fp_sqrt
+from conftest import (
+    as_univariate,
+    cached_pencil,
+    divisors,
+    fp_sqrt,
+    random_rational_curve_point,
+    rational_roots,
+)
 
 
 def diag_matrix(*d):
@@ -318,7 +329,7 @@ def test_golden_nonsplit_etale_extends():
     cert = certify_split_pair(A, 1)
     assert cert.verdict == "M1xM1"
     assert cert.field.radicands == (Fraction(2),)
-    assert describe_field(cert.field) == "Q(sqrt 2)"
+    assert cert.field.name == "Q(sqrt 2)"
 
 
 def test_unit_and_associativity_validation():
@@ -496,7 +507,7 @@ def test_non_semisimple_fiber_fails_through_the_registry(monkeypatch):
     for u in ctx.fiber_points():
         for side in ("plus", "minus"):
             cert = certify_split_pair(fake_fiber(None, side, u)[0], 2)
-            assert (cert.verdict, describe_field(cert.field)) == ("fail:radical-6", "Q")
+            assert (cert.verdict, cert.field.name) == ("fail:radical-6", "Q")
     DD = tensor_product(dual_numbers(), dual_numbers())
     over_q = tensor_product(DD, DD)
     assert over_q.field.level == 0
@@ -798,15 +809,17 @@ def test_corank1_quotient_diag_pencil():
 
 def test_corank_two_fails_the_diagonal_corank1_check():
     """The diagonal control's first F_101 curve point in sweep order is
-    (1, 0, 0), where its block diag(1, 0, 0) has corank two; that is the
-    reason prop3.18-corank1-m2 fails there."""
+    (1, 0, 0), where its block diag(1, 0, 0) has corank two: the F_101
+    route stays as the oracle of that.  The check itself FAILs first on
+    Δ₊ = Δ₋ = 0, which allows such points."""
     P = diag_pencil()
     with pytest.raises(FiberError, match="^corank at least two at this point$"):
         corank1_quotient(SideFibers(P), "plus", (1, 0, 0), field=PrimeField(101))
     assert curve_points(P.det_curves().f_plus, 101)[0] == (1, 0, 0)
     r = run_single(CheckContext(P, points=1), "prop3.18-corank1-m2")
     assert r.status == "fail"
-    assert r.witnesses == [{"error": "FiberError: corank at least two at this point"}]
+    assert r.witnesses == [{"kind": "discriminant", "side": side, "delta": 0}
+                           for side in ("plus", "minus")]
 
 
 def test_corank1_quotient_prime_field():
@@ -821,16 +834,198 @@ def test_corank1_quotient_prime_field():
         assert verdict == "M2"
 
 
+# -- the cubic field of a line section -----------------------------------------
+
+
+def _theta_coeffs(x):
+    """x ∈ CubicField(g) on the basis (1, θ, θ²), θ = s/g₃, as Fractions;
+    the fourth numerator of a cubic-field element stays 0."""
+    g3 = x.field.section[3]
+    assert x.n[3] == 0
+    return [Fraction(c * g3 ** k, x.d) for k, c in enumerate(x.n[:3])]
+
+
+def _mul_mod(a, b, g):
+    """a·b mod g in Q[t], by Fraction polynomial arithmetic."""
+    prod_ = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod_[i + j] += x * y
+    for k in range(len(prod_) - 1, 2, -1):
+        c = prod_[k] / g[3]
+        for i in range(4):
+            prod_[k - 3 + i] -= c * g[i]
+    return prod_[:3]
+
+
+def _random_cubic_elem(K, rng):
+    return NumberElem(K, (*(rng.randint(-9, 9) for _ in range(3)), 0),
+                      rng.choice([1, 1, 2, 3, -4, 6]))
+
+
+def test_cubic_field_matches_fraction_polynomials_mod_g():
+    """+, *, inverse and canonical form of CubicField against Fraction
+    arithmetic in Q[t]/(g) on the basis of θ, on seeded irreducible
+    cubics and elements."""
+    rng = _derived_rng("test", "cubic-field")
+    fields = 0
+    while fields < 12:
+        g = tuple(rng.randint(-20, 20) for _ in range(4))
+        if not g[3] or irreducible_mod(g) is None:
+            continue
+        fields += 1
+        K = CubicField(g)
+        for _ in range(15):
+            x, y = _random_cubic_elem(K, rng), _random_cubic_elem(K, rng)
+            tx, ty = _theta_coeffs(x), _theta_coeffs(y)
+            assert _theta_coeffs(x + y) == [a + b for a, b in zip(tx, ty)]
+            assert _theta_coeffs(x - y) == [a - b for a, b in zip(tx, ty)]
+            assert _theta_coeffs(x * y) == _mul_mod(tx, ty, g)
+            if x:
+                assert _mul_mod(tx, _theta_coeffs(x.inverse()), g) == [1, 0, 0]
+                assert x / x == K.one == 1
+            # canonical form: a scaled representation is the same element
+            k = rng.choice([2, 3, -5])
+            z = NumberElem(K, tuple(k * c for c in x.n), k * x.d)
+            assert (z.n, z.d) == (x.n, x.d)
+            assert z == x and hash(z) == hash(x) and str(z) == str(x)
+        half = NumberElem(K, (3, 0, 0, 0), 6)
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert Fraction(1) / K.coerce(2) == half
+
+
+def test_cubic_field_refuses_mixed_fields_and_non_cubics():
+    K, L = CubicField((1, 0, 0, 1)), CubicField((2, 0, 0, 1))
+    with pytest.raises(TypeError):
+        K.one + L.one
+    with pytest.raises(TypeError):
+        K.coerce(0.5)
+    with pytest.raises(ValueError, match="not a cubic"):
+        CubicField((1, 2, 3, 0))
+    assert K.name == "Q[s]/(s^3 + 1)"
+    assert CubicField((88, 80, 36, 5)).name == "Q[s]/(s^3 + 36*s^2 + 400*s + 2200)"
+
+
+def test_irreducible_mod_never_certifies_a_cubic_with_a_rational_root():
+    """The certificate is sound one way: on seeded cubics, one with a
+    rational root (rational_roots) is never certified, and most without
+    one are, by a prime that does not divide g₃."""
+    rng = _derived_rng("test", "irreducible-mod")
+    certified = rooted = 0
+    for trial in range(400):
+        if trial % 2:
+            # a rational linear factor times a random quadratic
+            n, d = rng.randint(-9, 9), rng.randint(1, 6)
+            q = [rng.randint(-9, 9) for _ in range(2)] + [rng.randint(1, 9)]
+            g = tuple([-n * q[0]] + [d * q[k] - n * q[k + 1] for k in range(2)]
+                      + [d * q[2]])
+        else:
+            g = tuple(rng.randint(-60, 60) for _ in range(3)) + (rng.randint(1, 60),)
+        p = irreducible_mod(g)
+        if rational_roots(list(g)):
+            rooted += 1
+            assert p is None, g
+        elif p is not None:
+            certified += 1
+            assert g[3] % p and p in IRREDUCIBILITY_PRIMES
+    assert rooted >= 200 and certified > 150
+
+
+def test_section_lines_are_the_primitive_normals_up_to_three():
+    """Every primitive n with |nᵢ| ≤ 3 gives one line, up to sign, spanned
+    by a basis of n⊥, in order of |n|₁: the coordinate lines come first."""
+    normals = []
+    for base, dirv in section_lines():
+        n = tuple(base[i - 2] * dirv[i - 1] - base[i - 1] * dirv[i - 2]
+                  for i in range(3))  # base × dir, a nonzero normal
+        g = gcd(*n)
+        n = tuple(x // g for x in n)
+        normals.append(n if n > (0, 0, 0) else tuple(-x for x in n))
+    assert len(normals) == len(set(normals)) == 145
+    assert all(max(map(abs, n)) <= 3 for n in normals)
+    assert [sum(map(abs, n)) for n in normals] == sorted(
+        sum(map(abs, n)) for n in normals)
+    assert set(normals[:3]) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+
+
+def test_section_walk_skips_a_line_with_a_rational_root(monkeypatch):
+    """A line through a rational curve point has a section with the root
+    t = 0; the walk passes it and takes the next line, and with only such
+    lines it runs out, which FAILs the check."""
+    P = cached_pencil(1, 1)
+    r = random_rational_curve_point(P, "plus", _derived_rng("walk", 1))
+    assert r is not None
+    rooted = (r, (0, 0, 1) if r[2] == 0 else (1, 0, 0))
+    good = cubic_section_point(P, "plus")[0]
+    monkeypatch.setattr(fiber, "section_lines", lambda: (rooted, good))
+    assert cubic_section_point(P, "plus")[0] == good
+    monkeypatch.setattr(fiber, "section_lines", lambda: (rooted,))
+    assert cubic_section_point(P, "plus") is None
+    res = run_single(CheckContext(P, points=1), "prop3.18-corank1-m2")
+    assert res.status == "fail"
+    assert {"side": "plus", "verdict": "no section certified irreducible"} \
+        in res.witnesses
+    assert res.witnesses[-1]["corank1_points"] < 5
+
+
+def test_section_walk_on_the_pinned_instance():
+    """All six coordinate sections of seed 42 are irreducible: the walk
+    takes the first line on each side, and u is a curve point over K with
+    coordinates in Z[s]."""
+    P = cached_pencil(42)
+    for side in ("plus", "minus"):
+        line, p, K, u = cubic_section_point(P, side)
+        assert line == ((1, 0, 0), (0, 1, 0))
+        g = K.section
+        assert g[3] % p and not rational_roots(list(g))
+        assert all(c.d == 1 for c in u)
+        assert not P.det_curves().side(side).eval(u)
+
+
+@pytest.mark.parametrize("seed,bound", [(42, 5), (7, 5), (1, 1), (8, 1), (15, 1)])
+def test_cubic_field_verdict_agrees_with_the_old_routes(seed, bound):
+    """The K-route verdict against the F_101 route at the first three
+    curve points, and against the Q route at the rational point the old
+    random search finds (bound 1 has them on most sides)."""
+    P = cached_pencil(seed, bound)
+    sides = SideFibers(P)
+    for side in ("plus", "minus"):
+        _, _, K, u = cubic_section_point(P, side)
+        verdicts = {corank1_quotient(sides, side, u, K)[1]}
+        for pt in curve_points(P.det_curves().side(side), 101)[:3]:
+            verdicts.add(corank1_quotient(sides, side, pt, PrimeField(101))[1])
+        pt = random_rational_curve_point(P, side, _derived_rng("curve-point",
+                                                               seed, side))
+        if pt is not None:
+            verdicts.add(corank1_quotient(sides, side, pt)[1])
+        assert verdicts == {"M2"}
+
+
+def test_corank1_check_passes_on_bound_one_instances():
+    """Bound 1 gives the smallest sections, the likeliest to have a
+    rational root; the walk still certifies one point per side on seeds
+    1 to 25."""
+    for seed in range(1, 26):
+        r = run_single(CheckContext(cached_pencil(seed, 1), points=1),
+                       "prop3.18-corank1-m2")
+        assert r.status == "pass", seed
+        assert r.witnesses[-1]["corank1_points"] == 6, seed
+
+
 def test_rational_curve_point_search():
+    """The old search finds a rational point on f₊ = u1²·u2, where the
+    quotient is M2; every line section of that reducible cubic has a
+    rational root, so the line walk finds nothing."""
     mats = (diag_matrix(1, 1, 0), diag_matrix(0, 0, 1), diag_matrix(0, 0, 0))
     P = InvariantPencil(q_plus=mats, q_minus=(basis_mat(0), basis_mat(1), basis_mat(2)),
                         seed=0, coeff_bound=1)
-    pt = rational_curve_point(P, "plus", random.Random("lines"))
+    pt = random_rational_curve_point(P, "plus", random.Random("lines"))
     assert pt is not None
     uf = tuple(Fraction(c) for c in pt)
     assert P.det_curves().f_plus.eval(uf) == 0
     Q, verdict = corank1_quotient(SideFibers(P), "plus", pt)
     assert verdict == "M2"
+    assert cubic_section_point(P, "plus") is None
 
 
 def _rational_curve_point_by_subs(P, side, rng):
@@ -869,12 +1064,13 @@ def _rational_curve_point_by_subs(P, side, rng):
 
 @pytest.mark.parametrize("seed,bound", [(42, 5), (1, 1), (8, 1), (15, 1)])
 def test_rational_curve_point_matches_substitution(seed, bound):
-    # bound 1: points found on most sides, none on the minus side of 8 and
-    # 15; bound 5: none found, so all 200 lines are compared
+    # the search oracle against its own reference; bound 1: points found on
+    # most sides, none on the minus side of 8 and 15; bound 5: none found,
+    # so all 200 lines are compared
     P = cached_pencil(seed, bound)
     for side in ("plus", "minus"):
         label = f"curve-point-{seed}-{side}"
-        got = rational_curve_point(P, side, _derived_rng(label))
+        got = random_rational_curve_point(P, side, _derived_rng(label))
         assert got == _rational_curve_point_by_subs(P, side, _derived_rng(label))
 
 
@@ -886,7 +1082,9 @@ def test_rational_curve_point_rejects_fractional_cubic(pencil42):
     object.__setattr__(P, "_det_curves",
                        DetCurves(curves.f_plus * Fraction(1, 2), curves.f_minus))
     with pytest.raises(FiberError, match="non-integer coefficient"):
-        rational_curve_point(P, "plus", random.Random(0))
+        cubic_section_point(P, "plus")
+    # the name the benchmark's curve point probe wraps is the line walk
+    assert fiber.rational_curve_point is cubic_section_point
 
 
 def _rational_roots_fraction_horner(coeffs):
@@ -902,8 +1100,8 @@ def _rational_roots_fraction_horner(coeffs):
             coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return roots
-    for num in _divisors(coeffs[0]):
-        for den in _divisors(coeffs[-1]):
+    for num in divisors(coeffs[0]):
+        for den in divisors(coeffs[-1]):
             for sgn in (1, -1):
                 t = Fraction(sgn * num, den)
                 acc = Fraction(0)
@@ -932,12 +1130,12 @@ def test_rational_roots_match_fraction_horner():
             coeffs = [rng.randint(-60, 60) for _ in range(4)]
             if trial % 7 == 0:
                 coeffs[0] = 0
-        got = _rational_roots(list(coeffs))
+        got = rational_roots(list(coeffs))
         assert got == _rational_roots_fraction_horner(list(coeffs)), coeffs
         hits += bool(got)
     assert hits > 100
-    assert _rational_roots([0, 0, 0]) == []
-    assert _rational_roots([6, -5, 1]) == _rational_roots_fraction_horner([6, -5, 1])
+    assert rational_roots([0, 0, 0]) == []
+    assert rational_roots([6, -5, 1]) == _rational_roots_fraction_horner([6, -5, 1])
 
 
 def test_sampling_is_deterministic():

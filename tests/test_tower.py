@@ -1,5 +1,5 @@
 """Integer-coordinate quadratic towers against a Fraction-coordinate
-reference: the arithmetic TowerElem used to do coordinate by coordinate
+reference: the arithmetic tower elements used to do coordinate by coordinate
 in Fractions is kept here as the oracle."""
 
 from fractions import Fraction
@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from quadclif.exactalg import is_square_fraction
-from quadclif.fiber import QuadraticTower, TowerElem
+from quadclif.fiber import NumberElem, QuadraticTower
 from quadclif.pencil import _derived_rng
 
 
@@ -155,7 +155,7 @@ def test_canonical_form_is_unique():
     t = QuadraticTower(())
     assert (t.make(0).n, t.make(0).d) == ((0, 0, 0, 0), 1)
     assert (t.make(Fraction(2, 4)).n, t.make(Fraction(2, 4)).d) == ((1, 0, 0, 0), 2)
-    assert TowerElem(t, (2, 0, 0, 0), -4).n == (-1, 0, 0, 0)
+    assert NumberElem(t, (2, 0, 0, 0), -4).n == (-1, 0, 0, 0)
 
 
 def test_rational_elements_hash_like_their_value():
@@ -215,12 +215,12 @@ def test_shallow_elements_embed_in_deeper_towers():
         es = shallow.make(*xs)
         ey = t.make(*y)
         deep = t.coerce(es)
-        assert deep.tower is t and deep.c == xs
+        assert deep.field is t and deep.c == xs
         assert deep == es and es == deep and hash(deep) == hash(es)
         # the deeper operand coerces the shallower one
         for got, want in ((ey + es, ref_add(y, xs)), (ey * es, ref_mul(rads, y, xs)),
                           (ey - es, ref_sub(y, xs))):
-            assert got.tower is t and got.c == want
+            assert got.field is t and got.c == want
         with pytest.raises(ValueError):
             shallow.coerce(ey)
     with pytest.raises(ValueError):
