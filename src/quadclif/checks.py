@@ -475,6 +475,8 @@ def _curve_verdict(ctx):
 
 def _check_adjugate(ctx):
     ok, wit, smooth = _curve_verdict(ctx)
+    if any(w["kind"] == "degenerate_determinant" for w in wit):
+        return False, wit  # f ≡ 0 leaves no off-curve point to sample
     p = ctx.primes[0]
     for u in ctx.fiber_points()[:3]:
         for side in ("plus", "minus"):

@@ -68,8 +68,8 @@ class CliffordAlgebra:
         self._terms = None
 
     @classmethod
-    def from_pencil(cls, P, variant, field=QQ):
-        ring = PolyRing(field, U_VARS)
+    def from_pencil(cls, P, variant):
+        ring = PolyRing(QQ, U_VARS)
         qp = P.linear_form_matrix("plus", ring) if variant != "minus" else None
         qm = P.linear_form_matrix("minus", ring) if variant != "plus" else None
         return cls(ring, variant, q_plus=qp, q_minus=qm)

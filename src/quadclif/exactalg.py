@@ -24,12 +24,11 @@ Linear algebra has one routine per job, shared by every module:
   behind `pencil.ternary_quadric_resultant` and `sylvester_resultant`,
   which takes the max(m, n)-square Bézout
   matrix instead of the (m + n)-square Sylvester matrix, by
-  Res(f, g) = (-1)^(m(m-1)/2)·det Bez(f, g)/lc(f)^(m-n) for m ≥ n, and
-  with `interpolate_int` gives resultants by evaluation and
-  interpolation (Collins, J. ACM 18 (1971);
-  von zur Gathen and Gerhard, *Modern Computer Algebra*, Ch. 6), and
-  `squarefree_univariate` certifies mod one prime (sound by Gauss's
-  lemma) before the exact gcd over Q decides;
+  Res(f, g) = (-1)^(m(m-1)/2)·det Bez(f, g)/lc(f)^(m-n) for m ≥ n, the
+  one resultant over Z: with `interpolate_int` it gives resultants by
+  evaluation and interpolation (Collins, J. ACM 18 (1971); von zur Gathen
+  and Gerhard, *Modern Computer Algebra*, Ch. 6), and
+  `squarefree_univariate` is Res(h, h′) ≠ 0;
 * `kernel_int_sparse` is the separate sparse integer kernel of the graded
   commutant solver.
 """
@@ -621,66 +620,21 @@ def interpolate_int(values):
     return coeffs
 
 
-def _gcd_with_derivative(h, field):
-    """Monic Euclidean gcd of h and h′ over a field, h a dense coefficient
-    list [c0..cd]."""
-
-    def strip(v):
-        v = list(v)
-        while v and not v[-1]:
-            v.pop()
-        return v
-
-    def rem(u, v):
-        u = list(u)
-        dv = len(v) - 1
-        inv_lead = field.one / v[-1]
-        while len(u) - 1 >= dv and u:
-            if not u[-1]:
-                u.pop()
-                continue
-            q = u[-1] * inv_lead
-            shift = len(u) - 1 - dv
-            for k in range(dv + 1):
-                u[shift + k] = u[shift + k] - q * v[k]
-            u = strip(u)
-        return u
-
-    a, b = strip(h), strip([c * k for k, c in enumerate(h)][1:])
-    while b:
-        a, b = b, rem(a, b)
-    if a:
-        inv = field.one / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-# The mod-p squarefree certificate uses the first that does not divide lc(h).
-SQUAREFREE_FIELDS = tuple(PrimeField(p) for p in (1000003, 1000033, 1000037))
-
-
 def squarefree_univariate(coeffs):
-    """(is_squarefree, gcd(h, h′)) for h = Σ coeffs[k]·tᵏ in Z[t], nonzero;
-    the gcd is monic over Q, as a coefficient list.
+    """Whether h = Σ coeffs[k]·tᵏ in Z[t], nonzero, is squarefree over Q.
 
-    h is first reduced mod the first p in SQUAREFREE_FIELDS with p ∤ lc(h).
-    A constant gcd(h̄, h̄′) there certifies h squarefree over Q, by Gauss's
-    lemma: if h = g²k over Q with deg g ≥ 1, g may be taken primitive in
-    Z[t] with g² | h in Z[t], so p ∤ lc(g) and h̄ keeps the square factor
-    ḡ² of positive degree.  When that test does not certify, or every
-    listed p divides lc(h), the exact Euclidean gcd over Q decides, so a
-    "not squarefree" verdict is always exact."""
+    In characteristic 0, h has a repeated root iff gcd(h, h′) ≠ 1 (von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, Ch. 6).  For deg h ≥ 1,
+    lc(h′) = deg(h)·lc(h) ≠ 0, so that holds iff Res(h, h′) = 0, an exact
+    integer determinant (`sylvester_resultant`).  A nonzero constant is
+    squarefree."""
     h = int_coeffs(coeffs)
     while h and not h[-1]:
         h.pop()
     if not h:
         raise ValueError("squarefreeness of the zero polynomial")
-    field = next((F for F in SQUAREFREE_FIELDS if h[-1] % F.p), None)
-    if field is not None and len(_gcd_with_derivative(
-            [FpElem(c, field.p) for c in h], field)) == 1:
-        return True, [QQ.one]
-    g = _gcd_with_derivative([Fraction(c) for c in h], QQ)
-    return len(g) == 1, g
+    return len(h) == 1 or sylvester_resultant(
+        h, [k * c for k, c in enumerate(h)][1:]) != 0
 
 
 # ---------------------------------------------------------------------------

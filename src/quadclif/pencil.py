@@ -9,12 +9,12 @@ see `ternary_quadric_resultant`), which also gives corank ≤ 1 along the
 curves, and nine distinct transverse intersection points (a squarefree
 degree-9 resultant).
 
-The binary form R = Res_u3(f₊, f₋) of degree 9 is interpolated over Z
-from ten integer resultants of cubics R(t, 1), t = 0..9 (Collins,
-J. ACM 18 (1971); von zur Gathen and Gerhard, *Modern Computer Algebra*,
-Ch. 6).  R(t, 1) is certified squarefree mod one prime when it can be
-(sound by Gauss's lemma), else the exact gcd over Q decides.  This
-module holds exact facts only; the F_p scan witnesses live in `checks`.
+The binary form R = Res_u3(f₊, f₋) of degree 9, projected from the first
+usable center of `CENTERS`, is interpolated over Z from ten integer
+resultants of cubics R(t, 1), t = 0..9 (Collins, J. ACM 18 (1971); von zur
+Gathen and Gerhard, *Modern Computer Algebra*, Ch. 6), and is squarefree
+iff Res(R(t, 1), R′(t, 1)) ≠ 0: one integer routine per job, and no seed.
+This module holds exact facts only; the F_p scan witnesses live in `checks`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 
 from .exactalg import (
     QQ,
@@ -34,7 +34,6 @@ from .exactalg import (
     bareiss_det,
     int_coeffs,
     interpolate_int,
-    mat_rank,
     squarefree_univariate,
     sylvester_resultant,
 )
@@ -291,77 +290,62 @@ def generate(seed, coeff_bound, max_attempts=50):
 # -- resultant certificate ----------------------------------------------------
 
 
-def _coordinate_change(f, mat):
-    """f(M·u) for an integer matrix M acting on the column of variables."""
-    ring = f.ring
-    u = [ring.var(v) for v in ring.vars]
-    images = {}
-    for i, v in enumerate(ring.vars):
-        acc = ring.zero()
-        for j in range(3):
-            if mat[i][j]:
-                acc = acc + u[j] * mat[i][j]
-        images[v] = acc
-    return f.subs(images)
+# (0:0:1), then five centers (c₁ : c₂ : 1) with c₁c₂ ≠ 0, no three collinear
+CENTERS = ((0, 0, 1), (1, 1, 1), (1, -1, 1), (2, 1, 1), (-1, 2, 1), (2, 3, 1))
 
 
-def _random_gl3(rng):
-    while True:
-        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        if mat_rank([[Fraction(x) for x in r] for r in m]) == 3:
-            return m
-
-
-def binary_resultant(f_plus, f_minus):
-    """Coefficients [r0, ..., r9] of the binary form R = Res_u3(f₊, f₋) =
-    Σ rᵢ·u1ⁱ·u2⁹⁻ⁱ, for integer cubic forms with f±(0,0,1) ≠ 0, by
-    evaluation and interpolation (Collins, J. ACM 18 (1971); von zur
-    Gathen and Gerhard, *Modern Computer Algebra*, Ch. 6).  This is exact:
-    - the u3³ coefficients f±(0,0,1) are nonzero constants, so setting
-      (u1, u2) = (t, 1) keeps both degrees in u3 and commutes with the
-      Sylvester determinant: R(t, 1) = Res_u3(f₊(t,1,u3), f₋(t,1,u3)),
-      an integer resultant of two cubics at each integer t;
-    - R is a binary form of degree 9, so R(t, 1) = Σ rᵢ·tⁱ carries all its
-      coefficients and its values at t = 0..9 fix it; the interpolation
-      checks that its divisions are exact.
-    So R = 0 iff all ten values vanish, and deg R = 9 whenever R ≠ 0."""
-    specialized = []
+def binary_resultant(f_plus, f_minus, center):
+    """Coefficients [r0, ..., r9] of R_c = Res_u3(f₊∘M, f₋∘M) = Σ rᵢ·u1ⁱ·u2⁹⁻ⁱ
+    for integer cubic forms f±, with M = [[1, 0, c₁], [0, 1, c₂], [0, 0, c₃]]
+    the coordinate change u ↦ M·u sending (0:0:1) to the center c; None when
+    c lies on a curve, seen before any determinant: the u3³ coefficient of
+    f∘M is f(M·e₃) = f(c).  Exact, by evaluation and interpolation (Collins,
+    J. ACM 18 (1971); von zur Gathen and Gerhard, *Modern Computer Algebra*,
+    Ch. 6): f±(c) ≠ 0 are constants, so setting (u1, u2) = (t, 1) keeps both
+    degrees in u3 and commutes with the Sylvester determinant, and
+    R_c(t, 1) = Res_x(f₊(t + c₁x, 1 + c₂x, c₃x), f₋(…)) is a resultant of
+    two integer cubics in x (their coefficients, polynomials in t, come from
+    the binomial expansion of f's terms); R_c has degree 9, so its values
+    at t = 0..9 fix it, and `interpolate_int` checks every division.  So
+    R_c = 0 iff all ten values vanish, and deg R_c = 9 whenever R_c ≠ 0."""
+    c1, c2, c3 = center
+    if not c3:
+        raise ValueError("need a center off the line u3 = 0")
+    sections = []
     for f in (f_plus, f_minus):
-        if not f.terms.get((0, 0, 3)) or any(sum(e) != 3 for e in f.terms):
-            raise ValueError("need cubic forms with f(0, 0, 1) ≠ 0")
-        terms = list(zip(f.terms, int_coeffs(f.terms.values())))
-        specialized.append(
-            [[sum(c * t ** e[0] for e, c in terms if e[2] == k) for k in range(4)]
-             for t in range(10)])
+        g = [[0] * 4 for _ in range(4)]  # g[k][a]: the coefficient of tᵃxᵏ
+        for (i, j, k), c in zip(f.terms, int_coeffs(f.terms.values())):
+            if i + j + k != 3:
+                raise ValueError("need cubic forms")
+            for a, b in itertools.product(range(i + 1), range(j + 1)):
+                g[i - a + j - b + k][a] += (c * comb(i, a) * comb(j, b) * c3 ** k
+                                            * c1 ** (i - a) * c2 ** (j - b))
+        if not g[3][0]:  # f(c)
+            return None
+        sections.append([[((gk[3] * t + gk[2]) * t + gk[1]) * t + gk[0] for gk in g]
+                         for t in range(10)])
     return interpolate_int(
-        [sylvester_resultant(a, b) for a, b in zip(*specialized)])
+        [sylvester_resultant(a, b) for a, b in zip(*sections)])
 
 
-def resultant_nine_points(f_plus, f_minus, rng=None):
+def resultant_nine_points(f_plus, f_minus):
     """(nine_points, degree, notes): eliminates u3 from the two cubic
     forms and tests the resulting binary form for squarefreeness.  A
     squarefree degree-9 resultant certifies nine distinct intersection
-    points, each of multiplicity one by Bézout, so transverse.  Up to six
-    projection centers are tried, each move a seeded coordinate change
-    noted: the center (0:0:1) moves when it lies on a curve, and when R is
-    not squarefree, since a center lined up with two intersection points
-    also gives a repeated root.  A tangency gives one from every center."""
-    if rng is None:
-        rng = _derived_rng("resultant", repr(sorted(f_plus.terms.items())))
+    points, each of multiplicity one by Bézout, so transverse.  The
+    CENTERS are tried in order, each move noted: the center moves when it
+    lies on a curve, and when R is not squarefree, since a center lined up
+    with two intersection points also gives a repeated root.  A tangency
+    gives one from every center."""
     notes = []
-    fp, fm = f_plus, f_minus
     degree = -1
-    for attempt in range(6):
+    for attempt, center in enumerate(CENTERS):
         if attempt:
-            M = _random_gl3(rng)
-            fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)
             notes.append(f"coordinate change ({reason})")
-        # the resultant in u3 sees degree 3 exactly iff the u3³ coefficient,
-        # f(0,0,1) for a cubic form, is nonzero
-        if not (fp.terms.get((0, 0, 3)) and fm.terms.get((0, 0, 3))):
+        h = binary_resultant(f_plus, f_minus, center)
+        if h is None:
             reason = "projection center on a curve"
             continue
-        h = binary_resultant(fp, fm)
         if not any(h):
             return False, -1, tuple(notes + ["resultant identically zero"])
         # u2^k ∥ R means a k-fold root at (1:0), and h = R(t, 1) carries the
@@ -369,7 +353,7 @@ def resultant_nine_points(f_plus, f_minus, rng=None):
         # R(t, 1) is squarefree.
         while not h[-1]:
             h.pop()
-        if len(h) >= 9 and squarefree_univariate(h)[0]:
+        if len(h) >= 9 and squarefree_univariate(h):
             return True, 9, tuple(notes)
         degree, reason = 9, "resultant not squarefree"
     if degree < 0:
@@ -397,8 +381,7 @@ def genericity_check(P):
               for side in ("plus", "minus")}
     witnesses = [{"kind": "discriminant", "side": side, "delta": 0}
                  for side, ok in smooth.items() if not ok]
-    rng = _derived_rng("resultant", P.seed, P.coeff_bound, P.digest())
-    nine, deg, notes = resultant_nine_points(curves.f_plus, curves.f_minus, rng)
+    nine, deg, notes = resultant_nine_points(curves.f_plus, curves.f_minus)
     if not nine:
         witnesses.append({"kind": "resultant", "prime": None, "point": None,
                           "degree": deg, "squarefree": False})

@@ -13,6 +13,8 @@ from quadclif.exactalg import (
     QQ,
     FpElem,
     MultiPoly,
+    PolyRing,
+    PrimeField,
     adjugate3,
     bareiss_det,
     int_coeffs,
@@ -21,10 +23,12 @@ from quadclif.exactalg import (
 )
 from quadclif.geometry import ReducedCurve, _zero_set, compile_poly
 from quadclif.pencil import (
+    U_VARS,
     URING,
     InvariantPencil,
     _derived_rng,
     _random_sym3,
+    binary_resultant,
     generate,
 )
 
@@ -308,6 +312,129 @@ def as_univariate(f, name):
     return coeffs
 
 
+# -- the two-path squarefree test and the seeded projection centers: the ----
+# -- oracles for exactalg.squarefree_univariate and pencil.CENTERS -----------
+
+
+def gcd_with_derivative(h, field):
+    """Monic Euclidean gcd of h and h′ over a field, h a dense coefficient
+    list [c0..cd]."""
+
+    def strip(v):
+        v = list(v)
+        while v and not v[-1]:
+            v.pop()
+        return v
+
+    def rem(u, v):
+        u = list(u)
+        dv = len(v) - 1
+        inv_lead = field.one / v[-1]
+        while len(u) - 1 >= dv and u:
+            if not u[-1]:
+                u.pop()
+                continue
+            q = u[-1] * inv_lead
+            shift = len(u) - 1 - dv
+            for k in range(dv + 1):
+                u[shift + k] = u[shift + k] - q * v[k]
+            u = strip(u)
+        return u
+
+    a, b = strip(h), strip([c * k for k, c in enumerate(h)][1:])
+    while b:
+        a, b = b, rem(a, b)
+    if a:
+        inv = field.one / a[-1]
+        a = [c * inv for c in a]
+    return a
+
+
+# The mod-p certificate uses the first that does not divide lc(h).
+SQUAREFREE_FIELDS = tuple(PrimeField(p) for p in (1000003, 1000033, 1000037))
+
+
+def squarefree_by_gcd(coeffs):
+    """(is_squarefree, gcd(h, h′)) for h = Σ coeffs[k]·tᵏ in Z[t], nonzero,
+    the gcd monic over Q: the two-path test that squarefree_univariate
+    replaced.  h is first reduced mod the first p in SQUAREFREE_FIELDS with
+    p ∤ lc(h); a constant gcd(h̄, h̄′) there certifies h squarefree over Q,
+    by Gauss's lemma (a square factor g² of h, g primitive in Z[t], keeps
+    p ∤ lc(g) and survives mod p).  Otherwise the Euclidean gcd over Q
+    decides."""
+    h = int_coeffs(coeffs)
+    while h and not h[-1]:
+        h.pop()
+    if not h:
+        raise ValueError("squarefreeness of the zero polynomial")
+    field = next((F for F in SQUAREFREE_FIELDS if h[-1] % F.p), None)
+    if field is not None and len(gcd_with_derivative(
+            [FpElem(c, field.p) for c in h], field)) == 1:
+        return True, [QQ.one]
+    g = gcd_with_derivative([Fraction(c) for c in h], QQ)
+    return len(g) == 1, g
+
+
+def coordinate_change(f, mat):
+    """f(M·u) for an integer matrix M acting on the column of variables,
+    by MultiPoly substitution over Q."""
+    ring = f.ring
+    u = [ring.var(v) for v in ring.vars]
+    images = {}
+    for i, v in enumerate(ring.vars):
+        acc = ring.zero()
+        for j in range(3):
+            if mat[i][j]:
+                acc = acc + u[j] * mat[i][j]
+        images[v] = acc
+    return f.subs(images)
+
+
+def random_gl3(rng):
+    """A seeded invertible integer 3×3 matrix with entries in [−3, 3]."""
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if mat_rank([[Fraction(x) for x in r] for r in m]) == 3:
+            return m
+
+
+def center_matrix(center):
+    """M = [[1, 0, c₁], [0, 1, c₂], [0, 0, c₃]], the coordinate change with
+    which pencil.binary_resultant projects from the center c."""
+    c1, c2, c3 = center
+    return [[1, 0, c1], [0, 1, c2], [0, 0, c3]]
+
+
+def seeded_resultant_nine_points(f_plus, f_minus, rng):
+    """(nine_points, degree, notes) by the seeded route that fixed centers
+    replaced: (0:0:1) first, then up to five seeded random GL₃ changes of
+    coordinates, each the resultant at (0:0:1) of the moved cubics and the
+    two-path squarefree test.  The moves and notes follow the same rules as
+    pencil.resultant_nine_points."""
+    notes = []
+    fp, fm = f_plus, f_minus
+    degree = -1
+    for attempt in range(6):
+        if attempt:
+            M = random_gl3(rng)
+            fp, fm = coordinate_change(f_plus, M), coordinate_change(f_minus, M)
+            notes.append(f"coordinate change ({reason})")
+        if not (fp.eval([0, 0, 1]) and fm.eval([0, 0, 1])):
+            reason = "projection center on a curve"
+            continue
+        h = binary_resultant(fp, fm, (0, 0, 1))
+        if not any(h):
+            return False, -1, tuple(notes + ["resultant identically zero"])
+        while not h[-1]:
+            h.pop()
+        if len(h) >= 9 and squarefree_by_gcd(h)[0]:
+            return True, 9, tuple(notes)
+        degree, reason = 9, "resultant not squarefree"
+    if degree < 0:
+        notes.append("no usable projection center")
+    return False, degree, tuple(notes)
+
+
 def flip_step(monkeypatch, variant, bad):
     """Negate the engine's normal form of e_mask·v_j on one (mask, j) of
     one variant: the sign-broken engine."""
@@ -404,10 +531,18 @@ def central_odd_by_ansatz(alg):
                             r_coeffs=tuple(r))
 
 
+def clifford_over(P, variant, field):
+    """CliffordAlgebra.from_pencil(P, variant) read over field[u] instead
+    of Q[u]: the same integer blocks, as linear forms over `field`."""
+    ring = PolyRing(field, U_VARS)
+    qp = P.linear_form_matrix("plus", ring) if variant != "minus" else None
+    qm = P.linear_form_matrix("minus", ring) if variant != "plus" else None
+    return CliffordAlgebra(ring, variant, q_plus=qp, q_minus=qm)
+
+
 def phi_pair(P):
     """(super, ordinary) algebras over Q(i)[u] for the same pencil."""
-    return (CliffordAlgebra.from_pencil(P, "super", field=QQI),
-            CliffordAlgebra.from_pencil(P, "ordinary", field=QQI))
+    return (clifford_over(P, "super", QQI), clifford_over(P, "ordinary", QQI))
 
 
 def is_homogeneous(poly):

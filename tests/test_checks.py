@@ -1,6 +1,10 @@
 """The named-check registry: vocabulary, statuses, witnesses, caching."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,16 +184,53 @@ class TestRegistryMutants:
     def test_curve_checks_fail_on_a_vanishing_cubic_with_its_witness(self):
         # q₋ = 0 makes f₋ vanish identically: the exact report has no Δ, and
         # the checks gated by _curve_verdict name the degenerate cubic
-        # (prop4.2 reports the error of its off-curve sampling instead)
         zero = tuple(tuple((0,) * 3 for _ in range(3)) for _ in range(3))
         P = InvariantPencil(q_plus=cached_pencil(42).q_plus, q_minus=zero,
                             seed=0, coeff_bound=5)
         degenerate = {"kind": "degenerate_determinant", "prime": None,
                       "point": None}
-        for cid in ("prop3.18-corank1-m2", "prop4.3-singular-locus"):
+        for cid in ("prop3.18-corank1-m2", "prop4.2-adjugate-double-line",
+                    "prop4.3-singular-locus"):
             r = run_single(CheckContext(P, points=1), cid)
             assert r.status != "pass"
             assert degenerate in r.witnesses, (cid, r.witnesses)
+        r = run_single(CheckContext(P, points=1), "prop4.2-adjugate-double-line")
+        assert (r.status, r.witnesses) == ("fail", [degenerate])
+
+    def test_tangent_curves_fail_only_the_resultant_checks(self, tmp_path):
+        """seeded_pencil(72) has Δ₊Δ₋ ≠ 0, but its curves are tangent, so
+        the resultant has a repeated root from every center: the two checks
+        it decides FAIL with that witness, and the two that Δ decides PASS,
+        plain and under python -O."""
+        ids = ("prop2.2-smoothness", "prop2.2-transversality",
+               "def2.1-rank4", "prop2.5-nine-points")
+        resultant = {"kind": "resultant", "prime": None, "point": None,
+                     "degree": 9, "squarefree": False}
+        P = seeded_pencil(72)
+        ctx = CheckContext(P, points=1)
+        plain = {}
+        for cid in ids:
+            r = run_single(ctx, cid)
+            plain[cid] = [r.status, r.witnesses]
+            if cid in ("prop2.2-transversality", "prop2.5-nine-points"):
+                assert r.status == "fail" and resultant in r.witnesses, cid
+            else:
+                assert r.status == "pass", (cid, r.witnesses)
+        inst = tmp_path / "inst.json"
+        inst.write_bytes(P.canonical_bytes())
+        script = ("import json, sys\n"
+                  "from quadclif.checks import CheckContext, run_single\n"
+                  "from quadclif.pencil import load_instance\n"
+                  "ctx = CheckContext(load_instance(sys.argv[1]), points=1)\n"
+                  "rs = [run_single(ctx, cid) for cid in sys.argv[2:]]\n"
+                  "print(json.dumps({r.id: [r.status, r.witnesses] for r in rs}))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(inst), *ids],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == json.loads(json.dumps(plain))
 
 
 class TestInstanceFree:

@@ -37,6 +37,7 @@ from quadclif.pencil import InvariantPencil, generate
 from conftest import (
     QQI,
     cached_pencil,
+    clifford_over,
     central_odd_by_ansatz,
     central_odd_pencil,
     flip_step,
@@ -103,7 +104,7 @@ def test_associativity_random(variant):
 
 def test_associativity_prime_field():
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "ordinary", field=PrimeField(101))
+    alg = clifford_over(P, "ordinary", PrimeField(101))
     rng = random.Random("assoc-fp")
     for _ in range(4):
         a = random_element(alg, rng)
@@ -259,8 +260,8 @@ def algebra_pair():
         if (seed, field) not in pairs:
             P = cached_pencil(seed)
             pairs[seed, field] = (
-                CliffordAlgebra.from_pencil(P, "super", field=field),
-                CliffordAlgebra.from_pencil(P, "ordinary", field=field))
+                clifford_over(P, "super", field),
+                clifford_over(P, "ordinary", field))
         return pairs[seed, field]
 
     return get
@@ -450,8 +451,7 @@ def test_phi_certificate_rejects_wrong_inputs():
     with pytest.raises(ValueError):
         phi_twist_failures(ordi, sup)
     with pytest.raises(ValueError):
-        phi_twist_failures(sup, CliffordAlgebra.from_pencil(P, "ordinary",
-                                                            field=QQI))
+        phi_twist_failures(sup, clifford_over(P, "ordinary", QQI))
 
 
 def test_phi_check_falls_back_on_a_broken_engine(monkeypatch):
@@ -589,7 +589,7 @@ def test_central_pair_cross_behaviour():
     dp_o = lift(pair.d_plus, ordi, "plus")
     dm_o = lift(pair.d_minus, ordi, "minus")
     with pytest.raises(ValueError, match="coefficient ring"):
-        lift(pair.d_plus, CliffordAlgebra.from_pencil(P, "ordinary", field=QQI),
+        lift(pair.d_plus, clifford_over(P, "ordinary", QQI),
              "plus")
     # the two odd elements anticommute in the super variant and commute in
     # the ordinary one

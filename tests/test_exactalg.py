@@ -6,10 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from quadclif import exactalg
 from quadclif.exactalg import (
     QQ,
-    SQUAREFREE_FIELDS,
     PrimeField,
     PolyRing,
     SymMatrix,
@@ -32,6 +30,7 @@ from quadclif.pencil import _derived_rng
 
 from conftest import (
     QQI,
+    SQUAREFREE_FIELDS,
     GaussianRational,
     as_univariate,
     coeff_of_power,
@@ -40,6 +39,7 @@ from conftest import (
     poly_bareiss_det,
     poly_exact_div,
     poly_sylvester_resultant,
+    squarefree_by_gcd,
     sylvester_resultant_by_bareiss,
     total_degree,
 )
@@ -548,25 +548,10 @@ def test_interpolate_int_round_trip():
 
 def test_squarefree_detection():
     t = PolyRing(QQ, ("t",)).var("t")
-    sf, _ = squarefree_univariate(as_univariate((t - 1) * (t - 2) * (t + 3), "t"))
-    assert sf
-    sf, g = squarefree_univariate(as_univariate((t - 1) ** 2 * (t + 5), "t"))
-    assert not sf
-    assert g == [-1, 1]  # monic t − 1
-
-
-def gcd_fields(monkeypatch):
-    """The names of the fields of every gcd squarefree_univariate takes,
-    in order, as a list that fills while the test runs."""
-    seen = []
-    real = exactalg._gcd_with_derivative
-
-    def spy(h, field):
-        seen.append(field.name)
-        return real(h, field)
-
-    monkeypatch.setattr(exactalg, "_gcd_with_derivative", spy)
-    return seen
+    assert squarefree_univariate(as_univariate((t - 1) * (t - 2) * (t + 3), "t")) is True
+    h = as_univariate((t - 1) ** 2 * (t + 5), "t")
+    assert squarefree_univariate(h) is False
+    assert squarefree_by_gcd(h) == (False, [-1, 1])  # monic t − 1
 
 
 def poly_mul(a, b):
@@ -582,44 +567,39 @@ def discriminant_squarefree(h):
     return not poly_sylvester_resultant(hp, hp.derivative("t"), "t").is_zero()
 
 
-def test_squarefree_certificate_matches_the_exact_gcd(monkeypatch):
-    seen = gcd_fields(monkeypatch)
+def test_squarefree_certificate_matches_the_exact_gcd():
+    """Res(h, h′) ≠ 0 agrees with the two-path gcd test (mod p, then over
+    Q) on seeded integer polynomials of degrees 1 to 9, with and without a
+    constructed square factor, and with leading coefficients divisible by
+    each certificate prime, or by all three."""
     p1, p2, p3 = (F.p for F in SQUAREFREE_FIELDS)
     rng = _derived_rng("test", "squarefree-certificate")
     verdicts = {True: 0, False: 0}
-    for i in range(150):
-        h = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.choice([-3, 1, 2])]
-        if i % 3 == 0:  # a constructed square factor g²
-            g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 2))] + [rng.choice([-1, 1, 2])]
-            h = poly_mul(poly_mul(g, g), h)
-        if i % 5 == 0:
-            h = [p1 * c for c in h]  # the first prime divides lc(h)
-        del seen[:]
-        sf, gcd = squarefree_univariate(h)
-        # a "not squarefree" verdict always comes from the gcd over Q
-        assert seen[0] == ("F%d" % (p2 if i % 5 == 0 else p1))
-        assert sf or seen[-1] == "Q"
-        assert sf == discriminant_squarefree(h), h
-        del seen[:]
-        assert gcd == exactalg._gcd_with_derivative([Fraction(c) for c in h], QQ)
-        if i % 3 == 0:
-            assert not sf
+    for i in range(180):
+        n = 1 + i % 9
+        lead = (rng.choice([-3, 1, 2]), p1, -2 * p2, 3 * p3, p1 * p2 * p3)[i % 5]
+        if i % 3 == 0 and n >= 2:  # a constructed square factor g²
+            e = rng.randint(1, n // 2)
+            g = [rng.randint(-4, 4) for _ in range(e)] + [rng.choice([-1, 1, 2])]
+            h = poly_mul(poly_mul(g, g), [rng.randint(-9, 9) for _ in range(n - 2 * e)] + [lead])
+        else:
+            h = [rng.randint(-9, 9) for _ in range(n)] + [lead]
+        sf = squarefree_univariate(h)
+        assert sf == squarefree_by_gcd(h)[0], h
+        if n <= 5:
+            assert sf == discriminant_squarefree(h), h
+        if i % 3 == 0 and n >= 2:
+            assert sf is False
         verdicts[sf] += 1
-    assert min(verdicts.values()) >= 30, verdicts
-
-    # p | lc(h) for every listed prime: the exact gcd alone decides
-    del seen[:]
-    assert squarefree_univariate([1, 0, p1 * p2 * p3]) == (True, [1])
-    assert seen == ["Q"]
-    # (t² − p)·(t + 1) is squarefree over Q but is t²·(t + 1) mod p:
-    # the certificate fails and the exact gcd returns True
-    del seen[:]
-    assert squarefree_univariate(poly_mul([-p1, 0, 1], [1, 1])) == (True, [1])
-    assert seen == ["F%d" % p1, "Q"]
-    # a certified h takes the F_p gcd only
-    del seen[:]
-    assert squarefree_univariate([-2, 0, 1]) == (True, [1])
-    assert seen == ["F%d" % p1]
+    assert min(verdicts.values()) >= 40, verdicts
+    # p | lc(h) for every certificate prime
+    assert squarefree_univariate([1, 0, p1 * p2 * p3]) is True
+    # (t² − p)·(t + 1) is squarefree over Q but is t²·(t + 1) mod p
+    assert squarefree_univariate(poly_mul([-p1, 0, 1], [1, 1])) is True
+    assert squarefree_univariate([0, 0, 3]) is False
+    # a nonzero constant and a linear polynomial are squarefree
+    for h in ([5], [-7, 0, 0], [4, 6]):
+        assert squarefree_univariate(h) is True
     for bad in ([1, 2.0, 1], [1, Fraction(1, 2)], [0, 0]):
         with pytest.raises(ValueError):
             squarefree_univariate(bad)

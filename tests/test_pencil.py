@@ -1,5 +1,6 @@
 """Instance model: block structure, determinant cubics, genericity."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,21 +9,21 @@ from pathlib import Path
 
 import pytest
 
+from quadclif import pencil
 from quadclif.checks import CheckContext, genericity_scans
 from quadclif.exactalg import (
     QQ,
     PolyRing,
     SymMatrix,
+    bareiss_det,
     mat_rank,
-    squarefree_univariate,
 )
 from quadclif.pencil import (
+    CENTERS,
     URING,
     InvariantPencil,
     GenerationError,
-    _coordinate_change,
     _derived_rng,
-    _random_gl3,
     binary_resultant,
     generate,
     genericity_check,
@@ -32,10 +33,14 @@ from quadclif.pencil import (
 from conftest import (
     as_univariate,
     cached_pencil,
+    center_matrix,
+    coordinate_change,
     degree_in,
     is_homogeneous,
     poly_sylvester_resultant,
     seeded_pencil,
+    seeded_resultant_nine_points,
+    squarefree_by_gcd,
     total_degree,
 )
 
@@ -242,25 +247,24 @@ def test_resultant_tangent_pair_not_squarefree():
     assert not nine
 
 
-def projection_center(f_plus, f_minus, rng):
-    """(fp, fm, notes): the curves after resultant_nine_points' seeded
-    coordinate change, if (0:0:1) lies on one; fp is None when six tries
-    find no usable center."""
-    notes = []
-    fp, fm = f_plus, f_minus
-    for _ in range(6):
-        if fp.eval([0, 0, 1]) and fm.eval([0, 0, 1]):
-            return fp, fm, tuple(notes)
-        M = _random_gl3(rng)
-        fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)
-        notes.append("coordinate change (projection center on a curve)")
-    return None, None, tuple(notes + ["no usable projection center"])
+CENTER_MOVES = tuple(center_matrix(c) for c in CENTERS[1:])
+
+
+def test_centers_are_fixed_and_in_general_position():
+    """(0:0:1) first, then five centers off every coordinate line, no three
+    of the six collinear, so no line through two intersection points holds
+    three of them."""
+    assert CENTERS[0] == (0, 0, 1) and len(CENTERS) == 6
+    assert all(c1 * c2 and c3 == 1 for c1, c2, c3 in CENTERS[1:])
+    for a, b, c in itertools.combinations(CENTERS, 3):
+        assert bareiss_det([a, b, c]) != 0, (a, b, c)
 
 
 def dehomogenized_squarefree(R, rng):
     """Whether the binary form R is squarefree, read through seeded random
     Möbius dehomogenizations u1 = a·t + b, u2 = c·t + d (up to six tries
-    for one that keeps the degree); None when none does."""
+    for one that keeps the degree) and the two-path gcd test; None when
+    none keeps the degree."""
     deg = total_degree(R)
     tring = PolyRing(QQ, ("t",))
     t = tring.var("t")
@@ -272,24 +276,25 @@ def dehomogenized_squarefree(R, rng):
         h = R.subs({"u1": a * t + tring.const(b), "u2": c * t + tring.const(d),
                     "u3": tring.zero()})
         if degree_in(h, "t") == deg:
-            return squarefree_univariate(as_univariate(h, "t"))[0]
+            return squarefree_by_gcd(as_univariate(h, "t"))[0]
     return None
 
 
-def random_dehomogenization_resultant(f_plus, f_minus, rng):
-    """The resultant verdict with R read as a binary form through random
+def random_dehomogenization_resultant(f_plus, f_minus):
+    """The resultant verdict with R = Res_u3 of the moved cubics taken by
+    MultiPoly elimination and read as a binary form through random
     dehomogenizations (`dehomogenized_squarefree`, drawing from its own
-    seeded generator): the oracle for resultant_nine_points, which it
-    follows in its choice of up to six projection centers, moved by the
-    same seeded coordinate changes for the same reasons."""
+    seeded generator): the oracle for resultant_nine_points, whose centers
+    it reaches through the MultiPoly coordinate changes CENTER_MOVES, taken
+    for the same reasons."""
     mobius = _derived_rng("mobius")
     notes = []
     fp, fm = f_plus, f_minus
     degree = -1
     for attempt in range(6):
         if attempt:
-            M = _random_gl3(rng)
-            fp, fm = _coordinate_change(f_plus, M), _coordinate_change(f_minus, M)
+            M = CENTER_MOVES[attempt - 1]
+            fp, fm = coordinate_change(f_plus, M), coordinate_change(f_minus, M)
             notes.append(f"coordinate change ({reason})")
         if not (fp.eval([0, 0, 1]) and fm.eval([0, 0, 1])):
             reason = "projection center on a curve"
@@ -315,10 +320,8 @@ def test_binary_form_reading_matches_random_dehomogenization():
         curves = seeded_pencil(i).det_curves()
         if curves.f_plus.is_zero() or curves.f_minus.is_zero():
             continue
-        got = resultant_nine_points(curves.f_plus, curves.f_minus,
-                                    _derived_rng("resultant", i))
-        want = random_dehomogenization_resultant(
-            curves.f_plus, curves.f_minus, _derived_rng("resultant", i))
+        got = resultant_nine_points(curves.f_plus, curves.f_minus)
+        want = random_dehomogenization_resultant(curves.f_plus, curves.f_minus)
         assert "no faithful dehomogenization" not in want[2]
         assert got == want, i
         if got[1] >= 0 and not got[0]:
@@ -329,80 +332,124 @@ def test_binary_form_reading_matches_random_dehomogenization():
     assert min(seen.values()) >= 3, seen
 
 
+def test_fixed_centers_match_the_seeded_route():
+    """The fixed centers reach the (nine_points, degree) of the seeded
+    random coordinate changes they replaced, seeded as genericity_check
+    seeded them, on 400 seeded nets, the gen instances of seeds 1–25 at
+    bounds 3 and 9, seeds 42 and 7, and the diagonal."""
+    nets = [seeded_pencil(i) for i in range(400)]
+    nets += [cached_pencil(s, b) for b in (3, 9) for s in range(1, 26)]
+    nets += [cached_pencil(42), cached_pencil(7), diag_pencil()]
+    verdicts = {}
+    for P in nets:
+        curves = P.det_curves()
+        if curves.f_plus.is_zero() or curves.f_minus.is_zero():
+            continue
+        rng = _derived_rng("resultant", P.seed, P.coeff_bound, P.digest())
+        got = resultant_nine_points(curves.f_plus, curves.f_minus)
+        want = seeded_resultant_nine_points(curves.f_plus, curves.f_minus, rng)
+        assert got[:2] == want[:2], P
+        verdicts[got[:2]] = verdicts.get(got[:2], 0) + 1
+    assert sum(verdicts.values()) >= 440, verdicts
+    assert verdicts[False, -1] >= 1 and min(verdicts.values()) >= 1
+    assert verdicts[True, 9] >= 300 and verdicts[False, 9] >= 30, verdicts
+
+
 @pytest.mark.parametrize("i,power,squarefree", [(0, 1, True), (94, 2, False)])
 def test_resultant_root_at_infinity(i, power, squarefree):
     # u2^power ∥ R: a root at (1:0), which R(t, 1) does not see
     curves = seeded_pencil(i).det_curves()
     R = poly_sylvester_resultant(curves.f_plus, curves.f_minus, "u3")
     assert min(e[1] for e in R.terms) == power
-    got = resultant_nine_points(curves.f_plus, curves.f_minus,
-                                _derived_rng("resultant", i))
+    got = resultant_nine_points(curves.f_plus, curves.f_minus)
     assert got[:2] == (squarefree, 9)
-    assert got == random_dehomogenization_resultant(
-        curves.f_plus, curves.f_minus, _derived_rng("resultant", i))
+    assert got == random_dehomogenization_resultant(curves.f_plus, curves.f_minus)
 
 
-@pytest.mark.parametrize("i", (270, 358))
+@pytest.mark.parametrize("i", (358,))
 def test_center_lined_up_with_two_points_is_moved(i):
-    """Two transverse nets whose nine points project with a repeated root
-    from some center: a coordinate change, recorded in the notes, moves
-    that center, and the resultant certifies (seeded_pencil(270) has a
-    singular E₋, which does not touch the intersection)."""
+    """A transverse net whose nine points project with a repeated root
+    from (0:0:1), (1:1:1) and (1:−1:1): each move is recorded in the
+    notes, and the fourth center certifies."""
     P = seeded_pencil(i)
     assert P.coeff_bound == 1
     rep = genericity_check(P)
     assert rep.nine_points
     assert not any(w["kind"] == "resultant" for w in rep.witnesses)
+    assert rep.notes == ("coordinate change (resultant not squarefree)",) * 3
+
+
+def test_center_budget_is_six_projections(monkeypatch):
+    """Six centers are tried, never more: when every center of the budget
+    lies on a curve, or is lined up with two intersection points, the net
+    is refused, never passed.  Unpatched, seeded_pencil(270) is certified
+    from the fourth center and seeded_pencil(358) from the fourth."""
+    on_curve = "coordinate change (projection center on a curve)"
+    lined_up = "coordinate change (resultant not squarefree)"
+    P = seeded_pencil(270)
     curves = P.det_curves()
-    nine, degree, notes = resultant_nine_points(
-        curves.f_plus, curves.f_minus, _derived_rng("resultant-retry", i))
-    assert (nine, degree) == (True, 9)
-    assert "coordinate change (resultant not squarefree)" in notes
-
-
-def test_center_budget_is_six_projections():
-    """On seeded_pencil(270) the projection centers of this seed lie on a
-    curve four times and once give a repeated root; the sixth center is
-    the last one tried, so the instance is refused, never passed."""
-    curves = seeded_pencil(270).det_curves()
-    got = resultant_nine_points(curves.f_plus, curves.f_minus,
-                                _derived_rng("resultant", 270))
-    assert got == (False, 9,
-                   ("coordinate change (projection center on a curve)",) * 4
-                   + ("coordinate change (resultant not squarefree)",))
+    fp, fm = curves.f_plus, curves.f_minus
+    assert resultant_nine_points(fp, fm) == (True, 9, (on_curve,) * 3)
+    points = [(a, b, 1) for a in range(-4, 5) for b in range(-4, 5)]
+    monkeypatch.setattr(pencil, "CENTERS", tuple(
+        c for c in points if not (fp.eval(c) and fm.eval(c)))[:6])
+    assert len(pencil.CENTERS) == 6
+    assert resultant_nine_points(fp, fm) == (
+        False, -1, (on_curve,) * 5 + ("no usable projection center",))
+    rep = genericity_check(P)
+    assert not rep.nine_points and not rep.all_ok()
+    assert rep.witnesses[-1] == {"kind": "resultant", "prime": None,
+                                 "point": None, "degree": -1,
+                                 "squarefree": False}
+    # the three centers lined up for seeded_pencil(358), twice over
+    monkeypatch.setattr(pencil, "CENTERS", CENTERS[:3] * 2)
+    curves = seeded_pencil(358).det_curves()
+    assert resultant_nine_points(curves.f_plus, curves.f_minus) == (
+        False, 9, (lined_up,) * 5)
 
 
 def test_integer_resultant_matches_the_multipoly_oracle():
-    """binary_resultant (ten integer Sylvester determinants, interpolated)
-    equals the MultiPoly Sylvester elimination coefficient for
-    coefficient, after the same projection-center step."""
-    cases = [(f"seeded-{i}", seeded_pencil(i)) for i in range(400)]
+    """binary_resultant (ten integer Bézout determinants, interpolated)
+    equals the MultiPoly Sylvester elimination of f∘M, M = center_matrix,
+    coefficient for coefficient.  The nets take the centers in turn, each
+    the first from its turn on that lies off both curves."""
+    cases = [(f"seeded-{i}", seeded_pencil(i)) for i in range(0, 400, 2)]
     cases += [(f"gen-{s}-{b}", cached_pencil(s, b)) for b in (3, 9) for s in range(1, 26)]
     cases.append(("diagonal", diag_pencil()))
-    seen = {"coordinate change": 0, "zero": 0, "compared": 0}
-    powers = {}
-    for name, P in cases:
+    seen = dict.fromkeys(CENTERS, 0)
+    zero = 0
+    for k, (name, P) in enumerate(cases):
         curves = P.det_curves()
-        if curves.f_plus.is_zero() or curves.f_minus.is_zero():
+        fp, fm = curves.f_plus, curves.f_minus
+        if fp.is_zero() or fm.is_zero():
             continue
-        fp, fm, notes = projection_center(curves.f_plus, curves.f_minus,
-                                          _derived_rng("resultant", name))
-        if fp is None:
+        turn = CENTERS[k % 6:] + CENTERS[:k % 6]
+        center = next((c for c in turn if fp.eval(c) and fm.eval(c)), None)
+        if center is None:
             continue
-        R = poly_sylvester_resultant(fp, fm, "u3")
-        got = binary_resultant(fp, fm)
+        M = center_matrix(center)
+        R = poly_sylvester_resultant(coordinate_change(fp, M),
+                                     coordinate_change(fm, M), "u3")
+        got = binary_resultant(fp, fm, center)
         assert R.terms == {(i, 9 - i, 0): r for i, r in enumerate(got) if r}, name
-        seen["compared"] += 1
-        seen["coordinate change"] += bool(notes)
-        seen["zero"] += not any(got)
-        if name in ("seeded-0", "seeded-94"):
-            # u2^k ∥ R: R(t, 1) has degree 9 − k
-            powers[name] = 9 - max(i for i, r in enumerate(got) if r)
-    assert seen["compared"] >= 350, seen
-    assert min(seen.values()) >= 1, seen
-    assert powers == {"seeded-0": 1, "seeded-94": 2}
-    # only integer cubic forms with f(0, 0, 1) ≠ 0 are taken
+        seen[center] += 1
+        zero += not any(got)
+    assert sum(seen.values()) >= 220, seen
+    assert min(seen.values()) >= 20 and zero >= 1, (seen, zero)
+    # u2^k ∥ R: R(t, 1) has degree 9 − k
+    for i, power in ((0, 1), (94, 2)):
+        curves = seeded_pencil(i).det_curves()
+        got = binary_resultant(curves.f_plus, curves.f_minus, (0, 0, 1))
+        assert 9 - max(j for j, r in enumerate(got) if r) == power
+    # a center on a curve gives None; only integer cubic forms are taken,
+    # and only centers off u3 = 0
     u1, u2, u3 = (URING.var(v) for v in URING.vars)
-    for bad in (u1 ** 3 + u2 * u3 ** 2, u3 ** 3 + u1, u3 ** 3 * Fraction(1, 2)):
+    g = u3 ** 3 + u2 ** 3
+    assert binary_resultant(u1 ** 3 + u2 * u3 ** 2, g, (0, 0, 1)) is None
+    assert binary_resultant(g, u3 ** 3 - u1 ** 3, (1, 1, 1)) is None
+    assert binary_resultant(URING.zero(), g, (0, 0, 1)) is None
+    for bad, center in ((u3 ** 3 + u1, (0, 0, 1)),
+                        (u3 ** 3 * Fraction(1, 2), (0, 0, 1)),
+                        (u3 ** 3 + u1 ** 3, (1, 0, 0))):
         with pytest.raises(ValueError):
-            binary_resultant(bad, u3 ** 3 + u1 ** 3)
+            binary_resultant(bad, g, center)
