@@ -393,7 +393,7 @@ def _check_corank1_m2(ctx):
     cubic field K of a line section (fiber.cubic_section_point), once
     Δ₊Δ₋ ≠ 0 puts every curve point at corank one (_curve_verdict).  u
     stands for three points: the structure constants are polynomials in u
-    over Q, so each embedding σ: K → Q̄ carries the computation to σ(u),
+    over Z, so each embedding σ: K → Q̄ carries the computation to σ(u),
     three distinct points as g is irreducible, hence separable, and a
     radical of 0 and a center of dimension 1 survive base change."""
     ok, wit, _ = _curve_verdict(ctx)

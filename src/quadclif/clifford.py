@@ -11,8 +11,8 @@ so v_i^2 = -q(v_i, v_i).  The two 3×3 blocks never pair across, which is
 why the cross relations carry no quadratic term.  Multiplication reduces
 every word to normal form through a memoized right-multiplication-by-
 generator table; coefficients live in an arbitrary polynomial ring, so the
-same engine serves rational pencils, prime-field specializations, and
-fully symbolic block entries.
+same engine serves integer pencils over Z[u] (`from_pencil`), prime-field
+and Gaussian specializations, and fully symbolic block entries.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactalg import QQ, MultiPoly, PolyRing, as_int, kernel_int_sparse
+from .exactalg import QQ, ZZ, MultiPoly, PolyRing, as_int, kernel_int_sparse
 
 U_VARS = ("u1", "u2", "u3")
 
@@ -69,7 +69,13 @@ class CliffordAlgebra:
 
     @classmethod
     def from_pencil(cls, P, variant):
-        ring = PolyRing(QQ, U_VARS)
+        """The algebra of P's blocks over Z[u]: the blocks are integer
+        matrices, so every structure constant is an integer polynomial, and
+        each verdict read here holds over Q[u] and at every point through
+        the ring homomorphisms Z[u] → Q[u] → K.  An algebra built over
+        PolyRing(QQ, U_VARS) from the same blocks is the oracle in the
+        tests."""
+        ring = PolyRing(ZZ, U_VARS)
         qp = P.linear_form_matrix("plus", ring) if variant != "minus" else None
         qm = P.linear_form_matrix("minus", ring) if variant != "plus" else None
         return cls(ring, variant, q_plus=qp, q_minus=qm)
@@ -202,7 +208,7 @@ class CliffordAlgebra:
         of the monomial z = e_c:  (xy)e_c = ((xy)e_c')v_k = (x(y e_c'))v_k
         = x((y e_c')v_k) = x(y e_c), by (i), the induction hypothesis, (ii)
         extended bilinearly, and (i) again.  For three generators that is
-        64 + 192 identities over Q[u] instead of 512 triples at every base
+        64 + 192 identities over Z[u] instead of 512 triples at every base
         point.  Associativity then holds in every specialization, because
         evaluating u, embedding into a quadratic tower and reducing integer
         structure constants mod p are ring homomorphisms.
@@ -397,7 +403,7 @@ def phi(e, target):
 
 def phi_failing_pairs(sup, target, exponent=phi_exponent):
     """Even mask pairs [a, b] on which e_m ↦ i^exponent(m)·e_m fails to be
-    multiplicative, read off the structure constants over Q[u].
+    multiplicative, read off the structure constants over Z[u] or Q[u].
 
     phi(e_a e_b) = Σ c^sup_m i^ε(m) e_m and phi(e_a) phi(e_b) =
     i^(ε(a)+ε(b)) Σ c^ord_m e_m, so the pair is good iff
@@ -411,7 +417,7 @@ def phi_failing_pairs(sup, target, exponent=phi_exponent):
     """
     if sup.variant != "super" or target.variant != "ordinary":
         raise ValueError("phi maps the super variant onto the ordinary one")
-    if target.ring != sup.ring or sup.ring.field is not QQ:
+    if target.ring != sup.ring or sup.ring.field not in (ZZ, QQ):
         raise ValueError("structure constants must share a rational ring")
     zero = sup.ring.zero()
     even = [m for m in range(1 << sup.ngens) if _popcount(m) % 2 == 0]
@@ -736,10 +742,9 @@ def action_scales_relation(alg, terms, s, lam):
         ratio = newpoly.terms.get(e)
         if ratio is None:
             return False
-        cand = ratio / c
         if mu is None:
-            mu = cand
-        if newpoly != poly * mu:
+            mu = (ratio, c)  # the scalar ratio/c, never divided out
+        if newpoly * mu[1] != poly * mu[0]:
             return False
     return True
 

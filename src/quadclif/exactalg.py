@@ -1,14 +1,20 @@
-"""Exact arithmetic kernel: coefficient fields, sparse multivariate
+"""Exact arithmetic kernel: coefficient rings, sparse multivariate
 polynomials, and the package's only dense linear algebra.
 
-Everything in this module is exact.  Rationals are `fractions.Fraction`,
-prime-field residues are reduced on every operation, and polynomial
-arithmetic never rounds.  The polynomial layer is deliberately small: ring
-operations, derivatives (the partials behind `pencil.discriminant`) and
-evaluation; resultants and squarefreeness take integer coefficient
-lists.  Terms are kept in a dict keyed by exponent tuples; zero
-coefficients are never stored, so equality is dict equality.
-Serialization orders terms graded-lex.
+Everything in this module is exact, and polynomial arithmetic never
+rounds.  There are two coefficient rings.  `ZZ` has plain `int` elements
+and no division; every integral polynomial of the verifier lives over it,
+and its `coerce` refuses a float or a true fraction.  `QQ` has
+`fractions.Fraction` elements, for the identities with true halves and as
+the oracle in the tests.  A verdict read over Z[u] holds over Q[u] and in
+every specialization, because the inclusion Z[u] → Q[u], and evaluation
+at a point over Q, a number field or F_p, are ring homomorphisms.
+
+The polynomial layer is deliberately small: ring operations, derivatives
+(the partials behind `pencil.discriminant`) and evaluation; resultants
+and squarefreeness take integer coefficient lists.  Terms are kept in a
+dict keyed by exponent tuples; zero coefficients are never stored, so
+equality is dict equality.  Serialization orders terms graded-lex.
 
 Linear algebra has one routine per job, shared by every module:
 
@@ -37,11 +43,39 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add
 
 
 # ---------------------------------------------------------------------------
-# coefficient fields
+# coefficient rings
 # ---------------------------------------------------------------------------
+
+class IntegerRing:
+    """The integers, with plain int elements: the coefficients of every
+    integral polynomial (the pencil's forms and determinants, the Clifford
+    structure constants, the m0 matrix).  It has no division, and `coerce`
+    admits nothing that is not an integer, so a float or a true fraction
+    raises TypeError as soon as it meets a polynomial over Z."""
+
+    name = "Z"
+    zero = 0
+    one = 1
+    characteristic = 0
+
+    @staticmethod
+    def coerce(x):
+        if type(x) is int:
+            return x
+        if isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1):
+            return int(x)
+        raise TypeError(f"cannot coerce {x!r} into Z")
+
+    def __repr__(self):
+        return "ZZ"
+
+
+ZZ = IntegerRing()
+
 
 class RationalField:
     """The rationals, with Fraction elements."""
@@ -49,6 +83,7 @@ class RationalField:
     name = "Q"
     zero = Fraction(0)
     one = Fraction(1)
+    characteristic = 0
 
     @staticmethod
     def coerce(x):
@@ -80,99 +115,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FpElem:
-    """Residue in a prime field; the modulus travels with the element."""
-
-    __slots__ = ("r", "p")
-
-    def __init__(self, r, p):
-        self.r = r % p
-        self.p = p
-
-    def _match(self, other):
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise ValueError("mixed moduli %d and %d" % (self.p, other.p))
-            return other.r
-        if isinstance(other, int):
-            return other % self.p
-        if isinstance(other, Fraction):
-            den = other.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError("denominator vanishes mod %d" % self.p)
-            return other.numerator * pow(den, self.p - 2, self.p)
-        raise TypeError(f"cannot combine {other!r} with F_{self.p}")
-
-    def __add__(self, other):
-        return FpElem(self.r + self._match(other), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FpElem(self.r - self._match(other), self.p)
-
-    def __rsub__(self, other):
-        return FpElem(self._match(other) - self.r, self.p)
-
-    def __neg__(self):
-        return FpElem(-self.r, self.p)
-
-    def __mul__(self, other):
-        return FpElem(self.r * self._match(other), self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._match(other)
-        if o % self.p == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpElem(self.r * pow(o, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        return FpElem(self._match(other), self.p) / self
-
-    def __eq__(self, other):
-        if isinstance(other, (FpElem, int)):
-            try:
-                return (self.r - self._match(other)) % self.p == 0
-            except ValueError:
-                return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.r, self.p))
-
-    def __bool__(self):
-        return self.r % self.p != 0
-
-    def __repr__(self):
-        return f"{self.r}#{self.p}"
-
-
-class PrimeField:
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"F{p}"
-        self.zero = FpElem(0, p)
-        self.one = FpElem(1, p)
-
-    def coerce(self, x):
-        if isinstance(x, FpElem):
-            if x.p != self.p:
-                raise ValueError("element of wrong prime field")
-            return x
-        if isinstance(x, int):
-            return FpElem(x, self.p)
-        if isinstance(x, Fraction):
-            return FpElem(0, self.p) + x
-        raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
 def as_int(c):
     """c as an int when it is integral (an int or a Fraction with
     denominator 1), else c unchanged."""
@@ -201,7 +143,7 @@ def _grlex_key(item):
 
 
 class PolyRing:
-    """A polynomial ring over one of the exact fields above."""
+    """A polynomial ring over ZZ, QQ or another exact field."""
 
     def __init__(self, field, variables):
         self.field = field
@@ -331,7 +273,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e)
                 s = c1 * c2 if s is None else s + c1 * c2
                 if s:
@@ -391,11 +333,17 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: c for e, c in out.items() if c})
 
     def eval(self, values):
-        """Evaluate at a point given as a sequence aligned with ring.vars;
-        a value with its own field (an extension's element) stays as it is."""
+        """Evaluate at a point given as a sequence aligned with ring.vars.
+        An exact value (an int, a Fraction, a residue, a number-field
+        element) stays as it is, and each coefficient enters through the
+        value's arithmetic: Z → Q, Z → F_p and Z → K are ring
+        homomorphisms, so a polynomial over Z evaluates at rational and
+        algebraic points.  A float or a string goes through the
+        coefficient ring's coerce, which refuses a float."""
         if len(values) != len(self.ring.vars):
             raise ValueError("wrong number of values")
-        vals = [v if hasattr(v, "field") else self.ring.field.coerce(v) for v in values]
+        vals = [self.ring.field.coerce(v) if isinstance(v, (float, complex, str))
+                else v for v in values]
         acc = self.ring.field.zero
         for e, c in self.terms.items():
             t = c

@@ -15,7 +15,7 @@ from math import gcd, lcm, prod
 
 from .clifford import CliffordAlgebra, central_odd
 from .exactalg import (
-    PrimeField,
+    ZZ,
     adjugate3,
     as_int,
     is_prime,
@@ -197,6 +197,8 @@ class QuadraticTower:
     products over d·d'·L.
     """
 
+    characteristic = 0
+
     def __init__(self, radicands=()):
         rads = tuple(Fraction(r) for r in radicands)
         if len(rads) > 2:
@@ -331,6 +333,7 @@ class CubicField:
     over Q, which the caller certifies (irreducible_mod)."""
 
     labels = ("", "*s", "*s^2")
+    characteristic = 0
 
     def __init__(self, g):
         g0, g1, g2, g3 = self.section = tuple(g)
@@ -375,8 +378,9 @@ class CubicField:
 
 def _char_ok(field, dim):
     """Trace-form radicals are only trusted in characteristic 0 or > dim."""
-    if isinstance(field, PrimeField) and field.p <= dim:
-        raise ValueError(f"characteristic {field.p} too small for dimension {dim}")
+    if 0 < field.characteristic <= dim:
+        raise ValueError(
+            f"characteristic {field.characteristic} too small for dimension {dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +397,7 @@ class FinAlg:
       the unit was verified by the constructor or covered by an earlier
       proof;
     - "clifford": a fiber of a Clifford normal-form engine proven once
-      over Q[u] by CliffordAlgebra.verify_associativity, whose family (i)
+      over Z[u] by CliffordAlgebra.verify_associativity, whose family (i)
       also proves e₀ the unit; evaluation at a point, a tower embedding
       and reduction of integer constants mod p are ring homomorphisms, so
       they carry both to the fiber;
@@ -416,6 +420,8 @@ class FinAlg:
 
     def __init__(self, field, table, unit, gens=None, tensor_factors=None,
                  proof=None):
+        if field is ZZ:
+            raise TypeError("structure-constant algebras need a field, not Z")
         self.field = field
         self.dim = len(table)
         for row in table:
@@ -713,7 +719,7 @@ def clifford_fiber(alg, u, field, proof=None):
     proof=None the table makes no claim (see FinAlg)."""
     n = 1 << alg.ngens
     zero = field.zero
-    point = [c if hasattr(c, "field") else as_int(alg.ring.field.coerce(c)) for c in u]
+    point = [c if hasattr(c, "field") else as_int(Fraction(c)) for c in u]
     monomials = {}
     table = []
     for terms_row in alg.structure_terms():
@@ -847,7 +853,7 @@ class SideFibers:
         return self._blocks[side]
 
     def central(self, side):
-        """(alg, its CentralOddResult) for one block over Q[u], built once;
+        """(alg, its CentralOddResult) for one block over Z[u], built once;
         prop3.12 reads it without the associativity proof."""
         if side not in self._central:
             alg = self._block(side)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .exactalg import (
-    QQ,
+    ZZ,
     MultiPoly,
     PolyRing,
     SymMatrix,
@@ -39,11 +39,11 @@ from .exactalg import (
 )
 
 U_VARS = ("u1", "u2", "u3")
-URING = PolyRing(QQ, U_VARS)
+URING = PolyRing(ZZ, U_VARS)
 
 
 def det_cubic(mats):
-    """det(Σ uₖ mats[k]) as a cubic form over Q.  The determinant is linear
+    """det(Σ uₖ mats[k]) as a cubic form over Z.  The determinant is linear
     in each column, and column c of Σ uₖ mats[k] is Σ uₖ·(column c of
     mats[k]), so det(Σ uₖ mats[k]) = Σ_{i,j,k} uᵢuⱼuₖ·det[xᵢ, yⱼ, zₖ] with
     xᵢ, yⱼ, zₖ columns 0, 1, 2 of mats[i], mats[j], mats[k]: 27 integer
@@ -56,7 +56,7 @@ def det_cubic(mats):
         for i in range(3):
             exps = tuple((i == v) + (j == v) + (k == v) for v in range(3))
             acc[exps] = acc.get(exps, 0) + sum(a * b for a, b in zip(x[i], cross))
-    return URING.from_terms((e, QQ.coerce(c)) for e, c in acc.items())
+    return URING.from_terms(acc.items())
 
 
 _QUADRATIC = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))

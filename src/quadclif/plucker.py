@@ -3,8 +3,9 @@ line-Plücker model, the two rational families sweeping it out, rank-one
 adjugates along the determinant curves, and the two-dimensional modules
 attached to split fibers.
 
-Everything here is either fully symbolic (polynomial identities over Q)
-or exact at a chosen base point.
+Everything here is either fully symbolic (polynomial identities, over Z
+except for the Plücker transform, whose matrix has entries ½ and stays
+over Q) or exact at a chosen base point.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import combinations
 
 from .exactalg import (
     QQ,
+    ZZ,
     PolyRing,
     adjugate3,
     det_cofactor,
@@ -151,11 +153,14 @@ def segre_identity_check():
       minor of the w's alone is a nonzero polynomial (the span is an
       honest plane through both families);
     * the Plücker quadric vanishes identically on that span.
+
+    Every polynomial here has integer coefficients, so they are read over
+    Z; an identity over Z holds over Q.
     """
-    ring = PolyRing(QQ, A_VARS)
+    ring = PolyRing(ZZ, A_VARS)
     a0, a1, a2, a3 = (ring.var(v) for v in A_VARS[:4])
     p_plus, p_minus = segre_points(ring)
-    q = plucker_quadric_poly(PolyRing(QQ, Z_VARS))
+    q = plucker_quadric_poly(PolyRing(ZZ, Z_VARS))
     y = segre_y(ring)
     ws = wedge_with_basis(y, ring)
 
@@ -209,7 +214,7 @@ def segre_identity_check():
     if not some_rank3:
         failures.append("w-span-degenerate")
 
-    big = PolyRing(QQ, A_VARS + ("c1", "c2", "c3", "c4"))
+    big = PolyRing(ZZ, A_VARS + ("c1", "c2", "c3", "c4"))
     cs = [big.var(f"c{j}") for j in range(1, 5)]
     embed = {v: big.var(v) for v in A_VARS}
     span = [big.zero()] * 6
@@ -292,16 +297,18 @@ def m0_matrix(a):
 
 
 def m0_matrix_symbolic(ring=None):
-    """The same matrix with polynomial entries, for identity checking."""
-    ring = ring or PolyRing(QQ, A_VARS)
+    """The same matrix with polynomial entries over Z, for identity
+    checking."""
+    ring = ring or PolyRing(ZZ, A_VARS)
     a = tuple(ring.var(v) for v in A_VARS)
     return _m0_rows(a, ring.zero()), a
 
 
 def m0_identity_check():
     """Symbolically: the column relation, the vanishing of all 4×4
-    minors, and cube-of-parameter 3×3 minors witnessing rank three."""
-    ring = PolyRing(QQ, A_VARS)
+    minors, and cube-of-parameter 3×3 minors witnessing rank three, over
+    Z[a], which holds them over Q[a] too."""
+    ring = PolyRing(ZZ, A_VARS)
     rows, a = m0_matrix_symbolic(ring)
     a0, a1, a2, a3 = a
     for row in rows:

@@ -11,13 +11,12 @@ from quadclif.clifford import (
 )
 from quadclif.exactalg import (
     QQ,
-    FpElem,
     MultiPoly,
     PolyRing,
-    PrimeField,
     adjugate3,
     bareiss_det,
     int_coeffs,
+    is_prime,
     mat_rank,
     mat_solve,
 )
@@ -31,6 +30,102 @@ from quadclif.pencil import (
     binary_resultant,
     generate,
 )
+
+
+class FpElem:
+    """Residue in a prime field; the modulus travels with the element."""
+
+    __slots__ = ("r", "p")
+
+    def __init__(self, r, p):
+        self.r = r % p
+        self.p = p
+
+    def _match(self, other):
+        if isinstance(other, FpElem):
+            if other.p != self.p:
+                raise ValueError("mixed moduli %d and %d" % (self.p, other.p))
+            return other.r
+        if isinstance(other, int):
+            return other % self.p
+        if isinstance(other, Fraction):
+            den = other.denominator % self.p
+            if den == 0:
+                raise ZeroDivisionError("denominator vanishes mod %d" % self.p)
+            return other.numerator * pow(den, self.p - 2, self.p)
+        raise TypeError(f"cannot combine {other!r} with F_{self.p}")
+
+    def __add__(self, other):
+        return FpElem(self.r + self._match(other), self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return FpElem(self.r - self._match(other), self.p)
+
+    def __rsub__(self, other):
+        return FpElem(self._match(other) - self.r, self.p)
+
+    def __neg__(self):
+        return FpElem(-self.r, self.p)
+
+    def __mul__(self, other):
+        return FpElem(self.r * self._match(other), self.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._match(other)
+        if o % self.p == 0:
+            raise ZeroDivisionError("division by zero in F_%d" % self.p)
+        return FpElem(self.r * pow(o, self.p - 2, self.p), self.p)
+
+    def __rtruediv__(self, other):
+        return FpElem(self._match(other), self.p) / self
+
+    def __eq__(self, other):
+        if isinstance(other, (FpElem, int)):
+            try:
+                return (self.r - self._match(other)) % self.p == 0
+            except ValueError:
+                return False
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.r, self.p))
+
+    def __bool__(self):
+        return self.r % self.p != 0
+
+    def __repr__(self):
+        return f"{self.r}#{self.p}"
+
+
+class PrimeField:
+    """F_p, the test field of the modular oracles; `src/` builds none.
+    Its characteristic is p, which `fiber._char_ok` reads."""
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = self.characteristic = p
+        self.name = f"F{p}"
+        self.zero = FpElem(0, p)
+        self.one = FpElem(1, p)
+
+    def coerce(self, x):
+        if isinstance(x, FpElem):
+            if x.p != self.p:
+                raise ValueError("element of wrong prime field")
+            return x
+        if isinstance(x, int):
+            return FpElem(x, self.p)
+        if isinstance(x, Fraction):
+            return FpElem(0, self.p) + x
+        raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
+
+    def __repr__(self):
+        return f"GF({self.p})"
 
 
 class GaussianRational:
@@ -102,6 +197,7 @@ class GaussianField:
     """Q(i), used where an exact square root of -1 is required."""
 
     name = "Q(i)"
+    characteristic = 0
     zero = GaussianRational(0)
     one = GaussianRational(1)
     i = GaussianRational(0, 1)
@@ -220,7 +316,13 @@ def poly_exact_div(f, g):
         de = tuple(a - b for a, b in zip(re, ge))
         if any(d < 0 for d in de):
             raise ValueError("inexact polynomial division")
-        t = ring.monomial(de, rc / gc)
+        if isinstance(rc, int):  # over Z, whose elements have no division
+            qc, rem = divmod(rc, gc)
+            if rem:
+                raise ValueError("inexact polynomial division")
+        else:
+            qc = rc / gc
+        t = ring.monomial(de, qc)
         q = q + t
         r = r - t * g
     return q

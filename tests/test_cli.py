@@ -65,6 +65,19 @@ def stripped(report_path):
     return rep
 
 
+def float_paths(node, path="report"):
+    """Paths of the float values in a JSON report, the timing fields
+    (`seconds`) aside: every verdict and witness is exact."""
+    if isinstance(node, float):
+        return [path]
+    if isinstance(node, dict):
+        return [p for k, v in node.items() if k != "seconds"
+                for p in float_paths(v, f"{path}.{k}")]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in float_paths(v, f"{path}[{i}]")]
+    return []
+
+
 class TestGen:
     def test_digest_pinned_and_reproducible(self, tmp_path, capsys):
         out = gen(tmp_path)
@@ -283,6 +296,26 @@ class TestCheckRuns:
         assert hashlib.sha256(payload.encode()).hexdigest() == FULL_RUN_SHA256
 
 
+class TestNoFloats:
+    @pytest.mark.parametrize("name, points", [("42", None), ("7", 6),
+                                              ("diagonal", 1)])
+    def test_reports_hold_no_float_but_the_timings(self, tmp_path, capsys,
+                                                   name, points):
+        P = diag_instance() if name == "diagonal" else cached_pencil(int(name))
+        inst, report = tmp_path / "inst.json", tmp_path / "r.json"
+        save_instance(P, str(inst))
+        flags = [] if points is None else ["--points", str(points)]
+        rc = main(["check", str(inst), *flags, "--report", str(report)])
+        capsys.readouterr()
+        assert rc == (1 if name == "diagonal" else 0)
+        rep = json.loads(report.read_text())
+        assert all(type(c["seconds"]) is float for c in rep["checks"])
+        assert float_paths(rep) == []
+        # a float anywhere else is seen
+        rep["checks"][0]["witnesses"] = [{"value": 0.5}]
+        assert float_paths(rep) == ["report.checks[0].witnesses[0].value"]
+
+
 class TestOptimizedInterpreter:
     """Certificate invariants are explicit raises, so `python -O`, which
     strips assert statements, checks exactly as much."""
@@ -330,6 +363,7 @@ class TestOptimizedInterpreter:
         )
         assert proc.returncode == rc, proc.stderr
         assert stripped(optimized) == stripped(plain)
+        assert float_paths(json.loads(plain.read_text())) == []
         return rc, stripped(plain)
 
     def test_singular_net_invisible_mod_p_fails(self, tmp_path, capsys):

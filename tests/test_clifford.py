@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from quadclif.exactalg import QQ, PolyRing, PrimeField, SymMatrix
+from quadclif.exactalg import QQ, ZZ, PolyRing, SymMatrix
 from quadclif.clifford import (
     CentralElementError,
     CliffordAlgebra,
@@ -35,12 +35,17 @@ from quadclif.checks import CheckContext, run_single
 from quadclif.pencil import InvariantPencil, generate
 
 from conftest import (
+    BAD_REDUCTION_Q_PLUS,
     QQI,
+    SINGULAR_OFF_FP_Q_PLUS,
+    PrimeField,
     cached_pencil,
     clifford_over,
     central_odd_by_ansatz,
     central_odd_pencil,
     flip_step,
+    seeded_pencil,
+    with_q_plus,
 )
 
 
@@ -687,3 +692,82 @@ def test_corrupted_relation_detected():
     assert not terms_homogeneous(alg, bad)
     assert not action_scales_relation(alg, bad, 1, 2)
     assert action_scales_relation(alg, terms, -1, 2)
+
+
+# -- the integer ring against the rational oracle ------------------------------
+
+
+def _oracle_pencils():
+    named = [("42", cached_pencil(42)), ("7", cached_pencil(7)),
+             ("diagonal", diag_pencil()),
+             ("bad-reduction", with_q_plus(BAD_REDUCTION_Q_PLUS)),
+             ("singular-off-fp", with_q_plus(SINGULAR_OFF_FP_Q_PLUS))]
+    return named, [(f"seeded-{i}", seeded_pencil(i)) for i in range(50)]
+
+
+def _int_terms(alg):
+    terms = alg.structure_terms()
+    assert {type(c) for row in terms for entry in row
+            for _, poly in entry for _, c in poly} <= {int}
+    return terms
+
+
+def _central_or_error(alg):
+    try:
+        res = central_odd(alg)
+    except CentralElementError as exc:
+        return str(exc)
+    return (res.sign, res.square.terms, res.det.terms,
+            {m: p.terms for m, p in res.element.coeffs.items()},
+            [r.terms for r in res.r_coeffs])
+
+
+def test_integer_algebra_matches_the_rational_oracle():
+    """from_pencil over Z[u] against the same blocks over Q[u]: equal
+    structure constants (as ints), odd central elements, commutant
+    dimensions and determinant cubics.  The side algebras and the
+    generator steps of the six-generator variants on every pencil; the
+    full ordinary table and its commutant on seeds 42 and 7."""
+    named, seeded = _oracle_pencils()
+    qring = PolyRing(QQ, U_VARS)
+    for name, P in named + seeded:
+        for side in ("plus", "minus"):
+            f = P.det_curves().side(side)
+            assert {type(c) for c in f.terms.values()} <= {int}, name
+            assert f.terms == P.linear_form_matrix(side, qring).det().terms, name
+            over_z = CliffordAlgebra.from_pencil(P, side)
+            over_q = clifford_over(P, side, QQ)
+            assert over_z.ring.field is ZZ and over_q.ring.field is QQ
+            assert _int_terms(over_z) == over_q.structure_terms(), (name, side)
+            assert _central_or_error(over_z) == _central_or_error(over_q), (name, side)
+            assert commutant_dims(over_z, 6) == commutant_dims(over_q, 6), (name, side)
+        for variant in ("ordinary", "super"):
+            over_z = CliffordAlgebra.from_pencil(P, variant)
+            over_q = clifford_over(P, variant, QQ)
+            for m in range(64):
+                for j in range(6):
+                    assert ([(m2, c.terms) for m2, c in over_z._mask_times_gen(m, j)]
+                            == [(m2, c.terms) for m2, c in over_q._mask_times_gen(m, j)])
+    for name, P in named[:2]:
+        over_z = CliffordAlgebra.from_pencil(P, "ordinary")
+        over_q = clifford_over(P, "ordinary", QQ)
+        assert _int_terms(over_z) == over_q.structure_terms(), name
+        assert commutant_dims(over_z, 6) == commutant_dims(over_q, 6), name
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+def test_scaling_action_is_exact_over_the_integers(lam):
+    """action_scales_relation compares cross-multiplied coefficients, so
+    over Z[u] it never divides (a float would raise TypeError at the next
+    polynomial product) and agrees with the rational oracle, on every
+    relation and on each one with a stray constant term."""
+    P = cached_pencil(42)
+    for variant in ("ordinary", "super"):
+        algs = (CliffordAlgebra.from_pencil(P, variant),
+                clifford_over(P, variant, QQ))
+        for rels in zip(*(defining_relations(alg) for alg in algs)):
+            for s in (1, -1):
+                for alg, terms in zip(algs, rels):
+                    assert action_scales_relation(alg, terms, s, lam)
+                    bad = terms + [((), alg.ring.one())]
+                    assert not action_scales_relation(alg, bad, s, lam)

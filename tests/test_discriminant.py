@@ -3,11 +3,14 @@ Macaulay's quotient for the resultant of three ternary quadrics, nets
 that are singular by construction, and the F_p scans, whose singular
 points can only occur at primes that divide Δ."""
 
+from fractions import Fraction
+
 import pytest
 
 from quadclif import geometry
-from quadclif.exactalg import QQ
+from quadclif.exactalg import QQ, PolyRing
 from quadclif.pencil import (
+    U_VARS,
     URING,
     _QUADRATIC,
     _derived_rng,
@@ -76,8 +79,11 @@ def test_resultant_is_512_times_macaulays_quotient():
 def test_resultant_needs_quadratic_forms():
     with pytest.raises(ValueError, match="quadratic"):
         ternary_quadric_resultant(U1 ** 2, U2 ** 2, U3 ** 2 + U1)
+    with pytest.raises(TypeError):  # Z[u] admits no true fraction
+        U3 ** 2 * Fraction(1, 2)
+    half_u3_squared = PolyRing(QQ, U_VARS).monomial((0, 0, 2), Fraction(1, 2))
     with pytest.raises(ValueError):
-        ternary_quadric_resultant(U1 ** 2, U2 ** 2, U3 ** 2 * QQ.coerce("1/2"))
+        ternary_quadric_resultant(U1 ** 2, U2 ** 2, half_u3_squared)
 
 
 def _diagonal():

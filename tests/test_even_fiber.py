@@ -18,7 +18,7 @@ import pytest
 from quadclif import clifford, fiber
 from quadclif.checks import CheckContext, run_single
 from quadclif.clifford import CliffordAlgebra
-from quadclif.exactalg import QQ, PolyRing, PrimeField, SymMatrix
+from quadclif.exactalg import QQ, PolyRing, SymMatrix
 from quadclif.fiber import (
     EVEN_MASKS,
     ODD_MASKS,
@@ -39,7 +39,7 @@ from quadclif.fiber import (
 )
 from quadclif.pencil import _derived_rng
 
-from conftest import cached_pencil, poly_bareiss_det
+from conftest import PrimeField, cached_pencil, poly_bareiss_det
 from test_fiber import (
     certify_split_pair,
     diag_pencil,

@@ -8,7 +8,7 @@ import pytest
 
 from quadclif.exactalg import (
     QQ,
-    PrimeField,
+    ZZ,
     PolyRing,
     SymMatrix,
     adjugate3,
@@ -32,6 +32,7 @@ from conftest import (
     QQI,
     SQUAREFREE_FIELDS,
     GaussianRational,
+    PrimeField,
     as_univariate,
     coeff_of_power,
     fp_sqrt,
@@ -221,6 +222,56 @@ def test_poly_eval_matches_structure(Ru):
     assert total_degree(f) == 2
     assert not is_homogeneous(f)
     assert is_homogeneous(u1 * u2 * u3)
+
+
+# -- the integer ring -----------------------------------------------------------
+
+
+def test_integer_ring_coerces_integers_only():
+    assert ZZ.coerce(7) == 7 and type(ZZ.coerce(7)) is int
+    assert type(ZZ.coerce(Fraction(6, 2))) is int and ZZ.coerce(Fraction(6, 2)) == 3
+    assert type(ZZ.coerce(True)) is int
+    for bad in (4.0, Fraction(1, 2), "3", None, F101.one):
+        with pytest.raises(TypeError):
+            ZZ.coerce(bad)
+    assert ZZ.characteristic == QQ.characteristic == 0
+    assert not hasattr(ZZ, "div") and ZZ.zero == 0 and ZZ.one == 1
+
+
+def test_integer_polynomials_refuse_floats_fractions_and_other_rings():
+    R = PolyRing(ZZ, ("u1", "u2"))
+    u1, u2 = (R.var(v) for v in R.vars)
+    f = 3 * u1 * u2 - u2 ** 2 + 5
+    assert {type(c) for c in f.terms.values()} == {int}
+    assert repr(f) == repr(PolyRing(QQ, R.vars).from_terms(f.terms.items()))
+    for bad in (4.0, Fraction(1, 2), 7 / 2):
+        with pytest.raises(TypeError):
+            f * bad
+        with pytest.raises(TypeError):
+            f + bad
+        with pytest.raises(TypeError):
+            R.const(bad)
+    with pytest.raises(TypeError):
+        f.eval([1.0, 2])
+    g = PolyRing(QQ, R.vars).var("u1")
+    for op in (lambda: f + g, lambda: f * g, lambda: g - f):
+        with pytest.raises(ValueError, match="mixed polynomial rings"):
+            op()
+
+
+def test_integer_polynomials_evaluate_through_the_point_ring():
+    """Z → Q, Z → F_p and Z → K are ring homomorphisms: the coefficients
+    enter through the point's arithmetic, the point is never coerced."""
+    R = PolyRing(ZZ, ("u1", "u2"))
+    u1, u2 = (R.var(v) for v in R.vars)
+    f = 3 * u1 * u2 - u2 ** 2 + 5
+    oracle = PolyRing(QQ, R.vars).from_terms(f.terms.items())
+    assert f.eval([2, 5]) == 10 and type(f.eval([2, 5])) is int
+    half = [Fraction(1, 2), Fraction(-3, 4)]
+    assert f.eval(half) == oracle.eval(half) == Fraction(53, 16)
+    assert f.eval([F101.coerce(2), F101.coerce(5)]) == 10
+    s = TOWER.sqrt(2)
+    assert f.eval([s, s]) == TOWER.coerce(9) == oracle.eval([s, s])
 
 
 def test_poly_derivative_and_euler(Ru):

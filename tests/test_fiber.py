@@ -9,8 +9,8 @@ import pytest
 
 from quadclif import fiber
 from quadclif.checks import CheckContext, run_single
-from quadclif.clifford import CliffordAlgebra, lift
-from quadclif.exactalg import PrimeField, QQ, mat_rank, mat_solve
+from quadclif.clifford import U_VARS, CliffordAlgebra, lift
+from quadclif.exactalg import QQ, ZZ, PolyRing, mat_rank, mat_solve
 from quadclif.fiber import (
     IRREDUCIBILITY_PRIMES,
     CubicField,
@@ -41,6 +41,7 @@ from quadclif.geometry import curve_points
 from quadclif.pencil import InvariantPencil, _derived_rng
 
 from conftest import (
+    PrimeField,
     as_univariate,
     cached_pencil,
     divisors,
@@ -606,8 +607,26 @@ def test_trace_form_char_guard():
     F = PrimeField(7)
     P = cached_pencil(42)
     A = side_fiber(SideFibers(P), "plus", (1, 2, 1), F)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="characteristic 7"):
         radical_dim(A)
+    # the guard reads the field's characteristic: 0 passes, 11 > 8 passes
+    for field in (QuadraticTower(()), PrimeField(11)):
+        assert radical_dim(side_fiber(SideFibers(P), "plus", (1, 2, 1), field)[0]) == 0
+
+
+def test_integers_are_not_a_fiber_field():
+    """Z has no division (an idempotent's 1/2 would become a float), so
+    structure-constant algebras, and the fibers built on them, refuse it."""
+    with pytest.raises(TypeError, match="not Z"):
+        FinAlg(ZZ, [[(1,)]], (1,))
+    sides = SideFibers(cached_pencil(42))
+    with pytest.raises(TypeError, match="not Z"):
+        side_fiber(sides, "plus", (1, 2, 1), ZZ)
+    mats = (diag_matrix(1, 1, 0), diag_matrix(0, 0, 1), diag_matrix(0, 0, 0))
+    P = InvariantPencil(q_plus=mats, q_minus=(basis_mat(0), basis_mat(1), basis_mat(2)),
+                        seed=0, coeff_bound=1)
+    with pytest.raises(TypeError, match="not Z"):  # a corank-1 point of f₊
+        corank1_quotient(SideFibers(P), "plus", (1, 0, 0), field=ZZ)
 
 
 # -- fibers ----------------------------------------------------------------------
@@ -1079,8 +1098,11 @@ def test_rational_curve_point_rejects_fractional_cubic(pencil42):
 
     P = InvariantPencil.from_json_dict(pencil42.to_json_dict())
     curves = P.det_curves()
+    with pytest.raises(TypeError):  # Z[u] admits no true fraction
+        curves.f_plus * Fraction(1, 2)
+    over_q = PolyRing(QQ, U_VARS).from_terms(curves.f_plus.terms.items())
     object.__setattr__(P, "_det_curves",
-                       DetCurves(curves.f_plus * Fraction(1, 2), curves.f_minus))
+                       DetCurves(over_q * Fraction(1, 2), curves.f_minus))
     with pytest.raises(FiberError, match="non-integer coefficient"):
         cubic_section_point(P, "plus")
     # the name the benchmark's curve point probe wraps is the line walk

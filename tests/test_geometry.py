@@ -16,7 +16,7 @@ from quadclif.checks import (
     genericity_scans,
     run_single,
 )
-from quadclif.exactalg import FpElem, MultiPoly, PrimeField, adjugate3, mat_kernel
+from quadclif.exactalg import MultiPoly, adjugate3, mat_kernel
 from quadclif.geometry import (
     GenericityError,
     ReducedCurve,
@@ -36,6 +36,8 @@ from quadclif.pencil import URING, InvariantPencil, det_cubic, genericity_check
 
 from conftest import (
     BAD_REDUCTION_Q_PLUS,
+    FpElem,
+    PrimeField,
     SCALED_Q_PLUS,
     VANISHING_PARTIAL_Q_PLUS,
     bare_curve,

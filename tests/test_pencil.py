@@ -13,6 +13,7 @@ from quadclif import pencil
 from quadclif.checks import CheckContext, genericity_scans
 from quadclif.exactalg import (
     QQ,
+    ZZ,
     PolyRing,
     SymMatrix,
     bareiss_det,
@@ -20,6 +21,7 @@ from quadclif.exactalg import (
 )
 from quadclif.pencil import (
     CENTERS,
+    U_VARS,
     URING,
     InvariantPencil,
     GenerationError,
@@ -96,13 +98,17 @@ def _det_oracle_pencils():
 
 
 def test_det_curves_match_cofactor_expansion():
-    """The 27 mixed determinants give det_cofactor's cubic exactly, with
-    Fraction coefficients only."""
+    """The 27 mixed determinants give det_cofactor's cubic exactly, over Z
+    with int coefficients only, and the same terms as the expansion over
+    Q."""
+    qring = PolyRing(QQ, U_VARS)
     for P in _det_oracle_pencils():
         for side in ("plus", "minus"):
             f = P.det_curves().side(side)
+            assert f.ring == URING and URING.field is ZZ
             assert f == P.linear_form_matrix(side).det()
-            assert {type(c) for c in f.terms.values()} == {Fraction}
+            assert {type(c) for c in f.terms.values()} == {int}
+            assert f.terms == P.linear_form_matrix(side, qring).det().terms
 
 
 def test_zero_minus_side_is_degenerate():
@@ -449,7 +455,8 @@ def test_integer_resultant_matches_the_multipoly_oracle():
     assert binary_resultant(g, u3 ** 3 - u1 ** 3, (1, 1, 1)) is None
     assert binary_resultant(URING.zero(), g, (0, 0, 1)) is None
     for bad, center in ((u3 ** 3 + u1, (0, 0, 1)),
-                        (u3 ** 3 * Fraction(1, 2), (0, 0, 1)),
+                        (PolyRing(QQ, U_VARS).monomial((0, 0, 3), Fraction(1, 2)),
+                         (0, 0, 1)),
                         (u3 ** 3 + u1 ** 3, (1, 0, 0))):
         with pytest.raises(ValueError):
             binary_resultant(bad, g, center)

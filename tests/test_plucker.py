@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_pencil
-from quadclif.exactalg import QQ, PolyRing, PrimeField, mat_rank
+from conftest import PrimeField, cached_pencil
+from quadclif import plucker
+from quadclif.exactalg import QQ, PolyRing, mat_rank
 from quadclif.fiber import FiberError, SideFibers, sample_invertible_points
 from quadclif.geometry import GenericityError, curve_points
 from quadclif.pencil import InvariantPencil
@@ -118,6 +119,13 @@ class TestSegre:
     def test_full_symbolic_certificate(self):
         cert = segre_identity_check()
         assert cert.ok, cert.failures
+
+    def test_integer_identities_match_the_rational_oracle(self, monkeypatch):
+        # the Segre and m0 identities run over Z; read over Q they give the
+        # same certificate and residual digest
+        over_z = segre_identity_check(), m0_identity_check()
+        monkeypatch.setattr(plucker, "ZZ", QQ)
+        assert (segre_identity_check(), m0_identity_check()) == over_z
 
     def test_rational_parameter_instance(self):
         ring = PolyRing(QQ, A_VARS)
