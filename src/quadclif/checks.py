@@ -24,10 +24,9 @@ from . import geometry
 from .clifford import (
     CliffordAlgebra,
     central_pair,
-    commutant_dims,
+    commutant_basis,
     defining_relations,
     equivariance_check,
-    hilbert_dims_center,
     lift,
     phi_exponent,
     phi_failing_pairs,
@@ -141,17 +140,14 @@ class CheckContext:
     genericity report with its scan witnesses, the sampled fiber points,
     and the side algebras and their fibers (`sides`)."""
 
-    def __init__(self, P=None, primes=DEFAULT_PRIMES, points=20, max_degree=6):
+    def __init__(self, P=None, primes=DEFAULT_PRIMES, points=20):
         self.P = P
         self.primes = check_primes(primes)
         self.points = int(points)
-        self.max_degree = int(max_degree)
         if self.points < 1:
             raise ValueError("points must be >= 1")
         if self.points > MAX_POINTS:
             raise ValueError(f"points must be at most {MAX_POINTS}, got {self.points}")
-        if not 1 <= self.max_degree <= 8:
-            raise ValueError("max-degree must be between 1 and 8")
         self._cache = {}
         self.sides = SideFibers(P) if P is not None else None
 
@@ -351,14 +347,66 @@ def _check_dminus_square(ctx):
     return _d_square_check(ctx, "minus")
 
 
+# The integer points at which the center's commutator matrix is
+# specialized, in order, and the masks where 1, d₊, d₋, d₊d₋ are diagonal.
+CENTER_POINTS = ((1, 2, 3), (2, -1, 5))
+CENTER_MASKS = (0, 0b111, 0b111000, 0b111111)
+
+
+def _weight(e):
+    """The weight (mask length plus twice the u-degree) of a homogeneous
+    element, or None when its terms have several."""
+    ws = {bin(m).count("1") + 2 * sum(x)
+          for m, poly in e.coeffs.items() for x in poly.terms}
+    return ws.pop() if len(ws) == 1 else None
+
+
 def _check_center(ctx):
+    """The center of the ordinary algebra A over Z[u] is the free
+    Z[u]-module on b₀..b₃ = 1, d₊, d₋, d₊d₋, of weights 0, 3, 3, 6, in
+    every weight.  Off the curves it is the center K[d₊] ⊗ K[d₋] of
+    C(q₊) ⊗ C(q₋), d±² = f± (Lam, Introduction to Quadratic Forms over
+    Fields, GSM 67, Ch. V).  A is generated by v₁..v₆, so its center is
+    the kernel of the commutator matrix C(u), 6·64 × 64 over Z[u].
+
+    1. Each bᵢ, with d± the blocks' odd central elements (prop3.12)
+       lifted into A, is checked to commute with the generators over Z[u].
+    2. The coefficients of b₀..b₃ at CENTER_MASKS are computed to form a
+       diagonal of ±1: the bᵢ are independent over Q(u), and a central z
+       over Z[u] that is Σ aᵢbᵢ over Q(u) has each aᵢ = ±z at a mask, in Z[u].
+    3. Evaluation at an integer point u₀ is a ring homomorphism Z[u] → Z,
+       so C(u₀) is C(u) specialized (`commutant_basis`).  A kernel of
+       dimension 4 there means rank 60: some 60×60 minor of C(u) is
+       nonzero at u₀, hence nonzero, and rank C(u) ≥ 60 over Q(u).  So the
+       center over Q(u) is span(b₀..b₃), over Z[u] free on them by 2.
+
+    By 1 and 2 the kernel at any point has dimension at least 4; more
+    means the point is special.  If no point of CENTER_POINTS gives 4,
+    the check FAILs naming each point's dimension, claiming no center."""
     alg = CliffordAlgebra.from_pencil(ctx.P, "ordinary")
-    D = ctx.max_degree
-    dims = commutant_dims(alg, D)
-    oracle = hilbert_dims_center(D)
-    wit = [{"weights": f"0..{D}", "commutant_dims": dims,
-            "free_module_oracle": oracle}]
-    return dims == oracle, wit
+    dp, dm = (lift(ctx.sides.central(side)[1].element, alg, side)
+              for side in ("plus", "minus"))
+    basis = (alg.one(), dp, dm, dp * dm)
+    gens = [alg.gen(j) for j in range(alg.ngens)]
+    central = [all(b.commutator(g).is_zero() for g in gens) for b in basis]
+    zero = alg.ring.zero()
+    unit_diagonal = all(b.coeffs.get(m, zero) in ((1, -1) if i == j else (0,))
+                        for i, b in enumerate(basis)
+                        for j, m in enumerate(CENTER_MASKS))
+    weights = [_weight(b) for b in basis]
+    wit = [{"basis": ["1", "d_plus", "d_minus", "d_plus*d_minus"],
+            "central": central, "weights": weights,
+            "masks": list(CENTER_MASKS), "unit_diagonal": unit_diagonal}]
+    for u in CENTER_POINTS:
+        kernel = commutant_basis(alg, u)
+        wit.append({"point": list(u), "columns": 1 << alg.ngens,
+                    "kernel_dim": len(kernel),
+                    "top_masks": [max(m for m, x in enumerate(v) if x)
+                                  for v in kernel]})
+        if len(kernel) == len(basis):
+            break
+    return (all(central) and unit_diagonal and weights == [0, 3, 3, 6]
+            and wit[-1]["kernel_dim"] == len(basis)), wit
 
 
 # ---------------------------------------------------------------------------

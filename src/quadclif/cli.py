@@ -60,8 +60,6 @@ def _build_parser():
     c.add_argument("--points", type=int, default=20,
                    help="number of off-curve fiber points to certify "
                         f"(1..{MAX_POINTS})")
-    c.add_argument("--max-degree", type=int, default=6, dest="max_degree",
-                   help="top weight for the center-dimension check (1..8)")
     c.add_argument("--report", metavar="PATH",
                    help="write the JSON report here")
     return parser
@@ -117,10 +115,7 @@ def _report_dict(args, P, primes, results):
         },
         "seed": None if P is None else P.seed,
         "primes": list(primes),
-        "flags": {
-            "points": args.points,
-            "max_degree": args.max_degree,
-        },
+        "flags": {"points": args.points},
         "checks": [r.to_json_dict() for r in results],
         "overall": overall,
     }
@@ -155,8 +150,7 @@ def cmd_check(args):
         )
 
     try:
-        ctx = CheckContext(P, primes=primes, points=args.points,
-                           max_degree=args.max_degree)
+        ctx = CheckContext(P, primes=primes, points=args.points)
     except ValueError as exc:
         return _fail_usage(str(exc))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .exactalg import QQ, ZZ, MultiPoly, PolyRing, as_int, kernel_int_sparse
 
@@ -607,78 +606,29 @@ def lift(e, target, side):
 
 
 # ---------------------------------------------------------------------------
-# degree-bounded commutant
+# the commutant at an integer point
 # ---------------------------------------------------------------------------
 
-def _monomials_of_degree(d):
-    out = []
-    for a in range(d + 1):
-        for b in range(d - a + 1):
-            out.append((a, b, d - a - b))
-    return sorted(out)
-
-
-def commutant_basis(alg, D):
-    """Per-weight bases of { z : [z, v_j] = 0 for every generator },
-    weights 0..D, via an exact integer kernel on (mask, monomial)
-    coordinates.  Returns a list indexed by weight."""
-    if D > 8:
-        raise ValueError("degree bound capped at 8")
-    out = []
-    for n in range(D + 1):
-        unknowns = []
-        for mask in range(1 << alg.ngens):
-            k = _popcount(mask)
-            if k > n or (n - k) % 2:
-                continue
-            for mexp in _monomials_of_degree((n - k) // 2):
-                unknowns.append((mask, mexp))
-        rows = {}
-        for col, (mask, mexp) in enumerate(unknowns):
-            for g in range(alg.ngens):
-                gbit = 1 << g
-                for m2, poly, sgn in (
-                    [(m, p, 1) for m, p in alg.mask_mul(mask, gbit)]
-                    + [(m, p, -1) for m, p in alg.mask_mul(gbit, mask)]
-                ):
-                    for pexp, c in poly.terms.items():
-                        if c.denominator != 1:
-                            raise ValueError("non-integer structure constant")
-                        key = (g, m2, tuple(a + b for a, b in zip(pexp, mexp)))
-                        row = rows.setdefault(key, {})
-                        v = row.get(col, 0) + sgn * c.numerator
-                        if v:
-                            row[col] = v
-                        else:
-                            row.pop(col, None)
-        basis = kernel_int_sparse(list(rows.values()), len(unknowns))
-        elems = []
-        for vec in basis:
-            acc = alg.zero()
-            for col, v in enumerate(vec):
-                if v:
-                    mask, mexp = unknowns[col]
-                    acc = acc + alg.from_mask(mask, alg.ring.monomial(mexp, v))
-            elems.append(acc)
-        out.append(elems)
-    return out
-
-
-def commutant_dims(alg, D):
-    return [len(b) for b in commutant_basis(alg, D)]
-
-
-def hilbert_dims_center(D):
-    """Weight dimensions of Q[u, y+, y-]/(y±² - f±) with deg u = 2 and
-    deg y± = 3: a free Q[u]-module on 1, y+, y-, y+y- of weights 0,3,3,6.
-    The independent oracle for the ordinary-variant commutant."""
-    def u_count(w):
-        if w < 0 or w % 2:
-            return 0
-        return comb(w // 2 + 2, 2)
-
-    return [u_count(n) + 2 * u_count(n - 3) + u_count(n - 6)
-            for n in range(D + 1)]
+def commutant_basis(alg, point):
+    """Kernel of the commutator matrix of alg at an integer point u₀, as
+    primitive integer vectors x with [Σ x_m e_m, v_j] = 0 at u₀ for every
+    generator (`kernel_int_sparse`).  Its rows are indexed by (generator,
+    mask), its columns by mask, and its entries are the structure constants
+    of e_m·v_j − v_j·e_m at u₀: C(u) over Z[u], specialized.  Each vector's
+    top nonzero mask is a distinct free column of the elimination."""
+    rows = {}
+    for mask in range(1 << alg.ngens):
+        for g in range(alg.ngens):
+            gbit = 1 << g
+            for sign, terms in ((1, alg.mask_mul(mask, gbit)),
+                                (-1, alg.mask_mul(gbit, mask))):
+                for m2, poly in terms:
+                    v = as_int(poly.eval(point))
+                    if type(v) is not int:
+                        raise ValueError("non-integer structure constant")
+                    row = rows.setdefault((g, m2), {})
+                    row[mask] = row.get(mask, 0) + sign * v
+    return kernel_int_sparse(list(rows.values()), 1 << alg.ngens)
 
 
 # ---------------------------------------------------------------------------

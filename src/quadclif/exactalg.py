@@ -35,8 +35,9 @@ Linear algebra has one routine per job, shared by every module:
   evaluation and interpolation (Collins, J. ACM 18 (1971); von zur Gathen
   and Gerhard, *Modern Computer Algebra*, Ch. 6), and
   `squarefree_univariate` is Res(h, h′) ≠ 0;
-* `kernel_int_sparse` is the separate sparse integer kernel of the graded
-  commutant solver.
+* `kernel_int_sparse` is the sparse integer kernel of the commutator
+  matrix of a Clifford algebra specialized at an integer point
+  (`clifford.commutant_basis`, behind the center check).
 """
 
 from __future__ import annotations
@@ -680,7 +681,7 @@ def mat_solve(rows, rhs, field):
 
 
 # ---------------------------------------------------------------------------
-# sparse integer kernel (for the graded commutant solver)
+# sparse integer kernel (for the commutator matrix at a point)
 # ---------------------------------------------------------------------------
 
 def kernel_int_sparse(rows, ncols):

@@ -13,17 +13,21 @@ import sys
 import time
 from functools import lru_cache
 
-from conftest import cached_pencil, central_odd_pencil, phi_pair
+from conftest import (
+    cached_pencil,
+    central_odd_pencil,
+    commutant_dims,
+    hilbert_dims_center,
+    phi_pair,
+)
 from test_checks import diag_instance
 
 from quadclif.checks import CheckContext, run_single
 from quadclif.clifford import (
     CliffordAlgebra,
     central_pair,
-    commutant_dims,
     defining_relations,
     equivariance_check,
-    hilbert_dims_center,
     lift,
     phi,
     terms_homogeneous,

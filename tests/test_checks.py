@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cached_pencil, flip_step, seeded_pencil
+from conftest import (
+    cached_pencil,
+    commutant_dims,
+    flip_step,
+    hilbert_dims_center,
+    seeded_pencil,
+)
 from quadclif import checks, clifford
 from quadclif.checks import (
     CHECK_ORDER,
@@ -22,7 +28,6 @@ from quadclif.checks import (
     run_single,
 )
 from quadclif.cli import main
-from quadclif.clifford import hilbert_dims_center
 from quadclif.exactalg import is_prime
 from quadclif.pencil import InvariantPencil, genericity_check
 
@@ -73,19 +78,19 @@ class TestRegistry:
             CheckContext(None, primes=(7,))
         with pytest.raises(ValueError):
             CheckContext(None, points=0)
-        with pytest.raises(ValueError):
-            CheckContext(None, max_degree=9)
+        # the center check has no weight bound to set
+        with pytest.raises(TypeError):
+            CheckContext(None, max_degree=6)
 
-    def test_max_degree_reaches_the_center_check(self):
-        # degrees 7 and 8 are accepted, so the check must compute them too
-        P = cached_pencil(42)
-        for D in (7, 8):
-            r = run_single(CheckContext(P, max_degree=D), "prop3.13-center")
-            assert r.status == "pass"
-            (w,) = r.witnesses
-            assert w["weights"] == f"0..{D}"
-            assert len(w["commutant_dims"]) == D + 1
-            assert w["commutant_dims"] == hilbert_dims_center(D)
+    def test_center_check_names_its_point_and_basis(self):
+        r = run_single(CheckContext(cached_pencil(42)), "prop3.13-center")
+        assert r.status == "pass"
+        lower, bound = r.witnesses
+        assert lower == {"basis": ["1", "d_plus", "d_minus", "d_plus*d_minus"],
+                         "central": [True] * 4, "weights": [0, 3, 3, 6],
+                         "masks": [0, 7, 56, 63], "unit_diagonal": True}
+        assert bound == {"point": [1, 2, 3], "columns": 64, "kernel_dim": 4,
+                         "top_masks": [0, 7, 56, 63]}
 
     def test_composite_primes_rejected(self):
         # 121 = 11² passes the size bound but has no Fermat inverses
@@ -172,6 +177,40 @@ class TestRegistryMutants:
         assert r.status == "fail"
         assert r.witnesses == [
             {"error": "ValueError: associativity fails on (e_1 e_2) v_0"}]
+
+    def test_center_fails_on_a_flipped_step(self, monkeypatch):
+        # a negated e_{v1v2}·v3 step of the ordinary engine: d₊ no longer
+        # commutes with the generators, and the kernel at each point loses
+        # the two basis elements that contain it
+        flip_step(monkeypatch, "ordinary", (0b011, 2))
+        r = run_single(CheckContext(cached_pencil(42)), "prop3.13-center")
+        assert r.status == "fail"
+        lower, *bounds = r.witnesses
+        assert lower["central"] == [True, False, True, False]
+        assert bounds == [{"point": list(u), "columns": 64, "kernel_dim": 2,
+                           "top_masks": [0, 56]} for u in checks.CENTER_POINTS]
+
+    def test_center_fails_when_no_point_bounds_the_kernel(self, monkeypatch):
+        # at u = 0 the forms vanish and A is Λ(V₊) ⊗ Λ(V₋), whose center
+        # (even part and top degree of each factor) has dimension 5·5: the
+        # rank there bounds nothing, and the check claims no center
+        monkeypatch.setattr(checks, "CENTER_POINTS", ((0, 0, 0),))
+        r = run_single(CheckContext(cached_pencil(42)), "prop3.13-center")
+        assert r.status == "fail"
+        lower, bound = r.witnesses
+        assert lower["central"] == [True] * 4 and lower["unit_diagonal"]
+        assert (bound["point"], bound["kernel_dim"]) == ([0, 0, 0], 25)
+
+    def test_flipped_step_outside_the_center_fails_phi(self, monkeypatch):
+        # a negated e_{v2v3}·v1 step touches only the column of mask 0b110,
+        # where no central element has a coefficient, so the center check
+        # still passes; the step certificate of prop3.9-phi catches it
+        flip_step(monkeypatch, "ordinary", (0b110, 0))
+        ctx = CheckContext(cached_pencil(42))
+        assert run_single(ctx, "prop3.13-center").status == "pass"
+        r = run_single(ctx, "prop3.9-phi")
+        assert r.status == "fail"
+        assert r.witnesses[0]["failing_pairs"][:2] == [[6, 3], [6, 5]]
 
     def test_corank1_fails_on_the_diagonal_with_the_discriminants(self):
         # Δ₊ = Δ₋ = 0 allows corank-2 points, so no curve point is tried
@@ -273,6 +312,17 @@ class TestOnInstance:
         assert not bad, bad
         payload = json.dumps([r.to_json_dict() for r in results])
         assert "Fraction" not in payload
+
+    def test_center_verdict_agrees_with_the_weight_oracle(self):
+        """The one-point certificate against the weight-by-weight commutant
+        it replaced, on weights 0..6."""
+        named = [cached_pencil(42), cached_pencil(7), diag_instance()]
+        oracle = hilbert_dims_center(6)
+        for P in named + [seeded_pencil(i) for i in range(20)]:
+            r = run_single(CheckContext(P), "prop3.13-center")
+            alg = clifford.CliffordAlgebra.from_pencil(P, "ordinary")
+            assert r.status == "pass"
+            assert commutant_dims(alg, 6) == oracle
 
     def test_subset_keeps_canonical_order(self):
         P = cached_pencil(42)

@@ -12,7 +12,6 @@ import pytest
 from quadclif import __version__
 from quadclif.checks import CHECK_ORDER
 from quadclif.cli import main
-from quadclif.clifford import hilbert_dims_center
 from quadclif.exactalg import is_prime
 from quadclif.pencil import load_instance
 
@@ -39,10 +38,12 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 
 # SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
 # of `check --points 2` on that instance: every verdict and witness of the
-# full run is pinned byte for byte.  It changed only through the witnesses
-# of prop3.18-corank1-m2, when that check moved to exact points over the
-# cubic field of a line section (before: 06e7670e…f34e4de).
-FULL_RUN_SHA256 = "3ed3d3e32d924cdbe87be724756820ab1e50e5b056351f7aa113efe4b1f40df9"
+# full run is pinned byte for byte.  It last changed through the witnesses
+# of prop3.13-center, which moved from weight-by-weight commutant
+# dimensions to a kernel at one point, and the report's flags, which lost
+# max_degree (before: 3ed3d3e3…1f40df9; before that, when prop3.18-corank1-m2
+# moved to exact points over a cubic field: 06e7670e…f34e4de).
+FULL_RUN_SHA256 = "0c3a76645df372d4799783c521fc35a6541563f6009489bf0a2d534e13f38ee4"
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.
@@ -194,8 +195,14 @@ class TestCheckUsage:
         assert main(["check", str(inst), "--primes", "7"]) == 2
         assert main(["check", "prop4.9-segre", str(inst),
                      "--points", "0"]) == 2
-        assert main(["check", "prop4.9-segre", str(inst),
-                     "--max-degree", "9"]) == 2
+
+    def test_max_degree_is_an_unknown_flag(self, tmp_path, capsys):
+        # the center check covers every weight, so there is no bound to set
+        inst = gen(tmp_path, seed=1, bound=3)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "prop3.13-center", str(inst), "--max-degree", "6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-degree 6" in capsys.readouterr().err
 
     def test_corrupt_instance_json(self, tmp_path, capsys):
         good = json.loads(cached_pencil(42).canonical_bytes())
@@ -262,22 +269,24 @@ class TestCheckRuns:
         assert rep["instance"]["digest"] == SEED42_DIGEST
         assert rep["instance"]["seed"] == 42
         assert rep["primes"] == [101, 103, 107]
-        assert rep["flags"] == {"points": 20, "max_degree": 6}
+        assert rep["flags"] == {"points": 20}
         ids = [c["id"] for c in rep["checks"]]
         assert ids == ["prop3.13-center"]
 
-    def test_max_degree_8_reaches_the_center_check(self, tmp_path, capsys):
+    def test_center_check_reports_its_point_kernel(self, tmp_path, capsys):
         inst = gen(tmp_path)
         report = tmp_path / "r.json"
-        assert main(["check", "prop3.13-center", str(inst), "--max-degree", "8",
+        assert main(["check", "prop3.13-center", str(inst),
                      "--report", str(report)]) == 0
         capsys.readouterr()
         rep = stripped(report)
-        assert rep["flags"] == {"points": 20, "max_degree": 8}
-        (w,) = rep["checks"][0]["witnesses"]
-        assert w["weights"] == "0..8"
-        assert len(w["commutant_dims"]) == 9
-        assert w["commutant_dims"] == w["free_module_oracle"] == hilbert_dims_center(8)
+        assert rep["flags"] == {"points": 20}
+        lower, bound = rep["checks"][0]["witnesses"]
+        assert lower["central"] == [True] * 4
+        assert lower["weights"] == [0, 3, 3, 6]
+        assert bound == {"point": [1, 2, 3], "columns": 64, "kernel_dim": 4,
+                         "top_masks": [0, 7, 56, 63]}
+        assert "error" not in json.dumps(rep) and float_paths(rep) == []
 
     def test_full_run(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -334,7 +343,8 @@ class TestOptimizedInterpreter:
                                 ("prop4.3-singular-locus", []),
                                 ("prop3.17-azumaya-m4", ["--points", "1"]),
                                 ("prop3.18-corank1-m2", ["--points", "1"]),
-                                ("prop3.12-dplus-square", [])):
+                                ("prop3.12-dplus-square", []),
+                                ("prop3.13-center", [])):
             plain, optimized = tmp_path / "plain.json", tmp_path / "opt.json"
             rc = main(["check", check_id, str(inst), *flags,
                        "--report", str(plain)])

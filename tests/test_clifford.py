@@ -1,5 +1,6 @@
 """Clifford engine: relations, grading, the even-part map, central elements,
-and degree-bounded commutants."""
+and commutants: the kernel of the commutator matrix at an integer point,
+against the weight-by-weight oracle of tests/conftest.py."""
 
 import random
 from dataclasses import dataclass
@@ -19,10 +20,8 @@ from quadclif.clifford import (
     central_odd,
     central_pair,
     commutant_basis,
-    commutant_dims,
     defining_relations,
     equivariance_check,
-    hilbert_dims_center,
     lift,
     phi,
     phi_exponent,
@@ -43,7 +42,10 @@ from conftest import (
     clifford_over,
     central_odd_by_ansatz,
     central_odd_pencil,
+    commutant_basis_by_weight,
+    commutant_dims,
     flip_step,
+    hilbert_dims_center,
     seeded_pencil,
     with_q_plus,
 )
@@ -638,7 +640,7 @@ def test_commutant_dims_super():
 def test_commutant_contains_central_pair_ordinary():
     P = cached_pencil(42)
     alg = CliffordAlgebra.from_pencil(P, "ordinary")
-    basis = commutant_basis(alg, 3)
+    basis = commutant_basis_by_weight(alg, 3)
     assert [len(b) for b in basis] == [1, 0, 3, 2]
     pair = central_pair(*(central_odd_pencil(P, side)
                           for side in ("plus", "minus")))
@@ -657,7 +659,7 @@ def test_commutant_plus_variant():
     dims = commutant_dims(alg, 3)
     assert dims == [1, 0, 3, 1]
     d = central_odd(alg).element
-    (w3,) = commutant_basis(alg, 3)[3]
+    (w3,) = commutant_basis_by_weight(alg, 3)[3]
     # the sole weight-3 commutant vector is a scalar multiple of d
     assert 0b111 in w3.coeffs
     assert w3 == d * constant_value(w3.coeffs[0b111])
@@ -667,7 +669,47 @@ def test_commutant_cap():
     P = cached_pencil(42)
     alg = CliffordAlgebra.from_pencil(P, "plus")
     with pytest.raises(ValueError):
-        commutant_basis(alg, 9)
+        commutant_basis_by_weight(alg, 9)
+
+
+def _top_masks(kernel):
+    return [max(m for m, x in enumerate(v) if x) for v in kernel]
+
+
+def test_point_kernel_ordinary_is_spanned_by_the_central_basis():
+    """At (1, 2, 3) the kernel of the ordinary commutator matrix has the
+    top masks of 1, d₊, d₋ and d₊d₋, and each vector is the specialization
+    of that element: a kernel vector is fixed by its free coordinates."""
+    P = cached_pencil(42)
+    alg = CliffordAlgebra.from_pencil(P, "ordinary")
+    u0 = (1, 2, 3)
+    kernel = commutant_basis(alg, u0)
+    assert _top_masks(kernel) == [0, 7, 56, 63]
+    dp, dm = (lift(central_odd_pencil(P, side).element, alg, side)
+              for side in ("plus", "minus"))
+    for vec, b in zip(kernel, (alg.one(), dp, dm, dp * dm)):
+        at_u0 = [b.coeffs[m].eval(u0) if m in b.coeffs else 0 for m in range(64)]
+        top = max(b.coeffs)
+        assert [x * at_u0[top] for x in vec] == [y * vec[top] for y in at_u0]
+
+
+def test_point_kernel_of_other_variants():
+    # the super variant is C(q₊ ⊥ q₋), central simple off the curves; a
+    # block's center is spanned by 1 and its odd central element
+    P = cached_pencil(42)
+    for variant, tops in (("super", [0]), ("plus", [0, 7]), ("minus", [0, 7])):
+        alg = CliffordAlgebra.from_pencil(P, variant)
+        kernel = commutant_basis(alg, (2, -1, 5))
+        assert _top_masks(kernel) == tops, variant
+        assert {len(v) for v in kernel} == {1 << alg.ngens}
+
+
+def test_point_kernel_needs_integer_structure_constants():
+    alg = clifford_over(cached_pencil(42), "plus", QQ)
+    assert commutant_basis(alg, (1, 2, 3)) == commutant_basis(
+        CliffordAlgebra.from_pencil(cached_pencil(42), "plus"), (1, 2, 3))
+    with pytest.raises(ValueError, match="non-integer structure constant"):
+        commutant_basis(alg, (Fraction(1, 7), 0, 0))
 
 
 # -- relation homogeneity and the scaling action -------------------------------
@@ -725,9 +767,10 @@ def _central_or_error(alg):
 def test_integer_algebra_matches_the_rational_oracle():
     """from_pencil over Z[u] against the same blocks over Q[u]: equal
     structure constants (as ints), odd central elements, commutant
-    dimensions and determinant cubics.  The side algebras and the
-    generator steps of the six-generator variants on every pencil; the
-    full ordinary table and its commutant on seeds 42 and 7."""
+    dimensions (the weight oracle and the kernel at a point) and
+    determinant cubics.  The side algebras and the generator steps of the
+    six-generator variants on every pencil; the full ordinary table and
+    its commutant on seeds 42 and 7."""
     named, seeded = _oracle_pencils()
     qring = PolyRing(QQ, U_VARS)
     for name, P in named + seeded:
@@ -753,6 +796,8 @@ def test_integer_algebra_matches_the_rational_oracle():
         over_q = clifford_over(P, "ordinary", QQ)
         assert _int_terms(over_z) == over_q.structure_terms(), name
         assert commutant_dims(over_z, 6) == commutant_dims(over_q, 6), name
+        assert commutant_basis(over_z, (1, 2, 3)) == commutant_basis(
+            over_q, (1, 2, 3)), name
 
 
 @pytest.mark.parametrize("lam", [2, 3])
