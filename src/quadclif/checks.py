@@ -37,10 +37,9 @@ from .clifford import (
 from .exactalg import is_prime
 from .fiber import (
     SideFibers,
-    certify_ordinary_m4,
-    certify_side_split,
     corank1_quotient,
     cubic_section_point,
+    even_certificate,
     sample_invertible_points,
 )
 from .pencil import _derived_rng, genericity_check
@@ -70,9 +69,8 @@ MAX_PRIME = 1009
 # check at --points 1 (README, "Limits").  Longer lists are refused.
 MAX_PRIMES = 16
 
-# Each fiber point costs each fiber check a few milliseconds; a full check
-# at this bound took 2.5 s and 41 MiB (README, "Limits").  Larger --points
-# values are refused.
+# Off-curve points are sampled for prop4.2 (three) and prop4.7 (one); each
+# costs a draw and two cubic evaluations.  Larger --points values are refused.
 MAX_POINTS = 200
 
 INSTANCE_FREE = frozenset({
@@ -138,7 +136,8 @@ class CheckContext:
     values, and caches so expensive artifacts are computed once per run:
     the reduced curves (`curve`, the one memo every F_p scan reads), the
     genericity report with its scan witnesses, the sampled fiber points,
-    and the side algebras and their fibers (`sides`)."""
+    the even-part certificates, and the side algebras and their fibers
+    (`sides`)."""
 
     def __init__(self, P=None, primes=DEFAULT_PRIMES, points=20):
         self.P = P
@@ -177,7 +176,7 @@ class CheckContext:
         return self.cached("exact-genericity", lambda: genericity_check(self.P))
 
     def fiber_points(self):
-        """Off-curve base points shared by the fiber-level checks."""
+        """Off-curve base points shared by prop4.2 and prop4.7."""
         return self.cached(
             "fiber-points",
             lambda: sample_invertible_points(
@@ -413,27 +412,52 @@ def _check_center(ctx):
 # fiber block
 # ---------------------------------------------------------------------------
 
+def _even_certificates(ctx, claim, locus):
+    """(ok, witnesses): both sides' even_certificate, built once per run,
+    then the claim and its locus.  A cubic that vanishes identically leaves
+    no point off the curve: FAIL with the degenerate_determinant witness."""
+    if any(ctx.P.det_curves().side(side).is_zero() for side in ("plus", "minus")):
+        return False, list(ctx.exact_genericity().witnesses)
+    certs = [ctx.cached(("even-certificate", side),
+                        lambda: even_certificate(ctx.sides, side))
+             for side in ("plus", "minus")]
+    return (all(ok for ok, _ in certs),
+            [wit for _, wit in certs] + [{"claim": claim, "locus": locus}])
+
+
 def _check_azumaya_m4(ctx):
-    wit = []
-    ok = True
-    for u in ctx.fiber_points():
-        field, verdict = certify_ordinary_m4(ctx.sides, u)
-        ok = ok and verdict == "M4"
-        wit.append({"point": list(u), "field": field.name,
-                    "verdict": verdict})
-    return ok, wit
+    """The 16-dimensional ordinary fiber is an M4 form at every u with
+    f₊(u)f₋(u) ≠ 0, from each side's fiber.even_certificate over Z[u].
+    Evaluation at u is a ring homomorphism, so for a side A with f(u) ≠ 0,
+    over a field K of characteristic 0:
+
+    1. C₀(u) is a 4-dimensional subalgebra of A(u) with unit e_0, and A(u)
+       is associative (SideFibers.algebra).
+    2. det G(u) = c·f(u)² ≠ 0: the trace form of C₀(u) is nondegenerate,
+       also over K̄.  The radical is a nilpotent ideal, so Tr L_{xy} = 0 for
+       x in it: it lies in the form's kernel, and C₀(u) ⊗ K̄ is semisimple
+       (Pierce, Associative Algebras, GTM 88: the trace form).
+    3. det G_c(u) = c′·f(u)⁴ ≠ 0: C₀(u) ⊗ K̄ is not commutative.
+    4. A 4-dimensional semisimple algebra over K̄ is M2(K̄) or the
+       commutative K̄⁴ (Wedderburn's theorem, Pierce, GTM 88), so C₀(u) is
+       an M2 form, with center K.
+    5. d is odd, e_m·d is odd, d is central and d² = f: x ↦ x·d maps C₀(u)
+       into the odd span with (x·d)·d = f(u)·x, so A(u) = C₀(u) ⊕ C₀(u)·d,
+       and a ⊗ xᵏ ↦ a·dᵏ is an isomorphism C₀(u) ⊗ K[x]/(x² − f(u)) → A(u)
+       (Lam, Introduction to Quadratic Forms over Fields, GSM 67, Ch. V §2).
+
+    Over L = K(√f₊(u), √f₋(u)) the idempotents (1 + d/√f(u))/2 cut C₀,L out
+    of each side, and the ordinary fiber, the tensor product of the two
+    corners, is (C₀₊ ⊗ C₀₋) ⊗ L, a tensor product of M2 forms: an M4 form."""
+    return _even_certificates(ctx, "M4", "f_plus*f_minus != 0")
 
 
 def _check_split_m2(ctx):
-    wit = []
-    ok = True
-    for u in ctx.fiber_points():
-        for side in ("plus", "minus"):
-            field, verdict = certify_side_split(ctx.sides, side, u)
-            ok = ok and verdict == "M2xM2"
-            wit.append({"point": list(u), "side": side,
-                        "field": field.name, "verdict": verdict})
-    return ok, wit
+    """Each side fiber is an M2 × M2 form at every u with f(u) ≠ 0: by
+    _check_azumaya_m4 it is C₀(u) ⊗ E, E = K[x]/(x² − f(u)), and E = K × K
+    over K(√f(u))."""
+    return _even_certificates(ctx, "M2xM2", {"plus": "f_plus != 0",
+                                             "minus": "f_minus != 0"})
 
 
 def _check_corank1_m2(ctx):

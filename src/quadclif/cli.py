@@ -58,8 +58,9 @@ def _build_parser():
                         f"to {MAX_PRIME}; each scan sweeps all p^2 + p + 1 "
                         "points of the plane mod p)")
     c.add_argument("--points", type=int, default=20,
-                   help="number of off-curve fiber points to certify "
-                        f"(1..{MAX_POINTS})")
+                   help="number of off-curve base points to sample "
+                        f"(1..{MAX_POINTS}); prop4.2 reads up to 3 of "
+                        "them and prop4.7 one")
     c.add_argument("--report", metavar="PATH",
                    help="write the JSON report here")
     return parser

@@ -16,6 +16,7 @@ from math import gcd, lcm, prod
 from .clifford import CliffordAlgebra, central_odd
 from .exactalg import (
     ZZ,
+    SymMatrix,
     adjugate3,
     as_int,
     is_prime,
@@ -408,8 +409,6 @@ class FinAlg:
     - "corner": e·A·e with e idempotent in an A with a proof, closed under
       multiplication, hence a subalgebra with unit e, because
       e·(e x e) = e x e = (e x e)·e;
-    - "even": the even part of a Clifford fiber with a proof, likewise a
-      subalgebra holding the unit (see even_subalgebra);
     - None: no claim.  The constructor verifies the unit (2·dim
       products), and associativity holds only after check_associativity().
 
@@ -767,63 +766,70 @@ EVEN_MASKS = (0, 3, 5, 6)
 ODD_MASKS = (1, 2, 4, 7)
 
 
-def even_subalgebra(A):
-    """C₀ = span(e_0, e_3, e_5, e_6) of an 8-dimensional Clifford fiber A
-    that carries a proof.  The 16 products of even masks are checked to be
-    even, so C₀ is a subalgebra holding A's unit, labelled "even".  A table
-    without a proof raises ValueError: even_part proves A first."""
-    if A.proof is None:
-        raise ValueError("the even subalgebra needs a table with a proof")
-    table = []
-    for i in EVEN_MASKS:
-        row = []
-        for j in EVEN_MASKS:
-            vec = A.table[i][j]
-            if any(vec[k] for k in ODD_MASKS):
-                raise ValueError("even masks are not closed under multiplication")
-            row.append(tuple(vec[k] for k in EVEN_MASKS))
-        table.append(row)
-    return FinAlg(A.field, table, tuple(A.unit[k] for k in EVEN_MASKS),
-                  proof="even")
+def even_table(alg):
+    """The 16 products e_a·e_b of even masks of a 3-generator algebra over
+    Z[u] (alg.mask_mul), as {(a, b): {mask: coefficient}}; None when one
+    has an odd mask, so the even masks span no subalgebra C₀."""
+    table = {(a, b): dict(alg.mask_mul(a, b))
+             for a in EVEN_MASKS for b in EVEN_MASKS}
+    if any(k in ODD_MASKS for prod in table.values() for k in prod):
+        return None
+    return table
 
 
-def even_part(A, d, f):
-    """C₀ = even_subalgebra(A) for an 8-dimensional fiber A with odd
-    central vector d at a point where the determinant takes the value f,
-    once A ≅ C₀ ⊗ Q[x]/(x² − f) is checked at that point:
+def _multiple(p, q):
+    """(c, p == c·q), c read from one coefficient (p's over q's at q's
+    leading monomial) and the identity checked on every monomial."""
+    m, lead = q.leading_term()
+    c = Fraction(p.terms.get(m, 0), lead)
+    return as_int(c), p * c.denominator == q * c.numerator
 
-    1. f ≠ 0;
-    2. A is associative (check_associativity() when A carries no proof);
-    3. e_m·d has no even coordinate for every m in EVEN_MASKS;
-    4. d commutes with A.gens, or with every basis vector when A has none;
-    5. d·d = f·1.
 
-    By 1, 2 and 5, (x·d)·d = f·x with f ≠ 0, so right multiplication by d
-    is invertible; by 3 it maps C₀ into the 4-dimensional odd span C₁, so
-    A = C₀ ⊕ C₀·d.  By 4 d is central (the generators generate A), so with
-    5, a ⊗ xᵏ ↦ a·dᵏ is an algebra isomorphism C₀ ⊗ Q[x]/(x² − f) → A: the
-    structure theorem for odd-rank Clifford algebras (Lam, Introduction to
-    Quadratic Forms over Fields, GSM 67, Ch. V §2), checked at the point.
-    On a Clifford fiber off the curve, 3 to 5 hold by prop3.5 (grading)
-    and prop3.12 (d odd and central, d² = f).  A failed condition raises
-    FiberError naming it."""
-    if not f:
-        raise FiberError("base point lies on a determinant curve")
-    if A.proof is None:
-        try:
-            A.check_associativity()
-        except ValueError as exc:
-            raise FiberError(str(exc)) from exc
-    for m in EVEN_MASKS:
-        md = A.mul(A.basis_vec(m), d)
-        if any(md[k] for k in EVEN_MASKS):
-            raise FiberError(f"e_{m}·d has an even coordinate")
-    for g in A.gens or [A.basis_vec(i) for i in range(A.dim)]:
-        if A.mul(g, d) != A.mul(d, g):
-            raise FiberError("d does not commute with the generators")
-    if A.mul(d, d) != A.scalar_vec(f):
-        raise FiberError("d·d is not f(u)·1")
-    return even_subalgebra(A)
+def even_certificate(sides, side):
+    """(ok, witness) of one block's certificate over Z[u], on the side
+    algebra that SideFibers.algebra proves associative, with its odd
+    central element d and determinant cubic f: C₀ is closed (even_table);
+    det G = c·f² for G = (Tr L_{eₐe_b}), the Gram matrix of C₀'s trace
+    form, and det G_c = c′·f⁴ for its Gram matrix on the commutators
+    [e_3, e_5], [e_3, e_6], [e_5, e_6], with c, c′ ≠ 0; d is odd, e_m·d is
+    odd for every even m, d is central and d² = f.  Tr L_x is
+    Σ x_m·Tr L_{e_m}, and G is symmetric as Tr L_{xy} = Tr(L_x L_y).
+    checks._check_azumaya_m4 states what the certificate proves."""
+    alg, dres = sides.algebra(side)
+    ring, d, f = alg.ring, dres.element, sides.P.det_curves().side(side)
+    zero = ring.zero()
+    table = even_table(alg)
+    wit = {"side": side, "even_closed": table is not None}
+    if table is not None:
+        trace = {m: sum((table[m, k].get(k, zero) for k in EVEN_MASKS), zero)
+                 for m in EVEN_MASKS}
+        G = {}
+        for i, a in enumerate(EVEN_MASKS):
+            for b in EVEN_MASKS[i:]:
+                G[a, b] = G[b, a] = sum(
+                    (t * trace[k] for k, t in table[a, b].items()), zero)
+        # the commutators' coefficient rows X, and G_c = X·G·Xᵀ
+        X = [{k: table[a, b].get(k, zero) - table[b, a].get(k, zero)
+              for k in EVEN_MASKS} for a, b in ((3, 5), (3, 6), (5, 6))]
+        GX = [{a: sum((G[a, b] * t for b, t in x.items() if t), zero)
+               for a in EVEN_MASKS} for x in X]
+        Gc = [[sum((t * gx[a] for a, t in x.items() if t), zero) for gx in GX]
+              for x in X]
+        f2 = f * f
+        wit["c"], wit["det_G_is_c_f2"] = _multiple(SymMatrix(
+            ring, [[G[a, b] for b in EVEN_MASKS] for a in EVEN_MASKS]).det(), f2)
+        wit["c_prime"], wit["det_Gc_is_c_prime_f4"] = _multiple(
+            SymMatrix(ring, Gc).det(), f2 * f2)
+    odd = set(ODD_MASKS)
+    wit.update(
+        d_odd=set(d.coeffs) <= odd,
+        d_maps_even_to_odd=all(set((alg.from_mask(m) * d).coeffs) <= odd
+                               for m in EVEN_MASKS),
+        d_central=all(d.commutator(alg.gen(j)).is_zero()
+                      for j in range(alg.ngens)),
+        d_square_is_f=d * d == f)
+    # ok: every condition holds and c, c′ are nonzero (side is a nonempty str)
+    return all(wit.values()), wit
 
 
 class SideFibers:
@@ -833,9 +839,9 @@ class SideFibers:
     A CheckContext owns one for the length of a run, so checks visiting
     the same (side, point) share one fiber, and per side the odd central
     element is built once and the symbolic associativity proof runs once;
-    memory is bounded by the two side algebras and two fibers (with their
-    even parts) per sampled point.  Every fiber function takes
-    one first and reads the pencil from it."""
+    memory is bounded by the two side algebras and two fibers per point
+    asked for.  Every fiber function takes one first and reads the pencil
+    from it."""
 
     def __init__(self, P):
         self.P = P
@@ -843,7 +849,6 @@ class SideFibers:
         self._central = {}
         self._proven = set()
         self._fibers = {}
-        self._evens = {}
 
     def _block(self, side):
         if side not in self._blocks:
@@ -883,23 +888,13 @@ class SideFibers:
             got = self._fibers[key] = side_fiber(self, side, u)
         return got
 
-    def even(self, side, u):
-        """(C₀, certify_matrix_algebra(C₀, 2)) for C₀ = even_part of the
-        fiber at (side, u), built once per point; FiberError on a curve
-        point or a fiber that fails even_part's conditions."""
-        key = (side, _point(u))
-        if key not in self._evens:
-            C0 = even_part(*self.fiber(side, u))
-            self._evens[key] = (C0, certify_matrix_algebra(C0, 2))
-        return self._evens[key]
-
 
 def side_fiber(sides, side, u, field=None):
     """The 8-dimensional fiber of one block of sides.P at u, with its
     central odd vector and the determinant value.  field=None means exact
     rationals (a trivial tower, so later quadratic extensions can reuse
-    it).  Its consumers check d² = f(u): even_part, corank1_quotient, and
-    the idempotent law of _corner_by_idempotent."""
+    it).  Its consumers check d² = f(u): corank1_quotient and the
+    idempotent law of _corner_by_idempotent."""
     u = _point(u)
     alg, dres = sides.algebra(side)
     if field is None:
@@ -919,40 +914,6 @@ def _corner_by_idempotent(A, dvec, s):
     if A.mul(dvec, e) != A.vscale(e, s):
         raise AssertionError("central element does not act as its square root")
     return corner_algebra(A, e, gens=A.gens), e
-
-
-def certify_ordinary_m4(sides, u):
-    """(field, verdict) for the 16-dimensional ordinary fiber at u off both
-    curves of sides.P, over K = Q(√f₊(u), √f₋(u)).
-
-    Each side fiber is C₀ ⊗ Q[x]/(x² − f(u)) ≅ C₀,K × C₀,K over K
-    (SideFibers.even), and the side corner cut by (1 + d/√f(u))/2 is C₀,K,
-    so the ordinary fiber, the tensor product of the two side corners, is
-    (C₀₊ ⊗ C₀₋) ⊗ K: the verdict is certify_tensor_product of the even
-    parts (M4 when both are M2), and K is only named."""
-    u = _point(u)
-    evens = [sides.even(side, u) for side in ("plus", "minus")]
-    field, _ = QuadraticTower.create([_det_value(sides.P, side, u)
-                                      for side in ("plus", "minus")])
-    if all(verdict == "M2" for _, verdict in evens):
-        return field, "M4"
-    return field, certify_tensor_product([C0 for C0, _ in evens], 4)
-
-
-def certify_side_split(sides, side, u):
-    """(field, verdict) certifying the side fiber A at u off its curve as
-    M2 × M2 after one square root.  A = C₀ ⊗ E with E = Q[x]/(x² − f(u))
-    étale of dimension 2 (SideFibers.even).  When C₀ is M2, A has center
-    span(1, d) with d² = f(u), and over K = Q(√f(u)) it is C₀,K × C₀,K:
-    M2xM2, with K named by QuadraticTower.create([f(u)]).  Otherwise
-    rad(A) = rad(C₀) ⊗ E and Z(A) = Z(C₀) ⊗ E, so A fails with twice C₀'s
-    radical or center dimension, over A's own field (which C₀ shares)."""
-    u = _point(u)
-    C0, verdict = sides.even(side, u)
-    if verdict == "M2":
-        return QuadraticTower.create([_det_value(sides.P, side, u)])[0], "M2xM2"
-    kind, dim = verdict.rsplit("-", 1)
-    return C0.field, f"{kind}-{2 * int(dim)}"
 
 
 def corank1_quotient(sides, side, u, field=None):

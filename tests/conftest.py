@@ -22,6 +22,17 @@ from quadclif.exactalg import (
     mat_rank,
     mat_solve,
 )
+from quadclif.fiber import (
+    EVEN_MASKS,
+    ODD_MASKS,
+    FiberError,
+    FinAlg,
+    QuadraticTower,
+    _det_value,
+    _point,
+    certify_matrix_algebra,
+    certify_tensor_product,
+)
 from quadclif.geometry import ReducedCurve, _zero_set, compile_poly
 from quadclif.pencil import (
     U_VARS,
@@ -955,3 +966,102 @@ def random_rational_curve_point(P, side, rng):
             if any(x for row in adjugate3(P.block_at(uz, side)) for x in row):
                 return uz
     return None
+
+
+# ---------------------------------------------------------------------------
+# the per-point even-part route of prop3.17 and prop3.18 (the oracle of the
+# Gram-identity certificate, fiber.even_certificate)
+# ---------------------------------------------------------------------------
+
+def even_subalgebra(A):
+    """C₀ = span(e_0, e_3, e_5, e_6) of an 8-dimensional Clifford fiber A
+    that carries a proof.  The 16 products of even masks are checked to be
+    even, so C₀ is a subalgebra holding A's unit, labelled "even" (this
+    oracle's own provenance label).  A table without a proof raises
+    ValueError: even_part proves A first."""
+    if A.proof is None:
+        raise ValueError("the even subalgebra needs a table with a proof")
+    table = []
+    for i in EVEN_MASKS:
+        row = []
+        for j in EVEN_MASKS:
+            vec = A.table[i][j]
+            if any(vec[k] for k in ODD_MASKS):
+                raise ValueError("even masks are not closed under multiplication")
+            row.append(tuple(vec[k] for k in EVEN_MASKS))
+        table.append(row)
+    return FinAlg(A.field, table, tuple(A.unit[k] for k in EVEN_MASKS),
+                  proof="even")
+
+
+def even_part(A, d, f):
+    """even_subalgebra(A) for an 8-dimensional fiber A with odd central
+    vector d at a point where the determinant takes the value f, once
+    A ≅ C₀ ⊗ Q[x]/(x² − f) is checked at that point:
+
+    1. f ≠ 0;
+    2. A is associative (check_associativity() when A carries no proof);
+    3. e_m·d has no even coordinate for every m in EVEN_MASKS;
+    4. d commutes with A.gens, or with every basis vector when A has none;
+    5. d·d = f·1.
+
+    By 1, 2 and 5, right multiplication by d is invertible; by 3 it maps C₀
+    into the odd span, so A = C₀ ⊕ C₀·d, and by 4 and 5 a ⊗ xᵏ ↦ a·dᵏ is an
+    isomorphism (Lam, GSM 67, Ch. V §2), checked at the point.  A failed
+    condition raises FiberError naming it."""
+    if not f:
+        raise FiberError("base point lies on a determinant curve")
+    if A.proof is None:
+        try:
+            A.check_associativity()
+        except ValueError as exc:
+            raise FiberError(str(exc)) from exc
+    for m in EVEN_MASKS:
+        md = A.mul(A.basis_vec(m), d)
+        if any(md[k] for k in EVEN_MASKS):
+            raise FiberError(f"e_{m}·d has an even coordinate")
+    for g in A.gens or [A.basis_vec(i) for i in range(A.dim)]:
+        if A.mul(g, d) != A.mul(d, g):
+            raise FiberError("d does not commute with the generators")
+    if A.mul(d, d) != A.scalar_vec(f):
+        raise FiberError("d·d is not f(u)·1")
+    return even_subalgebra(A)
+
+
+def side_even(sides, side, u):
+    """(C₀, certify_matrix_algebra(C₀, 2)) for C₀ = even_part of the fiber
+    at (side, u), built once per point in sides._evens; FiberError on a
+    curve point or a fiber that fails even_part's conditions."""
+    evens = vars(sides).setdefault("_evens", {})
+    key = (side, _point(u))
+    if key not in evens:
+        C0 = even_part(*sides.fiber(side, u))
+        evens[key] = (C0, certify_matrix_algebra(C0, 2))
+    return evens[key]
+
+
+def certify_ordinary_m4(sides, u):
+    """(field, verdict) for the 16-dimensional ordinary fiber at u off both
+    curves, over K = Q(√f₊(u), √f₋(u)): the tensor product of the two side
+    corners cut by (1 + d/√f(u))/2 is (C₀₊ ⊗ C₀₋) ⊗ K, so the verdict is
+    certify_tensor_product of the even parts (M4 when both are M2)."""
+    u = _point(u)
+    evens = [side_even(sides, side, u) for side in ("plus", "minus")]
+    field, _ = QuadraticTower.create([_det_value(sides.P, side, u)
+                                      for side in ("plus", "minus")])
+    if all(verdict == "M2" for _, verdict in evens):
+        return field, "M4"
+    return field, certify_tensor_product([C0 for C0, _ in evens], 4)
+
+
+def certify_side_split(sides, side, u):
+    """(field, verdict) for the side fiber A = C₀ ⊗ E at u off its curve,
+    E = Q[x]/(x² − f(u)): M2xM2 over Q(√f(u)) when C₀ is M2, otherwise
+    C₀'s radical or center dimension doubled, over Q, since
+    rad(C₀ ⊗ E) = rad(C₀) ⊗ E and Z(C₀ ⊗ E) = Z(C₀) ⊗ E."""
+    u = _point(u)
+    C0, verdict = side_even(sides, side, u)
+    if verdict == "M2":
+        return QuadraticTower.create([_det_value(sides.P, side, u)])[0], "M2xM2"
+    kind, dim = verdict.rsplit("-", 1)
+    return C0.field, f"{kind}-{2 * int(dim)}"

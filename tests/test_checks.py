@@ -15,7 +15,7 @@ from conftest import (
     hilbert_dims_center,
     seeded_pencil,
 )
-from quadclif import checks, clifford
+from quadclif import checks, clifford, plucker
 from quadclif.checks import (
     CHECK_ORDER,
     MAX_PRIME,
@@ -233,8 +233,39 @@ class TestRegistryMutants:
             r = run_single(CheckContext(P, points=1), cid)
             assert r.status != "pass"
             assert degenerate in r.witnesses, (cid, r.witnesses)
-        r = run_single(CheckContext(P, points=1), "prop4.2-adjugate-double-line")
-        assert (r.status, r.witnesses) == ("fail", [degenerate])
+        # no point lies off a vanishing cubic: the fiber checks and prop4.2
+        # FAIL with that witness alone
+        for cid in ("prop3.17-azumaya-m4", "prop3.18-split-m2",
+                    "prop4.2-adjugate-double-line"):
+            r = run_single(CheckContext(P, points=1), cid)
+            assert (r.status, r.witnesses) == ("fail", [degenerate]), cid
+
+    def test_segre_fails_on_a_doubled_plus_coordinate(self, monkeypatch):
+        # p₊ with its first Plücker coordinate doubled leaves the quadric
+        segre_points = plucker.segre_points
+
+        def doubled(ring=None):
+            p_plus, p_minus = segre_points(ring)
+            return (p_plus[0] * 2, *p_plus[1:]), p_minus
+
+        monkeypatch.setattr(plucker, "segre_points", doubled)
+        r = run_single(CheckContext(None), "prop4.9-segre")
+        assert r.status == "fail"
+        assert r.witnesses[0]["failures"][0] == "plus-family-not-isotropic"
+
+    def test_m0_fails_on_a_doubled_entry(self, monkeypatch):
+        # entry (0, 0) of the m0 matrix doubled breaks the column relation
+        m0_rows = plucker._m0_rows
+
+        def doubled(a, zero):
+            rows = [list(r) for r in m0_rows(a, zero)]
+            rows[0][0] = rows[0][0] * 2
+            return tuple(tuple(r) for r in rows)
+
+        monkeypatch.setattr(plucker, "_m0_rows", doubled)
+        r = run_single(CheckContext(None), "prop4.8-m0-matrix")
+        assert r.status == "fail"
+        assert r.witnesses[0]["symbolic_rank3_and_relation"] is False
 
     def test_tangent_curves_fail_only_the_resultant_checks(self, tmp_path):
         """seeded_pencil(72) has Δ₊Δ₋ ≠ 0, but its curves are tangent, so

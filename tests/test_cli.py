@@ -39,11 +39,11 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 # SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
 # of `check --points 2` on that instance: every verdict and witness of the
 # full run is pinned byte for byte.  It last changed through the witnesses
-# of prop3.13-center, which moved from weight-by-weight commutant
-# dimensions to a kernel at one point, and the report's flags, which lost
-# max_degree (before: 3ed3d3e3…1f40df9; before that, when prop3.18-corank1-m2
-# moved to exact points over a cubic field: 06e7670e…f34e4de).
-FULL_RUN_SHA256 = "0c3a76645df372d4799783c521fc35a6541563f6009489bf0a2d534e13f38ee4"
+# of prop3.17-azumaya-m4 and prop3.18-split-m2, which moved from verdicts
+# at sampled points to Gram identities over Z[u] (before: 0c3a7664…8ee4;
+# before that, when prop3.13-center moved to a kernel at one point and the
+# flags lost max_degree: 3ed3d3e3…1f40df9).
+FULL_RUN_SHA256 = "e7c3ef983835070d0563b10a734bae4a590a252c17ff36f7ad42dd48878da2f0"
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.
@@ -342,6 +342,7 @@ class TestOptimizedInterpreter:
         for check_id, flags in (("prop2.2-smoothness", []),
                                 ("prop4.3-singular-locus", []),
                                 ("prop3.17-azumaya-m4", ["--points", "1"]),
+                                ("prop3.18-split-m2", ["--points", "1"]),
                                 ("prop3.18-corank1-m2", ["--points", "1"]),
                                 ("prop3.12-dplus-square", []),
                                 ("prop3.13-center", [])):

@@ -1,12 +1,15 @@
-"""The even-part route of prop3.17 and prop3.18.
+"""The even-part certificates of prop3.17 and prop3.18.
 
-Off its curve a side fiber is C(q_u) = C₀(q_u) ⊗ Q[x]/(x² − f(u)), which
-even_part checks at each point.  Over Q[u] the same theorem says that right
-multiplication by the odd central element d maps the even masks onto the
-odd masks with determinant f².  These tests check that identity on three
-instances, and that the route through C₀ gives the same verdicts and field
-witnesses as the computed route (certify_split_pair and the 16-dimensional
-tensor table, oracles in test_fiber).
+Off its curve a side fiber is C(q_u) = C₀(q_u) ⊗ Q[x]/(x² − f(u)).  The
+checks prove it at every such u from Gram identities over Z[u]
+(fiber.even_certificate); the per-point route that checked even_part at
+sampled points is the oracle in conftest.py.  Over Q[u] the same theorem
+says that right multiplication by the odd central element d maps the even
+masks onto the odd masks with determinant f².  These tests check that
+identity on three instances, that the Gram certificate agrees with the
+per-point oracle, and that the route through C₀ gives the same verdicts and
+field witnesses as the computed route (certify_split_pair and the
+16-dimensional tensor table, oracles in test_fiber).
 """
 
 from dataclasses import replace
@@ -27,19 +30,27 @@ from quadclif.fiber import (
     QuadraticTower,
     SideFibers,
     certify_matrix_algebra,
-    certify_ordinary_m4,
-    certify_side_split,
     certify_tensor_product,
     clifford_fiber,
-    even_part,
-    even_subalgebra,
+    even_certificate,
     sample_invertible_points,
     side_fiber,
     tensor_product,
 )
 from quadclif.pencil import _derived_rng
 
-from conftest import PrimeField, cached_pencil, poly_bareiss_det
+import conftest
+from conftest import (
+    PrimeField,
+    cached_pencil,
+    certify_ordinary_m4,
+    certify_side_split,
+    even_part,
+    even_subalgebra,
+    poly_bareiss_det,
+    seeded_pencil,
+    side_even,
+)
 from test_fiber import (
     certify_split_pair,
     diag_pencil,
@@ -128,7 +139,7 @@ def test_even_route_matches_the_computed_route(name):
         uf = tuple(Fraction(c) for c in u)
         for side in ("plus", "minus"):
             A = sides.fiber(side, u)[0]
-            assert sides.even(side, u)[1] == "M2"
+            assert side_even(sides, side, u)[1] == "M2"
             cert = certify_split_pair(A, 2)
             field, verdict = certify_side_split(sides, side, u)
             assert verdict == cert.verdict == "M2xM2"
@@ -140,6 +151,59 @@ def test_even_route_matches_the_computed_route(name):
         field, verdict = certify_ordinary_m4(sides, u)
         assert verdict == certify_matrix_algebra(T, 4) == "M4"
         assert field.name == T.field.name
+
+
+# -- the Gram certificate against the per-point oracle ------------------------------
+
+
+def test_gram_certificate_agrees_with_the_per_point_oracle():
+    """Both checks PASS from the identities over Z[u] (c = −256 and
+    c′ = −4096 here) on seeds 42 and 7, the diagonal and
+    seeded_pencil(0..9), and at 2 sampled points of each the per-point
+    route certifies M4 and M2xM2 on both sides."""
+    named = [cached_pencil(42), cached_pencil(7), diag_pencil()]
+    for P in named + [seeded_pencil(i) for i in range(10)]:
+        ctx = CheckContext(P, points=2)
+        m4, split = (run_single(ctx, cid) for cid in FIBER_CHECKS)
+        assert (m4.status, split.status) == ("pass", "pass")
+        assert m4.witnesses[:2] == split.witnesses[:2]
+        assert [(w["side"], w["c"], w["c_prime"]) for w in m4.witnesses[:2]] \
+            == [("plus", -256, -4096), ("minus", -256, -4096)]
+        for u in ctx.fiber_points():
+            assert certify_ordinary_m4(ctx.sides, u)[1] == "M4"
+            for side in ("plus", "minus"):
+                assert certify_side_split(ctx.sides, side, u)[1] == "M2xM2"
+
+
+def test_certificate_witness_names_every_condition():
+    P = cached_pencil(42)
+    ok, wit = even_certificate(SideFibers(P), "minus")
+    assert ok and wit == {
+        "side": "minus", "even_closed": True,
+        "c": -256, "det_G_is_c_f2": True,
+        "c_prime": -4096, "det_Gc_is_c_prime_f4": True,
+        "d_odd": True, "d_maps_even_to_odd": True, "d_central": True,
+        "d_square_is_f": True}
+    r = run_single(CheckContext(P), "prop3.17-azumaya-m4")
+    assert r.witnesses[-1] == {"claim": "M4", "locus": "f_plus*f_minus != 0"}
+    r = run_single(CheckContext(P), "prop3.18-split-m2")
+    assert r.witnesses[-1] == {"claim": "M2xM2", "locus": {
+        "plus": "f_plus != 0", "minus": "f_minus != 0"}}
+
+
+def test_even_table_refuses_an_odd_product(monkeypatch):
+    """A product of even masks with an odd mask leaves C₀ unclosed: the
+    table is None, no Gram matrix is built, and the certificate fails."""
+    sides = SideFibers(cached_pencil(42))
+    alg = sides.algebra("plus")[0]
+    assert sorted(fiber.even_table(alg)) == [(a, b) for a in EVEN_MASKS
+                                             for b in EVEN_MASKS]
+    real = alg.mask_mul
+    monkeypatch.setattr(alg, "mask_mul", lambda a, b: (
+        ((1, alg.ring.one()),) if (a, b) == (3, 5) else real(a, b)))
+    assert fiber.even_table(alg) is None
+    ok, wit = even_certificate(sides, "plus")
+    assert not ok and wit["even_closed"] is False and "c" not in wit
 
 
 def _dd():
@@ -176,15 +240,15 @@ def test_even_verdicts_come_from_the_even_part(monkeypatch):
     sides = SideFibers(P)
     u = _points("42", 1)[1][0]
     A_plus = sides.fiber("plus", u)[0]
-    real = fiber.even_subalgebra
-    monkeypatch.setattr(fiber, "even_subalgebra",
+    real = conftest.even_subalgebra
+    monkeypatch.setattr(conftest, "even_subalgebra",
                         lambda A: _dd() if A is A_plus else real(A))
     field, verdict = certify_ordinary_m4(sides, u)
     assert verdict == "fail:radical-12"
     assert field.name.count("sqrt") == 2
     field, verdict = certify_side_split(sides, "plus", u)
     assert (field.name, verdict) == ("Q", "fail:radical-6")
-    assert sides.even("plus", u)[1] == "fail:radical-3"
+    assert side_even(sides, "plus", u)[1] == "fail:radical-3"
     assert certify_split_pair(A_plus, 2).verdict == "M2xM2"
 
 
@@ -192,10 +256,10 @@ def test_even_part_is_built_once_per_point():
     P = cached_pencil(42)
     sides = SideFibers(P)
     u = _points("42", 1)[1][0]
-    C0, verdict = sides.even("plus", u)
+    C0, verdict = side_even(sides, "plus", u)
     assert verdict == "M2" and C0.dim == 4 and C0.proof == "even"
-    assert sides.even("plus", u)[0] is C0
-    assert sides.even("minus", u)[0] is not C0
+    assert side_even(sides, "plus", u)[0] is C0
+    assert side_even(sides, "minus", u)[0] is not C0
     # a table without a proof is checked on all basis triples first
     A, dvec, fval = sides.fiber("plus", u)
     bare = FinAlg(A.field, A.table, A.unit, gens=A.gens)
@@ -204,8 +268,9 @@ def test_even_part_is_built_once_per_point():
 
 
 def test_wrong_square_fails_the_identity():
-    """Mutant: the central element doubled, so its fibers square to
-    4f(u); the pointwise identity catches it and both checks fail."""
+    """Mutant: the central element doubled, so it squares to 4f; the
+    identity d² = f over Z[u] catches it, both checks fail, and every
+    other condition still holds."""
     P = cached_pencil(42)
     ctx = CheckContext(P, points=1)
     alg, res = ctx.sides.central("plus")
@@ -213,7 +278,13 @@ def test_wrong_square_fails_the_identity():
     for cid in FIBER_CHECKS:
         r = run_single(ctx, cid)
         assert r.status == "fail"
-        assert r.witnesses == [{"error": "FiberError: d·d is not f(u)·1"}]
+        plus, minus, _ = r.witnesses
+        assert [k for k, v in plus.items() if not v] == ["d_square_is_f"]
+        assert all(minus.values())
+    # the per-point oracle refuses the same element
+    u = _points("42", 1)[1][0]
+    with pytest.raises(FiberError, match=r"d·d is not f\(u\)·1"):
+        side_even(ctx.sides, "plus", u)
 
 
 def test_curve_point_raises_and_the_oracle_fails():

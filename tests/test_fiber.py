@@ -1,7 +1,7 @@
 """Quadratic towers, structure-constant algebras, and fiber certification."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -476,80 +476,133 @@ def test_unit_by_construction_passes_the_unit_check():
         wrong._verify_unit()
 
 
+FIBER_CHECKS = ("prop3.17-azumaya-m4", "prop3.18-split-m2")
+
+
+def commutative_even_table(ring, a, b):
+    """An even_table over ring for Z[u][x, y]/(x² − a, y² − b), with the
+    even masks 0, 3, 5, 6 as the basis 1, x, y, xy: commutative, with
+    radical 3 for a = b = 0 (D⊗D, D the dual numbers) and étale where
+    ab ≠ 0."""
+    one = ring.one()
+
+    def scaled(mask, c):
+        return {mask: c} if c else {}
+
+    table = {}
+    for m in (0, 3, 5, 6):
+        table[0, m] = table[m, 0] = {m: one}
+    table[3, 3] = scaled(0, a)
+    table[3, 5] = table[5, 3] = {6: one}
+    table[3, 6] = table[6, 3] = scaled(5, a)
+    table[5, 5] = scaled(0, b)
+    table[5, 6] = table[6, 5] = scaled(3, b)
+    table[6, 6] = scaled(0, a * b)
+    return table
+
+
+def even_table_at(table, u, field):
+    """The C₀ table of an even_table at the point u, as a FinAlg over
+    field, with no proof (the constructor checks the unit)."""
+    zero = field.zero
+    rows = [[tuple(field.coerce(table[a, b][k].eval(u)) if k in table[a, b]
+                   else zero for k in (0, 3, 5, 6))
+             for b in (0, 3, 5, 6)] for a in (0, 3, 5, 6)]
+    return FinAlg(field, rows, (field.one, zero, zero, zero))
+
+
+def _plus_even_table(monkeypatch, make):
+    """Replace the plus side's even_table by make(ring, f₊)."""
+    real = fiber.even_table
+    monkeypatch.setattr(fiber, "even_table", lambda alg: (
+        make(alg.ring, alg.q_plus.det()) if alg.variant == "plus" else real(alg)))
+
+
 def test_non_semisimple_fiber_fails_through_the_registry(monkeypatch):
-    """Negative control for prop3.17-azumaya-m4 and prop3.18-split-m2: side
-    fibers replaced by D⊗D⊗Q[x]/(x² - f(u)), D the dual numbers
-    (upper-triangular [[a, b], [0, a]]), with x as the central odd element.
-    The fake table passes every condition of even_part, whose even masks
-    span a 4-dimensional algebra with a 3-dimensional radical: prop3.17
-    reads a 15-dimensional radical of the 16-dimensional fiber off the two
-    even parts, and prop3.18 a 6-dimensional radical of each side fiber
-    over Q.  The computed route gives the same verdicts."""
+    """Negative control for prop3.17-azumaya-m4 and prop3.18-split-m2: the
+    plus side's C₀ table over Z[u] replaced by D⊗D, D the dual numbers
+    (x² = y² = 0), with a 3-dimensional radical.  Its trace form is 4 on
+    the unit and 0 elsewhere, so det G = 0 = 0·f², and it is commutative,
+    so det G_c = 0: c = c′ = 0, and both checks FAIL while every condition
+    on d still holds.  The per-point oracle reads the same table at a
+    point as radical 3."""
     P = cached_pencil(42)
-
-    def fake_fiber(self, side, u):
-        fval = P.det_curves().side(side).eval(tuple(Fraction(c) for c in u))
-        A = tensor_product(tensor_product(dual_numbers(), dual_numbers()),
-                           quadratic_etale(fval))
-        return A, A.basis_vec(1), A.field.coerce(fval)  # basis vector 1 is 1⊗1⊗x
-
-    monkeypatch.setattr(SideFibers, "fiber", fake_fiber)
+    _plus_even_table(monkeypatch, lambda ring, f: commutative_even_table(ring, 0, 0))
     ctx = CheckContext(P, points=2)
-    r = run_single(ctx, "prop3.17-azumaya-m4")
-    assert r.status == "fail"
-    assert [w["verdict"] for w in r.witnesses] == ["fail:radical-15"] * 2
-    for w in r.witnesses:
-        assert w["field"].startswith("Q(sqrt ") and w["field"].count("sqrt") == 2
-    r = run_single(ctx, "prop3.18-split-m2")
-    assert r.status == "fail"
-    assert [(w["side"], w["field"], w["verdict"]) for w in r.witnesses] == \
-        [("plus", "Q", "fail:radical-6"), ("minus", "Q", "fail:radical-6")] * 2
-    # the oracles on the same tables
+    for check_id in FIBER_CHECKS:
+        r = run_single(ctx, check_id)
+        assert r.status == "fail"
+        plus, minus, _ = r.witnesses
+        assert (plus["c"], plus["det_G_is_c_f2"]) == (0, True)
+        assert (plus["c_prime"], plus["det_Gc_is_c_prime_f4"]) == (0, True)
+        assert [k for k, v in plus.items() if not v] == ["c", "c_prime"]
+        assert all(minus.values())
+    DD = commutative_even_table(PolyRing(ZZ, U_VARS), 0, 0)
     for u in ctx.fiber_points():
-        for side in ("plus", "minus"):
-            cert = certify_split_pair(fake_fiber(None, side, u)[0], 2)
-            assert (cert.verdict, cert.field.name) == ("fail:radical-6", "Q")
-    DD = tensor_product(dual_numbers(), dual_numbers())
-    over_q = tensor_product(DD, DD)
-    assert over_q.field.level == 0
-    assert certify_matrix_algebra(over_q, 4) == "fail:radical-15"
+        assert certify_matrix_algebra(
+            even_table_at(DD, u, QuadraticTower(())), 2) == "fail:radical-3"
 
 
-def _non_associative_copy(A):
-    """A's table with the product e_1·e_2 negated and no proof: the unit
-    still holds, associativity does not."""
-    table = [list(row) for row in A.table]
-    table[1][2] = tuple(-x for x in table[1][2])
-    return FinAlg(A.field, table, A.unit, gens=A.gens)
+def test_commutative_even_table_fails_the_commutator_identity(monkeypatch):
+    """Mutant: the plus side's C₀ table replaced by the commutative étale
+    algebra Z[u][x, y]/(x² − f₊, y² − 1).  Its Gram matrix is
+    diag(4, 4f₊, 4, 4f₊), so det G = 256·f₊² passes the trace-form
+    identity; only det G_c = 0 (c′ = 0) fails it.  At a point the oracle
+    finds radical 0 and a center of dimension 4."""
+    P = cached_pencil(42)
+    _plus_even_table(monkeypatch, lambda ring, f: commutative_even_table(
+        ring, f, ring.one()))
+    ctx = CheckContext(P, points=1)
+    for check_id in FIBER_CHECKS:
+        r = run_single(ctx, check_id)
+        assert r.status == "fail"
+        plus = r.witnesses[0]
+        assert (plus["c"], plus["det_G_is_c_f2"]) == (256, True)
+        assert [k for k, v in plus.items() if not v] == ["c_prime"]
+    f = P.det_curves().f_plus
+    EE = commutative_even_table(f.ring, f, f.ring.one())
+    u = ctx.fiber_points()[0]
+    assert certify_matrix_algebra(
+        even_table_at(EE, u, QuadraticTower(())), 2) == "fail:center-4"
 
 
-# (mutant of (A, d, f), what the FiberError must name): one mutant per
-# condition of even_part
+def _replace_d(make):
+    """A mutant that replaces the plus side's odd central element d by
+    make(alg, d) before any check reads it."""
+    def apply(monkeypatch, ctx):
+        alg, res = ctx.sides.central("plus")
+        ctx.sides._central["plus"] = (alg, replace(res, element=make(alg, res.element)))
+    return apply
+
+
+# (mutant, the plus side's conditions that must read false, or the error a
+# broken engine must raise): one mutant per condition on d, and one for the
+# associativity proof
 EVEN_PART_MUTANTS = {
-    "d-scaled-by-2": (lambda A, d, f: (A, A.vscale(d, A.field.coerce(2)), f),
-                      "d·d is not f(u)·1"),
-    "non-central-d": (lambda A, d, f: (A, A.basis_vec(1), f),
-                      "d does not commute with the generators"),
-    "d-plus-1": (lambda A, d, f: (A, A.vadd(d, A.unit), f),
-                 "e_0·d has an even coordinate"),
-    "non-associative": (lambda A, d, f: (_non_associative_copy(A), d, f),
-                        "associativity fails on basis triple"),
+    "d-scaled-by-2": (_replace_d(lambda alg, d: d * 2), ["d_square_is_f"]),
+    "non-central-d": (_replace_d(lambda alg, d: alg.gen(0)),
+                      ["d_central", "d_square_is_f"]),
+    "d-plus-1": (_replace_d(lambda alg, d: d + 1),
+                 ["d_odd", "d_maps_even_to_odd", "d_square_is_f"]),
+    "non-associative": (lambda monkeypatch, ctx: _flip_one_normal_form(monkeypatch),
+                        "ValueError: associativity fails on (e_1 e_2) v_0"),
 }
 
 
 @pytest.mark.parametrize("mutant", EVEN_PART_MUTANTS)
 def test_even_part_mutants_fail_through_the_registry(monkeypatch, mutant):
-    mutate, message = EVEN_PART_MUTANTS[mutant]
-    P = cached_pencil(42)
-    real = SideFibers.fiber
-    monkeypatch.setattr(SideFibers, "fiber",
-                        lambda self, side, u: mutate(*real(self, side, u)))
-    ctx = CheckContext(P, points=1)
-    for check_id in ("prop3.17-azumaya-m4", "prop3.18-split-m2"):
+    mutate, expected = EVEN_PART_MUTANTS[mutant]
+    ctx = CheckContext(cached_pencil(42), points=1)
+    mutate(monkeypatch, ctx)
+    for check_id in FIBER_CHECKS:
         r = run_single(ctx, check_id)
-        [witness] = r.witnesses
         assert r.status == "fail"
-        assert witness["error"].startswith(f"FiberError: {message}")
+        if isinstance(expected, str):
+            assert r.witnesses == [{"error": expected}]
+        else:
+            plus, minus, _ = r.witnesses
+            assert [k for k, v in plus.items() if not v] == expected
+            assert all(minus.values())
 
 
 def _flip_one_normal_form(monkeypatch, bad=(0b010, 0)):
@@ -574,7 +627,7 @@ def test_broken_clifford_engine_is_caught(monkeypatch):
     with pytest.raises(ValueError, match="associativity"):
         SideFibers(P).algebra("plus")
     ctx = CheckContext(P, points=1)
-    for check_id in ("prop3.17-azumaya-m4", "prop3.18-split-m2"):
+    for check_id in FIBER_CHECKS:
         r = run_single(ctx, check_id)
         assert r.status == "fail"
         assert "associativity" in r.witnesses[0]["error"]
