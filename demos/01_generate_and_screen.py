@@ -20,14 +20,20 @@ def main():
     print("f_plus  =", curves.f_plus)
     print("f_minus =", curves.f_minus)
 
-    # smooth curves also give rank >= 4 (corank <= 1 along the curves), and
-    # nine transverse points are a squarefree degree-9 resultant
+    # smooth curves (nonzero discriminants) also give rank >= 4 (corank <= 1
+    # along the curves), and nine transverse points are a squarefree
+    # degree-9 resultant; the report carries the exact values behind both
     rep = genericity_check(P)
     print("smooth:", rep.e_plus_smooth and rep.e_minus_smooth,
           "| nine transverse points:", rep.nine_points)
+    for w in rep.witnesses:
+        if w["kind"] == "discriminant":
+            print(f"Delta_{w['side']} = {w['delta']}")
 
-    nine, degree, notes = resultant_nine_points(curves.f_plus, curves.f_minus)
-    print(f"resultant: degree {degree}, squarefree (nine points) {nine}")
+    nine, degree, center, notes = resultant_nine_points(curves.f_plus,
+                                                        curves.f_minus)
+    print(f"resultant from center {center}: degree {degree}, "
+          f"squarefree (nine points) {nine}")
     for note in notes:
         print("   note:", note)
 

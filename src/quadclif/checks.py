@@ -5,13 +5,16 @@ model-quadric identities and the stabilizer tables, no instance at all).
 Results carry JSON-ready witnesses and are deterministic for a given
 (instance, flags) pair; only the timing field varies between runs.
 The genericity and section-4 curve checks take their verdicts from the
-exact discriminants and resultant (`pencil.genericity_check`).  Their
-finite-field sweeps, run here, are witnesses, labeled "randomized": a
-sweep sees only F_p-points.  One rule covers every scan: a sweep that
-cannot run at a prime (`geometry.ScanError`: the curve or one of its
-partials vanishes mod p, so p divides Δ) gives a witness, never a crash,
-and a witness that contradicts an exact verdict, which only bad
-reduction can cause, carries a note naming the prime (`noted`).
+exact discriminants and resultant (`pencil.genericity_check`), and their
+witnesses carry Δ₊, Δ₋ and the resultant's center, degree and squarefree
+flag on PASS and on FAIL; each names its certificate in a summary entry.
+The finite-field sweeps, run here at the fixed SCAN_PRIMES, are F_p
+witnesses, and every witness with a "prime" key is one: a sweep sees only
+F_p-points.  One rule covers every scan: a sweep that cannot run at a
+prime (`geometry.ScanError`: the curve or one of its partials vanishes
+mod p, so p divides Δ) gives a witness, never a crash, and a witness that
+contradicts an exact verdict, which only bad reduction can cause, carries
+a note naming the prime (`noted`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .clifford import (
     phi_twist_failures,
     terms_homogeneous,
 )
-from .exactalg import is_prime
 from .fiber import (
     SideFibers,
     corank1_quotient,
@@ -57,20 +59,11 @@ from .plucker import (
     transform_identity_check,
 )
 
-DEFAULT_PRIMES = (101, 103, 107)
+# The primes of the F_p witness scans; prop4.2 reads the first.
+SCAN_PRIMES = (101, 103, 107)
 
-# Each scan prime costs a Horner sweep of all p² + p + 1 points per side
-# (geometry._zero_set) and an adjugate pass along the curve points: at this
-# bound, 0.5 s of a 1.3 s check at --points 1 (README, "Limits").  Larger
-# primes are refused.
-MAX_PRIME = 1009
-
-# The 15 primes from 907 to 1009 took 6.7-8.3 s and 40 MiB for a full
-# check at --points 1 (README, "Limits").  Longer lists are refused.
-MAX_PRIMES = 16
-
-# Off-curve points are sampled for prop4.2 (three) and prop4.7 (one); each
-# costs a draw and two cubic evaluations.  Larger --points values are refused.
+# Off-curve points: prop4.2 reads the first three and prop4.7 the first,
+# so at most three are drawn.  Larger --points values are refused.
 MAX_POINTS = 200
 
 INSTANCE_FREE = frozenset({
@@ -79,27 +72,6 @@ INSTANCE_FREE = frozenset({
     "prop4.8-m0-matrix",
     "prop4.9-segre",
 })
-
-
-def check_primes(primes):
-    """The scan primes as a tuple of ints.  ValueError unless there are
-    between 1 and MAX_PRIMES of them, no two equal, and each is a prime
-    between 17 and MAX_PRIME; the bounds are tested first, so a huge value
-    or list never reaches the primality test."""
-    primes = tuple(int(p) for p in primes)
-    if not primes:
-        raise ValueError("primes must be nonempty")
-    if len(primes) > MAX_PRIMES:
-        raise ValueError(f"at most {MAX_PRIMES} primes, got {len(primes)}")
-    if len(set(primes)) != len(primes):
-        dup = next(p for i, p in enumerate(primes) if p in primes[:i])
-        raise ValueError(f"primes must be distinct, got {dup} more than once")
-    for p in primes:
-        if p > MAX_PRIME:
-            raise ValueError(f"primes must each be at most {MAX_PRIME}, got {p}")
-        if p < 17 or not is_prime(p):
-            raise ValueError(f"primes must each be a prime >= 17, got {p}")
-    return primes
 
 
 @dataclass
@@ -136,12 +108,11 @@ class CheckContext:
     values, and caches so expensive artifacts are computed once per run:
     the reduced curves (`curve`, the one memo every F_p scan reads), the
     genericity report with its scan witnesses, the sampled fiber points,
-    the even-part certificates, and the side algebras and their fibers
-    (`sides`)."""
+    the ordinary and super algebras (`algebra`), the even-part
+    certificates, and the side algebras and their fibers (`sides`)."""
 
-    def __init__(self, P=None, primes=DEFAULT_PRIMES, points=20):
+    def __init__(self, P=None, points=20):
         self.P = P
-        self.primes = check_primes(primes)
         self.points = int(points)
         if self.points < 1:
             raise ValueError("points must be >= 1")
@@ -175,12 +146,19 @@ class CheckContext:
         """The exact genericity report alone, with no scan."""
         return self.cached("exact-genericity", lambda: genericity_check(self.P))
 
+    def algebra(self, variant):
+        """The six-generator algebra of one variant over Z[u], built once
+        per run."""
+        return self.cached(("algebra", variant),
+                           lambda: CliffordAlgebra.from_pencil(self.P, variant))
+
     def fiber_points(self):
-        """Off-curve base points shared by prop4.2 and prop4.7."""
+        """Off-curve base points shared by prop4.2 and prop4.7: the first
+        min(points, 3) of the seeded sample, the only ones read."""
         return self.cached(
             "fiber-points",
             lambda: sample_invertible_points(
-                self.P, self.rng("fiber-points"), self.points
+                self.P, self.rng("fiber-points"), min(self.points, 3)
             ),
         )
 
@@ -198,8 +176,8 @@ def noted(witness, holds, claim):
 
 
 def genericity_scans(ctx, report):
-    """The exact report with the F_p scan witnesses of each of the run's
-    primes appended, per prime: singular points or a curve vanishing mod p
+    """The exact report with the F_p scan witnesses of each of the
+    SCAN_PRIMES appended, per prime: singular points or a curve vanishing mod p
     on each side, tangencies, and a max corank other than 1.  A scan can
     contradict an exact verdict only through bad reduction (a singular
     F_p-point makes p divide Δ), and such a witness is `noted`; a scan
@@ -210,7 +188,7 @@ def genericity_scans(ctx, report):
     smooth = {"plus": report.e_plus_smooth, "minus": report.e_minus_smooth}
     witnesses = list(report.witnesses)
     add = witnesses.append
-    for p in ctx.primes:
+    for p in SCAN_PRIMES:
         for side in ("plus", "minus"):
             claim = f"Delta_{side} != 0"
             try:
@@ -248,23 +226,24 @@ def _check_smoothness(ctx):
     wit = [w for w in rep.witnesses
            if "singular" in w["kind"] or "vanishes" in w["kind"]
            or w["kind"] in ("discriminant", "degenerate_determinant")]
-    wit.append({"primes": list(ctx.primes), "certificate": "randomized"})
+    wit.append({"certificate": "exact discriminants",
+                "scan_primes": list(SCAN_PRIMES)})
     return ok, wit
 
 
 def _check_transversality(ctx):
     rep = ctx.genericity()
     wit = [w for w in rep.witnesses if w["kind"] in ("tangency", "resultant")]
-    wit.append({"primes": list(ctx.primes), "certificate": "randomized",
-                "notes": list(rep.notes)})
+    wit.append({"certificate": "exact resultant", "notes": list(rep.notes),
+                "scan_primes": list(SCAN_PRIMES)})
     return rep.nine_points, wit
 
 
 def _check_rank4(ctx):
     rep = ctx.genericity()
     wit = [w for w in rep.witnesses if w["kind"] in ("discriminant", "corank")]
-    wit.append({"primes": list(ctx.primes), "max_corank_allowed": 1,
-                "certificate": "randomized"})
+    wit.append({"certificate": "exact discriminants", "max_corank_allowed": 1,
+                "scan_primes": list(SCAN_PRIMES)})
     return rep.e_plus_smooth and rep.e_minus_smooth, wit
 
 
@@ -283,7 +262,7 @@ def _check_grading(ctx):
     wit = []
     ok = True
     for variant in ("ordinary", "super"):
-        alg = CliffordAlgebra.from_pencil(ctx.P, variant)
+        alg = ctx.algebra(variant)
         rels = defining_relations(alg)
         bad = sum(0 if terms_homogeneous(alg, r) else 1 for r in rels)
         wit.append({"variant": variant, "relations": len(rels),
@@ -296,7 +275,7 @@ def _check_equivariance(ctx):
     wit = []
     ok = True
     for variant in ("ordinary", "super"):
-        good = equivariance_check(ctx.P, variant)
+        good = equivariance_check(ctx.algebra(variant))
         wit.append({"variant": variant, "single_scalar": good,
                     "tested_at": {"lambda": 2, "s": [1, -1]}})
         ok = ok and good
@@ -309,8 +288,7 @@ def _check_phi(ctx):
     that no pair fails; when it names a step or a pair it proves nothing,
     and the structure constants are compared pair by pair
     (phi_failing_pairs), so a FAIL carries the true failing pairs."""
-    sup6 = CliffordAlgebra.from_pencil(ctx.P, "super")
-    ord6 = CliffordAlgebra.from_pencil(ctx.P, "ordinary")
+    sup6, ord6 = ctx.algebra("super"), ctx.algebra("ordinary")
     even = [m for m in range(64) if bin(m).count("1") % 2 == 0]
     bad_pairs = []
     if phi_twist_failures(sup6, ord6) or phi_sign_rule_failures(phi_exponent):
@@ -382,7 +360,7 @@ def _check_center(ctx):
     By 1 and 2 the kernel at any point has dimension at least 4; more
     means the point is special.  If no point of CENTER_POINTS gives 4,
     the check FAILs naming each point's dimension, claiming no center."""
-    alg = CliffordAlgebra.from_pencil(ctx.P, "ordinary")
+    alg = ctx.algebra("ordinary")
     dp, dm = (lift(ctx.sides.central(side)[1].element, alg, side)
               for side in ("plus", "minus"))
     basis = (alg.one(), dp, dm, dp * dm)
@@ -549,7 +527,7 @@ def _check_adjugate(ctx):
     ok, wit, smooth = _curve_verdict(ctx)
     if any(w["kind"] == "degenerate_determinant" for w in wit):
         return False, wit  # f ≡ 0 leaves no off-curve point to sample
-    p = ctx.primes[0]
+    p = SCAN_PRIMES[0]
     for u in ctx.fiber_points()[:3]:
         for side in ("plus", "minus"):
             verdict, _ = adjugate_double_line(ctx.P, side, u)
@@ -563,37 +541,34 @@ def _check_adjugate(ctx):
         except geometry.ScanError as exc:
             counts, failure = None, {"violation": str(exc)}
         if counts is None:
-            wit.append(noted({"side": side, "prime": p, **failure,
-                              "certificate": "randomized"},
+            wit.append(noted({"side": side, "prime": p, **failure},
                              smooth[side], f"Delta_{side} != 0"))
             continue
         wit.append({"side": side, "prime": p,
                     "points_scanned": p * p + p + 1,
                     "rank3": counts["rank3"],
-                    "double_lines": counts["double_line"],
-                    "curve_points": counts["double_line"],
-                    "certificate": "randomized"})
+                    "double_lines": counts["double_line"]})
+    wit.append({"certificate": "exact discriminants"})
     return ok, wit
 
 
 def _check_singular_locus(ctx):
+    """The verdict is _curve_verdict's.  At each scan prime the locus is
+    read off the curve (geometry.singular_locus_C, one kernel line per
+    curve point, or a raise at a corank-2 point, the violation)."""
     ok, wit, smooth = _curve_verdict(ctx)
     for side in ("plus", "minus"):
-        for p in ctx.primes:
+        for p in SCAN_PRIMES:
             try:
                 curve = ctx.curve(side, p)
-                found = geometry.singular_locus_C(curve)
+                geometry.singular_locus_C(curve)
             except (geometry.GenericityError, geometry.ScanError) as exc:
                 wit.append(noted({"side": side, "prime": p, "violation": str(exc)},
                                  smooth[side], f"Delta_{side} != 0"))
                 continue
-            agrees = len(found) == len(curve.points)
-            ok = ok and agrees
             wit.append({"side": side, "prime": p,
-                        "singular_points": len(found),
-                        "curve_points": len(curve.points),
-                        "one_per_degenerate_fiber": agrees,
-                        "certificate": "randomized"})
+                        "curve_points": len(curve.points)})
+    wit.append({"certificate": "exact discriminants"})
     return ok, wit
 
 

@@ -16,10 +16,7 @@ import sys
 from . import __version__
 from .checks import (
     CHECK_ORDER,
-    DEFAULT_PRIMES,
     MAX_POINTS,
-    MAX_PRIME,
-    MAX_PRIMES,
     CheckContext,
     INSTANCE_FREE,
     UnknownCheckError,
@@ -52,15 +49,10 @@ def _build_parser():
                    help="optional check id and/or instance file; with no id "
                         "every check runs, and a few identity checks need "
                         "no instance at all")
-    c.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES),
-                   help=f"comma-separated distinct primes of the witness "
-                        f"scans (at most {MAX_PRIMES}, each a prime from 17 "
-                        f"to {MAX_PRIME}; each scan sweeps all p^2 + p + 1 "
-                        "points of the plane mod p)")
     c.add_argument("--points", type=int, default=20,
-                   help="number of off-curve base points to sample "
+                   help="number of off-curve base points "
                         f"(1..{MAX_POINTS}); prop4.2 reads up to 3 of "
-                        "them and prop4.7 one")
+                        "them and prop4.7 one, so at most 3 are sampled")
     c.add_argument("--report", metavar="PATH",
                    help="write the JSON report here")
     return parser
@@ -104,7 +96,7 @@ def _split_target(target):
     return check_id, inst_path
 
 
-def _report_dict(args, P, primes, results):
+def _report_dict(args, P, results):
     overall = "pass" if all(r.status == "pass" for r in results) else "fail"
     return {
         "schema": 1,
@@ -115,7 +107,6 @@ def _report_dict(args, P, primes, results):
             "coeff_bound": P.coeff_bound,
         },
         "seed": None if P is None else P.seed,
-        "primes": list(primes),
         "flags": {"points": args.points},
         "checks": [r.to_json_dict() for r in results],
         "overall": overall,
@@ -129,11 +120,6 @@ def cmd_check(args):
         return _fail_usage(str(exc))
     if check_id is not None and check_id not in CHECK_ORDER:
         return _fail_usage(f"unknown check id: {check_id}")
-
-    try:
-        primes = tuple(int(p) for p in args.primes.split(","))
-    except ValueError:
-        return _fail_usage(f"cannot parse --primes {args.primes!r}")
 
     P = None
     if inst_path is not None:
@@ -151,7 +137,7 @@ def cmd_check(args):
         )
 
     try:
-        ctx = CheckContext(P, primes=primes, points=args.points)
+        ctx = CheckContext(P, points=args.points)
     except ValueError as exc:
         return _fail_usage(str(exc))
 
@@ -169,7 +155,7 @@ def cmd_check(args):
     print(f"overall: {overall}")
 
     if args.report:
-        payload = json.dumps(_report_dict(args, P, primes, results),
+        payload = json.dumps(_report_dict(args, P, results),
                              sort_keys=True, indent=1) + "\n"
         try:
             with open(args.report, "w", encoding="utf-8") as fh:

@@ -699,11 +699,10 @@ def action_scales_relation(alg, terms, s, lam):
     return True
 
 
-def equivariance_check(P, variant="ordinary"):
-    """True iff every defining relation transforms by a single scalar under
-    both components of the scaling action (tested at λ = 2 to separate
-    weights)."""
-    alg = CliffordAlgebra.from_pencil(P, variant)
+def equivariance_check(alg):
+    """True iff every defining relation of alg transforms by a single
+    scalar under both components of the scaling action (tested at λ = 2 to
+    separate weights)."""
     for terms in defining_relations(alg):
         for s in (1, -1):
             if not action_scales_relation(alg, terms, s, 2):

@@ -329,16 +329,17 @@ def binary_resultant(f_plus, f_minus, center):
 
 
 def resultant_nine_points(f_plus, f_minus):
-    """(nine_points, degree, notes): eliminates u3 from the two cubic
-    forms and tests the resulting binary form for squarefreeness.  A
+    """(nine_points, degree, center, notes): eliminates u3 from the two
+    cubic forms and tests the resulting binary form for squarefreeness.  A
     squarefree degree-9 resultant certifies nine distinct intersection
     points, each of multiplicity one by Bézout, so transverse.  The
     CENTERS are tried in order, each move noted: the center moves when it
     lies on a curve, and when R is not squarefree, since a center lined up
     with two intersection points also gives a repeated root.  A tangency
-    gives one from every center."""
+    gives one from every center.  `center` is the last center projected
+    from, None when every center lies on a curve."""
     notes = []
-    degree = -1
+    degree, used = -1, None
     for attempt, center in enumerate(CENTERS):
         if attempt:
             notes.append(f"coordinate change ({reason})")
@@ -347,47 +348,50 @@ def resultant_nine_points(f_plus, f_minus):
             reason = "projection center on a curve"
             continue
         if not any(h):
-            return False, -1, tuple(notes + ["resultant identically zero"])
+            return False, -1, center, tuple(notes + ["resultant identically zero"])
         # u2^k ∥ R means a k-fold root at (1:0), and h = R(t, 1) carries the
         # other roots, with degree 9 − k.  So R is squarefree iff k ≤ 1 and
         # R(t, 1) is squarefree.
         while not h[-1]:
             h.pop()
         if len(h) >= 9 and squarefree_univariate(h):
-            return True, 9, tuple(notes)
-        degree, reason = 9, "resultant not squarefree"
+            return True, 9, center, tuple(notes)
+        degree, used, reason = 9, center, "resultant not squarefree"
     if degree < 0:
         notes.append("no usable projection center")
-    return False, degree, tuple(notes)
+    return False, degree, used, tuple(notes)
 
 
 def genericity_check(P):
-    """The exact genericity verdicts over Q̄, with witnesses for the ones
-    that fail:
-    - E± is smooth iff its discriminant Δ± ≠ 0 (`discriminant`);
+    """The exact genericity verdicts over Q̄, each with the witness that
+    decides it, on PASS and on FAIL:
+    - E± is smooth iff its discriminant Δ± ≠ 0 (`discriminant`), one
+      `discriminant` witness per side with Δ as an integer;
     - the blocks have corank ≤ 1 everywhere, so the 6×6 forms have rank
       ≥ 4, when Δ₊Δ₋ ≠ 0: by Jacobi's formula ∂ₖ det M = tr(adj M·Qₖ)
       (Magnus and Neudecker, *Matrix Differential Calculus*, Ch. 8), and a
       block of corank ≥ 2 has adj M = 0, so it sits at a singular point;
     - the intersection is nine transverse points iff the degree-9
-      resultant is squarefree (`resultant_nine_points`)."""
+      resultant is squarefree (`resultant_nine_points`), one `resultant`
+      witness with its center, degree and squarefree flag.
+    A determinant cubic that vanishes identically has no Δ: its one
+    witness is `degenerate_determinant`."""
     curves = P.det_curves()
     if curves.f_plus.is_zero() or curves.f_minus.is_zero():
         return GenericityReport(
-            False, False, False,
-            ({"kind": "degenerate_determinant", "prime": None, "point": None},),
+            False, False, False, ({"kind": "degenerate_determinant"},),
             ("a determinant cubic vanishes identically",))
-    smooth = {side: discriminant(curves.side(side)) != 0
-              for side in ("plus", "minus")}
-    witnesses = [{"kind": "discriminant", "side": side, "delta": 0}
-                 for side, ok in smooth.items() if not ok]
-    nine, deg, notes = resultant_nine_points(curves.f_plus, curves.f_minus)
-    if not nine:
-        witnesses.append({"kind": "resultant", "prime": None, "point": None,
-                          "degree": deg, "squarefree": False})
+    witnesses = [{"kind": "discriminant", "side": side,
+                  "delta": discriminant(curves.side(side))}
+                 for side in ("plus", "minus")]
+    nine, deg, center, notes = resultant_nine_points(curves.f_plus,
+                                                     curves.f_minus)
+    witnesses.append({"kind": "resultant",
+                      "center": None if center is None else list(center),
+                      "degree": deg, "squarefree": nine})
     return GenericityReport(
-        e_plus_smooth=smooth["plus"],
-        e_minus_smooth=smooth["minus"],
+        e_plus_smooth=witnesses[0]["delta"] != 0,
+        e_minus_smooth=witnesses[1]["delta"] != 0,
         nine_points=nine,
         witnesses=tuple(witnesses),
         notes=notes,

@@ -34,6 +34,7 @@ from quadclif.clifford import (
     phi,
     terms_homogeneous,
 )
+from quadclif.fiber import sample_invertible_points
 from quadclif.geometry import stabilizer, stabilizer_bruteforce
 from quadclif.pencil import generate, genericity_check, resultant_nine_points
 from quadclif.plucker import m0_identity_check, segre_identity_check
@@ -122,7 +123,7 @@ def test_criterion_4_grading_with_negative_control():
         corrupted = list(rels[0]) + [((0,), alg.ring.one())]
         if terms_homogeneous(alg, corrupted):
             failures.append((variant, "corruption not detected"))
-        if not equivariance_check(P, variant):
+        if not equivariance_check(alg):
             failures.append((variant, "equivariance"))
     verdict(4, "homogeneous relations, corruption detected", failures)
 
@@ -139,7 +140,7 @@ def test_criterion_5_fiberwise_matrix_algebras():
         if r.status != "pass" or len(certs) != 2 or not all(
                 all(w.values()) for w in certs):
             failures.append((cid, r.status))
-    points = ctx.fiber_points()
+    points = sample_invertible_points(ctx.P, ctx.rng("fiber-points"), 20)
     m4 = sum(certify_ordinary_m4(ctx.sides, u)[1] == "M4" for u in points)
     if m4 < 20:
         failures.append(("azumaya oracle", m4))
@@ -159,7 +160,7 @@ def test_criterion_6_genericity_with_negative_control():
     failures = []
     P = cached_pencil(42)
     curves = P.det_curves()
-    nine, degree, _ = resultant_nine_points(curves.f_plus, curves.f_minus)
+    nine, degree, _, _ = resultant_nine_points(curves.f_plus, curves.f_minus)
     if not (nine and degree == 9):
         failures.append(("resultant", nine, degree))
     rep = genericity_check(P)
@@ -193,7 +194,7 @@ def test_criterion_7_isotropic_geometry():
     else:
         scans = [w for w in r.witnesses if "points_scanned" in w]
         for w in scans:
-            if w["double_lines"] != w["curve_points"]:
+            if w["rank3"] + w["double_lines"] != w["points_scanned"]:
                 failures.append(("adjugate", w))
     r = run_single(ctx, "prop4.3-singular-locus")
     if r.status != "pass":

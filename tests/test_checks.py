@@ -1,5 +1,6 @@
 """The named-check registry: vocabulary, statuses, witnesses, caching."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,21 +16,18 @@ from conftest import (
     hilbert_dims_center,
     seeded_pencil,
 )
-from quadclif import checks, clifford, plucker
+from quadclif import checks, clifford, exactalg, geometry, plucker
 from quadclif.checks import (
     CHECK_ORDER,
-    MAX_PRIME,
-    MAX_PRIMES,
     CheckContext,
     INSTANCE_FREE,
     UnknownCheckError,
-    genericity_scans,
     run_all,
     run_single,
 )
 from quadclif.cli import main
-from quadclif.exactalg import is_prime
-from quadclif.pencil import InvariantPencil, genericity_check
+from quadclif.fiber import sample_invertible_points
+from quadclif.pencil import InvariantPencil
 
 
 DIAGONAL_FAILS = {
@@ -39,10 +37,12 @@ DIAGONAL_FAILS = {
 }
 
 
-def scan_diag(primes):
-    """The scan witnesses of the diagonal control at the given primes."""
-    P = diag_instance()
-    return genericity_scans(CheckContext(P, primes=primes), genericity_check(P))
+def fails(*ids):
+    """Mark a TestRegistryMutants case with the check ids it makes FAIL."""
+    def mark(test):
+        test.fails = ids
+        return test
+    return mark
 
 
 def diag_instance():
@@ -75,8 +75,6 @@ class TestRegistry:
 
     def test_flag_validation(self):
         with pytest.raises(ValueError):
-            CheckContext(None, primes=(7,))
-        with pytest.raises(ValueError):
             CheckContext(None, points=0)
         # the center check has no weight bound to set
         with pytest.raises(TypeError):
@@ -92,40 +90,14 @@ class TestRegistry:
         assert bound == {"point": [1, 2, 3], "columns": 64, "kernel_dim": 4,
                          "top_masks": [0, 7, 56, 63]}
 
-    def test_composite_primes_rejected(self):
-        # 121 = 11² passes the size bound but has no Fermat inverses
-        with pytest.raises(ValueError, match="prime >= 17, got 121"):
-            CheckContext(None, primes=(121,))
-        with pytest.raises(ValueError, match="got 143"):
-            CheckContext(None, primes=(101, 143))
-        with pytest.raises(ValueError, match="prime >= 17, got 121"):
-            scan_diag((121,))
-
     def test_prime_and_point_limits(self):
-        assert (MAX_PRIME, checks.MAX_POINTS) == (1009, 200)
-        for primes in ((1013,), (101, 2003), (10 ** 30 + 57,)):
-            with pytest.raises(ValueError, match="at most 1009, got"):
-                CheckContext(None, primes=primes)
-            with pytest.raises(ValueError, match="at most 1009, got"):
-                scan_diag(primes)
+        # the scan primes are a constant, and the scans take no prime knob
+        assert (checks.SCAN_PRIMES, checks.MAX_POINTS) == ((101, 103, 107), 200)
+        with pytest.raises(TypeError):
+            CheckContext(None, primes=(101,))
         with pytest.raises(ValueError, match="points must be at most 200, got 201"):
             CheckContext(None, points=201)
-        ctx = CheckContext(None, primes=(1009,), points=200)
-        assert (ctx.primes, ctx.points) == ((1009,), 200)
-
-    def test_prime_list_limits(self):
-        assert MAX_PRIMES == 16
-        for primes, message in (((101, 103, 101), "distinct, got 101 more"),
-                                ((1009,) * 2, "distinct, got 1009 more"),
-                                ((101,) * 17, "at most 16 primes, got 17"),
-                                ((10 ** 30 + 57,) * 10 ** 4,
-                                 "at most 16 primes, got 10000")):
-            with pytest.raises(ValueError, match=message):
-                CheckContext(None, primes=primes)
-            with pytest.raises(ValueError, match=message):
-                scan_diag(primes)
-        sixteen = tuple(p for p in range(17, 200) if is_prime(p))[:16]
-        assert CheckContext(None, primes=sixteen).primes == sixteen
+        assert CheckContext(None, points=200).points == 200
 
     def test_crash_becomes_fail(self, monkeypatch):
         def boom(ctx):
@@ -138,8 +110,10 @@ class TestRegistry:
 
 
 class TestRegistryMutants:
-    """Checks made to FAIL through run_single by a mutated engine step."""
+    """Checks made to FAIL through run_single by a mutated engine step,
+    table, determinant or module; `fails` names each case's check ids."""
 
+    @fails("prop3.5-grading")
     def test_grading_fails_on_a_grafted_odd_word(self, monkeypatch):
         relations = checks.defining_relations
 
@@ -153,6 +127,7 @@ class TestRegistryMutants:
         assert [(w["variant"], w["inhomogeneous"]) for w in r.witnesses] == [
             ("ordinary", 1), ("super", 1)]
 
+    @fails("prop3.19-equivariance")
     def test_equivariance_fails_on_a_wrong_scaling(self, monkeypatch):
         scales = clifford.action_scales_relation
 
@@ -167,6 +142,7 @@ class TestRegistryMutants:
         assert [(w["variant"], w["single_scalar"]) for w in r.witnesses] == [
             ("ordinary", False), ("super", False)]
 
+    @fails("prop3.18-corank1-m2")
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_corank1_fails_on_a_flipped_step(self, monkeypatch, side):
         # a negated v2·v1 step breaks one side algebra; its associativity
@@ -178,6 +154,7 @@ class TestRegistryMutants:
         assert r.witnesses == [
             {"error": "ValueError: associativity fails on (e_1 e_2) v_0"}]
 
+    @fails("prop3.13-center")
     def test_center_fails_on_a_flipped_step(self, monkeypatch):
         # a negated e_{v1v2}·v3 step of the ordinary engine: d₊ no longer
         # commutes with the generators, and the kernel at each point loses
@@ -190,6 +167,7 @@ class TestRegistryMutants:
         assert bounds == [{"point": list(u), "columns": 64, "kernel_dim": 2,
                            "top_masks": [0, 56]} for u in checks.CENTER_POINTS]
 
+    @fails("prop3.13-center")
     def test_center_fails_when_no_point_bounds_the_kernel(self, monkeypatch):
         # at u = 0 the forms vanish and A is Λ(V₊) ⊗ Λ(V₋), whose center
         # (even part and top degree of each factor) has dimension 5·5: the
@@ -201,6 +179,7 @@ class TestRegistryMutants:
         assert lower["central"] == [True] * 4 and lower["unit_diagonal"]
         assert (bound["point"], bound["kernel_dim"]) == ([0, 0, 0], 25)
 
+    @fails("prop3.9-phi")
     def test_flipped_step_outside_the_center_fails_phi(self, monkeypatch):
         # a negated e_{v2v3}·v1 step touches only the column of mask 0b110,
         # where no central element has a coefficient, so the center check
@@ -212,6 +191,7 @@ class TestRegistryMutants:
         assert r.status == "fail"
         assert r.witnesses[0]["failing_pairs"][:2] == [[6, 3], [6, 5]]
 
+    @fails("prop3.18-corank1-m2")
     def test_corank1_fails_on_the_diagonal_with_the_discriminants(self):
         # Δ₊ = Δ₋ = 0 allows corank-2 points, so no curve point is tried
         r = run_single(CheckContext(diag_instance(), points=1),
@@ -220,14 +200,18 @@ class TestRegistryMutants:
         assert r.witnesses == [{"kind": "discriminant", "side": side, "delta": 0}
                                for side in ("plus", "minus")]
 
+    @fails("prop3.18-corank1-m2",
+           "prop4.2-adjugate-double-line",
+           "prop4.3-singular-locus",
+           "prop3.17-azumaya-m4",
+           "prop3.18-split-m2")
     def test_curve_checks_fail_on_a_vanishing_cubic_with_its_witness(self):
         # q₋ = 0 makes f₋ vanish identically: the exact report has no Δ, and
         # the checks gated by _curve_verdict name the degenerate cubic
         zero = tuple(tuple((0,) * 3 for _ in range(3)) for _ in range(3))
         P = InvariantPencil(q_plus=cached_pencil(42).q_plus, q_minus=zero,
                             seed=0, coeff_bound=5)
-        degenerate = {"kind": "degenerate_determinant", "prime": None,
-                      "point": None}
+        degenerate = {"kind": "degenerate_determinant"}
         for cid in ("prop3.18-corank1-m2", "prop4.2-adjugate-double-line",
                     "prop4.3-singular-locus"):
             r = run_single(CheckContext(P, points=1), cid)
@@ -240,6 +224,7 @@ class TestRegistryMutants:
             r = run_single(CheckContext(P, points=1), cid)
             assert (r.status, r.witnesses) == ("fail", [degenerate]), cid
 
+    @fails("prop4.9-segre")
     def test_segre_fails_on_a_doubled_plus_coordinate(self, monkeypatch):
         # p₊ with its first Plücker coordinate doubled leaves the quadric
         segre_points = plucker.segre_points
@@ -253,6 +238,7 @@ class TestRegistryMutants:
         assert r.status == "fail"
         assert r.witnesses[0]["failures"][0] == "plus-family-not-isotropic"
 
+    @fails("prop4.8-m0-matrix")
     def test_m0_fails_on_a_doubled_entry(self, monkeypatch):
         # entry (0, 0) of the m0 matrix doubled breaks the column relation
         m0_rows = plucker._m0_rows
@@ -267,6 +253,7 @@ class TestRegistryMutants:
         assert r.status == "fail"
         assert r.witnesses[0]["symbolic_rank3_and_relation"] is False
 
+    @fails("prop2.2-transversality", "prop2.5-nine-points")
     def test_tangent_curves_fail_only_the_resultant_checks(self, tmp_path):
         """seeded_pencil(72) has Δ₊Δ₋ ≠ 0, but its curves are tangent, so
         the resultant has a repeated root from every center: the two checks
@@ -274,8 +261,8 @@ class TestRegistryMutants:
         plain and under python -O."""
         ids = ("prop2.2-smoothness", "prop2.2-transversality",
                "def2.1-rank4", "prop2.5-nine-points")
-        resultant = {"kind": "resultant", "prime": None, "point": None,
-                     "degree": 9, "squarefree": False}
+        resultant = {"kind": "resultant", "center": [2, 3, 1], "degree": 9,
+                     "squarefree": False}
         P = seeded_pencil(72)
         ctx = CheckContext(P, points=1)
         plain = {}
@@ -301,6 +288,74 @@ class TestRegistryMutants:
             env=dict(os.environ, PYTHONPATH=str(src)))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == json.loads(json.dumps(plain))
+
+
+    @fails("prop3.12-dplus-square", "prop3.12-dminus-square")
+    def test_d_square_fails_on_a_determinant_of_the_wrong_sign(self,
+                                                               monkeypatch):
+        # det(q) negated: d² = f still holds, but as −det(q), so the solver
+        # records the sign −1 on each side
+        det = exactalg.SymMatrix.det
+        monkeypatch.setattr(exactalg.SymMatrix, "det", lambda m: -det(m))
+        ctx = CheckContext(cached_pencil(42), points=1)
+        for side in ("plus", "minus"):
+            r = run_single(ctx, f"prop3.12-d{side}-square")
+            assert (r.status, r.witnesses) == ("fail", [
+                {"side": side, "sign": -1,
+                 "square_equals_determinant_cubic": True,
+                 "solution": "unique monic"}])
+
+    @fails("prop2.3-stabilizers", "prop2.8-stabilizers")
+    def test_stabilizers_fail_on_a_dropped_element(self, monkeypatch):
+        # the closed-form table loses the last element of the stabilizer of
+        # a point with y₊ = y₋ = 0, which the brute force still finds
+        closed = geometry.stabilizer
+
+        def dropped(yp, ym, group):
+            s = closed(yp, ym, group)
+            if yp and ym:
+                s = dataclasses.replace(s, elements=s.elements[:-1])
+            return s
+
+        monkeypatch.setattr(geometry, "stabilizer", dropped)
+        for cid, elements in (("prop2.3-stabilizers", [1]),
+                              ("prop2.8-stabilizers", [[1, 1], [1, -1], [-1, 1]])):
+            r = run_single(CheckContext(None), cid)
+            assert r.status == "fail"
+            assert [w["matches_bruteforce"] for w in r.witnesses] == [
+                True, True, True, False]
+            assert r.witnesses[-1]["elements"] == elements
+
+    @fails("prop4.7-annihilator")
+    def test_annihilator_fails_on_perturbed_module_matrices(self, monkeypatch):
+        """ρ(v₁) with 1 added to its (0, 1) entry is no longer a module
+        matrix: the annihilator line of the first module vector leaves the
+        isotropic cone.  prop4.7 fails only through such a raise:
+        round_trip and injective cannot read false once annihilator_line
+        and module_line_for return, since the kernel of ρ(v_w) is then one
+        line holding m, and two lines sharing w would make ρ(v_w) = 0."""
+        module_rep = checks.module_rep
+
+        def perturbed(sides, side, u):
+            rep = module_rep(sides, side, u)
+            (a, b), row = rep.matrices[0]
+            return dataclasses.replace(rep, matrices=(
+                ((a, b + rep.tower.one), row), *rep.matrices[1:]))
+
+        monkeypatch.setattr(checks, "module_rep", perturbed)
+        r = run_single(CheckContext(cached_pencil(42), points=1),
+                       "prop4.7-annihilator")
+        assert (r.status, r.witnesses) == ("fail", [
+            {"error": "AssertionError: annihilator line is not isotropic"}])
+
+
+def test_registry_mutants_and_the_diagonal_cover_every_check():
+    """Every check id has a tier-1 FAIL path through run_single: a case of
+    TestRegistryMutants, or the diagonal control's seven."""
+    covered = set(DIAGONAL_FAILS)
+    for name in dir(TestRegistryMutants):
+        covered.update(getattr(getattr(TestRegistryMutants, name), "fails", ()))
+    assert covered == set(CHECK_ORDER)
 
 
 class TestInstanceFree:
@@ -373,6 +428,31 @@ class TestOnInstance:
         ctx2 = CheckContext(P, points=3)
         assert ctx2.fiber_points() == pts1
 
+    def test_point_sample_draws_only_the_points_read(self):
+        # prop4.2 reads three points and prop4.7 one; the sampler stops at
+        # its count, so the first three of any longer sample are the same
+        P = cached_pencil(42)
+        longest = CheckContext(P).fiber_points()
+        assert len(longest) == 3
+        for n in (1, 2, 4, 20, 200):
+            ctx = CheckContext(P, points=n)
+            assert ctx.fiber_points() == sample_invertible_points(
+                P, ctx.rng("fiber-points"), n)[:3] == longest[:n]
+
+    def test_each_algebra_is_built_once_per_run(self, monkeypatch):
+        # the ordinary and super algebras of the graded-algebra checks, and
+        # the plus and minus blocks of SideFibers
+        built = []
+        init = clifford.CliffordAlgebra.__init__
+
+        def counting(alg, ring, variant, **blocks):
+            built.append(variant)
+            init(alg, ring, variant, **blocks)
+
+        monkeypatch.setattr(clifford.CliffordAlgebra, "__init__", counting)
+        run_all(CheckContext(cached_pencil(42), points=1))
+        assert sorted(built) == ["minus", "ordinary", "plus", "super"]
+
     def test_diagonal_fails_smoothness_with_witness_points(self):
         P = diag_instance()
         ctx = CheckContext(P, points=3)
@@ -392,8 +472,8 @@ class TestOnInstance:
         results = {r.id: r.witnesses for r in run}
         delta = [{"kind": "discriminant", "side": side, "delta": 0}
                  for side in ("plus", "minus")]
-        resultant = {"kind": "resultant", "prime": None, "point": None,
-                     "degree": -1, "squarefree": False}
+        resultant = {"kind": "resultant", "center": [1, 1, 1], "degree": -1,
+                     "squarefree": False}
         for cid in ("prop2.2-smoothness", "def2.1-rank4",
                     "prop4.2-adjugate-double-line", "prop4.3-singular-locus"):
             assert results[cid][:2] == delta
@@ -408,8 +488,8 @@ class TestOnInstance:
         assert results["prop2.5-nine-points"][1]["notes"][-1] \
             == "resultant identically zero"
         assert results["prop3.18-corank1-m2"] == delta
-        assert {"side": "minus", "prime": 101, "violation_at": [1, 0, 0],
-                "certificate": "randomized"} in results["prop4.2-adjugate-double-line"]
+        assert {"side": "minus", "prime": 101, "violation_at": [1, 0, 0]} \
+            in results["prop4.2-adjugate-double-line"]
         assert {"side": "plus", "prime": 107,
                 "violation": "corank >= 2 at (1, 0, 0) mod 107"} \
             in results["prop4.3-singular-locus"]
@@ -421,8 +501,8 @@ class TestOnInstance:
         # seeded_pencil(94) is tangent at (1:0:0), so u2² ∥ R: the
         # resultant is not squarefree and only its two checks FAIL
         P = seeded_pencil(94)
-        resultant = ('{"degree": 9, "kind": "resultant", "point": null, '
-                     '"prime": null, "squarefree": false}')
+        resultant = ('{"center": [2, 3, 1], "degree": 9, "kind": "resultant", '
+                     '"squarefree": false}')
         ids = {"prop2.2-transversality", "prop2.5-nine-points"}
 
         def resultant_witnesses(witnesses):
@@ -451,7 +531,8 @@ class TestOnInstance:
         ctx = CheckContext(P, points=2)
         r = run_single(ctx, "prop3.18-corank1-m2")
         assert r.status == "pass"
-        *points, summary = r.witnesses
+        plus, minus, *points, summary = r.witnesses
+        assert [plus["kind"], minus["kind"]] == ["discriminant"] * 2
         assert summary == {"corank1_points": 6, "required": 5}
         # one point per side over the cubic field of its section, named with
         # the prime that certifies the section irreducible; no mod-p label
@@ -470,7 +551,10 @@ class TestOnInstance:
         scans = [w for w in r.witnesses if "points_scanned" in w]
         assert len(scans) == 2
         for w in scans:
+            assert set(w) == {"side", "prime", "points_scanned", "rank3",
+                              "double_lines"}
+            assert w["prime"] == 101
             assert w["points_scanned"] == 101 * 101 + 101 + 1
-            assert w["double_lines"] == w["curve_points"] > 0
+            assert w["double_lines"] > 0
             assert w["rank3"] + w["double_lines"] == w["points_scanned"]
-            assert w["certificate"] == "randomized"
+        assert r.witnesses[-1] == {"certificate": "exact discriminants"}

@@ -12,8 +12,7 @@ import pytest
 from quadclif import __version__
 from quadclif.checks import CHECK_ORDER
 from quadclif.cli import main
-from quadclif.exactalg import is_prime
-from quadclif.pencil import load_instance
+from quadclif.pencil import U_VARS, load_instance
 
 from conftest import (
     BAD_REDUCTION_Q_PLUS,
@@ -21,6 +20,12 @@ from conftest import (
     SINGULAR_OFF_FP_Q_PLUS,
     VANISHING_PARTIAL_Q_PLUS,
     cached_pencil,
+    center_matrix,
+    coordinate_change,
+    macaulay_resultant,
+    poly_sylvester_resultant,
+    squarefree_by_gcd,
+    total_degree,
     with_q_plus,
 )
 from test_checks import diag_instance
@@ -38,12 +43,13 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 
 # SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
 # of `check --points 2` on that instance: every verdict and witness of the
-# full run is pinned byte for byte.  It last changed through the witnesses
-# of prop3.17-azumaya-m4 and prop3.18-split-m2, which moved from verdicts
-# at sampled points to Gram identities over Z[u] (before: 0c3a7664…8ee4;
-# before that, when prop3.13-center moved to a kernel at one point and the
-# flags lost max_degree: 3ed3d3e3…1f40df9).
-FULL_RUN_SHA256 = "e7c3ef983835070d0563b10a734bae4a590a252c17ff36f7ad42dd48878da2f0"
+# full run is pinned byte for byte.  It last changed when the genericity
+# and curve checks began to carry Δ±, the resultant's center and their
+# certificate names in place of "randomized", and the report lost its
+# top-level primes (before: e7c3ef98…78da2f0; before that, through the
+# witnesses of prop3.17-azumaya-m4 and prop3.18-split-m2, which moved from
+# verdicts at sampled points to Gram identities over Z[u]: 0c3a7664…8ee4).
+FULL_RUN_SHA256 = "b5366b8ba55a2b30ea17152aa6d3ca0c98ca665cd996f58fa357c5e8ee436b78"
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.
@@ -147,52 +153,20 @@ class TestCheckUsage:
         assert main(["check", "prop3.13-center", "prop4.8-m0-matrix",
                      str(inst)]) == 2
 
-    def test_composite_primes(self, tmp_path, capsys):
-        path = tmp_path / "diag.json"
-        save_instance(diag_instance(), str(path))
-        rc = main(["check", "prop2.2-smoothness", str(path),
-                   "--primes", "121,143"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "error: primes must each be a prime >= 17, got 121" in err
-
     def test_prime_and_point_limits(self, tmp_path, capsys):
         path = tmp_path / "diag.json"
         save_instance(diag_instance(), str(path))
-        # the bound is tested before primality, so even a 31-digit value
-        # is refused at once
-        for primes, bad in (("1013", 1013), ("101,2003", 2003),
-                            ("1000000000000000000000000000057",
-                             1000000000000000000000000000057)):
-            rc = main(["check", "prop2.2-smoothness", str(path),
-                       "--primes", primes])
-            assert rc == 2
-            err = capsys.readouterr().err
-            assert f"error: primes must each be at most 1009, got {bad}" in err
         rc = main(["check", "prop4.9-segre", str(path), "--points", "201"])
         assert rc == 2
         assert "error: points must be at most 200, got 201" in capsys.readouterr().err
-        for primes, message in (("101,103,101", "primes must be distinct, got 101"),
-                                (",".join(["101"] * 17), "at most 16 primes, got 17"),
-                                (",".join(["2003"] * 10 ** 4),
-                                 "at most 16 primes, got 10000")):
-            rc = main(["check", "prop2.2-smoothness", str(path),
-                       "--primes", primes])
-            assert rc == 2
-            assert f"error: {message}" in capsys.readouterr().err
-        # the bounds themselves are accepted
+        # the bound itself is accepted
         assert main(["check", "prop2.2-smoothness", str(path),
-                     "--primes", "1009", "--points", "200"]) == 1
+                     "--points", "200"]) == 1
         assert main(["check", "prop4.9-segre", str(path),
                      "--points", "200"]) == 0
-        sixteen = [str(p) for p in range(17, 200) if is_prime(p)][:16]
-        assert main(["check", "prop4.9-segre", str(path),
-                     "--primes", ",".join(sixteen)]) == 0
 
     def test_bad_flags(self, tmp_path):
         inst = gen(tmp_path, seed=1, bound=3)
-        assert main(["check", str(inst), "--primes", "101,frog"]) == 2
-        assert main(["check", str(inst), "--primes", "7"]) == 2
         assert main(["check", "prop4.9-segre", str(inst),
                      "--points", "0"]) == 2
 
@@ -203,6 +177,14 @@ class TestCheckUsage:
             main(["check", "prop3.13-center", str(inst), "--max-degree", "6"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --max-degree 6" in capsys.readouterr().err
+
+    def test_primes_is_an_unknown_flag(self, tmp_path, capsys):
+        # the F_p witness scans run at the fixed checks.SCAN_PRIMES
+        inst = gen(tmp_path, seed=1, bound=3)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "prop2.2-smoothness", str(inst), "--primes", "101"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --primes 101" in capsys.readouterr().err
 
     def test_corrupt_instance_json(self, tmp_path, capsys):
         good = json.loads(cached_pencil(42).canonical_bytes())
@@ -268,7 +250,7 @@ class TestCheckRuns:
         assert rep["tool"] == {"name": "quadclif", "version": __version__}
         assert rep["instance"]["digest"] == SEED42_DIGEST
         assert rep["instance"]["seed"] == 42
-        assert rep["primes"] == [101, 103, 107]
+        assert "primes" not in rep
         assert rep["flags"] == {"points": 20}
         ids = [c["id"] for c in rep["checks"]]
         assert ids == ["prop3.13-center"]
@@ -303,6 +285,42 @@ class TestCheckRuns:
         assert all(c["status"] == "pass" for c in rep["checks"])
         payload = json.dumps(rep, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(payload.encode()).hexdigest() == FULL_RUN_SHA256
+
+    def test_exact_certificates_recompute_from_the_instance(self, tmp_path,
+                                                             capsys):
+        """Every Δ± and resultant witness of the seed-42 report is re-derived
+        from the instance by the test oracles: Δ = 512·Res of the partials
+        by Macaulay's quotient, and R = Res_u3 of the cubics moved to the
+        reported center by MultiPoly elimination, read as a binary form and
+        tested by the two-path gcd."""
+        inst = gen(tmp_path)
+        report = tmp_path / "r.json"
+        assert main(["check", str(inst), "--points", "1",
+                     "--report", str(report)]) == 0
+        capsys.readouterr()
+        exact = [w for c in stripped(report)["checks"] for w in c["witnesses"]
+                 if w.get("kind") in ("discriminant", "resultant")]
+        deltas = {w["side"]: w["delta"] for w in exact
+                  if w["kind"] == "discriminant"}
+        (resultant,) = {json.dumps(w, sort_keys=True) for w in exact
+                        if w["kind"] == "resultant"}
+        resultant = json.loads(resultant)
+        assert deltas == {"plus": 6985432436106805936128,
+                          "minus": -6731478357171826471905471234048}
+        assert resultant == {"kind": "resultant", "center": [0, 0, 1],
+                             "degree": 9, "squarefree": True}
+        curves = load_instance(str(inst)).det_curves()
+        for side, delta in deltas.items():
+            f = curves.side(side)
+            assert delta == 512 * macaulay_resultant(
+                *(f.derivative(v) for v in U_VARS))
+        M = center_matrix(resultant["center"])
+        R = poly_sylvester_resultant(coordinate_change(curves.f_plus, M),
+                                     coordinate_change(curves.f_minus, M), "u3")
+        assert total_degree(R) == resultant["degree"]
+        h = [R.terms.get((i, 9 - i, 0), 0) for i in range(10)]
+        assert len(R.terms) == sum(1 for c in h if c) and h[8:] != [0, 0]
+        assert squarefree_by_gcd(h)[0] == resultant["squarefree"]
 
 
 class TestNoFloats:

@@ -723,7 +723,7 @@ def test_relations_homogeneous_and_equivariant():
         assert len(rels) == 21
         for terms in rels:
             assert terms_homogeneous(alg, terms)
-        assert equivariance_check(P, variant)
+        assert equivariance_check(alg)
 
 
 def test_corrupted_relation_detected():

@@ -10,7 +10,7 @@ import pytest
 
 from quadclif import geometry
 from quadclif.checks import (
-    DEFAULT_PRIMES,
+    SCAN_PRIMES,
     CheckContext,
     _adjugate_scan,
     genericity_scans,
@@ -277,8 +277,8 @@ def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
     primes = (101, 103, 107)
     assert genericity_check(P).all_ok()
     assert swept == []
-    ctx = CheckContext(P, primes=primes, points=1)
-    assert ctx.genericity().witnesses == ()
+    ctx = CheckContext(P, points=1)
+    assert ctx.genericity().witnesses[3:] == ()
     assert sorted(swept) == sorted(primes * 2)
     for check_id in ("prop2.2-smoothness", "prop2.2-transversality",
                      "def2.1-rank4", "prop3.18-corank1-m2",
@@ -371,7 +371,7 @@ def test_zero_set_matches_horner_sweep_on_pencils(name):
     default prime."""
     P = _oracle_pencil(name)
     curves = P.det_curves()
-    p = DEFAULT_PRIMES[0]
+    p = SCAN_PRIMES[0]
     for side in ("plus", "minus"):
         compiled = compile_poly(curves.side(side), p)
         assert _zero_set(compiled, p) == zero_set_by_evaluation(compiled, p)
@@ -395,7 +395,7 @@ def test_zero_set_where_the_u3_cube_vanishes_mod_p(pencil42, monkeypatch):
     curve = reduced_curve(P, "plus", 101)
     assert list(curve.points) == zero_set_by_evaluation(curve.compiled, 101)
     rep = genericity_scans(CheckContext(P), genericity_check(P))
-    assert rep.all_ok() and rep.witnesses == ()
+    assert rep.all_ok() and rep.witnesses[3:] == ()
     monkeypatch.setattr(geometry, "ff_scan_smooth", scan_smooth_by_compiled_gradient)
     monkeypatch.setattr(geometry, "ff_scan_transversal",
                         scan_transversal_by_compiled_gradient)
@@ -500,7 +500,7 @@ def test_adjugate_pass_matches_exhaustive_sweep(name, p, pencil42):
     P = {"pencil42": pencil42, "diag": _diag_pencil(),
          "crafted": _crafted_corank2_pencil()}[name]
     corank, sides = PARENT_SCANS[name, p]
-    ctx = CheckContext(P, primes=(p,), points=1)
+    ctx = CheckContext(P, points=1)
     assert (ff_scan_corank(ctx.curve("plus", p), ctx.curve("minus", p))
             == corank == exhaustive_max_corank(P, p))
     for side in ("plus", "minus"):
@@ -549,10 +549,10 @@ def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
     ctx = CheckContext(P, points=1)
     rep = genericity_check(P)
     derived.clear()
-    assert genericity_scans(ctx, rep).witnesses == ()
+    assert genericity_scans(ctx, rep).witnesses[3:] == ()
     assert derived == []
     curves = [ctx.curve(side, p)
-              for side in ("plus", "minus") for p in DEFAULT_PRIMES]
+              for side in ("plus", "minus") for p in SCAN_PRIMES]
     expected = sorted((c.mats, pt, c.p) for c in curves for pt in c.points)
     assert sorted(built) == expected
     for c in curves:
@@ -560,7 +560,7 @@ def test_one_adjugate_per_curve_point(pencil42, monkeypatch):
         assert list(c.blocks) == [
             tuple(m[i][j] % c.p for i in range(3) for j in range(i, 3))
             for m in (P.block_at(pt, side) for pt in c.points)]
-    for p in DEFAULT_PRIMES:
+    for p in SCAN_PRIMES:
         assert ff_scan_corank(ctx.curve("plus", p), ctx.curve("minus", p)) == 1
         for side in ("plus", "minus"):
             singular_locus_C(ctx.curve(side, p))
@@ -577,7 +577,7 @@ def test_curve_pass_matches_compiled_gradients_and_adjugate(name):
     derivatives of f and the kernel column equals adjugate3's, integer for
     integer; the scans that read them give the compiled-gradient lists."""
     P = _oracle_pencil(name)
-    for p in DEFAULT_PRIMES:
+    for p in SCAN_PRIMES:
         for side in ("plus", "minus"):
             curve = reduced_curve(P, side, p)
             grads = compiled_gradient(curve)
@@ -593,15 +593,16 @@ def test_curve_pass_matches_compiled_gradients_and_adjugate(name):
 
 
 # The diagonal control's exact genericity report; its scan witnesses at
-# the default primes, which hash, with the resultant witness and notes of
-# the exact report, to the genericity report the scans gave before the
-# verdicts came from the discriminants.  Both hash the report as it was
-# laid out when it still had the fields transversal (= nine_points) and
-# rank_ge_4 (= e_plus_smooth and e_minus_smooth).
+# the scan primes, hashed with the resultant witness and notes of the
+# exact report.  Both hash the report as it was laid out when it still had
+# the fields transversal (= nine_points) and rank_ge_4 (= e_plus_smooth
+# and e_minus_smooth).  Both changed when the resultant witness gained its
+# center and the exact witnesses lost their prime and point keys (before:
+# 00e04e5d…312bf72 and 8491189e…0cac5aa3).
 DIAG_GENERICITY_SHA256 = \
-    "00e04e5da84413bacc45403f9311bc7c00db4ad694c8112911166d773312bf72"
+    "22f8c36059b56ebef96c93d42307a298fab5a0b42af75f0f2c64957b5085f4da"
 DIAG_SCAN_GENERICITY_SHA256 = \
-    "8491189e360bc217ef3e04e61dde0c461788a51921e90c7d05f5e7060cac5aa3"
+    "5dd995f312fc7243eea02e9d8c81be20a509c9d74fe22781a18401b8ca3b1d45"
 
 
 def _sha256(rep):
@@ -618,7 +619,7 @@ def test_genericity_witnesses_are_pinned(pencil42):
     assert rep.witnesses == (
         {"kind": "discriminant", "side": "plus", "delta": 0},
         {"kind": "discriminant", "side": "minus", "delta": 0},
-        {"kind": "resultant", "prime": None, "point": None, "degree": -1,
+        {"kind": "resultant", "center": [1, 1, 1], "degree": -1,
          "squarefree": False})
     scans = genericity_scans(CheckContext(P), rep).witnesses[3:]
     assert len(scans) == 954 and not any("note" in w for w in scans)
@@ -626,9 +627,10 @@ def test_genericity_witnesses_are_pinned(pencil42):
         rep, witnesses=scans + rep.witnesses[2:])) == DIAG_SCAN_GENERICITY_SHA256
     P = with_q_plus(BAD_REDUCTION_Q_PLUS)
     rep = genericity_check(P)
-    assert rep.all_ok() and rep.witnesses == ()
+    assert rep.all_ok() and [w["kind"] for w in rep.witnesses] == [
+        "discriminant", "discriminant", "resultant"]
     note = "bad reduction mod 101: Delta_plus != 0 over Q"
-    assert genericity_scans(CheckContext(P), rep).witnesses == (
+    assert genericity_scans(CheckContext(P), rep).witnesses[3:] == (
         {"kind": "e_plus_singular", "prime": 101, "point": [1, 25, 86],
          "note": note},
         {"kind": "corank", "prime": 101, "point": None, "value": 2,
@@ -639,7 +641,7 @@ def test_genericity_witnesses_are_pinned(pencil42):
     for q_plus in (SCALED_Q_PLUS, VANISHING_PARTIAL_Q_PLUS):
         P = with_q_plus(q_plus)
         rep = genericity_check(P)
-        assert rep.all_ok() and genericity_scans(CheckContext(P), rep).witnesses == (
+        assert rep.all_ok() and genericity_scans(CheckContext(P), rep).witnesses[3:] == (
             {"kind": "e_plus_vanishes_mod_p", "prime": 101, "point": None,
              "note": note},
             {"kind": "corank", "prime": 101, "point": None, "value": 3,

@@ -178,7 +178,12 @@ def test_generate_deterministic_and_generic(pencil42):
     assert again == pencil42
     rep = genericity_check(pencil42)
     assert rep.all_ok()
-    assert rep.witnesses == ()
+    assert rep.witnesses == (
+        {"kind": "discriminant", "side": "plus", "delta": 6985432436106805936128},
+        {"kind": "discriminant", "side": "minus",
+         "delta": -6731478357171826471905471234048},
+        {"kind": "resultant", "center": [0, 0, 1], "degree": 9,
+         "squarefree": True})
 
 
 def test_generate_rejects_zero_bound():
@@ -228,8 +233,8 @@ def test_equal_sides_fail_transversality(pencil42):
 
 def test_resultant_nine_points_generic(pencil42):
     curves = pencil42.det_curves()
-    nine, deg, _ = resultant_nine_points(curves.f_plus, curves.f_minus)
-    assert nine and deg == 9
+    nine, deg, center, _ = resultant_nine_points(curves.f_plus, curves.f_minus)
+    assert nine and deg == 9 and center == (0, 0, 1)
 
 
 def test_resultant_shared_component():
@@ -237,7 +242,7 @@ def test_resultant_shared_component():
     u1, u2, u3 = (ring.var(v) for v in ring.vars)
     f_plus = u3 * (u1 ** 2 + u2 ** 2 + u3 ** 2)
     f_minus = u3 * (u1 ** 2 - u2 ** 2 + u3 ** 2)
-    nine, deg, notes = resultant_nine_points(f_plus, f_minus)
+    nine, deg, _, notes = resultant_nine_points(f_plus, f_minus)
     assert not nine
     assert any("identically zero" in n for n in notes)
 
@@ -248,7 +253,7 @@ def test_resultant_tangent_pair_not_squarefree():
     u1, u2, u3 = (ring.var(v) for v in ring.vars)
     f_plus = u1 ** 3 + u2 ** 3 + u3 ** 3
     f_minus = u1 ** 3 + u2 ** 3 + 2 * u3 ** 3
-    nine, deg, _ = resultant_nine_points(f_plus, f_minus)
+    nine, deg, _, _ = resultant_nine_points(f_plus, f_minus)
     assert deg == 9
     assert not nine
 
@@ -296,8 +301,8 @@ def random_dehomogenization_resultant(f_plus, f_minus):
     mobius = _derived_rng("mobius")
     notes = []
     fp, fm = f_plus, f_minus
-    degree = -1
-    for attempt in range(6):
+    degree, used = -1, None
+    for attempt, center in enumerate(CENTERS):
         if attempt:
             M = CENTER_MOVES[attempt - 1]
             fp, fm = coordinate_change(f_plus, M), coordinate_change(f_minus, M)
@@ -307,17 +312,18 @@ def random_dehomogenization_resultant(f_plus, f_minus):
             continue
         R = poly_sylvester_resultant(fp, fm, "u3")
         if R.is_zero():
-            return False, -1, tuple(notes + ["resultant identically zero"])
-        degree = total_degree(R)
+            return False, -1, center, tuple(notes + ["resultant identically zero"])
+        degree, used = total_degree(R), center
         squarefree = dehomogenized_squarefree(R, mobius)
         if squarefree is None:
-            return False, degree, tuple(notes + ["no faithful dehomogenization"])
+            return False, degree, center, tuple(
+                notes + ["no faithful dehomogenization"])
         if degree == 9 and squarefree:
-            return True, 9, tuple(notes)
+            return True, 9, center, tuple(notes)
         reason = "resultant not squarefree"
     if degree < 0:
         notes.append("no usable projection center")
-    return False, degree, tuple(notes)
+    return False, degree, used, tuple(notes)
 
 
 def test_binary_form_reading_matches_random_dehomogenization():
@@ -328,11 +334,11 @@ def test_binary_form_reading_matches_random_dehomogenization():
             continue
         got = resultant_nine_points(curves.f_plus, curves.f_minus)
         want = random_dehomogenization_resultant(curves.f_plus, curves.f_minus)
-        assert "no faithful dehomogenization" not in want[2]
+        assert "no faithful dehomogenization" not in want[3]
         assert got == want, i
         if got[1] >= 0 and not got[0]:
             seen["non-squarefree"] += 1
-        if got[2]:
+        if got[3]:
             seen["coordinate change"] += 1
         seen["nine"] += got[0]
     assert min(seen.values()) >= 3, seen
@@ -381,7 +387,8 @@ def test_center_lined_up_with_two_points_is_moved(i):
     assert P.coeff_bound == 1
     rep = genericity_check(P)
     assert rep.nine_points
-    assert not any(w["kind"] == "resultant" for w in rep.witnesses)
+    assert rep.witnesses[-1] == {"kind": "resultant", "center": [2, 1, 1],
+                                 "degree": 9, "squarefree": True}
     assert rep.notes == ("coordinate change (resultant not squarefree)",) * 3
 
 
@@ -395,23 +402,22 @@ def test_center_budget_is_six_projections(monkeypatch):
     P = seeded_pencil(270)
     curves = P.det_curves()
     fp, fm = curves.f_plus, curves.f_minus
-    assert resultant_nine_points(fp, fm) == (True, 9, (on_curve,) * 3)
+    assert resultant_nine_points(fp, fm) == (True, 9, CENTERS[3], (on_curve,) * 3)
     points = [(a, b, 1) for a in range(-4, 5) for b in range(-4, 5)]
     monkeypatch.setattr(pencil, "CENTERS", tuple(
         c for c in points if not (fp.eval(c) and fm.eval(c)))[:6])
     assert len(pencil.CENTERS) == 6
     assert resultant_nine_points(fp, fm) == (
-        False, -1, (on_curve,) * 5 + ("no usable projection center",))
+        False, -1, None, (on_curve,) * 5 + ("no usable projection center",))
     rep = genericity_check(P)
     assert not rep.nine_points and not rep.all_ok()
-    assert rep.witnesses[-1] == {"kind": "resultant", "prime": None,
-                                 "point": None, "degree": -1,
-                                 "squarefree": False}
+    assert rep.witnesses[-1] == {"kind": "resultant", "center": None,
+                                 "degree": -1, "squarefree": False}
     # the three centers lined up for seeded_pencil(358), twice over
     monkeypatch.setattr(pencil, "CENTERS", CENTERS[:3] * 2)
     curves = seeded_pencil(358).det_curves()
     assert resultant_nine_points(curves.f_plus, curves.f_minus) == (
-        False, 9, (lined_up,) * 5)
+        False, 9, CENTERS[2], (lined_up,) * 5)
 
 
 def test_integer_resultant_matches_the_multipoly_oracle():
