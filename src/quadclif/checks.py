@@ -109,7 +109,8 @@ class CheckContext:
     the reduced curves (`curve`, the one memo every F_p scan reads), the
     genericity report with its scan witnesses, the sampled fiber points,
     the ordinary and super algebras (`algebra`), the even-part
-    certificates, and the side algebras and their fibers (`sides`)."""
+    certificates, and the side algebras with their odd central elements
+    (`sides`)."""
 
     def __init__(self, P=None, points=20):
         self.P = P

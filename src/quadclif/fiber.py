@@ -399,11 +399,9 @@ class FinAlg:
       proof;
     - "clifford": a fiber of a Clifford normal-form engine proven once
       over Z[u] by CliffordAlgebra.verify_associativity, whose family (i)
-      also proves e₀ the unit; evaluation at a point, a tower embedding
-      and reduction of integer constants mod p are ring homomorphisms, so
-      they carry both to the fiber;
-    - "embedding": a base change (map_field) of a table with a proof; a
-      ring embedding maps 1 to 1 and keeps every identity;
+      also proves e₀ the unit; evaluation at a point over a tower or a
+      cubic field and reduction of integer constants mod p are ring
+      homomorphisms, so they carry both to the fiber;
     - "tensor": a tensor product of two tables with a proof, whose unit
       is u_A ⊗ u_B;
     - "corner": e·A·e with e idempotent in an A with a proof, closed under
@@ -498,23 +496,6 @@ class FinAlg:
                         )
         self.proof = "checked"
         return True
-
-    # -- base change -----------------------------------------------------------
-
-    def map_field(self, new_field):
-        """Base-change the structure constants through new_field.coerce.
-        Coercion is a ring embedding, so a proof transfers ("embedding")."""
-        conv = new_field.coerce
-        table = [
-            [tuple(conv(x) for x in vec) for vec in row] for row in self.table
-        ]
-        unit = tuple(conv(x) for x in self.unit)
-        gens = ([tuple(conv(x) for x in g) for g in self.gens]
-                if self.gens is not None else None)
-        factors = (tuple(f.map_field(new_field) for f in self.tensor_factors)
-                   if self.tensor_factors else None)
-        return FinAlg(new_field, table, unit, gens=gens, tensor_factors=factors,
-                      proof="embedding" if self.proof else None)
 
 
 def tensor_product(A, B):
@@ -833,22 +814,19 @@ def even_certificate(sides, side):
 
 
 class SideFibers:
-    """The two side algebras of one pencil and their 8-dimensional fibers
-    over Q, each built once.
+    """The two side algebras of one pencil, each built once.
 
-    A CheckContext owns one for the length of a run, so checks visiting
-    the same (side, point) share one fiber, and per side the odd central
-    element is built once and the symbolic associativity proof runs once;
-    memory is bounded by the two side algebras and two fibers per point
-    asked for.  Every fiber function takes one first and reads the pencil
-    from it."""
+    A CheckContext owns one for the length of a run, so per side the odd
+    central element is built once and the symbolic associativity proof
+    runs once; memory is bounded by the two side algebras.  Every fiber
+    function takes one first and reads the pencil from it; a fiber is
+    built by side_fiber over the field its caller needs."""
 
     def __init__(self, P):
         self.P = P
         self._blocks = {}
         self._central = {}
         self._proven = set()
-        self._fibers = {}
 
     def _block(self, side):
         if side not in self._blocks:
@@ -880,54 +858,30 @@ class SideFibers:
             self._proven.add(side)
         return self.central(side)
 
-    def fiber(self, side, u):
-        """side_fiber(self, side, u) over Q, memoized."""
-        key = (side, _point(u))
-        got = self._fibers.get(key)
-        if got is None:
-            got = self._fibers[key] = side_fiber(self, side, u)
-        return got
 
-
-def side_fiber(sides, side, u, field=None):
-    """The 8-dimensional fiber of one block of sides.P at u, with its
-    central odd vector and the determinant value.  field=None means exact
-    rationals (a trivial tower, so later quadratic extensions can reuse
-    it).  Its consumers check d² = f(u): corank1_quotient and the
-    idempotent law of _corner_by_idempotent."""
+def side_fiber(sides, side, u, field):
+    """The 8-dimensional fiber of one block of sides.P at u over field
+    (QuadraticTower(()) for Q), with its central odd vector and the
+    determinant value.  Its consumers check d² = f(u): corank1_quotient
+    and the module idempotent of plucker.module_rep."""
     u = _point(u)
     alg, dres = sides.algebra(side)
-    if field is None:
-        field = QuadraticTower(())
     A = clifford_fiber(alg, u, field, proof="clifford")
     dvec = eval_element(dres.element, u, field, 8)
     fval = field.coerce(_det_value(sides.P, side, u))
     return A, dvec, fval
 
 
-def _corner_by_idempotent(A, dvec, s):
-    """Corner of the central idempotent (1 + d/s)/2; d must act as s there."""
-    half = A.field.one / A.field.coerce(2)
-    e = A.vscale(A.vadd(A.unit, A.vscale(dvec, A.field.one / s)), half)
-    if A.mul(e, e) != e:
-        raise AssertionError("idempotent law failed")
-    if A.mul(dvec, e) != A.vscale(e, s):
-        raise AssertionError("central element does not act as its square root")
-    return corner_algebra(A, e, gens=A.gens), e
-
-
-def corank1_quotient(sides, side, u, field=None):
+def corank1_quotient(sides, side, u, field):
     """At a curve point of corank one, the central odd vector squares to
     zero; the quotient by the 4-dimensional two-sided ideal it generates
     is certified as a rank-2 matrix algebra.
 
-    u is rational, or a point over a CubicField passed as field (see
-    cubic_section_point).  The 8-dimensional fiber is not re-checked for
+    u is rational, with field QuadraticTower(()) for Q, or a point over
+    a CubicField passed as field (see cubic_section_point).  The 8-dimensional fiber is not re-checked for
     associativity: it is the image of the side algebra's Z[u]-table under
     evaluation at u (SideFibers.algebra).  The 4-dimensional quotient
     table is checked on all basis triples."""
-    if field is None:
-        field = QuadraticTower(())
     P = sides.P
     uc = _point(u)
     fval = field.coerce(_det_value(P, side, uc))

@@ -27,7 +27,7 @@ from .exactalg import (
     rref,
     span_coords,
 )
-from .fiber import FiberError, QuadraticTower, _corner_by_idempotent
+from .fiber import FiberError, QuadraticTower, side_fiber
 from .geometry import GenericityError
 
 X_VARS = ("x1", "x2", "x3", "x4", "x5", "x6")
@@ -374,6 +374,7 @@ class ModuleRep:
     matrices: tuple   # action of the three generators, 2×2 over the tower
     d_scalar: object  # the odd central element acts by this scalar
     block: tuple      # the 3×3 rational value of the form at the point
+    basis: tuple      # the module A·E: its RREF basis in the fiber's coordinates
 
 
 def _mat2_mul(x, y):
@@ -391,59 +392,66 @@ W_CANDIDATES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)
 
 
 def module_rep(sides, side, u):
-    """A two-dimensional module for the block of sides.P at a point of
-    full rank: over Q(√f(u)), cut the side fiber by the central idempotent
-    (1 + d/√f(u))/2, pick an anisotropic vector w, and cut that corner by
-    the idempotent of v_w/√(-q(w, w)).  The generator matrices then
-    satisfy the Clifford relations of the block on the nose and the odd
-    central element acts by the square root of the determinant."""
+    """A two-dimensional module for the block of sides.P at a point u of
+    full rank, as the left ideal A·E of the side fiber A over
+    L = Q(√f(u), √λ), λ = −q_u(w, w) for the first candidate w with λ ≠ 0.
+
+    With s = √f(u), t = √λ and x = Σ wᵢvᵢ (so x² = λ), put
+    e = (1 + d/s)/2, p = (1 + x/t)/2 and E = e·p.  d is central with
+    d² = f(u), so e is a central idempotent, and e·A ≅ C₀(u) ⊗ L is
+    central simple of dimension 4 over L (the even-part certificate of
+    `fiber.even_certificate`), hence e·A ≅ M2(L) by Wedderburn (Pierce,
+    GTM 88; Lam, GSM 67, Ch. V).  p is idempotent as x² = t², and
+    E = e·p lies in e·A with E ∉ {0, e}, so E has rank one there and
+    A·E = (eA)(ep) is two-dimensional: a simple e·A-module, on which the
+    generators satisfy the Clifford relations of the block and d acts by
+    s.  As e is central and e·E = E, A·E is the module C·p of the corner
+    C = e·A·e.  The generator matrices come from left multiplication on
+    the RREF basis of A·E; the relations, tracelessness and d = ±√f(u)
+    are checked on them."""
     uf = tuple(Fraction(c) for c in u)
     fval = sides.P.det_curves().side(side).eval(uf)
     if fval == 0:
         raise FiberError("the block only splits away from its curve")
-    tower, (s,) = QuadraticTower.create([fval])
-    A, dvec, _ = sides.fiber(side, u)
-    C, _ = _corner_by_idempotent(A.map_field(tower),
-                                 tuple(tower.coerce(x) for x in dvec), s)
     block = sides.P.block_at(uf, side)
-
-    lam = None
-    for w in W_CANDIDATES:
-        val = -sum(w[i] * block[i][j] * w[j] for i in range(3) for j in range(3))
-        if val:
-            lam, wvec = Fraction(val), w
+    for wvec in W_CANDIDATES:
+        lam = -sum(wvec[i] * block[i][j] * wvec[j]
+                   for i in range(3) for j in range(3))
+        if lam:
             break
-    if lam is None:
+    else:
         raise FiberError("the form vanished on every candidate vector")
-    s = tower.sqrt(lam)
-    if s is None:
-        tower, s = tower.extended(lam)
-        C = C.map_field(tower)
-    x = C.vzero()
-    for wi, g in zip(wvec, C.gens):
+    tower, (s, t) = QuadraticTower.create([fval, lam])
+    A, dvec, _ = side_fiber(sides, side, u, tower)
+    x = A.vzero()
+    for wi, g in zip(wvec, A.gens):
         if wi:
-            x = C.vadd(x, C.vscale(g, tower.coerce(wi)))
-    if C.mul(x, x) != C.scalar_vec(lam):
+            x = A.vadd(x, A.vscale(g, tower.coerce(wi)))
+    if A.mul(x, x) != A.scalar_vec(lam):
         raise AssertionError("anisotropic vector square drifted")
     half = tower.one / tower.coerce(2)
-    p = C.vscale(C.vadd(C.unit, C.vscale(x, tower.one / s)), half)
-    if C.mul(p, p) != p:
+    e = A.vscale(A.vadd(A.unit, A.vscale(dvec, tower.one / s)), half)
+    p = A.vscale(A.vadd(A.unit, A.vscale(x, tower.one / t)), half)
+    E = A.mul(e, p)
+    if A.mul(E, E) != E:
         raise AssertionError("module idempotent law failed")
+    if A.mul(dvec, E) != A.vscale(E, s):
+        raise AssertionError("central element does not act as its square root")
 
-    pivots, basis = rref([C.mul(C.basis_vec(i), p) for i in range(C.dim)])
+    pivots, basis = rref([A.mul(A.basis_vec(i), E) for i in range(A.dim)])
     if len(basis) != 2:
         raise FiberError(f"module dimension {len(basis)} instead of 2")
 
     def action(vec):
         cols = []
         for b in basis:
-            c = span_coords(pivots, basis, C.mul(vec, b))
+            c = span_coords(pivots, basis, A.mul(vec, b))
             if c is None:
                 raise AssertionError("module is not stable under the algebra")
             cols.append(c)
         return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
-    mats = tuple(action(g) for g in C.gens)
+    mats = tuple(action(g) for g in A.gens)
 
     ident = ((tower.one, tower.zero), (tower.zero, tower.one))
     for i in range(3):
@@ -466,15 +474,12 @@ def module_rep(sides, side, u):
         d_mat = _mat2_add(d_mat, tuple(
             tuple(tower.coerce(rv) * e for e in r) for r in mat
         ))
-    root = tower.sqrt(fval)
-    if root is None:
-        raise AssertionError("determinant root left the tower")
-    scal = tuple(tuple(root * e for e in r) for r in ident)
-    if d_mat not in (scal, tuple(tuple(-root * e for e in r) for r in ident)):
+    scal = tuple(tuple(s * e for e in r) for r in ident)
+    if d_mat not in (scal, tuple(tuple(-s * e for e in r) for r in ident)):
         raise AssertionError("odd central element does not act as ±√det")
-    d_scalar = root if d_mat == scal else -root
+    d_scalar = s if d_mat == scal else -s
     return ModuleRep(tower=tower, point=tuple(u), matrices=mats,
-                     d_scalar=d_scalar, block=block)
+                     d_scalar=d_scalar, block=block, basis=tuple(basis))
 
 
 def _apply2(mat, m):

@@ -21,6 +21,7 @@ from quadclif.exactalg import (
     kernel_int_sparse,
     mat_rank,
     mat_solve,
+    rref,
 )
 from quadclif.fiber import (
     EVEN_MASKS,
@@ -32,6 +33,8 @@ from quadclif.fiber import (
     _point,
     certify_matrix_algebra,
     certify_tensor_product,
+    corner_algebra,
+    side_fiber,
 )
 from quadclif.geometry import ReducedCurve, _zero_set, compile_poly
 from quadclif.pencil import (
@@ -43,6 +46,7 @@ from quadclif.pencil import (
     binary_resultant,
     generate,
 )
+from quadclif.plucker import W_CANDIDATES
 
 
 class FpElem:
@@ -1035,7 +1039,7 @@ def side_even(sides, side, u):
     evens = vars(sides).setdefault("_evens", {})
     key = (side, _point(u))
     if key not in evens:
-        C0 = even_part(*sides.fiber(side, u))
+        C0 = even_part(*side_fiber(sides, side, u, QuadraticTower(())))
         evens[key] = (C0, certify_matrix_algebra(C0, 2))
     return evens[key]
 
@@ -1065,3 +1069,75 @@ def certify_side_split(sides, side, u):
         return QuadraticTower.create([_det_value(sides.P, side, u)])[0], "M2xM2"
     kind, dim = verdict.rsplit("-", 1)
     return C0.field, f"{kind}-{2 * int(dim)}"
+
+
+# ---------------------------------------------------------------------------
+# the corner route of prop4.7 (the oracle of plucker.module_rep, which cuts
+# the module A·E from one side fiber built over its final field)
+# ---------------------------------------------------------------------------
+
+def map_field(A, field):
+    """A with its structure constants, unit and generators pushed through
+    field.coerce.  Coercion is a ring embedding, which maps 1 to 1 and
+    keeps every identity, so the table keeps A's proof."""
+    conv = field.coerce
+    return FinAlg(field, [[tuple(map(conv, vec)) for vec in row] for row in A.table],
+                  tuple(map(conv, A.unit)),
+                  gens=[tuple(map(conv, g)) for g in A.gens] if A.gens else None,
+                  proof=A.proof)
+
+
+def corner_by_idempotent(A, dvec, s):
+    """(e·A·e, e) for the central idempotent e = (1 + d/s)/2; d must act
+    as s there."""
+    half = A.field.one / A.field.coerce(2)
+    e = A.vscale(A.vadd(A.unit, A.vscale(dvec, A.field.one / s)), half)
+    if A.mul(e, e) != e:
+        raise AssertionError("idempotent law failed")
+    if A.mul(dvec, e) != A.vscale(e, s):
+        raise AssertionError("central element does not act as its square root")
+    return corner_algebra(A, e, gens=A.gens), e
+
+
+def module_by_corner(sides, side, u):
+    """(tower, d_scalar, basis) of the module at (side, u) by the long
+    path: the side fiber over Q, base-changed to Q(√f(u)), its corner
+    C = e·A·e for e = (1 + d/√f(u))/2, both extended by √λ when the tower
+    lacks it (λ = −q_u(w, w) for the first W_CANDIDATES w with λ ≠ 0), and
+    the module C·p for p = (1 + x/√λ)/2, x = Σ wᵢvᵢ.  basis is the RREF
+    basis of C·p lifted to the fiber's coordinates, and d_scalar the
+    scalar by which d acts on it."""
+    uf = _point(u)
+    fval = _det_value(sides.P, side, uf)
+    tower, (s,) = QuadraticTower.create([fval])
+    A_Q, dvec_Q, _ = side_fiber(sides, side, u, QuadraticTower(()))
+    A = map_field(A_Q, tower)
+    C, e = corner_by_idempotent(A, tuple(map(tower.coerce, dvec_Q)), s)
+    block = sides.P.block_at(uf, side)
+    for w in W_CANDIDATES:
+        lam = -sum(w[i] * block[i][j] * w[j] for i in range(3) for j in range(3))
+        if lam:
+            break
+    t = tower.sqrt(lam)
+    if t is None:
+        tower, t = tower.extended(lam)
+        A, C = map_field(A, tower), map_field(C, tower)
+        e = tuple(map(tower.coerce, e))
+    x = C.vzero()
+    for wi, g in zip(w, C.gens):
+        x = C.vadd(x, C.vscale(g, tower.coerce(wi)))
+    assert C.mul(x, x) == C.scalar_vec(lam)
+    half = tower.one / tower.coerce(2)
+    p = C.vscale(C.vadd(C.unit, C.vscale(x, tower.one / t)), half)
+    _, module = rref([C.mul(C.basis_vec(i), p) for i in range(C.dim)])
+    # the corner's echelon basis, as corner_algebra builds it
+    _, corner_basis = rref([A.mul(e, A.mul(A.basis_vec(i), e))
+                            for i in range(A.dim)])
+    lifted = [tuple(sum((c * b[k] for c, b in zip(m, corner_basis)), tower.zero)
+                    for k in range(A.dim)) for m in module]
+    pivots, basis = rref(lifted)
+    dvec = tuple(map(tower.coerce, dvec_Q))
+    b0 = basis[0]
+    d_scalar = A.mul(dvec, b0)[pivots[0]] / b0[pivots[0]]
+    assert A.mul(dvec, b0) == A.vscale(b0, d_scalar)
+    return tower, d_scalar, tuple(basis)

@@ -47,6 +47,7 @@ from conftest import (
     certify_side_split,
     even_part,
     even_subalgebra,
+    map_field,
     poly_bareiss_det,
     seeded_pencil,
     side_even,
@@ -109,7 +110,7 @@ def test_right_multiplication_by_d_has_determinant_f_squared(name, side):
     assert res.square == f
     # at each point the fiber's own 4×4 block has determinant f(u)² ≠ 0
     for u in pts:
-        A, dvec, fval = sides.fiber(side, u)
+        A, dvec, fval = side_fiber(sides, side, u, QuadraticTower(()))
         block = [[A.mul(A.basis_vec(m), dvec)[o] for o in ODD_MASKS]
                  for m in EVEN_MASKS]
         assert all(not A.mul(A.basis_vec(m), dvec)[e]
@@ -138,7 +139,7 @@ def test_even_route_matches_the_computed_route(name):
     for u in pts:
         uf = tuple(Fraction(c) for c in u)
         for side in ("plus", "minus"):
-            A = sides.fiber(side, u)[0]
+            A = side_fiber(sides, side, u, QuadraticTower(()))[0]
             assert side_even(sides, side, u)[1] == "M2"
             cert = certify_split_pair(A, 2)
             field, verdict = certify_side_split(sides, side, u)
@@ -224,7 +225,7 @@ def test_tensor_verdict_from_factors_matches_the_built_table(left, right):
     assert certify_tensor_product([A, B], 4) == want
     # radical and center dimensions do not move under a base change
     K, _ = QuadraticTower.create([3, 5])
-    assert certify_tensor_product([A.map_field(K), B.map_field(K)], 4) == want
+    assert certify_tensor_product([map_field(A, K), map_field(B, K)], 4) == want
     assert certify_tensor_product([A], 4) == "fail:dim-4"
 
 
@@ -239,10 +240,10 @@ def test_even_verdicts_come_from_the_even_part(monkeypatch):
     P = cached_pencil(42)
     sides = SideFibers(P)
     u = _points("42", 1)[1][0]
-    A_plus = sides.fiber("plus", u)[0]
+    A_plus = side_fiber(sides, "plus", u, QuadraticTower(()))[0]
     real = conftest.even_subalgebra
     monkeypatch.setattr(conftest, "even_subalgebra",
-                        lambda A: _dd() if A is A_plus else real(A))
+                        lambda A: _dd() if A.table == A_plus.table else real(A))
     field, verdict = certify_ordinary_m4(sides, u)
     assert verdict == "fail:radical-12"
     assert field.name.count("sqrt") == 2
@@ -261,7 +262,7 @@ def test_even_part_is_built_once_per_point():
     assert side_even(sides, "plus", u)[0] is C0
     assert side_even(sides, "minus", u)[0] is not C0
     # a table without a proof is checked on all basis triples first
-    A, dvec, fval = sides.fiber("plus", u)
+    A, dvec, fval = side_fiber(sides, "plus", u, QuadraticTower(()))
     bare = FinAlg(A.field, A.table, A.unit, gens=A.gens)
     assert even_part(bare, dvec, fval).table == C0.table
     assert bare.proof == "checked"
@@ -296,7 +297,8 @@ def test_curve_point_raises_and_the_oracle_fails():
     with pytest.raises(FiberError, match="determinant curve"):
         certify_ordinary_m4(sides, (1, 1, 0))
     assert not sides._evens
-    cert = certify_split_pair(sides.fiber("plus", (1, 1, 0))[0], 2)
+    cert = certify_split_pair(
+        side_fiber(sides, "plus", (1, 1, 0), QuadraticTower(()))[0], 2)
     assert cert.verdict.startswith("fail:radical-")
 
 
@@ -314,7 +316,7 @@ def _group_algebra(op):
 def test_even_subalgebra_provenance_and_closure():
     P = cached_pencil(42)
     u = _points("42", 1)[1][0]
-    A = side_fiber(SideFibers(P), "minus", u)[0]
+    A = side_fiber(SideFibers(P), "minus", u, QuadraticTower(()))[0]
     C0 = even_subalgebra(A)
     assert C0.proof == "even"
     C0._verify_unit()

@@ -19,7 +19,6 @@ from quadclif.fiber import (
     NumberElem,
     QuadraticTower,
     SideFibers,
-    _corner_by_idempotent,
     center_basis,
     center_dim,
     certify_matrix_algebra,
@@ -44,8 +43,10 @@ from conftest import (
     PrimeField,
     as_univariate,
     cached_pencil,
+    corner_by_idempotent,
     divisors,
     fp_sqrt,
+    map_field,
     random_rational_curve_point,
     rational_roots,
 )
@@ -234,7 +235,7 @@ def certify_split_pair(A, n):
             d = A.field.coerce(delta)
             if d.is_rational() and A.field.level < 2:
                 tower, _ = A.field.extended(d.rational_value())
-                return certify_split_pair(A.map_field(tower), n)
+                return certify_split_pair(map_field(A, tower), n)
         return SplitCert("fail:discriminant-not-split", A.field)
     if not s:
         return SplitCert("fail:discriminant-zero", A.field)
@@ -273,13 +274,8 @@ def ordinary_fiber(sides, u, field=None):
                              "in the requested field")
     corners = []
     for side, s in (("plus", sp), ("minus", sm)):
-        if isinstance(field, QuadraticTower):
-            A8_Q, dvec_Q, _ = sides.fiber(side, u)
-            A8 = A8_Q.map_field(field)
-            dvec = tuple(field.coerce(x) for x in dvec_Q)
-        else:
-            A8, dvec, _ = side_fiber(sides, side, u, field)
-        C, _ = _corner_by_idempotent(A8, dvec, s)
+        A8, dvec, _ = side_fiber(sides, side, u, field)
+        C, _ = corner_by_idempotent(A8, dvec, s)
         assert C.dim == 4
         corners.append(C)
     return tensor_product(corners[0], corners[1])
@@ -451,17 +447,16 @@ def test_tensor_with_an_unproven_factor_carries_no_proof():
 
 
 def test_unit_by_construction_passes_the_unit_check():
-    # map_field, tensor_product and corner_algebra record a proof instead
-    # of verifying the unit, and so does a side fiber ("clifford"); the
-    # long check agrees on each
+    # tensor_product and corner_algebra record a proof instead of
+    # verifying the unit, and so does a side fiber ("clifford"); the long
+    # check agrees on each
     P = cached_pencil(42)
     sides = SideFibers(P)
     u = invertible_point(P)
-    A = sides.fiber("plus", u)[0]
+    A = side_fiber(sides, "plus", u, QuadraticTower(()))[0]
     tower, (C1, C2), _ = split_full_rank(sides, "plus", u)
     T = ordinary_fiber(sides, u)
-    for table, proof in ((A, "clifford"), (A.map_field(tower), "embedding"),
-                         (C1, "corner"), (C2, "corner"), (T, "tensor"),
+    for table, proof in ((A, "clifford"), (C1, "corner"), (C2, "corner"), (T, "tensor"),
                          (T.tensor_factors[1], "corner")):
         assert table.proof == proof
         table._verify_unit()
@@ -643,19 +638,6 @@ def test_side_fiber_provenance_over_prime_field():
     assert A.check_associativity()
 
 
-def test_side_fibers_are_shared_per_point():
-    P = cached_pencil(42)
-    sides = SideFibers(P)
-    u = invertible_point(P)
-    first = sides.fiber("plus", u)
-    assert sides.fiber("plus", u) is first
-    assert sides.fiber("minus", u) is not first
-    assert sides.algebra("plus") is sides.algebra("plus")
-    A = ordinary_fiber(sides, u)
-    assert certify_matrix_algebra(A, 4) == "M4"
-    assert len(sides._fibers) == 2
-
-
 def test_trace_form_char_guard():
     F = PrimeField(7)
     P = cached_pencil(42)
@@ -693,7 +675,7 @@ def invertible_point(P, seed="pts"):
 def test_side_fiber_structure():
     P = cached_pencil(42)
     u = invertible_point(P)
-    A, dvec, fval = SideFibers(P).fiber("plus", u)
+    A, dvec, fval = side_fiber(SideFibers(P), "plus", u, QuadraticTower(()))
     assert A.dim == 8
     assert A.proof == "clifford"  # proven once over Q[u], not per point
     assert A.check_associativity()  # the long path agrees
@@ -706,13 +688,13 @@ def test_side_fiber_structure():
 def side_corner(P, side, u, y):
     """The 4-dimensional corner of a side fiber on which the central odd
     element acts as y, for y² = f(u) and y ≠ 0."""
-    A, dvec, fval = side_fiber(SideFibers(P), side, u)
+    A, dvec, fval = side_fiber(SideFibers(P), side, u, QuadraticTower(()))
     yv = A.field.coerce(y)
     if not yv:
         raise ValueError("the corner needs an invertible y")
     if yv * yv != fval:
         raise ValueError("y² must equal the determinant value at u")
-    return _corner_by_idempotent(A, dvec, yv)[0]
+    return corner_by_idempotent(A, dvec, yv)[0]
 
 
 def test_corner_with_rational_y():
@@ -812,18 +794,15 @@ def test_ordinary_fiber_over_prime_field():
 
 def split_full_rank(sides, side, u):
     """Over Q(√f(u)) the 8-dimensional block splits into two corners cut
-    by the complementary central idempotents (1 ± d/√f(u))/2: both corners
-    of the one plucker.module_rep reads."""
+    by the complementary central idempotents (1 ± d/√f(u))/2."""
     u = tuple(Fraction(c) for c in u)
     fval = sides.P.det_curves().side(side).eval(u)
     if fval == 0:
         raise FiberError("the block only splits away from its curve")
     tower, (s,) = QuadraticTower.create([fval])
-    A_Q, dvec_Q, _ = sides.fiber(side, u)
-    A = A_Q.map_field(tower)
-    dvec = tuple(tower.coerce(x) for x in dvec_Q)
-    C1, e1 = _corner_by_idempotent(A, dvec, s)
-    C2, e2 = _corner_by_idempotent(A, A.vscale(dvec, -A.field.one), s)
+    A, dvec, _ = side_fiber(sides, side, u, tower)
+    C1, e1 = corner_by_idempotent(A, dvec, s)
+    C2, e2 = corner_by_idempotent(A, A.vscale(dvec, -A.field.one), s)
     if any(A.mul(e1, e2)) or A.vadd(e1, e2) != A.unit:
         raise AssertionError("idempotents are not complementary")
     return tower, (C1, C2), (e1, e2)
@@ -845,7 +824,7 @@ def test_split_pair_certificate_on_side_fiber():
     P = cached_pencil(42)
     u = invertible_point(P)
     sides = SideFibers(P)
-    A = sides.fiber("plus", u)[0]
+    A = side_fiber(sides, "plus", u, QuadraticTower(()))[0]
     cert = certify_split_pair(A, 2)
     assert cert.verdict == "M2xM2"
     assert len(cert.corners) == 2
@@ -860,21 +839,21 @@ def test_corank1_quotient_rational():
                         seed=0, coeff_bound=1)
     # f₊ = u1²·u2; at (1, 0, ·) the block is diag(1, 1, 0): corank one
     sides = SideFibers(P)
-    Q, verdict = corank1_quotient(sides, "plus", (1, 0, 0))
+    Q, verdict = corank1_quotient(sides, "plus", (1, 0, 0), QuadraticTower(()))
     assert Q.dim == 4
     assert verdict == "M2"
     assert Q.proof == "checked"  # the quotient is checked on all basis triples
     # at (0, 1, 0) the block is diag(0, 0, 1): corank two
     with pytest.raises(FiberError, match="^corank at least two at this point$"):
-        corank1_quotient(sides, "plus", (0, 1, 0))
+        corank1_quotient(sides, "plus", (0, 1, 0), QuadraticTower(()))
     # off the curve there is no quotient
     with pytest.raises(FiberError):
-        corank1_quotient(sides, "plus", (1, 1, 1))
+        corank1_quotient(sides, "plus", (1, 1, 1), QuadraticTower(()))
 
 
 def test_corank1_quotient_diag_pencil():
     P = diag_pencil()
-    Q, verdict = corank1_quotient(SideFibers(P), "plus", (1, 1, 0))
+    Q, verdict = corank1_quotient(SideFibers(P), "plus", (1, 1, 0), QuadraticTower(()))
     assert verdict == "M2"
     assert center_dim(Q) == 1
 
@@ -1069,7 +1048,7 @@ def test_cubic_field_verdict_agrees_with_the_old_routes(seed, bound):
         pt = random_rational_curve_point(P, side, _derived_rng("curve-point",
                                                                seed, side))
         if pt is not None:
-            verdicts.add(corank1_quotient(sides, side, pt)[1])
+            verdicts.add(corank1_quotient(sides, side, pt, QuadraticTower(()))[1])
         assert verdicts == {"M2"}
 
 
@@ -1095,7 +1074,7 @@ def test_rational_curve_point_search():
     assert pt is not None
     uf = tuple(Fraction(c) for c in pt)
     assert P.det_curves().f_plus.eval(uf) == 0
-    Q, verdict = corank1_quotient(SideFibers(P), "plus", pt)
+    Q, verdict = corank1_quotient(SideFibers(P), "plus", pt, QuadraticTower(()))
     assert verdict == "M2"
     assert cubic_section_point(P, "plus") is None
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import PrimeField, cached_pencil
-from quadclif import plucker
+from conftest import PrimeField, cached_pencil, module_by_corner, seeded_pencil
+from quadclif import fiber, plucker
+from quadclif.checks import CheckContext, run_single
 from quadclif.exactalg import QQ, PolyRing, mat_rank
 from quadclif.fiber import FiberError, SideFibers, sample_invertible_points
 from quadclif.geometry import GenericityError, curve_points
@@ -348,3 +349,48 @@ class TestModuleRep:
         P = InvariantPencil(q_plus=mats, q_minus=mats, seed=0, coeff_bound=1)
         with pytest.raises(FiberError, match="away from its curve"):
             module_rep(SideFibers(P), "plus", (1, 1, 0))
+
+
+def _module_cases():
+    diagonal = tuple(tuple(tuple(int(i == j == k) for j in range(3))
+                           for i in range(3)) for k in range(3))
+    yield "seed42", cached_pencil(42), None
+    yield "seed7", cached_pencil(7), None
+    # off the curves u1·u2·u3 = 0: f(u) = 6, λ = −1, a tower of depth two
+    yield "diagonal", InvariantPencil(q_plus=diagonal, q_minus=diagonal,
+                                      seed=0, coeff_bound=1), (1, 2, 3)
+    for i in range(20):
+        yield f"seeded{i}", seeded_pencil(i), None
+
+
+@pytest.mark.parametrize("name,P,u", list(_module_cases()),
+                         ids=[c[0] for c in _module_cases()])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_module_matches_the_corner_route(name, P, u, side):
+    """A·E of the fiber over L = Q(√f(u), √λ) is the module C·p of the
+    corner C = e·A·e that the route through a fiber over Q, base changes
+    and corner_algebra built (conftest.module_by_corner): the same tower,
+    the same d scalar and the same subspace of the fiber, by its RREF."""
+    if u is None:
+        u = sample_invertible_points(P, random.Random(name), 1)[0]
+    rep = module_rep(SideFibers(P), side, u)
+    assert (rep.tower, rep.d_scalar, rep.basis) == module_by_corner(
+        SideFibers(P), side, u)
+
+
+def test_a_lone_annihilator_run_builds_one_fiber_per_side(monkeypatch):
+    built = []
+    table = fiber.clifford_fiber
+
+    def counting(alg, u, field, proof=None):
+        built.append(alg.variant)
+        return table(alg, u, field, proof)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("corner_algebra called")
+
+    monkeypatch.setattr(fiber, "clifford_fiber", counting)
+    monkeypatch.setattr(fiber, "corner_algebra", refused)
+    r = run_single(CheckContext(cached_pencil(42), points=1), "prop4.7-annihilator")
+    assert r.status == "pass"
+    assert sorted(built) == ["minus", "plus"]
