@@ -614,13 +614,15 @@ def commutant_basis(alg, point):
     primitive integer vectors x with [Σ x_m e_m, v_j] = 0 at u₀ for every
     generator (`kernel_int_sparse`).  Its rows are indexed by (generator,
     mask), its columns by mask, and its entries are the structure constants
-    of e_m·v_j − v_j·e_m at u₀: C(u) over Z[u], specialized.  Each vector's
-    top nonzero mask is a distinct free column of the elimination."""
+    of e_m·v_j − v_j·e_m at u₀: C(u) over Z[u], specialized.  e_m·v_j is
+    the normal-form step `_mask_times_gen` already caches, so only v_j·e_m
+    goes through `mask_mul`.  Each vector's top nonzero mask is a distinct
+    free column of the elimination."""
     rows = {}
     for mask in range(1 << alg.ngens):
         for g in range(alg.ngens):
             gbit = 1 << g
-            for sign, terms in ((1, alg.mask_mul(mask, gbit)),
+            for sign, terms in ((1, alg._mask_times_gen(mask, g)),
                                 (-1, alg.mask_mul(gbit, mask))):
                 for m2, poly in terms:
                     v = as_int(poly.eval(point))

@@ -527,4 +527,6 @@ def module_line_for(rep, w):
 
 
 def lines_proportional(u, v):
-    return mat_rank([[a, b] for a, b in zip(u, v)]) <= 1
+    """u and v span at most a line: every 2×2 minor of (u v) vanishes."""
+    return all(u[i] * v[j] == u[j] * v[i]
+               for i, j in combinations(range(len(u)), 2))

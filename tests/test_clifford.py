@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from quadclif.exactalg import QQ, ZZ, PolyRing, SymMatrix
+from quadclif.exactalg import QQ, ZZ, PolyRing, SymMatrix, kernel_int_sparse
 from quadclif.clifford import (
     CentralElementError,
     CliffordAlgebra,
@@ -711,6 +711,28 @@ def test_point_kernel_needs_integer_structure_constants():
     with pytest.raises(ValueError, match="non-integer structure constant"):
         commutant_basis(alg, (Fraction(1, 7), 0, 0))
 
+
+
+def test_point_kernel_reads_the_generator_step_memo():
+    """The commutator matrix built from mask_mul on both sides, as before
+    commutant_basis read e_m·v_j from _mask_times_gen, has the same
+    kernel; and a fresh algebra's mask_mul memo then holds only the
+    products v_j·e_m."""
+    P = cached_pencil(42)
+    for variant, u in (("ordinary", (1, 2, 3)), ("super", (2, -1, 5)),
+                       ("minus", (2, -1, 5))):
+        alg = CliffordAlgebra.from_pencil(P, variant)
+        kernel = commutant_basis(alg, u)
+        assert {ma for ma, _ in alg._mul_cache} == {1 << g for g in range(alg.ngens)}
+        rows = {}
+        for mask in range(1 << alg.ngens):
+            for g in range(alg.ngens):
+                for sign, terms in ((1, alg.mask_mul(mask, 1 << g)),
+                                    (-1, alg.mask_mul(1 << g, mask))):
+                    for m2, poly in terms:
+                        row = rows.setdefault((g, m2), {})
+                        row[mask] = row.get(mask, 0) + sign * int(poly.eval(u))
+        assert kernel == kernel_int_sparse(list(rows.values()), 1 << alg.ngens)
 
 # -- relation homogeneity and the scaling action -------------------------------
 

@@ -3,6 +3,7 @@ rank-one adjugate stratification, and two-dimensional fiber modules."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -394,3 +395,14 @@ def test_a_lone_annihilator_run_builds_one_fiber_per_side(monkeypatch):
     r = run_single(CheckContext(cached_pencil(42), points=1), "prop4.7-annihilator")
     assert r.status == "pass"
     assert sorted(built) == ["minus", "plus"]
+
+
+def test_lines_proportional_is_rank_at_most_one():
+    """The 2×2 minors test agrees with the rank of (u v) on every pair of
+    vectors with entries in {-1, 0, 1, 2}, in dimensions 2 and 3."""
+    for n in (2, 3):
+        vecs = list(product((-1, 0, 1, 2), repeat=n))
+        for u in vecs:
+            for v in vecs:
+                assert lines_proportional(u, v) == (
+                    mat_rank([[Fraction(a), Fraction(b)] for a, b in zip(u, v)]) <= 1)
