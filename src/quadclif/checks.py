@@ -48,6 +48,7 @@ from .pencil import _derived_rng, genericity_check
 from .plucker import (
     adjugate_double_line,
     annihilator_line,
+    clifford_relations,
     lines_proportional,
     m0_identity_check,
     m0_matrix,
@@ -580,11 +581,23 @@ _ANNIHILATOR_LINES = (
 
 
 def _check_annihilator(ctx):
+    """Per side, the module at the first fiber point: the Clifford
+    relations and traces of its generator matrices, recounted from the
+    matrices and the block (`relations` of 6, `traceless` of 3), and only
+    when all hold, the annihilator round trip of ten module lines."""
     u = ctx.fiber_points()[0]
     wit = []
     ok = True
     for side in ("plus", "minus"):
         rep = module_rep(ctx.sides, side, u)
+        relations, traceless = clifford_relations(rep.matrices, rep.block,
+                                                  rep.tower)
+        entry = {"side": side, "point": list(u), "field": rep.tower.name,
+                 "relations": relations, "traceless": traceless}
+        wit.append(entry)
+        if (relations, traceless) != (6, 3):
+            ok = False
+            continue
         ws = []
         good = True
         for m in _ANNIHILATOR_LINES:
@@ -599,10 +612,8 @@ def _check_annihilator(ctx):
             for j in range(i + 1, len(ws))
         )
         ok = ok and good and inj
-        wit.append({"side": side, "point": list(u),
-                    "field": rep.tower.name,
-                    "lines": len(_ANNIHILATOR_LINES),
-                    "round_trip": good, "injective": inj})
+        entry.update(lines=len(_ANNIHILATOR_LINES), round_trip=good,
+                     injective=inj)
     return ok, wit
 
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .exactalg import (
     QQ,
@@ -453,18 +453,11 @@ def module_rep(sides, side, u):
 
     mats = tuple(action(g) for g in A.gens)
 
-    ident = ((tower.one, tower.zero), (tower.zero, tower.one))
-    for i in range(3):
-        if mats[i][0][0] + mats[i][1][1] != tower.zero:
-            raise AssertionError("generator action must be traceless")
-        for j in range(3):
-            anti = _mat2_add(_mat2_mul(mats[i], mats[j]),
-                             _mat2_mul(mats[j], mats[i]))
-            want = tuple(
-                tuple(tower.coerce(-2 * block[i][j]) * e for e in r) for r in ident
-            )
-            if anti != want:
-                raise AssertionError("Clifford relation failed in the module")
+    relations, traceless = clifford_relations(mats, block, tower)
+    if traceless != 3:
+        raise AssertionError("generator action must be traceless")
+    if relations != 6:
+        raise AssertionError("Clifford relation failed in the module")
 
     # the odd central element must act by the split square root
     dres = sides.central(side)[1]
@@ -474,12 +467,26 @@ def module_rep(sides, side, u):
         d_mat = _mat2_add(d_mat, tuple(
             tuple(tower.coerce(rv) * e for e in r) for r in mat
         ))
-    scal = tuple(tuple(s * e for e in r) for r in ident)
-    if d_mat not in (scal, tuple(tuple(-s * e for e in r) for r in ident)):
+    scal = ((s, tower.zero), (tower.zero, s))
+    if d_mat not in (scal, ((-s, tower.zero), (tower.zero, -s))):
         raise AssertionError("odd central element does not act as ±√det")
     d_scalar = s if d_mat == scal else -s
     return ModuleRep(tower=tower, point=tuple(u), matrices=mats,
                      d_scalar=d_scalar, block=block, basis=tuple(basis))
+
+
+def clifford_relations(mats, block, tower):
+    """(relations, traceless) for 2×2 generator matrices ρ(v₁), ρ(v₂),
+    ρ(v₃) over tower and the 3×3 block q: how many of the six relations
+    ρ(vᵢ)ρ(vⱼ) + ρ(vⱼ)ρ(vᵢ) = −2·q_ij·I, i ≤ j, hold, and how many of
+    the three matrices are traceless.  A module has (6, 3)."""
+    relations = 0
+    for i, j in combinations_with_replacement(range(3), 2):
+        anti = _mat2_add(_mat2_mul(mats[i], mats[j]), _mat2_mul(mats[j], mats[i]))
+        c = tower.coerce(-2 * block[i][j])
+        relations += anti == ((c, tower.zero), (tower.zero, c))
+    traceless = sum(not (m[0][0] + m[1][1]) for m in mats)
+    return relations, traceless
 
 
 def _apply2(mat, m):

@@ -186,7 +186,8 @@ def test_criterion_7_isotropic_geometry():
         failures.append(("annihilator", r.witnesses))
     else:
         for w in r.witnesses:
-            if w["lines"] != 10 or not (w["round_trip"] and w["injective"]):
+            if ((w["relations"], w["traceless"]) != (6, 3) or w["lines"] != 10
+                    or not (w["round_trip"] and w["injective"])):
                 failures.append(("annihilator", w))
     r = run_single(ctx, "prop4.2-adjugate-double-line")
     if r.status != "pass":

@@ -328,25 +328,30 @@ class TestRegistryMutants:
 
     @fails("prop4.7-annihilator")
     def test_annihilator_fails_on_perturbed_module_matrices(self, monkeypatch):
-        """ρ(v₁) with 1 added to its (0, 1) entry is no longer a module
-        matrix: the annihilator line of the first module vector leaves the
-        isotropic cone.  prop4.7 fails only through such a raise:
-        round_trip and injective cannot read false once annihilator_line
-        and module_line_for return, since the kernel of ρ(v_w) is then one
-        line holding m, and two lines sharing w would make ρ(v_w) = 0."""
+        """ρ(v₁) with 1 added to one entry is no longer a module matrix.
+        prop4.7 recounts the Clifford relations and traces from the
+        matrices and the block, reads the broken ones, and FAILs with the
+        counts before the annihilator round trip runs: off the diagonal
+        the three relations with v₁ break, on it the trace as well."""
         module_rep = checks.module_rep
+        for entry, relations, traceless in (((0, 1), 3, 3), ((0, 0), 3, 2)):
 
-        def perturbed(sides, side, u):
-            rep = module_rep(sides, side, u)
-            (a, b), row = rep.matrices[0]
-            return dataclasses.replace(rep, matrices=(
-                ((a, b + rep.tower.one), row), *rep.matrices[1:]))
+            def perturbed(sides, side, u):
+                rep = module_rep(sides, side, u)
+                rho = [list(row) for row in rep.matrices[0]]
+                rho[entry[0]][entry[1]] += rep.tower.one
+                return dataclasses.replace(rep, matrices=(
+                    tuple(map(tuple, rho)), *rep.matrices[1:]))
 
-        monkeypatch.setattr(checks, "module_rep", perturbed)
-        r = run_single(CheckContext(cached_pencil(42), points=1),
-                       "prop4.7-annihilator")
-        assert (r.status, r.witnesses) == ("fail", [
-            {"error": "AssertionError: annihilator line is not isotropic"}])
+            monkeypatch.setattr(checks, "module_rep", perturbed)
+            r = run_single(CheckContext(cached_pencil(42), points=1),
+                           "prop4.7-annihilator")
+            assert r.status == "fail"
+            assert [(w["side"], w["relations"], w["traceless"])
+                    for w in r.witnesses] == [("plus", relations, traceless),
+                                              ("minus", relations, traceless)]
+            assert not any("round_trip" in w or "error" in w
+                           for w in r.witnesses)
 
 
 def test_registry_mutants_and_the_diagonal_cover_every_check():
