@@ -11,7 +11,7 @@ from quadclif.pencil import _derived_rng, generate
 from quadclif.plucker import (
     adjugate_double_line,
     annihilator_line,
-    m0_matrix,
+    m0_matrix_symbolic,
     module_line_for,
     module_rep,
     segre_identity_check,
@@ -28,10 +28,10 @@ def main():
     print("segre families certified:", cert.ok)
     print("  residual hash:", cert.residual_sha256[:16], "...")
 
-    rows = m0_matrix([2, 3, 5, 7])
+    rows, _ = m0_matrix_symbolic()
     print("M0 at a = (2,3,5,7):")
     for row in rows:
-        print("   ", [str(c) for c in row])
+        print("   ", [str(c.eval((2, 3, 5, 7))) for c in row])
 
     P = generate(seed=42, coeff_bound=5)
     rng = _derived_rng("demo", P.digest(), "geometry")

@@ -46,16 +46,16 @@ from .fiber import (
 )
 from .pencil import _derived_rng, genericity_check
 from .plucker import (
+    A_VARS,
+    M0_CUBE_MINORS,
+    SEGRE_MINOR,
     adjugate_double_line,
     annihilator_line,
     clifford_relations,
     lines_proportional,
     m0_identity_check,
-    m0_matrix,
-    m0_matrix_symbolic,
     module_line_for,
     module_rep,
-    poly_residual_hash,
     segre_identity_check,
     transform_identity_check,
 )
@@ -618,34 +618,29 @@ def _check_annihilator(ctx):
 
 
 def _check_m0(ctx):
-    symbolic = m0_identity_check()
-    rows, a = m0_matrix_symbolic()
-    residuals = [
-        row[0] * a[1] + row[1] * a[2] + row[2] * a[3] - row[3] * a[0]
-        for row in rows
-    ]
-    rng = _derived_rng("check", "m0", "instances")
-    sampled = 0
-    ok = symbolic
-    for _ in range(5):
-        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-        if not any(vals):
-            vals[0] = Fraction(1)
-        try:
-            m0_matrix(vals)
-            sampled += 1
-        except (AssertionError, ValueError):
-            ok = False
-    wit = [{"symbolic_rank3_and_relation": symbolic,
-            "relation_residual_sha256": poly_residual_hash(residuals),
-            "random_instances": sampled}]
-    return ok, wit
+    """M0(a) has rank exactly 3 at every a ≠ 0: plucker.m0_identity_check
+    proves the kernel relation and the four cube minors over Z[a]."""
+    cert = m0_identity_check()
+    minors = {v: {"rows": list(ri), "cols": list(ci)}
+              for v, (ri, ci) in zip(A_VARS, M0_CUBE_MINORS)}
+    wit = [{"relation": "M0*(a1,a2,a3,-a0)^T = 0",
+            "cube_minors": minors,
+            "failures": list(cert.failures),
+            "residual_sha256": cert.residual_sha256}]
+    return cert.ok, wit
 
 
 def _check_segre(ctx):
+    """Both families lie in one isotropic plane, span(w1..w4), of rank
+    exactly 3: plucker.segre_identity_check proves the kernel relation
+    and the rank-3 minor over Z[a], and the Plücker transform identity
+    carries the plane to the split quadric."""
     cert = segre_identity_check()
     transform = transform_identity_check()
+    rows, cols = SEGRE_MINOR
     wit = [{"transform_identity": transform,
+            "relation": "sum_j y_j*w_j = 0",
+            "minor": {"rows": list(rows), "cols": list(cols)},
             "failures": list(cert.failures),
             "residual_sha256": cert.residual_sha256}]
     return cert.ok and transform, wit

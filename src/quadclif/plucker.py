@@ -138,10 +138,15 @@ def poly_residual_hash(polys):
 
 
 @dataclass(frozen=True)
-class SegreCert:
+class IdentityCert:
     ok: bool
     failures: tuple
     residual_sha256: str = ""
+
+
+# Rows and columns of (w1 w2 w3 w4) whose 3×3 minor, −a0²·a1·a2³, bounds
+# the rank of the plane from below.
+SEGRE_MINOR = ((0, 1, 2), (0, 1, 2))
 
 
 def segre_identity_check():
@@ -149,10 +154,17 @@ def segre_identity_check():
 
     * both families land on the Plücker quadric;
     * the localized certificates writing a·p± inside the span of the w_j;
-    * every 4×4 minor of (w1 w2 w3 w4 p₊ p₋) vanishes, while some 3×3
-      minor of the w's alone is a nonzero polynomial (the span is an
-      honest plane through both families);
+    * the kernel relation Σⱼ yⱼ·wⱼ = y ∧ y = 0 (`w-relation`), and the
+      3×3 minor of the w's at SEGRE_MINOR is a nonzero polynomial
+      (`w-minor`);
     * the Plücker quadric vanishes identically on that span.
+
+    Over the function field Q(a): y = (a0a2, a0a3, a1a3, a1a2) ≠ 0 lies
+    in the kernel of W = (w1 w2 w3 w4), so rank W ≤ 3; the certificates
+    put a·p± in span(W) with a ≠ 0, so rank (W p₊ p₋) = rank W; the
+    nonzero minor makes that rank exactly 3.  So every 4×4 minor of
+    (W p₊ p₋) is the zero polynomial, and vanishes at every point: the
+    span is an honest plane through both families.
 
     Every polynomial here has integer coefficients, so they are read over
     Z; an identity over Z holds over Q.
@@ -167,15 +179,16 @@ def segre_identity_check():
     failures = []
     residuals = []
 
+    def expect_zero(name, polys):
+        residuals.extend(polys)
+        if not all(r.is_zero() for r in polys):
+            failures.append(name)
+
     def eval_quadric(vec):
         return q.subs(dict(zip(Z_VARS, vec)))
 
-    for name, pt in (("plus-family-not-isotropic", p_plus),
-                     ("minus-family-not-isotropic", p_minus)):
-        r = eval_quadric(pt)
-        residuals.append(r)
-        if not r.is_zero():
-            failures.append(name)
+    expect_zero("plus-family-not-isotropic", [eval_quadric(p_plus)])
+    expect_zero("minus-family-not-isotropic", [eval_quadric(p_minus)])
 
     def scale(vec, c):
         return tuple(x * c for x in vec)
@@ -190,29 +203,13 @@ def segre_identity_check():
         ("minus-cert-a0", scale(p_minus, a0), vadd(scale(ws[2], a3), scale(ws[3], a2))),
     ]
     for name, lhs, rhs in certs:
-        diffs = [x - y_ for x, y_ in zip(lhs, rhs)]
-        residuals.extend(diffs)
-        if not all(d.is_zero() for d in diffs):
-            failures.append(name)
+        expect_zero(name, [x - y_ for x, y_ in zip(lhs, rhs)])
 
-    cols = ws + [list(p_plus), list(p_minus)]
-    for ci in combinations(range(6), 4):
-        for ri in combinations(range(6), 4):
-            d = det_cofactor([[cols[c][r] for c in ci] for r in ri], ring)
-            residuals.append(d)
-            if not d.is_zero():
-                failures.append(f"minor-4x4-{ci}-{ri}")
-    some_rank3 = False
-    for ci in combinations(range(4), 3):
-        if some_rank3:
-            break
-        for ri in combinations(range(6), 3):
-            rows = [[cols[c][r] for c in ci] for r in ri]
-            if not det_cofactor(rows, ring).is_zero():
-                some_rank3 = True
-                break
-    if not some_rank3:
-        failures.append("w-span-degenerate")
+    expect_zero("w-relation", [sum((w[k] * yj for yj, w in zip(y, ws)), ring.zero())
+                               for k in range(6)])
+    rows, cols = SEGRE_MINOR
+    if det_cofactor([[ws[c][r] for c in cols] for r in rows], ring).is_zero():
+        failures.append("w-minor")
 
     big = PolyRing(ZZ, A_VARS + ("c1", "c2", "c3", "c4"))
     cs = [big.var(f"c{j}") for j in range(1, 5)]
@@ -222,13 +219,10 @@ def segre_identity_check():
         for k, comp in enumerate(w):
             if not comp.is_zero():
                 span[k] = span[k] + comp.subs(embed) * cs[j]
-    span_res = q.subs(dict(zip(Z_VARS, span)))
-    residuals.append(span_res)
-    if not span_res.is_zero():
-        failures.append("span-not-isotropic")
+    expect_zero("span-not-isotropic", [q.subs(dict(zip(Z_VARS, span)))])
 
-    return SegreCert(ok=not failures, failures=tuple(failures),
-                     residual_sha256=poly_residual_hash(residuals))
+    return IdentityCert(ok=not failures, failures=tuple(failures),
+                        residual_sha256=poly_residual_hash(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -277,56 +271,46 @@ def _m0_rows(a, zero):
     return tuple(rows)
 
 
-def m0_matrix(a):
-    """The 6×4 matrix at a rational parameter point, with its built-in
-    certificates: the columns satisfy one exact linear relation, so every
-    4×4 minor vanishes, and the rank is exactly three whenever a ≠ 0."""
-    a = tuple(Fraction(x) for x in a)
-    if len(a) != 4:
-        raise ValueError("four parameters expected")
-    if not any(a):
-        raise ValueError("the zero parameter point is not allowed")
-    rows = _m0_rows(a, Fraction(0))
-    a0, a1, a2, a3 = a
-    for row in rows:
-        if a1 * row[0] + a2 * row[1] + a3 * row[2] - a0 * row[3] != 0:
-            raise AssertionError("column relation failed")
-    if mat_rank([list(r) for r in rows]) != 3:
-        raise AssertionError("rank is not three")
-    return rows
-
-
 def m0_matrix_symbolic(ring=None):
-    """The same matrix with polynomial entries over Z, for identity
-    checking."""
+    """The matrix with polynomial entries over Z, for identity checking;
+    its value at a point is the entrywise evaluation."""
     ring = ring or PolyRing(ZZ, A_VARS)
     a = tuple(ring.var(v) for v in A_VARS)
     return _m0_rows(a, ring.zero()), a
 
 
+# (rows, columns) of the 3×3 minors of M0 equal to a0³, a1³, a2³, a3³.
+M0_CUBE_MINORS = (
+    ((0, 1, 2), (0, 1, 2)),
+    ((0, 4, 5), (1, 2, 3)),
+    ((1, 3, 5), (0, 2, 3)),
+    ((2, 3, 4), (0, 1, 3)),
+)
+
+
 def m0_identity_check():
-    """Symbolically: the column relation, the vanishing of all 4×4
-    minors, and cube-of-parameter 3×3 minors witnessing rank three, over
-    Z[a], which holds them over Q[a] too."""
+    """M0(a) has rank exactly 3 at every a ≠ 0, over Z[a] (so over Q[a]):
+
+    * the kernel relation M0(a)·(a1, a2, a3, −a0)ᵀ = 0 (`relation`);
+    * the minor at M0_CUBE_MINORS[i] equals aᵢ³ (`cube-minor-ai`).
+
+    The kernel vector is nonzero at every a ≠ 0, so rank M0(a) ≤ 3 there,
+    and some aᵢ ≠ 0 makes a minor aᵢ³ ≠ 0, so the rank is exactly 3; the
+    same two facts give rank 3 over the function field Q(a).  As
+    polynomials, then, every 4×4 minor is zero and vanishes at every
+    point.  The residual digest is that of the six relation entries."""
     ring = PolyRing(ZZ, A_VARS)
     rows, a = m0_matrix_symbolic(ring)
     a0, a1, a2, a3 = a
-    for row in rows:
-        rel = row[0] * a1 + row[1] * a2 + row[2] * a3 - row[3] * a0
-        if not rel.is_zero():
-            return False
-    for ri in combinations(range(6), 4):
-        rows4 = [list(rows[r]) for r in ri]
-        if not det_cofactor(rows4, ring).is_zero():
-            return False
-    cubes = set()
-    for ri in combinations(range(6), 3):
-        for ci in combinations(range(4), 3):
-            d = det_cofactor([[rows[r][c] for c in ci] for r in ri], ring)
-            for v, av in zip(A_VARS, a):
-                if d == av * av * av or d == -(av * av * av):
-                    cubes.add(v)
-    return cubes == set(A_VARS)
+    residuals = [row[0] * a1 + row[1] * a2 + row[2] * a3 - row[3] * a0
+                 for row in rows]
+    failures = [] if all(r.is_zero() for r in residuals) else ["relation"]
+    for v, av, (ri, ci) in zip(A_VARS, a, M0_CUBE_MINORS):
+        d = det_cofactor([[rows[r][c] for c in ci] for r in ri], ring)
+        if d != av * av * av:
+            failures.append(f"cube-minor-{v}")
+    return IdentityCert(ok=not failures, failures=tuple(failures),
+                        residual_sha256=poly_residual_hash(residuals))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from types import SimpleNamespace
 
@@ -10,12 +11,15 @@ from quadclif.clifford import (
     CliffordAlgebra,
     central_odd,
 )
+from quadclif import plucker
 from quadclif.exactalg import (
     QQ,
+    ZZ,
     MultiPoly,
     PolyRing,
     adjugate3,
     bareiss_det,
+    det_cofactor,
     int_coeffs,
     is_prime,
     kernel_int_sparse,
@@ -46,7 +50,7 @@ from quadclif.pencil import (
     binary_resultant,
     generate,
 )
-from quadclif.plucker import W_CANDIDATES
+from quadclif.plucker import A_VARS, W_CANDIDATES, Z_VARS
 
 
 class FpElem:
@@ -1141,3 +1145,168 @@ def module_by_corner(sides, side, u):
     d_scalar = A.mul(dvec, b0)[pivots[0]] / b0[pivots[0]]
     assert A.mul(dvec, b0) == A.vscale(b0, d_scalar)
     return tower, d_scalar, tuple(basis)
+
+
+# ---------------------------------------------------------------------------
+# the minor route of prop4.8 and prop4.9 (the oracle of the kernel-relation
+# certificates in plucker): every 4×4 polynomial minor expanded, a searched
+# rank-3 minor, and M0 sampled at rational points
+# ---------------------------------------------------------------------------
+
+def segre_ok_by_minors():
+    """The Segre identities by the long path: both families isotropic, the
+    four localized certificates, all 225 4×4 minors of (w1..w4 p₊ p₋)
+    zero, some 3×3 minor of the w's nonzero, and the Plücker quadric zero
+    on span(w).  Reads plucker's helpers through the module, so a
+    monkeypatched helper reaches it."""
+    ring = PolyRing(ZZ, A_VARS)
+    a0, a1, a2, a3 = (ring.var(v) for v in A_VARS)
+    p_plus, p_minus = plucker.segre_points(ring)
+    q = plucker.plucker_quadric_poly(PolyRing(ZZ, Z_VARS))
+    ws = plucker.wedge_with_basis(plucker.segre_y(ring), ring)
+
+    def on_quadric(vec):
+        return q.subs(dict(zip(Z_VARS, vec))).is_zero()
+
+    def scale(vec, c):
+        return tuple(x * c for x in vec)
+
+    def vadd(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    certs = (
+        (scale(p_plus, a2), vadd(scale(ws[1], a0), scale(ws[2], a1))),
+        (scale(p_plus, -a3), vadd(scale(ws[0], a0), scale(ws[3], a1))),
+        (scale(p_minus, -a1), vadd(scale(ws[0], a2), scale(ws[1], a3))),
+        (scale(p_minus, a0), vadd(scale(ws[2], a3), scale(ws[3], a2))),
+    )
+    cols = list(ws) + [p_plus, p_minus]
+    minors4 = all(
+        det_cofactor([[cols[c][r] for c in ci] for r in ri], ring).is_zero()
+        for ci in combinations(range(6), 4) for ri in combinations(range(6), 4))
+    rank3 = any(
+        not det_cofactor([[cols[c][r] for c in ci] for r in ri], ring).is_zero()
+        for ci in combinations(range(4), 3) for ri in combinations(range(6), 3))
+    big = PolyRing(ZZ, A_VARS + ("c1", "c2", "c3", "c4"))
+    embed = {v: big.var(v) for v in A_VARS}
+    span = [big.zero()] * 6
+    for j, w in enumerate(ws):
+        for k, comp in enumerate(w):
+            span[k] = span[k] + comp.subs(embed) * big.var(f"c{j + 1}")
+    return (on_quadric(p_plus) and on_quadric(p_minus)
+            and all(lhs == rhs for lhs, rhs in certs)
+            and minors4 and rank3 and on_quadric(span))
+
+
+def m0_matrix(a):
+    """M0 at a rational parameter point a ≠ 0, with its built-in checks:
+    the column relation and rank exactly three."""
+    a = tuple(Fraction(x) for x in a)
+    if len(a) != 4:
+        raise ValueError("four parameters expected")
+    if not any(a):
+        raise ValueError("the zero parameter point is not allowed")
+    rows = plucker._m0_rows(a, Fraction(0))
+    a0, a1, a2, a3 = a
+    for row in rows:
+        if a1 * row[0] + a2 * row[1] + a3 * row[2] - a0 * row[3] != 0:
+            raise AssertionError("column relation failed")
+    if mat_rank([list(r) for r in rows]) != 3:
+        raise AssertionError("rank is not three")
+    return rows
+
+
+def m0_ok_by_minors():
+    """The M0 identities by the long path: the column relation, all 15
+    4×4 minors zero, a searched 3×3 minor equal to ±aᵢ³ for every i, and
+    m0_matrix at five seeded rational points."""
+    ring = PolyRing(ZZ, A_VARS)
+    rows, a = plucker.m0_matrix_symbolic(ring)
+    a0, a1, a2, a3 = a
+    if any(not (r[0] * a1 + r[1] * a2 + r[2] * a3 - r[3] * a0).is_zero()
+           for r in rows):
+        return False
+    if any(not det_cofactor([list(rows[r]) for r in ri], ring).is_zero()
+           for ri in combinations(range(6), 4)):
+        return False
+    cubes = set()
+    for ri in combinations(range(6), 3):
+        for ci in combinations(range(4), 3):
+            d = det_cofactor([[rows[r][c] for c in ci] for r in ri], ring)
+            cubes.update(v for v, av in zip(A_VARS, a)
+                         if d in (av * av * av, -(av * av * av)))
+    if cubes != set(A_VARS):
+        return False
+    rng = _derived_rng("check", "m0", "instances")
+    for _ in range(5):
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+        if not any(vals):
+            vals[0] = Fraction(1)
+        try:
+            m0_matrix(vals)
+        except (AssertionError, ValueError):
+            return False
+    return True
+
+
+def _doubled_plus_coordinate(monkeypatch):
+    # p₊ with its first Plücker coordinate doubled leaves the quadric
+    segre_points = plucker.segre_points
+
+    def doubled(ring=None):
+        p_plus, p_minus = segre_points(ring)
+        return (p_plus[0] * 2, *p_plus[1:]), p_minus
+
+    monkeypatch.setattr(plucker, "segre_points", doubled)
+
+
+def _unsigned_wedge(monkeypatch):
+    # w_j = y ∧ e_j with the sign of its -y[l-1] entry dropped
+    def unsigned(y, ring):
+        return [tuple(y[k - 1] if l == j else y[l - 1] if k == j else ring.zero()
+                      for k, l in plucker.Z_PAIRS)
+                for j in range(1, 5)]
+
+    monkeypatch.setattr(plucker, "wedge_with_basis", unsigned)
+
+
+def _m0_mutant(edit):
+    def apply(monkeypatch):
+        m0_rows = plucker._m0_rows
+
+        def mutated(a, zero):
+            rows = [list(r) for r in m0_rows(a, zero)]
+            edit(rows, zero)
+            return tuple(tuple(r) for r in rows)
+
+        monkeypatch.setattr(plucker, "_m0_rows", mutated)
+    return apply
+
+
+def _double_first_entry(rows, zero):
+    # entry (0, 0) of M0 doubled breaks the column relation
+    rows[0][0] = rows[0][0] * 2
+
+
+def _zero_contraction_rows(rows, zero):
+    # the three contraction rows zeroed: the relation holds and every 4×4
+    # minor vanishes, but the a1³, a2³ and a3³ minors all use those rows
+    for r in rows[3:]:
+        r[:] = [zero] * 4
+
+
+# name -> (check id it breaks, monkeypatching mutator)
+IDENTITY_MUTANTS = {
+    "doubled-plus-coordinate": ("prop4.9-segre", _doubled_plus_coordinate),
+    "unsigned-wedge": ("prop4.9-segre", _unsigned_wedge),
+    "doubled-m0-entry": ("prop4.8-m0-matrix", _m0_mutant(_double_first_entry)),
+    "zeroed-contractions": ("prop4.8-m0-matrix",
+                            _m0_mutant(_zero_contraction_rows)),
+}
+
+
+def mutate_identities(monkeypatch, name):
+    """Apply IDENTITY_MUTANTS[name]; returns the check id it breaks."""
+    check_id, apply = IDENTITY_MUTANTS[name]
+    apply(monkeypatch)
+    return check_id

@@ -178,7 +178,7 @@ def test_criterion_7_isotropic_geometry():
     cert = segre_identity_check()
     if not cert.ok or cert.failures:
         failures.append(("segre", cert.failures))
-    if not m0_identity_check():
+    if not m0_identity_check().ok:
         failures.append("m0 symbolic identities")
     ctx = CheckContext(cached_pencil(42), points=3)
     r = run_single(ctx, "prop4.7-annihilator")

@@ -14,9 +14,10 @@ from conftest import (
     commutant_dims,
     flip_step,
     hilbert_dims_center,
+    mutate_identities,
     seeded_pencil,
 )
-from quadclif import checks, clifford, exactalg, geometry, plucker
+from quadclif import checks, clifford, exactalg, geometry
 from quadclif.checks import (
     CHECK_ORDER,
     CheckContext,
@@ -226,32 +227,36 @@ class TestRegistryMutants:
 
     @fails("prop4.9-segre")
     def test_segre_fails_on_a_doubled_plus_coordinate(self, monkeypatch):
-        # p₊ with its first Plücker coordinate doubled leaves the quadric
-        segre_points = plucker.segre_points
-
-        def doubled(ring=None):
-            p_plus, p_minus = segre_points(ring)
-            return (p_plus[0] * 2, *p_plus[1:]), p_minus
-
-        monkeypatch.setattr(plucker, "segre_points", doubled)
+        mutate_identities(monkeypatch, "doubled-plus-coordinate")
         r = run_single(CheckContext(None), "prop4.9-segre")
         assert r.status == "fail"
         assert r.witnesses[0]["failures"][0] == "plus-family-not-isotropic"
 
+    @fails("prop4.9-segre")
+    def test_segre_fails_on_an_unsigned_wedge(self, monkeypatch):
+        # w_j = y ∧ e_j without its minus sign: Σ y_j·w_j = 2·(y_k·y_l)
+        mutate_identities(monkeypatch, "unsigned-wedge")
+        r = run_single(CheckContext(None), "prop4.9-segre")
+        assert r.status == "fail"
+        assert "w-relation" in r.witnesses[0]["failures"]
+
     @fails("prop4.8-m0-matrix")
     def test_m0_fails_on_a_doubled_entry(self, monkeypatch):
-        # entry (0, 0) of the m0 matrix doubled breaks the column relation
-        m0_rows = plucker._m0_rows
-
-        def doubled(a, zero):
-            rows = [list(r) for r in m0_rows(a, zero)]
-            rows[0][0] = rows[0][0] * 2
-            return tuple(tuple(r) for r in rows)
-
-        monkeypatch.setattr(plucker, "_m0_rows", doubled)
+        # entry (0, 0) doubled breaks the relation and the a0³ minor
+        mutate_identities(monkeypatch, "doubled-m0-entry")
         r = run_single(CheckContext(None), "prop4.8-m0-matrix")
         assert r.status == "fail"
-        assert r.witnesses[0]["symbolic_rank3_and_relation"] is False
+        assert r.witnesses[0]["failures"] == ["relation", "cube-minor-a0"]
+
+    @fails("prop4.8-m0-matrix")
+    def test_m0_fails_when_the_contraction_rows_vanish(self, monkeypatch):
+        # the relation still holds and every 4×4 minor vanishes, but the
+        # a1³, a2³ and a3³ minors use the contraction rows
+        mutate_identities(monkeypatch, "zeroed-contractions")
+        r = run_single(CheckContext(None), "prop4.8-m0-matrix")
+        assert r.status == "fail"
+        assert r.witnesses[0]["failures"] == [
+            "cube-minor-a1", "cube-minor-a2", "cube-minor-a3"]
 
     @fails("prop2.2-transversality", "prop2.5-nine-points")
     def test_tangent_curves_fail_only_the_resultant_checks(self, tmp_path):

@@ -43,7 +43,9 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 
 # SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
 # of `check --points 2` on that instance: every verdict and witness of the
-# full run is pinned byte for byte.  It last changed when the witnesses of
+# full run is pinned byte for byte.  It last changed when prop4.8-m0-matrix
+# and prop4.9-segre began to name their kernel relation and rank minors
+# (before: daaed7e5…ed88803e3); before that, when the witnesses of
 # prop4.7-annihilator began to count the module's Clifford relations and
 # traces (before: b5366b8b…e436b78); before that, when the genericity and
 # curve checks began to carry Δ±, the resultant's center and their
@@ -51,7 +53,7 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 # top-level primes (e7c3ef98…78da2f0); and before that, through the
 # witnesses of prop3.17-azumaya-m4 and prop3.18-split-m2, which moved from
 # verdicts at sampled points to Gram identities over Z[u] (0c3a7664…8ee4).
-FULL_RUN_SHA256 = "daaed7e58e88bf469792a8c8caeda773d8ff40393df4b70a4bbf064ed88803e3"
+FULL_RUN_SHA256 = "8e0600e4ffb6c3ea099bda4ebd056f3e7a413db35816b3c7337211e39836d80b"
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.

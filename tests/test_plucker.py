@@ -3,14 +3,24 @@ rank-one adjugate stratification, and two-dimensional fiber modules."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from conftest import PrimeField, cached_pencil, module_by_corner, seeded_pencil
+from conftest import (
+    IDENTITY_MUTANTS,
+    PrimeField,
+    cached_pencil,
+    m0_matrix,
+    m0_ok_by_minors,
+    module_by_corner,
+    mutate_identities,
+    seeded_pencil,
+    segre_ok_by_minors,
+)
 from quadclif import fiber, plucker
 from quadclif.checks import CheckContext, run_single
-from quadclif.exactalg import QQ, PolyRing, mat_rank
+from quadclif.exactalg import QQ, PolyRing, det_cofactor, mat_rank
 from quadclif.fiber import FiberError, SideFibers, sample_invertible_points
 from quadclif.geometry import GenericityError, curve_points
 from quadclif.pencil import InvariantPencil
@@ -21,7 +31,6 @@ from quadclif.plucker import (
     annihilator_line,
     lines_proportional,
     m0_identity_check,
-    m0_matrix,
     m0_matrix_symbolic,
     module_line_for,
     module_rep,
@@ -174,7 +183,8 @@ class TestSegre:
 
 class TestM0:
     def test_symbolic_identities(self):
-        assert m0_identity_check()
+        cert = m0_identity_check()
+        assert cert.ok is True and cert.failures == ()
 
     def test_frozen_rows(self):
         rows = m0_matrix((2, 3, 5, 7))
@@ -209,11 +219,60 @@ class TestM0:
         for i in range(3):
             assert rows[i][i] == a[0]
 
+    def test_symbolic_rows_evaluate_to_the_rational_matrix(self):
+        rows, _ = m0_matrix_symbolic()
+        rng = random.Random(31)
+        for _ in range(10):
+            a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+            if not any(a):
+                a[0] = Fraction(1)
+            assert [[c.eval(a) for c in r] for r in rows] == \
+                [list(r) for r in m0_matrix(a)]
+
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
             m0_matrix((0, 0, 0, 0))
         with pytest.raises(ValueError):
             m0_matrix((1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the kernel-relation certificates against the minor route
+# ---------------------------------------------------------------------------
+
+class TestIdentityOracle:
+    """segre_identity_check and m0_identity_check against the enumerated
+    4×4 minors, the searched rank-3 minors and the sampled M0 instances of
+    conftest: both routes PASS on the true identities and FAIL on every
+    mutant."""
+
+    def test_both_routes_pass_on_the_true_identities(self):
+        assert segre_identity_check().ok is True and segre_ok_by_minors()
+        assert m0_identity_check().ok is True and m0_ok_by_minors()
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_MUTANTS))
+    def test_both_routes_fail_on_a_mutant(self, monkeypatch, name):
+        check_id = mutate_identities(monkeypatch, name)
+        if check_id == "prop4.9-segre":
+            cert, oracle = segre_identity_check(), segre_ok_by_minors()
+        else:
+            cert, oracle = m0_identity_check(), m0_ok_by_minors()
+        assert cert.ok is False and cert.failures
+        assert oracle is False
+
+    def test_only_the_cube_minors_catch_the_contraction_mutant(
+            self, monkeypatch):
+        # zeroed contraction rows keep the relation (its residuals, and so
+        # their digest) and every 4×4 minor zero
+        true = m0_identity_check()
+        mutate_identities(monkeypatch, "zeroed-contractions")
+        cert = m0_identity_check()
+        assert cert.residual_sha256 == true.residual_sha256
+        assert cert.failures == ("cube-minor-a1", "cube-minor-a2", "cube-minor-a3")
+        rows, _ = m0_matrix_symbolic()
+        ring = rows[0][0].ring
+        assert all(det_cofactor([list(rows[r]) for r in ri], ring).is_zero()
+                   for ri in combinations(range(6), 4))
 
 
 # ---------------------------------------------------------------------------
