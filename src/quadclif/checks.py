@@ -29,12 +29,10 @@ from .clifford import (
     central_pair,
     commutant_basis,
     defining_relations,
-    equivariance_check,
     lift,
     phi_exponent,
     phi_failing_pairs,
     phi_sign_rule_failures,
-    phi_twist_failures,
     terms_homogeneous,
 )
 from .fiber import (
@@ -150,9 +148,17 @@ class CheckContext:
 
     def algebra(self, variant):
         """The six-generator algebra of one variant over Z[u], built once
-        per run."""
-        return self.cached(("algebra", variant),
-                           lambda: CliffordAlgebra.from_pencil(self.P, variant))
+        per run and proven the tensor product of the two proven side
+        algebras (CliffordAlgebra.verify_tensor_product), hence associative
+        with integral structure constants; a failing step raises, naming
+        the step, in every check that reads the algebra."""
+        def build():
+            alg = CliffordAlgebra.from_pencil(self.P, variant)
+            alg.verify_tensor_product(self.sides.proven("plus"),
+                                      self.sides.proven("minus"))
+            return alg
+
+        return self.cached(("algebra", variant), build)
 
     def fiber_points(self):
         """Off-curve base points shared by prop4.2 and prop4.7: the first
@@ -262,38 +268,39 @@ def _check_nine_points(ctx):
 
 def _check_grading(ctx):
     wit = []
-    ok = True
     for variant in ("ordinary", "super"):
         alg = ctx.algebra(variant)
         rels = defining_relations(alg)
-        bad = sum(0 if terms_homogeneous(alg, r) else 1 for r in rels)
         wit.append({"variant": variant, "relations": len(rels),
-                    "inhomogeneous": bad})
-        ok = ok and bad == 0
-    return ok, wit
+                    "inhomogeneous": sum(not terms_homogeneous(alg, r)
+                                         for r in rels)})
+    return all(w["inhomogeneous"] == 0 for w in wit), wit
 
 
 def _check_equivariance(ctx):
-    wit = []
-    ok = True
-    for variant in ("ordinary", "super"):
-        good = equivariance_check(ctx.algebra(variant))
-        wit.append({"variant": variant, "single_scalar": good,
-                    "tested_at": {"lambda": 2, "s": [1, -1]}})
-        ok = ok and good
-    return ok, wit
+    """Every relation scales by one scalar under the action at λ = 2 and
+    s = ±1 (generators pick up λ, the negated block also s, and u picks
+    up λ²).  A term of weight w and minus parity p scales by 2^w·s^p, and
+    2^w separates weights, so a relation scales by one scalar for both
+    signs iff all its terms share weight and minus parity: iff it is
+    homogeneous, the count prop3.5-grading reads."""
+    ok, grading = _check_grading(ctx)
+    return ok, [{"variant": w["variant"], "single_scalar": w["inhomogeneous"] == 0,
+                 "tested_at": {"lambda": 2, "s": [1, -1]}} for w in grading]
 
 
 def _check_phi(ctx):
-    """phi multiplicative on every even basis pair.  The generator-step
-    certificate (phi_twist_failures and phi_sign_rule_failures) proves
-    that no pair fails; when it names a step or a pair it proves nothing,
-    and the structure constants are compared pair by pair
+    """phi multiplicative on every even basis pair.  The two algebras are
+    proven tensor products of the same sides with cross signs −1 and +1
+    (CheckContext.algebra), so every super product is the ordinary one
+    times (−1)^(|a₋|·|b₊|), and phi_sign_rule_failures proves that the
+    scaling absorbs that sign; when it names a pair it proves nothing, and
+    the structure constants are compared pair by pair
     (phi_failing_pairs), so a FAIL carries the true failing pairs."""
     sup6, ord6 = ctx.algebra("super"), ctx.algebra("ordinary")
     even = [m for m in range(64) if bin(m).count("1") % 2 == 0]
     bad_pairs = []
-    if phi_twist_failures(sup6, ord6) or phi_sign_rule_failures(phi_exponent):
+    if phi_sign_rule_failures(phi_exponent):
         bad_pairs = phi_failing_pairs(sup6, ord6, phi_exponent)
     pair = central_pair(*(ctx.sides.central(side)[1]
                           for side in ("plus", "minus")))
@@ -345,11 +352,15 @@ def _check_center(ctx):
     Z[u]-module on b₀..b₃ = 1, d₊, d₋, d₊d₋, of weights 0, 3, 3, 6, in
     every weight.  Off the curves it is the center K[d₊] ⊗ K[d₋] of
     C(q₊) ⊗ C(q₋), d±² = f± (Lam, Introduction to Quadratic Forms over
-    Fields, GSM 67, Ch. V).  A is generated by v₁..v₆, so its center is
-    the kernel of the commutator matrix C(u), 6·64 × 64 over Z[u].
+    Fields, GSM 67, Ch. V).  A is associative (CheckContext.algebra) and
+    generated by v₁..v₆, so its center is the kernel of the commutator
+    matrix C(u), 6·64 × 64 over Z[u].
 
-    1. Each bᵢ, with d± the blocks' odd central elements (prop3.12)
-       lifted into A, is checked to commute with the generators over Z[u].
+    1. Each bᵢ is central, with d± the blocks' odd central elements
+       (prop3.12) lifted into A: d± commute with their block's generators
+       in the proven side algebras (central_odd), and A is proven their
+       tensor product C(q₊) ⊗ C(q₋) (CheckContext.algebra), so d₊ ⊗ 1,
+       1 ⊗ d₋ and their product are central.
     2. The coefficients of b₀..b₃ at CENTER_MASKS are computed to form a
        diagonal of ±1: the bᵢ are independent over Q(u), and a central z
        over Z[u] that is Σ aᵢbᵢ over Q(u) has each aᵢ = ±z at a mask, in Z[u].
@@ -366,16 +377,14 @@ def _check_center(ctx):
     dp, dm = (lift(ctx.sides.central(side)[1].element, alg, side)
               for side in ("plus", "minus"))
     basis = (alg.one(), dp, dm, dp * dm)
-    gens = [alg.gen(j) for j in range(alg.ngens)]
-    central = [all(b.commutator(g).is_zero() for g in gens) for b in basis]
     zero = alg.ring.zero()
     unit_diagonal = all(b.coeffs.get(m, zero) in ((1, -1) if i == j else (0,))
                         for i, b in enumerate(basis)
                         for j, m in enumerate(CENTER_MASKS))
     weights = [_weight(b) for b in basis]
     wit = [{"basis": ["1", "d_plus", "d_minus", "d_plus*d_minus"],
-            "central": central, "weights": weights,
-            "masks": list(CENTER_MASKS), "unit_diagonal": unit_diagonal}]
+            "weights": weights, "masks": list(CENTER_MASKS),
+            "unit_diagonal": unit_diagonal}]
     for u in CENTER_POINTS:
         kernel = commutant_basis(alg, u)
         wit.append({"point": list(u), "columns": 1 << alg.ngens,
@@ -384,7 +393,7 @@ def _check_center(ctx):
                                   for v in kernel]})
         if len(kernel) == len(basis):
             break
-    return (all(central) and unit_diagonal and weights == [0, 3, 3, 6]
+    return (unit_diagonal and weights == [0, 3, 3, 6]
             and wit[-1]["kernel_dim"] == len(basis)), wit
 
 

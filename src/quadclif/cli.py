@@ -2,7 +2,8 @@
 named verification checks, with a JSON report as the source of truth.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 on usage or
-I/O errors (bad flags, unknown check id, unreadable instance).
+I/O errors (bad flags, unknown check id, unreadable instance, a coefficient
+bound above pencil.MAX_COEFF_BOUND).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .checks import (
     run_all,
     run_single,
 )
-from .pencil import GenerationError, generate, load_instance
+from .pencil import MAX_COEFF_BOUND, GenerationError, generate, load_instance
 
 _ID_SHAPE = re.compile(r"^(prop|def)\d")
 
@@ -40,7 +41,8 @@ def _build_parser():
     g.add_argument("--seed", type=int, required=True,
                    help="seed for the deterministic rejection sampling")
     g.add_argument("--bound", type=int, required=True,
-                   help="coefficient bound for the integer matrices (>= 1)")
+                   help="coefficient bound for the integer matrices "
+                        f"(1..{MAX_COEFF_BOUND})")
     g.add_argument("-o", "--out", required=True, metavar="PATH",
                    help="where to write the canonical instance JSON")
 
@@ -66,6 +68,8 @@ def _fail_usage(message):
 def cmd_gen(args):
     if args.bound < 1:
         return _fail_usage("--bound must be >= 1")
+    if args.bound > MAX_COEFF_BOUND:
+        return _fail_usage(f"--bound must be at most {MAX_COEFF_BOUND}")
     try:
         P = generate(args.seed, args.bound)
     except GenerationError as exc:

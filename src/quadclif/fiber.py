@@ -843,19 +843,24 @@ class SideFibers:
             self._central[side] = (alg, central_odd(alg))
         return self._central[side]
 
-    def algebra(self, side):
-        """central(side), with alg proven associative by
-        CliffordAlgebra.verify_associativity (before d is built, so a
-        broken engine fails the proof first) and its structure constants
+    def proven(self, side):
+        """The block's algebra, proven associative by
+        CliffordAlgebra.verify_associativity and its structure constants
         checked to lie in Z[u], so associativity carries to every fiber
         by the ring homomorphism Z[u] → K of evaluation at a point over K:
         a tower, a cubic field, or F_p."""
+        alg = self._block(side)
         if side not in self._proven:
-            alg = self._block(side)
             alg.verify_associativity()
             if not alg.integral_structure():
                 raise ValueError("non-integer structure constant")
             self._proven.add(side)
+        return alg
+
+    def algebra(self, side):
+        """central(side) of the proven(side) algebra, proven before d is
+        built, so a broken engine fails the proof first."""
+        self.proven(side)
         return self.central(side)
 
 

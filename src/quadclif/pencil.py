@@ -41,6 +41,11 @@ from .exactalg import (
 U_VARS = ("u1", "u2", "u3")
 URING = PolyRing(ZZ, U_VARS)
 
+# The largest accepted coeff_bound, loaded or generated: it bounds every
+# entry, hence the digits of Δ± and the resultant, so the runtime of a
+# check and the integers its report prints.
+MAX_COEFF_BOUND = 10**6
+
 
 def det_cubic(mats):
     """det(Σ uₖ mats[k]) as a cubic form over Z.  The determinant is linear
@@ -139,6 +144,9 @@ class InvariantPencil:
             raise ValueError("seed and coeff_bound must be integers")
         if self.coeff_bound < 0:
             raise ValueError("coeff_bound must be nonnegative")
+        if self.coeff_bound > MAX_COEFF_BOUND:
+            raise ValueError(f"coeff_bound must be at most {MAX_COEFF_BOUND}, "
+                             f"got {self.coeff_bound}")
         b = self.coeff_bound
         for mats in (self.q_plus, self.q_minus):
             for m in mats:

@@ -9,7 +9,9 @@ from quadclif.clifford import (
     CentralElementError,
     CentralOddResult,
     CliffordAlgebra,
+    _block_parities,
     central_odd,
+    defining_relations,
 )
 from quadclif import plucker
 from quadclif.exactalg import (
@@ -560,16 +562,24 @@ def seeded_resultant_nine_points(f_plus, f_minus, rng):
 
 def flip_step(monkeypatch, variant, bad):
     """Negate the engine's normal form of e_mask·v_j on one (mask, j) of
-    one variant: the sign-broken engine."""
+    one variant, or of each variant in a tuple: the sign-broken engine."""
     orig = CliffordAlgebra._mask_times_gen
+    variants = (variant,) if isinstance(variant, str) else variant
 
     def broken(self, mask, j):
         res = orig(self, mask, j)
-        if self.variant == variant and (mask, j) == bad:
+        if self.variant in variants and (mask, j) == bad:
             res = tuple((m, -c) for m, c in res)
         return res
 
     monkeypatch.setattr(CliffordAlgebra, "_mask_times_gen", broken)
+
+
+def flip_six_generator_step(monkeypatch, bad):
+    """flip_step on both six-generator engines alike (ngens == 6), the
+    side engines intact: the two tables still agree with each other up to
+    the cross sign, so only the tensor-product certificate sees it."""
+    flip_step(monkeypatch, ("ordinary", "super"), bad)
 
 
 def central_odd_pencil(P, side):
@@ -738,6 +748,78 @@ def clifford_over(P, variant, field):
 def phi_pair(P):
     """(super, ordinary) algebras over Q(i)[u] for the same pencil."""
     return (clifford_over(P, "super", QQI), clifford_over(P, "ordinary", QQI))
+
+
+def phi_twist_failures(sup, target):
+    """The oracle for the twist that prop3.9-phi reads off the two
+    tensor-product certificates: generator steps (m, j) on which the super
+    engine is not the ordinary one up to its cross-block swap signs.
+    Every mask m < 64 and generator j < 6 must satisfy
+
+    (T) sup._mask_times_gen(m, j) is target._mask_times_gen(m, j) with
+        every coefficient multiplied by (-1)^(|m₋|·[j ∈ plus]);
+    (P) every output mask m' has |m'₊| ≡ |m₊| + [j ∈ plus] and
+        |m'₋| ≡ |m₋| + [j ∈ minus] (mod 2).
+
+    An empty list proves sup.mask_mul(a, b) = (-1)^(|a₋|·|b₊|) ·
+    target.mask_mul(a, b) term by term for all masks a, b, every mask of
+    the product lying in the block-parity class of a ⊕ b, by induction
+    over the generator steps of mask_mul, plus generators first."""
+    if sup.variant != "super" or target.variant != "ordinary":
+        raise ValueError("phi maps the super variant onto the ordinary one")
+    if target.ring != sup.ring:
+        raise ValueError("the two engines must share the coefficient ring")
+    bad = []
+    for m in range(1 << sup.ngens):
+        for j in range(sup.ngens):
+            flip = bin(m & sup.minus_mask).count("1") % 2 and not sup.gen_parity(j)
+            want = tuple((m2, -c if flip else c)
+                         for m2, c in target._mask_times_gen(m, j))
+            parity = _block_parities(m ^ (1 << j))
+            if (sup._mask_times_gen(m, j) != want
+                    or any(_block_parities(m2) != parity for m2, _ in want)):
+                bad.append((m, j))
+    return bad
+
+
+def action_scales_relation(alg, terms, s, lam):
+    """The oracle for prop3.19-equivariance: apply the scaling action
+    (generators pick up λ, the negated block also picks up s, base
+    variables pick up λ²) and test that the relation transforms by one
+    overall scalar, comparing cross-multiplied coefficients, so that over
+    Z[u] nothing is divided."""
+    lam = Fraction(lam)
+    transformed = []
+    for word, poly in terms:
+        scale = Fraction(1)
+        for g in word:
+            scale *= lam * (s if alg.gen_parity(g) else 1)
+        newpoly = poly.ring.from_terms(
+            [(e, c * scale * lam ** (2 * sum(e))) for e, c in poly.terms.items()]
+        )
+        transformed.append((word, newpoly))
+    mu = None
+    for (word, poly), (_, newpoly) in zip(terms, transformed):
+        if poly.is_zero():
+            if not newpoly.is_zero():
+                return False
+            continue
+        e, c = poly.leading_term()
+        ratio = newpoly.terms.get(e)
+        if ratio is None:
+            return False
+        if mu is None:
+            mu = (ratio, c)  # the scalar ratio/c, never divided out
+        if newpoly * mu[1] != poly * mu[0]:
+            return False
+    return True
+
+
+def equivariance_check(alg):
+    """True iff every defining relation of alg transforms by a single
+    scalar under both components of the scaling action, tested at λ = 2."""
+    return all(action_scales_relation(alg, terms, s, 2)
+               for terms in defining_relations(alg) for s in (1, -1))
 
 
 def is_homogeneous(poly):

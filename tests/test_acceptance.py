@@ -19,6 +19,7 @@ from conftest import (
     certify_ordinary_m4,
     certify_side_split,
     commutant_dims,
+    equivariance_check,
     hilbert_dims_center,
     phi_pair,
 )
@@ -29,7 +30,6 @@ from quadclif.clifford import (
     CliffordAlgebra,
     central_pair,
     defining_relations,
-    equivariance_check,
     lift,
     phi,
     terms_homogeneous,

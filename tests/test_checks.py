@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     cached_pencil,
     commutant_dims,
+    flip_six_generator_step,
     flip_step,
     hilbert_dims_center,
     mutate_identities,
@@ -86,7 +87,7 @@ class TestRegistry:
         assert r.status == "pass"
         lower, bound = r.witnesses
         assert lower == {"basis": ["1", "d_plus", "d_minus", "d_plus*d_minus"],
-                         "central": [True] * 4, "weights": [0, 3, 3, 6],
+                         "weights": [0, 3, 3, 6],
                          "masks": [0, 7, 56, 63], "unit_diagonal": True}
         assert bound == {"point": [1, 2, 3], "columns": 64, "kernel_dim": 4,
                          "top_masks": [0, 7, 56, 63]}
@@ -114,15 +115,20 @@ class TestRegistryMutants:
     """Checks made to FAIL through run_single by a mutated engine step,
     table, determinant or module; `fails` names each case's check ids."""
 
-    @fails("prop3.5-grading")
-    def test_grading_fails_on_a_grafted_odd_word(self, monkeypatch):
+    @staticmethod
+    def graft(monkeypatch, word):
+        """Append the term (word, 1) to the first defining relation."""
         relations = checks.defining_relations
 
         def grafted(alg):
             rels = relations(alg)
-            return [rels[0] + [((0,), alg.ring.one())]] + rels[1:]
+            return [rels[0] + [(word, alg.ring.one())]] + rels[1:]
 
         monkeypatch.setattr(checks, "defining_relations", grafted)
+
+    @fails("prop3.5-grading")
+    def test_grading_fails_on_a_grafted_odd_word(self, monkeypatch):
+        self.graft(monkeypatch, (0,))
         r = run_single(CheckContext(cached_pencil(42)), "prop3.5-grading")
         assert r.status == "fail"
         assert [(w["variant"], w["inhomogeneous"]) for w in r.witnesses] == [
@@ -130,18 +136,31 @@ class TestRegistryMutants:
 
     @fails("prop3.19-equivariance")
     def test_equivariance_fails_on_a_wrong_scaling(self, monkeypatch):
-        scales = clifford.action_scales_relation
-
-        def generators_at_lambda_squared(alg, terms, s, lam):
-            # each word read twice: a generator picks up λ², not λ
-            return scales(alg, [(word * 2, poly) for word, poly in terms], s, lam)
-
-        monkeypatch.setattr(clifford, "action_scales_relation",
-                            generators_at_lambda_squared)
+        # a stray constant scales by 1 where the rest of v1² + q11 scales
+        # by λ² = 4
+        self.graft(monkeypatch, ())
         r = run_single(CheckContext(cached_pencil(42)), "prop3.19-equivariance")
         assert r.status == "fail"
         assert [(w["variant"], w["single_scalar"]) for w in r.witnesses] == [
             ("ordinary", False), ("super", False)]
+
+    @fails("prop3.5-grading", "prop3.19-equivariance", "prop3.9-phi",
+           "prop3.13-center")
+    @pytest.mark.parametrize("step", [(19, 4), (6, 0), (3, 1)])
+    def test_graded_algebra_checks_fail_on_a_step_flipped_in_both_engines(
+            self, monkeypatch, step):
+        # both six-generator engines alike, the sides intact: every check
+        # passed on these steps until the tensor-product certificate
+        flip_six_generator_step(monkeypatch, step)
+        ctx = CheckContext(cached_pencil(42), points=1)
+        for cid, variant in (("prop3.5-grading", "ordinary"),
+                             ("prop3.19-equivariance", "ordinary"),
+                             ("prop3.9-phi", "super"),
+                             ("prop3.13-center", "ordinary")):
+            r = run_single(ctx, cid)
+            assert (r.status, r.witnesses) == ("fail", [{
+                "error": "ValueError: tensor product fails on the "
+                         f"{variant} step e_{step[0]}·v_{step[1]}"}]), cid
 
     @fails("prop3.18-corank1-m2")
     @pytest.mark.parametrize("side", ["plus", "minus"])
@@ -157,16 +176,13 @@ class TestRegistryMutants:
 
     @fails("prop3.13-center")
     def test_center_fails_on_a_flipped_step(self, monkeypatch):
-        # a negated e_{v1v2}·v3 step of the ordinary engine: d₊ no longer
-        # commutes with the generators, and the kernel at each point loses
-        # the two basis elements that contain it
+        # a negated e_{v1v2}·v3 step of the ordinary engine is no longer
+        # the plus side's step: the tensor-product certificate names it
+        # before any kernel is taken
         flip_step(monkeypatch, "ordinary", (0b011, 2))
         r = run_single(CheckContext(cached_pencil(42)), "prop3.13-center")
-        assert r.status == "fail"
-        lower, *bounds = r.witnesses
-        assert lower["central"] == [True, False, True, False]
-        assert bounds == [{"point": list(u), "columns": 64, "kernel_dim": 2,
-                           "top_masks": [0, 56]} for u in checks.CENTER_POINTS]
+        assert (r.status, r.witnesses) == ("fail", [{
+            "error": "ValueError: tensor product fails on the ordinary step e_3·v_2"}])
 
     @fails("prop3.13-center")
     def test_center_fails_when_no_point_bounds_the_kernel(self, monkeypatch):
@@ -177,20 +193,22 @@ class TestRegistryMutants:
         r = run_single(CheckContext(cached_pencil(42)), "prop3.13-center")
         assert r.status == "fail"
         lower, bound = r.witnesses
-        assert lower["central"] == [True] * 4 and lower["unit_diagonal"]
+        assert lower["weights"] == [0, 3, 3, 6] and lower["unit_diagonal"]
         assert (bound["point"], bound["kernel_dim"]) == ([0, 0, 0], 25)
 
-    @fails("prop3.9-phi")
+    @fails("prop3.9-phi", "prop3.13-center")
     def test_flipped_step_outside_the_center_fails_phi(self, monkeypatch):
         # a negated e_{v2v3}·v1 step touches only the column of mask 0b110,
-        # where no central element has a coefficient, so the center check
-        # still passes; the step certificate of prop3.9-phi catches it
+        # where no central element has a coefficient, so the kernel at a
+        # point does not see it; the tensor-product certificate names it in
+        # both checks
         flip_step(monkeypatch, "ordinary", (0b110, 0))
         ctx = CheckContext(cached_pencil(42))
-        assert run_single(ctx, "prop3.13-center").status == "pass"
-        r = run_single(ctx, "prop3.9-phi")
-        assert r.status == "fail"
-        assert r.witnesses[0]["failing_pairs"][:2] == [[6, 3], [6, 5]]
+        for cid in ("prop3.9-phi", "prop3.13-center"):
+            r = run_single(ctx, cid)
+            assert (r.status, r.witnesses) == ("fail", [{
+                "error": "ValueError: tensor product fails on the ordinary "
+                         "step e_6·v_0"}]), cid
 
     @fails("prop3.18-corank1-m2")
     def test_corank1_fails_on_the_diagonal_with_the_discriminants(self):

@@ -12,7 +12,7 @@ import pytest
 from quadclif import __version__
 from quadclif.checks import CHECK_ORDER
 from quadclif.cli import main
-from quadclif.pencil import U_VARS, load_instance
+from quadclif.pencil import MAX_COEFF_BOUND, U_VARS, load_instance
 
 from conftest import (
     BAD_REDUCTION_Q_PLUS,
@@ -43,9 +43,11 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 
 # SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
 # of `check --points 2` on that instance: every verdict and witness of the
-# full run is pinned byte for byte.  It last changed when prop4.8-m0-matrix
-# and prop4.9-segre began to name their kernel relation and rank minors
-# (before: daaed7e5…ed88803e3); before that, when the witnesses of
+# full run is pinned byte for byte.  It last changed when prop3.13-center
+# dropped its "central" list, which the tensor-product certificate of
+# CheckContext.algebra now implies (before: 8e0600e4…39836d80b); before
+# that, when prop4.8-m0-matrix and prop4.9-segre began to name their kernel
+# relation and rank minors (before: daaed7e5…ed88803e3); before that, when the witnesses of
 # prop4.7-annihilator began to count the module's Clifford relations and
 # traces (before: b5366b8b…e436b78); before that, when the genericity and
 # curve checks began to carry Δ±, the resultant's center and their
@@ -53,7 +55,7 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 # top-level primes (e7c3ef98…78da2f0); and before that, through the
 # witnesses of prop3.17-azumaya-m4 and prop3.18-split-m2, which moved from
 # verdicts at sampled points to Gram identities over Z[u] (0c3a7664…8ee4).
-FULL_RUN_SHA256 = "8e0600e4ffb6c3ea099bda4ebd056f3e7a413db35816b3c7337211e39836d80b"
+FULL_RUN_SHA256 = "e17bbe71dc95e9b0a37cef7845c7321f5cc1d1467459761acae5613498b92541"
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.
@@ -115,6 +117,13 @@ class TestGen:
                    "-o", str(tmp_path / "x.json")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+        # one above the ceiling is refused before any matrix is drawn
+        rc = main(["gen", "--seed", "1", "--bound", str(MAX_COEFF_BOUND + 1),
+                   "-o", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert (capsys.readouterr().err.strip()
+                == "quadclif: error: --bound must be at most 1000000")
+        assert not (tmp_path / "x.json").exists()
 
     def test_unwritable_out(self, tmp_path, capsys):
         rc = main(["gen", "--seed", "1", "--bound", "3",
@@ -209,6 +218,15 @@ class TestCheckUsage:
             bad.write_text(text)
             assert main(["check", bad.as_posix()]) == 2
             assert "malformed instance" in capsys.readouterr().err
+        # a coefficient bound at the ceiling loads, one above it does not
+        bad.write_text(json.dumps(dict(good, coeff_bound=MAX_COEFF_BOUND)))
+        assert main(["check", "prop3.12-dplus-square", bad.as_posix()]) == 0
+        bad.write_text(json.dumps(dict(good, coeff_bound=MAX_COEFF_BOUND + 1)))
+        capsys.readouterr()
+        assert main(["check", bad.as_posix()]) == 2
+        err = capsys.readouterr().err
+        assert "malformed instance" in err
+        assert "coeff_bound must be at most 1000000, got 1000001" in err
 
 
 class TestCheckRuns:
@@ -268,8 +286,7 @@ class TestCheckRuns:
         rep = stripped(report)
         assert rep["flags"] == {"points": 20}
         lower, bound = rep["checks"][0]["witnesses"]
-        assert lower["central"] == [True] * 4
-        assert lower["weights"] == [0, 3, 3, 6]
+        assert lower["weights"] == [0, 3, 3, 6] and lower["unit_diagonal"]
         assert bound == {"point": [1, 2, 3], "columns": 64, "kernel_dim": 4,
                          "top_masks": [0, 7, 56, 63]}
         assert "error" not in json.dumps(rep) and float_paths(rep) == []
@@ -367,6 +384,8 @@ class TestOptimizedInterpreter:
                                 ("prop3.18-split-m2", ["--points", "1"]),
                                 ("prop3.18-corank1-m2", ["--points", "1"]),
                                 ("prop3.12-dplus-square", []),
+                                ("prop3.5-grading", []),
+                                ("prop3.9-phi", []),
                                 ("prop3.13-center", [])):
             plain, optimized = tmp_path / "plain.json", tmp_path / "opt.json"
             rc = main(["check", check_id, str(inst), *flags,

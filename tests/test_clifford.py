@@ -16,18 +16,15 @@ from quadclif.clifford import (
     CliffordAlgebra,
     CliffordElement,
     U_VARS,
-    action_scales_relation,
     central_odd,
     central_pair,
     commutant_basis,
     defining_relations,
-    equivariance_check,
     lift,
     phi,
     phi_exponent,
     phi_failing_pairs,
     phi_sign_rule_failures,
-    phi_twist_failures,
     terms_homogeneous,
 )
 from quadclif.checks import CheckContext, run_single
@@ -38,14 +35,18 @@ from conftest import (
     QQI,
     SINGULAR_OFF_FP_Q_PLUS,
     PrimeField,
+    action_scales_relation,
     cached_pencil,
     clifford_over,
     central_odd_by_ansatz,
     central_odd_pencil,
     commutant_basis_by_weight,
     commutant_dims,
+    equivariance_check,
+    flip_six_generator_step,
     flip_step,
     hilbert_dims_center,
+    phi_twist_failures,
     seeded_pencil,
     with_q_plus,
 )
@@ -107,6 +108,22 @@ def test_associativity_random(variant):
         b = random_element(alg, rng)
         c = random_element(alg, rng)
         assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("variant", ["ordinary", "super"])
+def test_tensor_product_tables_associative_on_seeded_triples(variant):
+    # the long path behind verify_tensor_product: 300 seeded basis triples
+    # of the 64-dimensional table (a full verify_associativity takes
+    # seconds)
+    P = cached_pencil(42)
+    alg = CliffordAlgebra.from_pencil(P, variant)
+    assert alg.verify_tensor_product(*(CliffordAlgebra.from_pencil(P, side)
+                                       for side in ("plus", "minus")))
+    rng = random.Random(f"tensor-triples-{variant}")
+    for _ in range(300):
+        a, b, c = (rng.randrange(64) for _ in range(3))
+        assert (alg.basis_product(a, b) * alg.from_mask(c)
+                == alg.from_mask(a) * alg.basis_product(b, c))
 
 
 def test_associativity_prime_field():
@@ -380,21 +397,33 @@ def test_phi_rejects_odd_weight(algebra_pair):
             CliffordAlgebra.from_pencil(P, "ordinary"))  # rationals lack i
 
 
-# -- the generator-step certificate for phi -----------------------------------
+# -- the tensor-product certificate and the phi twist it implies -------------
 
 
 def _block_sizes(m):
     return bin(m & 0b000111).count("1"), bin(m & 0b111000).count("1")
 
 
-@pytest.mark.parametrize("seed", [42, 7, "generated"])
+def _sides(P, field):
+    return tuple(clifford_over(P, side, field) for side in ("plus", "minus"))
+
+
+@pytest.mark.parametrize(
+    "seed", [42, 7, "generated"] + [f"seeded-{i}" for i in range(20)])
 def test_phi_certificate_agrees_with_structure_constants(seed, algebra_pair):
-    if seed == "generated":
-        P = generate(2024, 2)
+    # both six-generator engines pass verify_tensor_product against the
+    # side engines, and then the twist oracle and the pair-by-pair
+    # comparison find nothing, as prop3.9-phi concludes without them
+    if seed in (42, 7):
+        P = cached_pencil(seed)
+        sup, ordi = algebra_pair(seed)
+    else:
+        P = (generate(2024, 2) if seed == "generated"
+             else seeded_pencil(int(seed.split("-")[1])))
         sup = CliffordAlgebra.from_pencil(P, "super")
         ordi = CliffordAlgebra.from_pencil(P, "ordinary")
-    else:
-        sup, ordi = algebra_pair(seed)
+    sides = _sides(P, sup.ring.field)
+    assert sup.verify_tensor_product(*sides) and ordi.verify_tensor_product(*sides)
     assert phi_twist_failures(sup, ordi) == []
     assert phi_failing_pairs(sup, ordi) == []
 
@@ -429,8 +458,28 @@ def test_phi_certificate_names_the_mutated_step(monkeypatch):
     flip_step(monkeypatch, "super", (0b001001, 1))  # v1+ v1- · v2+
     sup = CliffordAlgebra.from_pencil(P, "super")
     ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    sides = _sides(P, ZZ)
     # the flipped step and the three steps whose normal form peels down to it
     assert phi_twist_failures(sup, ordi) == [(9, 1), (25, 1), (41, 1), (57, 1)]
+    with pytest.raises(ValueError, match="the super step e_9·v_1$"):
+        sup.verify_tensor_product(*sides)
+    assert ordi.verify_tensor_product(*sides)
+
+
+@pytest.mark.parametrize("step", [(19, 4), (6, 0), (3, 1)])
+def test_tensor_certificate_names_a_step_flipped_in_both_engines(monkeypatch,
+                                                                 step):
+    # the two engines still agree up to the cross sign, so the twist oracle
+    # sees nothing; the certificate compares each against the sides
+    P = cached_pencil(42)
+    flip_six_generator_step(monkeypatch, step)
+    sup = CliffordAlgebra.from_pencil(P, "super")
+    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    assert phi_twist_failures(sup, ordi) == []
+    for alg in (sup, ordi):
+        with pytest.raises(ValueError, match=(
+                f"the {alg.variant} step e_{step[0]}·v_{step[1]}$")):
+            alg.verify_tensor_product(*_sides(P, ZZ))
 
 
 def test_phi_certificate_checks_output_parities(monkeypatch):
@@ -449,6 +498,9 @@ def test_phi_certificate_checks_output_parities(monkeypatch):
     sup = CliffordAlgebra.from_pencil(P, "super")
     ordi = CliffordAlgebra.from_pencil(P, "ordinary")
     assert phi_twist_failures(sup, ordi)[0] == (0, 0)
+    # in the side engines the extra term leaves the three generators
+    with pytest.raises(ValueError, match="the plus step e_0·v_0 does not change"):
+        sup.verify_tensor_product(*_sides(P, ZZ))
 
 
 def test_phi_certificate_rejects_wrong_inputs():
@@ -459,23 +511,28 @@ def test_phi_certificate_rejects_wrong_inputs():
         phi_twist_failures(ordi, sup)
     with pytest.raises(ValueError):
         phi_twist_failures(sup, clifford_over(P, "ordinary", QQI))
+    plus, minus = _sides(P, ZZ)
+    other = _sides(cached_pencil(7), ZZ)
+    for args in ((minus, plus), (plus, other[1]), (other[0], minus)):
+        with pytest.raises(ValueError, match="the two blocks"):
+            ordi.verify_tensor_product(*args)
+    with pytest.raises(ValueError, match="the two blocks"):
+        plus.verify_tensor_product(plus, minus)
 
 
 def test_phi_check_falls_back_on_a_broken_engine(monkeypatch):
-    # a flipped cross sign in the super engine: the certificate names the
-    # step, so the check compares the structure constants and reports the
-    # pairs that truly fail
+    # a flipped cross sign in the super engine: the tensor-product
+    # certificate names the step, so prop3.9-phi FAILs before any pair is
+    # compared, and the pair-by-pair oracle confirms that pairs truly fail
     P = cached_pencil(42)
     flip_step(monkeypatch, "super", (0b001001, 1))
     r = run_single(CheckContext(P, points=1), "prop3.9-phi")
     assert r.status == "fail"
-    (wit,) = r.witnesses
+    assert r.witnesses == [
+        {"error": "ValueError: tensor product fails on the super step e_9·v_1"}]
     expected = phi_failing_pairs(CliffordAlgebra.from_pencil(P, "super"),
                                  CliffordAlgebra.from_pencil(P, "ordinary"))
-    assert expected
-    assert wit["failing_pairs"] == expected[:8]
-    assert [0b001001, 0b001010] in wit["failing_pairs"]
-    assert wit["pairs"] == 1024
+    assert [0b001001, 0b001010] in expected
 
 
 def test_phi_check_catches_the_real_scaling(monkeypatch, algebra_pair):
@@ -749,6 +806,8 @@ def test_relations_homogeneous_and_equivariant():
 
 
 def test_corrupted_relation_detected():
+    # the stray constant changes the weight, not the minus parity: s = 1
+    # already sees it
     P = cached_pencil(42)
     alg = CliffordAlgebra.from_pencil(P, "ordinary")
     terms = defining_relations(alg)[0]
@@ -827,7 +886,12 @@ def test_scaling_action_is_exact_over_the_integers(lam):
     """action_scales_relation compares cross-multiplied coefficients, so
     over Z[u] it never divides (a float would raise TypeError at the next
     polynomial product) and agrees with the rational oracle, on every
-    relation and on each one with a stray constant term."""
+    relation and on each one with a stray constant term.  On seeds 42 and
+    7 and seeded_pencil(0..19) the bidegree verdict that prop3.19 reads,
+    terms_homogeneous, equals the oracle for both signs s, on every
+    relation and on each one grafted with a stray constant, an odd word
+    or the word v1- v2-, whose weight is that of every relation, so that
+    on the cross relations only s = -1 sees it."""
     P = cached_pencil(42)
     for variant in ("ordinary", "super"):
         algs = (CliffordAlgebra.from_pencil(P, variant),
@@ -838,3 +902,15 @@ def test_scaling_action_is_exact_over_the_integers(lam):
                     assert action_scales_relation(alg, terms, s, lam)
                     bad = terms + [((), alg.ring.one())]
                     assert not action_scales_relation(alg, bad, s, lam)
+    pencils = [cached_pencil(42), cached_pencil(7)] + [seeded_pencil(i)
+                                                       for i in range(20)]
+    for P in pencils:
+        for variant in ("ordinary", "super"):
+            alg = CliffordAlgebra.from_pencil(P, variant)
+            one = alg.ring.one()
+            for terms in defining_relations(alg):
+                for graft in ([], [((), one)], [((0,), one)], [((3, 4), one)]):
+                    rel = terms + graft
+                    assert terms_homogeneous(alg, rel) == all(
+                        action_scales_relation(alg, rel, s, lam)
+                        for s in (1, -1)), (variant, rel)
