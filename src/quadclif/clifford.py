@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import QQ, ZZ, MultiPoly, PolyRing, as_int, kernel_int_sparse
+from .exactalg import ZZ, MultiPoly, PolyRing, as_int, kernel_int_sparse
 
 U_VARS = ("u1", "u2", "u3")
 
@@ -416,8 +416,9 @@ class CliffordElement:
 
 def phi_exponent(mask):
     """ε(m): phi scales the basis monomial e_m by i^ε(m), where ε(m) is
-    the number of plus-block generators in m, mod 2.  `phi`,
-    `phi_failing_pairs` and `phi_sign_rule_failures` read it from here."""
+    the number of plus-block generators in m, mod 2.  `phi` reads it
+    from here, and checks._check_phi states why it absorbs the sign
+    between the super and ordinary engines."""
     return _popcount(mask & 0b111) % 2
 
 
@@ -448,85 +449,6 @@ def phi(e, target):
         scale = field.i if phi_exponent(mask) else field.one
         out[mask] = poly * scale
     return CliffordElement(target, out)
-
-
-def phi_failing_pairs(sup, target, exponent=phi_exponent):
-    """Even mask pairs [a, b] on which e_m ↦ i^exponent(m)·e_m fails to be
-    multiplicative, read off the structure constants over Z[u] or Q[u].
-
-    phi(e_a e_b) = Σ c^sup_m i^ε(m) e_m and phi(e_a) phi(e_b) =
-    i^(ε(a)+ε(b)) Σ c^ord_m e_m, so the pair is good iff
-    c^sup_m = i^δ c^ord_m for every mask m, with δ = ε(a)+ε(b)-ε(m) mod 4.
-    The coefficients are rational polynomials, so δ = 0 asks for equality,
-    δ = 2 for opposite signs, and odd δ for both to vanish (a real
-    polynomial equals an imaginary one only when both are zero).  This is
-    the same test as comparing phi(a·b) with phi(a)·phi(b) over Q(i)[u],
-    without any Gaussian arithmetic.  `exponent` may return any integer;
-    it is read mod 4.
-    """
-    if sup.variant != "super" or target.variant != "ordinary":
-        raise ValueError("phi maps the super variant onto the ordinary one")
-    if target.ring != sup.ring or sup.ring.field not in (ZZ, QQ):
-        raise ValueError("structure constants must share a rational ring")
-    zero = sup.ring.zero()
-    even = [m for m in range(1 << sup.ngens) if _popcount(m) % 2 == 0]
-    bad = []
-    for ma in even:
-        for mb in even:
-            lhs = dict(sup.mask_mul(ma, mb))
-            rhs = dict(target.mask_mul(ma, mb))
-            shift = exponent(ma) + exponent(mb)
-            for m in lhs.keys() | rhs.keys():
-                cs, co = lhs.get(m, zero), rhs.get(m, zero)
-                delta = (shift - exponent(m)) % 4
-                if delta == 0:
-                    good = cs == co
-                elif delta == 2:
-                    good = cs == -co
-                else:
-                    good = cs.is_zero() and co.is_zero()
-                if not good:
-                    bad.append([ma, mb])
-                    break
-    return bad
-
-
-def _block_parities(mask):
-    """(|m₊| mod 2, |m₋| mod 2) for a six-generator mask."""
-    return _popcount(mask & 0b000111) % 2, _popcount(mask & 0b111000) % 2
-
-
-def phi_sign_rule_failures(exponent=phi_exponent):
-    """Even mask pairs [a, b] on which the sign twist between the super
-    and ordinary engines does not by itself make e_m ↦ i^exponent(m)·e_m
-    multiplicative.
-
-    By `phi_failing_pairs` the pair is good iff c^sup_m = i^δ c^ord_m for
-    every mask m of the product, δ = ε(a)+ε(b)-ε(m) mod 4.  When both
-    engines pass `CliffordAlgebra.verify_tensor_product` against the same
-    sides, with cross signs −1 and +1, each product is
-    ±(e_a₊·e_b₊) ⊗ (e_a₋·e_b₋), so c^sup_m = (-1)^(|a₋|·|b₊|) c^ord_m, and
-    by (P) every m lies in the block-parity class of a ⊕ b.  So it
-    suffices that i^δ = (-1)^(|a₋|·|b₊|) for every m in that class.  For
-    `phi_exponent` this always holds: for even a, |a₋| ≡ |a₊| = ε(a),
-    and ε(m) ≡ ε(a)+ε(b), so δ = 2 exactly when ε(a) = ε(b) = 1, which is
-    when the sign is -1.  The rule reads whole parity classes rather than
-    the masks that occur, so a listed pair proves nothing; then
-    `phi_failing_pairs` decides.
-    """
-    eps = [exponent(m) % 4 for m in range(64)]
-    classes = {}
-    for m in range(64):
-        classes.setdefault(_block_parities(m), []).append(m)
-    even = [m for m in range(64) if _popcount(m) % 2 == 0]
-    bad = []
-    for a in even:
-        for b in even:
-            sign = 2 * (_popcount(a & 0b111000) * _popcount(b & 0b000111) % 2)
-            if any((eps[a] + eps[b] - eps[m] - sign) % 4
-                   for m in classes[_block_parities(a ^ b)]):
-                bad.append([a, b])
-    return bad
 
 
 # ---------------------------------------------------------------------------

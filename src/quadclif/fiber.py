@@ -1,10 +1,13 @@
-"""Finite-dimensional fibers of the Clifford construction at chosen base
-points: exact quadratic towers, structure-constant algebras, radical and
-center computations, and matrix-algebra certification.
+"""Fibers of the Clifford construction: the side algebras over Z[u] with
+their certificates (even_certificate off the determinant curves,
+corank1_quotient on them), and the finite-dimensional fibers at chosen
+base points, as structure-constant algebras over exact quadratic towers.
 
-Scalars live in a small tower of quadratic extensions of Q (at most two
-square roots, which is all the idempotent constructions need), a cubic
-field or a prime field.  Everything is exact; no floating point anywhere.
+Scalars of a fiber live in a small tower of quadratic extensions of Q (at
+most two square roots, which is all the idempotent constructions need).
+Everything is exact; no floating point anywhere.  The cubic fields of
+line sections (cubic_section_point), the trace-form radical and the
+center of a table are on no check path; bench/tracer.py probes them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .exactalg import (
     mat_rank,
     rref,
     span_coords,
-    span_residual,
 )
 
 
@@ -399,8 +401,8 @@ class FinAlg:
       proof;
     - "clifford": a fiber of a Clifford normal-form engine proven once
       over Z[u] by CliffordAlgebra.verify_associativity, whose family (i)
-      also proves e₀ the unit; evaluation at a point over a tower or a
-      cubic field and reduction of integer constants mod p are ring
+      also proves e₀ the unit; evaluation at a point over any field of
+      characteristic 0 and reduction of integer constants mod p are ring
       homomorphisms, so they carry both to the fiber;
     - "tensor": a tensor product of two tables with a proof, whose unit
       is u_A ⊗ u_B;
@@ -410,7 +412,8 @@ class FinAlg:
     - None: no claim.  The constructor verifies the unit (2·dim
       products), and associativity holds only after check_associativity().
 
-    check_associativity() stays available on every table as the long path.
+    check_associativity() stays available on every table as the long
+    path; no check runs it on a fiber, whose tables all carry "clifford".
     mul() reads a sparse copy of the table, kept as the tuple of nonzero
     (k, t) pairs of each entry.
     """
@@ -646,43 +649,6 @@ def center_basis(A):
     return mat_kernel(rows, A.dim, A.field)
 
 
-def center_dim(A):
-    """Dimension of the center, from center_basis."""
-    return len(center_basis(A))
-
-
-# ---------------------------------------------------------------------------
-# certification
-# ---------------------------------------------------------------------------
-
-def certify_matrix_algebra(A, n):
-    """Verdict 'M{n}' when A has dimension n², zero radical, and trivial
-    center: a form of rank n² that becomes the full matrix algebra after
-    any base change splitting it (the certificate is closure-level).  A
-    declared tensor product is read off its factors."""
-    return certify_tensor_product(A.tensor_factors or (A,), n)
-
-
-def certify_tensor_product(factors, n):
-    """certify_matrix_algebra of (A₁ ⊗ … ⊗ A_k) ⊗ K, K any extension of the
-    factors' field, without the product table: the trace-form Gram matrix
-    of A ⊗ B is the Kronecker product of the factors' Grams, so its rank is
-    the product of their ranks (dim − radical_dim); Z(A ⊗ B) = Z(A) ⊗ Z(B)
-    over a field; and ranks and kernel dimensions do not change under
-    field extension."""
-    dim = prod(f.dim for f in factors)
-    if dim != n * n:
-        return f"fail:dim-{dim}"
-    _char_ok(factors[0].field, dim)
-    r = dim - prod(f.dim - radical_dim(f) for f in factors)
-    if r:
-        return f"fail:radical-{r}"
-    c = prod(center_dim(f) for f in factors)
-    if c != 1:
-        return f"fail:center-{c}"
-    return f"M{n}"
-
-
 # ---------------------------------------------------------------------------
 # fibers of the Clifford construction
 # ---------------------------------------------------------------------------
@@ -847,8 +813,8 @@ class SideFibers:
         """The block's algebra, proven associative by
         CliffordAlgebra.verify_associativity and its structure constants
         checked to lie in Z[u], so associativity carries to every fiber
-        by the ring homomorphism Z[u] → K of evaluation at a point over K:
-        a tower, a cubic field, or F_p."""
+        by the ring homomorphism Z[u] → K of evaluation at a point over K,
+        and every identity proven over Z[u] holds in every fiber."""
         alg = self._block(side)
         if side not in self._proven:
             alg.verify_associativity()
@@ -867,8 +833,9 @@ class SideFibers:
 def side_fiber(sides, side, u, field):
     """The 8-dimensional fiber of one block of sides.P at u over field
     (QuadraticTower(()) for Q), with its central odd vector and the
-    determinant value.  Its consumers check d² = f(u): corank1_quotient
-    and the module idempotent of plucker.module_rep."""
+    determinant value.  Its consumer, the module idempotent of
+    plucker.module_rep, checks d² = f(u); the curve claim needs no fiber
+    (corank1_quotient)."""
     u = _point(u)
     alg, dres = sides.algebra(side)
     A = clifford_fiber(alg, u, field, proof="clifford")
@@ -877,51 +844,53 @@ def side_fiber(sides, side, u, field):
     return A, dvec, fval
 
 
-def corank1_quotient(sides, side, u, field):
-    """At a curve point of corank one, the central odd vector squares to
-    zero; the quotient by the 4-dimensional two-sided ideal it generates
-    is certified as a rank-2 matrix algebra.
+def corank1_quotient(sides, side):
+    """(ok, witness) of one side's corank-1 certificate over Z[u], on the
+    side algebra that SideFibers.algebra proves associative.  With M the
+    block, f = det M and w_j = Σᵢ adj(M)ᵢⱼ·vᵢ, three identities need no
+    division:
 
-    u is rational, with field QuadraticTower(()) for Q, or a point over
-    a CubicField passed as field (see cubic_section_point).  The 8-dimensional fiber is not re-checked for
-    associativity: it is the image of the side algebra's Z[u]-table under
-    evaluation at u (SideFibers.algebra).  The 4-dimensional quotient
-    table is checked on all basis triples."""
-    P = sides.P
-    uc = _point(u)
-    fval = field.coerce(_det_value(P, side, uc))
-    if fval:
-        raise FiberError("the quotient only exists on the curve")
-    # corank exactly one: the adjugate of the block must survive
-    block = P.block_at(uc, side)
-    adj = adjugate3([[field.coerce(x) for x in r] for r in block])
-    if all(not x for row in adj for x in row):
-        raise FiberError("corank at least two at this point")
-    A, dvec, _ = side_fiber(sides, side, uc, field)
-    if any(A.mul(dvec, dvec)):
-        raise AssertionError("central element square must vanish on the curve")
-    pivots, ideal = rref([A.mul(dvec, A.basis_vec(i)) for i in range(8)])
-    if len(ideal) != 4:
-        raise FiberError(f"ideal dimension {len(ideal)} instead of 4")
-    for b in ideal:
-        for i in range(8):
-            if span_coords(pivots, ideal, A.mul(A.basis_vec(i), b)) is None:
-                raise AssertionError("ideal is not left-stable")
-            if span_coords(pivots, ideal, A.mul(b, A.basis_vec(i))) is None:
-                raise AssertionError("ideal is not right-stable")
-    complement = [i for i in range(8) if i not in pivots]
+    (A) w_j·v_k + v_k·w_j = −2f·δ_jk, from adj(M)·M = f·I;
+    (B) w_j² = −f·adj(M)_jj, from adj(M)·M·adj(M) = f·adj(M);
+    (C) adj(adj M) = f·M (Horn and Johnson, *Matrix Analysis*, Ch. 0).
 
-    def project(v):
-        red = span_residual(pivots, ideal, v)
-        return tuple(red[i] for i in complement)
+    They make the radical quotient of the side fiber A(u) over the field
+    K of u an M2 form (M2 over K̄) at every point u of E = {f = 0} over Q̄
+    where M(u) has corank one; Δ₊Δ₋ ≠ 0 makes that every point of E
+    (checks._curve_verdict).  At such a u:
 
-    lifts = [A.basis_vec(i) for i in complement]
-    table = [[project(A.mul(x, y)) for y in lifts] for x in lifts]
-    Q = FinAlg(field, table, project(A.unit),
-               gens=[project(g) for g in A.gens])
-    Q.check_associativity()
-    verdict = certify_matrix_algebra(Q, 2)
-    return Q, verdict
+    1. adj M(u) ≠ 0, as M(u) has rank 2, and by (C) its 2×2 minors
+       vanish, so adj_ij(u)² = adj_ii(u)·adj_jj(u) and some adj_ii(u) ≠ 0.
+    2. By (A) and (B) at u, w = w_i(u) anticommutes with every generator
+       and w² = 0, so A·w = w·A is a two-sided ideal I with I² = 0, and
+       I ⊆ rad A(u); 1 ∉ I, as 1 = 1² would lie in I² = 0.
+    3. w has the coefficient adj_ii(u) ≠ 0 on vᵢ, so modulo I the other
+       two generators v_k, v_l generate A/I, and they satisfy the Clifford
+       relations of q restricted to ⟨v_k, v_l⟩, whose Gram determinant is
+       the principal minor adj_ii(u) ≠ 0.  So A/I is a nonzero quotient of
+       the quaternion algebra C(q|⟨v_k, v_l⟩), which is simple (Lam,
+       Introduction to Quadratic Forms over Fields, GSM 67, Ch. III and V):
+       A/I ≅ C(q|⟨v_k, v_l⟩), semisimple, so rad A(u) = I, and the
+       quotient becomes M2(K̄) over K̄.
+
+    The witness gives held/total for (A), (B) and (C)."""
+    alg, _ = sides.algebra(side)
+    f = sides.P.det_curves().side(side)
+    M = [[alg.q_of(i, j) for j in range(3)] for i in range(3)]
+    adj = adjugate3(M)
+    v = [alg.gen(i) for i in range(3)]
+    w = [sum((v[i] * adj[i][j] for i in range(3)), alg.zero()) for j in range(3)]
+    adj2 = adjugate3(adj)
+    held = {
+        "A": sum(w[j] * v[k] + v[k] * w[j] == (f * -2 if j == k else 0)
+                 for j in range(3) for k in range(3)),
+        "B": sum(w[j] * w[j] == -(f * adj[j][j]) for j in range(3)),
+        "C": sum(adj2[i][j] == f * M[i][j] for i in range(3) for j in range(3)),
+    }
+    total = {"A": 9, "B": 3, "C": 9}
+    wit = {"side": side}
+    wit.update((k, {"held": held[k], "total": total[k]}) for k in held)
+    return held == total, wit
 
 
 # ---------------------------------------------------------------------------

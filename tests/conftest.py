@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from types import SimpleNamespace
 
 import pytest
@@ -9,9 +9,9 @@ from quadclif.clifford import (
     CentralElementError,
     CentralOddResult,
     CliffordAlgebra,
-    _block_parities,
     central_odd,
     defining_relations,
+    phi_exponent,
 )
 from quadclif import plucker
 from quadclif.exactalg import (
@@ -28,6 +28,8 @@ from quadclif.exactalg import (
     mat_rank,
     mat_solve,
     rref,
+    span_coords,
+    span_residual,
 )
 from quadclif.fiber import (
     EVEN_MASKS,
@@ -35,11 +37,12 @@ from quadclif.fiber import (
     FiberError,
     FinAlg,
     QuadraticTower,
+    _char_ok,
     _det_value,
     _point,
-    certify_matrix_algebra,
-    certify_tensor_product,
+    center_basis,
     corner_algebra,
+    radical_dim,
     side_fiber,
 )
 from quadclif.geometry import ReducedCurve, _zero_set, compile_poly
@@ -750,6 +753,89 @@ def phi_pair(P):
     return (clifford_over(P, "super", QQI), clifford_over(P, "ordinary", QQI))
 
 
+def popcount(m):
+    return bin(m).count("1")
+
+
+def phi_failing_pairs(sup, target, exponent=phi_exponent):
+    """Even mask pairs [a, b] on which e_m ↦ i^exponent(m)·e_m fails to be
+    multiplicative, read off the structure constants over Z[u] or Q[u].
+
+    phi(e_a e_b) = Σ c^sup_m i^ε(m) e_m and phi(e_a) phi(e_b) =
+    i^(ε(a)+ε(b)) Σ c^ord_m e_m, so the pair is good iff
+    c^sup_m = i^δ c^ord_m for every mask m, with δ = ε(a)+ε(b)-ε(m) mod 4.
+    The coefficients are rational polynomials, so δ = 0 asks for equality,
+    δ = 2 for opposite signs, and odd δ for both to vanish (a real
+    polynomial equals an imaginary one only when both are zero).  This is
+    the same test as comparing phi(a·b) with phi(a)·phi(b) over Q(i)[u],
+    without any Gaussian arithmetic.  `exponent` may return any integer;
+    it is read mod 4.
+    """
+    if sup.variant != "super" or target.variant != "ordinary":
+        raise ValueError("phi maps the super variant onto the ordinary one")
+    if target.ring != sup.ring or sup.ring.field not in (ZZ, QQ):
+        raise ValueError("structure constants must share a rational ring")
+    zero = sup.ring.zero()
+    even = [m for m in range(1 << sup.ngens) if popcount(m) % 2 == 0]
+    bad = []
+    for ma in even:
+        for mb in even:
+            lhs = dict(sup.mask_mul(ma, mb))
+            rhs = dict(target.mask_mul(ma, mb))
+            shift = exponent(ma) + exponent(mb)
+            for m in lhs.keys() | rhs.keys():
+                cs, co = lhs.get(m, zero), rhs.get(m, zero)
+                delta = (shift - exponent(m)) % 4
+                if delta == 0:
+                    good = cs == co
+                elif delta == 2:
+                    good = cs == -co
+                else:
+                    good = cs.is_zero() and co.is_zero()
+                if not good:
+                    bad.append([ma, mb])
+                    break
+    return bad
+
+
+def _block_parities(mask):
+    """(|m₊| mod 2, |m₋| mod 2) for a six-generator mask."""
+    return popcount(mask & 0b000111) % 2, popcount(mask & 0b111000) % 2
+
+
+def phi_sign_rule_failures(exponent=phi_exponent):
+    """Even mask pairs [a, b] on which the sign twist between the super
+    and ordinary engines does not by itself make e_m ↦ i^exponent(m)·e_m
+    multiplicative.
+
+    By `phi_failing_pairs` the pair is good iff c^sup_m = i^δ c^ord_m for
+    every mask m of the product, δ = ε(a)+ε(b)-ε(m) mod 4.  When both
+    engines pass `CliffordAlgebra.verify_tensor_product` against the same
+    sides, with cross signs −1 and +1, each product is
+    ±(e_a₊·e_b₊) ⊗ (e_a₋·e_b₋), so c^sup_m = (-1)^(|a₋|·|b₊|) c^ord_m, and
+    by (P) every m lies in the block-parity class of a ⊕ b.  So it
+    suffices that i^δ = (-1)^(|a₋|·|b₊|) for every m in that class.  For
+    `phi_exponent` this always holds: for even a, |a₋| ≡ |a₊| = ε(a),
+    and ε(m) ≡ ε(a)+ε(b), so δ = 2 exactly when ε(a) = ε(b) = 1, which is
+    when the sign is -1: the rule prop3.9-phi reads.  The rule reads
+    whole parity classes rather than the masks that occur, so a listed
+    pair proves nothing; then `phi_failing_pairs` decides.
+    """
+    eps = [exponent(m) % 4 for m in range(64)]
+    classes = {}
+    for m in range(64):
+        classes.setdefault(_block_parities(m), []).append(m)
+    even = [m for m in range(64) if popcount(m) % 2 == 0]
+    bad = []
+    for a in even:
+        for b in even:
+            sign = 2 * (popcount(a & 0b111000) * popcount(b & 0b000111) % 2)
+            if any((eps[a] + eps[b] - eps[m] - sign) % 4
+                   for m in classes[_block_parities(a ^ b)]):
+                bad.append([a, b])
+    return bad
+
+
 def phi_twist_failures(sup, target):
     """The oracle for the twist that prop3.9-phi reads off the two
     tensor-product certificates: generator steps (m, j) on which the super
@@ -1056,6 +1142,88 @@ def random_rational_curve_point(P, side, rng):
             if any(x for row in adjugate3(P.block_at(uz, side)) for x in row):
                 return uz
     return None
+
+
+# ---------------------------------------------------------------------------
+# matrix-algebra certification of a table, and the per-point corank-1 route
+# (the oracle of fiber.corank1_quotient's identities over Z[u])
+# ---------------------------------------------------------------------------
+
+def center_dim(A):
+    """Dimension of the center, from center_basis."""
+    return len(center_basis(A))
+
+
+def certify_matrix_algebra(A, n):
+    """Verdict 'M{n}' when A has dimension n², zero radical, and trivial
+    center: a form of rank n² that becomes the full matrix algebra after
+    any base change splitting it (the certificate is closure-level).  A
+    declared tensor product is read off its factors."""
+    return certify_tensor_product(A.tensor_factors or (A,), n)
+
+
+def certify_tensor_product(factors, n):
+    """certify_matrix_algebra of (A₁ ⊗ … ⊗ A_k) ⊗ K, K any extension of the
+    factors' field, without the product table: the trace-form Gram matrix
+    of A ⊗ B is the Kronecker product of the factors' Grams, so its rank is
+    the product of their ranks (dim − radical_dim); Z(A ⊗ B) = Z(A) ⊗ Z(B)
+    over a field; and ranks and kernel dimensions do not change under
+    field extension."""
+    dim = prod(f.dim for f in factors)
+    if dim != n * n:
+        return f"fail:dim-{dim}"
+    _char_ok(factors[0].field, dim)
+    r = dim - prod(f.dim - radical_dim(f) for f in factors)
+    if r:
+        return f"fail:radical-{r}"
+    c = prod(center_dim(f) for f in factors)
+    if c != 1:
+        return f"fail:center-{c}"
+    return f"M{n}"
+
+
+def corank1_quotient_at(sides, side, u, field):
+    """(Q, certify_matrix_algebra(Q, 2)) at one curve point u of corank
+    one over field (QuadraticTower(()) for Q, a CubicField for a point of
+    fiber.cubic_section_point, or F_p): the central odd vector squares to
+    zero there, and Q is the quotient of the side fiber by the
+    4-dimensional two-sided ideal it generates, checked on all basis
+    triples.  The per-point route that fiber.corank1_quotient's identities
+    replaced; it certifies the same radical quotient at u."""
+    P = sides.P
+    uc = _point(u)
+    fval = field.coerce(_det_value(P, side, uc))
+    if fval:
+        raise FiberError("the quotient only exists on the curve")
+    # corank exactly one: the adjugate of the block must survive
+    block = P.block_at(uc, side)
+    adj = adjugate3([[field.coerce(x) for x in r] for r in block])
+    if all(not x for row in adj for x in row):
+        raise FiberError("corank at least two at this point")
+    A, dvec, _ = side_fiber(sides, side, uc, field)
+    if any(A.mul(dvec, dvec)):
+        raise AssertionError("central element square must vanish on the curve")
+    pivots, ideal = rref([A.mul(dvec, A.basis_vec(i)) for i in range(8)])
+    if len(ideal) != 4:
+        raise FiberError(f"ideal dimension {len(ideal)} instead of 4")
+    for b in ideal:
+        for i in range(8):
+            if span_coords(pivots, ideal, A.mul(A.basis_vec(i), b)) is None:
+                raise AssertionError("ideal is not left-stable")
+            if span_coords(pivots, ideal, A.mul(b, A.basis_vec(i))) is None:
+                raise AssertionError("ideal is not right-stable")
+    complement = [i for i in range(8) if i not in pivots]
+
+    def project(v):
+        red = span_residual(pivots, ideal, v)
+        return tuple(red[i] for i in complement)
+
+    lifts = [A.basis_vec(i) for i in complement]
+    table = [[project(A.mul(x, y)) for y in lifts] for x in lifts]
+    Q = FinAlg(field, table, project(A.unit),
+               gens=[project(g) for g in A.gens])
+    Q.check_associativity()
+    return Q, certify_matrix_algebra(Q, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from conftest import (
     certify_ordinary_m4,
     certify_side_split,
     commutant_dims,
+    corank1_quotient_at,
     equivariance_check,
     hilbert_dims_center,
     phi_pair,
@@ -34,7 +35,7 @@ from quadclif.clifford import (
     phi,
     terms_homogeneous,
 )
-from quadclif.fiber import sample_invertible_points
+from quadclif.fiber import cubic_section_point, sample_invertible_points
 from quadclif.geometry import stabilizer, stabilizer_bruteforce
 from quadclif.pencil import generate, genericity_check, resultant_nine_points
 from quadclif.plucker import m0_identity_check, segre_identity_check
@@ -129,9 +130,11 @@ def test_criterion_4_grading_with_negative_control():
 
 
 def test_criterion_5_fiberwise_matrix_algebras():
-    """prop3.17 and prop3.18-split certify every point off the curves from
-    identities over Z[u]; the per-point route, the oracle in conftest.py,
-    certifies M4 and M2xM2 at 20 sampled points."""
+    """prop3.17 and prop3.18-split certify every point off the curves, and
+    prop3.18-corank1-m2 every point on them, from identities over Z[u];
+    the per-point routes, the oracles in conftest.py, certify M4 and
+    M2xM2 at 20 sampled points and M2 at one cubic-field curve point per
+    side (three conjugate points each)."""
     failures = []
     ctx = CheckContext(cached_pencil(42), points=20)
     for cid in ("prop3.17-azumaya-m4", "prop3.18-split-m2"):
@@ -149,11 +152,15 @@ def test_criterion_5_fiberwise_matrix_algebras():
     if split < 40:
         failures.append(("split oracle", split))
     r = run_single(ctx, "prop3.18-corank1-m2")
-    total = r.witnesses[-1]["corank1_points"]
-    if r.status != "pass" or total < 5:
-        failures.append(("corank1", r.status, total))
+    counts = [[w[k]["held"] for k in "ABC"] for w in r.witnesses if "A" in w]
+    if r.status != "pass" or counts != [[9, 3, 9]] * 2:
+        failures.append(("corank1", r.status, counts))
+    for side in ("plus", "minus"):
+        _, _, K, u = cubic_section_point(ctx.P, side)
+        if corank1_quotient_at(ctx.sides, side, u, K)[1] != "M2":
+            failures.append(("corank1 oracle", side))
     verdict(5, "M4 and split M2xM2 off the curves (oracle at 20 points), "
-               "5 corank-1 M2", failures)
+               "corank-1 M2 on them (oracle at 6 points)", failures)
 
 
 def test_criterion_6_genericity_with_negative_control():

@@ -18,7 +18,7 @@ from conftest import (
     mutate_identities,
     seeded_pencil,
 )
-from quadclif import checks, clifford, exactalg, geometry
+from quadclif import checks, clifford, exactalg, fiber, geometry
 from quadclif.checks import (
     CHECK_ORDER,
     CheckContext,
@@ -173,6 +173,25 @@ class TestRegistryMutants:
         assert r.status == "fail"
         assert r.witnesses == [
             {"error": "ValueError: associativity fails on (e_1 e_2) v_0"}]
+
+    @fails("prop3.18-corank1-m2")
+    def test_corank1_fails_on_an_adjugate_mutant_with_the_counts(
+            self, monkeypatch):
+        # adj(M)₀₁ negated: wⱼ no longer pairs with the generators as
+        # M·adj M = f·I says, and the mutant's adj(adj M) misses f·M
+        def mutant(m):
+            adj = exactalg.adjugate3(m)
+            adj[0][1] = -adj[0][1]
+            return adj
+
+        monkeypatch.setattr(fiber, "adjugate3", mutant)
+        r = run_single(CheckContext(cached_pencil(42), points=1),
+                       "prop3.18-corank1-m2")
+        assert r.status == "fail"
+        assert r.witnesses[2:4] == [{"side": side, "A": {"held": 6, "total": 9},
+                                     "B": {"held": 2, "total": 3},
+                                     "C": {"held": 5, "total": 9}}
+                                    for side in ("plus", "minus")]
 
     @fails("prop3.13-center")
     def test_center_fails_on_a_flipped_step(self, monkeypatch):
@@ -554,22 +573,37 @@ class TestOnInstance:
             if c["id"] in ids:
                 assert resultant_witnesses(c["witnesses"]) == [resultant]
 
-    def test_corank1_reaches_five_points(self):
+    def test_corank1_proves_the_three_identities(self):
         P = cached_pencil(42)
         ctx = CheckContext(P, points=2)
         r = run_single(ctx, "prop3.18-corank1-m2")
         assert r.status == "pass"
-        plus, minus, *points, summary = r.witnesses
+        plus, minus, *sides, summary = r.witnesses
         assert [plus["kind"], minus["kind"]] == ["discriminant"] * 2
-        assert summary == {"corank1_points": 6, "required": 5}
-        # one point per side over the cubic field of its section, named with
-        # the prime that certifies the section irreducible; no mod-p label
-        assert [w["side"] for w in points] == ["plus", "minus"]
-        for w in points:
-            assert w["verdict"] == "M2" and w["conjugate_points"] == 3
-            assert w["field"].startswith("Q[s]/(s^3")
-            assert w["section"][3] % w["irreducible_mod"]
-            assert "certificate" not in w
+        # held/total of (A), (B) and (C) per side, over Z[u]: no point, no
+        # line, no prime and no field
+        assert sides == [{"side": side, "A": {"held": 9, "total": 9},
+                          "B": {"held": 3, "total": 3},
+                          "C": {"held": 9, "total": 9}}
+                         for side in ("plus", "minus")]
+        assert summary["claim"] == "M2 radical quotient"
+        assert summary["locus"] == {"plus": "f_plus = 0", "minus": "f_minus = 0"}
+        assert set(summary["identities"]) == {"A", "B", "C"}
+        text = json.dumps(r.witnesses)
+        for word in ("line", "section", "prime", "field", "point"):
+            assert word not in text, word
+
+    def test_corank1_needs_no_cubic_field(self, monkeypatch):
+        # the line walk and the cubic field stay in fiber for the
+        # benchmark's probes only: a default check never reaches them
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check path built a cubic-field point")
+
+        monkeypatch.setattr(fiber, "cubic_section_point", refuse)
+        monkeypatch.setattr(fiber, "CubicField", refuse)
+        run = run_all(CheckContext(cached_pencil(42)))
+        assert [r.id for r in run] == list(CHECK_ORDER)
+        assert {r.status for r in run} == {"pass"}
 
     def test_adjugate_scan_counts(self):
         P = cached_pencil(42)

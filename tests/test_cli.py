@@ -43,7 +43,10 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 
 # SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
 # of `check --points 2` on that instance: every verdict and witness of the
-# full run is pinned byte for byte.  It last changed when prop3.13-center
+# full run is pinned byte for byte.  It last changed when
+# prop3.18-corank1-m2 moved from the M2 quotient at one cubic-field point
+# per side to the identities (A)-(C) over Z[u], with held/total counts per
+# side (before: e17bbe71…98b92541); before that, when prop3.13-center
 # dropped its "central" list, which the tensor-product certificate of
 # CheckContext.algebra now implies (before: 8e0600e4…39836d80b); before
 # that, when prop4.8-m0-matrix and prop4.9-segre began to name their kernel
@@ -55,7 +58,7 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 # top-level primes (e7c3ef98…78da2f0); and before that, through the
 # witnesses of prop3.17-azumaya-m4 and prop3.18-split-m2, which moved from
 # verdicts at sampled points to Gram identities over Z[u] (0c3a7664…8ee4).
-FULL_RUN_SHA256 = "e17bbe71dc95e9b0a37cef7845c7321f5cc1d1467459761acae5613498b92541"
+FULL_RUN_SHA256 = "a978c5499b97e5ff931aed256f1877c639654cfcf35fd46945cebafd84ebf005"
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.

@@ -23,8 +23,6 @@ from quadclif.clifford import (
     lift,
     phi,
     phi_exponent,
-    phi_failing_pairs,
-    phi_sign_rule_failures,
     terms_homogeneous,
 )
 from quadclif.checks import CheckContext, run_single
@@ -46,6 +44,8 @@ from conftest import (
     flip_six_generator_step,
     flip_step,
     hilbert_dims_center,
+    phi_failing_pairs,
+    phi_sign_rule_failures,
     phi_twist_failures,
     seeded_pencil,
     with_q_plus,
@@ -533,18 +533,6 @@ def test_phi_check_falls_back_on_a_broken_engine(monkeypatch):
     expected = phi_failing_pairs(CliffordAlgebra.from_pencil(P, "super"),
                                  CliffordAlgebra.from_pencil(P, "ordinary"))
     assert [0b001001, 0b001010] in expected
-
-
-def test_phi_check_catches_the_real_scaling(monkeypatch, algebra_pair):
-    from quadclif import checks
-
-    monkeypatch.setattr(checks, "phi_exponent", _naive_exponent)
-    r = run_single(CheckContext(cached_pencil(42), points=1), "prop3.9-phi")
-    assert r.status == "fail"
-    naive = phi_failing_pairs(*algebra_pair(42), exponent=_naive_exponent)
-    assert r.witnesses[0]["failing_pairs"] == naive[:8]
-    assert r.witnesses[0]["super_pair_anticommutes"]
-    assert r.witnesses[0]["ordinary_pair_commutes"]
 
 
 # -- odd central elements -----------------------------------------------------

@@ -29,8 +29,6 @@ from quadclif.fiber import (
     FinAlg,
     QuadraticTower,
     SideFibers,
-    certify_matrix_algebra,
-    certify_tensor_product,
     clifford_fiber,
     even_certificate,
     sample_invertible_points,
@@ -43,8 +41,10 @@ import conftest
 from conftest import (
     PrimeField,
     cached_pencil,
+    certify_matrix_algebra,
     certify_ordinary_m4,
     certify_side_split,
+    certify_tensor_product,
     even_part,
     even_subalgebra,
     map_field,

@@ -21,6 +21,8 @@ UNREFERENCED = {
     "corner_algebra": "probed by bench/tracer.py (fiber.corner); tests",
     "mat_solve": "probed by bench/tracer.py (exactalg.solve); tests",
     "curve_points": "probed by bench/tracer.py (geometry.curve_points); tests",
+    "center_basis": "probed by bench/tracer.py (fiber.center / fiber.radical); tests",
+    "radical_dim": "probed by bench/tracer.py (fiber.center / fiber.radical); tests",
     "monomial": "PolyRing API used only by the tests",
 }
 
