@@ -16,15 +16,16 @@ w_j = sum_i adj(M)_ij v_i, (A) w_j v_k + v_k w_j = -2 f delta_jk,
 exact polynomial identities.
 """
 
-from quadclif.fiber import SideFibers, corank1_quotient, even_certificate
+from quadclif.checks import CheckContext
+from quadclif.fiber import corank1_quotient, even_certificate
 from quadclif.pencil import generate
 
 
 def main():
     P = generate(seed=42, coeff_bound=5)
-    sides = SideFibers(P)
+    ctx = CheckContext(P)
     for side in ("plus", "minus"):
-        ok, wit = even_certificate(sides, side)
+        ok, wit = even_certificate(ctx, side)
         print(f"side {side}: c = {wit['c']}, c' = {wit['c_prime']}")
         print(f"  det G = c*f^2: {wit['det_G_is_c_f2']},"
               f" det G_c = c'*f^4: {wit['det_Gc_is_c_prime_f4']}")
@@ -36,7 +37,7 @@ def main():
     print("so the 16-dimensional fiber is M4 wherever f_plus*f_minus != 0")
 
     for side in ("plus", "minus"):
-        ok, wit = corank1_quotient(sides, side)
+        ok, wit = corank1_quotient(ctx, side)
         print(f"side {side}: " + ", ".join(
             f"({k}) {wit[k]['held']}/{wit[k]['total']}" for k in "ABC"))
         print(f"  certified: M2 radical quotient at every point of f_{side} = 0"

@@ -7,6 +7,7 @@ the adjugate of a degenerate block drops to a certified double line, and
 annihilator lines round-trip through the rank-2 module representation.
 """
 
+from quadclif.checks import CheckContext
 from quadclif.pencil import _derived_rng, generate
 from quadclif.plucker import (
     adjugate_double_line,
@@ -16,11 +17,7 @@ from quadclif.plucker import (
     module_rep,
     segre_identity_check,
 )
-from quadclif.fiber import (
-    SideFibers,
-    cubic_section_point,
-    sample_invertible_points,
-)
+from quadclif.fiber import cubic_section_point, sample_invertible_points
 
 
 def main():
@@ -41,7 +38,7 @@ def main():
     print(f"  {verdict}, line {tuple(str(c) for c in line)}")
 
     u = sample_invertible_points(P, rng, 1)[0]
-    rep = module_rep(SideFibers(P), "plus", u)
+    rep = module_rep(CheckContext(P), "plus", u)
     print(f"rank-2 module at u = {u} over {rep.tower.name}")
     for m in ((1, 0), (1, 1), (2, -3)):
         w = annihilator_line(rep, m)

@@ -26,18 +26,14 @@ from fractions import Fraction
 from . import geometry
 from .clifford import (
     CliffordAlgebra,
+    central_odd,
     central_pair,
     commutant_basis,
     defining_relations,
     lift,
     terms_homogeneous,
 )
-from .fiber import (
-    SideFibers,
-    corank1_quotient,
-    even_certificate,
-    sample_invertible_points,
-)
+from .fiber import corank1_quotient, even_certificate, sample_invertible_points
 from .pencil import _derived_rng, genericity_check
 from .plucker import (
     A_VARS,
@@ -100,12 +96,13 @@ def _plain(x):
 
 class CheckContext:
     """Shared state for one verification run: the instance, the flag
-    values, and caches so expensive artifacts are computed once per run:
-    the reduced curves (`curve`, the one memo every F_p scan reads), the
-    genericity report with its scan witnesses, the sampled fiber points,
-    the ordinary and super algebras (`algebra`), the even-part
-    certificates, and the side algebras with their odd central elements
-    (`sides`)."""
+    values, and one store (`cached`) so every shared artifact is computed
+    once per run: the reduced curves (`curve`, the one memo every F_p scan
+    reads), the genericity report with its scan witnesses, the sampled
+    fiber points, the engine of each Clifford variant (`block`), its proof
+    (`algebra`), the sides' odd central elements (`central`) and the
+    even-part certificates.  The fiber and plucker functions take the
+    context first and read only P, algebra and central from it."""
 
     def __init__(self, P=None, points=20):
         self.P = P
@@ -115,7 +112,6 @@ class CheckContext:
         if self.points > MAX_POINTS:
             raise ValueError(f"points must be at most {MAX_POINTS}, got {self.points}")
         self._cache = {}
-        self.sides = SideFibers(P) if P is not None else None
 
     def rng(self, label):
         tag = self.P.digest() if self.P is not None else "no-instance"
@@ -142,19 +138,38 @@ class CheckContext:
         """The exact genericity report alone, with no scan."""
         return self.cached("exact-genericity", lambda: genericity_check(self.P))
 
+    def block(self, variant):
+        """The engine of one of the four VARIANTS over Z[u], built once."""
+        return self.cached(("block", variant),
+                           lambda: CliffordAlgebra.from_pencil(self.P, variant))
+
+    def central(self, side):
+        """The CentralOddResult of one side engine, built once; prop3.12
+        reads it without the associativity proof."""
+        return self.cached(("central", side), lambda: central_odd(self.block(side)))
+
     def algebra(self, variant):
-        """The six-generator algebra of one variant over Z[u], built once
-        per run and proven the tensor product of the two proven side
-        algebras (CliffordAlgebra.verify_tensor_product), hence associative
-        with integral structure constants; a failing step raises, naming
-        the step, in every check that reads the algebra."""
-        def build():
-            alg = CliffordAlgebra.from_pencil(self.P, variant)
-            alg.verify_tensor_product(self.sides.proven("plus"),
-                                      self.sides.proven("minus"))
+        """The engine of one variant, proven once per run; a failing step
+        raises, naming the step, in every check that reads the algebra.
+
+        A side is proven associative by verify_associativity and its
+        structure constants are checked to lie in Z[u], so associativity
+        carries to every fiber by the ring homomorphism Z[u] → K of
+        evaluation at a point over K, and every identity proven over Z[u]
+        holds in every fiber.  A six-generator variant is proven the tensor
+        product of the two proven sides (verify_tensor_product), hence
+        associative with integral structure constants."""
+        def prove():
+            alg = self.block(variant)
+            if variant in ("plus", "minus"):
+                alg.verify_associativity()
+                if not alg.integral_structure():
+                    raise ValueError("non-integer structure constant")
+            else:
+                alg.verify_tensor_product(self.algebra("plus"), self.algebra("minus"))
             return alg
 
-        return self.cached(("algebra", variant), build)
+        return self.cached(("algebra", variant), prove)
 
     def fiber_points(self):
         """Off-curve base points shared by prop4.2 and prop4.7: the first
@@ -296,8 +311,7 @@ def _check_phi(ctx):
     are built; what is left is the pair d₊, d₋."""
     sup6, ord6 = ctx.algebra("super"), ctx.algebra("ordinary")
     even = [m for m in range(64) if bin(m).count("1") % 2 == 0]
-    pair = central_pair(*(ctx.sides.central(side)[1]
-                          for side in ("plus", "minus")))
+    pair = central_pair(ctx.central("plus"), ctx.central("minus"))
     dps, dms = lift(pair.d_plus, sup6, "plus"), lift(pair.d_minus, sup6, "minus")
     dpo, dmo = lift(pair.d_plus, ord6, "plus"), lift(pair.d_minus, ord6, "minus")
     anti = (dps * dms + dms * dps).is_zero()
@@ -310,7 +324,7 @@ def _check_phi(ctx):
 
 
 def _d_square_check(ctx, side):
-    res = ctx.sides.central(side)[1]
+    res = ctx.central(side)
     f = ctx.P.det_curves().side(side)
     ok = res.sign == 1 and res.square == f
     wit = [{"side": side, "sign": res.sign,
@@ -368,7 +382,7 @@ def _check_center(ctx):
     means the point is special.  If no point of CENTER_POINTS gives 4,
     the check FAILs naming each point's dimension, claiming no center."""
     alg = ctx.algebra("ordinary")
-    dp, dm = (lift(ctx.sides.central(side)[1].element, alg, side)
+    dp, dm = (lift(ctx.central(side).element, alg, side)
               for side in ("plus", "minus"))
     basis = (alg.one(), dp, dm, dp * dm)
     zero = alg.ring.zero()
@@ -402,7 +416,7 @@ def _even_certificates(ctx, claim, locus):
     if any(ctx.P.det_curves().side(side).is_zero() for side in ("plus", "minus")):
         return False, list(ctx.exact_genericity().witnesses)
     certs = [ctx.cached(("even-certificate", side),
-                        lambda: even_certificate(ctx.sides, side))
+                        lambda: even_certificate(ctx, side))
              for side in ("plus", "minus")]
     return (all(ok for ok, _ in certs),
             [wit for _, wit in certs] + [{"claim": claim, "locus": locus}])
@@ -415,7 +429,7 @@ def _check_azumaya_m4(ctx):
     over a field K of characteristic 0:
 
     1. C₀(u) is a 4-dimensional subalgebra of A(u) with unit e_0, and A(u)
-       is associative (SideFibers.algebra).
+       is associative (CheckContext.algebra).
     2. det G(u) = c·f(u)² ≠ 0: the trace form of C₀(u) is nondegenerate,
        also over K̄.  The radical is a nilpotent ideal, so Tr L_{xy} = 0 for
        x in it: it lies in the form's kernel, and C₀(u) ⊗ K̄ is semisimple
@@ -452,7 +466,7 @@ def _check_corank1_m2(ctx):
     if not ok:
         return False, wit
     for side in ("plus", "minus"):
-        held, side_wit = corank1_quotient(ctx.sides, side)
+        held, side_wit = corank1_quotient(ctx, side)
         ok = ok and held
         wit.append(side_wit)
     wit.append({"claim": "M2 radical quotient",
@@ -586,7 +600,7 @@ def _check_annihilator(ctx):
     wit = []
     ok = True
     for side in ("plus", "minus"):
-        rep = module_rep(ctx.sides, side, u)
+        rep = module_rep(ctx, side, u)
         relations, traceless = clifford_relations(rep.matrices, rep.block,
                                                   rep.tower)
         entry = {"side": side, "point": list(u), "field": rep.tower.name,

@@ -255,8 +255,9 @@ class CliffordAlgebra:
         the product of the graded tensor product C(q₊) ⊗̂ C(q₋), whose
         sign reads mask parities as degrees, a Z/2-grading of each side by
         (P).  Both are associative with integral structure constants when
-        the sides are (SideFibers.proven), and C(q₊ ⊥ q₋) ≅ C(q₊) ⊗̂ C(q₋)
-        (Lam, Introduction to Quadratic Forms over Fields, GSM 67, Ch. V).
+        the sides are (CheckContext.algebra), and
+        C(q₊ ⊥ q₋) ≅ C(q₊) ⊗̂ C(q₋) (Lam, Introduction to Quadratic Forms
+        over Fields, GSM 67, Ch. V).
         That is 48 + 384 step comparisons in place of verify_associativity
         on 64 masks."""
         if (self.ngens != 6 or (plus.variant, minus.variant) != ("plus", "minus")

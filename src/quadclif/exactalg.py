@@ -170,15 +170,6 @@ class PolyRing:
         e[i] = 1
         return MultiPoly(self, {tuple(e): self.field.one})
 
-    def monomial(self, exps, coeff=1):
-        coeff = self.field.coerce(coeff)
-        exps = tuple(exps)
-        if len(exps) != len(self.vars):
-            raise ValueError("exponent tuple has wrong length")
-        if not coeff:
-            return self.zero()
-        return MultiPoly(self, {exps: coeff})
-
     def from_terms(self, items):
         out = {}
         for exps, c in items:

@@ -2,6 +2,9 @@
 their certificates (even_certificate off the determinant curves,
 corank1_quotient on them), and the finite-dimensional fibers at chosen
 base points, as structure-constant algebras over exact quadratic towers.
+The certificates and side_fiber take the run's context first (a
+checks.CheckContext, or anything with P, algebra(side) and central(side))
+and read the proven side algebra and its odd central element from it.
 
 Scalars of a fiber live in a small tower of quadratic extensions of Q (at
 most two square roots, which is all the idempotent constructions need).
@@ -16,7 +19,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .clifford import CliffordAlgebra, central_odd
 from .exactalg import (
     ZZ,
     SymMatrix,
@@ -660,7 +662,7 @@ def clifford_fiber(alg, u, field, proof=None):
     (alg.structure_terms) are integral.
 
     proof is "clifford" when alg was proven over its coefficient ring
-    (the side algebras of SideFibers.algebra): the fiber is a
+    (the side algebras of CheckContext.algebra): the fiber is a
     ring-homomorphic image of alg's table, so it is not re-checked.  With
     proof=None the table makes no claim (see FinAlg)."""
     n = 1 << alg.ngens
@@ -732,18 +734,18 @@ def _multiple(p, q):
     return as_int(c), p * c.denominator == q * c.numerator
 
 
-def even_certificate(sides, side):
+def even_certificate(ctx, side):
     """(ok, witness) of one block's certificate over Z[u], on the side
-    algebra that SideFibers.algebra proves associative, with its odd
-    central element d and determinant cubic f: C₀ is closed (even_table);
-    det G = c·f² for G = (Tr L_{eₐe_b}), the Gram matrix of C₀'s trace
-    form, and det G_c = c′·f⁴ for its Gram matrix on the commutators
-    [e_3, e_5], [e_3, e_6], [e_5, e_6], with c, c′ ≠ 0; d is odd, e_m·d is
-    odd for every even m, d is central and d² = f.  Tr L_x is
-    Σ x_m·Tr L_{e_m}, and G is symmetric as Tr L_{xy} = Tr(L_x L_y).
+    algebra that ctx.algebra proves associative, with its odd central
+    element d (ctx.central) and determinant cubic f: C₀ is closed
+    (even_table); det G = c·f² for G = (Tr L_{eₐe_b}), the Gram matrix of
+    C₀'s trace form, and det G_c = c′·f⁴ for its Gram matrix on the
+    commutators [e_3, e_5], [e_3, e_6], [e_5, e_6], with c, c′ ≠ 0; d is
+    odd, e_m·d is odd for every even m, d is central and d² = f.  Tr L_x
+    is Σ x_m·Tr L_{e_m}, and G is symmetric as Tr L_{xy} = Tr(L_x L_y).
     checks._check_azumaya_m4 states what the certificate proves."""
-    alg, dres = sides.algebra(side)
-    ring, d, f = alg.ring, dres.element, sides.P.det_curves().side(side)
+    alg, d = ctx.algebra(side), ctx.central(side).element
+    ring, f = alg.ring, ctx.P.det_curves().side(side)
     zero = ring.zero()
     table = even_table(alg)
     wit = {"side": side, "even_closed": table is not None}
@@ -779,74 +781,22 @@ def even_certificate(sides, side):
     return all(wit.values()), wit
 
 
-class SideFibers:
-    """The two side algebras of one pencil, each built once.
-
-    A CheckContext owns one for the length of a run, so per side the odd
-    central element is built once and the symbolic associativity proof
-    runs once; memory is bounded by the two side algebras.  Every fiber
-    function takes one first and reads the pencil from it; a fiber is
-    built by side_fiber over the field its caller needs."""
-
-    def __init__(self, P):
-        self.P = P
-        self._blocks = {}
-        self._central = {}
-        self._proven = set()
-
-    def _block(self, side):
-        if side not in self._blocks:
-            if side not in ("plus", "minus"):
-                raise ValueError("side must be 'plus' or 'minus'")
-            self._blocks[side] = CliffordAlgebra.from_pencil(self.P, side)
-        return self._blocks[side]
-
-    def central(self, side):
-        """(alg, its CentralOddResult) for one block over Z[u], built once;
-        prop3.12 reads it without the associativity proof."""
-        if side not in self._central:
-            alg = self._block(side)
-            self._central[side] = (alg, central_odd(alg))
-        return self._central[side]
-
-    def proven(self, side):
-        """The block's algebra, proven associative by
-        CliffordAlgebra.verify_associativity and its structure constants
-        checked to lie in Z[u], so associativity carries to every fiber
-        by the ring homomorphism Z[u] → K of evaluation at a point over K,
-        and every identity proven over Z[u] holds in every fiber."""
-        alg = self._block(side)
-        if side not in self._proven:
-            alg.verify_associativity()
-            if not alg.integral_structure():
-                raise ValueError("non-integer structure constant")
-            self._proven.add(side)
-        return alg
-
-    def algebra(self, side):
-        """central(side) of the proven(side) algebra, proven before d is
-        built, so a broken engine fails the proof first."""
-        self.proven(side)
-        return self.central(side)
-
-
-def side_fiber(sides, side, u, field):
-    """The 8-dimensional fiber of one block of sides.P at u over field
+def side_fiber(ctx, side, u, field):
+    """The 8-dimensional fiber of one block of ctx.P at u over field
     (QuadraticTower(()) for Q), with its central odd vector and the
     determinant value.  Its consumer, the module idempotent of
     plucker.module_rep, checks d² = f(u); the curve claim needs no fiber
     (corank1_quotient)."""
     u = _point(u)
-    alg, dres = sides.algebra(side)
-    A = clifford_fiber(alg, u, field, proof="clifford")
-    dvec = eval_element(dres.element, u, field, 8)
-    fval = field.coerce(_det_value(sides.P, side, u))
+    A = clifford_fiber(ctx.algebra(side), u, field, proof="clifford")
+    dvec = eval_element(ctx.central(side).element, u, field, 8)
+    fval = field.coerce(_det_value(ctx.P, side, u))
     return A, dvec, fval
 
 
-def corank1_quotient(sides, side):
+def corank1_quotient(ctx, side):
     """(ok, witness) of one side's corank-1 certificate over Z[u], on the
-    side algebra that SideFibers.algebra proves associative.  With M the
+    side algebra that ctx.algebra proves associative.  With M the
     block, f = det M and w_j = Σᵢ adj(M)ᵢⱼ·vᵢ, three identities need no
     division:
 
@@ -874,8 +824,8 @@ def corank1_quotient(sides, side):
        quotient becomes M2(K̄) over K̄.
 
     The witness gives held/total for (A), (B) and (C)."""
-    alg, _ = sides.algebra(side)
-    f = sides.P.det_curves().side(side)
+    alg = ctx.algebra(side)
+    f = ctx.P.det_curves().side(side)
     M = [[alg.q_of(i, j) for j in range(3)] for i in range(3)]
     adj = adjugate3(M)
     v = [alg.gen(i) for i in range(3)]

@@ -46,6 +46,9 @@ URING = PolyRing(ZZ, U_VARS)
 # check and the integers its report prints.
 MAX_COEFF_BOUND = 10**6
 
+# The draws generate makes before it gives up on a (seed, coeff_bound).
+MAX_ATTEMPTS = 50
+
 
 def det_cubic(mats):
     """det(Σ uₖ mats[k]) as a cubic form over Z.  The determinant is linear
@@ -274,12 +277,12 @@ def _random_sym3(rng, bound):
     return tuple(tuple(r) for r in m)
 
 
-def generate(seed, coeff_bound, max_attempts=50):
+def generate(seed, coeff_bound):
     """Seeded rejection sampling: draw integer pencils until the genericity
     suite passes.  Deterministic in (seed, coeff_bound)."""
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = _derived_rng("gen", seed, coeff_bound, attempt)
         P = InvariantPencil(
             q_plus=tuple(_random_sym3(rng, coeff_bound) for _ in range(3)),
@@ -290,7 +293,7 @@ def generate(seed, coeff_bound, max_attempts=50):
         if genericity_check(P).all_ok():
             return P
     raise GenerationError(
-        f"no generic pencil after {max_attempts} attempts "
+        f"no generic pencil after {MAX_ATTEMPTS} attempts "
         f"(seed={seed}, coeff_bound={coeff_bound})"
     )
 

@@ -375,8 +375,8 @@ def _mat2_add(x, y):
 W_CANDIDATES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
-def module_rep(sides, side, u):
-    """A two-dimensional module for the block of sides.P at a point u of
+def module_rep(ctx, side, u):
+    """A two-dimensional module for the block of ctx.P at a point u of
     full rank, as the left ideal A·E of the side fiber A over
     L = Q(√f(u), √λ), λ = −q_u(w, w) for the first candidate w with λ ≠ 0.
 
@@ -394,10 +394,10 @@ def module_rep(sides, side, u):
     the RREF basis of A·E; the relations, tracelessness and d = ±√f(u)
     are checked on them."""
     uf = tuple(Fraction(c) for c in u)
-    fval = sides.P.det_curves().side(side).eval(uf)
+    fval = ctx.P.det_curves().side(side).eval(uf)
     if fval == 0:
         raise FiberError("the block only splits away from its curve")
-    block = sides.P.block_at(uf, side)
+    block = ctx.P.block_at(uf, side)
     for wvec in W_CANDIDATES:
         lam = -sum(wvec[i] * block[i][j] * wvec[j]
                    for i in range(3) for j in range(3))
@@ -406,7 +406,7 @@ def module_rep(sides, side, u):
     else:
         raise FiberError("the form vanished on every candidate vector")
     tower, (s, t) = QuadraticTower.create([fval, lam])
-    A, dvec, _ = side_fiber(sides, side, u, tower)
+    A, dvec, _ = side_fiber(ctx, side, u, tower)
     x = A.vzero()
     for wi, g in zip(wvec, A.gens):
         if wi:
@@ -444,8 +444,7 @@ def module_rep(sides, side, u):
         raise AssertionError("Clifford relation failed in the module")
 
     # the odd central element must act by the split square root
-    dres = sides.central(side)[1]
-    r_at = [r.eval(uf) for r in dres.r_coeffs]
+    r_at = [r.eval(uf) for r in ctx.central(side).r_coeffs]
     d_mat = _mat2_mul(_mat2_mul(mats[0], mats[1]), mats[2])
     for rv, mat in zip(r_at, mats):
         d_mat = _mat2_add(d_mat, tuple(

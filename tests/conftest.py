@@ -348,7 +348,7 @@ def poly_exact_div(f, g):
                 raise ValueError("inexact polynomial division")
         else:
             qc = rc / gc
-        t = ring.monomial(de, qc)
+        t = ring.from_terms([(de, qc)])
         q = q + t
         r = r - t * g
     return q
@@ -716,7 +716,7 @@ def commutant_basis_by_weight(alg, D):
             for col, v in enumerate(vec):
                 if v:
                     mask, mexp = unknowns[col]
-                    acc = acc + alg.from_mask(mask, alg.ring.monomial(mexp, v))
+                    acc = acc + alg.from_mask(mask, alg.ring.from_terms([(mexp, v)]))
             elems.append(acc)
         out.append(elems)
     return out
@@ -940,7 +940,8 @@ def macaulay_matrix(q0, q1, q2):
     rows = []
     for m in DEGREE_4:
         i = next(k for k in range(3) if m[k] >= 2)
-        shift = URING.monomial(tuple(e - 2 * (k == i) for k, e in enumerate(m)))
+        shifted = tuple(e - 2 * (k == i) for k, e in enumerate(m))
+        shift = URING.from_terms([(shifted, 1)])
         product = (shift * (q0, q1, q2)[i]).terms
         rows.append([int(product.get(col, 0)) for col in DEGREE_4])
     reduced = [k for k, m in enumerate(DEGREE_4) if sum(e >= 2 for e in m) >= 2]
@@ -1182,7 +1183,7 @@ def certify_tensor_product(factors, n):
     return f"M{n}"
 
 
-def corank1_quotient_at(sides, side, u, field):
+def corank1_quotient_at(ctx, side, u, field):
     """(Q, certify_matrix_algebra(Q, 2)) at one curve point u of corank
     one over field (QuadraticTower(()) for Q, a CubicField for a point of
     fiber.cubic_section_point, or F_p): the central odd vector squares to
@@ -1190,7 +1191,7 @@ def corank1_quotient_at(sides, side, u, field):
     4-dimensional two-sided ideal it generates, checked on all basis
     triples.  The per-point route that fiber.corank1_quotient's identities
     replaced; it certifies the same radical quotient at u."""
-    P = sides.P
+    P = ctx.P
     uc = _point(u)
     fval = field.coerce(_det_value(P, side, uc))
     if fval:
@@ -1200,7 +1201,7 @@ def corank1_quotient_at(sides, side, u, field):
     adj = adjugate3([[field.coerce(x) for x in r] for r in block])
     if all(not x for row in adj for x in row):
         raise FiberError("corank at least two at this point")
-    A, dvec, _ = side_fiber(sides, side, uc, field)
+    A, dvec, _ = side_fiber(ctx, side, uc, field)
     if any(A.mul(dvec, dvec)):
         raise AssertionError("central element square must vanish on the curve")
     pivots, ideal = rref([A.mul(dvec, A.basis_vec(i)) for i in range(8)])
@@ -1286,41 +1287,41 @@ def even_part(A, d, f):
     return even_subalgebra(A)
 
 
-def side_even(sides, side, u):
+def side_even(ctx, side, u):
     """(C₀, certify_matrix_algebra(C₀, 2)) for C₀ = even_part of the fiber
-    at (side, u), built once per point in sides._evens; FiberError on a
-    curve point or a fiber that fails even_part's conditions."""
-    evens = vars(sides).setdefault("_evens", {})
-    key = (side, _point(u))
-    if key not in evens:
-        C0 = even_part(*side_fiber(sides, side, u, QuadraticTower(())))
-        evens[key] = (C0, certify_matrix_algebra(C0, 2))
-    return evens[key]
+    at (side, u), built once per point in the run's store under
+    ("side-even", side, u); FiberError on a curve point or a fiber that
+    fails even_part's conditions."""
+    def build():
+        C0 = even_part(*side_fiber(ctx, side, u, QuadraticTower(())))
+        return C0, certify_matrix_algebra(C0, 2)
+
+    return ctx.cached(("side-even", side, _point(u)), build)
 
 
-def certify_ordinary_m4(sides, u):
+def certify_ordinary_m4(ctx, u):
     """(field, verdict) for the 16-dimensional ordinary fiber at u off both
     curves, over K = Q(√f₊(u), √f₋(u)): the tensor product of the two side
     corners cut by (1 + d/√f(u))/2 is (C₀₊ ⊗ C₀₋) ⊗ K, so the verdict is
     certify_tensor_product of the even parts (M4 when both are M2)."""
     u = _point(u)
-    evens = [side_even(sides, side, u) for side in ("plus", "minus")]
-    field, _ = QuadraticTower.create([_det_value(sides.P, side, u)
+    evens = [side_even(ctx, side, u) for side in ("plus", "minus")]
+    field, _ = QuadraticTower.create([_det_value(ctx.P, side, u)
                                       for side in ("plus", "minus")])
     if all(verdict == "M2" for _, verdict in evens):
         return field, "M4"
     return field, certify_tensor_product([C0 for C0, _ in evens], 4)
 
 
-def certify_side_split(sides, side, u):
+def certify_side_split(ctx, side, u):
     """(field, verdict) for the side fiber A = C₀ ⊗ E at u off its curve,
     E = Q[x]/(x² − f(u)): M2xM2 over Q(√f(u)) when C₀ is M2, otherwise
     C₀'s radical or center dimension doubled, over Q, since
     rad(C₀ ⊗ E) = rad(C₀) ⊗ E and Z(C₀ ⊗ E) = Z(C₀) ⊗ E."""
     u = _point(u)
-    C0, verdict = side_even(sides, side, u)
+    C0, verdict = side_even(ctx, side, u)
     if verdict == "M2":
-        return QuadraticTower.create([_det_value(sides.P, side, u)])[0], "M2xM2"
+        return QuadraticTower.create([_det_value(ctx.P, side, u)])[0], "M2xM2"
     kind, dim = verdict.rsplit("-", 1)
     return C0.field, f"{kind}-{2 * int(dim)}"
 
@@ -1353,7 +1354,7 @@ def corner_by_idempotent(A, dvec, s):
     return corner_algebra(A, e, gens=A.gens), e
 
 
-def module_by_corner(sides, side, u):
+def module_by_corner(ctx, side, u):
     """(tower, d_scalar, basis) of the module at (side, u) by the long
     path: the side fiber over Q, base-changed to Q(√f(u)), its corner
     C = e·A·e for e = (1 + d/√f(u))/2, both extended by √λ when the tower
@@ -1362,12 +1363,12 @@ def module_by_corner(sides, side, u):
     basis of C·p lifted to the fiber's coordinates, and d_scalar the
     scalar by which d acts on it."""
     uf = _point(u)
-    fval = _det_value(sides.P, side, uf)
+    fval = _det_value(ctx.P, side, uf)
     tower, (s,) = QuadraticTower.create([fval])
-    A_Q, dvec_Q, _ = side_fiber(sides, side, u, QuadraticTower(()))
+    A_Q, dvec_Q, _ = side_fiber(ctx, side, u, QuadraticTower(()))
     A = map_field(A_Q, tower)
     C, e = corner_by_idempotent(A, tuple(map(tower.coerce, dvec_Q)), s)
-    block = sides.P.block_at(uf, side)
+    block = ctx.P.block_at(uf, side)
     for w in W_CANDIDATES:
         lam = -sum(w[i] * block[i][j] * w[j] for i in range(3) for j in range(3))
         if lam:

@@ -144,10 +144,10 @@ def test_criterion_5_fiberwise_matrix_algebras():
                 all(w.values()) for w in certs):
             failures.append((cid, r.status))
     points = sample_invertible_points(ctx.P, ctx.rng("fiber-points"), 20)
-    m4 = sum(certify_ordinary_m4(ctx.sides, u)[1] == "M4" for u in points)
+    m4 = sum(certify_ordinary_m4(ctx, u)[1] == "M4" for u in points)
     if m4 < 20:
         failures.append(("azumaya oracle", m4))
-    split = sum(certify_side_split(ctx.sides, side, u)[1] == "M2xM2"
+    split = sum(certify_side_split(ctx, side, u)[1] == "M2xM2"
                 for u in points for side in ("plus", "minus"))
     if split < 40:
         failures.append(("split oracle", split))
@@ -157,7 +157,7 @@ def test_criterion_5_fiberwise_matrix_algebras():
         failures.append(("corank1", r.status, counts))
     for side in ("plus", "minus"):
         _, _, K, u = cubic_section_point(ctx.P, side)
-        if corank1_quotient_at(ctx.sides, side, u, K)[1] != "M2":
+        if corank1_quotient_at(ctx, side, u, K)[1] != "M2":
             failures.append(("corank1 oracle", side))
     verdict(5, "M4 and split M2xM2 off the curves (oracle at 20 points), "
                "corank-1 M2 on them (oracle at 6 points)", failures)

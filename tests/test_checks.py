@@ -378,8 +378,8 @@ class TestRegistryMutants:
         module_rep = checks.module_rep
         for entry, relations, traceless in (((0, 1), 3, 3), ((0, 0), 3, 2)):
 
-            def perturbed(sides, side, u):
-                rep = module_rep(sides, side, u)
+            def perturbed(ctx, side, u):
+                rep = module_rep(ctx, side, u)
                 rho = [list(row) for row in rep.matrices[0]]
                 rho[entry[0]][entry[1]] += rep.tower.one
                 return dataclasses.replace(rep, matrices=(
@@ -487,18 +487,38 @@ class TestOnInstance:
                 P, ctx.rng("fiber-points"), n)[:3] == longest[:n]
 
     def test_each_algebra_is_built_once_per_run(self, monkeypatch):
-        # the ordinary and super algebras of the graded-algebra checks, and
-        # the plus and minus blocks of SideFibers
-        built = []
-        init = clifford.CliffordAlgebra.__init__
+        """Each of the four engines is built once and proven once per run:
+        the sides by verify_associativity, the ordinary and super algebras
+        by verify_tensor_product.  prop3.12 reads d without a proof, and
+        prop3.18 proves the sides alone."""
+        calls = []
+        Alg = clifford.CliffordAlgebra
+        for name in ("__init__", "verify_associativity", "verify_tensor_product"):
+            def counting(alg, *args, _name=name, _real=getattr(Alg, name), **kw):
+                out = _real(alg, *args, **kw)
+                calls.append((_name, alg.variant))
+                return out
+            monkeypatch.setattr(Alg, name, counting)
 
-        def counting(alg, ring, variant, **blocks):
-            built.append(variant)
-            init(alg, ring, variant, **blocks)
+        def counts(run):
+            calls.clear()
+            results = run(CheckContext(cached_pencil(42), points=1))
+            assert {r.status for r in results} == {"pass"}
+            return {name: sorted(v for n, v in calls if n == name)
+                    for name in ("__init__", "verify_associativity",
+                                 "verify_tensor_product")}
 
-        monkeypatch.setattr(clifford.CliffordAlgebra, "__init__", counting)
-        run_all(CheckContext(cached_pencil(42), points=1))
-        assert sorted(built) == ["minus", "ordinary", "plus", "super"]
+        assert counts(run_all) == {
+            "__init__": ["minus", "ordinary", "plus", "super"],
+            "verify_associativity": ["minus", "plus"],
+            "verify_tensor_product": ["ordinary", "super"]}
+        assert counts(lambda ctx: [run_single(ctx, "prop3.12-dplus-square")]) == {
+            "__init__": ["plus"], "verify_associativity": [],
+            "verify_tensor_product": []}
+        assert counts(lambda ctx: [run_single(ctx, "prop3.18-corank1-m2")]) == {
+            "__init__": ["minus", "plus"],
+            "verify_associativity": ["minus", "plus"],
+            "verify_tensor_product": []}
 
     def test_diagonal_fails_smoothness_with_witness_points(self):
         P = diag_instance()

@@ -74,7 +74,7 @@ def random_element(alg, rng, nterms=3, max_u=1):
         mask = rng.randrange(1 << alg.ngens)
         exps = tuple(rng.randint(0, max_u) for _ in range(3))
         coeff = rng.randint(-3, 3)
-        acc = acc + alg.from_mask(mask, alg.ring.monomial(exps, coeff))
+        acc = acc + alg.from_mask(mask, alg.ring.from_terms([(exps, coeff)]))
     return acc
 
 
@@ -244,8 +244,8 @@ def test_bidegree_additive_on_products():
     for _ in range(20):
         ma = rng.randrange(64)
         mb = rng.randrange(64)
-        ea = alg.from_mask(ma, alg.ring.monomial((rng.randint(0, 1), 0, 0), 1))
-        eb = alg.from_mask(mb, alg.ring.monomial((0, rng.randint(0, 1), 0), 1))
+        ea = alg.from_mask(ma, alg.ring.from_terms([((rng.randint(0, 1), 0, 0), 1)]))
+        eb = alg.from_mask(mb, alg.ring.from_terms([((0, rng.randint(0, 1), 0), 1)]))
         prod = ea * eb
         if prod.is_zero():
             continue

@@ -81,7 +81,8 @@ def test_resultant_needs_quadratic_forms():
         ternary_quadric_resultant(U1 ** 2, U2 ** 2, U3 ** 2 + U1)
     with pytest.raises(TypeError):  # Z[u] admits no true fraction
         U3 ** 2 * Fraction(1, 2)
-    half_u3_squared = PolyRing(QQ, U_VARS).monomial((0, 0, 2), Fraction(1, 2))
+    half_u3_squared = PolyRing(QQ, U_VARS).from_terms(
+        [((0, 0, 2), Fraction(1, 2))])
     with pytest.raises(ValueError):
         ternary_quadric_resultant(U1 ** 2, U2 ** 2, half_u3_squared)
 

@@ -18,7 +18,7 @@ from itertools import permutations
 
 import pytest
 
-from quadclif import clifford, fiber
+from quadclif import checks, clifford, fiber
 from quadclif.checks import CheckContext, run_single
 from quadclif.clifford import CliffordAlgebra
 from quadclif.exactalg import QQ, PolyRing, SymMatrix
@@ -28,7 +28,6 @@ from quadclif.fiber import (
     FiberError,
     FinAlg,
     QuadraticTower,
-    SideFibers,
     clifford_fiber,
     even_certificate,
     sample_invertible_points,
@@ -103,14 +102,14 @@ def right_mul_det(alg, d):
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_right_multiplication_by_d_has_determinant_f_squared(name, side):
     P, pts = _points(name)
-    sides = SideFibers(P)
-    alg, res = sides.algebra(side)
+    ctx = CheckContext(P)
+    alg, res = ctx.algebra(side), ctx.central(side)
     f = P.det_curves().side(side)
     assert right_mul_det(alg, res.element) == f * f
     assert res.square == f
     # at each point the fiber's own 4×4 block has determinant f(u)² ≠ 0
     for u in pts:
-        A, dvec, fval = side_fiber(sides, side, u, QuadraticTower(()))
+        A, dvec, fval = side_fiber(ctx, side, u, QuadraticTower(()))
         block = [[A.mul(A.basis_vec(m), dvec)[o] for o in ODD_MASKS]
                  for m in EVEN_MASKS]
         assert all(not A.mul(A.basis_vec(m), dvec)[e]
@@ -122,7 +121,8 @@ def test_right_multiplication_by_d_has_determinant_f_squared(name, side):
 
 def test_identity_rejects_a_wrong_central_element():
     P = cached_pencil(42)
-    alg, res = SideFibers(P).algebra("plus")
+    ctx = CheckContext(P)
+    alg, res = ctx.algebra("plus"), ctx.central("plus")
     f = P.det_curves().f_plus
     d = res.element
     assert right_mul_det(alg, d * 2) == f * f * 16
@@ -135,21 +135,21 @@ def test_identity_rejects_a_wrong_central_element():
 @pytest.mark.parametrize("name", INSTANCES)
 def test_even_route_matches_the_computed_route(name):
     P, pts = _points(name)
-    sides = SideFibers(P)
+    ctx = CheckContext(P)
     for u in pts:
         uf = tuple(Fraction(c) for c in u)
         for side in ("plus", "minus"):
-            A = side_fiber(sides, side, u, QuadraticTower(()))[0]
-            assert side_even(sides, side, u)[1] == "M2"
+            A = side_fiber(ctx, side, u, QuadraticTower(()))[0]
+            assert side_even(ctx, side, u)[1] == "M2"
             cert = certify_split_pair(A, 2)
-            field, verdict = certify_side_split(sides, side, u)
+            field, verdict = certify_side_split(ctx, side, u)
             assert verdict == cert.verdict == "M2xM2"
             assert field.name == cert.field.name
             # the discriminant certify_split_pair splits is f(u) itself
             f_u = P.det_curves().side(side).eval(uf)
             assert cert.field.radicands == QuadraticTower.create([f_u])[0].radicands
-        T = ordinary_fiber(sides, u)
-        field, verdict = certify_ordinary_m4(sides, u)
+        T = ordinary_fiber(ctx, u)
+        field, verdict = certify_ordinary_m4(ctx, u)
         assert verdict == certify_matrix_algebra(T, 4) == "M4"
         assert field.name == T.field.name
 
@@ -171,14 +171,14 @@ def test_gram_certificate_agrees_with_the_per_point_oracle():
         assert [(w["side"], w["c"], w["c_prime"]) for w in m4.witnesses[:2]] \
             == [("plus", -256, -4096), ("minus", -256, -4096)]
         for u in ctx.fiber_points():
-            assert certify_ordinary_m4(ctx.sides, u)[1] == "M4"
+            assert certify_ordinary_m4(ctx, u)[1] == "M4"
             for side in ("plus", "minus"):
-                assert certify_side_split(ctx.sides, side, u)[1] == "M2xM2"
+                assert certify_side_split(ctx, side, u)[1] == "M2xM2"
 
 
 def test_certificate_witness_names_every_condition():
     P = cached_pencil(42)
-    ok, wit = even_certificate(SideFibers(P), "minus")
+    ok, wit = even_certificate(CheckContext(P), "minus")
     assert ok and wit == {
         "side": "minus", "even_closed": True,
         "c": -256, "det_G_is_c_f2": True,
@@ -195,15 +195,15 @@ def test_certificate_witness_names_every_condition():
 def test_even_table_refuses_an_odd_product(monkeypatch):
     """A product of even masks with an odd mask leaves C₀ unclosed: the
     table is None, no Gram matrix is built, and the certificate fails."""
-    sides = SideFibers(cached_pencil(42))
-    alg = sides.algebra("plus")[0]
+    ctx = CheckContext(cached_pencil(42))
+    alg = ctx.algebra("plus")
     assert sorted(fiber.even_table(alg)) == [(a, b) for a in EVEN_MASKS
                                              for b in EVEN_MASKS]
     real = alg.mask_mul
     monkeypatch.setattr(alg, "mask_mul", lambda a, b: (
         ((1, alg.ring.one()),) if (a, b) == (3, 5) else real(a, b)))
     assert fiber.even_table(alg) is None
-    ok, wit = even_certificate(sides, "plus")
+    ok, wit = even_certificate(ctx, "plus")
     assert not ok and wit["even_closed"] is False and "c" not in wit
 
 
@@ -238,31 +238,31 @@ def test_even_verdicts_come_from_the_even_part(monkeypatch):
     and prop3.18 fail:radical-6 (twice 3) over Q, while the computed route
     still certifies the real fiber."""
     P = cached_pencil(42)
-    sides = SideFibers(P)
+    ctx = CheckContext(P)
     u = _points("42", 1)[1][0]
-    A_plus = side_fiber(sides, "plus", u, QuadraticTower(()))[0]
+    A_plus = side_fiber(ctx, "plus", u, QuadraticTower(()))[0]
     real = conftest.even_subalgebra
     monkeypatch.setattr(conftest, "even_subalgebra",
                         lambda A: _dd() if A.table == A_plus.table else real(A))
-    field, verdict = certify_ordinary_m4(sides, u)
+    field, verdict = certify_ordinary_m4(ctx, u)
     assert verdict == "fail:radical-12"
     assert field.name.count("sqrt") == 2
-    field, verdict = certify_side_split(sides, "plus", u)
+    field, verdict = certify_side_split(ctx, "plus", u)
     assert (field.name, verdict) == ("Q", "fail:radical-6")
-    assert side_even(sides, "plus", u)[1] == "fail:radical-3"
+    assert side_even(ctx, "plus", u)[1] == "fail:radical-3"
     assert certify_split_pair(A_plus, 2).verdict == "M2xM2"
 
 
 def test_even_part_is_built_once_per_point():
     P = cached_pencil(42)
-    sides = SideFibers(P)
+    ctx = CheckContext(P)
     u = _points("42", 1)[1][0]
-    C0, verdict = side_even(sides, "plus", u)
+    C0, verdict = side_even(ctx, "plus", u)
     assert verdict == "M2" and C0.dim == 4 and C0.proof == "even"
-    assert side_even(sides, "plus", u)[0] is C0
-    assert side_even(sides, "minus", u)[0] is not C0
+    assert side_even(ctx, "plus", u)[0] is C0
+    assert side_even(ctx, "minus", u)[0] is not C0
     # a table without a proof is checked on all basis triples first
-    A, dvec, fval = side_fiber(sides, "plus", u, QuadraticTower(()))
+    A, dvec, fval = side_fiber(ctx, "plus", u, QuadraticTower(()))
     bare = FinAlg(A.field, A.table, A.unit, gens=A.gens)
     assert even_part(bare, dvec, fval).table == C0.table
     assert bare.proof == "checked"
@@ -274,8 +274,8 @@ def test_wrong_square_fails_the_identity():
     other condition still holds."""
     P = cached_pencil(42)
     ctx = CheckContext(P, points=1)
-    alg, res = ctx.sides.central("plus")
-    ctx.sides._central["plus"] = (alg, replace(res, element=res.element * 2))
+    res = ctx.central("plus")
+    ctx._cache["central", "plus"] = replace(res, element=res.element * 2)
     for cid in FIBER_CHECKS:
         r = run_single(ctx, cid)
         assert r.status == "fail"
@@ -285,20 +285,20 @@ def test_wrong_square_fails_the_identity():
     # the per-point oracle refuses the same element
     u = _points("42", 1)[1][0]
     with pytest.raises(FiberError, match=r"d·d is not f\(u\)·1"):
-        side_even(ctx.sides, "plus", u)
+        side_even(ctx, "plus", u)
 
 
 def test_curve_point_raises_and_the_oracle_fails():
     """At a curve point f(u) = 0, so C₀·d is not all of C₁: the even route
     raises, and the computed route finds the radical."""
-    sides = SideFibers(diag_pencil())
+    ctx = CheckContext(diag_pencil())
     with pytest.raises(FiberError, match="determinant curve"):
-        certify_side_split(sides, "plus", (1, 1, 0))
+        certify_side_split(ctx, "plus", (1, 1, 0))
     with pytest.raises(FiberError, match="determinant curve"):
-        certify_ordinary_m4(sides, (1, 1, 0))
-    assert not sides._evens
+        certify_ordinary_m4(ctx, (1, 1, 0))
+    assert not [key for key in ctx._cache if key[0] == "side-even"]
     cert = certify_split_pair(
-        side_fiber(sides, "plus", (1, 1, 0), QuadraticTower(()))[0], 2)
+        side_fiber(ctx, "plus", (1, 1, 0), QuadraticTower(()))[0], 2)
     assert cert.verdict.startswith("fail:radical-")
 
 
@@ -316,7 +316,7 @@ def _group_algebra(op):
 def test_even_subalgebra_provenance_and_closure():
     P = cached_pencil(42)
     u = _points("42", 1)[1][0]
-    A = side_fiber(SideFibers(P), "minus", u, QuadraticTower(()))[0]
+    A = side_fiber(CheckContext(P), "minus", u, QuadraticTower(()))[0]
     C0 = even_subalgebra(A)
     assert C0.proof == "even"
     C0._verify_unit()
@@ -342,7 +342,7 @@ def test_even_subalgebra_provenance_and_closure():
 def test_central_elements_are_solved_once_per_run(monkeypatch):
     P = cached_pencil(42)
     solved = []
-    for module in (fiber, clifford):
+    for module in (checks, clifford):
         real = module.central_odd
 
         def counted(alg, _real=real):

@@ -18,7 +18,6 @@ from quadclif.fiber import (
     FinAlg,
     NumberElem,
     QuadraticTower,
-    SideFibers,
     center_basis,
     clifford_fiber,
     corank1_quotient,
@@ -258,12 +257,12 @@ def certify_split_pair(A, n):
     return SplitCert(f"M{n}xM{n}", A.field, tuple(corners))
 
 
-def ordinary_fiber(sides, u, field=None):
-    """The 16-dimensional ordinary fiber of sides.P at u over
+def ordinary_fiber(ctx, u, field=None):
+    """The 16-dimensional ordinary fiber of ctx.P at u over
     Q(√f₊(u), √f₋(u)) (or the prime field `field`), as a tensor product of
     the two side corners."""
     uf = tuple(Fraction(c) for c in u)
-    fp, fm = (sides.P.det_curves().side(side).eval(uf) for side in ("plus", "minus"))
+    fp, fm = (ctx.P.det_curves().side(side).eval(uf) for side in ("plus", "minus"))
     if field is None:
         if fp == 0 or fm == 0:
             raise FiberError("base point lies on a determinant curve")
@@ -276,7 +275,7 @@ def ordinary_fiber(sides, u, field=None):
                              "in the requested field")
     corners = []
     for side, s in (("plus", sp), ("minus", sm)):
-        A8, dvec, _ = side_fiber(sides, side, u, field)
+        A8, dvec, _ = side_fiber(ctx, side, u, field)
         C, _ = corner_by_idempotent(A8, dvec, s)
         assert C.dim == 4
         corners.append(C)
@@ -453,11 +452,11 @@ def test_unit_by_construction_passes_the_unit_check():
     # verifying the unit, and so does a side fiber ("clifford"); the long
     # check agrees on each
     P = cached_pencil(42)
-    sides = SideFibers(P)
+    ctx = CheckContext(P)
     u = invertible_point(P)
-    A = side_fiber(sides, "plus", u, QuadraticTower(()))[0]
-    tower, (C1, C2), _ = split_full_rank(sides, "plus", u)
-    T = ordinary_fiber(sides, u)
+    A = side_fiber(ctx, "plus", u, QuadraticTower(()))[0]
+    tower, (C1, C2), _ = split_full_rank(ctx, "plus", u)
+    T = ordinary_fiber(ctx, u)
     for table, proof in ((A, "clifford"), (C1, "corner"), (C2, "corner"), (T, "tensor"),
                          (T.tensor_factors[1], "corner")):
         assert table.proof == proof
@@ -567,8 +566,9 @@ def _replace_d(make):
     """A mutant that replaces the plus side's odd central element d by
     make(alg, d) before any check reads it."""
     def apply(monkeypatch, ctx):
-        alg, res = ctx.sides.central("plus")
-        ctx.sides._central["plus"] = (alg, replace(res, element=make(alg, res.element)))
+        res = ctx.central("plus")
+        ctx._cache["central", "plus"] = replace(
+            res, element=make(ctx.block("plus"), res.element))
     return apply
 
 
@@ -622,7 +622,7 @@ def test_broken_clifford_engine_is_caught(monkeypatch):
     with pytest.raises(ValueError, match="associativity"):
         alg.verify_associativity()
     with pytest.raises(ValueError, match="associativity"):
-        SideFibers(P).algebra("plus")
+        CheckContext(P).algebra("plus")
     ctx = CheckContext(P, points=1)
     for check_id in FIBER_CHECKS:
         r = run_single(ctx, check_id)
@@ -635,7 +635,7 @@ def test_side_fiber_provenance_over_prime_field():
     # the F_p fiber carries the proof over Q[u]
     P = cached_pencil(42)
     pt = curve_points(P.det_curves().f_plus, 101)[0]
-    A, _, _ = side_fiber(SideFibers(P), "plus", pt, field=PrimeField(101))
+    A, _, _ = side_fiber(CheckContext(P), "plus", pt, field=PrimeField(101))
     assert A.proof == "clifford"
     assert A.check_associativity()
 
@@ -643,12 +643,12 @@ def test_side_fiber_provenance_over_prime_field():
 def test_trace_form_char_guard():
     F = PrimeField(7)
     P = cached_pencil(42)
-    A = side_fiber(SideFibers(P), "plus", (1, 2, 1), F)[0]
+    A = side_fiber(CheckContext(P), "plus", (1, 2, 1), F)[0]
     with pytest.raises(ValueError, match="characteristic 7"):
         radical_dim(A)
     # the guard reads the field's characteristic: 0 passes, 11 > 8 passes
     for field in (QuadraticTower(()), PrimeField(11)):
-        assert radical_dim(side_fiber(SideFibers(P), "plus", (1, 2, 1), field)[0]) == 0
+        assert radical_dim(side_fiber(CheckContext(P), "plus", (1, 2, 1), field)[0]) == 0
 
 
 def test_integers_are_not_a_fiber_field():
@@ -656,14 +656,14 @@ def test_integers_are_not_a_fiber_field():
     structure-constant algebras, and the fibers built on them, refuse it."""
     with pytest.raises(TypeError, match="not Z"):
         FinAlg(ZZ, [[(1,)]], (1,))
-    sides = SideFibers(cached_pencil(42))
+    ctx = CheckContext(cached_pencil(42))
     with pytest.raises(TypeError, match="not Z"):
-        side_fiber(sides, "plus", (1, 2, 1), ZZ)
+        side_fiber(ctx, "plus", (1, 2, 1), ZZ)
     mats = (diag_matrix(1, 1, 0), diag_matrix(0, 0, 1), diag_matrix(0, 0, 0))
     P = InvariantPencil(q_plus=mats, q_minus=(basis_mat(0), basis_mat(1), basis_mat(2)),
                         seed=0, coeff_bound=1)
     with pytest.raises(TypeError, match="not Z"):  # a corank-1 point of f₊
-        corank1_quotient_at(SideFibers(P), "plus", (1, 0, 0), field=ZZ)
+        corank1_quotient_at(CheckContext(P), "plus", (1, 0, 0), field=ZZ)
 
 
 # -- fibers ----------------------------------------------------------------------
@@ -677,7 +677,7 @@ def invertible_point(P, seed="pts"):
 def test_side_fiber_structure():
     P = cached_pencil(42)
     u = invertible_point(P)
-    A, dvec, fval = side_fiber(SideFibers(P), "plus", u, QuadraticTower(()))
+    A, dvec, fval = side_fiber(CheckContext(P), "plus", u, QuadraticTower(()))
     assert A.dim == 8
     assert A.proof == "clifford"  # proven once over Q[u], not per point
     assert A.check_associativity()  # the long path agrees
@@ -690,7 +690,7 @@ def test_side_fiber_structure():
 def side_corner(P, side, u, y):
     """The 4-dimensional corner of a side fiber on which the central odd
     element acts as y, for y² = f(u) and y ≠ 0."""
-    A, dvec, fval = side_fiber(SideFibers(P), side, u, QuadraticTower(()))
+    A, dvec, fval = side_fiber(CheckContext(P), side, u, QuadraticTower(()))
     yv = A.field.coerce(y)
     if not yv:
         raise ValueError("the corner needs an invertible y")
@@ -713,7 +713,7 @@ def test_corner_with_rational_y():
 def test_ordinary_fiber_m4():
     P = cached_pencil(42)
     u = invertible_point(P)
-    A = ordinary_fiber(SideFibers(P), u)
+    A = ordinary_fiber(CheckContext(P), u)
     assert A.dim == 16
     assert A.tensor_factors is not None
     assert isinstance(A.field, QuadraticTower)
@@ -751,8 +751,8 @@ def ordinary_fiber_by_corner(P, u, field):
     assert sp and sm
     alg = CliffordAlgebra.from_pencil(P, "ordinary")
     A64 = clifford_fiber(alg, u, field)
-    sides = SideFibers(P)
-    dpv, dmv = (eval_element(lift(sides.central(side)[1].element, alg, side),
+    ctx = CheckContext(P)
+    dpv, dmv = (eval_element(lift(ctx.central(side).element, alg, side),
                              u, field, 64) for side in ("plus", "minus"))
     half = field.one / field.coerce(2)
     ep = A64.vscale(A64.vadd(A64.unit, A64.vscale(dpv, field.one / sp)), half)
@@ -769,7 +769,7 @@ def test_ordinary_fiber_corner_construction_agrees():
     P = cached_pencil(42)
     F = PrimeField(101)
     u = qr_point(P, F)
-    A = ordinary_fiber(SideFibers(P), u, F)
+    A = ordinary_fiber(CheckContext(P), u, F)
     B = ordinary_fiber_by_corner(P, u, F)
     assert B.dim == 16
     assert certify_matrix_algebra(A, 4) == "M4"
@@ -782,27 +782,27 @@ def test_ordinary_fiber_corner_construction_agrees():
 def test_ordinary_fiber_rejects_curve_points():
     P = diag_pencil()
     with pytest.raises(FiberError):
-        ordinary_fiber(SideFibers(P), (1, 1, 0))
+        ordinary_fiber(CheckContext(P), (1, 1, 0))
 
 
 def test_ordinary_fiber_over_prime_field():
     P = cached_pencil(42)
     F = PrimeField(101)
     u = qr_point(P, F)
-    A = ordinary_fiber(SideFibers(P), u, F)
+    A = ordinary_fiber(CheckContext(P), u, F)
     assert A.dim == 16
     assert certify_matrix_algebra(A, 4) == "M4"
 
 
-def split_full_rank(sides, side, u):
+def split_full_rank(ctx, side, u):
     """Over Q(√f(u)) the 8-dimensional block splits into two corners cut
     by the complementary central idempotents (1 ± d/√f(u))/2."""
     u = tuple(Fraction(c) for c in u)
-    fval = sides.P.det_curves().side(side).eval(u)
+    fval = ctx.P.det_curves().side(side).eval(u)
     if fval == 0:
         raise FiberError("the block only splits away from its curve")
     tower, (s,) = QuadraticTower.create([fval])
-    A, dvec, _ = side_fiber(sides, side, u, tower)
+    A, dvec, _ = side_fiber(ctx, side, u, tower)
     C1, e1 = corner_by_idempotent(A, dvec, s)
     C2, e2 = corner_by_idempotent(A, A.vscale(dvec, -A.field.one), s)
     if any(A.mul(e1, e2)) or A.vadd(e1, e2) != A.unit:
@@ -813,25 +813,25 @@ def split_full_rank(sides, side, u):
 def test_split_full_rank():
     P = cached_pencil(42)
     u = invertible_point(P)
-    tower, (C1, C2), (e1, e2) = split_full_rank(SideFibers(P), "plus", u)
+    tower, (C1, C2), (e1, e2) = split_full_rank(CheckContext(P), "plus", u)
     assert tower.level <= 1
     assert C1.dim == C2.dim == 4
     assert certify_matrix_algebra(C1, 2) == "M2"
     assert certify_matrix_algebra(C2, 2) == "M2"
     with pytest.raises(FiberError):
-        split_full_rank(SideFibers(diag_pencil()), "plus", (1, 1, 0))
+        split_full_rank(CheckContext(diag_pencil()), "plus", (1, 1, 0))
 
 
 def test_split_pair_certificate_on_side_fiber():
     P = cached_pencil(42)
     u = invertible_point(P)
-    sides = SideFibers(P)
-    A = side_fiber(sides, "plus", u, QuadraticTower(()))[0]
+    ctx = CheckContext(P)
+    A = side_fiber(ctx, "plus", u, QuadraticTower(()))[0]
     cert = certify_split_pair(A, 2)
     assert cert.verdict == "M2xM2"
     assert len(cert.corners) == 2
     # the splitting field is exactly the one attached to √f₊(u)
-    tower, _, _ = split_full_rank(sides, "plus", u)
+    tower, _, _ = split_full_rank(ctx, "plus", u)
     assert cert.field.radicands == tower.radicands
 
 
@@ -840,22 +840,23 @@ def test_corank1_quotient_rational():
     P = InvariantPencil(q_plus=mats, q_minus=(basis_mat(0), basis_mat(1), basis_mat(2)),
                         seed=0, coeff_bound=1)
     # f₊ = u1²·u2; at (1, 0, ·) the block is diag(1, 1, 0): corank one
-    sides = SideFibers(P)
-    Q, verdict = corank1_quotient_at(sides, "plus", (1, 0, 0), QuadraticTower(()))
+    ctx = CheckContext(P)
+    Q, verdict = corank1_quotient_at(ctx, "plus", (1, 0, 0), QuadraticTower(()))
     assert Q.dim == 4
     assert verdict == "M2"
     assert Q.proof == "checked"  # the quotient is checked on all basis triples
     # at (0, 1, 0) the block is diag(0, 0, 1): corank two
     with pytest.raises(FiberError, match="^corank at least two at this point$"):
-        corank1_quotient_at(sides, "plus", (0, 1, 0), QuadraticTower(()))
+        corank1_quotient_at(ctx, "plus", (0, 1, 0), QuadraticTower(()))
     # off the curve there is no quotient
     with pytest.raises(FiberError):
-        corank1_quotient_at(sides, "plus", (1, 1, 1), QuadraticTower(()))
+        corank1_quotient_at(ctx, "plus", (1, 1, 1), QuadraticTower(()))
 
 
 def test_corank1_quotient_diag_pencil():
     P = diag_pencil()
-    Q, verdict = corank1_quotient_at(SideFibers(P), "plus", (1, 1, 0), QuadraticTower(()))
+    Q, verdict = corank1_quotient_at(CheckContext(P), "plus", (1, 1, 0),
+                                     QuadraticTower(()))
     assert verdict == "M2"
     assert center_dim(Q) == 1
 
@@ -867,7 +868,7 @@ def test_corank_two_fails_the_diagonal_corank1_check():
     Δ₊ = Δ₋ = 0, which allows such points."""
     P = diag_pencil()
     with pytest.raises(FiberError, match="^corank at least two at this point$"):
-        corank1_quotient_at(SideFibers(P), "plus", (1, 0, 0), field=PrimeField(101))
+        corank1_quotient_at(CheckContext(P), "plus", (1, 0, 0), field=PrimeField(101))
     assert curve_points(P.det_curves().f_plus, 101)[0] == (1, 0, 0)
     r = run_single(CheckContext(P, points=1), "prop3.18-corank1-m2")
     assert r.status == "fail"
@@ -878,11 +879,11 @@ def test_corank_two_fails_the_diagonal_corank1_check():
 def test_corank1_quotient_prime_field():
     P = cached_pencil(42)
     F = PrimeField(101)
-    sides = SideFibers(P)
+    ctx = CheckContext(P)
     pts = curve_points(P.det_curves().f_plus, 101)[:3]
     assert pts
     for pt in pts:
-        Q, verdict = corank1_quotient_at(sides, "plus", pt, field=F)
+        Q, verdict = corank1_quotient_at(ctx, "plus", pt, field=F)
         assert Q.dim == 4
         assert verdict == "M2"
 
@@ -1038,16 +1039,16 @@ def test_cubic_field_verdict_agrees_with_the_old_routes(seed, bound):
     curve points, and against the Q route at the rational point the old
     random search finds (bound 1 has them on most sides)."""
     P = cached_pencil(seed, bound)
-    sides = SideFibers(P)
+    ctx = CheckContext(P)
     for side in ("plus", "minus"):
         _, _, K, u = cubic_section_point(P, side)
-        verdicts = {corank1_quotient_at(sides, side, u, K)[1]}
+        verdicts = {corank1_quotient_at(ctx, side, u, K)[1]}
         for pt in curve_points(P.det_curves().side(side), 101)[:3]:
-            verdicts.add(corank1_quotient_at(sides, side, pt, PrimeField(101))[1])
+            verdicts.add(corank1_quotient_at(ctx, side, pt, PrimeField(101))[1])
         pt = random_rational_curve_point(P, side, _derived_rng("curve-point",
                                                                seed, side))
         if pt is not None:
-            verdicts.add(corank1_quotient_at(sides, side, pt, QuadraticTower(()))[1])
+            verdicts.add(corank1_quotient_at(ctx, side, pt, QuadraticTower(()))[1])
         assert verdicts == {"M2"}
 
 
@@ -1072,9 +1073,9 @@ def test_corank1_certificate_agrees_with_the_cubic_field_oracle(label):
     block, so agreement there needs corank one at the points read."""
     P = (cached_pencil(int(label)) if label.isdigit()
          else seeded_pencil(int(label.split("-")[1])))
-    sides = SideFibers(P)
+    ctx = CheckContext(P)
     for side in ("plus", "minus"):
-        ok, wit = corank1_quotient(sides, side)
+        ok, wit = corank1_quotient(ctx, side)
         found = cubic_section_point(P, side)
         if found is not None:
             _, _, K, u = found
@@ -1084,7 +1085,7 @@ def test_corank1_certificate_agrees_with_the_cubic_field_oracle(label):
                       curve_points(P.det_curves().side(side), 101)[:3]]
         for u, field in points:
             try:
-                verdict = corank1_quotient_at(sides, side, u, field)[1]
+                verdict = corank1_quotient_at(ctx, side, u, field)[1]
             except FiberError as exc:  # a corank-2 point of a singular curve
                 assert "corank at least two" in str(exc)
                 continue
@@ -1102,7 +1103,7 @@ def test_rational_curve_point_search():
     assert pt is not None
     uf = tuple(Fraction(c) for c in pt)
     assert P.det_curves().f_plus.eval(uf) == 0
-    Q, verdict = corank1_quotient_at(SideFibers(P), "plus", pt, QuadraticTower(()))
+    Q, verdict = corank1_quotient_at(CheckContext(P), "plus", pt, QuadraticTower(()))
     assert verdict == "M2"
     assert cubic_section_point(P, "plus") is None
 

@@ -191,9 +191,10 @@ def test_generate_rejects_zero_bound():
         generate(3, 0)
 
 
-def test_generate_exhaustion():
+def test_generate_exhaustion(monkeypatch):
+    monkeypatch.setattr(pencil, "MAX_ATTEMPTS", 0)
     with pytest.raises(GenerationError):
-        generate(0, 1, max_attempts=0)
+        generate(0, 1)
 
 
 def test_json_roundtrip_and_digest(pencil42):
@@ -461,7 +462,8 @@ def test_integer_resultant_matches_the_multipoly_oracle():
     assert binary_resultant(g, u3 ** 3 - u1 ** 3, (1, 1, 1)) is None
     assert binary_resultant(URING.zero(), g, (0, 0, 1)) is None
     for bad, center in ((u3 ** 3 + u1, (0, 0, 1)),
-                        (PolyRing(QQ, U_VARS).monomial((0, 0, 3), Fraction(1, 2)),
+                        (PolyRing(QQ, U_VARS).from_terms(
+                            [((0, 0, 3), Fraction(1, 2))]),
                          (0, 0, 1)),
                         (u3 ** 3 + u1 ** 3, (1, 0, 0))):
         with pytest.raises(ValueError):

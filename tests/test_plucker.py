@@ -21,7 +21,7 @@ from conftest import (
 from quadclif import fiber, plucker
 from quadclif.checks import CheckContext, run_single
 from quadclif.exactalg import QQ, PolyRing, det_cofactor, mat_rank
-from quadclif.fiber import FiberError, SideFibers, sample_invertible_points
+from quadclif.fiber import FiberError, sample_invertible_points
 from quadclif.geometry import GenericityError, curve_points
 from quadclif.pencil import InvariantPencil
 from quadclif.plucker import (
@@ -353,7 +353,7 @@ class TestModuleRep:
         P = cached_pencil(seed)
         rng = random.Random(3)
         u = sample_invertible_points(P, rng, 1)[0]
-        return P, u, module_rep(SideFibers(P), side, u)
+        return P, u, module_rep(CheckContext(P), side, u)
 
     def test_construction_and_d_scalar(self):
         P, u, rep = self.rep_at()
@@ -408,7 +408,7 @@ class TestModuleRep:
                            for i in range(3)) for k in range(3))
         P = InvariantPencil(q_plus=mats, q_minus=mats, seed=0, coeff_bound=1)
         with pytest.raises(FiberError, match="away from its curve"):
-            module_rep(SideFibers(P), "plus", (1, 1, 0))
+            module_rep(CheckContext(P), "plus", (1, 1, 0))
 
 
 def _module_cases():
@@ -433,9 +433,9 @@ def test_module_matches_the_corner_route(name, P, u, side):
     the same d scalar and the same subspace of the fiber, by its RREF."""
     if u is None:
         u = sample_invertible_points(P, random.Random(name), 1)[0]
-    rep = module_rep(SideFibers(P), side, u)
+    rep = module_rep(CheckContext(P), side, u)
     assert (rep.tower, rep.d_scalar, rep.basis) == module_by_corner(
-        SideFibers(P), side, u)
+        CheckContext(P), side, u)
 
 
 def test_a_lone_annihilator_run_builds_one_fiber_per_side(monkeypatch):

@@ -23,7 +23,6 @@ UNREFERENCED = {
     "curve_points": "probed by bench/tracer.py (geometry.curve_points); tests",
     "center_basis": "probed by bench/tracer.py (fiber.center / fiber.radical); tests",
     "radical_dim": "probed by bench/tracer.py (fiber.center / fiber.radical); tests",
-    "monomial": "PolyRing API used only by the tests",
 }
 
 
