@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import geometry
 from .clifford import (
@@ -85,8 +84,6 @@ def _plain(x):
     """Flatten witnesses to plain JSON types with deterministic text."""
     if x is None or isinstance(x, (bool, int, str, float)):
         return x
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

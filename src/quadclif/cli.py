@@ -100,8 +100,7 @@ def _split_target(target):
     return check_id, inst_path
 
 
-def _report_dict(args, P, results):
-    overall = "pass" if all(r.status == "pass" for r in results) else "fail"
+def _report_dict(args, P, results, overall):
     return {
         "schema": 1,
         "tool": {"name": "quadclif", "version": __version__},
@@ -159,7 +158,7 @@ def cmd_check(args):
     print(f"overall: {overall}")
 
     if args.report:
-        payload = json.dumps(_report_dict(args, P, results),
+        payload = json.dumps(_report_dict(args, P, results, overall),
                              sort_keys=True, indent=1) + "\n"
         try:
             with open(args.report, "w", encoding="utf-8") as fh:

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import ZZ, MultiPoly, PolyRing, as_int, kernel_int_sparse
-
-U_VARS = ("u1", "u2", "u3")
+from .exactalg import MultiPoly, as_int, kernel_int_sparse
 
 VARIANTS = ("super", "ordinary", "plus", "minus")
 
@@ -67,16 +65,16 @@ class CliffordAlgebra:
 
     @classmethod
     def from_pencil(cls, P, variant):
-        """The algebra of P's blocks over Z[u]: the blocks are integer
-        matrices, so every structure constant is an integer polynomial, and
-        each verdict read here holds over Q[u] and at every point through
-        the ring homomorphisms Z[u] → Q[u] → K.  An algebra built over
-        PolyRing(QQ, U_VARS) from the same blocks is the oracle in the
-        tests."""
-        ring = PolyRing(ZZ, U_VARS)
-        qp = P.linear_form_matrix("plus", ring) if variant != "minus" else None
-        qm = P.linear_form_matrix("minus", ring) if variant != "plus" else None
-        return cls(ring, variant, q_plus=qp, q_minus=qm)
+        """The algebra of P's blocks over Z[u] (pencil.URING): the blocks
+        are integer matrices, so every structure constant is an integer
+        polynomial, and each verdict read here holds over Q[u] and at every
+        point through the ring homomorphisms Z[u] → Q[u] → K.  The same
+        blocks over the rational field that tests/conftest.py defines
+        give the tests' oracle algebra."""
+        qp = P.linear_form_matrix("plus") if variant != "minus" else None
+        qm = P.linear_form_matrix("minus") if variant != "plus" else None
+        return cls((qm if qp is None else qp).ring, variant, q_plus=qp,
+                   q_minus=qm)
 
     # -- generator bookkeeping ---------------------------------------------------
 

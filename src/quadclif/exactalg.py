@@ -2,13 +2,14 @@
 polynomials, and the package's only dense linear algebra.
 
 Everything in this module is exact, and polynomial arithmetic never
-rounds.  There are two coefficient rings.  `ZZ` has plain `int` elements
-and no division; every integral polynomial of the verifier lives over it,
-and its `coerce` refuses a float or a true fraction.  `QQ` has
-`fractions.Fraction` elements, for the identities with true halves and as
-the oracle in the tests.  A verdict read over Z[u] holds over Q[u] and in
+rounds.  There is one coefficient ring for the verifier's polynomials:
+`ZZ`, with plain `int` elements and no division, whose `coerce` refuses a
+float or a true fraction.  A verdict read over Z[u] holds over Q[u] and in
 every specialization, because the inclusion Z[u] → Q[u], and evaluation
-at a point over Q, a number field or F_p, are ring homomorphisms.
+at a point over Q, a number field or F_p, are ring homomorphisms.  The
+rationals, prime fields and Gaussian rationals that the tests use as
+oracles are fields with the same interface (`name`, `zero`, `one`,
+`characteristic`, `coerce`), defined in the tests.
 
 The polynomial layer is deliberately small: ring operations, derivatives
 (the partials behind `pencil.discriminant`) and evaluation; resultants
@@ -78,29 +79,6 @@ class IntegerRing:
 ZZ = IntegerRing()
 
 
-class RationalField:
-    """The rationals, with Fraction elements."""
-
-    name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
-    characteristic = 0
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int) or isinstance(x, str):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into Q")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -144,7 +122,8 @@ def _grlex_key(item):
 
 
 class PolyRing:
-    """A polynomial ring over ZZ, QQ or another exact field."""
+    """A polynomial ring over ZZ, or over an exact field with ZZ's
+    interface (the oracles of the tests); `src/` builds every one over ZZ."""
 
     def __init__(self, field, variables):
         self.field = field
@@ -372,13 +351,7 @@ class MultiPoly:
         return sorted(self.terms.items(), key=_grlex_key, reverse=True)
 
     def to_json_terms(self):
-        out = []
-        for e, c in self.sorted_terms():
-            if isinstance(c, Fraction):
-                out.append([list(e), str(c)])
-            else:
-                out.append([list(e), repr(c)])
-        return out
+        return [[list(e), str(c)] for e, c in self.sorted_terms()]
 
     def __repr__(self):
         if not self.terms:

@@ -667,7 +667,6 @@ def clifford_fiber(alg, u, field, proof=None):
     proof=None the table makes no claim (see FinAlg)."""
     n = 1 << alg.ngens
     zero = field.zero
-    point = [c if hasattr(c, "field") else as_int(Fraction(c)) for c in u]
     monomials = {}
     table = []
     for terms_row in alg.structure_terms():
@@ -679,7 +678,7 @@ def clifford_fiber(alg, u, field, proof=None):
                 for e, c in terms:
                     m = monomials.get(e)
                     if m is None:
-                        m = monomials[e] = prod(x ** k for x, k in zip(point, e))
+                        m = monomials[e] = prod(x ** k for x, k in zip(u, e))
                     acc += c * m
                 vec[mask] = field.coerce(acc)
             row.append(tuple(vec))
@@ -699,7 +698,7 @@ def eval_element(e, u, field, dim):
 
 
 def _point(u):
-    u = tuple(c if hasattr(c, "field") else Fraction(c) for c in u)
+    u = tuple(u)
     if len(u) != 3:
         raise ValueError("base points have three coordinates")
     if not any(u):
@@ -784,9 +783,10 @@ def even_certificate(ctx, side):
 def side_fiber(ctx, side, u, field):
     """The 8-dimensional fiber of one block of ctx.P at u over field
     (QuadraticTower(()) for Q), with its central odd vector and the
-    determinant value.  Its consumer, the module idempotent of
-    plucker.module_rep, checks d² = f(u); the curve claim needs no fiber
-    (corank1_quotient)."""
+    determinant value.  Its consumer, plucker.module_rep, discards that
+    value: it takes √f(u) from its own evaluation of f at u and checks
+    that d acts on its module idempotent by that root; the curve claim
+    needs no fiber (corank1_quotient)."""
     u = _point(u)
     A = clifford_fiber(ctx.algebra(side), u, field, proof="clifford")
     dvec = eval_element(ctx.central(side).element, u, field, 8)
@@ -860,8 +860,7 @@ def sample_invertible_points(P, rng, count, bound=9):
         if not any(u) or u in seen:
             continue
         seen.add(u)
-        uf = tuple(Fraction(c) for c in u)
-        if curves.f_plus.eval(uf) and curves.f_minus.eval(uf):
+        if curves.f_plus.eval(u) and curves.f_minus.eval(u):
             out.append(u)
     if len(out) < count:
         raise FiberError("could not sample enough invertible points")

@@ -17,7 +17,6 @@ prime of bad reduction says nothing over Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .exactalg import int_coeffs
@@ -289,63 +288,53 @@ _G_LABELS = {
 }
 
 
+def _group_row(group, g_row):
+    """The table row of group from G's row g_row: g_row itself for G, and
+    for Cλ, the s = 1 slice, the λ of each element (1, λ) of g_row."""
+    if group == "G":
+        return g_row
+    if group != "Clambda":
+        raise ValueError("group must be 'Clambda' or 'G'")
+    lams = tuple(lam for s, lam in g_row.elements if s == 1)
+    return StabilizerDescriptor(group, g_row.y_plus_zero, g_row.y_minus_zero,
+                                "Z2_lambda" if len(lams) == 2 else "trivial",
+                                lams)
+
+
 def stabilizer(y_plus_zero, y_minus_zero, group):
     """Closed-form stabilizer table.  The scaling action is
     (s, λ)·(u, y₊, y₋) = (λ²u, λ³y₊, sλ³y₋) with λ forced to ±1 by
     λ²u = u, u ≠ 0; the Cλ case is the s = 1 slice."""
-    if group == "Clambda":
-        if y_plus_zero and y_minus_zero:
-            return StabilizerDescriptor(group, y_plus_zero, y_minus_zero,
-                                        "Z2_lambda", (1, -1))
-        return StabilizerDescriptor(group, y_plus_zero, y_minus_zero,
-                                    "trivial", (1,))
-    if group == "G":
-        if y_plus_zero and y_minus_zero:
-            elems = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-            label = "Z2xZ2"
-        elif y_plus_zero:
-            # y₋ ≠ 0 needs sλ³ = 1, so the nontrivial element is (−1,−1)
-            elems = ((1, 1), (-1, -1))
-            label = "Z2_lambda"
-        elif y_minus_zero:
-            # y₊ ≠ 0 needs λ = 1; s is free
-            elems = ((1, 1), (-1, 1))
-            label = "Z2_s"
-        else:
-            elems = ((1, 1),)
-            label = "trivial"
-        return StabilizerDescriptor(group, y_plus_zero, y_minus_zero, label, elems)
-    raise ValueError("group must be 'Clambda' or 'G'")
+    if y_plus_zero and y_minus_zero:
+        elems = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        label = "Z2xZ2"
+    elif y_plus_zero:
+        # y₋ ≠ 0 needs sλ³ = 1, so the nontrivial element is (−1,−1)
+        elems = ((1, 1), (-1, -1))
+        label = "Z2_lambda"
+    elif y_minus_zero:
+        # y₊ ≠ 0 needs λ = 1; s is free
+        elems = ((1, 1), (-1, 1))
+        label = "Z2_s"
+    else:
+        elems = ((1, 1),)
+        label = "trivial"
+    return _group_row(group, StabilizerDescriptor(
+        "G", y_plus_zero, y_minus_zero, label, elems))
 
 
 def stabilizer_bruteforce(y_plus_zero, y_minus_zero, group,
                           sample=None):
-    """Enumerate (s, λ) ∈ {±1}² on a rational sample point and keep the
+    """Enumerate (s, λ) ∈ {±1}² on an integer sample point and keep the
     fixers; the authoritative companion to the closed-form table."""
     if sample is None:
-        sample = ((Fraction(1), Fraction(2), Fraction(3)),
-                  Fraction(0) if y_plus_zero else Fraction(5),
-                  Fraction(0) if y_minus_zero else Fraction(7))
+        sample = ((1, 2, 3), 0 if y_plus_zero else 5, 0 if y_minus_zero else 7)
     u, yp, ym = sample
     if not any(u):
         raise ValueError("sample must have u != 0")
     if (yp == 0) != y_plus_zero or (ym == 0) != y_minus_zero:
         raise ValueError("sample does not realize the requested case")
-    if group == "Clambda":
-        fixers = tuple(
-            lam for lam in (1, -1)
-            if _act_G(1, lam, sample) == sample
-        )
-        label = "trivial" if fixers == (1,) else "Z2_lambda"
-        return StabilizerDescriptor(group, y_plus_zero, y_minus_zero, label, fixers)
-    if group == "G":
-        fixers = tuple(
-            (s, lam)
-            for s in (1, -1)
-            for lam in (1, -1)
-            if _act_G(s, lam, sample) == sample
-        )
-        fixers = tuple(sorted(fixers, reverse=True))
-        label = _G_LABELS[frozenset(fixers)]
-        return StabilizerDescriptor(group, y_plus_zero, y_minus_zero, label, fixers)
-    raise ValueError("group must be 'Clambda' or 'G'")
+    fixers = tuple(sorted(((s, lam) for s in (1, -1) for lam in (1, -1)
+                           if _act_G(s, lam, sample) == sample), reverse=True))
+    return _group_row(group, StabilizerDescriptor(
+        "G", y_plus_zero, y_minus_zero, _G_LABELS[frozenset(fixers)], fixers))

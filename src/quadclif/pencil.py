@@ -184,7 +184,8 @@ class InvariantPencil:
         return SymMatrix(ring, rows)
 
     def block_at(self, u, side):
-        """3×3 rational (or field) matrix Σ uₖ q[k] at a point u ≠ 0."""
+        """3×3 matrix Σ uₖ q[k] at a point u ≠ 0, over u's ring (ints
+        at an integer point)."""
         if not any(u):
             raise ValueError("u must be nonzero")
         mats = self.side_mats(side)

@@ -3,9 +3,9 @@ line-Plücker model, the two rational families sweeping it out, rank-one
 adjugates along the determinant curves, and the two-dimensional modules
 attached to split fibers.
 
-Everything here is either fully symbolic (polynomial identities, over Z
-except for the Plücker transform, whose matrix has entries ½ and stays
-over Q) or exact at a chosen base point.
+Everything here is either fully symbolic (polynomial identities over Z;
+the Plücker transform, whose matrix has entries ½, is checked through its
+double) or exact at a chosen base point.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .exactalg import (
-    QQ,
     ZZ,
     PolyRing,
     adjugate3,
@@ -42,17 +41,15 @@ Z_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 # the line-Plücker model of the split quadric
 # ---------------------------------------------------------------------------
 
-def split_quadric_poly(ring=None):
+def split_quadric_poly():
     """x1 x2 + x3² - x4² + x5 x6."""
-    ring = ring or PolyRing(QQ, X_VARS)
-    x = [ring.var(v) for v in X_VARS]
+    x = [PolyRing(ZZ, X_VARS).var(v) for v in X_VARS]
     return x[0] * x[1] + x[2] * x[2] - x[3] * x[3] + x[4] * x[5]
 
 
-def plucker_quadric_poly(ring=None):
+def plucker_quadric_poly():
     """z12 z34 - z13 z24 + z14 z23: the image of the wedge square."""
-    ring = ring or PolyRing(QQ, Z_VARS)
-    z = [ring.var(v) for v in Z_VARS]
+    z = [PolyRing(ZZ, Z_VARS).var(v) for v in Z_VARS]
     return z[0] * z[5] - z[1] * z[4] + z[2] * z[3]
 
 
@@ -72,33 +69,29 @@ def plucker_transform():
 
 
 def transform_identity_check():
-    """Symbolic proof that the transform matches the two quadrics."""
-    zring = PolyRing(QQ, Z_VARS)
-    z = [zring.var(v) for v in Z_VARS]
+    """Symbolic proof that the transform matches the two quadrics: M is
+    invertible, and q(M·z) = P(z) for q the split quadric and P the
+    Plücker quadric.  The identity is checked over Z[z] through the
+    integer matrix T = 2M as q(T·z) = 4·P(z): both quadrics are
+    homogeneous of degree 2, so q(T·z) = q(2·M·z) = 4·q(M·z), and the two
+    identities are the same claim."""
     M = plucker_transform()
     if mat_rank([list(r) for r in M]) != 6:
         return False
-    xring = PolyRing(QQ, X_VARS)
-    images = []
-    for row in M:
-        acc = zring.zero()
-        for c, zv in zip(row, z):
-            if c:
-                acc = acc + zv * c
-        images.append(acc)
-    q = split_quadric_poly(xring)
-    transported = q.subs(dict(zip(X_VARS, images)))
-    return transported == plucker_quadric_poly(zring)
+    P = plucker_quadric_poly()
+    z = [P.ring.var(v) for v in Z_VARS]
+    images = [sum((zv * (2 * c) for c, zv in zip(row, z)), P.ring.zero())
+              for row in M]
+    return split_quadric_poly().subs(dict(zip(X_VARS, images))) == P * 4
 
 
 # ---------------------------------------------------------------------------
 # the two Segre families and their common isotropic plane
 # ---------------------------------------------------------------------------
 
-def segre_points(ring=None):
+def segre_points(ring):
     """The two isotropic curves (p₊, p₋) in Plücker coordinates, as
-    polynomial 6-vectors in the family parameters a0..a3."""
-    ring = ring or PolyRing(QQ, A_VARS)
+    polynomial 6-vectors in the family parameters a0..a3 of ring."""
     a0, a1, a2, a3 = (ring.var(v) for v in A_VARS[:4])
     zero = ring.zero()
     p_plus = (a0 * a0, a0 * a1, zero, zero, -(a0 * a1), -(a1 * a1))
@@ -172,7 +165,7 @@ def segre_identity_check():
     ring = PolyRing(ZZ, A_VARS)
     a0, a1, a2, a3 = (ring.var(v) for v in A_VARS[:4])
     p_plus, p_minus = segre_points(ring)
-    q = plucker_quadric_poly(PolyRing(ZZ, Z_VARS))
+    q = plucker_quadric_poly()
     y = segre_y(ring)
     ws = wedge_with_basis(y, ring)
 
@@ -271,10 +264,10 @@ def _m0_rows(a, zero):
     return tuple(rows)
 
 
-def m0_matrix_symbolic(ring=None):
+def m0_matrix_symbolic():
     """The matrix with polynomial entries over Z, for identity checking;
     its value at a point is the entrywise evaluation."""
-    ring = ring or PolyRing(ZZ, A_VARS)
+    ring = PolyRing(ZZ, A_VARS)
     a = tuple(ring.var(v) for v in A_VARS)
     return _m0_rows(a, ring.zero()), a
 
@@ -299,8 +292,8 @@ def m0_identity_check():
     same two facts give rank 3 over the function field Q(a).  As
     polynomials, then, every 4×4 minor is zero and vanishes at every
     point.  The residual digest is that of the six relation entries."""
-    ring = PolyRing(ZZ, A_VARS)
-    rows, a = m0_matrix_symbolic(ring)
+    rows, a = m0_matrix_symbolic()
+    ring = a[0].ring
     a0, a1, a2, a3 = a
     residuals = [row[0] * a1 + row[1] * a2 + row[2] * a3 - row[3] * a0
                  for row in rows]
@@ -317,13 +310,12 @@ def m0_identity_check():
 # adjugates along the determinant curves
 # ---------------------------------------------------------------------------
 
-def adjugate_double_line(P, side, u, field=None):
+def adjugate_double_line(P, side, u, field=ZZ):
     """Stratify the adjugate of one block at u: full rank away from the
     curve, and on the curve a certified rank-one symmetric matrix (the
-    double of the kernel line), over field, which holds u's coordinates;
-    corank two or a failed rank-one certificate raises GenericityError."""
-    if field is None:
-        field = QQ
+    double of the kernel line), over field, which holds u's coordinates
+    (ZZ for an integer point); corank two or a failed rank-one
+    certificate raises GenericityError."""
     block = P.block_at(u, side)
     m = [[field.coerce(x) for x in row] for row in block]
     adj = adjugate3(m)
@@ -357,7 +349,7 @@ class ModuleRep:
     point: tuple
     matrices: tuple   # action of the three generators, 2×2 over the tower
     d_scalar: object  # the odd central element acts by this scalar
-    block: tuple      # the 3×3 rational value of the form at the point
+    block: tuple      # the 3×3 integer value of the form at the point
     basis: tuple      # the module A·E: its RREF basis in the fiber's coordinates
 
 
@@ -393,11 +385,10 @@ def module_rep(ctx, side, u):
     C = e·A·e.  The generator matrices come from left multiplication on
     the RREF basis of A·E; the relations, tracelessness and d = ±√f(u)
     are checked on them."""
-    uf = tuple(Fraction(c) for c in u)
-    fval = ctx.P.det_curves().side(side).eval(uf)
+    fval = ctx.P.det_curves().side(side).eval(u)
     if fval == 0:
         raise FiberError("the block only splits away from its curve")
-    block = ctx.P.block_at(uf, side)
+    block = ctx.P.block_at(u, side)
     for wvec in W_CANDIDATES:
         lam = -sum(wvec[i] * block[i][j] * wvec[j]
                    for i in range(3) for j in range(3))
@@ -444,7 +435,7 @@ def module_rep(ctx, side, u):
         raise AssertionError("Clifford relation failed in the module")
 
     # the odd central element must act by the split square root
-    r_at = [r.eval(uf) for r in ctx.central(side).r_coeffs]
+    r_at = [r.eval(u) for r in ctx.central(side).r_coeffs]
     d_mat = _mat2_mul(_mat2_mul(mats[0], mats[1]), mats[2])
     for rv, mat in zip(r_at, mats):
         d_mat = _mat2_add(d_mat, tuple(

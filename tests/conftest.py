@@ -15,7 +15,6 @@ from quadclif.clifford import (
 )
 from quadclif import plucker
 from quadclif.exactalg import (
-    QQ,
     ZZ,
     MultiPoly,
     PolyRing,
@@ -56,6 +55,31 @@ from quadclif.pencil import (
     generate,
 )
 from quadclif.plucker import A_VARS, W_CANDIDATES, Z_VARS
+
+
+class RationalField:
+    """The rationals, with Fraction elements: the oracle field of the
+    tests, which read the identities over Q that `src/` proves over
+    `exactalg.ZZ`; `src/` builds none."""
+
+    name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
+    characteristic = 0
+
+    @staticmethod
+    def coerce(x):
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, int) or isinstance(x, str):
+            return Fraction(x)
+        raise TypeError(f"cannot coerce {x!r} into Q")
+
+    def __repr__(self):
+        return "QQ"
+
+
+QQ = RationalField()
 
 
 class FpElem:
@@ -1413,7 +1437,7 @@ def segre_ok_by_minors():
     ring = PolyRing(ZZ, A_VARS)
     a0, a1, a2, a3 = (ring.var(v) for v in A_VARS)
     p_plus, p_minus = plucker.segre_points(ring)
-    q = plucker.plucker_quadric_poly(PolyRing(ZZ, Z_VARS))
+    q = plucker.plucker_quadric_poly()
     ws = plucker.wedge_with_basis(plucker.segre_y(ring), ring)
 
     def on_quadric(vec):
@@ -1471,8 +1495,8 @@ def m0_ok_by_minors():
     """The M0 identities by the long path: the column relation, all 15
     4×4 minors zero, a searched 3×3 minor equal to ±aᵢ³ for every i, and
     m0_matrix at five seeded rational points."""
-    ring = PolyRing(ZZ, A_VARS)
-    rows, a = plucker.m0_matrix_symbolic(ring)
+    rows, a = plucker.m0_matrix_symbolic()
+    ring = a[0].ring
     a0, a1, a2, a3 = a
     if any(not (r[0] * a1 + r[1] * a2 + r[2] * a3 - r[3] * a0).is_zero()
            for r in rows):
@@ -1504,7 +1528,7 @@ def _doubled_plus_coordinate(monkeypatch):
     # p₊ with its first Plücker coordinate doubled leaves the quadric
     segre_points = plucker.segre_points
 
-    def doubled(ring=None):
+    def doubled(ring):
         p_plus, p_minus = segre_points(ring)
         return (p_plus[0] * 2, *p_plus[1:]), p_minus
 

@@ -10,12 +10,11 @@ from math import comb
 
 import pytest
 
-from quadclif.exactalg import QQ, ZZ, PolyRing, SymMatrix, kernel_int_sparse
+from quadclif.exactalg import ZZ, PolyRing, SymMatrix, kernel_int_sparse
 from quadclif.clifford import (
     CentralElementError,
     CliffordAlgebra,
     CliffordElement,
-    U_VARS,
     central_odd,
     central_pair,
     commutant_basis,
@@ -26,10 +25,11 @@ from quadclif.clifford import (
     terms_homogeneous,
 )
 from quadclif.checks import CheckContext, run_single
-from quadclif.pencil import InvariantPencil, generate
+from quadclif.pencil import U_VARS, InvariantPencil, generate
 
 from conftest import (
     BAD_REDUCTION_Q_PLUS,
+    QQ,
     QQI,
     SINGULAR_OFF_FP_Q_PLUS,
     PrimeField,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quadclif import geometry
-from quadclif.exactalg import QQ, PolyRing
+from quadclif.exactalg import PolyRing
 from quadclif.pencil import (
     U_VARS,
     URING,
@@ -24,6 +24,7 @@ from quadclif.pencil import (
 
 from conftest import (
     BAD_REDUCTION_Q_PLUS,
+    QQ,
     SINGULAR_OFF_FP_Q_PLUS,
     cached_pencil,
     macaulay_resultant,

@@ -21,7 +21,7 @@ import pytest
 from quadclif import checks, clifford, fiber
 from quadclif.checks import CheckContext, run_single
 from quadclif.clifford import CliffordAlgebra
-from quadclif.exactalg import QQ, PolyRing, SymMatrix
+from quadclif.exactalg import PolyRing, SymMatrix
 from quadclif.fiber import (
     EVEN_MASKS,
     ODD_MASKS,
@@ -38,6 +38,7 @@ from quadclif.pencil import _derived_rng
 
 import conftest
 from conftest import (
+    QQ,
     PrimeField,
     cached_pencil,
     certify_matrix_algebra,

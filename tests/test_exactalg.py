@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from quadclif.exactalg import (
-    QQ,
     ZZ,
     PolyRing,
     SymMatrix,
@@ -29,6 +28,7 @@ from quadclif.fiber import QuadraticTower
 from quadclif.pencil import _derived_rng
 
 from conftest import (
+    QQ,
     QQI,
     SQUAREFREE_FIELDS,
     GaussianRational,

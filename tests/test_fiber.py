@@ -9,8 +9,8 @@ import pytest
 
 from quadclif import fiber
 from quadclif.checks import CheckContext, run_single
-from quadclif.clifford import U_VARS, CliffordAlgebra, lift
-from quadclif.exactalg import QQ, ZZ, PolyRing, mat_rank, mat_solve
+from quadclif.clifford import CliffordAlgebra, lift
+from quadclif.exactalg import ZZ, PolyRing, mat_rank, mat_solve
 from quadclif.fiber import (
     IRREDUCIBILITY_PRIMES,
     CubicField,
@@ -33,9 +33,10 @@ from quadclif.fiber import (
     tensor_product,
 )
 from quadclif.geometry import curve_points
-from quadclif.pencil import InvariantPencil, _derived_rng
+from quadclif.pencil import U_VARS, InvariantPencil, _derived_rng
 
 from conftest import (
+    QQ,
     PrimeField,
     as_univariate,
     cached_pencil,

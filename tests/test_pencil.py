@@ -12,7 +12,6 @@ import pytest
 from quadclif import pencil
 from quadclif.checks import CheckContext, genericity_scans
 from quadclif.exactalg import (
-    QQ,
     ZZ,
     PolyRing,
     SymMatrix,
@@ -33,6 +32,7 @@ from quadclif.pencil import (
 )
 
 from conftest import (
+    QQ,
     as_univariate,
     cached_pencil,
     center_matrix,

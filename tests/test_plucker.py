@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     IDENTITY_MUTANTS,
+    QQ,
     PrimeField,
     cached_pencil,
     m0_matrix,
@@ -20,7 +21,7 @@ from conftest import (
 )
 from quadclif import fiber, plucker
 from quadclif.checks import CheckContext, run_single
-from quadclif.exactalg import QQ, PolyRing, det_cofactor, mat_rank
+from quadclif.exactalg import PolyRing, det_cofactor, mat_rank
 from quadclif.fiber import FiberError, sample_invertible_points
 from quadclif.geometry import GenericityError, curve_points
 from quadclif.pencil import InvariantPencil

@@ -7,6 +7,11 @@ methods aside) has no caller in the package.  The few that stay are
 listed here with their reason; deleting one removes it from the list, and
 a new unreferenced definition fails the test until it gets a caller or a
 line here.
+
+A second scan keeps Z the only coefficient ring of src/: every
+PolyRing(...) call passes ZZ as its field, and no name that src/ defines,
+imports or reads is QQ or RationalField (the rationals are a test oracle,
+in conftest).
 """
 
 import ast
@@ -52,3 +57,52 @@ def test_the_scan_sees_a_dead_function(tmp_path):
     (tmp_path / "extra.py").write_text("def orphan():\n    return 1\n",
                                        encoding="utf-8")
     assert unreferenced_definitions(tmp_path) == set(UNREFERENCED) | {"orphan"}
+
+
+FORBIDDEN_RINGS = {"QQ", "RationalField"}
+
+
+def coefficient_ring_violations(root=SRC):
+    """(file, line, what) for every PolyRing call in root whose field is
+    not the bare name ZZ, and every QQ or RationalField that root defines,
+    imports or reads."""
+    out = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ()
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "PolyRing":
+                    field = node.args[0] if node.args else next(
+                        (k.value for k in node.keywords if k.arg == "field"), None)
+                    if not (isinstance(field, ast.Name) and field.id == "ZZ"):
+                        out.add((path.name, node.lineno, "PolyRing field"))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = (node.name,)
+            elif isinstance(node, ast.Name):
+                names = (node.id,)
+            elif isinstance(node, ast.Attribute):
+                names = (node.attr,)
+            elif isinstance(node, ast.alias):
+                names = (node.name, node.asname)
+            out.update((path.name, node.lineno, name)
+                       for name in names if name in FORBIDDEN_RINGS)
+    return out
+
+
+def test_z_is_the_only_coefficient_ring_of_src():
+    assert coefficient_ring_violations() == set()
+
+
+def test_the_ring_scan_sees_a_rational_ring(tmp_path):
+    (tmp_path / "extra.py").write_text(
+        "from .exactalg import PolyRing\n"
+        "from .oracles import QQ as Q\n"
+        "class RationalField:\n    pass\n"
+        "R = PolyRing(Q, ('t',))\n"
+        "S = PolyRing(field=ring, variables=('t',))\n"
+        "T = PolyRing(ZZ, ('t',))\n",
+        encoding="utf-8")
+    assert coefficient_ring_violations(tmp_path) == {
+        ("extra.py", 2, "QQ"), ("extra.py", 3, "RationalField"),
+        ("extra.py", 5, "PolyRing field"), ("extra.py", 6, "PolyRing field")}
