@@ -10,17 +10,18 @@ witnesses carry Δ₊, Δ₋ and the resultant's center, degree and squarefree
 flag on PASS and on FAIL; each names its certificate in a summary entry.
 The finite-field sweeps, run here at the fixed SCAN_PRIMES, are F_p
 witnesses, and every witness with a "prime" key is one: a sweep sees only
-F_p-points.  One rule covers every scan: a sweep that cannot run at a
-prime (`geometry.ScanError`: the curve or one of its partials vanishes
-mod p, so p divides Δ) gives a witness, never a crash, and a witness that
-contradicts an exact verdict, which only bad reduction can cause, carries
-a note naming the prime (`noted`).
+F_p-points.  Each check runs the scans whose witnesses it prints, on the
+run's shared reduced curves.  One rule covers every scan: a sweep that
+cannot run at a prime (`geometry.ScanError`: the curve or one of its
+partials vanishes mod p, so p divides Δ) gives a witness, never a crash,
+and a witness that contradicts an exact verdict, which only bad
+reduction can cause, carries a note naming the prime (`noted`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import geometry
 from .clifford import (
@@ -95,7 +96,7 @@ class CheckContext:
     """Shared state for one verification run: the instance, the flag
     values, and one store (`cached`) so every shared artifact is computed
     once per run: the reduced curves (`curve`, the one memo every F_p scan
-    reads), the genericity report with its scan witnesses, the sampled
+    reads), the exact genericity report (`genericity`), the sampled
     fiber points, the engine of each Clifford variant (`block`), its proof
     (`algebra`), the sides' odd central elements (`central`) and the
     even-part certificates.  The fiber and plucker functions take the
@@ -127,13 +128,8 @@ class CheckContext:
             self.P.det_curves().side(side), self.P.side_mats(side), p))
 
     def genericity(self):
-        """The exact genericity report with the run's scan witnesses."""
-        return self.cached(
-            "genericity", lambda: genericity_scans(self, self.exact_genericity()))
-
-    def exact_genericity(self):
-        """The exact genericity report alone, with no scan."""
-        return self.cached("exact-genericity", lambda: genericity_check(self.P))
+        """The exact genericity report; each check adds its own scans."""
+        return self.cached("genericity", lambda: genericity_check(self.P))
 
     def block(self, variant):
         """The engine of one of the four VARIANTS over Z[u], built once."""
@@ -191,76 +187,72 @@ def noted(witness, holds, claim):
     return witness
 
 
-def genericity_scans(ctx, report):
-    """The exact report with the F_p scan witnesses of each of the
-    SCAN_PRIMES appended, per prime: singular points or a curve vanishing mod p
-    on each side, tangencies, and a max corank other than 1.  A scan can
-    contradict an exact verdict only through bad reduction (a singular
-    F_p-point makes p divide Δ), and such a witness is `noted`; a scan
-    that finds nothing proves nothing beyond its F_p-points.  A vanishing
-    partial breaks only the gradient scans, so the corank scan runs on."""
-    if any(w["kind"] == "degenerate_determinant" for w in report.witnesses):
-        return report
-    smooth = {"plus": report.e_plus_smooth, "minus": report.e_minus_smooth}
-    witnesses = list(report.witnesses)
-    add = witnesses.append
-    for p in SCAN_PRIMES:
+def _degenerate(ctx):
+    """Whether a determinant cubic vanishes identically: then there is no
+    curve to scan and no point off it to sample."""
+    return any(ctx.P.det_curves().side(side).is_zero() for side in ("plus", "minus"))
+
+
+def _check_smoothness(ctx):
+    """The verdict is _curve_verdict's.  Per scan prime and side, the
+    singular F_p-points, or a curve vanishing mod p.  A singular F_p-point
+    makes p divide Δ, so one that contradicts the verdict is `noted`."""
+    ok, wit, smooth = _curve_verdict(ctx)
+    for p in () if _degenerate(ctx) else SCAN_PRIMES:
         for side in ("plus", "minus"):
             claim = f"Delta_{side} != 0"
             try:
                 bad = geometry.ff_scan_smooth(ctx.curve(side, p))
             except geometry.ScanError:
-                add(noted({"kind": f"e_{side}_vanishes_mod_p", "prime": p,
-                           "point": None}, smooth[side], claim))
+                wit.append(noted({"kind": f"e_{side}_vanishes_mod_p", "prime": p,
+                                  "point": None}, smooth[side], claim))
                 continue
-            for pt in bad:
-                add(noted({"kind": f"e_{side}_singular", "prime": p,
-                           "point": list(pt)}, smooth[side], claim))
-        try:
-            tang = geometry.ff_scan_transversal(ctx.curve("plus", p),
-                                                ctx.curve("minus", p))
-        except geometry.ScanError:
-            tang = ()
-        for pt in tang:
-            add(noted({"kind": "tangency", "prime": p, "point": list(pt)},
-                      report.nine_points, "the resultant is squarefree"))
-        try:
-            mc = geometry.ff_scan_corank(ctx.curve("plus", p),
-                                         ctx.curve("minus", p))
-        except geometry.ScanError:
-            mc = 3
-        if mc != 1:
-            add(noted({"kind": "corank", "prime": p, "point": None, "value": mc},
-                      smooth["plus"] and smooth["minus"],
-                      "Delta_plus * Delta_minus != 0"))
-    return replace(report, witnesses=tuple(witnesses))
-
-
-def _check_smoothness(ctx):
-    rep = ctx.genericity()
-    ok = rep.e_plus_smooth and rep.e_minus_smooth
-    wit = [w for w in rep.witnesses
-           if "singular" in w["kind"] or "vanishes" in w["kind"]
-           or w["kind"] in ("discriminant", "degenerate_determinant")]
+            wit.extend(noted({"kind": f"e_{side}_singular", "prime": p,
+                              "point": list(pt)}, smooth[side], claim) for pt in bad)
     wit.append({"certificate": "exact discriminants",
                 "scan_primes": list(SCAN_PRIMES)})
     return ok, wit
 
 
 def _check_transversality(ctx):
+    """The verdict is the squarefree resultant's.  Per scan prime, the
+    tangencies among the common F_p-points; none where a gradient scan
+    cannot run (ScanError), as a vanishing partial breaks only those."""
     rep = ctx.genericity()
-    wit = [w for w in rep.witnesses if w["kind"] in ("tangency", "resultant")]
+    wit = [w for w in rep.witnesses if w["kind"] == "resultant"]
+    for p in () if _degenerate(ctx) else SCAN_PRIMES:
+        try:
+            tang = geometry.ff_scan_transversal(ctx.curve("plus", p),
+                                                ctx.curve("minus", p))
+        except geometry.ScanError:
+            tang = ()
+        wit.extend(noted({"kind": "tangency", "prime": p, "point": list(pt)},
+                         rep.nine_points, "the resultant is squarefree")
+                   for pt in tang)
     wit.append({"certificate": "exact resultant", "notes": list(rep.notes),
                 "scan_primes": list(SCAN_PRIMES)})
     return rep.nine_points, wit
 
 
 def _check_rank4(ctx):
+    """The verdict is Δ₊Δ₋ ≠ 0 (`pencil.genericity_check`).  Per scan
+    prime, the max corank along both curves when it is not 1, read as 3
+    where a curve vanishes mod p."""
     rep = ctx.genericity()
-    wit = [w for w in rep.witnesses if w["kind"] in ("discriminant", "corank")]
+    ok = rep.e_plus_smooth and rep.e_minus_smooth
+    wit = [w for w in rep.witnesses if w["kind"] == "discriminant"]
+    for p in () if _degenerate(ctx) else SCAN_PRIMES:
+        try:
+            mc = geometry.ff_scan_corank(ctx.curve("plus", p),
+                                         ctx.curve("minus", p))
+        except geometry.ScanError:
+            mc = 3
+        if mc != 1:
+            wit.append(noted({"kind": "corank", "prime": p, "point": None,
+                              "value": mc}, ok, "Delta_plus * Delta_minus != 0"))
     wit.append({"certificate": "exact discriminants", "max_corank_allowed": 1,
                 "scan_primes": list(SCAN_PRIMES)})
-    return rep.e_plus_smooth and rep.e_minus_smooth, wit
+    return ok, wit
 
 
 def _check_nine_points(ctx):
@@ -410,8 +402,8 @@ def _even_certificates(ctx, claim, locus):
     """(ok, witnesses): both sides' even_certificate, built once per run,
     then the claim and its locus.  A cubic that vanishes identically leaves
     no point off the curve: FAIL with the degenerate_determinant witness."""
-    if any(ctx.P.det_curves().side(side).is_zero() for side in ("plus", "minus")):
-        return False, list(ctx.exact_genericity().witnesses)
+    if _degenerate(ctx):
+        return False, list(ctx.genericity().witnesses)
     certs = [ctx.cached(("even-certificate", side),
                         lambda: even_certificate(ctx, side))
              for side in ("plus", "minus")]
@@ -526,7 +518,7 @@ def _curve_verdict(ctx):
     formula (`pencil.genericity_check`).  So with Δ ≠ 0 adj M has rank one
     on E, and each degenerate conic has one singular point, the kernel
     line spanned by adj M.  Δ = 0 (or f ≡ 0) leaves the claims uncertified."""
-    rep = ctx.exact_genericity()
+    rep = ctx.genericity()
     smooth = {"plus": rep.e_plus_smooth, "minus": rep.e_minus_smooth}
     wit = [w for w in rep.witnesses
            if w["kind"] in ("discriminant", "degenerate_determinant")]
@@ -535,8 +527,8 @@ def _curve_verdict(ctx):
 
 def _check_adjugate(ctx):
     ok, wit, smooth = _curve_verdict(ctx)
-    if any(w["kind"] == "degenerate_determinant" for w in wit):
-        return False, wit  # f ≡ 0 leaves no off-curve point to sample
+    if _degenerate(ctx):
+        return False, wit
     p = SCAN_PRIMES[0]
     for u in ctx.fiber_points()[:3]:
         for side in ("plus", "minus"):

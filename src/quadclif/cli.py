@@ -20,7 +20,6 @@ from .checks import (
     MAX_POINTS,
     CheckContext,
     INSTANCE_FREE,
-    UnknownCheckError,
     run_all,
     run_single,
 )
@@ -144,13 +143,7 @@ def cmd_check(args):
     except ValueError as exc:
         return _fail_usage(str(exc))
 
-    try:
-        if check_id is None:
-            results = run_all(ctx)
-        else:
-            results = [run_single(ctx, check_id)]
-    except UnknownCheckError as exc:
-        return _fail_usage(str(exc))
+    results = run_all(ctx) if check_id is None else [run_single(ctx, check_id)]
 
     for r in results:
         print(f"{r.status.upper():4s} {r.id} ({r.seconds:.2f}s)")

@@ -900,10 +900,8 @@ def cubic_section_point(P, side):
     g₀ = f(base), g₃ = f(dir) and g(±1) = f(base ± dir) are integers, as
     f, the determinant of an integer block, has integer coefficients."""
     f = P.det_curves().side(side)
-    if any(Fraction(c).denominator != 1 for c in f.terms.values()):
-        raise FiberError("determinant cubic has a non-integer coefficient")
     for base, dirv in section_lines():
-        g0, g3, gp, gm = (int(f.eval(v)) for v in (
+        g0, g3, gp, gm = (f.eval(v) for v in (
             base, dirv, [b + d for b, d in zip(base, dirv)],
             [b - d for b, d in zip(base, dirv)]))
         g = (g0, (gp - gm) // 2 - g3, (gp + gm) // 2 - g0, g3)

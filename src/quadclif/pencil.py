@@ -167,21 +167,21 @@ class InvariantPencil:
             return self.q_minus
         raise ValueError("side must be 'plus' or 'minus'")
 
-    def linear_form_matrix(self, side, ring=URING):
-        """3×3 symmetric matrix of linear forms Σ uₖ q[k] over `ring`."""
+    def linear_form_matrix(self, side):
+        """3×3 symmetric matrix of linear forms Σ uₖ q[k] over Z[u]."""
         mats = self.side_mats(side)
-        u = [ring.var(v) for v in ring.vars[:3]]
+        u = [URING.var(v) for v in URING.vars]
         rows = []
         for i in range(3):
             row = []
             for j in range(3):
-                acc = ring.zero()
+                acc = URING.zero()
                 for k in range(3):
                     if mats[k][i][j]:
                         acc = acc + u[k] * mats[k][i][j]
                 row.append(acc)
             rows.append(row)
-        return SymMatrix(ring, rows)
+        return SymMatrix(URING, rows)
 
     def block_at(self, u, side):
         """3×3 matrix Σ uₖ q[k] at a point u ≠ 0, over u's ring (ints

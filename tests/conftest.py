@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -5,6 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from quadclif import geometry
+from quadclif.checks import SCAN_PRIMES, noted
 from quadclif.clifford import (
     CentralElementError,
     CentralOddResult,
@@ -18,6 +21,7 @@ from quadclif.exactalg import (
     ZZ,
     MultiPoly,
     PolyRing,
+    SymMatrix,
     adjugate3,
     bareiss_det,
     det_cofactor,
@@ -763,12 +767,19 @@ def hilbert_dims_center(D):
             for n in range(D + 1)]
 
 
+def linear_form_matrix_over(P, side, ring):
+    """P.linear_form_matrix(side), the integer linear forms Σ uₖ q[k],
+    read over `ring`, a PolyRing in U_VARS, instead of Z[u]."""
+    return SymMatrix(ring, [[ring.from_terms(e.terms.items()) for e in row]
+                            for row in P.linear_form_matrix(side).rows])
+
+
 def clifford_over(P, variant, field):
     """CliffordAlgebra.from_pencil(P, variant) read over field[u] instead
-    of Q[u]: the same integer blocks, as linear forms over `field`."""
+    of Z[u]: the same integer blocks, as linear forms over `field`."""
     ring = PolyRing(field, U_VARS)
-    qp = P.linear_form_matrix("plus", ring) if variant != "minus" else None
-    qm = P.linear_form_matrix("minus", ring) if variant != "plus" else None
+    qp = linear_form_matrix_over(P, "plus", ring) if variant != "minus" else None
+    qm = linear_form_matrix_over(P, "minus", ring) if variant != "plus" else None
     return CliffordAlgebra(ring, variant, q_plus=qp, q_minus=qm)
 
 
@@ -1074,6 +1085,55 @@ def kernel_column_by_adjugate(P, side, pt, p):
         raise AssertionError(f"{pt} is not a curve point mod {p}")
     return next(((adj[0][j], adj[1][j], adj[2][j]) for j in range(3)
                  if adj[0][j] % p or adj[1][j] % p or adj[2][j] % p), None)
+
+
+# -- the scan-augmented report: the oracle for the genericity checks' scans -----
+
+
+def genericity_scans(ctx, report):
+    """The exact report with the F_p scan witnesses of each of the
+    SCAN_PRIMES appended, per prime: singular points or a curve vanishing
+    mod p on each side, tangencies, and a max corank other than 1, each
+    `noted` where it contradicts an exact verdict.  prop2.2-smoothness,
+    prop2.2-transversality and def2.1-rank4 each print the witnesses of
+    their kind, in this order.  A vanishing partial breaks only the
+    gradient scans, so the corank scan runs on; a cubic that vanishes
+    identically leaves nothing to scan."""
+    if any(w["kind"] == "degenerate_determinant" for w in report.witnesses):
+        return report
+    smooth = {"plus": report.e_plus_smooth, "minus": report.e_minus_smooth}
+    witnesses = list(report.witnesses)
+    add = witnesses.append
+    for p in SCAN_PRIMES:
+        for side in ("plus", "minus"):
+            claim = f"Delta_{side} != 0"
+            try:
+                bad = geometry.ff_scan_smooth(ctx.curve(side, p))
+            except geometry.ScanError:
+                add(noted({"kind": f"e_{side}_vanishes_mod_p", "prime": p,
+                           "point": None}, smooth[side], claim))
+                continue
+            for pt in bad:
+                add(noted({"kind": f"e_{side}_singular", "prime": p,
+                           "point": list(pt)}, smooth[side], claim))
+        try:
+            tang = geometry.ff_scan_transversal(ctx.curve("plus", p),
+                                                ctx.curve("minus", p))
+        except geometry.ScanError:
+            tang = ()
+        for pt in tang:
+            add(noted({"kind": "tangency", "prime": p, "point": list(pt)},
+                      report.nine_points, "the resultant is squarefree"))
+        try:
+            mc = geometry.ff_scan_corank(ctx.curve("plus", p),
+                                         ctx.curve("minus", p))
+        except geometry.ScanError:
+            mc = 3
+        if mc != 1:
+            add(noted({"kind": "corank", "prime": p, "point": None, "value": mc},
+                      smooth["plus"] and smooth["minus"],
+                      "Delta_plus * Delta_minus != 0"))
+    return replace(report, witnesses=tuple(witnesses))
 
 
 # -- the random rational curve point search: the oracle for the line walk -------

@@ -44,6 +44,7 @@ from conftest import (
     flip_six_generator_step,
     flip_step,
     hilbert_dims_center,
+    linear_form_matrix_over,
     phi_failing_pairs,
     phi_sign_rule_failures,
     phi_twist_failures,
@@ -846,7 +847,7 @@ def test_integer_algebra_matches_the_rational_oracle():
         for side in ("plus", "minus"):
             f = P.det_curves().side(side)
             assert {type(c) for c in f.terms.values()} <= {int}, name
-            assert f.terms == P.linear_form_matrix(side, qring).det().terms, name
+            assert f.terms == linear_form_matrix_over(P, side, qring).det().terms, name
             over_z = CliffordAlgebra.from_pencil(P, side)
             over_q = clifford_over(P, side, QQ)
             assert over_z.ring.field is ZZ and over_q.ring.field is QQ

@@ -13,7 +13,6 @@ from quadclif.checks import (
     SCAN_PRIMES,
     CheckContext,
     _adjugate_scan,
-    genericity_scans,
     run_single,
 )
 from quadclif.exactalg import MultiPoly, adjugate3, mat_kernel
@@ -45,6 +44,7 @@ from conftest import (
     compiled_gradient,
     det3_mod,
     eval_gradient,
+    genericity_scans,
     kernel_column_by_adjugate,
     proj_points,
     rank_mod,
@@ -262,9 +262,10 @@ def test_scan_gradient_vanishing_mod_p_is_a_scan_error():
 
 
 def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
-    """genericity_check sweeps nothing; the scan witnesses and the
-    scan-reading checks of one run share one sweep per (side, p), in the
-    order of curve_points, through the run's one curve memo."""
+    """genericity_check, and so the run's genericity report, sweeps
+    nothing; the scan-reading checks of one run share one sweep per
+    (side, p), in the order of curve_points, through the run's one curve
+    memo, and the smoothness scans alone sweep all six."""
     swept = []
     sweep = geometry._zero_set
 
@@ -276,12 +277,13 @@ def test_one_sweep_per_side_and_prime(pencil42, monkeypatch):
     P = pencil42
     primes = (101, 103, 107)
     assert genericity_check(P).all_ok()
-    assert swept == []
     ctx = CheckContext(P, points=1)
-    assert ctx.genericity().witnesses[3:] == ()
+    assert ctx.genericity().all_ok()
+    assert swept == []
+    assert run_single(ctx, "prop2.2-smoothness").status == "pass"
     assert sorted(swept) == sorted(primes * 2)
-    for check_id in ("prop2.2-smoothness", "prop2.2-transversality",
-                     "def2.1-rank4", "prop3.18-corank1-m2",
+    for check_id in ("prop2.2-transversality", "def2.1-rank4",
+                     "prop3.18-corank1-m2",
                      "prop4.2-adjugate-double-line", "prop4.3-singular-locus"):
         assert run_single(ctx, check_id).status == "pass"
     assert len(swept) == 6
@@ -646,6 +648,68 @@ def test_genericity_witnesses_are_pinned(pencil42):
              "note": note},
             {"kind": "corank", "prime": 101, "point": None, "value": 3,
              "note": "bad reduction mod 101: Delta_plus * Delta_minus != 0 over Q"})
+
+
+# The witness kinds each genericity check printed when it filtered the
+# scan-augmented report (the oracle genericity_scans), exact kinds first.
+GENERICITY_CHECK_KINDS = {
+    "prop2.2-smoothness": ("discriminant", "degenerate_determinant",
+                           "e_plus_singular", "e_minus_singular",
+                           "e_plus_vanishes_mod_p", "e_minus_vanishes_mod_p"),
+    "prop2.2-transversality": ("resultant", "tangency"),
+    "def2.1-rank4": ("discriminant", "corank"),
+}
+
+
+GENERICITY_PENCILS = {
+    "seed42": lambda: cached_pencil(42),
+    "seed7": lambda: cached_pencil(7),
+    "diagonal": _diag_pencil,
+    "bad-reduction": lambda: with_q_plus(BAD_REDUCTION_Q_PLUS),
+    "scaled": lambda: with_q_plus(SCALED_Q_PLUS),
+    "vanishing-partial": lambda: with_q_plus(VANISHING_PARTIAL_Q_PLUS),
+}
+
+
+@pytest.mark.parametrize("name", GENERICITY_PENCILS)
+def test_each_genericity_check_prints_the_oracle_scan_witnesses(name):
+    """Each genericity check, running its own scans, prints the oracle's
+    witnesses of its kinds in the oracle's order, then its certificate;
+    only seeds 42 and 7 have no scan witness."""
+    P = GENERICITY_PENCILS[name]()
+    oracle = genericity_scans(CheckContext(P), genericity_check(P)).witnesses
+    ctx = CheckContext(P, points=1)
+    scanned = 0
+    for check_id, kinds in GENERICITY_CHECK_KINDS.items():
+        got = run_single(ctx, check_id).witnesses
+        assert got[:-1] == [w for w in oracle if w["kind"] in kinds], check_id
+        assert got[-1]["scan_primes"] == list(SCAN_PRIMES)
+        scanned += sum("prime" in w for w in got)
+    assert scanned == len(oracle) - len(genericity_check(P).witnesses)
+    assert (scanned > 0) == (name not in ("seed42", "seed7"))
+
+
+def test_each_genericity_check_runs_only_its_own_scan(pencil42, monkeypatch):
+    """On a fresh context the run's genericity report scans nothing:
+    def2.1-rank4 runs only the corank scan, prop2.2-transversality only
+    the tangency scan and prop2.2-smoothness only the singular-point scan,
+    each once per scan prime (the smoothness scan once per side)."""
+    calls = []
+    for name in ("ff_scan_smooth", "ff_scan_transversal", "ff_scan_corank"):
+        def counting(*curves, _scan=getattr(geometry, name), _name=name):
+            calls.append(_name)
+            return _scan(*curves)
+        monkeypatch.setattr(geometry, name, counting)
+    assert CheckContext(pencil42, points=1).genericity().all_ok()
+    assert calls == []
+    n = len(SCAN_PRIMES)
+    for check_id, scan, count in (("def2.1-rank4", "ff_scan_corank", n),
+                                  ("prop2.2-transversality", "ff_scan_transversal", n),
+                                  ("prop2.2-smoothness", "ff_scan_smooth", 2 * n)):
+        ctx = CheckContext(pencil42, points=1)
+        assert run_single(ctx, check_id).status == "pass"
+        assert calls == [scan] * count, check_id
+        calls.clear()
 
 
 # -- stabilizers ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from quadclif import pencil
-from quadclif.checks import CheckContext, genericity_scans
+from quadclif.checks import CheckContext
 from quadclif.exactalg import (
     ZZ,
     PolyRing,
@@ -38,7 +38,9 @@ from conftest import (
     center_matrix,
     coordinate_change,
     degree_in,
+    genericity_scans,
     is_homogeneous,
+    linear_form_matrix_over,
     poly_sylvester_resultant,
     seeded_pencil,
     seeded_resultant_nine_points,
@@ -108,7 +110,7 @@ def test_det_curves_match_cofactor_expansion():
             assert f.ring == URING and URING.field is ZZ
             assert f == P.linear_form_matrix(side).det()
             assert {type(c) for c in f.terms.values()} == {int}
-            assert f.terms == P.linear_form_matrix(side, qring).det().terms
+            assert f.terms == linear_form_matrix_over(P, side, qring).det().terms
 
 
 def test_zero_minus_side_is_degenerate():
