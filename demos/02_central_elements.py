@@ -1,40 +1,53 @@
-"""Build the odd central elements of the two graded Clifford blocks.
+"""Build the odd central elements of the generic graded Clifford blocks.
 
-Each 3-generator block carries a unique monic odd central element, the
-antisymmetrised volume element d = v1 v2 v3 + q23 v1 - q13 v2 + q12 v3,
-with d^2 = det(u . Q), the determinant cubic.  `central_odd` builds it
-in closed form and verifies over Q[u] that it commutes with the
-generators and squares to the determinant; this script prints the
-coefficients r(u) = (q23, -q13, q12) and the verified square.
+A 3-generator block with symmetric matrix M = (a_ij) carries a unique
+monic odd central element, the antisymmetrised volume element
+d = v1 v2 v3 + a23 v1 - a13 v2 + a12 v3, with d^2 = det M.  `central_odd`
+builds it in closed form and verifies over Z[a] that it commutes with the
+generators and squares to det M; this script prints the coefficients
+r = (a23, -a13, a12) and the verified square.  The normal form uses only
+ring operations on the entries of M, so the block of an instance is the
+image of the generic one under a -> q(u): the script then specializes
+det M at a = q+(u) and a = q-(u) for the instance of seed 42 and shows
+that it gives the determinant cubics f+ and f-, which the pencil computes
+on its own.  Last, the two generic blocks side by side (the minus block
+over b = (b_ij)) make d+ and d- anticommute in the super algebra and
+commute in the ordinary one.
 """
 
 from quadclif.clifford import (
     CliffordAlgebra,
+    block_point,
     central_odd,
-    central_pair,
     lift,
+    swap_blocks,
 )
-from quadclif.pencil import generate
+from quadclif.pencil import U_VARS, URING, generate
 
 
 def main():
+    res = central_odd(CliffordAlgebra.generic("plus"))
+    print("generic block M = (a_ij):")
+    for i, r in enumerate(res.r_coeffs, start=1):
+        print(f"    r{i} =", r)
+    print("    d^2 =", res.square)
+    print("    d^2 == det M:", res.square == res.det, "| sign:", res.sign)
+
     P = generate(seed=42, coeff_bound=5)
-    curves = P.det_curves()
+    u = [URING.var(v) for v in U_VARS]
+    for side in ("plus", "minus"):
+        special = URING.zero() + res.det.eval(block_point(P.block_at(u, side)))
+        print(f"seed 42, a = q_{side}(u): det M == f_{side}:",
+              special == P.det_curves().side(side))
 
-    results = {side: central_odd(CliffordAlgebra.from_pencil(P, side))
-               for side in ("plus", "minus")}
-    for side, f in (("plus", curves.f_plus), ("minus", curves.f_minus)):
-        res = results[side]
-        print(f"side {side}:")
-        for i, r in enumerate(res.r_coeffs, start=1):
-            print(f"    r{i}(u) =", r)
-        print("    d^2 == f:", res.square == f, "| sign:", res.sign)
-
-    pair = central_pair(results["plus"], results["minus"])
-    sup = CliffordAlgebra.from_pencil(P, "super")
-    ordn = CliffordAlgebra.from_pencil(P, "ordinary")
-    dps, dms = lift(pair.d_plus, sup, "plus"), lift(pair.d_minus, sup, "minus")
-    dpo, dmo = lift(pair.d_plus, ordn, "plus"), lift(pair.d_minus, ordn, "minus")
+    sup = CliffordAlgebra.generic("super")
+    ordn = CliffordAlgebra.generic("ordinary")
+    res_minus = central_odd(CliffordAlgebra.generic("minus"))
+    print("d- is d+ with a and b exchanged:", res_minus.element.coeffs == {
+        m: swap_blocks(c) for m, c in res.element.coeffs.items()})
+    dp, dm = res.element, res_minus.element
+    dps, dms = lift(dp, sup, "plus"), lift(dm, sup, "minus")
+    dpo, dmo = lift(dp, ordn, "plus"), lift(dm, ordn, "minus")
     print("super convention:    d+ d- + d- d+ = 0:",
           (dps * dms + dms * dps).is_zero())
     print("ordinary convention: d+ d- - d- d+ = 0:",

@@ -26,15 +26,16 @@ from dataclasses import dataclass
 from . import geometry
 from .clifford import (
     CliffordAlgebra,
+    block_point,
     central_odd,
-    central_pair,
     commutant_basis,
     defining_relations,
     lift,
+    swapped_central,
     terms_homogeneous,
 )
 from .fiber import corank1_quotient, even_certificate, sample_invertible_points
-from .pencil import _derived_rng, genericity_check
+from .pencil import U_VARS, URING, _derived_rng, genericity_check
 from .plucker import (
     A_VARS,
     M0_CUBE_MINORS,
@@ -97,9 +98,9 @@ class CheckContext:
     values, and one store (`cached`) so every shared artifact is computed
     once per run: the reduced curves (`curve`, the one memo every F_p scan
     reads), the exact genericity report (`genericity`), the sampled
-    fiber points, the engine of each Clifford variant (`block`), its proof
-    (`algebra`), the sides' odd central elements (`central`) and the
-    even-part certificates.  The fiber and plucker functions take the
+    fiber points, the generic engine of each Clifford variant (`block`),
+    its proof (`algebra`), the odd central elements (`central`) and the
+    even-part certificate.  The fiber and plucker functions take the
     context first and read only P, algebra and central from it."""
 
     def __init__(self, P=None, points=20):
@@ -122,42 +123,55 @@ class CheckContext:
 
     def curve(self, side, p):
         """E_side reduced mod p, built once per run, so every scan of the
-        run reads one sweep of P²(F_p) and one pass along the curve.
-        ScanError, and nothing cached, if the cubic vanishes mod p."""
-        return self.cached(("curve", side, p), lambda: geometry.ReducedCurve(
-            self.P.det_curves().side(side), self.P.side_mats(side), p))
+        run reads one sweep of P²(F_p) and one pass along the curve.  The
+        ScanError of a cubic that vanishes mod p is kept too."""
+        def reduce():
+            try:
+                return geometry.ReducedCurve(self.P.det_curves().side(side),
+                                             self.P.side_mats(side), p)
+            except geometry.ScanError as exc:
+                return exc
+
+        curve = self.cached(("curve", side, p), reduce)
+        if isinstance(curve, Exception):
+            raise geometry.ScanError(*curve.args)
+        return curve
 
     def genericity(self):
         """The exact genericity report; each check adds its own scans."""
         return self.cached("genericity", lambda: genericity_check(self.P))
 
     def block(self, variant):
-        """The engine of one of the four VARIANTS over Z[u], built once."""
+        """The generic engine of one of the four VARIANTS, built once."""
         return self.cached(("block", variant),
-                           lambda: CliffordAlgebra.from_pencil(self.P, variant))
+                           lambda: CliffordAlgebra.generic(variant))
 
     def central(self, side):
-        """The CentralOddResult of one side engine, built once; prop3.12
-        reads it without the associativity proof."""
-        return self.cached(("central", side), lambda: central_odd(self.block(side)))
+        """The CentralOddResult of one generic side, built once: central_odd
+        on the plus engine, read without its proof, and its image under
+        a ↔ b on the proven minus engine (swapped_central)."""
+        return self.cached(("central", side), lambda: (
+            central_odd(self.block("plus")) if side == "plus"
+            else swapped_central(self.central("plus"), self.algebra("minus"))))
 
     def algebra(self, variant):
-        """The engine of one variant, proven once per run; a failing step
-        raises, naming the step, in every check that reads the algebra.
+        """The generic engine of one variant, proven once per run; a failing
+        step raises, naming the step, in every check that reads the algebra.
 
-        A side is proven associative by verify_associativity and its
-        structure constants are checked to lie in Z[u], so associativity
-        carries to every fiber by the ring homomorphism Z[u] → K of
-        evaluation at a point over K, and every identity proven over Z[u]
-        holds in every fiber.  A six-generator variant is proven the tensor
-        product of the two proven sides (verify_tensor_product), hence
-        associative with integral structure constants."""
+        The plus side is proven associative by verify_associativity with
+        structure constants in Z[a], which the ring maps a ↦ q(u) and
+        evaluation at a point carry to every instance and fiber; the minus
+        side is proven its image under a ↔ b (verify_swap).  A six-generator
+        variant is proven the tensor product of the two proven sides
+        (verify_tensor_product), hence associative and integral."""
         def prove():
             alg = self.block(variant)
-            if variant in ("plus", "minus"):
+            if variant == "plus":
                 alg.verify_associativity()
                 if not alg.integral_structure():
                     raise ValueError("non-integer structure constant")
+            elif variant == "minus":
+                alg.verify_swap(self.algebra("plus"))
             else:
                 alg.verify_tensor_product(self.algebra("plus"), self.algebra("minus"))
             return alg
@@ -267,11 +281,14 @@ def _check_nine_points(ctx):
 # ---------------------------------------------------------------------------
 
 def _check_grading(ctx):
+    """Generic relations homogeneous in minus parity and in weight (a word's
+    length plus twice its coefficient's degree); a ↦ q(u) keeps both, as
+    q(u) is linear in u."""
     wit = []
     for variant in ("ordinary", "super"):
         alg = ctx.algebra(variant)
         rels = defining_relations(alg)
-        wit.append({"variant": variant, "relations": len(rels),
+        wit.append({"variant": variant, "certificate": "generic", "relations": len(rels),
                     "inhomogeneous": sum(not terms_homogeneous(alg, r)
                                          for r in rels)})
     return all(w["inhomogeneous"] == 0 for w in wit), wit
@@ -279,13 +296,14 @@ def _check_grading(ctx):
 
 def _check_equivariance(ctx):
     """Every relation scales by one scalar under the action at λ = 2 and
-    s = ±1 (generators pick up λ, the negated block also s, and u picks
+    s = ±1 (generators pick up λ, the negated block also s, and a picks
     up λ²).  A term of weight w and minus parity p scales by 2^w·s^p, and
     2^w separates weights, so a relation scales by one scalar for both
     signs iff all its terms share weight and minus parity: iff it is
     homogeneous, the count prop3.5-grading reads."""
     ok, grading = _check_grading(ctx)
-    return ok, [{"variant": w["variant"], "single_scalar": w["inhomogeneous"] == 0,
+    return ok, [{"variant": w["variant"], "certificate": "generic",
+                 "single_scalar": w["inhomogeneous"] == 0,
                  "tested_at": {"lambda": 2, "s": [1, -1]}} for w in grading]
 
 
@@ -300,12 +318,12 @@ def _check_phi(ctx):
     are built; what is left is the pair d₊, d₋."""
     sup6, ord6 = ctx.algebra("super"), ctx.algebra("ordinary")
     even = [m for m in range(64) if bin(m).count("1") % 2 == 0]
-    pair = central_pair(ctx.central("plus"), ctx.central("minus"))
-    dps, dms = lift(pair.d_plus, sup6, "plus"), lift(pair.d_minus, sup6, "minus")
-    dpo, dmo = lift(pair.d_plus, ord6, "plus"), lift(pair.d_minus, ord6, "minus")
+    dp, dm = ctx.central("plus").element, ctx.central("minus").element
+    dps, dms = lift(dp, sup6, "plus"), lift(dm, sup6, "minus")
+    dpo, dmo = lift(dp, ord6, "plus"), lift(dm, ord6, "minus")
     anti = (dps * dms + dms * dps).is_zero()
     comm = (dpo * dmo - dmo * dpo).is_zero()
-    wit = [{"pairs": len(even) ** 2, "failing_pairs": [],
+    wit = [{"certificate": "generic", "pairs": len(even) ** 2,
             "scales": ["1", "i"],
             "super_pair_anticommutes": anti,
             "ordinary_pair_commutes": comm}]
@@ -313,13 +331,16 @@ def _check_phi(ctx):
 
 
 def _d_square_check(ctx, side):
+    """The generic d_side squares to +det M (central_odd), and det M
+    under a ↦ q_side(u) (block_at at the generic point of Z[u]) is f_side
+    as pencil.det_cubic computes it on its own."""
     res = ctx.central(side)
-    f = ctx.P.det_curves().side(side)
-    ok = res.sign == 1 and res.square == f
-    wit = [{"side": side, "sign": res.sign,
-            "square_equals_determinant_cubic": res.square == f,
-            "solution": "unique monic"}]
-    return ok, wit
+    q = ctx.P.block_at([URING.var(v) for v in U_VARS], side)
+    special = (URING.zero() + ctx.central("plus").det.eval(block_point(q))
+               == ctx.P.det_curves().side(side))
+    wit = [{"side": side, "certificate": "generic", "sign": res.sign,
+            "det_M_at_q_is_f": special, "solution": "unique monic"}]
+    return res.sign == 1 and special, wit
 
 
 def _check_dplus_square(ctx):
@@ -330,42 +351,44 @@ def _check_dminus_square(ctx):
     return _d_square_check(ctx, "minus")
 
 
-# The integer points at which the center's commutator matrix is
+# The integer points u₀ at which the center's commutator matrix is
 # specialized, in order, and the masks where 1, d₊, d₋, d₊d₋ are diagonal.
 CENTER_POINTS = ((1, 2, 3), (2, -1, 5))
 CENTER_MASKS = (0, 0b111, 0b111000, 0b111111)
 
 
 def _weight(e):
-    """The weight (mask length plus twice the u-degree) of a homogeneous
-    element, or None when its terms have several."""
+    """The weight (mask length plus twice the degree in a and b) of a
+    homogeneous element, or None when its terms have several."""
     ws = {bin(m).count("1") + 2 * sum(x)
           for m, poly in e.coeffs.items() for x in poly.terms}
     return ws.pop() if len(ws) == 1 else None
 
 
 def _check_center(ctx):
-    """The center of the ordinary algebra A over Z[u] is the free
+    """The center of the ordinary algebra A(u) over Z[u] is the free
     Z[u]-module on b₀..b₃ = 1, d₊, d₋, d₊d₋, of weights 0, 3, 3, 6, in
     every weight.  Off the curves it is the center K[d₊] ⊗ K[d₋] of
     C(q₊) ⊗ C(q₋), d±² = f± (Lam, Introduction to Quadratic Forms over
-    Fields, GSM 67, Ch. V).  A is associative (CheckContext.algebra) and
-    generated by v₁..v₆, so its center is the kernel of the commutator
-    matrix C(u), 6·64 × 64 over Z[u].
+    Fields, GSM 67, Ch. V).  A(u) is the generic A under a ↦ q₊(u),
+    b ↦ q₋(u), associative (CheckContext.algebra) and generated by
+    v₁..v₆, so its center is the kernel of the commutator matrix C(u),
+    6·64 × 64 over Z[u].
 
     1. Each bᵢ is central, with d± the blocks' odd central elements
        (prop3.12) lifted into A: d± commute with their block's generators
        in the proven side algebras (central_odd), and A is proven their
-       tensor product C(q₊) ⊗ C(q₋) (CheckContext.algebra), so d₊ ⊗ 1,
-       1 ⊗ d₋ and their product are central.
+       tensor product C(M₊) ⊗ C(M₋) (CheckContext.algebra), so d₊ ⊗ 1,
+       1 ⊗ d₋ and their product are central, and so are their images.
     2. The coefficients of b₀..b₃ at CENTER_MASKS are computed to form a
        diagonal of ±1: the bᵢ are independent over Q(u), and a central z
        over Z[u] that is Σ aᵢbᵢ over Q(u) has each aᵢ = ±z at a mask, in Z[u].
-    3. Evaluation at an integer point u₀ is a ring homomorphism Z[u] → Z,
-       so C(u₀) is C(u) specialized (`commutant_basis`).  A kernel of
-       dimension 4 there means rank 60: some 60×60 minor of C(u) is
-       nonzero at u₀, hence nonzero, and rank C(u) ≥ 60 over Q(u).  So the
-       center over Q(u) is span(b₀..b₃), over Z[u] free on them by 2.
+    3. The center does not specialize (q = 0 has a larger one), so the
+       instance enters here: C(u₀) is the generic matrix at
+       a₀ = (q₊(u₀), q₋(u₀)) (`commutant_basis`).  A kernel of dimension 4
+       there means rank 60: some 60×60 minor of C(u) is nonzero at u₀,
+       hence nonzero, and rank C(u) ≥ 60 over Q(u).  So the center over
+       Q(u) is span(b₀..b₃), over Z[u] free on them by 2.
 
     By 1 and 2 the kernel at any point has dimension at least 4; more
     means the point is special.  If no point of CENTER_POINTS gives 4,
@@ -380,10 +403,11 @@ def _check_center(ctx):
                         for j, m in enumerate(CENTER_MASKS))
     weights = [_weight(b) for b in basis]
     wit = [{"basis": ["1", "d_plus", "d_minus", "d_plus*d_minus"],
-            "weights": weights, "masks": list(CENTER_MASKS),
-            "unit_diagonal": unit_diagonal}]
+            "certificate": "generic", "weights": weights,
+            "masks": list(CENTER_MASKS), "unit_diagonal": unit_diagonal}]
     for u in CENTER_POINTS:
-        kernel = commutant_basis(alg, u)
+        a0 = block_point(ctx.P.block_at(u, "plus"), ctx.P.block_at(u, "minus"))
+        kernel = commutant_basis(alg, a0)
         wit.append({"point": list(u), "columns": 1 << alg.ngens,
                     "kernel_dim": len(kernel),
                     "top_masks": [max(m for m, x in enumerate(v) if x)
@@ -399,23 +423,20 @@ def _check_center(ctx):
 # ---------------------------------------------------------------------------
 
 def _even_certificates(ctx, claim, locus):
-    """(ok, witnesses): both sides' even_certificate, built once per run,
+    """(ok, witnesses): the generic even_certificate, built once per run,
     then the claim and its locus.  A cubic that vanishes identically leaves
     no point off the curve: FAIL with the degenerate_determinant witness."""
     if _degenerate(ctx):
         return False, list(ctx.genericity().witnesses)
-    certs = [ctx.cached(("even-certificate", side),
-                        lambda: even_certificate(ctx, side))
-             for side in ("plus", "minus")]
-    return (all(ok for ok, _ in certs),
-            [wit for _, wit in certs] + [{"claim": claim, "locus": locus}])
+    ok, cert = ctx.cached("even-certificate", lambda: even_certificate(ctx))
+    return ok, [cert, {"claim": claim, "locus": locus}]
 
 
 def _check_azumaya_m4(ctx):
     """The 16-dimensional ordinary fiber is an M4 form at every u with
-    f₊(u)f₋(u) ≠ 0, from each side's fiber.even_certificate over Z[u].
-    Evaluation at u is a ring homomorphism, so for a side A with f(u) ≠ 0,
-    over a field K of characteristic 0:
+    f₊(u)f₋(u) ≠ 0, from fiber.even_certificate over Z[a], which a ↦ q±(u)
+    carries to both blocks, det M becoming f± (prop3.12).  So for a side A
+    with f(u) ≠ 0, over a field K of characteristic 0:
 
     1. C₀(u) is a 4-dimensional subalgebra of A(u) with unit e_0, and A(u)
        is associative (CheckContext.algebra).
@@ -449,21 +470,20 @@ def _check_split_m2(ctx):
 def _check_corank1_m2(ctx):
     """The radical quotient of each side fiber is M2 over K̄ at every point
     of E₊ and E₋ over Q̄: Δ₊Δ₋ ≠ 0 puts every curve point at corank one
-    (_curve_verdict), and fiber.corank1_quotient proves, over Z[u], the
-    three identities from which its docstring derives the claim there."""
+    (_curve_verdict), and fiber.corank1_quotient proves, over Z[a], the
+    three identities from which its docstring derives the claim there,
+    which a ↦ q±(u) carries to both blocks, det M becoming f± (prop3.12)."""
     ok, wit, _ = _curve_verdict(ctx)
     if not ok:
         return False, wit
-    for side in ("plus", "minus"):
-        held, side_wit = corank1_quotient(ctx, side)
-        ok = ok and held
-        wit.append(side_wit)
+    held, cert = corank1_quotient(ctx)
+    wit.append(cert)
     wit.append({"claim": "M2 radical quotient",
                 "locus": {"plus": "f_plus = 0", "minus": "f_minus = 0"},
-                "identities": {"A": "w_j*v_k + v_k*w_j = -2*f*delta_jk",
-                               "B": "w_j^2 = -f*adj(M)_jj",
-                               "C": "adj(adj(M)) = f*M"}})
-    return ok, wit
+                "identities": {"A": "w_j*v_k + v_k*w_j = -2*det(M)*delta_jk",
+                               "B": "w_j^2 = -det(M)*adj(M)_jj",
+                               "C": "adj(adj(M)) = det(M)*M"}})
+    return held, wit
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +532,7 @@ def _curve_verdict(ctx):
     """(ok, witnesses, smooth by side) of the section-4 curve claims, which
     Δ₊Δ₋ ≠ 0 certifies over Q̄.  For 3×3 matrices adj(adj M) = det(M)·M
     (Horn and Johnson, *Matrix Analysis*, Ch. 0; identity (C) of
-    fiber.corank1_quotient, which prop3.18-corank1-m2 computes over Z[u]
+    fiber.corank1_quotient, which prop3.18-corank1-m2 proves over Z[a]
     for both blocks), so rank adj M ≤ 1 on E;
     adj M = 0 means corank ≥ 2, hence a singular point of E by Jacobi's
     formula (`pencil.genericity_check`).  So with Δ ≠ 0 adj M has rank one

@@ -10,18 +10,42 @@ monomials kept in the standard ascending order.  The defining relations are
 so v_i^2 = -q(v_i, v_i).  The two 3×3 blocks never pair across, which is
 why the cross relations carry no quadratic term.  Multiplication reduces
 every word to normal form through a memoized right-multiplication-by-
-generator table; coefficients live in an arbitrary polynomial ring, so the
-same engine serves integer pencils over Z[u] (`from_pencil`), prime-field
-and Gaussian specializations, and fully symbolic block entries.
+generator table; coefficients live in an arbitrary polynomial ring.
+
+The checks run it on the generic blocks M₊ = (a_ij), M₋ = (b_ij) over
+Z[a, b] (`CliffordAlgebra.generic`).  The normal form uses only ring
+operations on the block entries, so every structure constant is an integer
+polynomial in a and b, and the engine of any blocks q₊, q₋ is the generic
+one under the ring map a ↦ q₊, b ↦ q₋ (`block_point`), which carries every
+identity proven over Z[a, b] to an instance over Z[u] and to its fibers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import MultiPoly, as_int, kernel_int_sparse
+from .exactalg import ZZ, MultiPoly, PolyRing, SymMatrix, as_int, kernel_int_sparse
 
-VARIANTS = ("super", "ordinary", "plus", "minus")
+# The variants, each with its generator count and minus-block mask.
+VARIANTS = {"super": (6, 0b111000), "ordinary": (6, 0b111000),
+            "plus": (3, 0), "minus": (3, 0b111)}
+
+# The upper-triangle entries of a symmetric 3×3 block, in variable order:
+# a11..a33 for the plus block, then b11..b33 for the minus block.
+_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+GENERIC = PolyRing(ZZ, [f"{x}{i + 1}{j + 1}" for x in "ab" for i, j in _ENTRIES])
+
+
+def block_point(first, second=None):
+    """GENERIC's variables at the 3×3 block `first` (a) and `second` (b, zero
+    when None): evaluation there is the ring map a ↦ first, b ↦ second."""
+    return tuple(0 if m is None else m[i][j]
+                 for m in (first, second) for i, j in _ENTRIES)
+
+
+def swap_blocks(poly):
+    """poly under the automorphism of Z[a, b] exchanging a_ij and b_ij."""
+    return GENERIC.from_terms((e[6:] + e[:6], c) for e, c in poly.terms.items())
 
 
 class CentralElementError(Exception):
@@ -38,21 +62,10 @@ class CliffordAlgebra:
             raise ValueError(f"unknown variant {variant!r}")
         self.ring = ring
         self.variant = variant
-        if variant in ("super", "ordinary"):
-            if q_plus is None or q_minus is None:
-                raise ValueError("six-generator variants need both blocks")
-            self.ngens = 6
-            self.minus_mask = 0b111000
-        elif variant == "plus":
-            if q_plus is None:
-                raise ValueError("plus variant needs q_plus")
-            self.ngens = 3
-            self.minus_mask = 0
-        else:
-            if q_minus is None:
-                raise ValueError("minus variant needs q_minus")
-            self.ngens = 3
-            self.minus_mask = 0b111
+        self.ngens, self.minus_mask = VARIANTS[variant]
+        if (q_plus is None and variant != "minus") or (
+                q_minus is None and variant != "plus"):
+            raise ValueError(f"the {variant} variant needs its blocks")
         for q in (q_plus, q_minus):
             if q is not None and (q.n != 3 or q.ring != ring):
                 raise ValueError("blocks must be 3×3 over the algebra's ring")
@@ -64,17 +77,16 @@ class CliffordAlgebra:
         self._terms = None
 
     @classmethod
-    def from_pencil(cls, P, variant):
-        """The algebra of P's blocks over Z[u] (pencil.URING): the blocks
-        are integer matrices, so every structure constant is an integer
-        polynomial, and each verdict read here holds over Q[u] and at every
-        point through the ring homomorphisms Z[u] → Q[u] → K.  The same
-        blocks over the rational field that tests/conftest.py defines
-        give the tests' oracle algebra."""
-        qp = P.linear_form_matrix("plus") if variant != "minus" else None
-        qm = P.linear_form_matrix("minus") if variant != "plus" else None
-        return cls((qm if qp is None else qp).ring, variant, q_plus=qp,
-                   q_minus=qm)
+    def generic(cls, variant):
+        """The engine of `variant` on the generic blocks over GENERIC, which
+        every instance's engine specializes (the module docstring)."""
+        def block(k):  # the symmetric matrix of variables k..k+5
+            e = dict(zip(_ENTRIES, map(GENERIC.var, GENERIC.vars[k:k + 6])))
+            return SymMatrix(GENERIC, [[e[min(i, j), max(i, j)] for j in range(3)]
+                                       for i in range(3)])
+
+        return cls(GENERIC, variant, q_plus=block(0) if variant != "minus" else None,
+                   q_minus=block(6) if variant != "plus" else None)
 
     # -- generator bookkeeping ---------------------------------------------------
 
@@ -89,21 +101,13 @@ class CliffordAlgebra:
         """q(v_i, v_j) as a ring element; zero across blocks."""
         if not self._same_block(i, j):
             return self.ring.zero()
-        if self.variant == "minus" or (self.variant in ("super", "ordinary") and i >= 3):
-            return self.q_minus[i % 3, j % 3]
-        return self.q_plus[i % 3, j % 3]
+        return (self.q_minus if self.gen_parity(i) else self.q_plus)[i % 3, j % 3]
 
     def compatible(self, other):
-        return (
-            self is other
-            or (
-                isinstance(other, CliffordAlgebra)
-                and self.variant == other.variant
-                and self.ring == other.ring
-                and self.q_plus == other.q_plus
-                and self.q_minus == other.q_minus
-            )
-        )
+        return self is other or (
+            isinstance(other, CliffordAlgebra)
+            and (self.variant, self.ring, self.q_plus, self.q_minus)
+            == (other.variant, other.ring, other.q_plus, other.q_minus))
 
     # -- normal form engine ----------------------------------------------------
 
@@ -204,9 +208,10 @@ class CliffordAlgebra:
         of the monomial z = e_c:  (xy)e_c = ((xy)e_c')v_k = (x(y e_c'))v_k
         = x((y e_c')v_k) = x(y e_c), by (i), the induction hypothesis, (ii)
         extended bilinearly, and (i) again.  For three generators that is
-        64 + 192 identities over Z[u] instead of 512 triples at every base
-        point.  Associativity then holds in every specialization, because
-        evaluating u, embedding into a quadratic tower and reducing integer
+        64 + 192 identities over the coefficient ring instead of 512
+        triples at every base point.  Associativity then holds in every
+        specialization, because the ring map a ↦ q(u), evaluation at a
+        point, embedding into a quadratic tower and reducing integer
         structure constants mod p are ring homomorphisms.
         """
         n = 1 << self.ngens
@@ -283,6 +288,21 @@ class CliffordAlgebra:
                         f"tensor product fails on the {self.variant} step e_{m}·v_{j}")
         return True
 
+    def verify_swap(self, plus):
+        """Prove this generic minus engine the generic plus one under
+        swap_blocks, or raise ValueError naming the first step e_m·v_j that
+        differs.  mask_mul builds every product from the steps by ring
+        operations and zero tests, which the automorphism keeps."""
+        if (self.variant, plus.variant) != ("minus", "plus"):
+            raise ValueError("the sides must be a minus and a plus engine")
+        for m in range(8):
+            for j in range(3):
+                if self._mask_times_gen(m, j) != tuple(
+                        (m2, swap_blocks(c)) for m2, c in plus._mask_times_gen(m, j)):
+                    raise ValueError(f"the minus step e_{m}·v_{j} is not the "
+                                     "plus step with a and b exchanged")
+        return True
+
     def structure_terms(self):
         """mask_mul(a, b) for every pair of masks, indexed [a][b], with
         each coefficient polynomial as a tuple of (exponents, coefficient)
@@ -296,8 +316,8 @@ class CliffordAlgebra:
         return self._terms
 
     def integral_structure(self):
-        """True when every structure constant lies in Z[u], so that
-        reducing them mod p is a ring homomorphism Z[u] → F_p."""
+        """True when every structure constant has integer coefficients, so
+        that reducing them mod p is a ring homomorphism to F_p."""
         return all(isinstance(c, int) for row in self.structure_terms()
                    for entry in row for _, terms in entry for _, c in terms)
 
@@ -315,11 +335,9 @@ class CliffordElement:
                 raise ValueError("elements live in different algebras")
             return other
         # scalars and base-ring polynomials embed on the empty mask
-        if isinstance(other, MultiPoly):
-            if other.ring != self.alg.ring:
-                raise ValueError("coefficient from a different ring")
-            return CliffordElement(self.alg, {} if other.is_zero() else {0: other})
-        poly = self.alg.ring.const(other)
+        poly = other if isinstance(other, MultiPoly) else self.alg.ring.const(other)
+        if poly.ring != self.alg.ring:
+            raise ValueError("coefficient from a different ring")
         return CliffordElement(self.alg, {} if poly.is_zero() else {0: poly})
 
     def __add__(self, other):
@@ -476,7 +494,7 @@ def central_odd(alg):
     It is the unique odd central element with coefficient 1 on e_7.  If d′
     is another, then d′ − d = Σ aᵢvᵢ is central.  For i ≠ j the normal form
     of vᵢvⱼ − vⱼvᵢ has coefficient ±2 on the mask {i, j}, and distinct i
-    give distinct masks, so [d′ − d, vⱼ] = 0 forces every aᵢ = 0 over Q[u]:
+    give distinct masks, so [d′ − d, vⱼ] = 0 forces every aᵢ = 0 over Q[a]:
     uniqueness holds among all odd elements.
 
     The closed form is verified over the coefficient ring, not assumed:
@@ -490,40 +508,27 @@ def central_odd(alg):
         raise CentralElementError("zero block has no central element")
     r = (q[1, 2], -q[0, 2], q[0, 1])
     gens = [alg.gen(j) for j in range(3)]
-    d = alg.from_mask(0b111) + sum((rj * g for rj, g in zip(r, gens)), alg.zero())
+    d = alg.from_mask(0b111) + sum((g * rj for rj, g in zip(r, gens)), alg.zero())
     for j, g in enumerate(gens):
         if not d.commutator(g).is_zero():
             raise CentralElementError(f"d does not commute with v{j + 1}")
     sq = d * d
     if not sq.is_scalar():
         raise CentralElementError("d² is not scalar")
-    square = sq.scalar_part()
-    det = q.det()
-    if square == det:
-        sign = 1
-    elif square == -det:
-        sign = -1
-    else:
+    square, det = sq.scalar_part(), q.det()
+    if square not in (det, -det):
         raise CentralElementError("d² is not ±det(q)")
+    sign = 1 if square == det else -1
     return CentralOddResult(element=d, sign=sign, square=square, det=det,
                             r_coeffs=r)
 
 
-@dataclass(frozen=True)
-class CentralPair:
-    d_plus: CliffordElement
-    d_minus: CliffordElement
-    squares: tuple
-    sign: int
-
-
-def central_pair(rp, rm):
-    """The odd central elements of the plus and minus blocks, from their
-    CentralOddResults."""
-    if rp.sign != rm.sign:
-        raise CentralElementError("the two blocks realize different signs")
-    return CentralPair(d_plus=rp.element, d_minus=rm.element,
-                       squares=(rp.square, rm.square), sign=rp.sign)
+def swapped_central(res, minus):
+    """The plus side's CentralOddResult `res` carried by swap_blocks to the
+    minus engine that verify_swap proves its image: d₋ needs no solve."""
+    d = {m: swap_blocks(p) for m, p in res.element.coeffs.items()}
+    return CentralOddResult(CliffordElement(minus, d), res.sign, swap_blocks(res.square),
+                            swap_blocks(res.det), tuple(map(swap_blocks, res.r_coeffs)))
 
 
 def lift(e, target, side):
@@ -543,11 +548,12 @@ def lift(e, target, side):
 # ---------------------------------------------------------------------------
 
 def commutant_basis(alg, point):
-    """Kernel of the commutator matrix of alg at an integer point u₀, as
-    primitive integer vectors x with [Σ x_m e_m, v_j] = 0 at u₀ for every
-    generator (`kernel_int_sparse`).  Its rows are indexed by (generator,
-    mask), its columns by mask, and its entries are the structure constants
-    of e_m·v_j − v_j·e_m at u₀: C(u) over Z[u], specialized.  e_m·v_j is
+    """Kernel of the commutator matrix of alg at an integer point of its
+    ring, as primitive integer vectors x with [Σ x_m e_m, v_j] = 0 there
+    for every generator (`kernel_int_sparse`).  Its rows are indexed by
+    (generator, mask), its columns by mask, and its entries are the
+    structure constants of e_m·v_j − v_j·e_m at the point: C specialized
+    (prop3.13 passes the generic engine at a₀ = (q₊(u₀), q₋(u₀))).  e_m·v_j is
     the normal-form step `_mask_times_gen` already caches, so only v_j·e_m
     goes through `mask_mul`.  Each vector's top nonzero mask is a distinct
     free column of the elimination."""

@@ -1,10 +1,10 @@
-"""Fibers of the Clifford construction: the side algebras over Z[u] with
-their certificates (even_certificate off the determinant curves,
-corank1_quotient on them), and the finite-dimensional fibers at chosen
-base points, as structure-constant algebras over exact quadratic towers.
-The certificates and side_fiber take the run's context first (a
-checks.CheckContext, or anything with P, algebra(side) and central(side))
-and read the proven side algebra and its odd central element from it.
+"""Fibers of the Clifford construction: the generic side algebra over
+Z[a], which serves both blocks through a ↦ q±(u), with its certificates
+(even_certificate off the determinant curves, corank1_quotient on them),
+and the finite-dimensional fibers at chosen base points, as
+structure-constant algebras over exact quadratic towers.  The
+certificates and side_fiber take the run's context first (a
+checks.CheckContext) and read algebra("plus") and central("plus").
 
 Scalars of a fiber live in a small tower of quadratic extensions of Q (at
 most two square roots, which is all the idempotent constructions need).
@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
+from .clifford import block_point
 from .exactalg import (
     ZZ,
     SymMatrix,
@@ -697,19 +698,6 @@ def eval_element(e, u, field, dim):
     return tuple(vec)
 
 
-def _point(u):
-    u = tuple(u)
-    if len(u) != 3:
-        raise ValueError("base points have three coordinates")
-    if not any(u):
-        raise ValueError("the zero point is not allowed")
-    return u
-
-
-def _det_value(P, side, u):
-    return P.det_curves().side(side).eval(u)
-
-
 EVEN_MASKS = (0, 3, 5, 6)
 ODD_MASKS = (1, 2, 4, 7)
 
@@ -733,21 +721,21 @@ def _multiple(p, q):
     return as_int(c), p * c.denominator == q * c.numerator
 
 
-def even_certificate(ctx, side):
-    """(ok, witness) of one block's certificate over Z[u], on the side
-    algebra that ctx.algebra proves associative, with its odd central
-    element d (ctx.central) and determinant cubic f: C₀ is closed
-    (even_table); det G = c·f² for G = (Tr L_{eₐe_b}), the Gram matrix of
-    C₀'s trace form, and det G_c = c′·f⁴ for its Gram matrix on the
-    commutators [e_3, e_5], [e_3, e_6], [e_5, e_6], with c, c′ ≠ 0; d is
-    odd, e_m·d is odd for every even m, d is central and d² = f.  Tr L_x
-    is Σ x_m·Tr L_{e_m}, and G is symmetric as Tr L_{xy} = Tr(L_x L_y).
+def even_certificate(ctx):
+    """(ok, witness) of the generic side's certificate over Z[a], on the
+    side algebra that ctx.algebra proves associative, with its odd central
+    element d (ctx.central) and f = det M: C₀ is closed (even_table);
+    det G = c·f² for G = (Tr L_{eₐe_b}), the Gram matrix of C₀'s trace
+    form, and det G_c = c′·f⁴ for its Gram matrix on the commutators
+    [e_3, e_5], [e_3, e_6], [e_5, e_6], with c, c′ ≠ 0; d is odd, e_m·d is
+    odd for every even m, d is central and d² = f.  Tr L_x is
+    Σ x_m·Tr L_{e_m}, and G is symmetric as Tr L_{xy} = Tr(L_x L_y).
     checks._check_azumaya_m4 states what the certificate proves."""
-    alg, d = ctx.algebra(side), ctx.central(side).element
-    ring, f = alg.ring, ctx.P.det_curves().side(side)
+    alg, res = ctx.algebra("plus"), ctx.central("plus")
+    ring, d, f = alg.ring, res.element, res.det
     zero = ring.zero()
     table = even_table(alg)
-    wit = {"side": side, "even_closed": table is not None}
+    wit = {"certificate": "generic", "f": "det(M)", "even_closed": table is not None}
     if table is not None:
         trace = {m: sum((table[m, k].get(k, zero) for k in EVEN_MASKS), zero)
                  for m in EVEN_MASKS}
@@ -776,29 +764,28 @@ def even_certificate(ctx, side):
         d_central=all(d.commutator(alg.gen(j)).is_zero()
                       for j in range(alg.ngens)),
         d_square_is_f=d * d == f)
-    # ok: every condition holds and c, c′ are nonzero (side is a nonempty str)
+    # ok: every condition holds and c, c′ are nonzero (the names are truthy)
     return all(wit.values()), wit
 
 
 def side_fiber(ctx, side, u, field):
     """The 8-dimensional fiber of one block of ctx.P at u over field
     (QuadraticTower(()) for Q), with its central odd vector and the
-    determinant value.  Its consumer, plucker.module_rep, discards that
-    value: it takes √f(u) from its own evaluation of f at u and checks
-    that d acts on its module idempotent by that root; the curve claim
-    needs no fiber (corank1_quotient)."""
-    u = _point(u)
-    A = clifford_fiber(ctx.algebra(side), u, field, proof="clifford")
-    dvec = eval_element(ctx.central(side).element, u, field, 8)
-    fval = field.coerce(_det_value(ctx.P, side, u))
-    return A, dvec, fval
+    determinant value, from the generic side at a₀ = q_side(u).  Its
+    consumer, plucker.module_rep, discards that value: it takes √f(u) from
+    its own evaluation of f at u and checks that d acts on its module
+    idempotent by that root; the curve claim needs no fiber."""
+    a0 = block_point(ctx.P.block_at(u, side))
+    A = clifford_fiber(ctx.algebra("plus"), a0, field, proof="clifford")
+    dvec = eval_element(ctx.central("plus").element, a0, field, 8)
+    return A, dvec, field.coerce(ctx.P.det_curves().side(side).eval(u))
 
 
-def corank1_quotient(ctx, side):
-    """(ok, witness) of one side's corank-1 certificate over Z[u], on the
-    side algebra that ctx.algebra proves associative.  With M the
-    block, f = det M and w_j = Σᵢ adj(M)ᵢⱼ·vᵢ, three identities need no
-    division:
+def corank1_quotient(ctx):
+    """(ok, witness) of the generic side's corank-1 certificate over Z[a],
+    on the side algebra that ctx.algebra proves associative.  With M the
+    generic block, f = det M and w_j = Σᵢ adj(M)ᵢⱼ·vᵢ, three identities
+    need no division:
 
     (A) w_j·v_k + v_k·w_j = −2f·δ_jk, from adj(M)·M = f·I;
     (B) w_j² = −f·adj(M)_jj, from adj(M)·M·adj(M) = f·adj(M);
@@ -824,9 +811,8 @@ def corank1_quotient(ctx, side):
        quotient becomes M2(K̄) over K̄.
 
     The witness gives held/total for (A), (B) and (C)."""
-    alg = ctx.algebra(side)
-    f = ctx.P.det_curves().side(side)
-    M = [[alg.q_of(i, j) for j in range(3)] for i in range(3)]
+    alg = ctx.algebra("plus")
+    M, f = alg.q_plus.rows, alg.q_plus.det()
     adj = adjugate3(M)
     v = [alg.gen(i) for i in range(3)]
     w = [sum((v[i] * adj[i][j] for i in range(3)), alg.zero()) for j in range(3)]
@@ -838,7 +824,7 @@ def corank1_quotient(ctx, side):
         "C": sum(adj2[i][j] == f * M[i][j] for i in range(3) for j in range(3)),
     }
     total = {"A": 9, "B": 3, "C": 9}
-    wit = {"side": side}
+    wit = {"certificate": "generic"}
     wit.update((k, {"held": held[k], "total": total[k]}) for k in held)
     return held == total, wit
 

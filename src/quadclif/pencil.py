@@ -30,7 +30,6 @@ from .exactalg import (
     ZZ,
     MultiPoly,
     PolyRing,
-    SymMatrix,
     bareiss_det,
     int_coeffs,
     interpolate_int,
@@ -167,25 +166,9 @@ class InvariantPencil:
             return self.q_minus
         raise ValueError("side must be 'plus' or 'minus'")
 
-    def linear_form_matrix(self, side):
-        """3×3 symmetric matrix of linear forms Σ uₖ q[k] over Z[u]."""
-        mats = self.side_mats(side)
-        u = [URING.var(v) for v in URING.vars]
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = URING.zero()
-                for k in range(3):
-                    if mats[k][i][j]:
-                        acc = acc + u[k] * mats[k][i][j]
-                row.append(acc)
-            rows.append(row)
-        return SymMatrix(URING, rows)
-
     def block_at(self, u, side):
         """3×3 matrix Σ uₖ q[k] at a point u ≠ 0, over u's ring (ints
-        at an integer point)."""
+        at an integer point, linear forms at URING's variables)."""
         if not any(u):
             raise ValueError("u must be nonzero")
         mats = self.side_mats(side)
@@ -225,6 +208,9 @@ class InvariantPencil:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("malformed instance data: the top level must be "
+                             "a JSON object")
         try:
             return cls(
                 q_plus=d["q_plus"],

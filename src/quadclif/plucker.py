@@ -26,6 +26,7 @@ from .exactalg import (
     rref,
     span_coords,
 )
+from .clifford import block_point
 from .fiber import FiberError, QuadraticTower, side_fiber
 from .geometry import GenericityError
 
@@ -434,8 +435,8 @@ def module_rep(ctx, side, u):
     if relations != 6:
         raise AssertionError("Clifford relation failed in the module")
 
-    # the odd central element must act by the split square root
-    r_at = [r.eval(u) for r in ctx.central(side).r_coeffs]
+    # the odd central element (the generic one at q(u)) must act by ±√f(u)
+    r_at = [r.eval(block_point(block)) for r in ctx.central("plus").r_coeffs]
     d_mat = _mat2_mul(_mat2_mul(mats[0], mats[1]), mats[2])
     for rv, mat in zip(r_at, mats):
         d_mat = _mat2_add(d_mat, tuple(

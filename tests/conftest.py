@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -12,6 +12,7 @@ from quadclif.clifford import (
     CentralElementError,
     CentralOddResult,
     CliffordAlgebra,
+    CliffordElement,
     central_odd,
     defining_relations,
     phi_exponent,
@@ -41,8 +42,6 @@ from quadclif.fiber import (
     FinAlg,
     QuadraticTower,
     _char_ok,
-    _det_value,
-    _point,
     center_basis,
     corner_algebra,
     radical_dim,
@@ -613,9 +612,26 @@ def flip_six_generator_step(monkeypatch, bad):
     flip_step(monkeypatch, ("ordinary", "super"), bad)
 
 
+@dataclass(frozen=True)
+class CentralPair:
+    d_plus: CliffordElement
+    d_minus: CliffordElement
+    squares: tuple
+    sign: int
+
+
+def central_pair(rp, rm):
+    """The odd central elements of the plus and minus blocks, from their
+    CentralOddResults, which must realize one sign."""
+    if rp.sign != rm.sign:
+        raise CentralElementError("the two blocks realize different signs")
+    return CentralPair(d_plus=rp.element, d_minus=rm.element,
+                       squares=(rp.square, rm.square), sign=rp.sign)
+
+
 def central_odd_pencil(P, side):
-    """The CentralOddResult of one block of P over Q[u]."""
-    return central_odd(CliffordAlgebra.from_pencil(P, side))
+    """The CentralOddResult of one block of P over Z[u]."""
+    return central_odd(from_pencil(P, side))
 
 
 def central_odd_by_ansatz(alg):
@@ -767,16 +783,50 @@ def hilbert_dims_center(D):
             for n in range(D + 1)]
 
 
+# -- the per-instance engines over Z[u]: the oracle of the generic engine ------
+
+
+def linear_form_matrix(P, side):
+    """3×3 symmetric matrix of linear forms Σ uₖ q[k] over Z[u], built
+    entry by entry from the integer blocks."""
+    mats = P.side_mats(side)
+    u = [URING.var(v) for v in URING.vars]
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            acc = URING.zero()
+            for k in range(3):
+                if mats[k][i][j]:
+                    acc = acc + u[k] * mats[k][i][j]
+            row.append(acc)
+        rows.append(row)
+    return SymMatrix(URING, rows)
+
+
+def from_pencil(P, variant):
+    """The engine of P's own blocks over Z[u] (pencil.URING), the oracle
+    of CliffordAlgebra.generic.  The normal form uses only ring operations
+    on the block entries, so every structure constant of the generic
+    engine is an integer polynomial in a and b, and this engine's are its
+    images under the ring map a ↦ q₊(u), b ↦ q₋(u); the generic identities
+    then hold here, over Q[u] and at every point.  test_clifford compares
+    the two term for term."""
+    qp = linear_form_matrix(P, "plus") if variant != "minus" else None
+    qm = linear_form_matrix(P, "minus") if variant != "plus" else None
+    return CliffordAlgebra(URING, variant, q_plus=qp, q_minus=qm)
+
+
 def linear_form_matrix_over(P, side, ring):
-    """P.linear_form_matrix(side), the integer linear forms Σ uₖ q[k],
+    """linear_form_matrix(P, side), the integer linear forms Σ uₖ q[k],
     read over `ring`, a PolyRing in U_VARS, instead of Z[u]."""
     return SymMatrix(ring, [[ring.from_terms(e.terms.items()) for e in row]
-                            for row in P.linear_form_matrix(side).rows])
+                            for row in linear_form_matrix(P, side).rows])
 
 
 def clifford_over(P, variant, field):
-    """CliffordAlgebra.from_pencil(P, variant) read over field[u] instead
-    of Z[u]: the same integer blocks, as linear forms over `field`."""
+    """from_pencil(P, variant) read over field[u] instead of Z[u]: the
+    same integer blocks, as linear forms over `field`."""
     ring = PolyRing(field, U_VARS)
     qp = linear_form_matrix_over(P, "plus", ring) if variant != "minus" else None
     qm = linear_form_matrix_over(P, "minus", ring) if variant != "plus" else None
@@ -1265,6 +1315,20 @@ def certify_tensor_product(factors, n):
     if c != 1:
         return f"fail:center-{c}"
     return f"M{n}"
+
+
+def _point(u):
+    """u as a tuple of three coordinates, not all zero."""
+    u = tuple(u)
+    if len(u) != 3:
+        raise ValueError("base points have three coordinates")
+    if not any(u):
+        raise ValueError("the zero point is not allowed")
+    return u
+
+
+def _det_value(P, side, u):
+    return P.det_curves().side(side).eval(u)
 
 
 def corank1_quotient_at(ctx, side, u, field):

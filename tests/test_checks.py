@@ -10,13 +10,16 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    SCALED_Q_PLUS,
     cached_pencil,
     commutant_dims,
     flip_six_generator_step,
     flip_step,
+    from_pencil,
     hilbert_dims_center,
     mutate_identities,
     seeded_pencil,
+    with_q_plus,
 )
 from quadclif import checks, clifford, exactalg, fiber, geometry
 from quadclif.checks import (
@@ -87,7 +90,7 @@ class TestRegistry:
         assert r.status == "pass"
         lower, bound = r.witnesses
         assert lower == {"basis": ["1", "d_plus", "d_minus", "d_plus*d_minus"],
-                         "weights": [0, 3, 3, 6],
+                         "certificate": "generic", "weights": [0, 3, 3, 6],
                          "masks": [0, 7, 56, 63], "unit_diagonal": True}
         assert bound == {"point": [1, 2, 3], "columns": 64, "kernel_dim": 4,
                          "top_masks": [0, 7, 56, 63]}
@@ -163,10 +166,12 @@ class TestRegistryMutants:
                          f"{variant} step e_{step[0]}·v_{step[1]}"}]), cid
 
     @fails("prop3.18-corank1-m2")
-    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("side", ["plus"])
     def test_corank1_fails_on_a_flipped_step(self, monkeypatch, side):
-        # a negated v2·v1 step breaks one side algebra; its associativity
-        # proof fails before any curve point is built
+        # a negated v2·v1 step breaks the generic side engine, which serves
+        # both blocks; its associativity proof fails before any identity is
+        # read (the minus engine is not read here: a flipped minus step
+        # fails prop3.12-dminus-square and the six-generator proofs)
         flip_step(monkeypatch, side, (0b010, 0))
         r = run_single(CheckContext(cached_pencil(42), points=1),
                        "prop3.18-corank1-m2")
@@ -188,10 +193,10 @@ class TestRegistryMutants:
         r = run_single(CheckContext(cached_pencil(42), points=1),
                        "prop3.18-corank1-m2")
         assert r.status == "fail"
-        assert r.witnesses[2:4] == [{"side": side, "A": {"held": 6, "total": 9},
-                                     "B": {"held": 2, "total": 3},
-                                     "C": {"held": 5, "total": 9}}
-                                    for side in ("plus", "minus")]
+        assert r.witnesses[2] == {"certificate": "generic",
+                                  "A": {"held": 6, "total": 9},
+                                  "B": {"held": 2, "total": 3},
+                                  "C": {"held": 5, "total": 9}}
 
     @fails("prop3.13-center")
     def test_center_fails_on_a_flipped_step(self, monkeypatch):
@@ -204,16 +209,19 @@ class TestRegistryMutants:
             "error": "ValueError: tensor product fails on the ordinary step e_3·v_2"}])
 
     @fails("prop3.13-center")
-    def test_center_fails_when_no_point_bounds_the_kernel(self, monkeypatch):
-        # at u = 0 the forms vanish and A is Λ(V₊) ⊗ Λ(V₋), whose center
-        # (even part and top degree of each factor) has dimension 5·5: the
-        # rank there bounds nothing, and the check claims no center
-        monkeypatch.setattr(checks, "CENTER_POINTS", ((0, 0, 0),))
-        r = run_single(CheckContext(cached_pencil(42)), "prop3.13-center")
+    def test_center_fails_when_no_point_bounds_the_kernel(self):
+        # q₋ = 0: at a₀ = (q₊(u₀), 0) the algebra is C(q₊(u₀)) ⊗ Λ(V₋),
+        # whose center has dimension 2·5 (Λ(V₋)'s even part and top
+        # degree): no point bounds the rank, and the check claims no center
+        zero = tuple(tuple((0,) * 3 for _ in range(3)) for _ in range(3))
+        P = InvariantPencil(q_plus=cached_pencil(42).q_plus, q_minus=zero,
+                            seed=0, coeff_bound=5)
+        r = run_single(CheckContext(P), "prop3.13-center")
         assert r.status == "fail"
-        lower, bound = r.witnesses
+        lower, *bounds = r.witnesses
         assert lower["weights"] == [0, 3, 3, 6] and lower["unit_diagonal"]
-        assert (bound["point"], bound["kernel_dim"]) == ([0, 0, 0], 25)
+        assert [(b["point"], b["kernel_dim"]) for b in bounds] == [
+            ([1, 2, 3], 10), ([2, -1, 5], 10)]
 
     @fails("prop3.9-phi", "prop3.13-center")
     def test_flipped_step_outside_the_center_fails_phi(self, monkeypatch):
@@ -335,17 +343,35 @@ class TestRegistryMutants:
     @fails("prop3.12-dplus-square", "prop3.12-dminus-square")
     def test_d_square_fails_on_a_determinant_of_the_wrong_sign(self,
                                                                monkeypatch):
-        # det(q) negated: d² = f still holds, but as −det(q), so the solver
-        # records the sign −1 on each side
+        # det(q) negated: d² = det M still holds, but as −det(q), so the
+        # solver records the sign −1, and the negated det M at a = q(u) is
+        # −f, not the cubic pencil.det_cubic computes on its own
         det = exactalg.SymMatrix.det
         monkeypatch.setattr(exactalg.SymMatrix, "det", lambda m: -det(m))
         ctx = CheckContext(cached_pencil(42), points=1)
         for side in ("plus", "minus"):
             r = run_single(ctx, f"prop3.12-d{side}-square")
             assert (r.status, r.witnesses) == ("fail", [
-                {"side": side, "sign": -1,
-                 "square_equals_determinant_cubic": True,
-                 "solution": "unique monic"}])
+                {"side": side, "certificate": "generic", "sign": -1,
+                 "det_M_at_q_is_f": False, "solution": "unique monic"}])
+
+    @fails("prop3.12-dplus-square", "prop3.12-dminus-square")
+    def test_d_square_fails_when_the_cubics_are_not_the_blocks_determinants(
+            self):
+        # f₊ and f₋ exchanged in the instance's stored curves: d² = det M
+        # still holds on the generic side, but det M at a = q±(u) is no
+        # longer the stored f±
+        P = cached_pencil(42)
+        curves = P.det_curves()
+        Q = dataclasses.replace(P)
+        object.__setattr__(Q, "_det_curves", dataclasses.replace(
+            curves, f_plus=curves.f_minus, f_minus=curves.f_plus))
+        ctx = CheckContext(Q, points=1)
+        for side in ("plus", "minus"):
+            r = run_single(ctx, f"prop3.12-d{side}-square")
+            assert (r.status, r.witnesses) == ("fail", [
+                {"side": side, "certificate": "generic", "sign": 1,
+                 "det_M_at_q_is_f": False, "solution": "unique monic"}])
 
     @fails("prop2.3-stabilizers", "prop2.8-stabilizers")
     def test_stabilizers_fail_on_a_dropped_element(self, monkeypatch):
@@ -453,7 +479,7 @@ class TestOnInstance:
         oracle = hilbert_dims_center(6)
         for P in named + [seeded_pencil(i) for i in range(20)]:
             r = run_single(CheckContext(P), "prop3.13-center")
-            alg = clifford.CliffordAlgebra.from_pencil(P, "ordinary")
+            alg = from_pencil(P, "ordinary")
             assert r.status == "pass"
             assert commutant_dims(alg, 6) == oracle
 
@@ -487,13 +513,16 @@ class TestOnInstance:
                 P, ctx.rng("fiber-points"), n)[:3] == longest[:n]
 
     def test_each_algebra_is_built_once_per_run(self, monkeypatch):
-        """Each of the four engines is built once and proven once per run:
-        the sides by verify_associativity, the ordinary and super algebras
-        by verify_tensor_product.  prop3.12 reads d without a proof, and
-        prop3.18 proves the sides alone."""
+        """Each of the four generic engines is built once and proven once
+        per run: the plus side by verify_associativity, the minus side by
+        verify_swap, the ordinary and super algebras by
+        verify_tensor_product.  prop3.12-dplus reads d without a proof,
+        and prop3.18 proves the plus side alone."""
         calls = []
         Alg = clifford.CliffordAlgebra
-        for name in ("__init__", "verify_associativity", "verify_tensor_product"):
+        names = ("__init__", "verify_associativity", "verify_swap",
+                 "verify_tensor_product")
+        for name in names:
             def counting(alg, *args, _name=name, _real=getattr(Alg, name), **kw):
                 out = _real(alg, *args, **kw)
                 calls.append((_name, alg.variant))
@@ -505,20 +534,49 @@ class TestOnInstance:
             results = run(CheckContext(cached_pencil(42), points=1))
             assert {r.status for r in results} == {"pass"}
             return {name: sorted(v for n, v in calls if n == name)
-                    for name in ("__init__", "verify_associativity",
-                                 "verify_tensor_product")}
+                    for name in names}
 
         assert counts(run_all) == {
             "__init__": ["minus", "ordinary", "plus", "super"],
-            "verify_associativity": ["minus", "plus"],
+            "verify_associativity": ["plus"], "verify_swap": ["minus"],
             "verify_tensor_product": ["ordinary", "super"]}
         assert counts(lambda ctx: [run_single(ctx, "prop3.12-dplus-square")]) == {
             "__init__": ["plus"], "verify_associativity": [],
-            "verify_tensor_product": []}
+            "verify_swap": [], "verify_tensor_product": []}
         assert counts(lambda ctx: [run_single(ctx, "prop3.18-corank1-m2")]) == {
-            "__init__": ["minus", "plus"],
-            "verify_associativity": ["minus", "plus"],
-            "verify_tensor_product": []}
+            "__init__": ["plus"], "verify_associativity": ["plus"],
+            "verify_swap": [], "verify_tensor_product": []}
+
+    def test_each_curve_compiles_once_per_run(self, monkeypatch):
+        """f₊ of SCALED_Q_PLUS vanishes mod 101, so its ReducedCurve raises
+        ScanError there.  CheckContext.curve keeps the error, so one run
+        compiles each (side, prime) once: six compile_poly calls, and the
+        same verdicts, witnesses and notes as a run whose every curve
+        lookup builds its curve afresh."""
+        P = with_q_plus(SCALED_Q_PLUS)
+        compiled = []
+        real = geometry.compile_poly
+
+        def counting(f, p):
+            compiled.append((next(side for side in ("plus", "minus")
+                                  if f == P.det_curves().side(side)), p))
+            return real(f, p)
+
+        def stripped(run):
+            return [(r.id, r.status, r.witnesses) for r in run]
+
+        monkeypatch.setattr(geometry, "compile_poly", counting)
+        kept = stripped(run_all(CheckContext(P, points=1)))
+        assert sorted(compiled) == sorted(
+            (side, p) for side in ("plus", "minus") for p in checks.SCAN_PRIMES)
+        monkeypatch.setattr(CheckContext, "curve", lambda ctx, side, p:
+                            geometry.ReducedCurve(P.det_curves().side(side),
+                                                  P.side_mats(side), p))
+        compiled.clear()
+        assert stripped(run_all(CheckContext(P, points=1))) == kept
+        assert compiled.count(("plus", 101)) > 1
+        assert any(w.get("note") == "bad reduction mod 101: Delta_plus != 0 over Q"
+                   for _, _, wit in kept for w in wit)
 
     def test_diagonal_fails_smoothness_with_witness_points(self):
         P = diag_instance()
@@ -600,12 +658,11 @@ class TestOnInstance:
         assert r.status == "pass"
         plus, minus, *sides, summary = r.witnesses
         assert [plus["kind"], minus["kind"]] == ["discriminant"] * 2
-        # held/total of (A), (B) and (C) per side, over Z[u]: no point, no
-        # line, no prime and no field
-        assert sides == [{"side": side, "A": {"held": 9, "total": 9},
+        # held/total of (A), (B) and (C) on the generic side, over Z[a]:
+        # no point, no line, no prime and no field
+        assert sides == [{"certificate": "generic", "A": {"held": 9, "total": 9},
                           "B": {"held": 3, "total": 3},
-                          "C": {"held": 9, "total": 9}}
-                         for side in ("plus", "minus")]
+                          "C": {"held": 9, "total": 9}}]
         assert summary["claim"] == "M2 radical quotient"
         assert summary["locus"] == {"plus": "f_plus = 0", "minus": "f_minus = 0"}
         assert set(summary["identities"]) == {"A", "B", "C"}

@@ -43,7 +43,11 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 
 # SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
 # of `check --points 2` on that instance: every verdict and witness of the
-# full run is pinned byte for byte.  It last changed when
+# full run is pinned byte for byte.  It last changed when the Clifford
+# layer (prop3.5, 3.19, 3.9, 3.12±, 3.13, 3.17 and 3.18) moved to one
+# certificate over generic blocks, whose witnesses say "generic", state
+# c and c′ once and carry det M's specialization to f±, and prop3.9 lost
+# its "failing_pairs" (before: a978c549…84ebf005); before that, when
 # prop3.18-corank1-m2 moved from the M2 quotient at one cubic-field point
 # per side to the identities (A)-(C) over Z[u], with held/total counts per
 # side (before: e17bbe71…98b92541); before that, when prop3.13-center
@@ -58,7 +62,7 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 # top-level primes (e7c3ef98…78da2f0); and before that, through the
 # witnesses of prop3.17-azumaya-m4 and prop3.18-split-m2, which moved from
 # verdicts at sampled points to Gram identities over Z[u] (0c3a7664…8ee4).
-FULL_RUN_SHA256 = "a978c5499b97e5ff931aed256f1877c639654cfcf35fd46945cebafd84ebf005"
+FULL_RUN_SHA256 = "faa217af343091d9ea018425fe7f3e3f8ad07d9090f2e6c597272a5639893b54"
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.
@@ -233,6 +237,17 @@ class TestCheckUsage:
 
 
 class TestCheckRuns:
+    @pytest.mark.parametrize("text", ["[1, 2]", "3"], ids=["list", "number"])
+    def test_instance_top_level_must_be_an_object(self, tmp_path, capsys,
+                                                  text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["check", bad.as_posix()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadclif: error: malformed instance ")
+        assert err.rstrip().endswith(
+            "malformed instance data: the top level must be a JSON object")
+
     def test_instance_free_without_instance(self, capsys):
         rc = main(["check", "prop4.9-segre"])
         assert rc == 0

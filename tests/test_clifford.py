@@ -15,8 +15,8 @@ from quadclif.clifford import (
     CentralElementError,
     CliffordAlgebra,
     CliffordElement,
+    block_point,
     central_odd,
-    central_pair,
     commutant_basis,
     defining_relations,
     lift,
@@ -24,8 +24,8 @@ from quadclif.clifford import (
     phi_exponent,
     terms_homogeneous,
 )
-from quadclif.checks import CheckContext, run_single
-from quadclif.pencil import U_VARS, InvariantPencil, generate
+from quadclif.checks import CENTER_POINTS, CheckContext, run_single
+from quadclif.pencil import U_VARS, URING, InvariantPencil, generate
 
 from conftest import (
     BAD_REDUCTION_Q_PLUS,
@@ -35,6 +35,7 @@ from conftest import (
     PrimeField,
     action_scales_relation,
     cached_pencil,
+    central_pair,
     clifford_over,
     central_odd_by_ansatz,
     central_odd_pencil,
@@ -43,6 +44,7 @@ from conftest import (
     equivariance_check,
     flip_six_generator_step,
     flip_step,
+    from_pencil,
     hilbert_dims_center,
     linear_form_matrix_over,
     phi_failing_pairs,
@@ -85,7 +87,7 @@ def random_element(alg, rng, nterms=3, max_u=1):
 def test_generator_relations_all_variants():
     P = cached_pencil(42)
     for variant in ("super", "ordinary", "plus", "minus"):
-        alg = CliffordAlgebra.from_pencil(P, variant)
+        alg = from_pencil(P, variant)
         for i in range(alg.ngens):
             vi = alg.gen(i)
             assert vi * vi == alg.from_mask(0, -alg.q_of(i, i))
@@ -102,7 +104,7 @@ def test_generator_relations_all_variants():
 @pytest.mark.parametrize("variant", ["super", "ordinary", "plus", "minus"])
 def test_associativity_random(variant):
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, variant)
+    alg = from_pencil(P, variant)
     rng = random.Random(f"assoc-{variant}")
     for _ in range(6):
         a = random_element(alg, rng)
@@ -117,8 +119,8 @@ def test_tensor_product_tables_associative_on_seeded_triples(variant):
     # of the 64-dimensional table (a full verify_associativity takes
     # seconds)
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, variant)
-    assert alg.verify_tensor_product(*(CliffordAlgebra.from_pencil(P, side)
+    alg = from_pencil(P, variant)
+    assert alg.verify_tensor_product(*(from_pencil(P, side)
                                        for side in ("plus", "minus")))
     rng = random.Random(f"tensor-triples-{variant}")
     for _ in range(300):
@@ -141,7 +143,7 @@ def test_associativity_prime_field():
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_symbolic_associativity_and_integrality(side):
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, side)
+    alg = from_pencil(P, side)
     assert alg.verify_associativity()
     assert alg.integral_structure()
     # the long path on all 512 basis triples agrees
@@ -166,7 +168,7 @@ def test_integral_structure_detects_fractions():
 
 def test_distributivity_and_scalars():
     P = cached_pencil(7)
-    alg = CliffordAlgebra.from_pencil(P, "super")
+    alg = from_pencil(P, "super")
     rng = random.Random("dist")
     a, b, c = (random_element(alg, rng) for _ in range(3))
     assert a * (b + c) == a * b + a * c
@@ -179,8 +181,8 @@ def test_distributivity_and_scalars():
 
 def test_algebra_mismatch_rejected():
     P = cached_pencil(42)
-    a = CliffordAlgebra.from_pencil(P, "super").gen(0)
-    b = CliffordAlgebra.from_pencil(P, "ordinary").gen(0)
+    a = from_pencil(P, "super").gen(0)
+    b = from_pencil(P, "ordinary").gen(0)
     with pytest.raises(ValueError):
         a * b
 
@@ -226,7 +228,7 @@ def veronese_dims(variant, D):
 
 def test_bidegree_examples():
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "super")
+    alg = from_pencil(P, "super")
     u1 = alg.ring.var("u1")
     v1m = alg.gen(3)
     assert bidegree(v1m) == BiDegree(1, 1)
@@ -240,7 +242,7 @@ def test_bidegree_examples():
 
 def test_bidegree_additive_on_products():
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "super")
+    alg = from_pencil(P, "super")
     rng = random.Random("bideg")
     for _ in range(20):
         ma = rng.randrange(64)
@@ -394,8 +396,8 @@ def test_phi_rejects_odd_weight(algebra_pair):
     with pytest.raises(ValueError):
         phi(sup.gen(0), ordi)
     with pytest.raises(ValueError):
-        phi(CliffordAlgebra.from_pencil(P, "super").one(),
-            CliffordAlgebra.from_pencil(P, "ordinary"))  # rationals lack i
+        phi(from_pencil(P, "super").one(),
+            from_pencil(P, "ordinary"))  # rationals lack i
 
 
 # -- the tensor-product certificate and the phi twist it implies -------------
@@ -421,8 +423,8 @@ def test_phi_certificate_agrees_with_structure_constants(seed, algebra_pair):
     else:
         P = (generate(2024, 2) if seed == "generated"
              else seeded_pencil(int(seed.split("-")[1])))
-        sup = CliffordAlgebra.from_pencil(P, "super")
-        ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+        sup = from_pencil(P, "super")
+        ordi = from_pencil(P, "ordinary")
     sides = _sides(P, sup.ring.field)
     assert sup.verify_tensor_product(*sides) and ordi.verify_tensor_product(*sides)
     assert phi_twist_failures(sup, ordi) == []
@@ -457,8 +459,8 @@ def test_phi_twist_lemma_on_mask_pairs(algebra_pair):
 def test_phi_certificate_names_the_mutated_step(monkeypatch):
     P = cached_pencil(42)
     flip_step(monkeypatch, "super", (0b001001, 1))  # v1+ v1- · v2+
-    sup = CliffordAlgebra.from_pencil(P, "super")
-    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    sup = from_pencil(P, "super")
+    ordi = from_pencil(P, "ordinary")
     sides = _sides(P, ZZ)
     # the flipped step and the three steps whose normal form peels down to it
     assert phi_twist_failures(sup, ordi) == [(9, 1), (25, 1), (41, 1), (57, 1)]
@@ -474,8 +476,8 @@ def test_tensor_certificate_names_a_step_flipped_in_both_engines(monkeypatch,
     # sees nothing; the certificate compares each against the sides
     P = cached_pencil(42)
     flip_six_generator_step(monkeypatch, step)
-    sup = CliffordAlgebra.from_pencil(P, "super")
-    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    sup = from_pencil(P, "super")
+    ordi = from_pencil(P, "ordinary")
     assert phi_twist_failures(sup, ordi) == []
     for alg in (sup, ordi):
         with pytest.raises(ValueError, match=(
@@ -496,8 +498,8 @@ def test_phi_certificate_checks_output_parities(monkeypatch):
         return res
 
     monkeypatch.setattr(CliffordAlgebra, "_mask_times_gen", extra)
-    sup = CliffordAlgebra.from_pencil(P, "super")
-    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    sup = from_pencil(P, "super")
+    ordi = from_pencil(P, "ordinary")
     assert phi_twist_failures(sup, ordi)[0] == (0, 0)
     # in the side engines the extra term leaves the three generators
     with pytest.raises(ValueError, match="the plus step e_0·v_0 does not change"):
@@ -506,8 +508,8 @@ def test_phi_certificate_checks_output_parities(monkeypatch):
 
 def test_phi_certificate_rejects_wrong_inputs():
     P = cached_pencil(42)
-    sup = CliffordAlgebra.from_pencil(P, "super")
-    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    sup = from_pencil(P, "super")
+    ordi = from_pencil(P, "ordinary")
     with pytest.raises(ValueError):
         phi_twist_failures(ordi, sup)
     with pytest.raises(ValueError):
@@ -531,8 +533,8 @@ def test_phi_check_falls_back_on_a_broken_engine(monkeypatch):
     assert r.status == "fail"
     assert r.witnesses == [
         {"error": "ValueError: tensor product fails on the super step e_9·v_1"}]
-    expected = phi_failing_pairs(CliffordAlgebra.from_pencil(P, "super"),
-                                 CliffordAlgebra.from_pencil(P, "ordinary"))
+    expected = phi_failing_pairs(from_pencil(P, "super"),
+                                 from_pencil(P, "ordinary"))
     assert [0b001001, 0b001010] in expected
 
 
@@ -582,7 +584,7 @@ def test_central_odd_agrees_with_the_ansatz_oracle():
                + [cached_pencil(42), cached_pencil(7), diag_pencil()])
     for P in pencils:
         for side in ("plus", "minus"):
-            alg = CliffordAlgebra.from_pencil(P, side)
+            alg = from_pencil(P, side)
             # element, sign, square, det and r_coeffs
             assert central_odd(alg) == central_odd_by_ansatz(alg)
 
@@ -609,8 +611,11 @@ def test_central_odd_rejects_zero_block():
         central_odd(alg)
 
 
-# One negated engine step of one block makes exactly that block's prop3.12
-# check fail through the registry; the closed form is verified, not trusted.
+# One negated step of the generic plus engine breaks d, which both prop3.12
+# checks read (d₋ is d with a and b exchanged): central_odd names the broken
+# identity, as the closed form is verified, not trusted.  The same step of
+# the minus engine breaks only its proof as the plus engine with a and b
+# exchanged, which prop3.12-dminus-square alone reads.
 CENTRAL_MUTANTS = [
     ((0b010, 0), "CentralElementError: d does not commute with v1"),
     ((0b001, 0), "CentralElementError: d² is not ±det(q)"),
@@ -624,19 +629,24 @@ def test_central_square_check_fails_on_a_flipped_step(monkeypatch, side, step,
                                                       error):
     flip_step(monkeypatch, side, step)
     ctx = CheckContext(cached_pencil(42), points=1)
-    other = "minus" if side == "plus" else "plus"
-    r = run_single(ctx, f"prop3.12-d{side}-square")
-    assert r.status == "fail"
-    assert r.witnesses == [{"error": error}]
-    assert run_single(ctx, f"prop3.12-d{other}-square").status == "pass"
+    if side == "minus":
+        error = (f"ValueError: the minus step e_{step[0]}·v_{step[1]} is not "
+                 "the plus step with a and b exchanged")
+    failing = ("plus", "minus") if side == "plus" else ("minus",)
+    for block in ("plus", "minus"):
+        r = run_single(ctx, f"prop3.12-d{block}-square")
+        if block in failing:
+            assert (r.status, r.witnesses) == ("fail", [{"error": error}])
+        else:
+            assert r.status == "pass"
 
 
 def test_central_pair_cross_behaviour():
     P = cached_pencil(42)
     pair = central_pair(*(central_odd_pencil(P, side)
                           for side in ("plus", "minus")))
-    sup = CliffordAlgebra.from_pencil(P, "super")
-    ordi = CliffordAlgebra.from_pencil(P, "ordinary")
+    sup = from_pencil(P, "super")
+    ordi = from_pencil(P, "ordinary")
     dp_s = lift(pair.d_plus, sup, "plus")
     dm_s = lift(pair.d_minus, sup, "minus")
     dp_o = lift(pair.d_plus, ordi, "plus")
@@ -668,7 +678,7 @@ def test_central_pair_cross_behaviour():
 
 def test_commutant_dims_ordinary_match_module_oracle():
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "ordinary")
+    alg = from_pencil(P, "ordinary")
     dims = commutant_dims(alg, 6)
     assert dims == hilbert_dims_center(6)
     assert dims == [1, 0, 3, 2, 6, 6, 11]
@@ -676,7 +686,7 @@ def test_commutant_dims_ordinary_match_module_oracle():
 
 def test_commutant_dims_super():
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "super")
+    alg = from_pencil(P, "super")
     dims = commutant_dims(alg, 6)
     # only the base polynomials survive: the odd central candidates
     # anticommute with the opposite block
@@ -685,7 +695,7 @@ def test_commutant_dims_super():
 
 def test_commutant_contains_central_pair_ordinary():
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "ordinary")
+    alg = from_pencil(P, "ordinary")
     basis = commutant_basis_by_weight(alg, 3)
     assert [len(b) for b in basis] == [1, 0, 3, 2]
     pair = central_pair(*(central_odd_pencil(P, side)
@@ -701,7 +711,7 @@ def test_commutant_contains_central_pair_ordinary():
 
 def test_commutant_plus_variant():
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "plus")
+    alg = from_pencil(P, "plus")
     dims = commutant_dims(alg, 3)
     assert dims == [1, 0, 3, 1]
     d = central_odd(alg).element
@@ -713,7 +723,7 @@ def test_commutant_plus_variant():
 
 def test_commutant_cap():
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "plus")
+    alg = from_pencil(P, "plus")
     with pytest.raises(ValueError):
         commutant_basis_by_weight(alg, 9)
 
@@ -727,7 +737,7 @@ def test_point_kernel_ordinary_is_spanned_by_the_central_basis():
     top masks of 1, d₊, d₋ and d₊d₋, and each vector is the specialization
     of that element: a kernel vector is fixed by its free coordinates."""
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "ordinary")
+    alg = from_pencil(P, "ordinary")
     u0 = (1, 2, 3)
     kernel = commutant_basis(alg, u0)
     assert _top_masks(kernel) == [0, 7, 56, 63]
@@ -744,7 +754,7 @@ def test_point_kernel_of_other_variants():
     # block's center is spanned by 1 and its odd central element
     P = cached_pencil(42)
     for variant, tops in (("super", [0]), ("plus", [0, 7]), ("minus", [0, 7])):
-        alg = CliffordAlgebra.from_pencil(P, variant)
+        alg = from_pencil(P, variant)
         kernel = commutant_basis(alg, (2, -1, 5))
         assert _top_masks(kernel) == tops, variant
         assert {len(v) for v in kernel} == {1 << alg.ngens}
@@ -753,7 +763,7 @@ def test_point_kernel_of_other_variants():
 def test_point_kernel_needs_integer_structure_constants():
     alg = clifford_over(cached_pencil(42), "plus", QQ)
     assert commutant_basis(alg, (1, 2, 3)) == commutant_basis(
-        CliffordAlgebra.from_pencil(cached_pencil(42), "plus"), (1, 2, 3))
+        from_pencil(cached_pencil(42), "plus"), (1, 2, 3))
     with pytest.raises(ValueError, match="non-integer structure constant"):
         commutant_basis(alg, (Fraction(1, 7), 0, 0))
 
@@ -767,7 +777,7 @@ def test_point_kernel_reads_the_generator_step_memo():
     P = cached_pencil(42)
     for variant, u in (("ordinary", (1, 2, 3)), ("super", (2, -1, 5)),
                        ("minus", (2, -1, 5))):
-        alg = CliffordAlgebra.from_pencil(P, variant)
+        alg = from_pencil(P, variant)
         kernel = commutant_basis(alg, u)
         assert {ma for ma, _ in alg._mul_cache} == {1 << g for g in range(alg.ngens)}
         rows = {}
@@ -786,7 +796,7 @@ def test_point_kernel_reads_the_generator_step_memo():
 def test_relations_homogeneous_and_equivariant():
     P = cached_pencil(42)
     for variant in ("super", "ordinary"):
-        alg = CliffordAlgebra.from_pencil(P, variant)
+        alg = from_pencil(P, variant)
         rels = defining_relations(alg)
         assert len(rels) == 21
         for terms in rels:
@@ -798,7 +808,7 @@ def test_corrupted_relation_detected():
     # the stray constant changes the weight, not the minus parity: s = 1
     # already sees it
     P = cached_pencil(42)
-    alg = CliffordAlgebra.from_pencil(P, "ordinary")
+    alg = from_pencil(P, "ordinary")
     terms = defining_relations(alg)[0]
     bad = terms + [((), alg.ring.one())]
     assert not terms_homogeneous(alg, bad)
@@ -848,26 +858,80 @@ def test_integer_algebra_matches_the_rational_oracle():
             f = P.det_curves().side(side)
             assert {type(c) for c in f.terms.values()} <= {int}, name
             assert f.terms == linear_form_matrix_over(P, side, qring).det().terms, name
-            over_z = CliffordAlgebra.from_pencil(P, side)
+            over_z = from_pencil(P, side)
             over_q = clifford_over(P, side, QQ)
             assert over_z.ring.field is ZZ and over_q.ring.field is QQ
             assert _int_terms(over_z) == over_q.structure_terms(), (name, side)
             assert _central_or_error(over_z) == _central_or_error(over_q), (name, side)
             assert commutant_dims(over_z, 6) == commutant_dims(over_q, 6), (name, side)
         for variant in ("ordinary", "super"):
-            over_z = CliffordAlgebra.from_pencil(P, variant)
+            over_z = from_pencil(P, variant)
             over_q = clifford_over(P, variant, QQ)
             for m in range(64):
                 for j in range(6):
                     assert ([(m2, c.terms) for m2, c in over_z._mask_times_gen(m, j)]
                             == [(m2, c.terms) for m2, c in over_q._mask_times_gen(m, j)])
     for name, P in named[:2]:
-        over_z = CliffordAlgebra.from_pencil(P, "ordinary")
+        over_z = from_pencil(P, "ordinary")
         over_q = clifford_over(P, "ordinary", QQ)
         assert _int_terms(over_z) == over_q.structure_terms(), name
         assert commutant_dims(over_z, 6) == commutant_dims(over_q, 6), name
         assert commutant_basis(over_z, (1, 2, 3)) == commutant_basis(
             over_q, (1, 2, 3)), name
+
+
+def test_generic_engine_specializes_to_the_instance_oracle():
+    """The generic engines the checks prove (CheckContext.block) under
+    a ↦ q₊(u), b ↦ q₋(u) are the per-instance engines of
+    conftest.from_pencil, term for term over Z[u], and their images over
+    Q[u] the QQ oracle's: every product of the sides, every generator step
+    of the six-generator variants, and d± (d₋ the swap image that
+    CheckContext.central reads).  commutant_basis at a₀ = (q₊(u₀), q₋(u₀))
+    is the instance engine's at u₀ for u₀ in CENTER_POINTS.  On seeds 42
+    and 7, the diagonal, the two planted q₊ and seeded_pencil(0..19)."""
+    named, seeded = _oracle_pencils()
+    qring = PolyRing(QQ, U_VARS)
+    u = [URING.var(v) for v in U_VARS]
+    ctx = CheckContext(None)
+
+    def image(terms, at):
+        out = {m: URING.zero() + c.eval(at) for m, c in terms}
+        return nonzero(out.items())
+
+    def nonzero(terms):
+        # a generator step keeps −q_jj even where it is 0
+        return {m: c for m, c in terms if not c.is_zero()}
+
+    def over_q(terms):
+        return {m: qring.from_terms(c.terms.items()) for m, c in terms.items()}
+
+    for name, P in named + seeded[:20]:
+        at = block_point(P.block_at(u, "plus"), P.block_at(u, "minus"))
+        for variant in ("plus", "minus", "ordinary", "super"):
+            generic, instance = ctx.block(variant), from_pencil(P, variant)
+            rational = clifford_over(P, variant, QQ)
+            if variant in ("plus", "minus"):
+                pairs = [(generic.mask_mul, instance.mask_mul, rational.mask_mul,
+                          (a, b)) for a in range(8) for b in range(8)]
+            else:
+                pairs = [(generic._mask_times_gen, instance._mask_times_gen,
+                          rational._mask_times_gen, (m, j))
+                         for m in range(64) for j in range(6)]
+            for gen_step, inst_step, rat_step, args in pairs:
+                got = image(gen_step(*args), at)
+                assert got == nonzero(inst_step(*args)), (name, variant, args)
+                assert over_q(got) == nonzero(rat_step(*args)), (name, variant, args)
+        for side in ("plus", "minus"):
+            d = image(ctx.central(side).element.coeffs.items(), at)
+            try:
+                want = central_odd_pencil(P, side).element.coeffs
+            except CentralElementError:  # a zero block: only d = v1v2v3
+                want = {0b111: URING.one()}
+            assert d == want, (name, side)
+        for u0 in CENTER_POINTS:
+            a0 = block_point(P.block_at(u0, "plus"), P.block_at(u0, "minus"))
+            assert commutant_basis(ctx.block("ordinary"), a0) == commutant_basis(
+                from_pencil(P, "ordinary"), u0), (name, u0)
 
 
 @pytest.mark.parametrize("lam", [2, 3])
@@ -883,7 +947,7 @@ def test_scaling_action_is_exact_over_the_integers(lam):
     on the cross relations only s = -1 sees it."""
     P = cached_pencil(42)
     for variant in ("ordinary", "super"):
-        algs = (CliffordAlgebra.from_pencil(P, variant),
+        algs = (from_pencil(P, variant),
                 clifford_over(P, variant, QQ))
         for rels in zip(*(defining_relations(alg) for alg in algs)):
             for s in (1, -1):
@@ -895,7 +959,7 @@ def test_scaling_action_is_exact_over_the_integers(lam):
                                                        for i in range(20)]
     for P in pencils:
         for variant in ("ordinary", "super"):
-            alg = CliffordAlgebra.from_pencil(P, variant)
+            alg = from_pencil(P, variant)
             one = alg.ring.one()
             for terms in defining_relations(alg):
                 for graft in ([], [((), one)], [((0,), one)], [((3, 4), one)]):

@@ -27,3 +27,17 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+
+
+def test_central_elements_demo_specializes_the_generic_block(tmp_path):
+    """demos/02 prints the generic r and d² = det M, and det M at
+    a = q±(u) of seed 42 equal to f±."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "02_central_elements.py")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    lines = [ln.strip() for ln in proc.stdout.splitlines()]
+    assert ["r1 = a23", "r2 = -1*a13", "r3 = a12"] == lines[1:4]
+    assert "d^2 == det M: True | sign: 1" in lines
+    for side in ("plus", "minus"):
+        assert f"seed 42, a = q_{side}(u): det M == f_{side}: True" in lines

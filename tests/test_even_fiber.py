@@ -1,7 +1,8 @@
 """The even-part certificates of prop3.17 and prop3.18.
 
 Off its curve a side fiber is C(q_u) = C₀(q_u) ⊗ Q[x]/(x² − f(u)).  The
-checks prove it at every such u from Gram identities over Z[u]
+checks prove it at every such u from Gram identities over Z[a] on the
+generic block, which a ↦ q±(u) carries to both blocks
 (fiber.even_certificate); the per-point route that checked even_part at
 sampled points is the oracle in conftest.py.  Over Q[u] the same theorem
 says that right multiplication by the odd central element d maps the even
@@ -20,7 +21,7 @@ import pytest
 
 from quadclif import checks, clifford, fiber
 from quadclif.checks import CheckContext, run_single
-from quadclif.clifford import CliffordAlgebra
+from quadclif.clifford import CliffordAlgebra, central_odd
 from quadclif.exactalg import PolyRing, SymMatrix
 from quadclif.fiber import (
     EVEN_MASKS,
@@ -47,6 +48,7 @@ from conftest import (
     certify_tensor_product,
     even_part,
     even_subalgebra,
+    from_pencil,
     map_field,
     poly_bareiss_det,
     seeded_pencil,
@@ -104,7 +106,8 @@ def right_mul_det(alg, d):
 def test_right_multiplication_by_d_has_determinant_f_squared(name, side):
     P, pts = _points(name)
     ctx = CheckContext(P)
-    alg, res = ctx.algebra(side), ctx.central(side)
+    alg = from_pencil(P, side)
+    res = central_odd(alg)
     f = P.det_curves().side(side)
     assert right_mul_det(alg, res.element) == f * f
     assert res.square == f
@@ -122,10 +125,9 @@ def test_right_multiplication_by_d_has_determinant_f_squared(name, side):
 
 def test_identity_rejects_a_wrong_central_element():
     P = cached_pencil(42)
-    ctx = CheckContext(P)
-    alg, res = ctx.algebra("plus"), ctx.central("plus")
+    alg = from_pencil(P, "plus")
     f = P.det_curves().f_plus
-    d = res.element
+    d = central_odd(alg).element
     assert right_mul_det(alg, d * 2) == f * f * 16
     assert right_mul_det(alg, d + 1) is None  # e_0·(d + 1) has an even part
 
@@ -159,8 +161,8 @@ def test_even_route_matches_the_computed_route(name):
 
 
 def test_gram_certificate_agrees_with_the_per_point_oracle():
-    """Both checks PASS from the identities over Z[u] (c = −256 and
-    c′ = −4096 here) on seeds 42 and 7, the diagonal and
+    """Both checks PASS from the generic identities over Z[a] (c = −256
+    and c′ = −4096) on seeds 42 and 7, the diagonal and
     seeded_pencil(0..9), and at 2 sampled points of each the per-point
     route certifies M4 and M2xM2 on both sides."""
     named = [cached_pencil(42), cached_pencil(7), diag_pencil()]
@@ -168,9 +170,8 @@ def test_gram_certificate_agrees_with_the_per_point_oracle():
         ctx = CheckContext(P, points=2)
         m4, split = (run_single(ctx, cid) for cid in FIBER_CHECKS)
         assert (m4.status, split.status) == ("pass", "pass")
-        assert m4.witnesses[:2] == split.witnesses[:2]
-        assert [(w["side"], w["c"], w["c_prime"]) for w in m4.witnesses[:2]] \
-            == [("plus", -256, -4096), ("minus", -256, -4096)]
+        assert m4.witnesses[0] == split.witnesses[0]
+        assert (m4.witnesses[0]["c"], m4.witnesses[0]["c_prime"]) == (-256, -4096)
         for u in ctx.fiber_points():
             assert certify_ordinary_m4(ctx, u)[1] == "M4"
             for side in ("plus", "minus"):
@@ -179,18 +180,18 @@ def test_gram_certificate_agrees_with_the_per_point_oracle():
 
 def test_certificate_witness_names_every_condition():
     P = cached_pencil(42)
-    ok, wit = even_certificate(CheckContext(P), "minus")
+    ok, wit = even_certificate(CheckContext(P))
     assert ok and wit == {
-        "side": "minus", "even_closed": True,
+        "certificate": "generic", "f": "det(M)", "even_closed": True,
         "c": -256, "det_G_is_c_f2": True,
         "c_prime": -4096, "det_Gc_is_c_prime_f4": True,
         "d_odd": True, "d_maps_even_to_odd": True, "d_central": True,
         "d_square_is_f": True}
     r = run_single(CheckContext(P), "prop3.17-azumaya-m4")
-    assert r.witnesses[-1] == {"claim": "M4", "locus": "f_plus*f_minus != 0"}
+    assert r.witnesses == [wit, {"claim": "M4", "locus": "f_plus*f_minus != 0"}]
     r = run_single(CheckContext(P), "prop3.18-split-m2")
-    assert r.witnesses[-1] == {"claim": "M2xM2", "locus": {
-        "plus": "f_plus != 0", "minus": "f_minus != 0"}}
+    assert r.witnesses == [wit, {"claim": "M2xM2", "locus": {
+        "plus": "f_plus != 0", "minus": "f_minus != 0"}}]
 
 
 def test_even_table_refuses_an_odd_product(monkeypatch):
@@ -204,7 +205,7 @@ def test_even_table_refuses_an_odd_product(monkeypatch):
     monkeypatch.setattr(alg, "mask_mul", lambda a, b: (
         ((1, alg.ring.one()),) if (a, b) == (3, 5) else real(a, b)))
     assert fiber.even_table(alg) is None
-    ok, wit = even_certificate(ctx, "plus")
+    ok, wit = even_certificate(ctx)
     assert not ok and wit["even_closed"] is False and "c" not in wit
 
 
@@ -270,8 +271,8 @@ def test_even_part_is_built_once_per_point():
 
 
 def test_wrong_square_fails_the_identity():
-    """Mutant: the central element doubled, so it squares to 4f; the
-    identity d² = f over Z[u] catches it, both checks fail, and every
+    """Mutant: the generic central element doubled, so it squares to 4f;
+    the identity d² = f over Z[a] catches it, both checks fail, and every
     other condition still holds."""
     P = cached_pencil(42)
     ctx = CheckContext(P, points=1)
@@ -280,9 +281,8 @@ def test_wrong_square_fails_the_identity():
     for cid in FIBER_CHECKS:
         r = run_single(ctx, cid)
         assert r.status == "fail"
-        plus, minus, _ = r.witnesses
-        assert [k for k, v in plus.items() if not v] == ["d_square_is_f"]
-        assert all(minus.values())
+        cert, _ = r.witnesses
+        assert [k for k, v in cert.items() if not v] == ["d_square_is_f"]
     # the per-point oracle refuses the same element
     u = _points("42", 1)[1][0]
     with pytest.raises(FiberError, match=r"d·d is not f\(u\)·1"):
@@ -362,10 +362,12 @@ def test_central_elements_are_solved_once_per_run(monkeypatch):
     ctx = CheckContext(P, points=1)
     assert run_single(ctx, "prop3.12-dplus-square").status == "pass"
     assert (solved, proofs) == (["plus"], [])
+    # one generic solve and one associativity proof serve both blocks:
+    # d₋ and the minus side are the plus side's with a and b exchanged
     for cid in ("prop3.9-phi", "prop3.12-dminus-square", *FIBER_CHECKS,
                 "prop4.7-annihilator"):
         assert run_single(ctx, cid).status == "pass"
-    assert sorted(solved) == sorted(proofs) == ["minus", "plus"]
+    assert solved == proofs == ["plus"]
 
 
 # -- fiber tables from integer structure constants ----------------------------------
@@ -383,7 +385,7 @@ def _fraction_block_algebra():
 @pytest.mark.parametrize("field", [QuadraticTower(()), PrimeField(101)],
                          ids=["Q", "F101"])
 def test_clifford_fiber_matches_polynomial_evaluation(field):
-    algs = [CliffordAlgebra.from_pencil(cached_pencil(42), side)
+    algs = [from_pencil(cached_pencil(42), side)
             for side in ("plus", "minus")] + [_fraction_block_algebra()]
     assert [a.integral_structure() for a in algs] == [True, True, False]
     for alg in algs:

@@ -41,12 +41,14 @@ from conftest import (
     as_univariate,
     cached_pencil,
     center_dim,
+    central_odd_pencil,
     certify_matrix_algebra,
     certify_tensor_product,
     corank1_quotient_at,
     corner_by_idempotent,
     divisors,
     fp_sqrt,
+    from_pencil,
     map_field,
     random_rational_curve_point,
     rational_roots,
@@ -509,7 +511,7 @@ def even_table_at(table, u, field):
 
 
 def _plus_even_table(monkeypatch, make):
-    """Replace the plus side's even_table by make(ring, f₊)."""
+    """Replace the generic side's even_table by make(ring, det M)."""
     real = fiber.even_table
     monkeypatch.setattr(fiber, "even_table", lambda alg: (
         make(alg.ring, alg.q_plus.det()) if alg.variant == "plus" else real(alg)))
@@ -517,7 +519,7 @@ def _plus_even_table(monkeypatch, make):
 
 def test_non_semisimple_fiber_fails_through_the_registry(monkeypatch):
     """Negative control for prop3.17-azumaya-m4 and prop3.18-split-m2: the
-    plus side's C₀ table over Z[u] replaced by D⊗D, D the dual numbers
+    generic side's C₀ table over Z[a] replaced by D⊗D, D the dual numbers
     (x² = y² = 0), with a 3-dimensional radical.  Its trace form is 4 on
     the unit and 0 elsewhere, so det G = 0 = 0·f², and it is commutative,
     so det G_c = 0: c = c′ = 0, and both checks FAIL while every condition
@@ -529,11 +531,10 @@ def test_non_semisimple_fiber_fails_through_the_registry(monkeypatch):
     for check_id in FIBER_CHECKS:
         r = run_single(ctx, check_id)
         assert r.status == "fail"
-        plus, minus, _ = r.witnesses
-        assert (plus["c"], plus["det_G_is_c_f2"]) == (0, True)
-        assert (plus["c_prime"], plus["det_Gc_is_c_prime_f4"]) == (0, True)
-        assert [k for k, v in plus.items() if not v] == ["c", "c_prime"]
-        assert all(minus.values())
+        cert, _ = r.witnesses
+        assert (cert["c"], cert["det_G_is_c_f2"]) == (0, True)
+        assert (cert["c_prime"], cert["det_Gc_is_c_prime_f4"]) == (0, True)
+        assert [k for k, v in cert.items() if not v] == ["c", "c_prime"]
     DD = commutative_even_table(PolyRing(ZZ, U_VARS), 0, 0)
     for u in ctx.fiber_points():
         assert certify_matrix_algebra(
@@ -541,9 +542,9 @@ def test_non_semisimple_fiber_fails_through_the_registry(monkeypatch):
 
 
 def test_commutative_even_table_fails_the_commutator_identity(monkeypatch):
-    """Mutant: the plus side's C₀ table replaced by the commutative étale
-    algebra Z[u][x, y]/(x² − f₊, y² − 1).  Its Gram matrix is
-    diag(4, 4f₊, 4, 4f₊), so det G = 256·f₊² passes the trace-form
+    """Mutant: the generic side's C₀ table replaced by the commutative
+    étale algebra Z[a][x, y]/(x² − f, y² − 1), f = det M.  Its Gram matrix
+    is diag(4, 4f, 4, 4f), so det G = 256·f² passes the trace-form
     identity; only det G_c = 0 (c′ = 0) fails it.  At a point the oracle
     finds radical 0 and a center of dimension 4."""
     P = cached_pencil(42)
@@ -564,7 +565,7 @@ def test_commutative_even_table_fails_the_commutator_identity(monkeypatch):
 
 
 def _replace_d(make):
-    """A mutant that replaces the plus side's odd central element d by
+    """A mutant that replaces the generic side's odd central element d by
     make(alg, d) before any check reads it."""
     def apply(monkeypatch, ctx):
         res = ctx.central("plus")
@@ -573,9 +574,9 @@ def _replace_d(make):
     return apply
 
 
-# (mutant, the plus side's conditions that must read false, or the error a
-# broken engine must raise): one mutant per condition on d, and one for the
-# associativity proof
+# (mutant, the generic certificate's conditions that must read false, or
+# the error a broken engine must raise): one mutant per condition on d, and
+# one for the associativity proof
 EVEN_PART_MUTANTS = {
     "d-scaled-by-2": (_replace_d(lambda alg, d: d * 2), ["d_square_is_f"]),
     "non-central-d": (_replace_d(lambda alg, d: alg.gen(0)),
@@ -598,9 +599,8 @@ def test_even_part_mutants_fail_through_the_registry(monkeypatch, mutant):
         if isinstance(expected, str):
             assert r.witnesses == [{"error": expected}]
         else:
-            plus, minus, _ = r.witnesses
-            assert [k for k, v in plus.items() if not v] == expected
-            assert all(minus.values())
+            cert, _ = r.witnesses
+            assert [k for k, v in cert.items() if not v] == expected
 
 
 def _flip_one_normal_form(monkeypatch, bad=(0b010, 0)):
@@ -619,7 +619,7 @@ def _flip_one_normal_form(monkeypatch, bad=(0b010, 0)):
 def test_broken_clifford_engine_is_caught(monkeypatch):
     P = cached_pencil(42)
     _flip_one_normal_form(monkeypatch)
-    alg = CliffordAlgebra.from_pencil(P, "plus")
+    alg = from_pencil(P, "plus")
     with pytest.raises(ValueError, match="associativity"):
         alg.verify_associativity()
     with pytest.raises(ValueError, match="associativity"):
@@ -750,10 +750,9 @@ def ordinary_fiber_by_corner(P, u, field):
     sp = fp_sqrt(field.coerce(curves.f_plus.eval(u)))
     sm = fp_sqrt(field.coerce(curves.f_minus.eval(u)))
     assert sp and sm
-    alg = CliffordAlgebra.from_pencil(P, "ordinary")
+    alg = from_pencil(P, "ordinary")
     A64 = clifford_fiber(alg, u, field)
-    ctx = CheckContext(P)
-    dpv, dmv = (eval_element(lift(ctx.central(side).element, alg, side),
+    dpv, dmv = (eval_element(lift(central_odd_pencil(P, side).element, alg, side),
                              u, field, 64) for side in ("plus", "minus"))
     half = field.one / field.coerce(2)
     ep = A64.vscale(A64.vadd(A64.unit, A64.vscale(dpv, field.one / sp)), half)
@@ -1054,20 +1053,20 @@ def test_cubic_field_verdict_agrees_with_the_old_routes(seed, bound):
 
 
 def test_corank1_check_passes_on_bound_one_instances():
-    """Bound 1 gives the smallest blocks; the identities hold on both
-    sides of seeds 1 to 25, with Δ₊Δ₋ ≠ 0 on each."""
+    """Bound 1 gives the smallest blocks; the check passes on seeds 1 to
+    25, with Δ₊Δ₋ ≠ 0 on each."""
     for seed in range(1, 26):
         r = run_single(CheckContext(cached_pencil(seed, 1), points=1),
                        "prop3.18-corank1-m2")
         assert r.status == "pass", seed
         assert [[w[k]["held"] for k in "ABC"] for w in r.witnesses
-                if "A" in w] == [[9, 3, 9]] * 2, seed
+                if "A" in w] == [[9, 3, 9]], seed
 
 
 @pytest.mark.parametrize("label", ["42", "7"] + [f"seeded-{i}" for i in range(20)])
 def test_corank1_certificate_agrees_with_the_cubic_field_oracle(label):
-    """The identities over Z[u] hold on a side exactly when the per-point
-    oracle gives M2 at the side's cubic-field point (three conjugate
+    """The generic identities over Z[a] hold exactly when the per-point
+    oracle gives M2 on each side at its cubic-field point (three conjugate
     curve points), or, when the walk finds no line, at the first three
     F_101 curve points.  On the seeded pencils Δ may vanish, so the
     oracle can meet a corank-2 point; the identities hold for every
@@ -1075,8 +1074,8 @@ def test_corank1_certificate_agrees_with_the_cubic_field_oracle(label):
     P = (cached_pencil(int(label)) if label.isdigit()
          else seeded_pencil(int(label.split("-")[1])))
     ctx = CheckContext(P)
+    ok, wit = corank1_quotient(ctx)
     for side in ("plus", "minus"):
-        ok, wit = corank1_quotient(ctx, side)
         found = cubic_section_point(P, side)
         if found is not None:
             _, _, K, u = found
@@ -1155,7 +1154,7 @@ def test_rational_curve_point_matches_substitution(seed, bound):
         assert got == _rational_curve_point_by_subs(P, side, _derived_rng(label))
 
 
-def test_rational_curve_point_rejects_fractional_cubic(pencil42):
+def test_z_u_refuses_a_fraction_and_rational_curve_point_is_the_line_walk(pencil42):
     # the walk reads integer sections: Z[u] admits no true fraction
     with pytest.raises(TypeError):
         pencil42.det_curves().f_plus * Fraction(1, 2)

@@ -40,6 +40,7 @@ from conftest import (
     degree_in,
     genericity_scans,
     is_homogeneous,
+    linear_form_matrix,
     linear_form_matrix_over,
     poly_sylvester_resultant,
     seeded_pencil,
@@ -108,7 +109,7 @@ def test_det_curves_match_cofactor_expansion():
         for side in ("plus", "minus"):
             f = P.det_curves().side(side)
             assert f.ring == URING and URING.field is ZZ
-            assert f == P.linear_form_matrix(side).det()
+            assert f == linear_form_matrix(P, side).det()
             assert {type(c) for c in f.terms.values()} == {int}
             assert f.terms == linear_form_matrix_over(P, side, qring).det().terms
 
@@ -162,8 +163,8 @@ def test_generic_point_rank_at_least_4(pencil42):
 def test_block_det_factorization(pencil42):
     # det of the symbolic 6x6 equals f_plus * f_minus
     P = pencil42
-    qp = P.linear_form_matrix("plus")
-    qm = P.linear_form_matrix("minus")
+    qp = linear_form_matrix(P, "plus")
+    qm = linear_form_matrix(P, "minus")
     z = URING.zero()
     rows = []
     for i in range(3):

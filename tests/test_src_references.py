@@ -11,7 +11,10 @@ line here.
 A second scan keeps Z the only coefficient ring of src/: every
 PolyRing(...) call passes ZZ as its field, and no name that src/ defines,
 imports or reads is QQ or RationalField (the rationals are a test oracle,
-in conftest).
+in conftest).  A third keeps the Clifford engine generic: src/ proves it
+once on generic blocks, and the engine over an instance's own blocks
+(from_pencil, on linear_form_matrix) is a test oracle, in conftest, so
+src/ names neither.
 """
 
 import ast
@@ -60,24 +63,18 @@ def test_the_scan_sees_a_dead_function(tmp_path):
 
 
 FORBIDDEN_RINGS = {"QQ", "RationalField"}
+PER_INSTANCE_ENGINE = {"from_pencil", "linear_form_matrix"}
 
 
-def coefficient_ring_violations(root=SRC):
-    """(file, line, what) for every PolyRing call in root whose field is
-    not the bare name ZZ, and every QQ or RationalField that root defines,
-    imports or reads."""
+def names_in(root, wanted):
+    """(file, line, name) for every name in `wanted` that root defines,
+    imports or reads, as a bare name or as an attribute."""
     out = set()
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ()
-            if isinstance(node, ast.Call):
-                func = node.func
-                if getattr(func, "id", getattr(func, "attr", None)) == "PolyRing":
-                    field = node.args[0] if node.args else next(
-                        (k.value for k in node.keywords if k.arg == "field"), None)
-                    if not (isinstance(field, ast.Name) and field.id == "ZZ"):
-                        out.add((path.name, node.lineno, "PolyRing field"))
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
                 names = (node.name,)
             elif isinstance(node, ast.Name):
                 names = (node.id,)
@@ -86,7 +83,24 @@ def coefficient_ring_violations(root=SRC):
             elif isinstance(node, ast.alias):
                 names = (node.name, node.asname)
             out.update((path.name, node.lineno, name)
-                       for name in names if name in FORBIDDEN_RINGS)
+                       for name in names if name in wanted)
+    return out
+
+
+def coefficient_ring_violations(root=SRC):
+    """(file, line, what) for every PolyRing call in root whose field is
+    not the bare name ZZ, and every QQ or RationalField that root defines,
+    imports or reads."""
+    out = names_in(root, FORBIDDEN_RINGS)
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "PolyRing":
+                    field = node.args[0] if node.args else next(
+                        (k.value for k in node.keywords if k.arg == "field"), None)
+                    if not (isinstance(field, ast.Name) and field.id == "ZZ"):
+                        out.add((path.name, node.lineno, "PolyRing field"))
     return out
 
 
@@ -106,3 +120,18 @@ def test_the_ring_scan_sees_a_rational_ring(tmp_path):
     assert coefficient_ring_violations(tmp_path) == {
         ("extra.py", 2, "QQ"), ("extra.py", 3, "RationalField"),
         ("extra.py", 5, "PolyRing field"), ("extra.py", 6, "PolyRing field")}
+
+
+def test_src_has_no_per_instance_engine():
+    assert names_in(SRC, PER_INSTANCE_ENGINE) == set()
+
+
+def test_the_engine_scan_sees_a_per_instance_engine(tmp_path):
+    (tmp_path / "extra.py").write_text(
+        "from .oracles import from_pencil as build\n"
+        "def linear_form_matrix(P, side):\n"
+        "    return P.linear_form_matrix(side)\n",
+        encoding="utf-8")
+    assert names_in(tmp_path, PER_INSTANCE_ENGINE) == {
+        ("extra.py", 1, "from_pencil"), ("extra.py", 2, "linear_form_matrix"),
+        ("extra.py", 3, "linear_form_matrix")}
