@@ -10,8 +10,10 @@ ring operations on the entries of M, so the block of an instance is the
 image of the generic one under a -> q(u): the script then specializes
 det M at a = q+(u) and a = q-(u) for the instance of seed 42 and shows
 that it gives the determinant cubics f+ and f-, which the pencil computes
-on its own.  Last, the two generic blocks side by side (the minus block
-over b = (b_ij)) make d+ and d- anticommute in the super algebra and
+on its own.  Last, the two generic blocks side by side: the minus block,
+over b = (b_ij), is the plus block under sigma: a <-> b, so d- is
+sigma(d+) placed on the minus generators (`lift_swapped`), with
+d-^2 = sigma(det M); d+ and d- anticommute in the super algebra and
 commute in the ordinary one.
 """
 
@@ -20,6 +22,7 @@ from quadclif.clifford import (
     block_point,
     central_odd,
     lift,
+    lift_swapped,
     swap_blocks,
 )
 from quadclif.pencil import U_VARS, URING, generate
@@ -42,12 +45,11 @@ def main():
 
     sup = CliffordAlgebra.generic("super")
     ordn = CliffordAlgebra.generic("ordinary")
-    res_minus = central_odd(CliffordAlgebra.generic("minus"))
-    print("d- is d+ with a and b exchanged:", res_minus.element.coeffs == {
-        m: swap_blocks(c) for m, c in res.element.coeffs.items()})
-    dp, dm = res.element, res_minus.element
-    dps, dms = lift(dp, sup, "plus"), lift(dm, sup, "minus")
-    dpo, dmo = lift(dp, ordn, "plus"), lift(dm, ordn, "minus")
+    dp = res.element
+    dps, dms = lift(dp, sup, "plus"), lift_swapped(dp, sup)
+    dpo, dmo = lift(dp, ordn, "plus"), lift_swapped(dp, ordn)
+    print("d- = sigma(d+):", dmo)
+    print("d-^2 == sigma(det M):", dmo * dmo == swap_blocks(res.det) * ordn.one())
     print("super convention:    d+ d- + d- d+ = 0:",
           (dps * dms + dms * dps).is_zero())
     print("ordinary convention: d+ d- - d- d+ = 0:",

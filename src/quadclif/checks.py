@@ -31,7 +31,7 @@ from .clifford import (
     commutant_basis,
     defining_relations,
     lift,
-    swapped_central,
+    lift_swapped,
     terms_homogeneous,
 )
 from .fiber import corank1_quotient, even_certificate, sample_invertible_points
@@ -99,7 +99,7 @@ class CheckContext:
     once per run: the reduced curves (`curve`, the one memo every F_p scan
     reads), the exact genericity report (`genericity`), the sampled
     fiber points, the generic engine of each Clifford variant (`block`),
-    its proof (`algebra`), the odd central elements (`central`) and the
+    its proof (`algebra`), the odd central element (`central`) and the
     even-part certificate.  The fiber and plucker functions take the
     context first and read only P, algebra and central from it."""
 
@@ -142,17 +142,15 @@ class CheckContext:
         return self.cached("genericity", lambda: genericity_check(self.P))
 
     def block(self, variant):
-        """The generic engine of one of the four VARIANTS, built once."""
+        """The generic engine of one of the three VARIANTS, built once."""
         return self.cached(("block", variant),
                            lambda: CliffordAlgebra.generic(variant))
 
-    def central(self, side):
-        """The CentralOddResult of one generic side, built once: central_odd
-        on the plus engine, read without its proof, and its image under
-        a ↔ b on the proven minus engine (swapped_central)."""
-        return self.cached(("central", side), lambda: (
-            central_odd(self.block("plus")) if side == "plus"
-            else swapped_central(self.central("plus"), self.algebra("minus"))))
+    def central(self):
+        """The CentralOddResult of the generic plus side, built once and
+        read without its proof; d₋ is its image under a ↔ b
+        (clifford.lift_swapped)."""
+        return self.cached("central", lambda: central_odd(self.block("plus")))
 
     def algebra(self, variant):
         """The generic engine of one variant, proven once per run; a failing
@@ -160,9 +158,9 @@ class CheckContext:
 
         The plus side is proven associative by verify_associativity with
         structure constants in Z[a], which the ring maps a ↦ q(u) and
-        evaluation at a point carry to every instance and fiber; the minus
-        side is proven its image under a ↔ b (verify_swap).  A six-generator
-        variant is proven the tensor product of the two proven sides
+        evaluation at a point carry to every instance and fiber, either
+        block's.  A six-generator variant is proven the tensor product of
+        the proven plus side and its image under a ↔ b
         (verify_tensor_product), hence associative and integral."""
         def prove():
             alg = self.block(variant)
@@ -170,10 +168,8 @@ class CheckContext:
                 alg.verify_associativity()
                 if not alg.integral_structure():
                     raise ValueError("non-integer structure constant")
-            elif variant == "minus":
-                alg.verify_swap(self.algebra("plus"))
             else:
-                alg.verify_tensor_product(self.algebra("plus"), self.algebra("minus"))
+                alg.verify_tensor_product(self.algebra("plus"))
             return alg
 
         return self.cached(("algebra", variant), prove)
@@ -318,9 +314,9 @@ def _check_phi(ctx):
     are built; what is left is the pair d₊, d₋."""
     sup6, ord6 = ctx.algebra("super"), ctx.algebra("ordinary")
     even = [m for m in range(64) if bin(m).count("1") % 2 == 0]
-    dp, dm = ctx.central("plus").element, ctx.central("minus").element
-    dps, dms = lift(dp, sup6, "plus"), lift(dm, sup6, "minus")
-    dpo, dmo = lift(dp, ord6, "plus"), lift(dm, ord6, "minus")
+    d = ctx.central().element
+    dps, dms = lift(d, sup6, "plus"), lift_swapped(d, sup6)
+    dpo, dmo = lift(d, ord6, "plus"), lift_swapped(d, ord6)
     anti = (dps * dms + dms * dps).is_zero()
     comm = (dpo * dmo - dmo * dpo).is_zero()
     wit = [{"certificate": "generic", "pairs": len(even) ** 2,
@@ -331,24 +327,16 @@ def _check_phi(ctx):
 
 
 def _d_square_check(ctx, side):
-    """The generic d_side squares to +det M (central_odd), and det M
-    under a ↦ q_side(u) (block_at at the generic point of Z[u]) is f_side
-    as pencil.det_cubic computes it on its own."""
-    res = ctx.central(side)
+    """The generic d squares to +det M (central_odd), which a ↔ b carries
+    to d₋, and det M under a ↦ q_side(u) (block_at at the generic point of
+    Z[u]) is f_side as pencil.det_cubic computes it on its own."""
+    res = ctx.central()
     q = ctx.P.block_at([URING.var(v) for v in U_VARS], side)
-    special = (URING.zero() + ctx.central("plus").det.eval(block_point(q))
+    special = (URING.zero() + res.det.eval(block_point(q))
                == ctx.P.det_curves().side(side))
     wit = [{"side": side, "certificate": "generic", "sign": res.sign,
             "det_M_at_q_is_f": special, "solution": "unique monic"}]
     return res.sign == 1 and special, wit
-
-
-def _check_dplus_square(ctx):
-    return _d_square_check(ctx, "plus")
-
-
-def _check_dminus_square(ctx):
-    return _d_square_check(ctx, "minus")
 
 
 # The integer points u₀ at which the center's commutator matrix is
@@ -376,9 +364,10 @@ def _check_center(ctx):
     6·64 × 64 over Z[u].
 
     1. Each bᵢ is central, with d± the blocks' odd central elements
-       (prop3.12) lifted into A: d± commute with their block's generators
-       in the proven side algebras (central_odd), and A is proven their
-       tensor product C(M₊) ⊗ C(M₋) (CheckContext.algebra), so d₊ ⊗ 1,
+       (prop3.12) lifted into A: d₊ commutes with the generators of the
+       proven plus side (central_odd), d₋ = σ(d₊) with those of its image
+       under σ: a ↔ b, and A is proven the tensor product C(M₊) ⊗ C(M₋) of
+       the two (CheckContext.algebra), so d₊ ⊗ 1,
        1 ⊗ d₋ and their product are central, and so are their images.
     2. The coefficients of b₀..b₃ at CENTER_MASKS are computed to form a
        diagonal of ±1: the bᵢ are independent over Q(u), and a central z
@@ -394,8 +383,8 @@ def _check_center(ctx):
     means the point is special.  If no point of CENTER_POINTS gives 4,
     the check FAILs naming each point's dimension, claiming no center."""
     alg = ctx.algebra("ordinary")
-    dp, dm = (lift(ctx.central(side).element, alg, side)
-              for side in ("plus", "minus"))
+    d = ctx.central().element
+    dp, dm = lift(d, alg, "plus"), lift_swapped(d, alg)
     basis = (alg.one(), dp, dm, dp * dm)
     zero = alg.ring.zero()
     unit_diagonal = all(b.coeffs.get(m, zero) in ((1, -1) if i == j else (0,))
@@ -675,8 +664,8 @@ _CHECK_FUNCS = {
     "prop3.5-grading": _check_grading,
     "prop3.19-equivariance": _check_equivariance,
     "prop3.9-phi": _check_phi,
-    "prop3.12-dplus-square": _check_dplus_square,
-    "prop3.12-dminus-square": _check_dminus_square,
+    "prop3.12-dplus-square": lambda ctx: _d_square_check(ctx, "plus"),
+    "prop3.12-dminus-square": lambda ctx: _d_square_check(ctx, "minus"),
     "prop3.13-center": _check_center,
     "prop3.17-azumaya-m4": _check_azumaya_m4,
     "prop3.18-split-m2": _check_split_m2,

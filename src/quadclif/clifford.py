@@ -16,19 +16,22 @@ The checks run it on the generic blocks M₊ = (a_ij), M₋ = (b_ij) over
 Z[a, b] (`CliffordAlgebra.generic`).  The normal form uses only ring
 operations on the block entries, so every structure constant is an integer
 polynomial in a and b, and the engine of any blocks q₊, q₋ is the generic
-one under the ring map a ↦ q₊, b ↦ q₋ (`block_point`), which carries every
-identity proven over Z[a, b] to an instance over Z[u] and to its fibers.
+one under the ring map a ↦ q₊, b ↦ q₋ (`block_point`, evaluated by
+`evaluator`), which carries every identity proven over Z[a, b] to an
+instance over Z[u] and to its fibers.  The minus block needs no engine of
+its own: it is the plus side under the automorphism a ↔ b (`swap_blocks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .exactalg import ZZ, MultiPoly, PolyRing, SymMatrix, as_int, kernel_int_sparse
 
-# The variants, each with its generator count and minus-block mask.
-VARIANTS = {"super": (6, 0b111000), "ordinary": (6, 0b111000),
-            "plus": (3, 0), "minus": (3, 0b111)}
+# The variants, each with its generator count and minus-block mask; the
+# three-generator "plus" engine serves any single block.
+VARIANTS = {"super": (6, 0b111000), "ordinary": (6, 0b111000), "plus": (3, 0)}
 
 # The upper-triangle entries of a symmetric 3×3 block, in variable order:
 # a11..a33 for the plus block, then b11..b33 for the minus block.
@@ -48,6 +51,23 @@ def swap_blocks(poly):
     return GENERIC.from_terms((e[6:] + e[:6], c) for e, c in poly.terms.items())
 
 
+def evaluator(point):
+    """poly ↦ poly(point) for the polynomials of one ring, each monomial's
+    value computed once: at block_point(...), the ring map above."""
+    monomials = {}
+
+    def value(poly):
+        acc = 0
+        for e, c in poly.terms.items():
+            m = monomials.get(e)
+            if m is None:
+                m = monomials[e] = prod(x ** k for x, k in zip(point, e, strict=True))
+            acc += c * m
+        return acc
+
+    return value
+
+
 class CentralElementError(Exception):
     """A block's odd central element failed its verification."""
 
@@ -63,8 +83,7 @@ class CliffordAlgebra:
         self.ring = ring
         self.variant = variant
         self.ngens, self.minus_mask = VARIANTS[variant]
-        if (q_plus is None and variant != "minus") or (
-                q_minus is None and variant != "plus"):
+        if q_plus is None or (q_minus is None and variant != "plus"):
             raise ValueError(f"the {variant} variant needs its blocks")
         for q in (q_plus, q_minus):
             if q is not None and (q.n != 3 or q.ring != ring):
@@ -74,7 +93,6 @@ class CliffordAlgebra:
         self.cross_sign = -1 if variant == "super" else 1
         self._gen_cache = {}
         self._mul_cache = {}
-        self._terms = None
 
     @classmethod
     def generic(cls, variant):
@@ -85,7 +103,7 @@ class CliffordAlgebra:
             return SymMatrix(GENERIC, [[e[min(i, j), max(i, j)] for j in range(3)]
                                        for i in range(3)])
 
-        return cls(GENERIC, variant, q_plus=block(0) if variant != "minus" else None,
+        return cls(GENERIC, variant, q_plus=block(0),
                    q_minus=block(6) if variant != "plus" else None)
 
     # -- generator bookkeeping ---------------------------------------------------
@@ -236,43 +254,49 @@ class CliffordAlgebra:
                             f"associativity fails on (e_{a} e_{b}) v_{k}")
         return True
 
-    def verify_tensor_product(self, plus, minus):
-        """Prove this six-generator engine the tensor product of its side
-        engines plus and minus, or raise ValueError naming the first step
-        that fails.  With m = m₊ | (m₋ << 3) and s = cross_sign:
+    def verify_tensor_product(self, plus):
+        """Prove this generic six-generator engine the tensor product of the
+        generic plus side and its image under σ = swap_blocks, or raise
+        ValueError naming the first step that fails.  With
+        m = m₊ | (m₋ << 3) and s = cross_sign:
 
-        (P) every step e_m·v_j of each side (m < 8, j < 3) changes the
+        (P) every step e_m·v_j of the plus side (m < 8, j < 3) changes the
             mask parity by exactly one, to masks below 8;
         (T₊) for j < 3, e_m·v_j is s^|m₋| times the plus step (m₊, j), each
              output mask m′ becoming m′ | (m₋ << 3);
-        (T₋) for j ≥ 3, e_m·v_j is the minus step (m₋, j − 3), each output
-             mask m′ becoming m₊ | (m′ << 3).
+        (T₋) for j ≥ 3, e_m·v_j is σ of the plus step (m₋, j − 3), each
+             output mask m′ becoming m₊ | (m′ << 3).
 
+        σ carries the proven plus side to the minus side: σ is a ring
+        automorphism of Z[a, b] with σ(M₊) = M₋, and the normal form uses
+        only ring operations and zero tests on the block entries, so the
+        minus side's steps are σ of the plus side's, and σ carries its
+        associativity, integrality and grading (P) along.
         mask_mul(a, b) right-multiplies e_a by the generators of b in
         ascending order, plus generators first.  By induction over those
         steps, (T₊) multiplies the accumulator by s^|a₋| at each plus step
         and leaves the minus part a₋ of every mask alone, and (T₋) then
-        runs the minus engine with the plus part fixed, so
+        runs the minus side with the plus part fixed, so
         mask_mul(a, b) = s^(|a₋|·|b₊|)·(e_a₊·e_b₊) ⊗ (e_a₋·e_b₋) term by
         term.  For s = 1 that is the product of C(q₊) ⊗ C(q₋); for s = −1
         the product of the graded tensor product C(q₊) ⊗̂ C(q₋), whose
         sign reads mask parities as degrees, a Z/2-grading of each side by
         (P).  Both are associative with integral structure constants when
-        the sides are (CheckContext.algebra), and
+        the plus side is (CheckContext.algebra), and
         C(q₊ ⊥ q₋) ≅ C(q₊) ⊗̂ C(q₋) (Lam, Introduction to Quadratic Forms
         over Fields, GSM 67, Ch. V).
-        That is 48 + 384 step comparisons in place of verify_associativity
+        That is 24 + 384 step comparisons in place of verify_associativity
         on 64 masks."""
-        if (self.ngens != 6 or (plus.variant, minus.variant) != ("plus", "minus")
-                or (plus.q_plus, minus.q_minus) != (self.q_plus, self.q_minus)):
-            raise ValueError("the sides must be the two blocks of a six-generator engine")
-        for side in (plus, minus):
-            for m in range(8):
-                for j in range(3):
-                    if any(m2 >> 3 or _popcount(m2 ^ m) % 2 != 1
-                           for m2, _ in side._mask_times_gen(m, j)):
-                        raise ValueError(f"the {side.variant} step e_{m}·v_{j} "
-                                         "does not change parity by one")
+        if (self.ngens != 6 or self.ring != GENERIC or plus.variant != "plus"
+                or plus.q_plus != self.q_plus):
+            raise ValueError("the plus side must be the first block of a "
+                             "generic six-generator engine")
+        for m in range(8):
+            for j in range(3):
+                if any(m2 >> 3 or _popcount(m2 ^ m) % 2 != 1
+                       for m2, _ in plus._mask_times_gen(m, j)):
+                    raise ValueError(f"the plus step e_{m}·v_{j} "
+                                     "does not change parity by one")
         for m in range(64):
             mp, mm = m & 0b111, m >> 3
             sign = self.cross_sign ** _popcount(mm)
@@ -281,45 +305,19 @@ class CliffordAlgebra:
                     want = tuple((m2 | mm << 3, c * sign)
                                  for m2, c in plus._mask_times_gen(mp, j))
                 else:
-                    want = tuple((mp | m2 << 3, c)
-                                 for m2, c in minus._mask_times_gen(mm, j - 3))
+                    want = tuple((mp | m2 << 3, swap_blocks(c))
+                                 for m2, c in plus._mask_times_gen(mm, j - 3))
                 if self._mask_times_gen(m, j) != want:
                     raise ValueError(
                         f"tensor product fails on the {self.variant} step e_{m}·v_{j}")
         return True
 
-    def verify_swap(self, plus):
-        """Prove this generic minus engine the generic plus one under
-        swap_blocks, or raise ValueError naming the first step e_m·v_j that
-        differs.  mask_mul builds every product from the steps by ring
-        operations and zero tests, which the automorphism keeps."""
-        if (self.variant, plus.variant) != ("minus", "plus"):
-            raise ValueError("the sides must be a minus and a plus engine")
-        for m in range(8):
-            for j in range(3):
-                if self._mask_times_gen(m, j) != tuple(
-                        (m2, swap_blocks(c)) for m2, c in plus._mask_times_gen(m, j)):
-                    raise ValueError(f"the minus step e_{m}·v_{j} is not the "
-                                     "plus step with a and b exchanged")
-        return True
-
-    def structure_terms(self):
-        """mask_mul(a, b) for every pair of masks, indexed [a][b], with
-        each coefficient polynomial as a tuple of (exponents, coefficient)
-        terms and the integral coefficients as ints; built once."""
-        if self._terms is None:
-            n = 1 << self.ngens
-            self._terms = [[tuple((mask, tuple((e, as_int(c))
-                                               for e, c in poly.terms.items()))
-                                  for mask, poly in self.mask_mul(a, b))
-                            for b in range(n)] for a in range(n)]
-        return self._terms
-
     def integral_structure(self):
         """True when every structure constant has integer coefficients, so
         that reducing them mod p is a ring homomorphism to F_p."""
-        return all(isinstance(c, int) for row in self.structure_terms()
-                   for entry in row for _, terms in entry for _, c in terms)
+        n = 1 << self.ngens
+        return all(type(as_int(c)) is int for a in range(n) for b in range(n)
+                   for _, poly in self.mask_mul(a, b) for c in poly.terms.values())
 
 
 class CliffordElement:
@@ -394,7 +392,8 @@ class CliffordElement:
             return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.alg), tuple(sorted(
+        # equal elements have compatible algebras, hence one variant
+        return hash((self.alg.variant, tuple(sorted(
             (m, tuple(sorted(p.terms.items()))) for m, p in self.coeffs.items()
         ))))
 
@@ -503,7 +502,7 @@ def central_odd(alg):
     solve this replaces is the oracle in tests/conftest.py."""
     if alg.ngens != 3:
         raise ValueError("central_odd works on a 3-generator block")
-    q = alg.q_plus if alg.variant == "plus" else alg.q_minus
+    q = alg.q_plus
     if all(q[i, j].is_zero() for i in range(3) for j in range(3)):
         raise CentralElementError("zero block has no central element")
     r = (q[1, 2], -q[0, 2], q[0, 1])
@@ -523,14 +522,6 @@ def central_odd(alg):
                             r_coeffs=r)
 
 
-def swapped_central(res, minus):
-    """The plus side's CentralOddResult `res` carried by swap_blocks to the
-    minus engine that verify_swap proves its image: d₋ needs no solve."""
-    d = {m: swap_blocks(p) for m, p in res.element.coeffs.items()}
-    return CentralOddResult(CliffordElement(minus, d), res.sign, swap_blocks(res.square),
-                            swap_blocks(res.det), tuple(map(swap_blocks, res.r_coeffs)))
-
-
 def lift(e, target, side):
     """Embed a 3-generator element into a 6-generator algebra over the same
     ring (the minus block shifts its generators up by three)."""
@@ -541,6 +532,14 @@ def lift(e, target, side):
     shift = 0 if side == "plus" else 3
     return CliffordElement(target, {mask << shift: poly
                                     for mask, poly in e.coeffs.items()})
+
+
+def lift_swapped(e, target):
+    """σ(e) on the minus block of target, for e on the generic plus side:
+    σ = swap_blocks carries the plus side to the minus side
+    (verify_tensor_product), so d₋ is lift_swapped(d₊)."""
+    return lift(CliffordElement(e.alg, {m: swap_blocks(p) for m, p in e.coeffs.items()}),
+                target, "minus")
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +556,7 @@ def commutant_basis(alg, point):
     the normal-form step `_mask_times_gen` already caches, so only v_j·e_m
     goes through `mask_mul`.  Each vector's top nonzero mask is a distinct
     free column of the elimination."""
+    value = evaluator(point)
     rows = {}
     for mask in range(1 << alg.ngens):
         for g in range(alg.ngens):
@@ -564,7 +564,7 @@ def commutant_basis(alg, point):
             for sign, terms in ((1, alg._mask_times_gen(mask, g)),
                                 (-1, alg.mask_mul(gbit, mask))):
                 for m2, poly in terms:
-                    v = as_int(poly.eval(point))
+                    v = as_int(value(poly))
                     if type(v) is not int:
                         raise ValueError("non-integer structure constant")
                     row = rows.setdefault((g, m2), {})

@@ -70,7 +70,7 @@ class IntegerRing:
             return x
         if isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1):
             return int(x)
-        raise TypeError(f"cannot coerce {x!r} into Z")
+        raise TypeError(f"cannot coerce a {type(x).__name__} into Z")
 
     def __repr__(self):
         return "ZZ"

@@ -4,7 +4,7 @@ Z[a], which serves both blocks through a ↦ q±(u), with its certificates
 and the finite-dimensional fibers at chosen base points, as
 structure-constant algebras over exact quadratic towers.  The
 certificates and side_fiber take the run's context first (a
-checks.CheckContext) and read algebra("plus") and central("plus").
+checks.CheckContext) and read algebra("plus") and central().
 
 Scalars of a fiber live in a small tower of quadratic extensions of Q (at
 most two square roots, which is all the idempotent constructions need).
@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .clifford import block_point
+from .clifford import block_point, evaluator
 from .exactalg import (
     ZZ,
     SymMatrix,
@@ -279,7 +279,7 @@ class QuadraticTower:
         if isinstance(x, (str, Fraction)):
             x = Fraction(x)
             return NumberElem(self, (x.numerator, 0, 0, 0), x.denominator)
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
+        raise TypeError(f"cannot coerce a {type(x).__name__} into {self.name}")
 
     def sqrt(self, x):
         """A square root of a RATIONAL tower element if one exists in the
@@ -379,7 +379,7 @@ class CubicField:
             return x
         if isinstance(x, (int, Fraction)):
             return NumberElem(self, (x.numerator, 0, 0, 0), x.denominator)
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
+        raise TypeError(f"cannot coerce a {type(x).__name__} into {self.name}")
 
 
 def _char_ok(field, dim):
@@ -403,7 +403,7 @@ class FinAlg:
       the unit was verified by the constructor or covered by an earlier
       proof;
     - "clifford": a fiber of a Clifford normal-form engine proven once
-      over Z[u] by CliffordAlgebra.verify_associativity, whose family (i)
+      over Z[a] by CliffordAlgebra.verify_associativity, whose family (i)
       also proves e₀ the unit; evaluation at a point over any field of
       characteristic 0 and reduction of integer constants mod p are ring
       homomorphisms, so they carry both to the fiber;
@@ -657,45 +657,30 @@ def center_basis(A):
 # ---------------------------------------------------------------------------
 
 def clifford_fiber(alg, u, field, proof=None):
-    """Structure constants of a Clifford algebra at the base point u.
-    The generator vectors are recorded so centers stay cheap.  Monomials
-    of u are evaluated once, in ints where u and the coefficients
-    (alg.structure_terms) are integral.
+    """Structure constants of a Clifford algebra at the base point u, its
+    mask_mul table under `evaluator(u)`.  The generator vectors are
+    recorded so centers stay cheap.
 
     proof is "clifford" when alg was proven over its coefficient ring
-    (the side algebras of CheckContext.algebra): the fiber is a
+    (the plus side of CheckContext.algebra): the fiber is a
     ring-homomorphic image of alg's table, so it is not re-checked.  With
     proof=None the table makes no claim (see FinAlg)."""
     n = 1 << alg.ngens
     zero = field.zero
-    monomials = {}
+    value = evaluator(u)
     table = []
-    for terms_row in alg.structure_terms():
+    for a in range(n):
         row = []
-        for entry in terms_row:
+        for b in range(n):
             vec = [zero] * n
-            for mask, terms in entry:
-                acc = 0
-                for e, c in terms:
-                    m = monomials.get(e)
-                    if m is None:
-                        m = monomials[e] = prod(x ** k for x, k in zip(u, e))
-                    acc += c * m
-                vec[mask] = field.coerce(acc)
+            for mask, poly in alg.mask_mul(a, b):
+                vec[mask] = field.coerce(value(poly))
             row.append(tuple(vec))
         table.append(row)
     unit = tuple(field.one if k == 0 else zero for k in range(n))
-    gens = []
-    for g in range(alg.ngens):
-        gens.append(tuple(field.one if k == (1 << g) else zero for k in range(n)))
+    gens = [tuple(field.one if k == 1 << g else zero for k in range(n))
+            for g in range(alg.ngens)]
     return FinAlg(field, table, unit, gens=gens, proof=proof)
-
-
-def eval_element(e, u, field, dim):
-    vec = [field.zero] * dim
-    for mask, poly in e.coeffs.items():
-        vec[mask] = field.coerce(poly.eval(u))
-    return tuple(vec)
 
 
 EVEN_MASKS = (0, 3, 5, 6)
@@ -703,8 +688,8 @@ ODD_MASKS = (1, 2, 4, 7)
 
 
 def even_table(alg):
-    """The 16 products e_a·e_b of even masks of a 3-generator algebra over
-    Z[u] (alg.mask_mul), as {(a, b): {mask: coefficient}}; None when one
+    """The 16 products e_a·e_b of even masks of a 3-generator algebra
+    (alg.mask_mul), as {(a, b): {mask: coefficient}}; None when one
     has an odd mask, so the even masks span no subalgebra C₀."""
     table = {(a, b): dict(alg.mask_mul(a, b))
              for a in EVEN_MASKS for b in EVEN_MASKS}
@@ -731,7 +716,7 @@ def even_certificate(ctx):
     odd for every even m, d is central and d² = f.  Tr L_x is
     Σ x_m·Tr L_{e_m}, and G is symmetric as Tr L_{xy} = Tr(L_x L_y).
     checks._check_azumaya_m4 states what the certificate proves."""
-    alg, res = ctx.algebra("plus"), ctx.central("plus")
+    alg, res = ctx.algebra("plus"), ctx.central()
     ring, d, f = alg.ring, res.element, res.det
     zero = ring.zero()
     table = even_table(alg)
@@ -777,7 +762,8 @@ def side_fiber(ctx, side, u, field):
     idempotent by that root; the curve claim needs no fiber."""
     a0 = block_point(ctx.P.block_at(u, side))
     A = clifford_fiber(ctx.algebra("plus"), a0, field, proof="clifford")
-    dvec = eval_element(ctx.central("plus").element, a0, field, 8)
+    d, value = ctx.central().element.coeffs, evaluator(a0)
+    dvec = tuple(field.coerce(value(d[m])) if m in d else field.zero for m in range(8))
     return A, dvec, field.coerce(ctx.P.det_curves().side(side).eval(u))
 
 

@@ -109,11 +109,17 @@ class GenerationError(Exception):
 
 
 def _check_sym3(mats, label):
-    if len(mats) != 3:
-        raise ValueError(f"{label} must contain exactly 3 matrices")
-    for m in mats:
-        if len(m) != 3 or any(len(r) != 3 for r in m):
-            raise ValueError(f"{label} matrices must be 3×3")
+    """Three symmetric 3×3 integer matrices, or ValueError naming the
+    first block, matrix or row that is not a list of three."""
+    def triple(x, name, what):
+        if not isinstance(x, (list, tuple)) or len(x) != 3:
+            got = len(x) if isinstance(x, (list, tuple)) else type(x).__name__
+            raise ValueError(f"{name} must be a list of 3 {what}, not {got}")
+        return x
+
+    for k, m in enumerate(triple(mats, label, "matrices")):
+        for i, r in enumerate(triple(m, f"{label}[{k}]", "rows")):
+            triple(r, f"{label}[{k}][{i}]", "entries")
         for i in range(3):
             for j in range(3):
                 if type(m[i][j]) is not int:  # bool is an int subclass
@@ -396,10 +402,19 @@ def genericity_check(P):
     )
 
 
+def _parse_int(text):
+    """A JSON integer; one too long for int() gets a plain ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("malformed instance data: an integer with "
+                         f"{len(text.lstrip('-'))} digits is too long") from None
+
+
 def load_instance(path):
     with open(path, "rb") as fh:
         try:
-            data = json.loads(fh.read().decode())
+            data = json.loads(fh.read().decode(), parse_int=_parse_int)
         except RecursionError as exc:
             raise ValueError("JSON nested too deeply") from exc
     return InvariantPencil.from_json_dict(data)

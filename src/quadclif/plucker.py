@@ -26,7 +26,7 @@ from .exactalg import (
     rref,
     span_coords,
 )
-from .clifford import block_point
+from .clifford import block_point, evaluator
 from .fiber import FiberError, QuadraticTower, side_fiber
 from .geometry import GenericityError
 
@@ -436,7 +436,7 @@ def module_rep(ctx, side, u):
         raise AssertionError("Clifford relation failed in the module")
 
     # the odd central element (the generic one at q(u)) must act by ±√f(u)
-    r_at = [r.eval(block_point(block)) for r in ctx.central("plus").r_coeffs]
+    r_at = map(evaluator(block_point(block)), ctx.central().r_coeffs)
     d_mat = _mat2_mul(_mat2_mul(mats[0], mats[1]), mats[2])
     for rv, mat in zip(r_at, mats):
         d_mat = _mat2_add(d_mat, tuple(

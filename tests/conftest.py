@@ -15,6 +15,7 @@ from quadclif.clifford import (
     CliffordElement,
     central_odd,
     defining_relations,
+    evaluator,
     phi_exponent,
 )
 from quadclif import plucker
@@ -24,6 +25,7 @@ from quadclif.exactalg import (
     PolyRing,
     SymMatrix,
     adjugate3,
+    as_int,
     bareiss_det,
     det_cofactor,
     int_coeffs,
@@ -804,16 +806,25 @@ def linear_form_matrix(P, side):
     return SymMatrix(URING, rows)
 
 
+def _engine(variant, block):
+    """The engine of `variant` on the blocks block("plus"), block("minus");
+    "plus" and "minus" name the three-generator engine ("plus" variant) on
+    that one block."""
+    if variant in ("plus", "minus"):
+        return "plus", block(variant), None
+    return variant, block("plus"), block("minus")
+
+
 def from_pencil(P, variant):
     """The engine of P's own blocks over Z[u] (pencil.URING), the oracle
-    of CliffordAlgebra.generic.  The normal form uses only ring operations
-    on the block entries, so every structure constant of the generic
-    engine is an integer polynomial in a and b, and this engine's are its
-    images under the ring map a ↦ q₊(u), b ↦ q₋(u); the generic identities
-    then hold here, over Q[u] and at every point.  test_clifford compares
-    the two term for term."""
-    qp = linear_form_matrix(P, "plus") if variant != "minus" else None
-    qm = linear_form_matrix(P, "minus") if variant != "plus" else None
+    of CliffordAlgebra.generic; "minus" is the three-generator engine on
+    the minus block.  The normal form uses only ring operations on the
+    block entries, so every structure constant of the generic engine is an
+    integer polynomial in a and b, and this engine's are its images under
+    the ring map a ↦ q₊(u), b ↦ q₋(u); the generic identities then hold
+    here, over Q[u] and at every point.  test_clifford compares the two
+    term for term."""
+    variant, qp, qm = _engine(variant, lambda side: linear_form_matrix(P, side))
     return CliffordAlgebra(URING, variant, q_plus=qp, q_minus=qm)
 
 
@@ -828,9 +839,62 @@ def clifford_over(P, variant, field):
     """from_pencil(P, variant) read over field[u] instead of Z[u]: the
     same integer blocks, as linear forms over `field`."""
     ring = PolyRing(field, U_VARS)
-    qp = linear_form_matrix_over(P, "plus", ring) if variant != "minus" else None
-    qm = linear_form_matrix_over(P, "minus", ring) if variant != "plus" else None
+    variant, qp, qm = _engine(
+        variant, lambda side: linear_form_matrix_over(P, side, ring))
     return CliffordAlgebra(ring, variant, q_plus=qp, q_minus=qm)
+
+
+def verify_tensor_product_of(alg, plus, minus):
+    """The two-sided form of CliffordAlgebra.verify_tensor_product for
+    engines over any ring: alg is proven the tensor product of the side
+    engines plus and minus (each a three-generator engine, on alg's
+    q_plus and q_minus), or ValueError names the first step that fails,
+    with the messages of the generic certificate.  (P) is checked on both
+    sides, and (T₋) compares with the minus engine's own steps where the
+    generic certificate applies a ↔ b to the plus side's."""
+    if (alg.ngens != 6 or (plus.variant, minus.variant) != ("plus", "plus")
+            or (plus.q_plus, minus.q_plus) != (alg.q_plus, alg.q_minus)):
+        raise ValueError("the sides must be the two blocks of a six-generator engine")
+    for side in (plus, minus):
+        for m in range(8):
+            for j in range(3):
+                if any(m2 >> 3 or popcount(m2 ^ m) % 2 != 1
+                       for m2, _ in side._mask_times_gen(m, j)):
+                    raise ValueError(f"the {'plus' if side is plus else 'minus'} "
+                                     f"step e_{m}·v_{j} does not change parity by one")
+    for m in range(64):
+        mp, mm = m & 0b111, m >> 3
+        sign = alg.cross_sign ** popcount(mm)
+        for j in range(6):
+            if j < 3:
+                want = tuple((m2 | mm << 3, c * sign)
+                             for m2, c in plus._mask_times_gen(mp, j))
+            else:
+                want = tuple((mp | m2 << 3, c)
+                             for m2, c in minus._mask_times_gen(mm, j - 3))
+            if alg._mask_times_gen(m, j) != want:
+                raise ValueError(
+                    f"tensor product fails on the {alg.variant} step e_{m}·v_{j}")
+    return True
+
+
+def structure_terms(alg):
+    """mask_mul(a, b) for every pair of masks, indexed [a][b], with each
+    coefficient polynomial as a tuple of (exponents, coefficient) terms and
+    the integral coefficients as ints: the table clifford_fiber evaluates,
+    comparable across coefficient rings."""
+    n = 1 << alg.ngens
+    return [[tuple((mask, tuple((e, as_int(c)) for e, c in poly.terms.items()))
+                   for mask, poly in alg.mask_mul(a, b))
+             for b in range(n)] for a in range(n)]
+
+
+def element_vector(e, u, field):
+    """The coordinates over field of the Clifford element e at the point u
+    of its ring (clifford.evaluator), as one fiber vector."""
+    value = evaluator(u)
+    return tuple(field.coerce(value(e.coeffs[m])) if m in e.coeffs else field.zero
+                 for m in range(1 << e.alg.ngens))
 
 
 def phi_pair(P):

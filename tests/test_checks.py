@@ -170,8 +170,8 @@ class TestRegistryMutants:
     def test_corank1_fails_on_a_flipped_step(self, monkeypatch, side):
         # a negated v2·v1 step breaks the generic side engine, which serves
         # both blocks; its associativity proof fails before any identity is
-        # read (the minus engine is not read here: a flipped minus step
-        # fails prop3.12-dminus-square and the six-generator proofs)
+        # read (there is no minus engine: a flipped minus-block step is a
+        # (T₋) step of a six-generator engine, which corank1 does not read)
         flip_step(monkeypatch, side, (0b010, 0))
         r = run_single(CheckContext(cached_pencil(42), points=1),
                        "prop3.18-corank1-m2")
@@ -513,15 +513,16 @@ class TestOnInstance:
                 P, ctx.rng("fiber-points"), n)[:3] == longest[:n]
 
     def test_each_algebra_is_built_once_per_run(self, monkeypatch):
-        """Each of the four generic engines is built once and proven once
-        per run: the plus side by verify_associativity, the minus side by
-        verify_swap, the ordinary and super algebras by
-        verify_tensor_product.  prop3.12-dplus reads d without a proof,
-        and prop3.18 proves the plus side alone."""
+        """Each of the three generic engines is built once and proven once
+        per run: the plus side by verify_associativity, the ordinary and
+        super algebras by verify_tensor_product against it; no engine and
+        no proof exists for the minus side, which is the plus side under
+        a ↔ b.  Both prop3.12 checks read d without a proof, and prop3.18
+        proves the plus side alone."""
         calls = []
         Alg = clifford.CliffordAlgebra
-        names = ("__init__", "verify_associativity", "verify_swap",
-                 "verify_tensor_product")
+        assert not hasattr(Alg, "verify_swap")
+        names = ("__init__", "verify_associativity", "verify_tensor_product")
         for name in names:
             def counting(alg, *args, _name=name, _real=getattr(Alg, name), **kw):
                 out = _real(alg, *args, **kw)
@@ -537,15 +538,16 @@ class TestOnInstance:
                     for name in names}
 
         assert counts(run_all) == {
-            "__init__": ["minus", "ordinary", "plus", "super"],
-            "verify_associativity": ["plus"], "verify_swap": ["minus"],
+            "__init__": ["ordinary", "plus", "super"],
+            "verify_associativity": ["plus"],
             "verify_tensor_product": ["ordinary", "super"]}
-        assert counts(lambda ctx: [run_single(ctx, "prop3.12-dplus-square")]) == {
-            "__init__": ["plus"], "verify_associativity": [],
-            "verify_swap": [], "verify_tensor_product": []}
+        for cid in ("prop3.12-dplus-square", "prop3.12-dminus-square"):
+            assert counts(lambda ctx: [run_single(ctx, cid)]) == {
+                "__init__": ["plus"], "verify_associativity": [],
+                "verify_tensor_product": []}, cid
         assert counts(lambda ctx: [run_single(ctx, "prop3.18-corank1-m2")]) == {
             "__init__": ["plus"], "verify_associativity": ["plus"],
-            "verify_swap": [], "verify_tensor_product": []}
+            "verify_tensor_product": []}
 
     def test_each_curve_compiles_once_per_run(self, monkeypatch):
         """f₊ of SCALED_Q_PLUS vanishes mod 101, so its ReducedCurve raises

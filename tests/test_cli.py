@@ -236,6 +236,38 @@ class TestCheckUsage:
         assert "coeff_bound must be at most 1000000, got 1000001" in err
 
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("q_plus", 5, "q_plus must be a list of 3 matrices, not int"),
+        ("q_plus", [1, 2, 3], "q_plus[0] must be a list of 3 rows, not int"),
+        ("q_minus", [[1, 2, 3]] * 3, "q_minus[0][0] must be a list of 3 entries, not int"),
+        ("q_plus", [[[0, 0], [0, 0], [0, 0]]] * 3,
+         "q_plus[0][0] must be a list of 3 entries, not 2"),
+        ("q_plus", [], "q_plus must be a list of 3 matrices, not 0"),
+        ("seed", "9" * 5000, "malformed instance data: an integer with 5000 digits is too long"),
+        ("seed", "-" + "9" * 5000,
+         "malformed instance data: an integer with 5000 digits is too long"),
+    ], ids=["block-int", "matrix-int", "row-int", "short-row", "no-matrices",
+            "long-seed", "long-negative-seed"])
+    def test_malformed_instance_names_what_is_wrong(self, tmp_path, capsys, field,
+                                                     value, message):
+        """A block, matrix or row that is not a list of three is named, and
+        an integer too long for int() gets a plain message, never Python's
+        own error text (exit 2)."""
+        good = json.loads(cached_pencil(42).canonical_bytes())
+        if isinstance(value, str):  # a bare JSON integer literal
+            text = json.dumps(dict(good, **{field: 0})).replace(
+                f'"{field}": 0', f'"{field}": {value}')
+        else:
+            text = json.dumps(dict(good, **{field: value}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["check", bad.as_posix()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadclif: error: malformed instance ")
+        assert err.rstrip().endswith(message)
+        assert "len()" not in err and "set_int_max_str_digits" not in err
+
+
 class TestCheckRuns:
     @pytest.mark.parametrize("text", ["[1, 2]", "3"], ids=["list", "number"])
     def test_instance_top_level_must_be_an_object(self, tmp_path, capsys,

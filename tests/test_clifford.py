@@ -12,6 +12,7 @@ import pytest
 
 from quadclif.exactalg import ZZ, PolyRing, SymMatrix, kernel_int_sparse
 from quadclif.clifford import (
+    GENERIC,
     CentralElementError,
     CliffordAlgebra,
     CliffordElement,
@@ -20,8 +21,10 @@ from quadclif.clifford import (
     commutant_basis,
     defining_relations,
     lift,
+    lift_swapped,
     phi,
     phi_exponent,
+    swap_blocks,
     terms_homogeneous,
 )
 from quadclif.checks import CENTER_POINTS, CheckContext, run_single
@@ -51,6 +54,8 @@ from conftest import (
     phi_sign_rule_failures,
     phi_twist_failures,
     seeded_pencil,
+    structure_terms,
+    verify_tensor_product_of,
     with_q_plus,
 )
 
@@ -120,8 +125,8 @@ def test_tensor_product_tables_associative_on_seeded_triples(variant):
     # seconds)
     P = cached_pencil(42)
     alg = from_pencil(P, variant)
-    assert alg.verify_tensor_product(*(from_pencil(P, side)
-                                       for side in ("plus", "minus")))
+    assert verify_tensor_product_of(alg, *(from_pencil(P, side)
+                                           for side in ("plus", "minus")))
     rng = random.Random(f"tensor-triples-{variant}")
     for _ in range(300):
         a, b, c = (rng.randrange(64) for _ in range(3))
@@ -177,6 +182,19 @@ def test_distributivity_and_scalars():
     assert (u1 * a) * b == u1 * (a * b)
     assert a * 1 == a and a * 0 == alg.zero()
     assert 2 * a == a + a
+
+
+def test_equal_elements_of_compatible_engines_hash_alike():
+    """__eq__ accepts any compatible algebra, so two engines built alike
+    give equal elements one hash, and a set holds them once; elements of an
+    engine with other blocks stay apart."""
+    a, b = CliffordAlgebra.generic("plus"), CliffordAlgebra.generic("plus")
+    assert a is not b
+    x, y = a.gen(0), b.gen(0)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert len({x * a.gen(1) + 3, y * b.gen(1) + 3}) == 1
+    other = from_pencil(cached_pencil(42), "plus").gen(0)
+    assert other != x and len({x, other}) == 2
 
 
 def test_algebra_mismatch_rejected():
@@ -414,9 +432,10 @@ def _sides(P, field):
 @pytest.mark.parametrize(
     "seed", [42, 7, "generated"] + [f"seeded-{i}" for i in range(20)])
 def test_phi_certificate_agrees_with_structure_constants(seed, algebra_pair):
-    # both six-generator engines pass verify_tensor_product against the
-    # side engines, and then the twist oracle and the pair-by-pair
-    # comparison find nothing, as prop3.9-phi concludes without them
+    # both six-generator engines pass the two-sided tensor-product oracle
+    # against the side engines, and then the twist oracle and the
+    # pair-by-pair comparison find nothing, as prop3.9-phi concludes
+    # without them
     if seed in (42, 7):
         P = cached_pencil(seed)
         sup, ordi = algebra_pair(seed)
@@ -426,7 +445,7 @@ def test_phi_certificate_agrees_with_structure_constants(seed, algebra_pair):
         sup = from_pencil(P, "super")
         ordi = from_pencil(P, "ordinary")
     sides = _sides(P, sup.ring.field)
-    assert sup.verify_tensor_product(*sides) and ordi.verify_tensor_product(*sides)
+    assert verify_tensor_product_of(sup, *sides) and verify_tensor_product_of(ordi, *sides)
     assert phi_twist_failures(sup, ordi) == []
     assert phi_failing_pairs(sup, ordi) == []
 
@@ -456,39 +475,45 @@ def test_phi_twist_lemma_on_mask_pairs(algebra_pair):
             assert [k % 2 for k in _block_sizes(m)] == parity
 
 
+def _generic():
+    """Fresh generic plus, super and ordinary engines."""
+    return tuple(map(CliffordAlgebra.generic, ("plus", "super", "ordinary")))
+
+
 def test_phi_certificate_names_the_mutated_step(monkeypatch):
-    P = cached_pencil(42)
     flip_step(monkeypatch, "super", (0b001001, 1))  # v1+ v1- · v2+
-    sup = from_pencil(P, "super")
-    ordi = from_pencil(P, "ordinary")
-    sides = _sides(P, ZZ)
+    plus, sup, ordi = _generic()
     # the flipped step and the three steps whose normal form peels down to it
     assert phi_twist_failures(sup, ordi) == [(9, 1), (25, 1), (41, 1), (57, 1)]
     with pytest.raises(ValueError, match="the super step e_9·v_1$"):
-        sup.verify_tensor_product(*sides)
-    assert ordi.verify_tensor_product(*sides)
+        sup.verify_tensor_product(plus)
+    assert ordi.verify_tensor_product(plus)
 
 
 @pytest.mark.parametrize("step", [(19, 4), (6, 0), (3, 1)])
 def test_tensor_certificate_names_a_step_flipped_in_both_engines(monkeypatch,
                                                                  step):
     # the two engines still agree up to the cross sign, so the twist oracle
-    # sees nothing; the certificate compares each against the sides
-    P = cached_pencil(42)
+    # sees nothing; the certificate compares each against the plus side,
+    # and (19, 4) is a (T₋) step, compared with it under a ↔ b
     flip_six_generator_step(monkeypatch, step)
-    sup = from_pencil(P, "super")
-    ordi = from_pencil(P, "ordinary")
+    plus, sup, ordi = _generic()
     assert phi_twist_failures(sup, ordi) == []
     for alg in (sup, ordi):
         with pytest.raises(ValueError, match=(
                 f"the {alg.variant} step e_{step[0]}·v_{step[1]}$")):
-            alg.verify_tensor_product(*_sides(P, ZZ))
+            alg.verify_tensor_product(plus)
+    # the instance engines under the two-sided oracle alike
+    P = cached_pencil(42)
+    for variant in ("super", "ordinary"):
+        with pytest.raises(ValueError, match=(
+                f"the {variant} step e_{step[0]}·v_{step[1]}$")):
+            verify_tensor_product_of(from_pencil(P, variant), *_sides(P, ZZ))
 
 
 def test_phi_certificate_checks_output_parities(monkeypatch):
     # an extra term of the wrong block parity, added to both engines alike,
     # keeps the signs equal but breaks (P)
-    P = cached_pencil(42)
     orig = CliffordAlgebra._mask_times_gen
 
     def extra(self, mask, j):
@@ -498,12 +523,11 @@ def test_phi_certificate_checks_output_parities(monkeypatch):
         return res
 
     monkeypatch.setattr(CliffordAlgebra, "_mask_times_gen", extra)
-    sup = from_pencil(P, "super")
-    ordi = from_pencil(P, "ordinary")
+    plus, sup, ordi = _generic()
     assert phi_twist_failures(sup, ordi)[0] == (0, 0)
-    # in the side engines the extra term leaves the three generators
+    # in the side engine the extra term leaves the three generators
     with pytest.raises(ValueError, match="the plus step e_0·v_0 does not change"):
-        sup.verify_tensor_product(*_sides(P, ZZ))
+        sup.verify_tensor_product(plus)
 
 
 def test_phi_certificate_rejects_wrong_inputs():
@@ -514,13 +538,23 @@ def test_phi_certificate_rejects_wrong_inputs():
         phi_twist_failures(ordi, sup)
     with pytest.raises(ValueError):
         phi_twist_failures(sup, clifford_over(P, "ordinary", QQI))
+    # the generic certificate reads only the generic plus side on the
+    # first block: not the b-block engine, not a six-generator engine, and
+    # not an instance engine, whose minus block is no image under a ↔ b
+    plus, _, generic_ordi = _generic()
+    b_block = CliffordAlgebra(GENERIC, "plus", q_plus=generic_ordi.q_minus)
+    for alg, side in ((generic_ordi, b_block), (plus, plus), (ordi, from_pencil(P, "plus")),
+                      (generic_ordi, generic_ordi)):
+        with pytest.raises(ValueError, match="the plus side must be the first block"):
+            alg.verify_tensor_product(side)
+    # so does the two-sided oracle
     plus, minus = _sides(P, ZZ)
     other = _sides(cached_pencil(7), ZZ)
     for args in ((minus, plus), (plus, other[1]), (other[0], minus)):
         with pytest.raises(ValueError, match="the two blocks"):
-            ordi.verify_tensor_product(*args)
+            verify_tensor_product_of(ordi, *args)
     with pytest.raises(ValueError, match="the two blocks"):
-        plus.verify_tensor_product(plus, minus)
+        verify_tensor_product_of(plus, plus, minus)
 
 
 def test_phi_check_falls_back_on_a_broken_engine(monkeypatch):
@@ -613,9 +647,10 @@ def test_central_odd_rejects_zero_block():
 
 # One negated step of the generic plus engine breaks d, which both prop3.12
 # checks read (d₋ is d with a and b exchanged): central_odd names the broken
-# identity, as the closed form is verified, not trusted.  The same step of
-# the minus engine breaks only its proof as the plus engine with a and b
-# exchanged, which prop3.12-dminus-square alone reads.
+# identity, as the closed form is verified, not trusted.  There is no minus
+# engine, so the same step on the minus block is the (T₋) step
+# (m << 3, j + 3) of the six-generator engines: it cannot reach prop3.12,
+# and the tensor-product certificate names it in prop3.9-phi.
 CENTRAL_MUTANTS = [
     ((0b010, 0), "CentralElementError: d does not commute with v1"),
     ((0b001, 0), "CentralElementError: d² is not ±det(q)"),
@@ -627,18 +662,21 @@ CENTRAL_MUTANTS = [
                          ids=["v2.v1", "v1.v1"])
 def test_central_square_check_fails_on_a_flipped_step(monkeypatch, side, step,
                                                       error):
-    flip_step(monkeypatch, side, step)
     ctx = CheckContext(cached_pencil(42), points=1)
-    if side == "minus":
-        error = (f"ValueError: the minus step e_{step[0]}·v_{step[1]} is not "
-                 "the plus step with a and b exchanged")
-    failing = ("plus", "minus") if side == "plus" else ("minus",)
+    if side == "plus":
+        flip_step(monkeypatch, "plus", step)
+        for block in ("plus", "minus"):
+            r = run_single(ctx, f"prop3.12-d{block}-square")
+            assert (r.status, r.witnesses) == ("fail", [{"error": error}]), block
+        return
+    minus_step = (step[0] << 3, step[1] + 3)
+    flip_six_generator_step(monkeypatch, minus_step)
     for block in ("plus", "minus"):
-        r = run_single(ctx, f"prop3.12-d{block}-square")
-        if block in failing:
-            assert (r.status, r.witnesses) == ("fail", [{"error": error}])
-        else:
-            assert r.status == "pass"
+        assert run_single(ctx, f"prop3.12-d{block}-square").status == "pass"
+    r = run_single(ctx, "prop3.9-phi")
+    assert (r.status, r.witnesses) == ("fail", [{
+        "error": "ValueError: tensor product fails on the super step "
+                 f"e_{minus_step[0]}·v_{minus_step[1]}"}])
 
 
 def test_central_pair_cross_behaviour():
@@ -828,7 +866,7 @@ def _oracle_pencils():
 
 
 def _int_terms(alg):
-    terms = alg.structure_terms()
+    terms = structure_terms(alg)
     assert {type(c) for row in terms for entry in row
             for _, poly in entry for _, c in poly} <= {int}
     return terms
@@ -861,7 +899,7 @@ def test_integer_algebra_matches_the_rational_oracle():
             over_z = from_pencil(P, side)
             over_q = clifford_over(P, side, QQ)
             assert over_z.ring.field is ZZ and over_q.ring.field is QQ
-            assert _int_terms(over_z) == over_q.structure_terms(), (name, side)
+            assert _int_terms(over_z) == structure_terms(over_q), (name, side)
             assert _central_or_error(over_z) == _central_or_error(over_q), (name, side)
             assert commutant_dims(over_z, 6) == commutant_dims(over_q, 6), (name, side)
         for variant in ("ordinary", "super"):
@@ -874,21 +912,22 @@ def test_integer_algebra_matches_the_rational_oracle():
     for name, P in named[:2]:
         over_z = from_pencil(P, "ordinary")
         over_q = clifford_over(P, "ordinary", QQ)
-        assert _int_terms(over_z) == over_q.structure_terms(), name
+        assert _int_terms(over_z) == structure_terms(over_q), name
         assert commutant_dims(over_z, 6) == commutant_dims(over_q, 6), name
         assert commutant_basis(over_z, (1, 2, 3)) == commutant_basis(
             over_q, (1, 2, 3)), name
 
 
 def test_generic_engine_specializes_to_the_instance_oracle():
-    """The generic engines the checks prove (CheckContext.block) under
-    a ↦ q₊(u), b ↦ q₋(u) are the per-instance engines of
-    conftest.from_pencil, term for term over Z[u], and their images over
-    Q[u] the QQ oracle's: every product of the sides, every generator step
-    of the six-generator variants, and d± (d₋ the swap image that
-    CheckContext.central reads).  commutant_basis at a₀ = (q₊(u₀), q₋(u₀))
-    is the instance engine's at u₀ for u₀ in CENTER_POINTS.  On seeds 42
-    and 7, the diagonal, the two planted q₊ and seeded_pencil(0..19)."""
+    """The generic engines the checks prove (CheckContext.block) are the
+    per-instance engines of conftest.from_pencil, term for term over Z[u],
+    and their images over Q[u] the QQ oracle's: every product of the plus
+    side under a ↦ q₊(u) and under a ↦ q₋(u) (it serves both blocks),
+    every generator step of the six-generator variants under a ↦ q₊(u),
+    b ↦ q₋(u), d under either block's map, and d₋ = lift_swapped(d) under
+    the pair.  commutant_basis at a₀ = (q₊(u₀), q₋(u₀)) is the instance
+    engine's at u₀ for u₀ in CENTER_POINTS.  On seeds 42 and 7, the
+    diagonal, the two planted q₊ and seeded_pencil(0..19)."""
     named, seeded = _oracle_pencils()
     qring = PolyRing(QQ, U_VARS)
     u = [URING.var(v) for v in U_VARS]
@@ -905,15 +944,18 @@ def test_generic_engine_specializes_to_the_instance_oracle():
     def over_q(terms):
         return {m: qring.from_terms(c.terms.items()) for m, c in terms.items()}
 
+    generic_d = ctx.central().element
     for name, P in named + seeded[:20]:
-        at = block_point(P.block_at(u, "plus"), P.block_at(u, "minus"))
+        pair = block_point(P.block_at(u, "plus"), P.block_at(u, "minus"))
+        side_at = {side: block_point(P.block_at(u, side)) for side in ("plus", "minus")}
         for variant in ("plus", "minus", "ordinary", "super"):
-            generic, instance = ctx.block(variant), from_pencil(P, variant)
-            rational = clifford_over(P, variant, QQ)
+            instance, rational = from_pencil(P, variant), clifford_over(P, variant, QQ)
             if variant in ("plus", "minus"):
+                generic, at = ctx.block("plus"), side_at[variant]
                 pairs = [(generic.mask_mul, instance.mask_mul, rational.mask_mul,
                           (a, b)) for a in range(8) for b in range(8)]
             else:
+                generic, at = ctx.block(variant), pair
                 pairs = [(generic._mask_times_gen, instance._mask_times_gen,
                           rational._mask_times_gen, (m, j))
                          for m in range(64) for j in range(6)]
@@ -921,17 +963,54 @@ def test_generic_engine_specializes_to_the_instance_oracle():
                 got = image(gen_step(*args), at)
                 assert got == nonzero(inst_step(*args)), (name, variant, args)
                 assert over_q(got) == nonzero(rat_step(*args)), (name, variant, args)
+        ordinary = from_pencil(P, "ordinary")
         for side in ("plus", "minus"):
-            d = image(ctx.central(side).element.coeffs.items(), at)
             try:
                 want = central_odd_pencil(P, side).element.coeffs
             except CentralElementError:  # a zero block: only d = v1v2v3
                 want = {0b111: URING.one()}
-            assert d == want, (name, side)
+            assert image(generic_d.coeffs.items(), side_at[side]) == want, (name, side)
+            lifted = (lift(generic_d, ctx.block("ordinary"), "plus") if side == "plus"
+                      else lift_swapped(generic_d, ctx.block("ordinary")))
+            shift = 0 if side == "plus" else 3
+            assert image(lifted.coeffs.items(), pair) == {
+                m << shift: c for m, c in want.items()}, (name, side)
         for u0 in CENTER_POINTS:
             a0 = block_point(P.block_at(u0, "plus"), P.block_at(u0, "minus"))
             assert commutant_basis(ctx.block("ordinary"), a0) == commutant_basis(
-                from_pencil(P, "ordinary"), u0), (name, u0)
+                ordinary, u0), (name, u0)
+
+
+def test_the_b_block_engine_is_the_plus_engine_under_the_swap():
+    """The oracle of the a ↔ b step in verify_tensor_product: the
+    three-generator engine on the generic b block is swap_blocks of the
+    generic plus engine, step for step and product for product, and its
+    central_odd is the swap image of d, which lift_swapped places on the
+    minus block as lift does with the b-block element."""
+    plus = CliffordAlgebra.generic("plus")
+    ordi = CliffordAlgebra.generic("ordinary")
+    b_block = CliffordAlgebra(GENERIC, "plus", q_plus=ordi.q_minus)
+    assert b_block.q_plus == SymMatrix(GENERIC, [[swap_blocks(x) for x in row]
+                                                 for row in plus.q_plus.rows])
+    for m in range(8):
+        for j in range(3):
+            assert b_block._mask_times_gen(m, j) == tuple(
+                (m2, swap_blocks(c)) for m2, c in plus._mask_times_gen(m, j)), (m, j)
+        for b in range(8):
+            assert b_block.mask_mul(m, b) == tuple(
+                (m2, swap_blocks(c)) for m2, c in plus.mask_mul(m, b)), (m, b)
+    d, d_b = central_odd(plus), central_odd(b_block)
+    assert d_b.element.coeffs == {m: swap_blocks(c) for m, c in d.element.coeffs.items()}
+    assert (d_b.sign, d_b.det) == (d.sign, swap_blocks(d.det))
+    assert lift_swapped(d.element, ordi) == lift(d_b.element, ordi, "minus")
+    # and the swap image commutes with the minus generators of both
+    # six-generator engines, while anticommuting with d₊ in the super one
+    sup = CliffordAlgebra.generic("super")
+    for alg in (ordi, sup):
+        dm = lift_swapped(d.element, alg)
+        assert all(dm.commutator(alg.gen(j)).is_zero() for j in range(3, 6))
+    dp, dm = lift(d.element, sup, "plus"), lift_swapped(d.element, sup)
+    assert anticommutator(dp, dm).is_zero()
 
 
 @pytest.mark.parametrize("lam", [2, 3])

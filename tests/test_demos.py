@@ -30,8 +30,8 @@ def test_demo_runs_cleanly(demo, tmp_path):
 
 
 def test_central_elements_demo_specializes_the_generic_block(tmp_path):
-    """demos/02 prints the generic r and d² = det M, and det M at
-    a = q±(u) of seed 42 equal to f±."""
+    """demos/02 prints the generic r and d² = det M, det M at a = q±(u)
+    of seed 42 equal to f±, and d₋ = σ(d₊) with d₋² = σ(det M)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / "02_central_elements.py")],
                           capture_output=True, text=True, env=env, cwd=tmp_path,
@@ -41,3 +41,7 @@ def test_central_elements_demo_specializes_the_generic_block(tmp_path):
     assert "d^2 == det M: True | sign: 1" in lines
     for side in ("plus", "minus"):
         assert f"seed 42, a = q_{side}(u): det M == f_{side}: True" in lines
+    # d₋ is σ(d₊) on the minus generators, σ: a ↔ b
+    assert ("d- = sigma(d+): (b23)*v1- + (-1*b13)*v2- + (b12)*v3- + (1)*v1-v2-v3-"
+            in lines)
+    assert "d-^2 == sigma(det M): True" in lines

@@ -788,3 +788,35 @@ def test_kernel_int_sparse():
         for v in b1:
             for row in dense:
                 assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+class _ReprForbidden:
+    """An operand that only its own reflected operators handle; formatting
+    it would fail the test."""
+
+    def __repr__(self):
+        raise AssertionError("the operand's repr was rendered")
+
+    def __rmul__(self, other):
+        return "rmul"
+
+    def __radd__(self, other):
+        return "radd"
+
+    def __rsub__(self, other):
+        return "rsub"
+
+
+def test_a_refused_operand_is_named_by_its_type_not_its_repr():
+    """Z's coerce names the operand's type, so a polynomial on the left of
+    a mixed expression defers to the other operand's reflected operator
+    without rendering it; the towers' coerce does the same."""
+    x = PolyRing(ZZ, ("x",)).var("x")
+    other = _ReprForbidden()
+    assert (x * other, x + other, x - other) == ("rmul", "radd", "rsub")
+    with pytest.raises(TypeError, match="^cannot coerce a _ReprForbidden into Z$"):
+        ZZ.coerce(other)
+    tower = QuadraticTower((2,))
+    assert tower.one * other == "rmul"
+    with pytest.raises(TypeError, match="^cannot coerce a _ReprForbidden into "):
+        tower.coerce(other)

@@ -23,7 +23,6 @@ from quadclif.fiber import (
     corank1_quotient,
     corner_algebra,
     cubic_section_point,
-    eval_element,
     gram_matrix,
     irreducible_mod,
     radical_dim,
@@ -47,6 +46,7 @@ from conftest import (
     corank1_quotient_at,
     corner_by_idempotent,
     divisors,
+    element_vector,
     fp_sqrt,
     from_pencil,
     map_field,
@@ -568,8 +568,8 @@ def _replace_d(make):
     """A mutant that replaces the generic side's odd central element d by
     make(alg, d) before any check reads it."""
     def apply(monkeypatch, ctx):
-        res = ctx.central("plus")
-        ctx._cache["central", "plus"] = replace(
+        res = ctx.central()
+        ctx._cache["central"] = replace(
             res, element=make(ctx.block("plus"), res.element))
     return apply
 
@@ -752,8 +752,8 @@ def ordinary_fiber_by_corner(P, u, field):
     assert sp and sm
     alg = from_pencil(P, "ordinary")
     A64 = clifford_fiber(alg, u, field)
-    dpv, dmv = (eval_element(lift(central_odd_pencil(P, side).element, alg, side),
-                             u, field, 64) for side in ("plus", "minus"))
+    dpv, dmv = (element_vector(lift(central_odd_pencil(P, side).element, alg, side),
+                               u, field) for side in ("plus", "minus"))
     half = field.one / field.coerce(2)
     ep = A64.vscale(A64.vadd(A64.unit, A64.vscale(dpv, field.one / sp)), half)
     em = A64.vscale(A64.vadd(A64.unit, A64.vscale(dmv, field.one / sm)), half)

@@ -14,7 +14,9 @@ imports or reads is QQ or RationalField (the rationals are a test oracle,
 in conftest).  A third keeps the Clifford engine generic: src/ proves it
 once on generic blocks, and the engine over an instance's own blocks
 (from_pencil, on linear_form_matrix) is a test oracle, in conftest, so
-src/ names neither.
+src/ names neither; the minus block has no engine, proof or evaluator of
+its own, and every fiber and point evaluation of a generic polynomial goes
+through clifford.evaluator.
 """
 
 import ast
@@ -135,3 +137,22 @@ def test_the_engine_scan_sees_a_per_instance_engine(tmp_path):
     assert names_in(tmp_path, PER_INSTANCE_ENGINE) == {
         ("extra.py", 1, "from_pencil"), ("extra.py", 2, "linear_form_matrix"),
         ("extra.py", 3, "linear_form_matrix")}
+
+
+ONE_SIDE_ENGINE = {"verify_swap", "swapped_central", "eval_element", "structure_terms"}
+EVALUATOR_CALLERS = {"clifford_fiber", "side_fiber", "commutant_basis", "module_rep"}
+
+
+def test_src_has_one_side_engine_and_one_evaluator():
+    from quadclif.clifford import VARIANTS
+
+    assert names_in(SRC, ONE_SIDE_ENGINE) == set()
+    assert set(VARIANTS) == {"plus", "ordinary", "super"}
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in EVALUATOR_CALLERS:
+                if any(isinstance(n, ast.Name) and n.id == "evaluator"
+                       for n in ast.walk(node)):
+                    callers.add(node.name)
+    assert callers == EVALUATOR_CALLERS
