@@ -4,16 +4,17 @@ The two Segre families of the model quadric are certified symbolically:
 membership of each family plane, the spanning identities, and the rank-3
 matrix M0 whose kernel line tracks the moving point.  On an instance,
 the adjugate of a degenerate block drops to a certified double line, and
-annihilator lines round-trip through the rank-2 module representation.
+the generator matrices of the rank-2 module satisfy the six Clifford
+relations and are traceless, which makes isotropic lines and module lines
+correspond one to one.
 """
 
 from quadclif.checks import CheckContext
 from quadclif.pencil import _derived_rng, generate
 from quadclif.plucker import (
     adjugate_double_line,
-    annihilator_line,
+    clifford_relations,
     m0_matrix_symbolic,
-    module_line_for,
     module_rep,
     segre_identity_check,
 )
@@ -39,12 +40,11 @@ def main():
 
     u = sample_invertible_points(P, rng, 1)[0]
     rep = module_rep(CheckContext(P), "plus", u)
+    relations, traceless = clifford_relations(rep.matrices, rep.block,
+                                              rep.tower)
     print(f"rank-2 module at u = {u} over {rep.tower.name}")
-    for m in ((1, 0), (1, 1), (2, -3)):
-        w = annihilator_line(rep, m)
-        back = module_line_for(rep, w)
-        print(f"  line {m} -> isotropic w -> back "
-              f"{tuple(str(c) for c in back)}")
+    print(f"  Clifford relations {relations}/6, traceless generators "
+          f"{traceless}/3")
 
 
 if __name__ == "__main__":

@@ -129,7 +129,7 @@ def cmd_check(args):
             P = load_instance(inst_path)
         except OSError as exc:
             return _fail_usage(f"cannot read {inst_path}: {exc}")
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             return _fail_usage(f"malformed instance {inst_path}: {exc}")
     elif check_id is None or check_id not in INSTANCE_FREE:
         return _fail_usage(

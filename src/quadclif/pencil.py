@@ -224,7 +224,10 @@ class InvariantPencil:
                 seed=d["seed"],
                 coeff_bound=d["coeff_bound"],
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise ValueError(
+                f"malformed instance data: missing key {exc.args[0]}") from None
+        except TypeError as exc:
             raise ValueError(f"malformed instance data: {exc}") from exc
 
 

@@ -1,7 +1,9 @@
 """Isotropic geometry of the split six-dimensional quadric: the
 line-Plücker model, the two rational families sweeping it out, rank-one
 adjugates along the determinant curves, and the two-dimensional modules
-attached to split fibers.
+attached to split fibers, with the count of the Clifford relations and
+traces of their generator matrices (which alone give the bijection of
+isotropic lines with module lines, see `checks._check_annihilator`).
 
 Everything here is either fully symbolic (polynomial identities over Z;
 the Plücker transform, whose matrix has entries ½, is checked through its
@@ -14,14 +16,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .exactalg import (
     ZZ,
     PolyRing,
     adjugate3,
     det_cofactor,
-    mat_kernel,
     mat_rank,
     rref,
     span_coords,
@@ -347,7 +348,6 @@ def adjugate_double_line(P, side, u, field=ZZ):
 @dataclass
 class ModuleRep:
     tower: QuadraticTower
-    point: tuple
     matrices: tuple   # action of the three generators, 2×2 over the tower
     d_scalar: object  # the odd central element acts by this scalar
     block: tuple      # the 3×3 integer value of the form at the point
@@ -429,12 +429,6 @@ def module_rep(ctx, side, u):
 
     mats = tuple(action(g) for g in A.gens)
 
-    relations, traceless = clifford_relations(mats, block, tower)
-    if traceless != 3:
-        raise AssertionError("generator action must be traceless")
-    if relations != 6:
-        raise AssertionError("Clifford relation failed in the module")
-
     # the odd central element (the generic one at q(u)) must act by ±√f(u)
     r_at = map(evaluator(block_point(block)), ctx.central().r_coeffs)
     d_mat = _mat2_mul(_mat2_mul(mats[0], mats[1]), mats[2])
@@ -446,8 +440,8 @@ def module_rep(ctx, side, u):
     if d_mat not in (scal, ((-s, tower.zero), (tower.zero, -s))):
         raise AssertionError("odd central element does not act as ±√det")
     d_scalar = s if d_mat == scal else -s
-    return ModuleRep(tower=tower, point=tuple(u), matrices=mats,
-                     d_scalar=d_scalar, block=block, basis=tuple(basis))
+    return ModuleRep(tower=tower, matrices=mats, d_scalar=d_scalar,
+                     block=block, basis=tuple(basis))
 
 
 def clifford_relations(mats, block, tower):
@@ -462,53 +456,3 @@ def clifford_relations(mats, block, tower):
         relations += anti == ((c, tower.zero), (tower.zero, c))
     traceless = sum(not (m[0][0] + m[1][1]) for m in mats)
     return relations, traceless
-
-
-def _apply2(mat, m):
-    return (mat[0][0] * m[0] + mat[0][1] * m[1], mat[1][0] * m[0] + mat[1][1] * m[1])
-
-
-def annihilator_line(rep, m):
-    """The unique line of vectors w with ρ(v_w)·m = 0; it is always
-    isotropic for the block's form at the base point."""
-    tower = rep.tower
-    m = tuple(tower.coerce(c) for c in m)
-    if not any(m):
-        raise ValueError("the zero module vector has no annihilator line")
-    images = [_apply2(mat, m) for mat in rep.matrices]
-    rows = [[images[j][r] for j in range(3)] for r in range(2)]
-    ker = mat_kernel(rows, 3, tower)
-    if len(ker) != 1:
-        raise FiberError(f"annihilator dimension {len(ker)} instead of 1")
-    w = tuple(ker[0])
-    q = tower.zero
-    for i in range(3):
-        for j in range(3):
-            q = q + w[i] * tower.coerce(rep.block[i][j]) * w[j]
-    if q != tower.zero:
-        raise AssertionError("annihilator line is not isotropic")
-    return w
-
-
-def module_line_for(rep, w):
-    """Inverse direction: the kernel line of ρ(v_w) for isotropic w."""
-    tower = rep.tower
-    w = tuple(tower.coerce(c) for c in w)
-    if not any(w):
-        raise ValueError("w must be nonzero")
-    rho = ((tower.zero, tower.zero), (tower.zero, tower.zero))
-    for wi, mat in zip(w, rep.matrices):
-        rho = _mat2_add(rho, tuple(tuple(wi * e for e in r) for r in mat))
-    ker = mat_kernel([list(rho[0]), list(rho[1])], 2, tower)
-    if len(ker) != 1:
-        raise FiberError(f"kernel dimension {len(ker)} instead of 1")
-    m = tuple(ker[0])
-    if any(_apply2(rho, m)):
-        raise AssertionError("kernel vector fails to be annihilated")
-    return m
-
-
-def lines_proportional(u, v):
-    """u and v span at most a line: every 2×2 minor of (u v) vanishes."""
-    return all(u[i] * v[j] == u[j] * v[i]
-               for i, j in combinations(range(len(u)), 2))

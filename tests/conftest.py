@@ -31,6 +31,7 @@ from quadclif.exactalg import (
     int_coeffs,
     is_prime,
     kernel_int_sparse,
+    mat_kernel,
     mat_rank,
     mat_solve,
     rref,
@@ -1608,6 +1609,84 @@ def module_by_corner(ctx, side, u):
     d_scalar = A.mul(dvec, b0)[pivots[0]] / b0[pivots[0]]
     assert A.mul(dvec, b0) == A.vscale(b0, d_scalar)
     return tower, d_scalar, tuple(basis)
+
+
+# ---------------------------------------------------------------------------
+# the annihilator round trip (the oracle of prop4.7's relation count, which
+# implies it): module lines out to isotropic lines and back
+# ---------------------------------------------------------------------------
+
+ANNIHILATOR_LINES = (
+    (1, 0), (0, 1), (1, 1), (1, -1), (1, 2),
+    (2, 1), (1, 3), (3, 1), (2, -3), (1, -2),
+)
+
+
+def _apply2(mat, m):
+    return (mat[0][0] * m[0] + mat[0][1] * m[1], mat[1][0] * m[0] + mat[1][1] * m[1])
+
+
+def annihilator_line(rep, m):
+    """The unique line of vectors w with ρ(v_w)·m = 0, for a module rep of
+    plucker.module_rep; it is always isotropic for the block's form."""
+    tower = rep.tower
+    m = tuple(tower.coerce(c) for c in m)
+    if not any(m):
+        raise ValueError("the zero module vector has no annihilator line")
+    images = [_apply2(mat, m) for mat in rep.matrices]
+    rows = [[images[j][r] for j in range(3)] for r in range(2)]
+    ker = mat_kernel(rows, 3, tower)
+    if len(ker) != 1:
+        raise FiberError(f"annihilator dimension {len(ker)} instead of 1")
+    w = tuple(ker[0])
+    q = tower.zero
+    for i in range(3):
+        for j in range(3):
+            q = q + w[i] * tower.coerce(rep.block[i][j]) * w[j]
+    if q != tower.zero:
+        raise AssertionError("annihilator line is not isotropic")
+    return w
+
+
+def module_line_for(rep, w):
+    """Inverse direction: the kernel line of ρ(v_w) for isotropic w."""
+    tower = rep.tower
+    w = tuple(tower.coerce(c) for c in w)
+    if not any(w):
+        raise ValueError("w must be nonzero")
+    rho = ((tower.zero, tower.zero), (tower.zero, tower.zero))
+    for wi, mat in zip(w, rep.matrices):
+        rho = tuple(tuple(a + wi * e for a, e in zip(ra, r))
+                    for ra, r in zip(rho, mat))
+    ker = mat_kernel([list(rho[0]), list(rho[1])], 2, tower)
+    if len(ker) != 1:
+        raise FiberError(f"kernel dimension {len(ker)} instead of 1")
+    m = tuple(ker[0])
+    if any(_apply2(rho, m)):
+        raise AssertionError("kernel vector fails to be annihilated")
+    return m
+
+
+def lines_proportional(u, v):
+    """u and v span at most a line: every 2×2 minor of (u v) vanishes."""
+    return all(u[i] * v[j] == u[j] * v[i]
+               for i, j in combinations(range(len(u)), 2))
+
+
+def annihilator_round_trip(rep, lines=ANNIHILATOR_LINES):
+    """(round_trip, injective) over the module lines: each comes back to
+    itself through its annihilator line, and no two annihilator lines
+    coincide."""
+    ws = []
+    round_trip = True
+    for m in lines:
+        w = annihilator_line(rep, m)
+        back = module_line_for(rep, w)
+        round_trip = round_trip and lines_proportional(
+            tuple(rep.tower.coerce(c) for c in m), back)
+        ws.append(w)
+    injective = not any(lines_proportional(a, b) for a, b in combinations(ws, 2))
+    return round_trip, injective
 
 
 # ---------------------------------------------------------------------------

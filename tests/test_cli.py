@@ -43,7 +43,10 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 
 # SHA-256 of the compact, key-sorted JSON of the `seconds`-stripped report
 # of `check --points 2` on that instance: every verdict and witness of the
-# full run is pinned byte for byte.  It last changed when the Clifford
+# full run is pinned byte for byte.  It last changed when
+# prop4.7-annihilator took its verdict from the module's relation and
+# trace counts alone and its witnesses lost "lines", "round_trip" and
+# "injective" (before: faa217af…5639893b54); before that, when the Clifford
 # layer (prop3.5, 3.19, 3.9, 3.12±, 3.13, 3.17 and 3.18) moved to one
 # certificate over generic blocks, whose witnesses say "generic", state
 # c and c′ once and carry det M's specialization to f±, and prop3.9 lost
@@ -62,7 +65,7 @@ SEED42_DIGEST = "b0b63425e0f60cbaeaf492a2dfe51db1359208f7968fe5c080b8a75b5cb336d
 # top-level primes (e7c3ef98…78da2f0); and before that, through the
 # witnesses of prop3.17-azumaya-m4 and prop3.18-split-m2, which moved from
 # verdicts at sampled points to Gram identities over Z[u] (0c3a7664…8ee4).
-FULL_RUN_SHA256 = "faa217af343091d9ea018425fe7f3e3f8ad07d9090f2e6c597272a5639893b54"
+FULL_RUN_SHA256 = "64383a6d9eb95e24a61724338c2c87a3b938f31dced6ebbcb9b7f0f04577bb90"
 
 # SHA-256 of everything `gen` prints (one digest line each) for seeds 7 and
 # 42 at bound 5, then seeds 1..25 at bound 3 and seeds 1..25 at bound 9.
@@ -246,15 +249,18 @@ class TestCheckUsage:
         ("seed", "9" * 5000, "malformed instance data: an integer with 5000 digits is too long"),
         ("seed", "-" + "9" * 5000,
          "malformed instance data: an integer with 5000 digits is too long"),
+        ("seed", None, "malformed instance data: missing key seed"),
     ], ids=["block-int", "matrix-int", "row-int", "short-row", "no-matrices",
-            "long-seed", "long-negative-seed"])
+            "long-seed", "long-negative-seed", "missing-key"])
     def test_malformed_instance_names_what_is_wrong(self, tmp_path, capsys, field,
                                                      value, message):
-        """A block, matrix or row that is not a list of three is named, and
-        an integer too long for int() gets a plain message, never Python's
-        own error text (exit 2)."""
+        """A block, matrix or row that is not a list of three is named, a
+        missing key is named, and an integer too long for int() gets a
+        plain message, never Python's own error text (exit 2)."""
         good = json.loads(cached_pencil(42).canonical_bytes())
-        if isinstance(value, str):  # a bare JSON integer literal
+        if value is None:  # the key left out
+            text = json.dumps({k: v for k, v in good.items() if k != field})
+        elif isinstance(value, str):  # a bare JSON integer literal
             text = json.dumps(dict(good, **{field: 0})).replace(
                 f'"{field}": 0', f'"{field}": {value}')
         else:
@@ -266,6 +272,7 @@ class TestCheckUsage:
         assert err.startswith("quadclif: error: malformed instance ")
         assert err.rstrip().endswith(message)
         assert "len()" not in err and "set_int_max_str_digits" not in err
+        assert "'" not in err
 
 
 class TestCheckRuns:

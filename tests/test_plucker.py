@@ -11,10 +11,14 @@ from conftest import (
     IDENTITY_MUTANTS,
     QQ,
     PrimeField,
+    annihilator_line,
+    annihilator_round_trip,
     cached_pencil,
+    lines_proportional,
     m0_matrix,
     m0_ok_by_minors,
     module_by_corner,
+    module_line_for,
     mutate_identities,
     seeded_pencil,
     segre_ok_by_minors,
@@ -29,11 +33,9 @@ from quadclif.plucker import (
     A_VARS,
     Z_VARS,
     adjugate_double_line,
-    annihilator_line,
-    lines_proportional,
+    clifford_relations,
     m0_identity_check,
     m0_matrix_symbolic,
-    module_line_for,
     module_rep,
     plucker_quadric_poly,
     plucker_transform,
@@ -380,21 +382,7 @@ class TestModuleRep:
 
     def test_annihilator_roundtrip(self):
         _, _, rep = self.rep_at()
-        tower = rep.tower
-        lines = [
-            (1, 0), (0, 1), (1, 1), (1, -1), (1, 2),
-            (2, 1), (1, 3), (3, 1), (2, -3), (1, -2),
-        ]
-        ws = []
-        for m in lines:
-            w = annihilator_line(rep, m)
-            back = module_line_for(rep, w)
-            mt = tuple(tower.coerce(c) for c in m)
-            assert lines_proportional(mt, back)
-            ws.append(w)
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                assert not lines_proportional(ws[i], ws[j])
+        assert annihilator_round_trip(rep) == (True, True)
 
     def test_annihilator_rejects_zero(self):
         _, _, rep = self.rep_at()
@@ -431,12 +419,17 @@ def test_module_matches_the_corner_route(name, P, u, side):
     """A·E of the fiber over L = Q(√f(u), √λ) is the module C·p of the
     corner C = e·A·e that the route through a fiber over Q, base changes
     and corner_algebra built (conftest.module_by_corner): the same tower,
-    the same d scalar and the same subspace of the fiber, by its RREF."""
+    the same d scalar and the same subspace of the fiber, by its RREF.
+    Its six relations and three traces, prop4.7's verdict, come with the
+    consequence they stand for: ten module lines round-trip through their
+    isotropic annihilator lines, which are pairwise distinct."""
     if u is None:
         u = sample_invertible_points(P, random.Random(name), 1)[0]
     rep = module_rep(CheckContext(P), side, u)
     assert (rep.tower, rep.d_scalar, rep.basis) == module_by_corner(
         CheckContext(P), side, u)
+    assert clifford_relations(rep.matrices, rep.block, rep.tower) == (6, 3)
+    assert annihilator_round_trip(rep) == (True, True)
 
 
 def test_a_lone_annihilator_run_builds_one_fiber_per_side(monkeypatch):

@@ -16,7 +16,9 @@ once on generic blocks, and the engine over an instance's own blocks
 (from_pencil, on linear_form_matrix) is a test oracle, in conftest, so
 src/ names neither; the minus block has no engine, proof or evaluator of
 its own, and every fiber and point evaluation of a generic polynomial goes
-through clifford.evaluator.
+through clifford.evaluator.  A fourth keeps prop4.7's annihilator walk
+out of src/: the relation count is the verdict, and the round trip of
+module lines is the oracle, in conftest.
 """
 
 import ast
@@ -156,3 +158,11 @@ def test_src_has_one_side_engine_and_one_evaluator():
                        for n in ast.walk(node)):
                     callers.add(node.name)
     assert callers == EVALUATOR_CALLERS
+
+
+ANNIHILATOR_WALK = {"annihilator_line", "module_line_for",
+                    "lines_proportional", "_ANNIHILATOR_LINES"}
+
+
+def test_src_has_no_annihilator_walk():
+    assert names_in(SRC, ANNIHILATOR_WALK) == set()
