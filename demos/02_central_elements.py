@@ -25,6 +25,7 @@ from quadclif.clifford import (
     lift_swapped,
     swap_blocks,
 )
+from quadclif.exactalg import evaluator
 from quadclif.pencil import U_VARS, URING, generate
 
 
@@ -39,7 +40,7 @@ def main():
     P = generate(seed=42, coeff_bound=5)
     u = [URING.var(v) for v in U_VARS]
     for side in ("plus", "minus"):
-        special = URING.zero() + res.det.eval(block_point(P.block_at(u, side)))
+        special = URING.zero() + evaluator(block_point(P.block_at(u, side)))(res.det)
         print(f"seed 42, a = q_{side}(u): det M == f_{side}:",
               special == P.det_curves().side(side))
 

@@ -10,6 +10,7 @@ correspond one to one.
 """
 
 from quadclif.checks import CheckContext
+from quadclif.exactalg import evaluator
 from quadclif.pencil import _derived_rng, generate
 from quadclif.plucker import (
     adjugate_double_line,
@@ -28,8 +29,9 @@ def main():
 
     rows, _ = m0_matrix_symbolic()
     print("M0 at a = (2,3,5,7):")
+    value = evaluator((2, 3, 5, 7))
     for row in rows:
-        print("   ", [str(c.eval((2, 3, 5, 7))) for c in row])
+        print("   ", [str(value(c)) for c in row])
 
     P = generate(seed=42, coeff_bound=5)
     rng = _derived_rng("demo", P.digest(), "geometry")

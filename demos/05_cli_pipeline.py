@@ -7,7 +7,9 @@ Equivalent shell session:
     quadclif check prop4.9-segre
 
 The second command runs the full named-check suite; single ids select one
-check, and the four instance-free checks run without an instance file.
+check, and the seven instance-free checks (the model-quadric identities,
+the stabilizer tables and the generic Clifford claims) run without an
+instance file.
 """
 
 import json

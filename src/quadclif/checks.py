@@ -1,7 +1,8 @@
 """Named verification checks with a fixed id vocabulary.
 
 Each check id names one verified claim about an instance (or, for the
-model-quadric identities and the stabilizer tables, no instance at all).
+model-quadric identities, the stabilizer tables and the Clifford claims
+read off the generic engines alone, no instance at all).
 Results carry JSON-ready witnesses and are deterministic for a given
 (instance, flags) pair; only the timing field varies between runs.
 The genericity and section-4 curve checks take their verdicts from the
@@ -34,6 +35,7 @@ from .clifford import (
     lift_swapped,
     terms_homogeneous,
 )
+from .exactalg import evaluator
 from .fiber import corank1_quotient, even_certificate, sample_invertible_points
 from .pencil import U_VARS, URING, _derived_rng, genericity_check
 from .plucker import (
@@ -55,11 +57,12 @@ SCAN_PRIMES = (101, 103, 107)
 # so at most three are drawn.  Larger --points values are refused.
 MAX_POINTS = 200
 
+# The checks that read no instance: the generic Clifford claims, the
+# stabilizer tables and the model-quadric identities.
 INSTANCE_FREE = frozenset({
-    "prop2.3-stabilizers",
-    "prop2.8-stabilizers",
-    "prop4.8-m0-matrix",
-    "prop4.9-segre",
+    "prop3.5-grading", "prop3.19-equivariance", "prop3.9-phi",
+    "prop2.3-stabilizers", "prop2.8-stabilizers",
+    "prop4.8-m0-matrix", "prop4.9-segre",
 })
 
 
@@ -329,7 +332,7 @@ def _d_square_check(ctx, side):
     Z[u]) is f_side as pencil.det_cubic computes it on its own."""
     res = ctx.central()
     q = ctx.P.block_at([URING.var(v) for v in U_VARS], side)
-    special = (URING.zero() + res.det.eval(block_point(q))
+    special = (URING.zero() + evaluator(block_point(q))(res.det)
                == ctx.P.det_curves().side(side))
     wit = [{"side": side, "certificate": "generic", "sign": res.sign,
             "det_M_at_q_is_f": special, "solution": "unique monic"}]

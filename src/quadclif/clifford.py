@@ -17,17 +17,17 @@ Z[a, b] (`CliffordAlgebra.generic`).  The normal form uses only ring
 operations on the block entries, so every structure constant is an integer
 polynomial in a and b, and the engine of any blocks q₊, q₋ is the generic
 one under the ring map a ↦ q₊, b ↦ q₋ (`block_point`, evaluated by
-`evaluator`), which carries every identity proven over Z[a, b] to an
-instance over Z[u] and to its fibers.  The minus block needs no engine of
+`exactalg.evaluator`), which carries every identity proven over Z[a, b]
+to an instance over Z[u] and to its fibers.  The minus block needs no engine of
 its own: it is the plus side under the automorphism a ↔ b (`swap_blocks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
-from .exactalg import ZZ, MultiPoly, PolyRing, SymMatrix, as_int, kernel_int_sparse
+from .exactalg import (ZZ, MultiPoly, PolyRing, SymMatrix, as_int, evaluator,
+                       kernel_int_sparse)
 
 # The variants, each with its generator count and minus-block mask; the
 # three-generator "plus" engine serves any single block.
@@ -49,23 +49,6 @@ def block_point(first, second=None):
 def swap_blocks(poly):
     """poly under the automorphism of Z[a, b] exchanging a_ij and b_ij."""
     return GENERIC.from_terms((e[6:] + e[:6], c) for e, c in poly.terms.items())
-
-
-def evaluator(point):
-    """poly ↦ poly(point) for the polynomials of one ring, each monomial's
-    value computed once: at block_point(...), the ring map above."""
-    monomials = {}
-
-    def value(poly):
-        acc = 0
-        for e, c in poly.terms.items():
-            m = monomials.get(e)
-            if m is None:
-                m = monomials[e] = prod(x ** k for x, k in zip(point, e, strict=True))
-            acc += c * m
-        return acc
-
-    return value
 
 
 class CentralElementError(Exception):

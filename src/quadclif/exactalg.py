@@ -12,9 +12,10 @@ oracles are fields with the same interface (`name`, `zero`, `one`,
 `characteristic`, `coerce`), defined in the tests.
 
 The polynomial layer is deliberately small: ring operations, derivatives
-(the partials behind `pencil.discriminant`) and evaluation; resultants
-and squarefreeness take integer coefficient lists.  Terms are kept in a
-dict keyed by exponent tuples; zero coefficients are never stored, so
+(the partials behind `pencil.discriminant`) and `evaluator`, the one
+evaluation at a point (at polynomials, a substitution); resultants and
+squarefreeness take integer coefficient lists.  Terms are kept in a dict
+keyed by exponent tuples; zero coefficients are never stored, so
 equality is dict equality.  Serialization orders terms graded-lex.
 
 Linear algebra has one routine per job, shared by every module:
@@ -44,7 +45,7 @@ Linear algebra has one routine per job, shared by every module:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add
 
 
@@ -303,48 +304,6 @@ class MultiPoly:
             out[e2] = out.get(e2, self.ring.field.zero) + c * e[i]
         return MultiPoly(self.ring, {e: c for e, c in out.items() if c})
 
-    def eval(self, values):
-        """Evaluate at a point given as a sequence aligned with ring.vars.
-        An exact value (an int, a Fraction, a residue, a number-field
-        element) stays as it is, and each coefficient enters through the
-        value's arithmetic: Z → Q, Z → F_p and Z → K are ring
-        homomorphisms, so a polynomial over Z evaluates at rational and
-        algebraic points.  A float or a string goes through the
-        coefficient ring's coerce, which refuses a float."""
-        if len(values) != len(self.ring.vars):
-            raise ValueError("wrong number of values")
-        vals = [self.ring.field.coerce(v) if isinstance(v, (float, complex, str))
-                else v for v in values]
-        acc = self.ring.field.zero
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(vals, e):
-                for _ in range(k):
-                    t = t * v
-            acc = acc + t
-        return acc
-
-    def subs(self, mapping):
-        """Substitute polynomials for variables.  mapping: name -> MultiPoly
-        in the target ring; unmapped variables must not occur."""
-        target = None
-        for img in mapping.values():
-            target = img.ring
-            break
-        if target is None:
-            raise ValueError("empty substitution")
-        acc = target.zero()
-        for e, c in self.terms.items():
-            t = target.const(c)
-            for name, k in zip(self.ring.vars, e):
-                if k == 0:
-                    continue
-                if name not in mapping:
-                    raise ValueError(f"no image for variable {name}")
-                t = t * mapping[name] ** k
-            acc = acc + t
-        return acc
-
     # -- serialization -------------------------------------------------------
 
     def sorted_terms(self):
@@ -368,6 +327,32 @@ class MultiPoly:
             else:
                 bits.append(str(c))
         return " + ".join(bits)
+
+
+def evaluator(point):
+    """poly ↦ poly(point) for the polynomials of one ring, point aligned
+    with its variables, each monomial's value computed once.  Coordinates
+    (ints, Fractions, residues, number-field elements, polynomials: a ring
+    map) are never coerced and meet the coefficients through + and * only,
+    so a constant term stays a coefficient.  A float coordinate raises
+    TypeError, a point of the wrong length ValueError."""
+    point = tuple(point)
+    if any(isinstance(x, float) for x in point):
+        raise TypeError("cannot evaluate at a float coordinate")
+    monomials = {}
+
+    def value(poly):
+        if len(poly.ring.vars) != len(point):
+            raise ValueError("wrong number of values")
+        acc = poly.ring.field.zero
+        for e, c in poly.terms.items():
+            m = monomials.get(e)
+            if m is None:  # prod multiplies; a residue has no **
+                m = monomials[e] = prod(x for x, k in zip(point, e) for _ in range(k))
+            acc = acc + c * m
+        return acc
+
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .clifford import block_point, evaluator
+from .clifford import block_point
 from .exactalg import (
     ZZ,
     SymMatrix,
     adjugate3,
     as_int,
+    evaluator,
     is_prime,
     is_square_fraction,
     mat_kernel,
@@ -764,7 +765,7 @@ def side_fiber(ctx, side, u, field):
     A = clifford_fiber(ctx.algebra("plus"), a0, field, proof="clifford")
     d, value = ctx.central().element.coeffs, evaluator(a0)
     dvec = tuple(field.coerce(value(d[m])) if m in d else field.zero for m in range(8))
-    return A, dvec, field.coerce(ctx.P.det_curves().side(side).eval(u))
+    return A, dvec, field.coerce(evaluator(u)(ctx.P.det_curves().side(side)))
 
 
 def corank1_quotient(ctx):
@@ -832,7 +833,7 @@ def sample_invertible_points(P, rng, count, bound=9):
         if not any(u) or u in seen:
             continue
         seen.add(u)
-        if curves.f_plus.eval(u) and curves.f_minus.eval(u):
+        if all(map(evaluator(u), (curves.f_plus, curves.f_minus))):
             out.append(u)
     if len(out) < count:
         raise FiberError("could not sample enough invertible points")
@@ -873,7 +874,7 @@ def cubic_section_point(P, side):
     f, the determinant of an integer block, has integer coefficients."""
     f = P.det_curves().side(side)
     for base, dirv in section_lines():
-        g0, g3, gp, gm = (f.eval(v) for v in (
+        g0, g3, gp, gm = (evaluator(v)(f) for v in (
             base, dirv, [b + d for b, d in zip(base, dirv)],
             [b - d for b, d in zip(base, dirv)]))
         g = (g0, (gp - gm) // 2 - g3, (gp + gm) // 2 - g0, g3)

@@ -217,13 +217,12 @@ class InvariantPencil:
         if not isinstance(d, dict):
             raise ValueError("malformed instance data: the top level must be "
                              "a JSON object")
+        keys = ("q_plus", "q_minus", "seed", "coeff_bound")
+        unknown = sorted(set(d).difference(keys))
+        if unknown:
+            raise ValueError(f"malformed instance data: unknown key {unknown[0]}")
         try:
-            return cls(
-                q_plus=d["q_plus"],
-                q_minus=d["q_minus"],
-                seed=d["seed"],
-                coeff_bound=d["coeff_bound"],
-            )
+            return cls(**{k: d[k] for k in keys})
         except KeyError as exc:
             raise ValueError(
                 f"malformed instance data: missing key {exc.args[0]}") from None

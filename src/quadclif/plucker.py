@@ -23,11 +23,12 @@ from .exactalg import (
     PolyRing,
     adjugate3,
     det_cofactor,
+    evaluator,
     mat_rank,
     rref,
     span_coords,
 )
-from .clifford import block_point, evaluator
+from .clifford import block_point
 from .fiber import FiberError, QuadraticTower, side_fiber
 from .geometry import GenericityError
 
@@ -84,7 +85,7 @@ def transform_identity_check():
     z = [P.ring.var(v) for v in Z_VARS]
     images = [sum((zv * (2 * c) for c, zv in zip(row, z)), P.ring.zero())
               for row in M]
-    return split_quadric_poly().subs(dict(zip(X_VARS, images))) == P * 4
+    return evaluator(images)(split_quadric_poly()) == P * 4
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +180,8 @@ def segre_identity_check():
         if not all(r.is_zero() for r in polys):
             failures.append(name)
 
-    def eval_quadric(vec):
-        return q.subs(dict(zip(Z_VARS, vec)))
-
-    expect_zero("plus-family-not-isotropic", [eval_quadric(p_plus)])
-    expect_zero("minus-family-not-isotropic", [eval_quadric(p_minus)])
+    expect_zero("plus-family-not-isotropic", [evaluator(p_plus)(q)])
+    expect_zero("minus-family-not-isotropic", [evaluator(p_minus)(q)])
 
     def scale(vec, c):
         return tuple(x * c for x in vec)
@@ -208,13 +206,13 @@ def segre_identity_check():
 
     big = PolyRing(ZZ, A_VARS + ("c1", "c2", "c3", "c4"))
     cs = [big.var(f"c{j}") for j in range(1, 5)]
-    embed = {v: big.var(v) for v in A_VARS}
+    embed = evaluator(big.var(v) for v in A_VARS)
     span = [big.zero()] * 6
     for j, w in enumerate(ws):
         for k, comp in enumerate(w):
             if not comp.is_zero():
-                span[k] = span[k] + comp.subs(embed) * cs[j]
-    expect_zero("span-not-isotropic", [q.subs(dict(zip(Z_VARS, span)))])
+                span[k] = span[k] + embed(comp) * cs[j]
+    expect_zero("span-not-isotropic", [evaluator(span)(q)])
 
     return IdentityCert(ok=not failures, failures=tuple(failures),
                         residual_sha256=poly_residual_hash(residuals))
@@ -386,7 +384,7 @@ def module_rep(ctx, side, u):
     C = e·A·e.  The generator matrices come from left multiplication on
     the RREF basis of A·E; the relations, tracelessness and d = ±√f(u)
     are checked on them."""
-    fval = ctx.P.det_curves().side(side).eval(u)
+    fval = evaluator(u)(ctx.P.det_curves().side(side))
     if fval == 0:
         raise FiberError("the block only splits away from its curve")
     block = ctx.P.block_at(u, side)

@@ -15,7 +15,6 @@ from quadclif.clifford import (
     CliffordElement,
     central_odd,
     defining_relations,
-    evaluator,
     phi_exponent,
 )
 from quadclif import plucker
@@ -28,6 +27,7 @@ from quadclif.exactalg import (
     as_int,
     bareiss_det,
     det_cofactor,
+    evaluator,
     int_coeffs,
     is_prime,
     kernel_int_sparse,
@@ -60,7 +60,7 @@ from quadclif.pencil import (
     binary_resultant,
     generate,
 )
-from quadclif.plucker import A_VARS, W_CANDIDATES, Z_VARS
+from quadclif.plucker import A_VARS, W_CANDIDATES
 
 
 class RationalField:
@@ -535,17 +535,17 @@ def squarefree_by_gcd(coeffs):
 
 def coordinate_change(f, mat):
     """f(M·u) for an integer matrix M acting on the column of variables,
-    by MultiPoly substitution over Q."""
+    by evaluation at the polynomial point M·u."""
     ring = f.ring
     u = [ring.var(v) for v in ring.vars]
-    images = {}
-    for i, v in enumerate(ring.vars):
+    images = []
+    for i in range(len(ring.vars)):
         acc = ring.zero()
         for j in range(3):
             if mat[i][j]:
                 acc = acc + u[j] * mat[i][j]
-        images[v] = acc
-    return f.subs(images)
+        images.append(acc)
+    return ring.zero() + evaluator(images)(f)
 
 
 def random_gl3(rng):
@@ -577,7 +577,8 @@ def seeded_resultant_nine_points(f_plus, f_minus, rng):
             M = random_gl3(rng)
             fp, fm = coordinate_change(f_plus, M), coordinate_change(f_minus, M)
             notes.append(f"coordinate change ({reason})")
-        if not (fp.eval([0, 0, 1]) and fm.eval([0, 0, 1])):
+        value = evaluator([0, 0, 1])
+        if not (value(fp) and value(fm)):
             reason = "projection center on a curve"
             continue
         h = binary_resultant(fp, fm, (0, 0, 1))
@@ -892,7 +893,7 @@ def structure_terms(alg):
 
 def element_vector(e, u, field):
     """The coordinates over field of the Clifford element e at the point u
-    of its ring (clifford.evaluator), as one fiber vector."""
+    of its ring (exactalg.evaluator), as one fiber vector."""
     value = evaluator(u)
     return tuple(field.coerce(value(e.coeffs[m])) if m in e.coeffs else field.zero
                  for m in range(1 << e.alg.ngens))
@@ -1337,7 +1338,7 @@ def random_rational_curve_point(P, side, rng):
             den_lcm = lcm(*(c.denominator for c in u))
             uz = tuple(int(c * den_lcm) for c in u)
             uz = tuple(c // gcd(*uz) for c in uz)
-            if f.eval(uz) != 0:
+            if evaluator(uz)(f) != 0:
                 continue
             if any(x for row in adjugate3(P.block_at(uz, side)) for x in row):
                 return uz
@@ -1393,7 +1394,7 @@ def _point(u):
 
 
 def _det_value(P, side, u):
-    return P.det_curves().side(side).eval(u)
+    return evaluator(u)(P.det_curves().side(side))
 
 
 def corank1_quotient_at(ctx, side, u, field):
@@ -1708,7 +1709,7 @@ def segre_ok_by_minors():
     ws = plucker.wedge_with_basis(plucker.segre_y(ring), ring)
 
     def on_quadric(vec):
-        return q.subs(dict(zip(Z_VARS, vec))).is_zero()
+        return evaluator(vec)(q).is_zero()
 
     def scale(vec, c):
         return tuple(x * c for x in vec)
@@ -1730,11 +1731,11 @@ def segre_ok_by_minors():
         not det_cofactor([[cols[c][r] for c in ci] for r in ri], ring).is_zero()
         for ci in combinations(range(4), 3) for ri in combinations(range(6), 3))
     big = PolyRing(ZZ, A_VARS + ("c1", "c2", "c3", "c4"))
-    embed = {v: big.var(v) for v in A_VARS}
+    embed = evaluator(big.var(v) for v in A_VARS)
     span = [big.zero()] * 6
     for j, w in enumerate(ws):
         for k, comp in enumerate(w):
-            span[k] = span[k] + comp.subs(embed) * big.var(f"c{j + 1}")
+            span[k] = span[k] + embed(comp) * big.var(f"c{j + 1}")
     return (on_quadric(p_plus) and on_quadric(p_minus)
             and all(lhs == rhs for lhs, rhs in certs)
             and minors4 and rank3 and on_quadric(span))

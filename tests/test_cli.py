@@ -250,13 +250,14 @@ class TestCheckUsage:
         ("seed", "-" + "9" * 5000,
          "malformed instance data: an integer with 5000 digits is too long"),
         ("seed", None, "malformed instance data: missing key seed"),
+        ("extra", 1, "malformed instance data: unknown key extra"),
     ], ids=["block-int", "matrix-int", "row-int", "short-row", "no-matrices",
-            "long-seed", "long-negative-seed", "missing-key"])
+            "long-seed", "long-negative-seed", "missing-key", "unknown-key"])
     def test_malformed_instance_names_what_is_wrong(self, tmp_path, capsys, field,
                                                      value, message):
         """A block, matrix or row that is not a list of three is named, a
-        missing key is named, and an integer too long for int() gets a
-        plain message, never Python's own error text (exit 2)."""
+        missing or unknown key is named, and an integer too long for int()
+        gets a plain message, never Python's own error text (exit 2)."""
         good = json.loads(cached_pencil(42).canonical_bytes())
         if value is None:  # the key left out
             text = json.dumps({k: v for k, v in good.items() if k != field})
@@ -287,11 +288,13 @@ class TestCheckRuns:
         assert err.rstrip().endswith(
             "malformed instance data: the top level must be a JSON object")
 
-    def test_instance_free_without_instance(self, capsys):
-        rc = main(["check", "prop4.9-segre"])
+    @pytest.mark.parametrize("check_id", [
+        "prop4.9-segre", "prop3.5-grading", "prop3.19-equivariance", "prop3.9-phi"])
+    def test_instance_free_without_instance(self, capsys, check_id):
+        rc = main(["check", check_id])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "PASS prop4.9-segre" in out
+        assert f"PASS {check_id}" in out
         assert "overall: pass" in out
 
     def test_single_check_on_instance(self, tmp_path, capsys):

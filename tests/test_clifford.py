@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from quadclif.exactalg import ZZ, PolyRing, SymMatrix, kernel_int_sparse
+from quadclif.exactalg import ZZ, PolyRing, SymMatrix, evaluator, kernel_int_sparse
 from quadclif.clifford import (
     GENERIC,
     CentralElementError,
@@ -781,8 +781,9 @@ def test_point_kernel_ordinary_is_spanned_by_the_central_basis():
     assert _top_masks(kernel) == [0, 7, 56, 63]
     dp, dm = (lift(central_odd_pencil(P, side).element, alg, side)
               for side in ("plus", "minus"))
+    value = evaluator(u0)
     for vec, b in zip(kernel, (alg.one(), dp, dm, dp * dm)):
-        at_u0 = [b.coeffs[m].eval(u0) if m in b.coeffs else 0 for m in range(64)]
+        at_u0 = [value(b.coeffs[m]) if m in b.coeffs else 0 for m in range(64)]
         top = max(b.coeffs)
         assert [x * at_u0[top] for x in vec] == [y * vec[top] for y in at_u0]
 
@@ -818,14 +819,14 @@ def test_point_kernel_reads_the_generator_step_memo():
         alg = from_pencil(P, variant)
         kernel = commutant_basis(alg, u)
         assert {ma for ma, _ in alg._mul_cache} == {1 << g for g in range(alg.ngens)}
-        rows = {}
+        rows, value = {}, evaluator(u)
         for mask in range(1 << alg.ngens):
             for g in range(alg.ngens):
                 for sign, terms in ((1, alg.mask_mul(mask, 1 << g)),
                                     (-1, alg.mask_mul(1 << g, mask))):
                     for m2, poly in terms:
                         row = rows.setdefault((g, m2), {})
-                        row[mask] = row.get(mask, 0) + sign * int(poly.eval(u))
+                        row[mask] = row.get(mask, 0) + sign * int(value(poly))
         assert kernel == kernel_int_sparse(list(rows.values()), 1 << alg.ngens)
 
 # -- relation homogeneity and the scaling action -------------------------------
@@ -934,7 +935,7 @@ def test_generic_engine_specializes_to_the_instance_oracle():
     ctx = CheckContext(None)
 
     def image(terms, at):
-        out = {m: URING.zero() + c.eval(at) for m, c in terms}
+        out = {m: URING.zero() + evaluator(at)(c) for m, c in terms}
         return nonzero(out.items())
 
     def nonzero(terms):

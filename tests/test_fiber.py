@@ -10,7 +10,7 @@ import pytest
 from quadclif import fiber
 from quadclif.checks import CheckContext, run_single
 from quadclif.clifford import CliffordAlgebra, lift
-from quadclif.exactalg import ZZ, PolyRing, mat_rank, mat_solve
+from quadclif.exactalg import ZZ, PolyRing, evaluator, mat_rank, mat_solve
 from quadclif.fiber import (
     IRREDUCIBILITY_PRIMES,
     CubicField,
@@ -265,7 +265,7 @@ def ordinary_fiber(ctx, u, field=None):
     Q(√f₊(u), √f₋(u)) (or the prime field `field`), as a tensor product of
     the two side corners."""
     uf = tuple(Fraction(c) for c in u)
-    fp, fm = (ctx.P.det_curves().side(side).eval(uf) for side in ("plus", "minus"))
+    fp, fm = (evaluator(uf)(ctx.P.det_curves().side(side)) for side in ("plus", "minus"))
     if field is None:
         if fp == 0 or fm == 0:
             raise FiberError("base point lies on a determinant curve")
@@ -503,8 +503,8 @@ def commutative_even_table(ring, a, b):
 def even_table_at(table, u, field):
     """The C₀ table of an even_table at the point u, as a FinAlg over
     field, with no proof (the constructor checks the unit)."""
-    zero = field.zero
-    rows = [[tuple(field.coerce(table[a, b][k].eval(u)) if k in table[a, b]
+    zero, value = field.zero, evaluator(u)
+    rows = [[tuple(field.coerce(value(table[a, b][k])) if k in table[a, b]
                    else zero for k in (0, 3, 5, 6))
              for b in (0, 3, 5, 6)] for a in (0, 3, 5, 6)]
     return FinAlg(field, rows, (field.one, zero, zero, zero))
@@ -733,8 +733,8 @@ def qr_point(P, field, seed="fp16", count=40):
     curves = P.det_curves()
     for cand in sample_invertible_points(P, random.Random(seed), count, bound=6):
         uf = tuple(Fraction(c) for c in cand)
-        if (fp_sqrt(field.coerce(curves.f_plus.eval(uf)))
-                and fp_sqrt(field.coerce(curves.f_minus.eval(uf)))):
+        if (fp_sqrt(field.coerce(evaluator(uf)(curves.f_plus)))
+                and fp_sqrt(field.coerce(evaluator(uf)(curves.f_minus)))):
             return cand
     raise AssertionError("no suitable point found")
 
@@ -747,8 +747,8 @@ def ordinary_fiber_by_corner(P, u, field):
     from it is checked on all basis triples."""
     u = tuple(Fraction(c) for c in u)
     curves = P.det_curves()
-    sp = fp_sqrt(field.coerce(curves.f_plus.eval(u)))
-    sm = fp_sqrt(field.coerce(curves.f_minus.eval(u)))
+    sp = fp_sqrt(field.coerce(evaluator(u)(curves.f_plus)))
+    sm = fp_sqrt(field.coerce(evaluator(u)(curves.f_minus)))
     assert sp and sm
     alg = from_pencil(P, "ordinary")
     A64 = clifford_fiber(alg, u, field)
@@ -798,7 +798,7 @@ def split_full_rank(ctx, side, u):
     """Over Q(√f(u)) the 8-dimensional block splits into two corners cut
     by the complementary central idempotents (1 ± d/√f(u))/2."""
     u = tuple(Fraction(c) for c in u)
-    fval = ctx.P.det_curves().side(side).eval(u)
+    fval = evaluator(u)(ctx.P.det_curves().side(side))
     if fval == 0:
         raise FiberError("the block only splits away from its curve")
     tower, (s,) = QuadraticTower.create([fval])
@@ -1030,7 +1030,7 @@ def test_section_walk_on_the_pinned_instance():
         g = K.section
         assert g[3] % p and not rational_roots(list(g))
         assert all(c.d == 1 for c in u)
-        assert not P.det_curves().side(side).eval(u)
+        assert not evaluator(u)(P.det_curves().side(side))
 
 
 @pytest.mark.parametrize("seed,bound", [(42, 5), (7, 5), (1, 1), (8, 1), (15, 1)])
@@ -1102,7 +1102,7 @@ def test_rational_curve_point_search():
     pt = random_rational_curve_point(P, "plus", random.Random("lines"))
     assert pt is not None
     uf = tuple(Fraction(c) for c in pt)
-    assert P.det_curves().f_plus.eval(uf) == 0
+    assert evaluator(uf)(P.det_curves().f_plus) == 0
     Q, verdict = corank1_quotient_at(CheckContext(P), "plus", pt, QuadraticTower(()))
     assert verdict == "M2"
     assert cubic_section_point(P, "plus") is None
@@ -1123,8 +1123,8 @@ def _rational_curve_point_by_subs(P, side, rng):
         dirv = tuple(rng.randint(-4, 4) for _ in range(3))
         if not any(dirv):
             continue
-        line = f.subs({v: tring.const(b) + d * t
-                       for v, b, d in zip(f.ring.vars, base, dirv)})
+        line = tring.zero() + evaluator(
+            tring.const(b) + d * t for b, d in zip(base, dirv))(f)
         if line.is_zero():
             continue
         coeffs = [int(c) for c in as_univariate(line, "t")]
@@ -1135,7 +1135,7 @@ def _rational_curve_point_by_subs(P, side, rng):
             den = lcm(*(Fraction(c).denominator for c in u))
             uz = tuple(int(c * den) for c in u)
             uz = tuple(c // gcd(*uz) for c in uz)
-            if P.det_curves().side(side).eval(uz) != 0:
+            if evaluator(uz)(P.det_curves().side(side)) != 0:
                 continue
             if any(x for row in adjugate3(P.block_at(uz, side)) for x in row):
                 return uz

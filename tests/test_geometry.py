@@ -15,7 +15,7 @@ from quadclif.checks import (
     _adjugate_scan,
     run_single,
 )
-from quadclif.exactalg import MultiPoly, adjugate3, mat_kernel
+from quadclif.exactalg import MultiPoly, adjugate3, evaluator, mat_kernel
 from quadclif.geometry import (
     GenericityError,
     ReducedCurve,
@@ -174,7 +174,7 @@ def test_curve_points_match_bruteforce_small():
     fast = set(curve_points(f, p))
     slow = {
         pt for pt in proj_points(p)
-        if f.eval([pt[0], pt[1], pt[2]]).numerator % p == 0
+        if evaluator([pt[0], pt[1], pt[2]])(f).numerator % p == 0
     }
     assert fast == slow
 

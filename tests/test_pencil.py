@@ -16,6 +16,7 @@ from quadclif.exactalg import (
     PolyRing,
     SymMatrix,
     bareiss_det,
+    evaluator,
     mat_rank,
 )
 from quadclif.pencil import (
@@ -288,8 +289,8 @@ def dehomogenized_squarefree(R, rng):
         c, d = rng.randint(-9, 9), rng.randint(-9, 9)
         if a * d - b * c == 0:
             continue
-        h = R.subs({"u1": a * t + tring.const(b), "u2": c * t + tring.const(d),
-                    "u3": tring.zero()})
+        h = tring.zero() + evaluator(
+            (a * t + tring.const(b), c * t + tring.const(d), tring.zero()))(R)
         if degree_in(h, "t") == deg:
             return squarefree_by_gcd(as_univariate(h, "t"))[0]
     return None
@@ -311,7 +312,8 @@ def random_dehomogenization_resultant(f_plus, f_minus):
             M = CENTER_MOVES[attempt - 1]
             fp, fm = coordinate_change(f_plus, M), coordinate_change(f_minus, M)
             notes.append(f"coordinate change ({reason})")
-        if not (fp.eval([0, 0, 1]) and fm.eval([0, 0, 1])):
+        value = evaluator([0, 0, 1])
+        if not (value(fp) and value(fm)):
             reason = "projection center on a curve"
             continue
         R = poly_sylvester_resultant(fp, fm, "u3")
@@ -409,7 +411,7 @@ def test_center_budget_is_six_projections(monkeypatch):
     assert resultant_nine_points(fp, fm) == (True, 9, CENTERS[3], (on_curve,) * 3)
     points = [(a, b, 1) for a in range(-4, 5) for b in range(-4, 5)]
     monkeypatch.setattr(pencil, "CENTERS", tuple(
-        c for c in points if not (fp.eval(c) and fm.eval(c)))[:6])
+        c for c in points if not all(map(evaluator(c), (fp, fm))))[:6])
     assert len(pencil.CENTERS) == 6
     assert resultant_nine_points(fp, fm) == (
         False, -1, None, (on_curve,) * 5 + ("no usable projection center",))
@@ -440,7 +442,7 @@ def test_integer_resultant_matches_the_multipoly_oracle():
         if fp.is_zero() or fm.is_zero():
             continue
         turn = CENTERS[k % 6:] + CENTERS[:k % 6]
-        center = next((c for c in turn if fp.eval(c) and fm.eval(c)), None)
+        center = next((c for c in turn if all(map(evaluator(c), (fp, fm)))), None)
         if center is None:
             continue
         M = center_matrix(center)

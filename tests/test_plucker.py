@@ -25,7 +25,7 @@ from conftest import (
 )
 from quadclif import fiber, plucker
 from quadclif.checks import CheckContext, run_single
-from quadclif.exactalg import PolyRing, det_cofactor, mat_rank
+from quadclif.exactalg import PolyRing, det_cofactor, evaluator, mat_rank
 from quadclif.fiber import FiberError, sample_invertible_points
 from quadclif.geometry import GenericityError, curve_points
 from quadclif.pencil import InvariantPencil
@@ -120,9 +120,7 @@ class TestTransform:
         q = split_quadric_poly()
         for side in ("plus", "minus"):
             px = segre_point_x(side, ring)
-            from quadclif.plucker import X_VARS
-
-            assert q.subs(dict(zip(X_VARS, px))).is_zero()
+            assert evaluator(px)(q).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +145,11 @@ class TestSegre:
         p_plus, p_minus = segre_points(ring)
         y = segre_y(ring)
         ws = wedge_with_basis(y, ring)
-        pv = [[c.eval(a) for c in vec] for vec in ws]
+        value = evaluator(a)
+        pv = [[value(c) for c in vec] for vec in ws]
         assert mat_rank(pv) == 3
         for pt in (p_plus, p_minus):
-            ptv = [c.eval(a) for c in pt]
+            ptv = [value(c) for c in pt]
             assert any(ptv)
             assert mat_rank(pv + [ptv]) == 3
 
@@ -162,9 +161,10 @@ class TestSegre:
         p_plus, p_minus = segre_points(ring)
         y = segre_y(ring)
         ws = wedge_with_basis(y, ring)
-        wv = [[c.eval(a) for c in vec] for vec in ws]
-        pp = [c.eval(a) for c in p_plus]
-        pm = [c.eval(a) for c in p_minus]
+        value = evaluator(a)
+        wv = [[value(c) for c in vec] for vec in ws]
+        pp = [value(c) for c in p_plus]
+        pm = [value(c) for c in p_minus]
         assert pp == [1, 0, 0, 0, 0, 0] and pp == wv[1]
         assert pm == [0, 0, 1, 0, 0, 0] and pm == wv[3]
 
@@ -176,8 +176,8 @@ class TestSegre:
         for _ in range(8):
             a = tuple(Fraction(rng.randint(-9, 9)) for _ in range(4))
             for pt in (p_plus, p_minus):
-                vals = [c.eval(a) for c in pt]
-                assert q.eval(vals) == 0
+                vals = [evaluator(a)(c) for c in pt]
+                assert evaluator(vals)(q) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,8 @@ class TestM0:
             a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
             if not any(a):
                 a[0] = Fraction(1)
-            assert [[c.eval(a) for c in r] for r in rows] == \
+            value = evaluator(a)
+            assert [[value(c) for c in r] for r in rows] == \
                 [list(r) for r in m0_matrix(a)]
 
     def test_zero_parameter_rejected(self):
@@ -361,7 +362,7 @@ class TestModuleRep:
     def test_construction_and_d_scalar(self):
         P, u, rep = self.rep_at()
         uf = tuple(Fraction(c) for c in u)
-        fval = P.det_curves().f_plus.eval(uf)
+        fval = evaluator(uf)(P.det_curves().f_plus)
         assert rep.d_scalar * rep.d_scalar == rep.tower.coerce(fval)
         assert rep.d_scalar == rep.tower.sqrt(fval)
         assert len(rep.matrices) == 3

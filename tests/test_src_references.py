@@ -15,10 +15,12 @@ in conftest).  A third keeps the Clifford engine generic: src/ proves it
 once on generic blocks, and the engine over an instance's own blocks
 (from_pencil, on linear_form_matrix) is a test oracle, in conftest, so
 src/ names neither; the minus block has no engine, proof or evaluator of
-its own, and every fiber and point evaluation of a generic polynomial goes
-through clifford.evaluator.  A fourth keeps prop4.7's annihilator walk
-out of src/: the relation count is the verdict, and the round trip of
-module lines is the oracle, in conftest.
+its own.  A fourth keeps prop4.7's annihilator walk out of src/: the
+relation count is the verdict, and the round trip of module lines is the
+oracle, in conftest.  A fifth keeps one evaluation of a polynomial at a
+point: exactalg.evaluator is defined once, every evaluation in src/ (the
+fibers, d, the commutant, the curves at a point, the ring changes of the
+symbolic identities) goes through it, and MultiPoly has no eval or subs.
 """
 
 import ast
@@ -142,7 +144,10 @@ def test_the_engine_scan_sees_a_per_instance_engine(tmp_path):
 
 
 ONE_SIDE_ENGINE = {"verify_swap", "swapped_central", "eval_element", "structure_terms"}
-EVALUATOR_CALLERS = {"clifford_fiber", "side_fiber", "commutant_basis", "module_rep"}
+EVALUATOR_CALLERS = {
+    "clifford_fiber", "side_fiber", "commutant_basis", "module_rep",
+    "_d_square_check", "sample_invertible_points", "cubic_section_point",
+    "transform_identity_check", "segre_identity_check"}
 
 
 def test_src_has_one_side_engine_and_one_evaluator():
@@ -150,14 +155,21 @@ def test_src_has_one_side_engine_and_one_evaluator():
 
     assert names_in(SRC, ONE_SIDE_ENGINE) == set()
     assert set(VARIANTS) == {"plus", "ordinary", "super"}
-    callers = set()
+    callers, definitions = set(), []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "evaluator":
+                definitions.append(path.name)
             if isinstance(node, ast.FunctionDef) and node.name in EVALUATOR_CALLERS:
                 if any(isinstance(n, ast.Name) and n.id == "evaluator"
                        for n in ast.walk(node)):
                     callers.add(node.name)
+    assert definitions == ["exactalg.py"]
     assert callers == EVALUATOR_CALLERS
+
+
+def test_src_has_no_second_evaluation():
+    assert names_in(SRC, {"eval", "subs"}) == set()
 
 
 ANNIHILATOR_WALK = {"annihilator_line", "module_line_for",
