@@ -22,7 +22,7 @@ reduction can cause, carries a note naming the prime (`noted`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import geometry
 from .clifford import (
@@ -66,12 +66,10 @@ INSTANCE_FREE = frozenset({
 })
 
 
-@dataclass
-class CheckResult:
-    id: str
-    status: str  # pass | fail | skipped
-    witnesses: list
-    seconds: float
+class CheckResult(namedtuple("CheckResult", "id status witnesses seconds")):
+    """One check's outcome; status is pass, fail or skipped."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

@@ -9,6 +9,7 @@ bound above pencil.MAX_COEFF_BOUND).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -28,6 +29,7 @@ from .pencil import MAX_COEFF_BOUND, GenerationError, generate, load_instance
 _ID_SHAPE = re.compile(r"^(prop|def)\d")
 
 
+@functools.cache  # one parser per process: main may be called many times
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quadclif",

@@ -24,7 +24,7 @@ its own: it is the plus side under the automorphism a ↔ b (`swap_blocks`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactalg import (ZZ, MultiPoly, PolyRing, SymMatrix, as_int, evaluator,
                        kernel_int_sparse)
@@ -454,13 +454,9 @@ def phi(e, target):
 # the odd central element of a 3-generator block
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentralOddResult:
-    element: CliffordElement
-    sign: int
-    square: MultiPoly
-    det: MultiPoly
-    r_coeffs: tuple  # the coefficients (r1, r2, r3) of v1, v2, v3 in d
+# r_coeffs: the coefficients (r1, r2, r3) of v1, v2, v3 in d
+CentralOddResult = namedtuple("CentralOddResult",
+                              "element sign square det r_coeffs")
 
 
 def central_odd(alg):

@@ -756,16 +756,16 @@ def even_certificate(ctx):
 
 def side_fiber(ctx, side, u, field):
     """The 8-dimensional fiber of one block of ctx.P at u over field
-    (QuadraticTower(()) for Q), with its central odd vector and the
-    determinant value, from the generic side at a₀ = q_side(u).  Its
-    consumer, plucker.module_rep, discards that value: it takes √f(u) from
-    its own evaluation of f at u and checks that d acts on its module
-    idempotent by that root; the curve claim needs no fiber."""
+    (QuadraticTower(()) for Q) and its central odd vector, from the
+    generic side at a₀ = q_side(u).  Its consumer, plucker.module_rep,
+    takes √f(u) from its own evaluation of f at u and checks that d acts
+    on its module idempotent by that root; the curve claim needs no
+    fiber."""
     a0 = block_point(ctx.P.block_at(u, side))
     A = clifford_fiber(ctx.algebra("plus"), a0, field, proof="clifford")
     d, value = ctx.central().element.coeffs, evaluator(a0)
     dvec = tuple(field.coerce(value(d[m])) if m in d else field.zero for m in range(8))
-    return A, dvec, field.coerce(evaluator(u)(ctx.P.det_curves().side(side)))
+    return A, dvec
 
 
 def corank1_quotient(ctx):

@@ -16,7 +16,7 @@ prime of bad reduction says nothing over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .exactalg import int_coeffs
@@ -261,13 +261,9 @@ def singular_locus_C(curve):
 # stabilizer tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilizerDescriptor:
-    group: str  # "Clambda" or "G"
-    y_plus_zero: bool
-    y_minus_zero: bool
-    subgroup: str  # trivial | Z2_lambda | Z2_s | Z2xZ2
-    elements: tuple
+# group is "Clambda" or "G"; subgroup is trivial, Z2_lambda, Z2_s or Z2xZ2
+StabilizerDescriptor = namedtuple(
+    "StabilizerDescriptor", "group y_plus_zero y_minus_zero subgroup elements")
 
 
 def _act_G(s, lam, point):

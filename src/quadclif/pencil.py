@@ -23,12 +23,11 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .exactalg import (
     ZZ,
-    MultiPoly,
     PolyRing,
     bareiss_det,
     int_coeffs,
@@ -132,36 +131,54 @@ def _freeze(mats):
     return tuple(tuple(tuple(r) for r in m) for m in mats)
 
 
-@dataclass(frozen=True)
 class InvariantPencil:
     """A net of quadrics invariant under the involution fixing V+ and
     negating V−, stored as the two 3×3 blocks of the three coordinate
-    forms."""
+    forms.  Immutable: equality and hash read the four fields, and
+    `det_curves` keeps its memo beside them in `__dict__`."""
 
-    q_plus: tuple
-    q_minus: tuple
-    seed: int
-    coeff_bound: int
+    FIELDS = ("q_plus", "q_minus", "seed", "coeff_bound")
 
-    def __post_init__(self):
-        _check_sym3(self.q_plus, "q_plus")
-        _check_sym3(self.q_minus, "q_minus")
-        object.__setattr__(self, "q_plus", _freeze(self.q_plus))
-        object.__setattr__(self, "q_minus", _freeze(self.q_minus))
-        if type(self.seed) is not int or type(self.coeff_bound) is not int:
+    def __init__(self, q_plus, q_minus, seed, coeff_bound):
+        _check_sym3(q_plus, "q_plus")
+        _check_sym3(q_minus, "q_minus")
+        q_plus, q_minus = _freeze(q_plus), _freeze(q_minus)
+        if type(seed) is not int or type(coeff_bound) is not int:
             raise ValueError("seed and coeff_bound must be integers")
-        if self.coeff_bound < 0:
+        if coeff_bound < 0:
             raise ValueError("coeff_bound must be nonnegative")
-        if self.coeff_bound > MAX_COEFF_BOUND:
+        if coeff_bound > MAX_COEFF_BOUND:
             raise ValueError(f"coeff_bound must be at most {MAX_COEFF_BOUND}, "
-                             f"got {self.coeff_bound}")
-        b = self.coeff_bound
-        for mats in (self.q_plus, self.q_minus):
+                             f"got {coeff_bound}")
+        for mats in (q_plus, q_minus):
             for m in mats:
                 for r in m:
                     for x in r:
-                        if abs(x) > b:
+                        if abs(x) > coeff_bound:
                             raise ValueError("entry exceeds coeff_bound")
+        self.__dict__.update(q_plus=q_plus, q_minus=q_minus, seed=seed,
+                             coeff_bound=coeff_bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.q_plus, self.q_minus, self.seed, self.coeff_bound
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "InvariantPencil(" + ", ".join(
+            f"{k}={v!r}" for k, v in zip(self.FIELDS, self._key())) + ")"
 
     # -- symbolic views ------------------------------------------------------
 
@@ -190,7 +207,7 @@ class InvariantPencil:
         if curves is None:
             curves = DetCurves(f_plus=det_cubic(self.q_plus),
                                f_minus=det_cubic(self.q_minus))
-            object.__setattr__(self, "_det_curves", curves)
+            self.__dict__["_det_curves"] = curves
         return curves
 
     # -- persistence -----------------------------------------------------------
@@ -217,12 +234,11 @@ class InvariantPencil:
         if not isinstance(d, dict):
             raise ValueError("malformed instance data: the top level must be "
                              "a JSON object")
-        keys = ("q_plus", "q_minus", "seed", "coeff_bound")
-        unknown = sorted(set(d).difference(keys))
+        unknown = sorted(set(d).difference(cls.FIELDS))
         if unknown:
             raise ValueError(f"malformed instance data: unknown key {unknown[0]}")
         try:
-            return cls(**{k: d[k] for k in keys})
+            return cls(**{k: d[k] for k in cls.FIELDS})
         except KeyError as exc:
             raise ValueError(
                 f"malformed instance data: missing key {exc.args[0]}") from None
@@ -230,10 +246,8 @@ class InvariantPencil:
             raise ValueError(f"malformed instance data: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DetCurves:
-    f_plus: MultiPoly
-    f_minus: MultiPoly
+class DetCurves(namedtuple("DetCurves", "f_plus f_minus")):
+    __slots__ = ()
 
     def side(self, side):
         """The determinant cubic of one block."""
@@ -244,16 +258,14 @@ class DetCurves:
         raise ValueError("side must be 'plus' or 'minus'")
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(namedtuple(
+        "GenericityReport",
+        "e_plus_smooth e_minus_smooth nine_points witnesses notes",
+        defaults=((),))):
     """The exact verdicts of `genericity_check`: rank ≥ 4 is e_plus_smooth
     and e_minus_smooth, and transversality is nine_points."""
 
-    e_plus_smooth: bool
-    e_minus_smooth: bool
-    nine_points: bool
-    witnesses: tuple
-    notes: tuple = ()
+    __slots__ = ()
 
     def all_ok(self):
         return self.e_plus_smooth and self.e_minus_smooth and self.nine_points

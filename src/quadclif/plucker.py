@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -133,11 +133,8 @@ def poly_residual_hash(polys):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class IdentityCert:
-    ok: bool
-    failures: tuple
-    residual_sha256: str = ""
+IdentityCert = namedtuple("IdentityCert", "ok failures residual_sha256",
+                          defaults=("",))
 
 
 # Rows and columns of (w1 w2 w3 w4) whose 3×3 minor, −a0²·a1·a2³, bounds
@@ -343,13 +340,11 @@ def adjugate_double_line(P, side, u, field=ZZ):
 # two-dimensional modules over split fibers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModuleRep:
-    tower: QuadraticTower
-    matrices: tuple   # action of the three generators, 2×2 over the tower
-    d_scalar: object  # the odd central element acts by this scalar
-    block: tuple      # the 3×3 integer value of the form at the point
-    basis: tuple      # the module A·E: its RREF basis in the fiber's coordinates
+# matrices: the action of the three generators, 2×2 over the tower;
+# d_scalar: the scalar by which the odd central element acts;
+# block: the 3×3 integer value of the form at the point;
+# basis: the module A·E, its RREF basis in the fiber's coordinates
+ModuleRep = namedtuple("ModuleRep", "tower matrices d_scalar block basis")
 
 
 def _mat2_mul(x, y):
@@ -396,7 +391,7 @@ def module_rep(ctx, side, u):
     else:
         raise FiberError("the form vanished on every candidate vector")
     tower, (s, t) = QuadraticTower.create([fval, lam])
-    A, dvec, _ = side_fiber(ctx, side, u, tower)
+    A, dvec = side_fiber(ctx, side, u, tower)
     x = A.vzero()
     for wi, g in zip(wvec, A.gens):
         if wi:

@@ -1,4 +1,4 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -1249,7 +1249,7 @@ def genericity_scans(ctx, report):
             add(noted({"kind": "corank", "prime": p, "point": None, "value": mc},
                       smooth["plus"] and smooth["minus"],
                       "Delta_plus * Delta_minus != 0"))
-    return replace(report, witnesses=tuple(witnesses))
+    return report._replace(witnesses=tuple(witnesses))
 
 
 # -- the random rational curve point search: the oracle for the line walk -------
@@ -1415,7 +1415,7 @@ def corank1_quotient_at(ctx, side, u, field):
     adj = adjugate3([[field.coerce(x) for x in r] for r in block])
     if all(not x for row in adj for x in row):
         raise FiberError("corank at least two at this point")
-    A, dvec, _ = side_fiber(ctx, side, uc, field)
+    A, dvec = side_fiber(ctx, side, uc, field)
     if any(A.mul(dvec, dvec)):
         raise AssertionError("central element square must vanish on the curve")
     pivots, ideal = rref([A.mul(dvec, A.basis_vec(i)) for i in range(8)])
@@ -1507,7 +1507,9 @@ def side_even(ctx, side, u):
     ("side-even", side, u); FiberError on a curve point or a fiber that
     fails even_part's conditions."""
     def build():
-        C0 = even_part(*side_fiber(ctx, side, u, QuadraticTower(())))
+        A, dvec = side_fiber(ctx, side, u, QuadraticTower(()))
+        fval = A.field.coerce(evaluator(u)(ctx.P.det_curves().side(side)))
+        C0 = even_part(A, dvec, fval)
         return C0, certify_matrix_algebra(C0, 2)
 
     return ctx.cached(("side-even", side, _point(u)), build)
@@ -1579,7 +1581,7 @@ def module_by_corner(ctx, side, u):
     uf = _point(u)
     fval = _det_value(ctx.P, side, uf)
     tower, (s,) = QuadraticTower.create([fval])
-    A_Q, dvec_Q, _ = side_fiber(ctx, side, u, QuadraticTower(()))
+    A_Q, dvec_Q = side_fiber(ctx, side, u, QuadraticTower(()))
     A = map_field(A_Q, tower)
     C, e = corner_by_idempotent(A, tuple(map(tower.coerce, dvec_Q)), s)
     block = ctx.P.block_at(uf, side)

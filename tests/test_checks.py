@@ -1,6 +1,5 @@
 """The named-check registry: vocabulary, statuses, witnesses, caching."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -361,9 +360,9 @@ class TestRegistryMutants:
         # longer the stored f±
         P = cached_pencil(42)
         curves = P.det_curves()
-        Q = dataclasses.replace(P)
-        object.__setattr__(Q, "_det_curves", dataclasses.replace(
-            curves, f_plus=curves.f_minus, f_minus=curves.f_plus))
+        Q = InvariantPencil(P.q_plus, P.q_minus, P.seed, P.coeff_bound)
+        object.__setattr__(Q, "_det_curves", curves._replace(
+            f_plus=curves.f_minus, f_minus=curves.f_plus))
         ctx = CheckContext(Q, points=1)
         for side in ("plus", "minus"):
             r = run_single(ctx, f"prop3.12-d{side}-square")
@@ -380,7 +379,7 @@ class TestRegistryMutants:
         def dropped(yp, ym, group):
             s = closed(yp, ym, group)
             if yp and ym:
-                s = dataclasses.replace(s, elements=s.elements[:-1])
+                s = s._replace(elements=s.elements[:-1])
             return s
 
         monkeypatch.setattr(geometry, "stabilizer", dropped)
@@ -407,7 +406,7 @@ class TestRegistryMutants:
                 rep = module_rep(ctx, side, u)
                 rho = [list(row) for row in rep.matrices[0]]
                 rho[entry[0]][entry[1]] += rep.tower.one
-                return dataclasses.replace(rep, matrices=(
+                return rep._replace(matrices=(
                     tuple(map(tuple, rho)), *rep.matrices[1:]))
 
             monkeypatch.setattr(checks, "module_rep", perturbed)

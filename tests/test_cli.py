@@ -543,6 +543,36 @@ class TestEntryPoint:
         assert len(proc.stdout.strip()) == 64
         assert out.exists()
 
+    def test_import_loads_no_introspection_modules(self):
+        """Importing the CLI pulls in no dataclasses, typing or the
+        modules dataclasses needs (inspect, ast, dis, tokenize), and builds
+        no parser; main builds it once per process."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "before = set(sys.modules)\n"
+            "import quadclif.cli as cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+            "print(cli._build_parser.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded, built = proc.stdout.splitlines()
+        loaded = set(loaded.split())
+        assert {"quadclif.cli", "quadclif.checks", "argparse"} <= loaded
+        assert loaded.isdisjoint(
+            {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"})
+        assert built == "0"
+
+    def test_main_builds_one_parser(self, tmp_path, capsys):
+        from quadclif import cli
+
+        parser = cli._build_parser()
+        assert main(["gen", "--seed", "3", "--bound", "4",
+                     "-o", str(tmp_path / "a.json")]) == 0
+        assert cli._build_parser() is parser
+
     def test_usage_error_on_no_subcommand(self):
         proc = subprocess.run(
             [sys.executable, "-m", "quadclif"],

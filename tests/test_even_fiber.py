@@ -13,7 +13,6 @@ field witnesses as the computed route (certify_split_pair and the
 16-dimensional tensor table, oracles in test_fiber).
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -113,7 +112,8 @@ def test_right_multiplication_by_d_has_determinant_f_squared(name, side):
     assert res.square == f
     # at each point the fiber's own 4×4 block has determinant f(u)² ≠ 0
     for u in pts:
-        A, dvec, fval = side_fiber(ctx, side, u, QuadraticTower(()))
+        A, dvec = side_fiber(ctx, side, u, QuadraticTower(()))
+        fval = A.field.coerce(evaluator(u)(f))
         block = [[A.mul(A.basis_vec(m), dvec)[o] for o in ODD_MASKS]
                  for m in EVEN_MASKS]
         assert all(not A.mul(A.basis_vec(m), dvec)[e]
@@ -264,7 +264,8 @@ def test_even_part_is_built_once_per_point():
     assert side_even(ctx, "plus", u)[0] is C0
     assert side_even(ctx, "minus", u)[0] is not C0
     # a table without a proof is checked on all basis triples first
-    A, dvec, fval = side_fiber(ctx, "plus", u, QuadraticTower(()))
+    A, dvec = side_fiber(ctx, "plus", u, QuadraticTower(()))
+    fval = A.field.coerce(evaluator(u)(P.det_curves().f_plus))
     bare = FinAlg(A.field, A.table, A.unit, gens=A.gens)
     assert even_part(bare, dvec, fval).table == C0.table
     assert bare.proof == "checked"
@@ -277,7 +278,7 @@ def test_wrong_square_fails_the_identity():
     P = cached_pencil(42)
     ctx = CheckContext(P, points=1)
     res = ctx.central()
-    ctx._cache["central"] = replace(res, element=res.element * 2)
+    ctx._cache["central"] = res._replace(element=res.element * 2)
     for cid in FIBER_CHECKS:
         r = run_single(ctx, cid)
         assert r.status == "fail"

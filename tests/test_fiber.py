@@ -1,7 +1,7 @@
 """Quadratic towers, structure-constant algebras, and fiber certification."""
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -278,7 +278,7 @@ def ordinary_fiber(ctx, u, field=None):
                              "in the requested field")
     corners = []
     for side, s in (("plus", sp), ("minus", sm)):
-        A8, dvec, _ = side_fiber(ctx, side, u, field)
+        A8, dvec = side_fiber(ctx, side, u, field)
         C, _ = corner_by_idempotent(A8, dvec, s)
         assert C.dim == 4
         corners.append(C)
@@ -569,8 +569,8 @@ def _replace_d(make):
     make(alg, d) before any check reads it."""
     def apply(monkeypatch, ctx):
         res = ctx.central()
-        ctx._cache["central"] = replace(
-            res, element=make(ctx.block("plus"), res.element))
+        ctx._cache["central"] = res._replace(
+            element=make(ctx.block("plus"), res.element))
     return apply
 
 
@@ -636,7 +636,7 @@ def test_side_fiber_provenance_over_prime_field():
     # the F_p fiber carries the proof over Q[u]
     P = cached_pencil(42)
     pt = curve_points(P.det_curves().f_plus, 101)[0]
-    A, _, _ = side_fiber(CheckContext(P), "plus", pt, field=PrimeField(101))
+    A, _ = side_fiber(CheckContext(P), "plus", pt, field=PrimeField(101))
     assert A.proof == "clifford"
     assert A.check_associativity()
 
@@ -678,7 +678,8 @@ def invertible_point(P, seed="pts"):
 def test_side_fiber_structure():
     P = cached_pencil(42)
     u = invertible_point(P)
-    A, dvec, fval = side_fiber(CheckContext(P), "plus", u, QuadraticTower(()))
+    A, dvec = side_fiber(CheckContext(P), "plus", u, QuadraticTower(()))
+    fval = A.field.coerce(evaluator(u)(P.det_curves().f_plus))
     assert A.dim == 8
     assert A.proof == "clifford"  # proven once over Q[u], not per point
     assert A.check_associativity()  # the long path agrees
@@ -691,7 +692,8 @@ def test_side_fiber_structure():
 def side_corner(P, side, u, y):
     """The 4-dimensional corner of a side fiber on which the central odd
     element acts as y, for y² = f(u) and y ≠ 0."""
-    A, dvec, fval = side_fiber(CheckContext(P), side, u, QuadraticTower(()))
+    A, dvec = side_fiber(CheckContext(P), side, u, QuadraticTower(()))
+    fval = A.field.coerce(evaluator(u)(P.det_curves().side(side)))
     yv = A.field.coerce(y)
     if not yv:
         raise ValueError("the corner needs an invertible y")
@@ -802,7 +804,7 @@ def split_full_rank(ctx, side, u):
     if fval == 0:
         raise FiberError("the block only splits away from its curve")
     tower, (s,) = QuadraticTower.create([fval])
-    A, dvec, _ = side_fiber(ctx, side, u, tower)
+    A, dvec = side_fiber(ctx, side, u, tower)
     C1, e1 = corner_by_idempotent(A, dvec, s)
     C2, e2 = corner_by_idempotent(A, A.vscale(dvec, -A.field.one), s)
     if any(A.mul(e1, e2)) or A.vadd(e1, e2) != A.unit:

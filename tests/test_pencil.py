@@ -84,6 +84,23 @@ def test_validation():
                         seed=0, coeff_bound=1)
 
 
+def test_pencil_fields_refuse_assignment():
+    P = diag_pencil()
+    for name in ("q_plus", "q_minus", "seed", "coeff_bound", "_det_curves"):
+        with pytest.raises(AttributeError):
+            setattr(P, name, 0)
+    with pytest.raises(AttributeError):
+        del P.seed
+    assert P == diag_pencil() and hash(P) == hash(diag_pencil())
+
+
+def test_det_curves_is_computed_once():
+    P = diag_pencil()
+    curves = P.det_curves()
+    assert P.det_curves() is curves
+    assert P == diag_pencil()  # the memo is not a field
+
+
 def test_diagonal_det_curve():
     P = diag_pencil()
     u1, u2, u3 = (URING.var(v) for v in URING.vars)

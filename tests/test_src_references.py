@@ -21,6 +21,9 @@ oracle, in conftest.  A fifth keeps one evaluation of a polynomial at a
 point: exactalg.evaluator is defined once, every evaluation in src/ (the
 fibers, d, the commutant, the curves at a point, the ring changes of the
 symbolic identities) goes through it, and MultiPoly has no eval or subs.
+A sixth keeps dataclasses out of src/: the records are namedtuples or
+plain classes, so importing quadclif loads none of inspect, ast, dis and
+tokenize, which dataclasses imports.
 """
 
 import ast
@@ -178,3 +181,34 @@ ANNIHILATOR_WALK = {"annihilator_line", "module_line_for",
 
 def test_src_has_no_annihilator_walk():
     assert names_in(SRC, ANNIHILATOR_WALK) == set()
+
+
+def imports_in(root, module):
+    """(file, line) for every import of `module` or its submodules in root."""
+    out = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n == module or n.startswith(module + ".") for n in names):
+                out.add((path.name, node.lineno))
+    return out
+
+
+def test_src_imports_no_dataclasses():
+    assert imports_in(SRC, "dataclasses") == set()
+
+
+def test_the_import_scan_sees_dataclasses(tmp_path):
+    (tmp_path / "extra.py").write_text(
+        "import json, dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "from .dataclasses import field\n"
+        "import dataclassesx\n",
+        encoding="utf-8")
+    assert imports_in(tmp_path, "dataclasses") == {
+        ("extra.py", 1), ("extra.py", 2)}
